@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitized lint kamllint lint-deep format bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
+.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,6 +28,16 @@ lint-deep: kamllint
 
 format:
 	ruff format src/repro/obs tests/obs
+
+# kamlbench, the two-clock per-layer benchmark of record (BENCHMARK.json is
+# its contract, kamlbench/README.md its manual): `bench` runs all four
+# workloads with both traced passes; `bench-aa` runs everything twice and
+# insists the simulated/exact metrics repeat bit-for-bit.
+bench:
+	$(PYTHON) -m kamlbench run --seed 1
+
+bench-aa:
+	$(PYTHON) -m kamlbench aa --seed 1
 
 # Figure 5 smoke benchmark; leaves metrics + Chrome trace + flight-recorder
 # artifacts in benchmarks/artifacts/.

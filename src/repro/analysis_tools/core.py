@@ -378,6 +378,47 @@ def receiver_text(node: ast.AST) -> Optional[str]:
     return dotted_name(node)
 
 
+class TryThenWait:
+    """Folds the zero-event acquisition idiom into one acquisition.
+
+    The simulator grants an idle lock or reservation without an event
+    when it can; callers spell the contended fallback right behind it::
+
+        if not lock.try_acquire(owner):
+            yield lock.acquire(owner)
+
+        handle = nvram.try_reserve(n)
+        if handle is None:
+            handle = yield nvram.reserve(n)
+
+    ``try_<verb>`` is the acquisition.  The plain ``<verb>`` that follows
+    it on the same receiver (before any release) is the same acquisition
+    waiting, not a second one; a plain ``<verb>`` on its own still counts.
+    Feed calls in source order.
+    """
+
+    def __init__(self, verb: str):
+        self.verb = verb
+        self.try_verb = "try_" + verb
+        self._tried: Set[str] = set()
+
+    def acquires(self, method: str, receiver: str) -> Optional[bool]:
+        """True: an acquisition; False: the fallback of the ``try_`` just
+        seen (count nothing); None: not this verb at all."""
+        if method == self.try_verb:
+            self._tried.add(receiver)
+            return True
+        if method == self.verb:
+            if receiver in self._tried:
+                self._tried.discard(receiver)
+                return False
+            return True
+        return None
+
+    def released(self, receiver: str) -> None:
+        self._tried.discard(receiver)
+
+
 def iter_functions(tree: ast.Module):
     """Yield ``(class_name_or_None, FunctionDef)`` for every function."""
     for node in tree.body:
@@ -398,6 +439,17 @@ def walk_own(func: ast.AST):
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def method_calls(func: ast.AST) -> List[ast.Call]:
+    """The ``recv.method(...)`` calls of a function's own body, in source
+    order (the order the stateful lock/resource walks need)."""
+    calls = [
+        node for node in walk_own(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    calls.sort(key=lambda node: (node.lineno, node.col_offset))
+    return calls
 
 
 def is_generator(func: ast.FunctionDef) -> bool:

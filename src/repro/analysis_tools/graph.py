@@ -34,14 +34,16 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.analysis_tools.core import (
     LintModule,
+    TryThenWait,
     dotted_name,
     is_generator,
+    method_calls,
     receiver_text,
     walk_own,
 )
 
-#: Latch method names (mirrors repro.sim.sync.SimLock's surface).
-ACQUIRE_METHODS = {"acquire"}
+#: Latch release names (mirrors repro.sim.sync.SimLock's surface); the
+#: acquire side is ``acquire``/``try_acquire`` through :class:`TryThenWait`.
 RELEASE_METHODS = {"release", "release_all", "release_one"}
 
 
@@ -543,18 +545,17 @@ class Project:
         if cached is not None:
             return cached
         events: List[Tuple[Tuple[int, int], str, str]] = []
-        for node in walk_own(info.func):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                continue
+        idiom = TryThenWait("acquire")
+        for node in method_calls(info.func):
             method = node.func.attr
-            if method not in ACQUIRE_METHODS and method not in RELEASE_METHODS:
-                continue
             site = canonical_site(receiver_text(node.func.value), info.class_name)
             if site is None:
                 continue
-            kind = "acq" if method in ACQUIRE_METHODS else "rel"
-            events.append(((node.lineno, node.col_offset), kind, site))
-        events.sort()
+            if idiom.acquires(method, site):
+                events.append(((node.lineno, node.col_offset), "acq", site))
+            elif method in RELEASE_METHODS:
+                idiom.released(site)
+                events.append(((node.lineno, node.col_offset), "rel", site))
         timeline = LockTimeline(events)
         self._lock_timelines[info.uid] = timeline
         return timeline

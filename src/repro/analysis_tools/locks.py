@@ -31,11 +31,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_tools.core import (
     LintModule,
+    TryThenWait,
     Violation,
     iter_functions,
+    method_calls,
     receiver_text,
     register_pass,
-    walk_own,
 )
 from repro.analysis_tools.graph import Project
 
@@ -80,31 +81,28 @@ def _site(receiver: Optional[str], class_name: Optional[str]) -> Optional[str]:
     return receiver
 
 
-def _ordered_calls(func: ast.FunctionDef) -> List[ast.Call]:
-    calls = [node for node in walk_own(func) if isinstance(node, ast.Call)]
-    calls.sort(key=lambda node: (node.lineno, node.col_offset))
-    return calls
-
-
 def _analyze_function(
     module: LintModule, class_name: Optional[str], func: ast.FunctionDef
 ) -> _FunctionLocks:
     info = _FunctionLocks(module, class_name, func)
     held: List[Tuple[str, int]] = []
     released: Set[str] = set()
-    for call in _ordered_calls(func):
-        if not isinstance(call.func, ast.Attribute):
-            continue
+    idiom = TryThenWait("acquire")
+    for call in method_calls(func):
         method = call.func.attr
         receiver = receiver_text(call.func.value)
         site = _site(receiver, class_name)
-        if method == "acquire" and site is not None:
+        acquires = idiom.acquires(method, site) if site is not None else None
+        if acquires is False:
+            continue  # the contended wait of the try_acquire just counted
+        if acquires:
             for held_site, _line in held:
                 if held_site != site:
                     info.edges.append((held_site, site, call.lineno))
             info.acquires.append((site, call.lineno))
             held.append((site, call.lineno))
         elif method in _RELEASE_METHODS and site is not None:
+            idiom.released(site)
             released.add(site)
             for position in range(len(held) - 1, -1, -1):
                 if held[position][0] == site:

@@ -6,7 +6,8 @@ Two counted resources keep the firmware honest:
 * **block pins** — ``self._pin(block)`` / ``self._unpin(block)`` guard
   flash locations against GC erase; a leaked pin wedges GC forever
   (``wait_unpinned`` never drains).
-* **NVRAM reservations** — ``self.nvram.reserve(...)`` /
+* **NVRAM reservations** — ``self.nvram.reserve(...)`` (or its
+  zero-event form ``try_reserve``, see ``TryThenWait``) /
   ``self.nvram.release(handle)`` bound the persistent staging buffer; a
   leaked handle is permanent back-pressure.
 
@@ -42,7 +43,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis_tools.core import (
     TOOLING_SUBPACKAGES,
+    TryThenWait,
     Violation,
+    method_calls,
     receiver_text,
     register_pass,
     walk_own,
@@ -73,9 +76,8 @@ class _Event:
 def _own_events(info: FunctionInfo) -> List[_Event]:
     """Acquire/release deltas from the function's own body."""
     events: List[_Event] = []
-    for node in walk_own(info.func):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
+    idiom = TryThenWait("reserve")
+    for node in method_calls(info.func):
         method = node.func.attr
         receiver = receiver_text(node.func.value) or ""
         pos = (node.lineno, node.col_offset)
@@ -83,11 +85,13 @@ def _own_events(info: FunctionInfo) -> List[_Event]:
             events.append(_Event(pos, "pin", +1, f"{receiver}.{method}()"))
         elif method in PIN_RELEASE:
             events.append(_Event(pos, "pin", -1, f"{receiver}.{method}()"))
-        elif method == "reserve" and "nvram" in receiver.lower():
-            events.append(_Event(pos, "nvram", +1, f"{receiver}.reserve()"))
-        elif method == "release" and "nvram" in receiver.lower():
+        elif "nvram" not in receiver.lower():
+            continue
+        elif idiom.acquires(method, receiver):
+            events.append(_Event(pos, "nvram", +1, f"{receiver}.{method}()"))
+        elif method == "release":
+            idiom.released(receiver)
             events.append(_Event(pos, "nvram", -1, f"{receiver}.release()"))
-    events.sort(key=lambda e: e.pos)
     return events
 
 

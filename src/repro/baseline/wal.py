@@ -73,7 +73,8 @@ class WriteAheadLog:
 
     def append(self, record_fields: Dict[str, Any]) -> Any:
         """Append a record under the global log mutex; returns its LSN."""
-        yield self._mutex.acquire(owner="append")
+        if not self._mutex.try_acquire(owner="append"):
+            yield self._mutex.acquire(owner="append")
         try:
             yield self.env.timeout(
                 self.costs.wal_record_us
@@ -105,7 +106,8 @@ class WriteAheadLog:
                 if not self.group_commit:
                     continue  # piggybacking disabled: take our own turn
                 continue
-            yield self._flush_lock.acquire(owner="flush")
+            if not self._flush_lock.try_acquire(owner="flush"):
+                yield self._flush_lock.acquire(owner="flush")
             try:
                 if self.group_commit and self._flushed_lsn >= lsn:
                     continue

@@ -58,8 +58,7 @@ class FlashChannel:
         Spans are pure bookkeeping: no extra simulation events.
         """
         queued = self.env.now
-        request = self.bus.request()
-        yield request
+        request = self.bus.try_acquire() or (yield self.bus.request())
         granted = self.env.now
         if granted > queued:
             ctx.record_span(

@@ -80,8 +80,7 @@ class FlashChip:
         """
         block = self.block(block_index)
         queued = self.env.now
-        request = self.engine.request()
-        yield request
+        request = self.engine.try_acquire() or (yield self.engine.request())
         if self.env.now > queued:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
@@ -115,8 +114,7 @@ class FlashChip:
         if generation is None:
             generation = self.generation
         queued = self.env.now
-        request = self.engine.request()
-        yield request
+        request = self.engine.try_acquire() or (yield self.engine.request())
         if self.env.now > queued:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
@@ -157,8 +155,7 @@ class FlashChip:
         block = self.block(block_index)
         generation = self.generation
         queued = self.env.now
-        request = self.engine.request()
-        yield request
+        request = self.engine.try_acquire() or (yield self.engine.request())
         if self.env.now > queued:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name

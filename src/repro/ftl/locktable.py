@@ -61,7 +61,8 @@ class LockTable:
             )
             self._locks[key] = lock
         queued = self.env.now
-        yield lock.acquire(owner)
+        if not lock.try_acquire(owner):
+            yield lock.acquire(owner)
         if self._wait_us_histogram is not None and self.env.now > queued:
             self._wait_us_histogram.observe(self.env.now - queued)
 

@@ -218,7 +218,9 @@ class PageFtl:
             with ctx.span("ftl.rmw_read", parent=ctx.root):
                 yield from self._read_for_merge(lpn)
         reserve_start = self.env.now
-        handle = yield self.nvram.reserve(LOGICAL_PAGE, payload=(lpn, data))
+        handle = self.nvram.try_reserve(LOGICAL_PAGE, payload=(lpn, data))
+        if handle is None:
+            handle = yield self.nvram.reserve(LOGICAL_PAGE, payload=(lpn, data))
         if self.env.now > reserve_start:
             ctx.record_span("ftl.nvram_reserve", start_us=reserve_start)
         yield from self.firmware.execute(

@@ -296,7 +296,8 @@ class KamlLog:
             epoch = self.epoch
         if self.epoch != epoch:
             return  # launched an instant before a cut; the page is gone
-        yield self._program_lock.acquire(owner=("flush", for_gc))
+        if not self._program_lock.try_acquire(owner=("flush", for_gc)):
+            yield self._program_lock.acquire(owner=("flush", for_gc))
         held = True
         try:
             if sanitize.enabled():
@@ -324,7 +325,8 @@ class KamlLog:
                     self._program_lock.release()
                     held = False
                     yield self.space_gate.wait()
-                    yield self._program_lock.acquire(owner=("flush-retry", for_gc))
+                    if not self._program_lock.try_acquire(owner=("flush-retry", for_gc)):
+                        yield self._program_lock.acquire(owner=("flush-retry", for_gc))
                     held = True
                     continue
                 self._crash_point("log.mid_flush")

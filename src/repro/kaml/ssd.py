@@ -678,7 +678,9 @@ class KamlSsd:
         )
         batch = StagedBatch("put", items)
         self._crash_point("put.before_nvram_pin")
-        handle = yield self.nvram.reserve(total_bytes, payload=batch)
+        handle = self.nvram.try_reserve(total_bytes, payload=batch)
+        if handle is None:
+            handle = yield self.nvram.reserve(total_bytes, payload=batch)
         self._crash_point("put.after_nvram_pin")
         ctx.finish(reserve_span)
         self._nvram_wait_us_histogram.observe(self.env.now - nvram_wait_start)
@@ -957,7 +959,9 @@ class KamlSsd:
         batch = StagedBatch(
             "delete", [PutItem(namespace_id, key, TOMBSTONE, 0)], versions=[version]
         )
-        handle = yield self.nvram.reserve(RECORD_HEADER_BYTES, payload=batch)
+        handle = self.nvram.try_reserve(RECORD_HEADER_BYTES, payload=batch)
+        if handle is None:
+            handle = yield self.nvram.reserve(RECORD_HEADER_BYTES, payload=batch)
         if self.epoch != epoch:
             # kamllint: allow[KL-RES001] crash path keeps the reserved tombstone: replay owns it
             return False  # crashed mid-command; NVRAM replay owns the intent
@@ -1033,7 +1037,9 @@ class KamlSsd:
         yield from self.link.command_overhead()
         yield from self.link.host_to_device(total_bytes)
         batch = StagedBatch("prepare", items, txn_id=txn_id)
-        handle = yield self.nvram.reserve(total_bytes, payload=batch)
+        handle = self.nvram.try_reserve(total_bytes, payload=batch)
+        if handle is None:
+            handle = yield self.nvram.reserve(total_bytes, payload=batch)
         self._nvram_used_gauge.set(self.nvram.used_bytes)
         yield from self.firmware.execute(
             self.costs.dispatch_us + total_bytes / self.costs.nvram_copy_bytes_per_us

@@ -18,7 +18,7 @@ Naming convention (see docs/internals.md, "Observability"):
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelsKey = Tuple[Tuple[str, object], ...]
 
@@ -131,6 +131,38 @@ class Gauge(Instrument):
 
     def export(self) -> Dict[str, object]:
         return {"value": self.value, "high_water": self.high_water}
+
+
+class PolledGauge(Instrument):
+    """A gauge whose owner keeps the level itself and is asked on read.
+
+    For levels that change on a hot path (the simulator's event-queue
+    depth moves twice per event): the owner tracks the value and the
+    high-water mark in plain attributes and ``read`` returns both, so
+    nothing is paid per change and readers still see exact numbers.
+    """
+
+    kind = "gauge"
+
+    __slots__ = ("_read",)
+
+    def __init__(
+        self, name: str, labels: LabelsKey, read: Callable[[], Tuple[float, float]]
+    ):
+        super().__init__(name, labels)
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return self._read()[0]
+
+    @property
+    def high_water(self) -> float:
+        return self._read()[1]
+
+    def export(self) -> Dict[str, object]:
+        value, high_water = self._read()
+        return {"value": value, "high_water": high_water}
 
 
 class Histogram(Instrument):

@@ -24,6 +24,7 @@ from repro.obs.metrics import (
     Histogram,
     Instrument,
     LabelsKey,
+    PolledGauge,
     labels_key,
 )
 
@@ -122,6 +123,15 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
+
+    def polled_gauge(
+        self, name: str, read: Callable[[], Tuple[float, float]], **labels
+    ) -> PolledGauge:
+        """A gauge read on demand: ``read()`` returns ``(value, high_water)``.
+
+        ``gauge(name)`` returns the same instrument afterwards.
+        """
+        return self._get(PolledGauge, name, labels, read=read)
 
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None, **labels

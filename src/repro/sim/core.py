@@ -23,11 +23,18 @@ Performance notes (see ``docs/performance.md`` for the full story):
 * Cancellation is cheap: :meth:`Event.defuse` turns a scheduled event into
   a guaranteed no-op without touching the heap; the environment compacts
   the heap only when defused ghosts pile up.
+* Uncontended acquisitions cost no event at all: when
+  :meth:`Environment._would_run_next` proves that a grant scheduled now
+  would be the very next dispatch, ``Resource.try_acquire`` and friends
+  hand the grant back inline instead of pushing it through the heap.
 
 Determinism contract: events are dispatched in exactly ``(time, priority,
 sequence)`` order, where sequence numbers are handed out at schedule time.
 Every optimisation here preserves that order bit-for-bit — the fixed-seed
-digests in ``tests/determinism`` hold across the rewrite.
+digests in ``tests/determinism`` hold across the rewrite.  The only events
+ever removed are provable no-ops: defused ghosts, and grants that
+:meth:`Environment._would_run_next` shows would have been popped next
+with nothing able to run in between.
 """
 
 from __future__ import annotations
@@ -144,13 +151,6 @@ class Event:
             # It is sitting in the heap; let the environment reclaim it.
             self.env._note_defused()
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -164,11 +164,21 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
+        # Two thirds of all events are timeouts: Event.__init__ and
+        # Environment._schedule are flattened into this one body.
+        self.env = env
+        self.callbacks = None
         self._value = value
-        env._schedule(self, delay, NORMAL)
+        self._exception = None
+        self._triggered = True
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        env._eid = eid = env._eid + 1
+        queue = env._queue
+        heappush(queue, (env._now + delay, NORMAL, eid, self))
+        if len(queue) > env._queue_high:
+            env._queue_high = len(queue)
 
 
 class Environment:
@@ -183,8 +193,13 @@ class Environment:
         #: numerator of the ``harness perf`` sim-events/sec metric).
         self.events_processed = 0
         self.active_process = None  # set by Process while it runs
-        #: Optional queue-depth gauge (see :meth:`attach_metrics`).
-        self._queue_gauge = None
+        #: Deepest the heap has been; only a push can set a new high, so
+        #: it is tracked there and read on demand (:meth:`attach_metrics`).
+        self._queue_high = 0
+        self._metrics_attached = False
+        #: True while the event being dispatched still has callbacks left
+        #: to run after the current one (see :meth:`_would_run_next`).
+        self._fanning_out = False
         #: Tracer of the stack under test (see :meth:`attach_tracer`).
         self.tracer = None
 
@@ -195,8 +210,12 @@ class Environment:
         simulated system keeps in flight.  First caller wins: one stack
         root (the SSD under test) owns an environment's gauge.
         """
-        if self._queue_gauge is None:
-            self._queue_gauge = registry.gauge("sim.queue_depth")
+        if not self._metrics_attached:
+            self._metrics_attached = True
+            registry.polled_gauge(
+                "sim.queue_depth",
+                lambda: (float(len(self._queue)), float(self._queue_high)),
+            )
 
     def attach_tracer(self, tracer) -> None:
         """Publish the stack root's tracer on the environment.
@@ -274,9 +293,31 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, priority, eid, event))
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(len(self._queue))
+        queue = self._queue
+        heappush(queue, (self._now + delay, priority, eid, event))
+        if len(queue) > self._queue_high:
+            self._queue_high = len(queue)
+
+    def _would_run_next(self, priority: int) -> bool:
+        """Would an event scheduled *now* at ``priority`` be the very next
+        dispatch?
+
+        True when nothing can run before it: the event being dispatched
+        has no further callbacks, and no heap entry sorts ahead of
+        ``(now, priority, <fresh sequence number>)`` — every entry already
+        at ``now`` with that priority or a more urgent one holds an older
+        sequence number and would go first.  A caller that would schedule
+        such an event and immediately yield it may skip both: the push,
+        the pop and the resume decide nothing, so every timestamp and the
+        relative order of all other events stay as they were.
+        """
+        if self._fanning_out:
+            return False
+        queue = self._queue
+        if not queue:
+            return True
+        head = queue[0]
+        return head[0] > self._now or head[1] > priority
 
     def _note_defused(self) -> None:
         self._ndefused = ghosts = self._ndefused + 1
@@ -307,9 +348,21 @@ class Environment:
         self.events_processed += 1
         if event._defused:
             self._ndefused -= 1
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(len(self._queue))
-        event._run_callbacks()
+        callbacks, event.callbacks = event.callbacks, None
+        event._processed = True
+        if callbacks:
+            # All but the last callback run with _fanning_out set: code
+            # they resume is not the last thing this dispatch does, so an
+            # event it schedules is not provably next (_would_run_next).
+            last = callbacks.pop()
+            try:
+                if callbacks:
+                    self._fanning_out = True
+                    for callback in callbacks:
+                        callback(event)
+            finally:
+                self._fanning_out = False
+            last(event)
 
     def run_until(self, event: Event) -> None:
         """Run until ``event`` triggers.
@@ -335,13 +388,18 @@ class Environment:
                 callbacks, popped.callbacks = popped.callbacks, None
                 popped._processed = True
                 if callbacks:
-                    for callback in callbacks:
-                        callback(popped)
-                if self._queue_gauge is not None:
-                    self._queue_gauge.set(len(queue))
+                    # Same fan-out bookkeeping as step().
+                    last = callbacks.pop()
+                    if callbacks:
+                        self._fanning_out = True
+                        for callback in callbacks:
+                            callback(popped)
+                        self._fanning_out = False
+                    last(popped)
                 if queue is not self._queue:  # compacted mid-flight
                     queue = self._queue
         finally:
+            self._fanning_out = False
             self.events_processed += dispatched
 
     def run(self, until: Optional[float] = None) -> None:
@@ -367,13 +425,17 @@ class Environment:
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
                 if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                if self._queue_gauge is not None:
-                    self._queue_gauge.set(len(queue))
+                    last = callbacks.pop()
+                    if callbacks:
+                        self._fanning_out = True
+                        for callback in callbacks:
+                            callback(event)
+                        self._fanning_out = False
+                    last(event)
                 if queue is not self._queue:  # compacted mid-flight
                     queue = self._queue
         finally:
+            self._fanning_out = False
             self.events_processed += dispatched
         if until is not None:
             self._now = until

@@ -71,37 +71,52 @@ class Process(Event):
         self.env._schedule(throw, 0.0)
 
     def _resume(self, event: Event) -> None:
+        env = self.env
+        generator = self._generator
         self._waiting_on = None
-        previous, self.env.active_process = self.env.active_process, self
-        try:
-            if event._exception is not None:
-                target = self._generator.throw(event._exception)
-            else:
-                target = self._generator.send(event._value if event._triggered else None)
-        except StopIteration as stop:
-            self.env.active_process = previous
-            self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            # An unhandled interrupt terminates the process with that error.
-            self.env.active_process = previous
-            self.fail(exc)
-            return
-        except Exception as exc:
-            self.env.active_process = previous
-            if not self.callbacks:
-                # Nobody is waiting on this process; surface the bug loudly
-                # instead of recording a failure no one will observe.
-                raise
-            self.fail(exc)
-            return
-        self.env.active_process = previous
-        if not isinstance(target, Event):
-            raise SimulationError(f"process {self.name!r} yielded a non-event: {target!r}")
-        if target.env is not self.env:
-            raise SimulationError("yielded an event from a different environment")
+        previous, env.active_process = env.active_process, self
+        # A loop, not recursion: a target that was already processed is fed
+        # straight back in, however many of them the process yields in a row.
+        while True:
+            try:
+                if event._exception is not None:
+                    target = generator.throw(event._exception)
+                else:
+                    target = generator.send(event._value if event._triggered else None)
+            except StopIteration as stop:
+                env.active_process = previous
+                self.succeed(stop.value)
+                return
+            except Interrupt as exc:
+                # An unhandled interrupt terminates the process with that error.
+                env.active_process = previous
+                self.fail(exc)
+                return
+            except Exception as exc:
+                env.active_process = previous
+                if not self.callbacks:
+                    # Nobody is waiting on this process; surface the bug loudly
+                    # instead of recording a failure no one will observe.
+                    raise
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                env.active_process = previous
+                raise SimulationError(
+                    f"process {self.name!r} yielded a non-event: {target!r}"
+                )
+            if target.env is not env:
+                env.active_process = previous
+                raise SimulationError("yielded an event from a different environment")
+            if not target._processed:
+                break
+            event = target
+        env.active_process = previous
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target.callbacks is None:
+            target.callbacks = [self._resume]
+        else:
+            target.callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "finished" if self._triggered else "alive"

@@ -6,12 +6,19 @@ FIFO (optionally by priority).
 
 Usage inside a process::
 
-    request = bus.request()
-    yield request
+    request = bus.try_acquire() or (yield bus.request())
     try:
         yield env.timeout(transfer_time)
     finally:
         bus.release(request)
+
+``try_acquire`` grants an idle resource without a simulation event when the
+kernel can prove the grant event would have been the very next dispatch
+(:meth:`Environment._would_run_next`); otherwise it returns ``None`` and
+the caller queues with ``request()`` as before.  Either way the process
+resumes at the same instant, in the same order relative to everything
+else.  Use plain ``request()`` when the request is not yielded on the spot
+(``any_of`` with a timeout, ``cancel``).
 
 Cancelled requests are counted rather than scanned: ``queue_length`` is
 O(1), and the wait heap is compacted when cancelled ghosts outnumber live
@@ -22,7 +29,7 @@ events/sec metric) with leaked entries.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.core import URGENT, Environment, Event, SimulationError
 
@@ -94,6 +101,28 @@ class Resource:
             self._ticket = ticket = self._ticket + 1
             heappush(self._waiting, (priority, ticket, request))
         return request
+
+    def try_acquire(self, priority: int = 0) -> Optional[Request]:
+        """Claim one unit without an event, or return ``None``.
+
+        Succeeds when :meth:`request` would grant on the spot *and* that
+        grant event would be dispatched next: the caller, which must
+        carry on exactly as if it had yielded the grant, then skips an
+        event that decides nothing.  ``None`` (contended, or something
+        else is due to run first) means fall back to
+        ``yield resource.request()``.
+        """
+        if (
+            self._in_use < self.capacity
+            and not self._waiting
+            and self.env._would_run_next(URGENT)
+        ):
+            self._in_use += 1
+            request = Request(self, priority)
+            request._triggered = request._processed = True
+            request._value = request
+            return request
+        return None
 
     def release(self, request: Request) -> None:
         """Return a previously granted unit."""

@@ -10,11 +10,14 @@ from repro.sim.resources import Request, Resource
 
 
 class SimLock:
-    """A mutex.  ``yield lock.acquire()`` then ``lock.release()``.
+    """A mutex.  ``if not lock.try_acquire(): yield lock.acquire()`` then
+    ``lock.release()``.
 
     Unlike :class:`Resource`, release is not tied to a request object, which
     keeps lock-manager code (acquire in one method, release in another)
-    readable.  The holder is tracked for debugging.
+    readable.  The holder is tracked for debugging.  ``try_acquire`` is
+    the zero-event form of ``yield lock.acquire()`` (see
+    :meth:`Resource.try_acquire`); both feed the lock-order sanitizer.
     """
 
     def __init__(self, env: Environment, name: str = "", static_site: str = ""):
@@ -39,27 +42,43 @@ class SimLock:
         return self._resource.queue_length
 
     def acquire(self, owner: Any = None) -> Event:
-        recorder = None
-        acquirer = None
-        if sanitize.enabled():
-            # The acquiring process is the one running right now; record
-            # edges from every lock it already holds to this one.
-            recorder = sanitize.recorder_for(self.env)
-            acquirer = self.env.active_process
-            recorder.on_acquire(acquirer, self.name or "simlock", self.static_site)
+        acquirer = self._note_wanted()
         request = self._resource.request()
-
-        def record(event: Event) -> None:
-            self._held_request = event.value
-            self.holder = owner
-            self._holder_process = acquirer
-            if recorder is not None:
-                recorder.on_granted(
-                    acquirer, self.name or "simlock", self.static_site
-                )
-
-        request.add_callback(record)
+        request.add_callback(
+            lambda _event: self._note_granted(request, owner, acquirer)
+        )
         return request
+
+    def try_acquire(self, owner: Any = None) -> bool:
+        """Take a free lock without an event; ``False`` means the caller
+        must ``yield lock.acquire(owner)`` instead."""
+        acquirer = self._note_wanted()
+        request = self._resource.try_acquire()
+        if request is None:
+            return False
+        self._note_granted(request, owner, acquirer)
+        return True
+
+    def _note_wanted(self) -> Any:
+        """Lock-order hook; returns the process to attribute the hold to."""
+        if not sanitize.enabled():
+            return None
+        # The acquiring process is the one running right now; record
+        # edges from every lock it already holds to this one.
+        acquirer = self.env.active_process
+        sanitize.recorder_for(self.env).on_acquire(
+            acquirer, self.name or "simlock", self.static_site
+        )
+        return acquirer
+
+    def _note_granted(self, request: Request, owner: Any, acquirer: Any) -> None:
+        self._held_request = request
+        self.holder = owner
+        self._holder_process = acquirer
+        if sanitize.enabled():
+            sanitize.recorder_for(self.env).on_granted(
+                acquirer, self.name or "simlock", self.static_site
+            )
 
     def release(self) -> None:
         if self._held_request is None:

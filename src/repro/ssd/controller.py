@@ -58,8 +58,7 @@ class FirmwarePool:
         if cost_us <= 0:
             return
         queued = self.env.now
-        request = self._pool.request()
-        yield request
+        request = self._pool.try_acquire() or (yield self._pool.request())
         if self.env.now > queued:
             ctx.record_span("firmware.wait", start_us=queued, parent=parent)
         if self._wait_us_histogram is not None:

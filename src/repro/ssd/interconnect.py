@@ -34,8 +34,7 @@ class HostInterconnect:
     def _transfer(self, pipe: Resource, nbytes: int) -> Any:
         if nbytes <= 0:
             return
-        request = pipe.request()
-        yield request
+        request = pipe.try_acquire() or (yield pipe.request())
         try:
             yield self.env.timeout(nbytes / self.timings.bytes_per_us)
         finally:

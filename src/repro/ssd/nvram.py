@@ -10,9 +10,10 @@ sustained ``Put`` bandwidth to flash program bandwidth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Tuple  # noqa: F401 (Deque/Tuple in annotations)
+from typing import Any, Deque, Dict, Optional, Tuple  # noqa: F401 (Deque/Tuple in annotations)
 
 from repro.sim import Environment, Event
+from repro.sim.core import NORMAL
 
 
 class NvramExhausted(Exception):
@@ -53,6 +54,32 @@ class NvramBuffer:
         handle is released (the flash write completed and the index was
         updated).
         """
+        self._check_size(nbytes)
+        event = self.env.event()
+        if not self._waiters and nbytes <= self.free_bytes:
+            event.succeed(self._grant(nbytes, payload))
+        else:
+            self._waiters.append((nbytes, payload, event))
+        return event
+
+    def try_reserve(self, nbytes: int, payload: Any = None) -> Optional[int]:
+        """Reserve space without an event; ``None`` means the caller must
+        ``yield nvram.reserve(...)`` instead.
+
+        Grants when :meth:`reserve` would succeed on the spot and that
+        event would be the very next dispatch, so skipping it changes no
+        timestamp and no ordering (``Environment._would_run_next``).
+        """
+        self._check_size(nbytes)
+        if (
+            not self._waiters
+            and nbytes <= self.free_bytes
+            and self.env._would_run_next(NORMAL)
+        ):
+            return self._grant(nbytes, payload)
+        return None
+
+    def _check_size(self, nbytes: int) -> None:
         if nbytes <= 0:
             raise ValueError("reservation must be positive")
         if nbytes > self.capacity_bytes:
@@ -60,12 +87,6 @@ class NvramBuffer:
                 f"reservation of {nbytes} B exceeds NVRAM capacity "
                 f"({self.capacity_bytes} B)"
             )
-        event = self.env.event()
-        if not self._waiters and nbytes <= self.free_bytes:
-            event.succeed(self._grant(nbytes, payload))
-        else:
-            self._waiters.append((nbytes, payload, event))
-        return event
 
     def release(self, handle: int) -> None:
         """Free a reservation (its contents reached flash).

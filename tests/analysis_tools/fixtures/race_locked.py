@@ -25,7 +25,8 @@ class LockedDevice:
         return value
 
     def _gc_process(self):
-        yield self.table_lock.acquire(owner="gc")
+        if not self.table_lock.try_acquire(owner="gc"):
+            yield self.table_lock.acquire(owner="gc")
         destination = len(self.flash)
         yield self.env.timeout(700.0)
         self.mapping[3] = destination

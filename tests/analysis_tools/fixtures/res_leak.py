@@ -38,3 +38,12 @@ class LeakyStore:
         yield self.env.timeout(1.0)
         self.nvram.release(handle)
         return handle
+
+    def stage_fast(self, payload, accept):
+        handle = self.nvram.try_reserve(len(payload))
+        if handle is None:
+            handle = yield self.nvram.reserve(len(payload))
+        if not accept:
+            return None  # KL-RES001: one reservation (try + its wait), leaked
+        self.nvram.release(handle)
+        return handle

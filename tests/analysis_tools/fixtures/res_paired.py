@@ -32,7 +32,9 @@ class PairedStore:
             self._unpin(block)
 
     def stage(self, payload):
-        handle = yield self.nvram.reserve(len(payload))
+        handle = self.nvram.try_reserve(len(payload))
+        if handle is None:
+            handle = yield self.nvram.reserve(len(payload))
         return self.env.process(self._complete(handle))
 
     def _complete(self, handle):

@@ -50,11 +50,14 @@ def test_res_leak_reports_interprocedural_source():
     violations = [
         v for v in run_lint([FIXTURES / "res_leak.py"]) if v.rule == "KL-RES001"
     ]
-    assert len(violations) == 2
-    pin, nvram = sorted(violations, key=lambda v: v.line)
+    assert len(violations) == 3
+    pin, nvram, nvram_fast = sorted(violations, key=lambda v: v.line)
     assert "_grab" in pin.message  # acquisition credited to the helper call
     assert "pin" in pin.message
     assert "nvram" in nvram.message
+    # try_reserve + its contended wait is one reservation, not two.
+    assert "holding 1 unreleased nvram" in nvram_fast.message
+    assert "try_reserve" in nvram_fast.message
 
 
 def test_sim002_trace_is_shortest_chain():

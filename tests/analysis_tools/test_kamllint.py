@@ -98,3 +98,13 @@ def test_set_iteration_flags_both_literal_and_inferred_local():
     violations = run_lint([FIXTURES / "det_set_iteration.py"])
     lines = {v.line for v in violations if v.rule == "KL-DET003"}
     assert len(lines) == 2
+
+
+def test_lck001_sees_the_zero_event_spelling_once():
+    flagged = [
+        v.message.split("`")[1]
+        for v in run_lint([FIXTURES / "lock_unpaired.py"], rules={"KL-LCK001"})
+    ]
+    # try_acquire + its contended wait is one acquisition; a bare
+    # try_acquire is still an acquisition.
+    assert sorted(flagged) == ["flush", "flush_fast", "poke"]

@@ -1,0 +1,139 @@
+"""Exactness oracle for zero-event acquisition on the real stack.
+
+A mixed Get/Put/delete workload that drives GC on one device, and a
+2-shard cluster with cross-shard atomic Puts, each run twice: normally, and
+with ``Environment._would_run_next`` forced false so every firmware
+context, chip engine, bus, PCIe pipe, program lock and NVRAM reservation is
+granted through the heap as before the fast path.  Every op must be issued
+and completed at the same simulated instants, the clocks must end equal,
+and the runs must differ in dispatched events by exactly the grants elided.
+"""
+
+import random
+
+from tests.sim.zero_event_seam import counted_grants, forced_refusal
+
+from repro.cache import KamlStore
+from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
+from repro.config import FlashGeometry, KamlParams, ReproConfig
+from repro.fault.cluster_harness import default_device_config
+from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
+from repro.sim import Environment
+
+
+def run_twice(scenario):
+    with counted_grants() as grants:
+        env, ops = scenario()
+    with forced_refusal():
+        ref_env, ref_ops = scenario()
+    assert ops == ref_ops  # every (client, op, issue time, completion time)
+    assert env.now == ref_env.now
+    assert grants[0] > 0
+    assert ref_env.events_processed - env.events_processed == grants[0]
+    return env.events_processed, ref_env.events_processed
+
+
+def timed(env, ops, client, kind, gen):
+    issued = env.now
+    result = yield from gen
+    ops.append((client, kind, issued, env.now))
+    return result
+
+
+def device_scenario():
+    env = Environment()
+    geometry = FlashGeometry(
+        channels=2, chips_per_channel=2, blocks_per_chip=12, pages_per_block=4
+    )
+    config = ReproConfig().with_(
+        geometry=geometry, kaml=KamlParams(num_logs=4, flush_timeout_us=300.0)
+    )
+    ssd = KamlSsd(env, config)
+    store = KamlStore(env, ssd, 32 * 1024)
+    rng = random.Random(99)
+    keys = 24
+    ops = []
+
+    def setup():
+        return (yield from ssd.create_namespace(NamespaceAttributes(expected_keys=64)))
+
+    proc = env.process(setup())
+    env.run_until(proc)
+    nsid = proc.value
+
+    def writer(partition):
+        mine = [k for k in range(keys) if k % 4 == partition]
+        for i in range(160):
+            key = mine[i % len(mine)]
+            if i % 11 == 10:
+                yield from timed(env, ops, partition, "delete", ssd.delete(nsid, key))
+            elif i % 3 == 0:
+                batch = [
+                    PutItem(nsid, k, ("w", partition, i), rng.choice([200, 900]))
+                    for k in mine[:2]
+                ]
+                yield from timed(env, ops, partition, "put2", ssd.put(batch))
+            else:
+                item = PutItem(nsid, key, ("w", partition, i), rng.choice([200, 900, 2048]))
+                yield from timed(env, ops, partition, "put", ssd.put([item]))
+            yield env.timeout(rng.choice([0.0, 50.0, 400.0]))
+
+    def reader(client):
+        for i in range(80):
+            key = rng.randrange(keys)
+            if i % 2:
+                yield from timed(env, ops, client, "get", ssd.get(nsid, key))
+            else:
+                yield from timed(env, ops, client, "cached-get", store.get(nsid, key))
+            yield env.timeout(rng.choice([0.0, 100.0]))
+
+    procs = [env.process(writer(p)) for p in range(4)]
+    procs += [env.process(reader(4 + r)) for r in range(2)]
+    env.run_until(env.all_of(procs))
+    proc = env.process(ssd.drain())
+    env.run_until(proc)
+    # The schedule under test includes GC.
+    assert sum(log.stats.gc_erased_blocks for log in ssd.logs) > 0
+    return env, ops
+
+
+def cluster_scenario():
+    env = Environment()
+    cluster = KamlCluster.build(env, default_device_config(), ClusterConfig(num_shards=2))
+    cluster.register_tenant(TenantPolicy("t", latency_budget_us=100_000.0))
+    rng = random.Random(5)
+    ops = []
+
+    def setup():
+        yield from cluster.create_namespace("data", tenant="t", mode="hashed")
+
+    proc = env.process(setup())
+    env.run_until(proc)
+
+    def client(cid):
+        for i in range(40):
+            if i % 3 == 0:
+                items = [(rng.randrange(64), ("c", cid, i), 300) for _ in range(3)]
+                items = list({key: (key, v, n) for key, v, n in items}.values())
+                yield from timed(env, ops, cid, "put3", cluster.put("data", items))
+            elif i % 3 == 1:
+                item = (rng.randrange(64), ("c", cid, i), 500)
+                yield from timed(env, ops, cid, "put", cluster.put("data", [item]))
+            else:
+                yield from timed(env, ops, cid, "get", cluster.get("data", rng.randrange(64)))
+
+    procs = [env.process(client(c)) for c in range(6)]
+    env.run_until(env.all_of(procs))
+    proc = env.process(cluster.drain())
+    env.run_until(proc)
+    return env, ops
+
+
+def test_device_with_gc_is_bit_identical_and_cheaper():
+    events, reference = run_twice(device_scenario)
+    assert events < 0.9 * reference
+
+
+def test_two_shard_cluster_is_bit_identical_and_cheaper():
+    events, reference = run_twice(cluster_scenario)
+    assert events < 0.9 * reference
