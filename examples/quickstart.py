@@ -52,9 +52,10 @@ def main() -> None:
     env.run()
     assert proc.ok
 
+    puts = int(ssd.metrics.total("kaml.ssd.puts"))
+    gets = int(ssd.metrics.total("kaml.ssd.gets"))
     print(f"\ndevice counters: {ssd.array.total_programs()} flash programs, "
-          f"{ssd.array.total_reads()} flash reads, "
-          f"{ssd.stats.puts} Puts, {ssd.stats.gets} Gets")
+          f"{ssd.array.total_reads()} flash reads, {puts} Puts, {gets} Gets")
 
 
 if __name__ == "__main__":

@@ -198,8 +198,12 @@ class Project:
                             cls.methods[child.name] = self._add_function(
                                 module, node.name, child
                             )
-                    self._infer_attr_types(cls)
                     self.classes.setdefault(node.name, []).append(cls)
+        # Second pass, once every class is known: ``self.x = ClassName(...)``
+        # must type ``x`` wherever in the tree ClassName is defined.
+        for candidates in self.classes.values():
+            for cls in candidates:
+                self._infer_attr_types(cls)
 
     def _add_function(
         self, module: LintModule, class_name: Optional[str], func: ast.FunctionDef

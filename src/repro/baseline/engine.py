@@ -24,10 +24,11 @@ from repro.blockdev import NvmeBlockDevice
 from repro.cache.locks import LockManager, LockMode
 from repro.cache.transaction import Transaction, TxnState
 from repro.config import ReproConfig
+from repro.errors import ReproError
 from repro.sim import Environment
 
 
-class EngineError(Exception):
+class EngineError(ReproError):
     """Engine misuse (unknown table, bad transaction state, ...)."""
 
 

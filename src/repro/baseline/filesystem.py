@@ -11,10 +11,11 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.blockdev import NvmeBlockDevice
+from repro.errors import ReproError
 from repro.sim import Environment
 
 
-class FileError(Exception):
+class FileError(ReproError):
     """File-system misuse: unknown file, out-of-range page, no space."""
 
 

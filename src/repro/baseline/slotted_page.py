@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.errors import ReproError
+
 #: Per-page header plus per-slot directory entry, in bytes.
 PAGE_HEADER_BYTES = 32
 SLOT_ENTRY_BYTES = 8
 
 
-class PageFullError(Exception):
+class PageFullError(ReproError):
     """No room for another record on this page."""
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.config import HostCosts
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.sim import Environment, Event
 
@@ -32,7 +33,7 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
 
-class DeadlockError(Exception):
+class DeadlockError(ReproError):
     """This transaction was chosen as a deadlock victim; abort and retry."""
 
 

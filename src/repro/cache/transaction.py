@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
+from repro.errors import ReproError
+
 
 class TxnState(enum.Enum):
     IDLE = "idle"
@@ -13,7 +15,7 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-class TransactionError(Exception):
+class TransactionError(ReproError):
     """An API call that Figure 2's state machine does not allow."""
 
 

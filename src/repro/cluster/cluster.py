@@ -90,7 +90,7 @@ class KamlCluster:
         #: Power-loss fence, like the device's: host-side processes carry
         #: the epoch they started under and die when it moves.
         self.epoch = 0
-        #: Slot for a :class:`repro.fault.ClusterPowerLossInjector`.
+        #: Slot for a :class:`repro.fault.PowerLossInjector`.
         self.fault: Optional[Any] = None
         self._migration_gate = Gate(env, name="cluster.migration")
         self._drain_gate = Gate(env, name="cluster.drain")

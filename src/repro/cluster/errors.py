@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.errors import ReproError
 
-class ClusterError(Exception):
+
+class ClusterError(ReproError):
     """Configuration or protocol misuse inside the serving tier."""
 
 

@@ -1,25 +1,20 @@
 """Fault injection and crash-consistency verification.
 
-Four layers, used together by the ``repro.harness crash`` CLI and the
-CI crash matrices (see ``docs/recovery.md`` and ``docs/cluster.md``):
+Three layers, used together by the ``repro.harness crash`` CLI and the
+CI crash matrix (see ``docs/recovery.md`` and ``docs/cluster.md``):
 
 * :mod:`repro.fault.plan` — named crash points (device-side and
-  cluster-coordinator-side) and the power-loss injector that kills the
-  device at one of them.
+  cluster-coordinator-side) and the one power-loss injector that cuts
+  a device or a whole rack at one of them.
 * :mod:`repro.fault.flashfault` — seeded transient program/erase
   failures the logs must retry around.
 * :mod:`repro.fault.shadow` / :mod:`repro.fault.harness` — the
-  host-side shadow model and the workload/crash/recover/verify driver.
-* :mod:`repro.fault.cluster_harness` — the same cycle one level up: a
-  sharded cluster, coordinator crash points, and cross-shard 2PC
-  atomicity checked through exclusive key groups.
+  host-side shadow model and the one workload/crash/recover/verify
+  engine, driving a single device or a sharded cluster (cross-shard 2PC
+  atomicity checked through exclusive key groups) through the same
+  target surface.
 """
 
-from repro.fault.cluster_harness import (
-    ClusterPowerLossInjector,
-    run_cluster_matrix,
-    run_cluster_scenario,
-)
 from repro.fault.flashfault import FlashFaultInjector
 from repro.fault.harness import default_config, pick_hit, run_matrix, run_scenario
 from repro.fault.plan import (
@@ -35,7 +30,6 @@ __all__ = [
     "ALL_CRASH_POINTS",
     "CLUSTER_CRASH_POINTS",
     "CRASH_POINTS",
-    "ClusterPowerLossInjector",
     "FaultPlan",
     "FlashFaultInjector",
     "PowerLossInjector",
@@ -43,8 +37,6 @@ __all__ = [
     "ShadowOp",
     "default_config",
     "pick_hit",
-    "run_cluster_matrix",
-    "run_cluster_scenario",
     "run_matrix",
     "run_scenario",
 ]

@@ -34,8 +34,6 @@ class FlashFaultInjector:
         self.program_fail_rate = program_fail_rate
         self.erase_fail_rate = erase_fail_rate
         self.metrics = metrics
-        self.injected_program_failures = 0
-        self.injected_erase_failures = 0
 
     def install(self, array: Any) -> "FlashFaultInjector":
         """Hook every chip of a :class:`~repro.flash.array.FlashArray`."""
@@ -52,10 +50,6 @@ class FlashFaultInjector:
             return False
         if rate <= 0.0 or self._rng.random() >= rate:
             return False
-        if op == "program":
-            self.injected_program_failures += 1
-        else:
-            self.injected_erase_failures += 1
         if self.metrics is not None:
             self.metrics.counter("fault.flash.injected", op=op).inc()
         return True

@@ -1,15 +1,17 @@
 """Power-loss plans and the injector that executes them.
 
-A :class:`FaultPlan` names *where* the simulated SSD loses power — a
-crash point the data path announces (``put.before_nvram_pin``, ``log.
-mid_flush``, ...) plus which occurrence of it, or an absolute simulated
-time.  The :class:`PowerLossInjector` attached to a
-:class:`~repro.kaml.ssd.KamlSsd` counts every announcement, and when the
-armed occurrence arrives it cuts power: volatile state is discarded via
-:meth:`~repro.kaml.ssd.KamlSsd.power_loss` (NVRAM contents and completed
-flash programs survive), then :class:`~repro.errors.PowerLossError`
-propagates out of the raising sim process so the harness can stop the
-workload and drive recovery.
+A :class:`FaultPlan` names *where* power is lost — a crash point the
+data path announces (``put.before_nvram_pin``, ``log.mid_flush``,
+``cluster.2pc.mid_commit``, ...) plus which occurrence of it, or an
+absolute simulated time.  The :class:`PowerLossInjector` attached to
+whatever announces those points (a :class:`~repro.kaml.ssd.KamlSsd` or a
+whole :class:`~repro.cluster.KamlCluster` rack) counts every
+announcement, and when the armed occurrence arrives it cuts power:
+volatile state is discarded via the target's ``power_loss()`` (NVRAM
+contents, completed flash programs and the host-durable intent journal
+survive), then :class:`~repro.errors.PowerLossError` propagates out of
+the raising sim process so the harness can stop the workload and drive
+recovery.
 
 Crash-point announcements are free when no injector is attached, and an
 unarmed injector (``plan.point is None``) only counts — the counting
@@ -86,10 +88,17 @@ class FaultPlan:
 
 
 class PowerLossInjector:
-    """Counts crash-point announcements and cuts power per a plan."""
+    """Counts crash-point announcements and cuts power per a plan.
 
-    def __init__(self, ssd: Any, plan: FaultPlan):
-        self.ssd = ssd
+    ``target`` is whatever announces the points and loses the power — a
+    :class:`~repro.kaml.ssd.KamlSsd`, a whole
+    :class:`~repro.cluster.KamlCluster` rack, or a harness target
+    wrapping either: anything with an ``env``, a ``fault`` slot and
+    ``power_loss()``.
+    """
+
+    def __init__(self, target: Any, plan: FaultPlan):
+        self.target = target
         self.plan = plan
         #: Announcements seen so far, per crash point (counting always
         #: happens, armed or not, so both matrix passes see it).
@@ -98,19 +107,15 @@ class PowerLossInjector:
         self.fired: Optional[Dict[str, Any]] = None
 
     def attach(self) -> "PowerLossInjector":
-        """Register with the SSD; crash points start reporting here."""
-        if self.ssd.fault is not None and self.ssd.fault is not self:
+        """Register with the target; crash points start reporting here."""
+        if self.target.fault is not None and self.target.fault is not self:
             raise InvariantError(
-                "SAN-FAULT", "SSD already has a fault injector attached"
+                "SAN-FAULT", "target already has a fault injector attached"
             )
-        self.ssd.fault = self
+        self.target.fault = self
         if self.plan.at_time is not None:
-            self.ssd.env.process(self._timer())
+            self.target.env.process(self._timer())
         return self
-
-    def detach(self) -> None:
-        if self.ssd.fault is self:
-            self.ssd.fault = None
 
     def reached(self, name: str) -> None:
         """A data-path crash point announced itself."""
@@ -122,14 +127,13 @@ class PowerLossInjector:
             self._cut(name, count)
 
     def _timer(self) -> Any:
-        yield self.ssd.env.timeout(self.plan.at_time)
+        yield self.target.env.timeout(self.plan.at_time)
         if self.fired is None:
             self._cut("timer", 0)
 
     def _cut(self, point: str, hit: int) -> None:
         """Cut power now: discard volatile state, then raise."""
-        self.fired = {"point": point, "hit": hit, "time_us": self.ssd.env.now}
-        self.ssd.power_loss()
-        raise PowerLossError(
-            f"power lost at {point} (hit {hit}, t={self.ssd.env.now:.1f}us)"
-        )
+        now = self.target.env.now
+        self.fired = {"point": point, "hit": hit, "time_us": now}
+        self.target.power_loss()
+        raise PowerLossError(f"power lost at {point} (hit {hit}, t={now:.1f}us)")

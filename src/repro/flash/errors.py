@@ -1,7 +1,9 @@
 """Flash error hierarchy."""
 
+from repro.errors import ReproError
 
-class FlashError(Exception):
+
+class FlashError(ReproError):
     """Base class for flash-level failures."""
 
 

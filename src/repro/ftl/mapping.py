@@ -17,8 +17,10 @@ import bisect
 import math
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.errors import ReproError
 
-class IndexFullError(Exception):
+
+class IndexFullError(ReproError):
     """The hash table has no free slot for a new key."""
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import ReproConfig
+from repro.errors import ReproError
 from repro.flash import FlashArray, PagePointer, WearOutError
 from repro.ftl.gc_policy import GcCandidate, WearAwarePolicy
 from repro.ftl.locktable import LockTable
@@ -39,7 +40,7 @@ from repro.ssd import FirmwarePool, NvramBuffer
 LOGICAL_PAGE = 4096
 
 
-class FtlError(Exception):
+class FtlError(ReproError):
     """Base class for FTL failures."""
 
 
@@ -59,44 +60,6 @@ class _Target:
     full: List[int] = field(default_factory=list)
     gc_running: bool = False
     space_gate: Gate = None  # fired when GC frees a block
-
-
-class FtlStats:
-    """Registry-backed counters with the legacy attribute names."""
-
-    def __init__(self, metrics):
-        self._metrics = metrics
-
-    def _count(self, name: str) -> int:
-        return int(self._metrics.total(name))
-
-    @property
-    def host_reads(self) -> int:
-        return self._count("ftl.host_reads")
-
-    @property
-    def host_writes(self) -> int:
-        return self._count("ftl.host_writes")
-
-    @property
-    def rmw_reads(self) -> int:
-        return self._count("ftl.rmw_reads")
-
-    @property
-    def gc_relocated_pages(self) -> int:
-        return self._count("ftl.gc.relocated_pages")
-
-    @property
-    def gc_erased_blocks(self) -> int:
-        return self._count("ftl.gc.erased_blocks")
-
-    @property
-    def flash_programs(self) -> int:
-        return self._count("ftl.flash_programs")
-
-    @property
-    def retired_blocks(self) -> int:
-        return self._count("ftl.retired_blocks")
 
 
 class PageFtl:
@@ -131,7 +94,6 @@ class PageFtl:
         usable_pages = int(self.geometry.total_pages * (1.0 - self.params.overprovision))
         self.logical_pages = usable_pages * self.slots_per_page
         self.map = DirectMap(self.logical_pages)
-        self.stats = FtlStats(self.metrics)
         self.gc_policy = WearAwarePolicy()
         self.gc_policy.metrics = self.metrics
         self._page_locks = LockTable(

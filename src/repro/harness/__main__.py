@@ -1,6 +1,7 @@
 """Command-line experiment runner.
 
-Regenerate any figure of the paper from a shell::
+Regenerate any figure of the paper from a shell, or run one of the
+harness subcommands (each has its own ``--help``)::
 
     python -m repro.harness fig5          # bandwidth sweep (Figure 5)
     python -m repro.harness fig9 fig10    # several in one go
@@ -18,8 +19,20 @@ import argparse
 import inspect
 import sys
 
-from repro.harness import ablations, experiments, format_table
+from repro.harness import (
+    ablations,
+    cluster_cli,
+    crash_cli,
+    diff_cli,
+    experiments,
+    format_table,
+    obs_cli,
+    perf_cli,
+    prof_cli,
+    trace_cli,
+)
 from repro.harness.reporting import wallclock
+from repro.obs import to_text
 
 EXPERIMENTS = {
     "fig5": (experiments.fig5_bandwidth, "Get/Put vs read/write bandwidth"),
@@ -36,44 +49,38 @@ EXPERIMENTS = {
     "qos": (ablations.qos_isolation_ablation, "ablation: namespace/log isolation"),
 }
 
+#: Every subcommand: ``name -> (description, add_arguments, run)``.
+#: Dispatch, ``--list`` and each ``<name> --help`` are generated from
+#: this table.  ``run(args)`` returns an exit code or a report dict.
+COMMANDS = {
+    "obs": ("observability driver (tracing/SLO dashboard)", obs_cli.add_arguments, obs_cli.run),
+    "crash": ("crash-consistency matrix", crash_cli.add_arguments, crash_cli.run),
+    "cluster": ("sharded serving-tier matrix", cluster_cli.add_arguments, cluster_cli.run),
+    "perf": ("simulator throughput benchmark", perf_cli.add_arguments, perf_cli.run),
+    "prof": ("latency-attribution profiler", prof_cli.add_arguments, prof_cli.run),
+    "record": ("capture an op journal", trace_cli.add_record_arguments, trace_cli.run_record),
+    "replay": ("re-issue a captured journal", trace_cli.add_replay_arguments, trace_cli.run_replay),
+    "diff": ("differential run attribution", diff_cli.add_arguments, diff_cli.run),
+}
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The argument parser of subcommand ``name``."""
+    description, add_arguments, _run = COMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.harness {name}", description=description
+    )
+    add_arguments(parser)
+    return parser
+
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The observability driver has its own flag surface; hand it the rest
-    # of the command line untouched.
-    if argv and argv[0] == "obs":
-        from repro.harness import obs_cli
-
-        return obs_cli.main(argv[1:])
-    if argv and argv[0] == "crash":
-        from repro.harness import crash_cli
-
-        return crash_cli.main(argv[1:])
-    if argv and argv[0] == "cluster":
-        from repro.harness import cluster_cli
-
-        return cluster_cli.main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.harness import perf_cli
-
-        return perf_cli.main(argv[1:])
-    if argv and argv[0] == "prof":
-        from repro.harness import prof_cli
-
-        return prof_cli.main(argv[1:])
-    if argv and argv[0] == "record":
-        from repro.harness import trace_cli
-
-        return trace_cli.record_main(argv[1:])
-    if argv and argv[0] == "replay":
-        from repro.harness import trace_cli
-
-        return trace_cli.replay_main(argv[1:])
-    if argv and argv[0] == "diff":
-        from repro.harness import diff_cli
-
-        return diff_cli.main(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        _description, _add_arguments, run = COMMANDS[argv[0]]
+        result = run(command_parser(argv[0]).parse_args(argv[1:]))
+        return result if isinstance(result, int) else 0
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -81,8 +88,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "figures", nargs="*",
-        help=f"which experiments to run: {', '.join(EXPERIMENTS)}, "
-             "'all', or the 'obs' observability driver (see 'obs --help')",
+        help=f"which experiments to run: {', '.join(EXPERIMENTS)}, 'all', "
+             f"or a subcommand: {', '.join(COMMANDS)} (see '<subcommand> --help')",
     )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
@@ -98,14 +105,8 @@ def main(argv=None) -> int:
     if args.list or not args.figures:
         for name, (_func, description) in EXPERIMENTS.items():
             print(f"{name:10} {description}")
-        print(f"{'obs':10} observability driver (tracing/SLO dashboard)")
-        print(f"{'crash':10} crash-consistency matrix (see 'crash --help')")
-        print(f"{'cluster':10} sharded serving-tier matrix (see 'cluster --help')")
-        print(f"{'perf':10} simulator throughput benchmark (see 'perf --help')")
-        print(f"{'prof':10} latency-attribution profiler (see 'prof --help')")
-        print(f"{'record':10} capture an op journal (see 'record --help')")
-        print(f"{'replay':10} re-issue a captured journal (see 'replay --help')")
-        print(f"{'diff':10} differential run attribution (see 'diff --help')")
+        for name, (description, _add_arguments, _run) in COMMANDS.items():
+            print(f"{name:10} {description} (see '{name} --help')")
         return 0
 
     names = list(EXPERIMENTS) if "all" in args.figures else args.figures
@@ -121,10 +122,8 @@ def main(argv=None) -> int:
         result = func(**kwargs)
         print(format_table(result["title"], result["headers"], result["rows"]))
         if args.metrics and result.get("registry") is not None:
-            from repro.harness.reporting import format_registry
-
             print()
-            print(format_registry(result["registry"], title=f"{name} metrics"))
+            print(to_text(result["registry"], title=f"{name} metrics"))
         print(f"[{name} finished in {wallclock() - started:.1f}s wall]\n")
     return 0
 

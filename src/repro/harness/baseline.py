@@ -8,12 +8,11 @@ gate compares a fresh run's artifact against them with a relative
 tolerance and fails CI on a >15% regression.
 
 The baseline also carries a ``perf`` section from the
-``python -m repro.harness perf`` benchmark (simulator throughput rather
-than simulated-device bandwidth).  Its ``sim_events`` counts are
-deterministic and gate event-bloat exactly; its ``events_per_sec`` /
-``ops_per_sec`` numbers are wall-clock, so they only gate meaningfully
-when current and baseline come from the same runner class — which is
-how the CI perf job uses them.
+``python -m repro.harness perf`` benchmark: the deterministic
+``sim_events`` count of each canonical workload, which gates event
+bloat exactly.  Wall-clock throughput is not gated here — it is
+meaningless across machines; kamlbench's spin-normalised
+``host_ops_per_s`` is the host-time record.
 
 A ``cluster`` section carries the serving-tier numbers from
 ``python -m repro.harness cluster --json-out``: aggregate throughput
@@ -29,10 +28,11 @@ by hand.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.harness.reporting import append_step_summary, read_json, write_json
 
 #: Default relative tolerance: a metric may degrade by up to 15%.
 DEFAULT_TOLERANCE = 0.15
@@ -46,16 +46,10 @@ BREAKDOWN_TOLERANCE_PP = 0.10
 
 
 #: Per-workload perf metrics carried in the baseline:
-#: ``(field, lower_is_regression, is_wall_clock)``.  Throughput drops
-#: are regressions; ``sim_events`` rising is a regression (event bloat)
-#: and is deterministic, so it always gates at the strict tolerance.
-#: Wall-clock fields can be given their own (looser) tolerance for
-#: hosted CI runners, whose speed varies more than a dev box.
-PERF_FIELDS = (
-    ("events_per_sec", True, True),
-    ("ops_per_sec", True, True),
-    ("sim_events", False, False),
-)
+#: ``(field, lower_is_regression)``.  ``sim_events`` rising is a
+#: regression (event bloat) and is deterministic, so it gates at the
+#: strict tolerance on every machine.
+PERF_FIELDS = (("sim_events", False),)
 
 
 def build_perf_section(perf_artifact: Dict[str, Any]) -> Dict[str, Any]:
@@ -63,7 +57,7 @@ def build_perf_section(perf_artifact: Dict[str, Any]) -> Dict[str, Any]:
     workloads = {}
     for name, row in (perf_artifact.get("workloads") or {}).items():
         workloads[name] = {
-            field: float(row[field]) for field, _lower, _wall in PERF_FIELDS
+            field: float(row[field]) for field, _lower in PERF_FIELDS
             if field in row
         }
     return {"tolerance": DEFAULT_TOLERANCE, "workloads": workloads}
@@ -139,134 +133,118 @@ def build_baseline(
     return baseline
 
 
-def compare(
+def gate_rows(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
     tolerance: Optional[float] = None,
-    wall_tolerance: Optional[float] = None,
-) -> Tuple[List[str], List[str]]:
-    """Return ``(failures, report_lines)`` for current vs baseline.
+) -> Iterator[Dict[str, Any]]:
+    """One row per baseline metric: the single walk both renderers use.
 
-    Bandwidth regresses when it *drops* more than ``tolerance`` below the
-    baseline; p99 latency regresses when it *rises* more than
-    ``tolerance`` above it.  A metric present in the baseline but missing
-    from the current run is a failure (coverage must not silently
-    shrink); new metrics in the current run are reported but never fail.
+    Each row carries ``kind``/``key``, the ``value`` measured now (None
+    when the current run lacks it — coverage must not silently shrink),
+    the ``base`` value, ``delta`` (relative; absolute for the breakdown
+    fractions, whose rows have ``pp`` set), the ``limit`` it was held to
+    and ``failed``.  Bandwidth and throughput regress when they *drop*
+    more than the limit, latencies and event counts when they *rise*; a
+    breakdown fraction fails on a shift in either direction (a
+    bottleneck shrinking means another component grew).  New metrics in
+    the current run are never rows and never fail.
     """
     tol = tolerance if tolerance is not None else float(
         baseline.get("tolerance", DEFAULT_TOLERANCE)
     )
-    failures: List[str] = []
-    report: List[str] = []
 
-    def check(kind: str, expected: Dict[str, float],
-              actual: Dict[str, float], lower_is_regression: bool,
-              check_tol: Optional[float] = None) -> None:
-        limit = tol if check_tol is None else check_tol
+    def section_tolerance(section: Dict[str, Any]) -> float:
+        return tol if tolerance is not None else float(section.get("tolerance", tol))
+
+    def rows(kind, expected, actual, limit, lower_is_regression=None):
+        pp = lower_is_regression is None  # absolute shift, either direction
         for key in sorted(expected):
-            base_value = float(expected[key])
-            if key not in actual:
-                failures.append(f"{kind}: {key!r} missing from the current run")
-                continue
-            value = float(actual[key])
-            if base_value == 0.0:
-                delta = 0.0 if value == 0.0 else float("inf")
-            else:
-                delta = (value - base_value) / base_value
-            regressed = (
-                delta < -limit if lower_is_regression else delta > limit
-            )
-            marker = "FAIL" if regressed else "ok"
-            report.append(
-                f"  [{marker:>4}] {kind} {key}: {value:.3f} vs {base_value:.3f} "
-                f"({delta:+.1%}, tolerance {limit:.0%})"
-            )
-            if regressed:
-                failures.append(
-                    f"{kind}: {key} changed {delta:+.1%} "
-                    f"(limit {limit:.0%}): {value:.3f} vs baseline {base_value:.3f}"
-                )
+            base = float(expected[key])
+            row = {"kind": kind, "key": key, "base": base, "limit": limit,
+                   "pp": pp, "value": None, "delta": None, "failed": True}
+            if key in actual:
+                value = float(actual[key])
+                if pp:
+                    delta = value - base
+                    failed = abs(delta) > limit
+                else:
+                    if base == 0.0:
+                        delta = 0.0 if value == 0.0 else float("inf")
+                    else:
+                        delta = (value - base) / base
+                    failed = delta < -limit if lower_is_regression else delta > limit
+                row.update(value=value, delta=delta, failed=failed)
+            yield row
 
-    check(
-        "bandwidth",
-        baseline.get("bandwidth_mb_s", {}),
-        current.get("bandwidth_mb_s", {}),
-        lower_is_regression=True,
-    )
-    check(
-        "p99-latency",
-        baseline.get("latency_p99_us", {}),
-        current.get("latency_p99_us", {}),
-        lower_is_regression=False,
-    )
+    yield from rows("bandwidth", baseline.get("bandwidth_mb_s", {}),
+                    current.get("bandwidth_mb_s", {}), tol, True)
+    yield from rows("p99-latency", baseline.get("latency_p99_us", {}),
+                    current.get("latency_p99_us", {}), tol, False)
     base_perf = baseline.get("perf") or {}
-    if base_perf.get("workloads"):
-        perf_tol = float(base_perf.get("tolerance", tol)) \
-            if tolerance is None else tol
-        current_workloads = (current.get("perf") or {}).get("workloads", {})
-        for field, lower_is_regression, is_wall in PERF_FIELDS:
-            field_tol = perf_tol
-            if is_wall and wall_tolerance is not None:
-                field_tol = wall_tolerance
-            check(
-                "perf",
-                {
-                    f"{workload}/{field}": row[field]
-                    for workload, row in base_perf["workloads"].items()
-                    if field in row
-                },
-                {
-                    f"{workload}/{field}": row[field]
-                    for workload, row in current_workloads.items()
-                    if field in row
-                },
-                lower_is_regression=lower_is_regression,
-                check_tol=field_tol,
-            )
+    current_workloads = (current.get("perf") or {}).get("workloads", {})
+    for field, lower_is_regression in PERF_FIELDS:
+        yield from rows(
+            "perf",
+            {f"{workload}/{field}": row[field]
+             for workload, row in (base_perf.get("workloads") or {}).items()
+             if field in row},
+            {f"{workload}/{field}": row[field]
+             for workload, row in current_workloads.items() if field in row},
+            section_tolerance(base_perf), lower_is_regression,
+        )
     base_cluster = baseline.get("cluster") or {}
-    if any(field in base_cluster for field, _lower in CLUSTER_FIELDS):
-        cluster_tol = float(base_cluster.get("tolerance", tol)) \
-            if tolerance is None else tol
-        current_cluster = current.get("cluster") or {}
-        for field, lower_is_regression in CLUSTER_FIELDS:
-            if field not in base_cluster:
-                continue
-            check(
-                "cluster",
-                {field: base_cluster[field]},
-                {field: current_cluster[field]}
-                if field in current_cluster else {},
-                lower_is_regression=lower_is_regression,
-                check_tol=cluster_tol,
+    current_cluster = current.get("cluster") or {}
+    for field, lower_is_regression in CLUSTER_FIELDS:
+        if field in base_cluster:
+            yield from rows(
+                "cluster", {field: base_cluster[field]},
+                {field: current_cluster[field]} if field in current_cluster else {},
+                section_tolerance(base_cluster), lower_is_regression,
             )
     base_breakdown = baseline.get("breakdown") or {}
-    if base_breakdown.get("fractions"):
-        pp_tol = float(base_breakdown.get("tolerance_pp", BREAKDOWN_TOLERANCE_PP))
-        current_fractions = (current.get("breakdown") or {}).get("fractions", {})
-        # Absolute shift in either direction: a bottleneck shrinking
-        # means some other component grew — both are behavior changes.
-        for key in sorted(base_breakdown["fractions"]):
-            base_value = float(base_breakdown["fractions"][key])
-            if key not in current_fractions:
-                failures.append(
-                    f"breakdown: {key!r} missing from the current run"
-                )
-                continue
-            value = float(current_fractions[key])
-            shift = value - base_value
-            shifted = abs(shift) > pp_tol
-            marker = "FAIL" if shifted else "ok"
+    yield from rows(
+        "breakdown", base_breakdown.get("fractions") or {},
+        (current.get("breakdown") or {}).get("fractions", {}),
+        float(base_breakdown.get("tolerance_pp", BREAKDOWN_TOLERANCE_PP)),
+    )
+
+
+def compare(
+    current: Dict[str, Any],
+    baseline: Dict[str, Any],
+    tolerance: Optional[float] = None,
+) -> Tuple[List[str], List[str]]:
+    """Return ``(failures, report_lines)`` for current vs baseline."""
+    failures: List[str] = []
+    report: List[str] = []
+    for row in gate_rows(current, baseline, tolerance):
+        kind, key = row["kind"], row["key"]
+        value, base, delta, limit = row["value"], row["base"], row["delta"], row["limit"]
+        if value is None:
+            failures.append(f"{kind}: {key!r} missing from the current run")
+            continue
+        marker = "FAIL" if row["failed"] else "ok"
+        if row["pp"]:
             report.append(
-                f"  [{marker:>4}] breakdown {key}: {value:.1%} vs "
-                f"{base_value:.1%} ({shift * 100:+.1f}pp, "
-                f"limit {pp_tol * 100:.0f}pp)"
+                f"  [{marker:>4}] {kind} {key}: {value:.1%} vs {base:.1%} "
+                f"({delta * 100:+.1f}pp, limit {limit * 100:.0f}pp)"
             )
-            if shifted:
-                failures.append(
-                    f"breakdown: {key} shifted {shift * 100:+.1f}pp "
-                    f"(limit {pp_tol * 100:.0f}pp): {value:.1%} vs "
-                    f"baseline {base_value:.1%}"
-                )
+            failure = (
+                f"{kind}: {key} shifted {delta * 100:+.1f}pp (limit "
+                f"{limit * 100:.0f}pp): {value:.1%} vs baseline {base:.1%}"
+            )
+        else:
+            report.append(
+                f"  [{marker:>4}] {kind} {key}: {value:.3f} vs {base:.3f} "
+                f"({delta:+.1%}, tolerance {limit:.0%})"
+            )
+            failure = (
+                f"{kind}: {key} changed {delta:+.1%} "
+                f"(limit {limit:.0%}): {value:.3f} vs baseline {base:.3f}"
+            )
+        if row["failed"]:
+            failures.append(failure)
     return failures, report
 
 
@@ -274,7 +252,6 @@ def markdown_summary(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
     tolerance: Optional[float] = None,
-    wall_tolerance: Optional[float] = None,
 ) -> str:
     """The comparison as a GitHub-flavoured markdown table.
 
@@ -285,109 +262,29 @@ def markdown_summary(
         baseline.get("tolerance", DEFAULT_TOLERANCE)
     )
     lines = [
-        f"### Perf gate: fig5 smoke bench + sim throughput + cluster tier "
+        f"### Perf gate: fig5 smoke bench + sim events + cluster tier "
         f"(tolerance {tol:.0%})",
         "",
         "| metric | current | baseline | delta | status |",
         "|---|---:|---:|---:|---|",
     ]
-
-    def emit(kind: str, expected: Dict[str, float], actual: Dict[str, float],
-             lower_is_regression: bool, limit: float) -> None:
-        for key in sorted(expected):
-            base_value = float(expected[key])
-            if key not in actual:
-                lines.append(f"| {kind}: {key} | missing | {base_value:.3f} | — | FAIL |")
-                continue
-            value = float(actual[key])
-            if base_value == 0.0:
-                delta = 0.0 if value == 0.0 else float("inf")
-            else:
-                delta = (value - base_value) / base_value
-            regressed = delta < -limit if lower_is_regression else delta > limit
-            status = "FAIL" if regressed else "ok"
-            lines.append(
-                f"| {kind}: {key} | {value:.3f} | {base_value:.3f} "
-                f"| {delta:+.1%} | {status} |"
-            )
-
-    emit("bandwidth MB/s", baseline.get("bandwidth_mb_s", {}),
-         current.get("bandwidth_mb_s", {}), True, tol)
-    emit("p99 latency us", baseline.get("latency_p99_us", {}),
-         current.get("latency_p99_us", {}), False, tol)
-    base_perf = baseline.get("perf") or {}
-    if base_perf.get("workloads"):
-        perf_tol = float(base_perf.get("tolerance", tol)) \
-            if tolerance is None else tol
-        current_workloads = (current.get("perf") or {}).get("workloads", {})
-        for field, lower_is_regression, is_wall in PERF_FIELDS:
-            field_tol = perf_tol
-            if is_wall and wall_tolerance is not None:
-                field_tol = wall_tolerance
-            emit(
-                "perf",
-                {
-                    f"{workload}/{field}": row[field]
-                    for workload, row in base_perf["workloads"].items()
-                    if field in row
-                },
-                {
-                    f"{workload}/{field}": row[field]
-                    for workload, row in current_workloads.items()
-                    if field in row
-                },
-                lower_is_regression,
-                field_tol,
-            )
-    base_cluster = baseline.get("cluster") or {}
-    if any(field in base_cluster for field, _lower in CLUSTER_FIELDS):
-        cluster_tol = float(base_cluster.get("tolerance", tol)) \
-            if tolerance is None else tol
-        current_cluster = current.get("cluster") or {}
-        for field, lower_is_regression in CLUSTER_FIELDS:
-            if field not in base_cluster:
-                continue
-            emit(
-                "cluster",
-                {field: base_cluster[field]},
-                {field: current_cluster[field]}
-                if field in current_cluster else {},
-                lower_is_regression,
-                cluster_tol,
-            )
-    base_breakdown = baseline.get("breakdown") or {}
-    if base_breakdown.get("fractions"):
-        pp_tol = float(base_breakdown.get("tolerance_pp", BREAKDOWN_TOLERANCE_PP))
-        current_fractions = (current.get("breakdown") or {}).get("fractions", {})
-        for key in sorted(base_breakdown["fractions"]):
-            base_value = float(base_breakdown["fractions"][key])
-            if key not in current_fractions:
-                lines.append(
-                    f"| breakdown: {key} | missing | {base_value:.1%} | — | FAIL |"
-                )
-                continue
-            value = float(current_fractions[key])
-            shift = value - base_value
-            if abs(shift) <= 0.001 and base_value == 0.0:
+    for row in gate_rows(current, baseline, tolerance):
+        value, base, delta = row["value"], row["base"], row["delta"]
+        shown = (lambda x: f"{x:.1%}") if row["pp"] else (lambda x: f"{x:.3f}")
+        if value is None:
+            cells = ["missing", shown(base), "—"]
+        elif row["pp"]:
+            if abs(delta) <= 0.001 and base == 0.0:
                 continue  # all-zero components would drown the table
-            status = "FAIL" if abs(shift) > pp_tol else "ok"
-            lines.append(
-                f"| breakdown: {key} | {value:.1%} | {base_value:.1%} "
-                f"| {shift * 100:+.1f}pp | {status} |"
-            )
+            cells = [shown(value), shown(base), f"{delta * 100:+.1f}pp"]
+        else:
+            cells = [shown(value), shown(base), f"{delta:+.1%}"]
+        status = "FAIL" if row["failed"] else "ok"
+        lines.append(
+            f"| {row['kind']}: {row['key']} | " + " | ".join(cells) + f" | {status} |"
+        )
     lines.append("")
     return "\n".join(lines)
-
-
-def _load_json(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def _write_json(path: str, payload: Dict[str, Any]) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -420,17 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="checked-in baseline to gate against",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative tolerance override (default: the baseline's own, "
-             f"falling back to {DEFAULT_TOLERANCE})",
-    )
-    parser.add_argument(
-        "--perf-wall-tolerance", type=float, default=None,
-        help="separate tolerance for wall-clock perf metrics "
-             "(events_per_sec / ops_per_sec); hosted CI runners use a "
-             "looser bound here while deterministic sim_events stay strict",
-    )
-    parser.add_argument(
         "--rebaseline", action="store_true",
         help="overwrite the baseline with the current artifact's numbers",
     )
@@ -441,58 +327,34 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    perf_artifact = None
-    if args.perf_artifact and os.path.exists(args.perf_artifact):
-        perf_artifact = _load_json(args.perf_artifact)
-    prof_artifact = None
-    if args.prof_artifact and os.path.exists(args.prof_artifact):
-        prof_artifact = _load_json(args.prof_artifact)
-    cluster_artifact = None
-    if args.cluster_artifact and os.path.exists(args.cluster_artifact):
-        cluster_artifact = _load_json(args.cluster_artifact)
+    optional = {  # section -> artifact, or None when the file is absent
+        section: read_json(path) if path and os.path.exists(path) else None
+        for section, path in (
+            ("perf", args.perf_artifact),
+            ("breakdown", args.prof_artifact),
+            ("cluster", args.cluster_artifact),
+        )
+    }
     current = build_baseline(
-        _load_json(args.artifact), perf_artifact, prof_artifact,
-        cluster_artifact,
+        read_json(args.artifact), optional["perf"], optional["breakdown"],
+        optional["cluster"],
     )
     if args.rebaseline:
-        if perf_artifact is None:
-            print(
-                f"note: no perf artifact at {args.perf_artifact}; "
-                "the rewritten baseline has no 'perf' section "
-                "(run 'make rebaseline' to regenerate everything)",
-                file=sys.stderr,
-            )
-        if prof_artifact is None:
-            print(
-                f"note: no kamlprof artifact at {args.prof_artifact}; "
-                "the rewritten baseline has no 'breakdown' section "
-                "(run 'make rebaseline' to regenerate everything)",
-                file=sys.stderr,
-            )
-        if cluster_artifact is None:
-            print(
-                f"note: no cluster artifact at {args.cluster_artifact}; "
-                "the rewritten baseline has no 'cluster' section "
-                "(run 'make rebaseline' to regenerate everything)",
-                file=sys.stderr,
-            )
-        _write_json(args.baseline, current)
+        for section, artifact in optional.items():
+            if artifact is None:
+                print(
+                    f"note: no {section} artifact; the rewritten baseline has "
+                    f"no '{section}' section (run 'make rebaseline' to "
+                    "regenerate everything)",
+                    file=sys.stderr,
+                )
+        write_json(args.baseline, current)
         print(f"baseline rewritten from {args.artifact} -> {args.baseline}")
         return 0
 
-    baseline = _load_json(args.baseline)
-    failures, report = compare(
-        current, baseline, tolerance=args.tolerance,
-        wall_tolerance=args.perf_wall_tolerance,
-    )
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as handle:
-            handle.write(markdown_summary(
-                current, baseline, args.tolerance,
-                wall_tolerance=args.perf_wall_tolerance,
-            ))
-            handle.write("\n")
+    baseline = read_json(args.baseline)
+    failures, report = compare(current, baseline)
+    append_step_summary(markdown_summary(current, baseline))
     print(f"perf gate: {args.artifact} vs {args.baseline}")
     for line in report:
         print(line)
@@ -509,16 +371,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             diff = diff_reports(baseline, current)
             diff["a"] = args.baseline
             diff["b"] = args.artifact
-            os.makedirs(os.path.dirname(args.diff_out) or ".", exist_ok=True)
-            _write_json(args.diff_out, diff)
+            write_json(args.diff_out, diff)
             print(f"differential report written to {args.diff_out}",
                   file=sys.stderr)
-            if summary_path:
-                with open(summary_path, "a") as handle:
-                    handle.write(markdown_diff(
-                        diff, title="Perf-gate differential attribution"
-                    ))
-                    handle.write("\n")
+            append_step_summary(
+                markdown_diff(diff, title="Perf-gate differential attribution")
+            )
         print(
             "\nIf the change is intentional, refresh the baseline with "
             "'make rebaseline' and commit benchmarks/baseline.json.",

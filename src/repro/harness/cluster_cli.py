@@ -18,11 +18,8 @@ the perf gate consumes; failing cells dump their flight recorder::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import sys
 from random import Random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.cluster import (
     Autobalancer,
@@ -31,7 +28,8 @@ from repro.cluster import (
     KamlCluster,
     install_cluster_probes,
 )
-from repro.fault.cluster_harness import default_device_config
+from repro.fault.harness import default_device_config
+from repro.harness.reporting import emit, parse_int_list, shared_options, step_summary
 from repro.obs import TimeSeriesCollector
 from repro.sim import Environment
 from repro.workloads import MultiTenantWorkload
@@ -171,16 +169,6 @@ def run_cluster_cells(
     }
 
 
-def _parse_ints(text: str, flag: str) -> List[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"{flag} wants comma-separated integers, got {text!r}")
-    if not values:
-        raise SystemExit(f"{flag} must name at least one value")
-    return values
-
-
 def _cell_row(cell: Dict[str, Any]) -> str:
     status = "ok" if cell["ok"] else "FAIL"
     detail = "" if cell["ok"] else f'  {"; ".join(cell["failures"][:2])}'
@@ -191,63 +179,31 @@ def _cell_row(cell: Dict[str, Any]) -> str:
     )
 
 
-def _md_cell(text: str, limit: int = 160) -> str:
-    text = text.replace("|", "\\|").replace("\n", " ")
-    if len(text) > limit:
-        text = text[: limit - 1] + "…"
-    return text
-
-
-def _step_summary(report: Dict[str, Any]) -> str:
-    lines = [
-        "### Cluster serving-tier matrix",
-        "",
-        "| shards | seed | ops/s | rebalances | rebalance p99 (us) | sheds | result |",
-        "|---:|---:|---:|---:|---:|---:|---|",
-    ]
-    for cell in report["cells"]:
-        result = "ok" if cell["ok"] else "FAIL: " + _md_cell(cell["failures"][0])
-        lines.append(
-            f"| {cell['shards']} | {cell['seed']} | {cell['ops_per_sec']:.0f} "
-            f"| {cell['rebalances']} | {cell['rebalance_p99_us']:.0f} "
-            f"| {cell['total_sheds']} | {result} |"
-        )
-    lines.append("")
-    lines.append(
+def _aggregate(report: Dict[str, Any]) -> str:
+    return (
         f"aggregate: {report['ops_per_sec']:.0f} ops/s, "
         f"rebalance p99 {report['rebalance_p99_us']:.0f} us"
     )
-    lines.append("")
-    return "\n".join(lines)
 
 
-def _json_payload(report: Dict[str, Any]) -> Dict[str, Any]:
-    cells = [
-        {k: v for k, v in cell.items() if k != "recorder"}
-        for cell in report["cells"]
-    ]
-    return {**{k: v for k, v in report.items() if k != "cells"}, "cells": cells}
-
-
-def _write_flight_dumps(report: Dict[str, Any], flight_dir: str) -> List[str]:
-    os.makedirs(flight_dir, exist_ok=True)
-    written = []
-    for cell in report["cells"]:
-        if cell["ok"] or cell.get("recorder") is None:
-            continue
-        path = os.path.join(
-            flight_dir, f"flight-shards{cell['shards']}-seed{cell['seed']}.jsonl"
-        )
-        cell["recorder"].write_jsonl(path)
-        written.append(path)
-    return written
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness cluster",
-        description="Sharded serving-tier workload + rebalance matrix.",
+def summary(report: Dict[str, Any]) -> str:
+    """The matrix as the step-summary markdown table plus the aggregate."""
+    table = step_summary(
+        "Cluster serving-tier matrix",
+        [
+            ("shards", "---:", lambda cell: cell["shards"]),
+            ("seed", "---:", lambda cell: cell["seed"]),
+            ("ops/s", "---:", lambda cell: f"{cell['ops_per_sec']:.0f}"),
+            ("rebalances", "---:", lambda cell: cell["rebalances"]),
+            ("rebalance p99 (us)", "---:", lambda cell: f"{cell['rebalance_p99_us']:.0f}"),
+            ("sheds", "---:", lambda cell: cell["total_sheds"]),
+        ],
+        report["cells"],
     )
+    return f"{table}\n{_aggregate(report)}\n"
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", default="4",
         help="comma-separated shard counts (default: 4)",
@@ -256,58 +212,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--seeds", default="1,2,3",
         help="comma-separated workload seeds (default: 1,2,3)",
     )
-    parser.add_argument(
-        "--json-out", default=None,
-        help="write the full matrix report as JSON to this path",
-    )
+    shared_options(parser, json_out=None)
     parser.add_argument(
         "--flight-dir", default=None,
         help="dump flight-recorder JSONL for each failing cell here",
     )
-    args = parser.parse_args(argv)
 
-    shard_counts = _parse_ints(args.shards, "--shards")
-    seeds = _parse_ints(args.seeds, "--seeds")
+
+def run(args: argparse.Namespace) -> int:
+    shard_counts = parse_int_list(args.shards, "--shards")
+    seeds = parse_int_list(args.seeds, "--seeds")
     report = run_cluster_cells(shard_counts, seeds)
 
     print(f"cluster matrix: shards {shard_counts}, seeds {seeds}")
     for cell in report["cells"]:
         print(_cell_row(cell))
-    print(
-        f"aggregate: {report['ops_per_sec']:.0f} ops/s, "
-        f"rebalance p99 {report['rebalance_p99_us']:.0f} us"
+    print(_aggregate(report))
+
+    return emit(
+        report, args, summary(report), "cluster matrix",
+        lambda cell: "python -m repro.harness cluster "
+                     f"--shards {cell['shards']} --seeds {cell['seed']}",
+        "every acknowledged write read back intact",
     )
-
-    if args.json_out:
-        out_dir = os.path.dirname(args.json_out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.json_out, "w") as handle:
-            json.dump(_json_payload(report), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"cluster report -> {args.json_out}")
-    if args.flight_dir and not report["ok"]:
-        for path in _write_flight_dumps(report, args.flight_dir):
-            print(f"flight recorder -> {path}")
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as handle:
-            handle.write(_step_summary(report))
-            handle.write("\n")
-
-    failing = [cell for cell in report["cells"] if not cell["ok"]]
-    if failing:
-        print(
-            f"\nCLUSTER MATRIX FAILED ({len(failing)} failing cell(s)); "
-            "reproduce one locally with e.g.\n"
-            f"  python -m repro.harness cluster --shards {failing[0]['shards']} "
-            f"--seeds {failing[0]['seed']}",
-            file=sys.stderr,
-        )
-        return 1
-    print("\ncluster matrix passed: every acknowledged write read back intact")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

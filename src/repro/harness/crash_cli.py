@@ -15,116 +15,63 @@ not start from a bare assertion message::
 
 Device crash points cut a single SSD mid-operation; the
 ``cluster.2pc.*`` points cut the whole rack at a coordinator decision
-boundary and check cross-shard all-or-nothing through
-:mod:`repro.fault.cluster_harness` (``--cluster-shards`` sizes that
-cluster).  ``--matrix`` sweeps both layers.
+boundary and check cross-shard all-or-nothing (``--cluster-shards``
+sizes that cluster).  One engine (:mod:`repro.fault.harness`) runs both
+layers, so every flag reaches every cell; ``--matrix`` sweeps both.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from repro.fault import (
-    ALL_CRASH_POINTS,
-    CLUSTER_CRASH_POINTS,
-    CRASH_POINTS,
-    run_cluster_matrix,
-    run_matrix,
-)
+from repro.fault import ALL_CRASH_POINTS, run_matrix
+from repro.fault.harness import DEFAULT_SHARDS
+from repro.harness.reporting import cell_layer, emit, parse_int_list, step_summary
 
 
-def _parse_seeds(text: str) -> List[int]:
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"--seeds wants comma-separated integers, got {text!r}")
-    if not seeds:
-        raise SystemExit("--seeds must name at least one seed")
-    return seeds
+def _hit(cell: Dict[str, Any]) -> str:
+    return "-" if cell.get("hit") is None else str(cell["hit"])
+
+
+def _point(cell: Dict[str, Any]) -> str:
+    return cell["point"] or "(counting)"
 
 
 def _cell_row(cell: Dict[str, Any]) -> str:
     status = "ok" if cell["ok"] else "FAIL"
-    hit = cell.get("hit")
-    hit_text = "-" if hit is None else str(hit)
-    shards = cell.get("shards")
-    layer = "device" if shards is None else f"x{shards}"
     detail = "" if cell["ok"] else f'  {"; ".join(cell["failures"][:2])}'
     return (
-        f"  [{status:>4}] {layer:>6} seed {cell['seed']:>3}  "
-        f"{cell['point'] or '(counting)':28} hit {hit_text:>4}{detail}"
+        f"  [{status:>4}] {cell_layer(cell):>8} seed {cell['seed']:>3}  "
+        f"{_point(cell):28} hit {_hit(cell):>4}{detail}"
     )
 
 
-#: Cell keys that hold live objects (flight recorder, metrics registry)
-#: rather than JSON-serializable scenario facts.
-_LIVE_CELL_KEYS = ("recorder", "metrics")
-
-
-def _report_payload(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The matrix result minus live objects (recorders, metric registries)."""
-    cells = []
-    for cell in report["cells"]:
-        cells.append({k: v for k, v in cell.items() if k not in _LIVE_CELL_KEYS})
-    return {
-        "ok": report["ok"],
-        "seeds": report["seeds"],
-        "points": report["points"],
-        "cells": cells,
-    }
-
-
-def _write_flight_dumps(report: Dict[str, Any], flight_dir: str) -> List[str]:
-    os.makedirs(flight_dir, exist_ok=True)
-    written = []
-    for cell in report["cells"]:
-        if cell["ok"] or cell.get("recorder") is None:
-            continue
-        point = (cell["point"] or "counting").replace(".", "_")
-        path = os.path.join(flight_dir, f"flight-seed{cell['seed']}-{point}.jsonl")
-        cell["recorder"].write_jsonl(path)
-        written.append(path)
-    return written
-
-
-def _md_cell(text: str, limit: int = 160) -> str:
-    """Make arbitrary failure text safe inside a markdown table cell."""
-    text = text.replace("|", "\\|").replace("\n", " ")
-    if len(text) > limit:
-        text = text[: limit - 1] + "…"
-    return text
-
-
-def _step_summary(report: Dict[str, Any]) -> str:
-    lines = [
-        "### Crash-consistency matrix",
-        "",
-        "| layer | seed | crash point | hit | result |",
-        "|---|---:|---|---:|---|",
-    ]
-    for cell in report["cells"]:
-        hit = cell.get("hit")
-        shards = cell.get("shards")
-        layer = "device" if shards is None else f"cluster x{shards}"
-        result = "ok" if cell["ok"] else "FAIL: " + _md_cell(cell["failures"][0])
-        lines.append(
-            f"| {layer} | {cell['seed']} | {cell['point'] or '(counting)'} "
-            f"| {'-' if hit is None else hit} "
-            f"| {result} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness crash",
-        description="Power-loss / recovery crash-consistency harness.",
+def summary(report: Dict[str, Any]) -> str:
+    """The matrix as the step-summary markdown table."""
+    return step_summary(
+        "Crash-consistency matrix",
+        [
+            ("layer", "---", cell_layer),
+            ("seed", "---:", lambda cell: cell["seed"]),
+            ("crash point", "---", _point),
+            ("hit", "---:", _hit),
+        ],
+        report["cells"],
     )
+
+
+def repro_hint(cell: Dict[str, Any]) -> str:
+    """The command that re-runs exactly this cell (a counting-pass cell
+    has no point to name: re-run its seed's sweep)."""
+    mode = f"--point {cell['point']}" if cell["point"] else "--matrix"
+    hint = f"python -m repro.harness crash {mode} --seeds {cell['seed']}"
+    if cell.get("shards") is not None:
+        hint += f" --cluster-shards {cell['shards']}"
+    return hint
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--matrix", action="store_true",
         help="sweep every crash point (or --point) across --seeds",
@@ -132,19 +79,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--point", action="append", choices=list(ALL_CRASH_POINTS), default=None,
         help="restrict to one crash point (repeatable; cluster.* points "
-             "run the cluster harness)",
+             "run on a cluster)",
     )
     parser.add_argument(
-        "--cluster-shards", type=int, default=2,
-        help="shard count for cluster.2pc.* cells (default: 2)",
+        "--cluster-shards", type=int, default=DEFAULT_SHARDS,
+        help=f"shard count for cluster.2pc.* cells (default: {DEFAULT_SHARDS})",
     )
     parser.add_argument(
         "--seeds", default="1,2,3",
         help="comma-separated workload seeds (default: 1,2,3)",
     )
     parser.add_argument(
-        "--ops", type=int, default=90,
-        help="operations per writer process (default: 90)",
+        "--ops", type=int, default=None,
+        help="operations per writer process (default: 90 on a device, "
+             "40 on a cluster)",
     )
     parser.add_argument(
         "--program-fail-rate", type=float, default=0.0,
@@ -155,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="transient erase-failure probability per block (default: 0)",
     )
     parser.add_argument(
-        "--report", default=None,
+        "--report", dest="json_out", default=None,
         help="write the full divergence report as JSON to this path",
     )
     parser.add_argument(
@@ -165,76 +113,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--list-points", action="store_true", help="list crash points and exit"
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     if args.list_points:
         for point in ALL_CRASH_POINTS:
             print(point)
         return 0
     if not args.matrix and not args.point:
-        parser.error("pick a mode: --matrix, --point <name>, or --list-points")
+        raise SystemExit("pick a mode: --matrix, --point <name>, or --list-points")
 
-    seeds = _parse_seeds(args.seeds)
-    if args.point:
-        device_points = [p for p in args.point if p in CRASH_POINTS]
-        cluster_points = [p for p in args.point if p in CLUSTER_CRASH_POINTS]
-    else:
-        # A bare --matrix sweeps both layers.
-        device_points, cluster_points = list(CRASH_POINTS), list(CLUSTER_CRASH_POINTS)
-
-    report: Dict[str, Any] = {
-        "ok": True, "seeds": seeds, "points": [], "cells": [],
-    }
-    if device_points:
-        device_report = run_matrix(
-            seeds,
-            points=device_points,
-            ops_per_writer=args.ops,
-            program_fail_rate=args.program_fail_rate,
-            erase_fail_rate=args.erase_fail_rate,
-        )
-        report["ok"] = report["ok"] and device_report["ok"]
-        report["points"].extend(device_report["points"])
-        report["cells"].extend(device_report["cells"])
-    if cluster_points:
-        cluster_report = run_cluster_matrix(
-            seeds, points=cluster_points, num_shards=args.cluster_shards
-        )
-        report["ok"] = report["ok"] and cluster_report["ok"]
-        report["points"].extend(cluster_report["points"])
-        report["cells"].extend(cluster_report["cells"])
-
+    seeds = parse_int_list(args.seeds, "--seeds")
+    # A bare --matrix sweeps both layers.
+    report = run_matrix(
+        seeds,
+        points=args.point or list(ALL_CRASH_POINTS),
+        ops_per_writer=args.ops,
+        program_fail_rate=args.program_fail_rate,
+        erase_fail_rate=args.erase_fail_rate,
+        shards=args.cluster_shards,
+    )
     print(f"crash matrix: seeds {seeds}, points {report['points']}")
     for cell in report["cells"]:
         print(_cell_row(cell))
 
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(_report_payload(report), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"divergence report -> {args.report}")
-    if args.flight_dir and not report["ok"]:
-        for path in _write_flight_dumps(report, args.flight_dir):
-            print(f"flight recorder -> {path}")
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as handle:
-            handle.write(_step_summary(report))
-            handle.write("\n")
-
-    failing = [cell for cell in report["cells"] if not cell["ok"]]
-    if failing:
-        print(
-            f"\nCRASH MATRIX FAILED ({len(failing)} diverging cell(s)); "
-            "reproduce one locally with e.g.\n"
-            f"  python -m repro.harness crash --point {failing[0]['point']} "
-            f"--seeds {failing[0]['seed']}",
-            file=sys.stderr,
-        )
-        return 1
-    print("\ncrash matrix passed: recovered state matched the shadow model")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return emit(
+        report, args, summary(report), "crash matrix", repro_hint,
+        "recovered state matched the shadow model",
+    )

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
-import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
+from repro.harness import prof_cli
+from repro.harness.reporting import (
+    append_step_summary,
+    read_json,
+    shared_options,
+    write_json,
+)
 from repro.obs.diff import (
     DEFAULT_FLOOR_US,
     DEFAULT_NOISE_PP,
@@ -31,36 +36,29 @@ from repro.obs.diff import (
 )
 
 
-def _load(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def _profile_seed(workload: str, seed: int, ops: int) -> Dict[str, Any]:
+def _profile_seed(workload: str, seed: int) -> Dict[str, Any]:
     """Run one in-process kamlprof pass, discarding its console output."""
-    from repro.harness import prof_cli
-
-    args = prof_cli.build_parser().parse_args([
-        "--workload", workload, "--ops", str(ops), "--seed", str(seed),
-    ])
-    return prof_cli.run_prof(args, out=io.StringIO())
+    args = prof_cli.build_parser().parse_args(
+        ["--workload", workload, "--seed", str(seed)]
+    )
+    return prof_cli.run(args, out=io.StringIO())
 
 
-def run_diff(args: argparse.Namespace, out=None) -> Dict[str, Any]:
+def run(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     out = out if out is not None else sys.stdout
     if args.reports:
         if len(args.reports) != 2:
             raise SystemExit("diff needs exactly two report files")
-        report_a = _load(args.reports[0])
-        report_b = _load(args.reports[1])
+        report_a = read_json(args.reports[0])
+        report_b = read_json(args.reports[1])
         label_a, label_b = args.reports
     else:
         if args.seed_a is None or args.seed_b is None:
             raise SystemExit(
                 "give two report files, or --seed-a and --seed-b"
             )
-        report_a = _profile_seed(args.workload, args.seed_a, args.ops)
-        report_b = _profile_seed(args.workload, args.seed_b, args.ops)
+        report_a = _profile_seed(args.workload, args.seed_a)
+        report_b = _profile_seed(args.workload, args.seed_b)
         label_a = f"{args.workload} seed {args.seed_a}"
         label_b = f"{args.workload} seed {args.seed_b}"
 
@@ -77,37 +75,20 @@ def run_diff(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     )
     print(markdown, file=out)
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.json_out, report)
         print(f"diff report written to {args.json_out}", file=out)
-
-    step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if step_summary:
-        with open(step_summary, "a") as handle:
-            handle.write(markdown)
-            handle.write("\n")
+    append_step_summary(markdown)
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness diff",
-        description="Attribute the difference between two runs to owning "
-                    "components.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "reports", nargs="*",
         help="two report JSON files (prof artifacts or baseline documents)",
     )
-    parser.add_argument(
-        "--workload", choices=("ycsb-b", "mixed"), default="mixed",
-        help="workload for the in-process two-seed mode",
-    )
+    shared_options(parser, workload=("mixed", "ycsb-b"), json_out=None)
     parser.add_argument("--seed-a", type=int, default=None)
     parser.add_argument("--seed-b", type=int, default=None)
-    parser.add_argument("--ops", type=int, default=1000,
-                        help="operations per in-process profile run")
     parser.add_argument(
         "--noise-pp", type=float, default=DEFAULT_NOISE_PP,
         help="breakdown-shift significance threshold (percentage points)",
@@ -120,16 +101,3 @@ def build_parser() -> argparse.ArgumentParser:
         "--floor-us", type=float, default=DEFAULT_FLOOR_US,
         help="absolute floor below which percentile shifts are noise",
     )
-    parser.add_argument("--json-out", default=None,
-                        help="write the diff report JSON here")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    run_diff(args, out=out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

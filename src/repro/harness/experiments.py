@@ -24,7 +24,6 @@ from repro.harness.runner import (
     build_shore_engine,
 )
 from repro.baseline import LockGranularity
-from repro.kaml import NamespaceAttributes
 from repro.workloads import (
     KamlAdapter,
     ShoreAdapter,
@@ -34,12 +33,12 @@ from repro.workloads import (
     block_fetch,
     block_insert,
     block_update,
+    fresh_namespace,
     kaml_fetch,
     kaml_insert,
     kaml_update,
 )
 from repro.workloads.micro import kaml_populate
-from repro.workloads.oltp import drive
 from repro.analysis import expected_conflicts_uniform, simulate_conflicts
 
 #: Index capacity used by the microbenchmark namespaces; load factor is
@@ -48,15 +47,14 @@ from repro.analysis import expected_conflicts_uniform, simulate_conflicts
 INDEX_CAPACITY = 4096
 
 
-def _fresh_namespace(env, ssd, populated_keys: int, capacity: int = INDEX_CAPACITY):
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(capacity * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    return drive(env, create())
+def _kaml_rig(keys: int, value_size: int, capacity: int = INDEX_CAPACITY, **build):
+    """A fresh KAML SSD with one namespace of ``capacity`` index slots
+    holding ``keys`` records of ``value_size`` bytes."""
+    env, ssd = build_kaml_ssd(**build)
+    namespace_id = fresh_namespace(env, ssd, capacity)
+    if keys:
+        kaml_populate(env, ssd, namespace_id, keys, value_size)
+    return env, ssd, namespace_id
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +77,7 @@ def fig5_bandwidth(
         metrics[f"read/{value_size}"] = read.throughput_mb_s
         for load_factor in load_factors:
             keys = max(threads, int(INDEX_CAPACITY * load_factor))
-            env, ssd = build_kaml_ssd()
-            namespace_id = _fresh_namespace(env, ssd, keys)
-            kaml_populate(env, ssd, namespace_id, keys, value_size)
+            env, ssd, namespace_id = _kaml_rig(keys, value_size)
             get = kaml_fetch(env, ssd, namespace_id, keys, value_size,
                              threads, ops_per_thread)
             rows.append(["fetch", value_size, "Get", load_factor, get.throughput_mb_s])
@@ -95,9 +91,7 @@ def fig5_bandwidth(
         metrics[f"write-upd/{value_size}"] = write.throughput_mb_s
 
         keys = int(INDEX_CAPACITY * update_lf)
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, keys)
-        kaml_populate(env, ssd, namespace_id, keys, value_size)
+        env, ssd, namespace_id = _kaml_rig(keys, value_size)
         put = kaml_update(env, ssd, namespace_id, keys, value_size,
                           threads, ops_per_thread)
         rows.append(["update", value_size, "Put", update_lf, put.throughput_mb_s])
@@ -109,8 +103,7 @@ def fig5_bandwidth(
         rows.append(["insert", value_size, "write", "-", write.throughput_mb_s])
         metrics[f"write-ins/{value_size}"] = write.throughput_mb_s
 
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, 0)
+        env, ssd, namespace_id = _kaml_rig(0, value_size)
         put = kaml_insert(env, ssd, namespace_id, value_size,
                           threads, ops_per_thread)
         rows.append(["insert", value_size, "Put", 0.0, put.throughput_mb_s])
@@ -149,9 +142,7 @@ def fig6_latency(
     for value_size in value_sizes:
         env, device = build_block_device()
         read = block_fetch(env, device, value_size, threads=1, ops_per_thread=ops)
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, keys)
-        kaml_populate(env, ssd, namespace_id, keys, value_size)
+        env, ssd, namespace_id = _kaml_rig(keys, value_size)
         get = kaml_fetch(env, ssd, namespace_id, keys, value_size,
                          threads=1, ops_per_thread=ops)
         hardware_share = 1.0 - HOST_SOFTWARE_US / get.mean_latency_us
@@ -164,9 +155,7 @@ def fig6_latency(
     for value_size in value_sizes:
         env, device = build_block_device()
         write = block_update(env, device, value_size, threads=1, ops_per_thread=ops)
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, keys)
-        kaml_populate(env, ssd, namespace_id, keys, value_size)
+        env, ssd, namespace_id = _kaml_rig(keys, value_size)
         put = kaml_update(env, ssd, namespace_id, keys, value_size,
                           threads=1, ops_per_thread=ops)
         hardware_share = 1.0 - HOST_SOFTWARE_US / put.mean_latency_us
@@ -179,8 +168,7 @@ def fig6_latency(
     for value_size in value_sizes:
         env, device = build_block_device()
         write = block_insert(env, device, value_size, threads=1, ops_per_thread=ops)
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, 0)
+        env, ssd, namespace_id = _kaml_rig(0, value_size)
         put = kaml_insert(env, ssd, namespace_id, value_size,
                           threads=1, ops_per_thread=ops)
         rows.append(["insert", value_size, "write", write.mean_latency_us, "-"])
@@ -211,9 +199,7 @@ def fig7_batch(
     keys = int(INDEX_CAPACITY * 0.4)
 
     for batch in batch_sizes:
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, keys)
-        kaml_populate(env, ssd, namespace_id, keys, value_size)
+        env, ssd, namespace_id = _kaml_rig(keys, value_size)
         ops_per_thread = max(1, records_per_run // (threads * batch))
         update = kaml_update(env, ssd, namespace_id, keys, value_size,
                              threads, ops_per_thread, batch=batch)
@@ -226,8 +212,7 @@ def fig7_batch(
     populate_threads = 4
     target_records = int(INDEX_CAPACITY * 0.7)
     for batch in batch_sizes:
-        env, ssd = build_kaml_ssd()
-        namespace_id = _fresh_namespace(env, ssd, 0)
+        env, ssd, namespace_id = _kaml_rig(0, value_size)
         insert = kaml_insert(env, ssd, namespace_id, value_size,
                              threads=populate_threads,
                              ops_per_thread=max(1, target_records // (populate_threads * batch)),
@@ -268,9 +253,9 @@ def fig8_multilog(
     config = config.with_(resources=replace(config.resources, nvram_bytes=1 << 20))
 
     for num_logs in log_counts:
-        env, ssd = build_kaml_ssd(config=config, num_logs=num_logs)
-        namespace_id = _fresh_namespace(env, ssd, keys, capacity=capacity)
-        kaml_populate(env, ssd, namespace_id, keys, value_size)
+        env, ssd, namespace_id = _kaml_rig(
+            keys, value_size, capacity, config=config, num_logs=num_logs
+        )
         update = kaml_update(env, ssd, namespace_id, keys, value_size,
                              threads, ops_per_thread)
         rows.append([num_logs, update.throughput_mb_s])

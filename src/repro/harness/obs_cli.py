@@ -17,44 +17,28 @@ Example::
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
-import random
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.harness.reporting import format_kv, format_table
-from repro.kaml import NamespaceAttributes
+from repro.harness.reporting import (
+    append_step_summary,
+    capture_health,
+    format_kv,
+    format_table,
+    shared_options,
+    write_json,
+)
+from repro.harness.runner import build_kaml_store, settle
 from repro.obs import analyze, write_chrome_trace
 from repro.obs.profile import breakdown_rows
+from repro.workloads import fresh_namespace, mixed
 
-
-def _build_stack(cache_bytes: int, capacity: int):
-    from repro.harness.runner import build_kaml_store
-    from repro.workloads.oltp import drive
-
-    env, ssd, store = build_kaml_store(cache_bytes=cache_bytes)
-
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(capacity * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-    return env, ssd, store, namespace_id
-
-
-def _worker(store, namespace_id, rng, ops, value_bytes, key_space, write_fraction):
-    for _ in range(ops):
-        key = rng.randrange(key_space)
-        if rng.random() < write_fraction:
-            yield from store.put(
-                namespace_id, key, ("obs", key), value_bytes
-            )
-        else:
-            yield from store.get(namespace_id, key)
+#: Key range of the mixed workload (and the namespace sized for it).
+KEY_SPACE = 512
+#: SLO breach dumps printed in full; the rest are only counted.
+MAX_BREACH_PRINTS = 8
 
 
 def _dashboard(env, ssd, namespace_id, interval_us, done, out):
@@ -75,45 +59,29 @@ def _dashboard(env, ssd, namespace_id, interval_us, done, out):
         )
 
 
-def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
-    """Build the stack, run the workload, report; returns the result dict."""
-    out = out if out is not None else sys.stdout
-    env, ssd, store, namespace_id = _build_stack(args.cache_bytes, args.key_space)
+def run(args: argparse.Namespace, out=None) -> Dict[str, Any]:
+    """Build the stack, run the workload, report; returns the result dict.
+    With ``--json`` the human report goes nowhere and ``out`` carries
+    exactly one JSON document."""
+    stream = out if out is not None else sys.stdout
+    out = io.StringIO() if args.json else stream
+    env, ssd, store = build_kaml_store(cache_bytes=args.cache_bytes)
+    namespace_id = fresh_namespace(env, ssd, KEY_SPACE)
     journal = None
     if args.record_out:
-        journal = ssd.enable_oplog(
-            path=args.record_out, capacity=args.record_capacity
-        )
+        journal = ssd.enable_oplog(path=args.record_out)
     if args.slo_put_us is not None:
         ssd.slo.set_slo("put", args.slo_put_us)
-    if args.slo_get_us is not None:
-        ssd.slo.set_slo("store.get", args.slo_get_us)
-    if args.slo_txn_us is not None:
-        ssd.slo.set_slo("txn.commit", args.slo_txn_us)
 
-    ops_per_thread = max(1, args.ops // args.threads)
-    workers = [
-        env.process(
-            _worker(
-                store,
-                namespace_id,
-                random.Random(args.seed + 997 * t),
-                ops_per_thread,
-                args.value_bytes,
-                args.key_space,
-                args.write_fraction,
-            )
-        )
-        for t in range(args.threads)
-    ]
-    done = env.all_of(workers)
+    done = mixed(
+        env, store, namespace_id,
+        seed=args.seed, ops=args.ops, threads=args.threads,
+        key_space=KEY_SPACE, write_fraction=args.write_fraction,
+    )
     env.process(_dashboard(env, ssd, namespace_id, args.interval_us, done, out))
     env.run_until(done)
-    # Let the background Put pipeline (phase 2/3, log flushes) drain so
-    # the trace summary includes the full causal tree, not just phase 1.
-    for _ in range(2):
-        settle = env.process(ssd.drain())
-        env.run_until(settle)
+    # The trace summary must include the full causal tree, not just phase 1.
+    settle(env, ssd)
 
     summary = ssd.tracer.summary()
     rows: List[List[Any]] = [
@@ -150,7 +118,7 @@ def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         ),
         file=out,
     )
-    for dump in breach_dumps[: args.max_breach_prints]:
+    for dump in breach_dumps[:MAX_BREACH_PRINTS]:
         breach = dump["breach"]
         # op_id joins the breach back to its captured journal row (0
         # when the op journal was off for this run).
@@ -186,9 +154,7 @@ def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         ssd.tracer.recorder.write_jsonl(args.flight_out)
         print(f"flight-recorder JSONL written to {args.flight_out}", file=out)
     if args.breach_out:
-        with open(args.breach_out, "w") as handle:
-            json.dump(breach_dumps, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
+        write_json(args.breach_out, breach_dumps, default=str)
         print(f"breach dumps written to {args.breach_out}", file=out)
 
     recorder = ssd.tracer.recorder
@@ -213,22 +179,10 @@ def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         f"{capture['recorder']['dropped']} dropped",
         file=out,
     )
-    step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if step_summary:
-        oplog_cell = "off"
-        if capture["oplog"] is not None:
-            oplog_cell = (
-                f"{capture['oplog']['recorded']} recorded / "
-                f"{capture['oplog']['dropped']} dropped"
-            )
-        with open(step_summary, "a") as handle:
-            handle.write(
-                "**obs capture health:** "
-                f"spans {capture['recorder']['recorded']} recorded / "
-                f"{capture['recorder']['dropped']} dropped; "
-                f"op journal {oplog_cell}; "
-                f"SLO breaches {len(ssd.slo.breaches)}\n\n"
-            )
+    append_step_summary(
+        f"**obs capture health:** {capture_health(capture)}; "
+        f"SLO breaches {len(ssd.slo.breaches)}\n"
+    )
 
     result = {
         "summary": summary,
@@ -240,36 +194,22 @@ def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     }
     if profile_report is not None:
         result["profile"] = profile_report
+    if args.json:
+        print(json.dumps(result, indent=2, sort_keys=True, default=str), file=stream)
     return result
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness obs",
-        description="Run a mixed workload with tracing, SLOs, and a live dashboard.",
-    )
-    parser.add_argument("--ops", type=int, default=200, help="total operations")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--value-bytes", type=int, default=512)
-    parser.add_argument("--key-space", type=int, default=512)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    shared_options(parser, ops=200, threads=4, seed=42, cache_bytes=1 << 20)
     parser.add_argument(
         "--write-fraction", type=float, default=0.5, help="Put share of the mix"
     )
-    parser.add_argument("--seed", type=int, default=42, help="workload RNG seed")
-    parser.add_argument("--cache-bytes", type=int, default=1 << 20)
     parser.add_argument(
         "--interval-us", type=float, default=10_000.0,
         help="simulated time between dashboard lines",
     )
     parser.add_argument(
         "--slo-put-us", type=float, default=None, help="Put ack-latency SLO"
-    )
-    parser.add_argument(
-        "--slo-get-us", type=float, default=None,
-        help="store Get (cache-inclusive) latency SLO",
-    )
-    parser.add_argument(
-        "--slo-txn-us", type=float, default=None, help="transaction-commit SLO"
     )
     parser.add_argument(
         "--trace-out", default=None, help="write a Chrome trace_event JSON here"
@@ -280,14 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--breach-out", default=None, help="write SLO breach dumps (JSON) here"
     )
-    parser.add_argument("--max-breach-prints", type=int, default=8)
     parser.add_argument(
         "--record-out", default=None,
         help="capture an op journal (.jsonl/.jsonl.gz) during the run",
-    )
-    parser.add_argument(
-        "--record-capacity", type=int, default=1 << 20,
-        help="op-journal row budget for --record-out",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -297,25 +232,3 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="suppress the human report and print the result dict as JSON",
     )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.json:
-        # Machine-readable mode: the human report goes nowhere, stdout
-        # carries exactly one JSON document.
-        import io
-
-        result = run_obs(args, out=io.StringIO())
-        print(
-            json.dumps(result, indent=2, sort_keys=True, default=str),
-            file=out if out is not None else sys.stdout,
-        )
-        return 0
-    run_obs(args, out=out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,26 +22,28 @@ Example::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import random
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from repro.harness.reporting import format_kv, format_table
-from repro.kaml import NamespaceAttributes
+from repro.harness.reporting import (
+    append_step_summary,
+    capture_health,
+    format_kv,
+    format_table,
+    shared_options,
+    write_json,
+)
+from repro.harness.runner import build_kaml_store, settle
 from repro.obs import analyze, collapsed_stacks, write_collapsed
 from repro.obs.profile import breakdown_rows, markdown_breakdown
 from repro.obs.trace import FlightRecorder
+from repro.workloads import SIM_WORKLOADS, prepare_workload
 
-#: Profileable workloads (the perf CLI's ``kernel`` has no KV stack and
-#: therefore no spans to attribute).
-WORKLOADS = ("ycsb-b", "mixed")
+#: Breakdown rows below this fraction are hidden from the console table.
+MIN_FRACTION = 0.005
 
 
 def _build_stack(cache_bytes: int, recorder_capacity: int):
-    from repro.harness.runner import build_kaml_store
-
     env, ssd, store = build_kaml_store(cache_bytes=cache_bytes)
     # The default ring keeps the last 16Ki spans — plenty for breach
     # dumps, too small for a whole profiled run.  Swap in a large ring
@@ -50,59 +52,6 @@ def _build_stack(cache_bytes: int, recorder_capacity: int):
     ssd.tracer.recorder = recorder
     ssd.slo.recorder = recorder
     return env, ssd, store
-
-
-def _run_ycsb_b(env, ssd, store, args) -> None:
-    """YCSB B through the caching layer (the Figure 10 stack)."""
-    from repro.workloads import KamlAdapter, Ycsb
-
-    ycsb = Ycsb(
-        env,
-        KamlAdapter(store),
-        records=args.records,
-        workload="b",
-        seed=args.seed,
-    )
-    ycsb.setup()
-    _start_measurement(env, ssd, args)
-    ops_per_thread = max(1, args.ops // args.threads)
-    ycsb.run(threads=args.threads, ops_per_thread=ops_per_thread)
-
-
-def _run_mixed(env, ssd, store, args) -> None:
-    """50/50 Get/Put mix (the perf gate's headline workload)."""
-    from repro.workloads.oltp import drive
-
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(args.key_space * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def worker(rng, ops):
-        for _ in range(ops):
-            key = rng.randrange(args.key_space)
-            if rng.random() < 0.5:
-                yield from store.put(namespace_id, key, ("prof", key), 512)
-            else:
-                yield from store.get(namespace_id, key)
-
-    _start_measurement(env, ssd, args)
-    ops_per_thread = max(1, args.ops // args.threads)
-    workers = [
-        env.process(worker(random.Random(args.seed + 997 * t), ops_per_thread))
-        for t in range(args.threads)
-    ]
-    env.run_until(env.all_of(workers))
-
-
-_RUNNERS = {
-    "ycsb-b": _run_ycsb_b,
-    "mixed": _run_mixed,
-}
 
 
 def _start_measurement(env, ssd, args) -> None:
@@ -117,27 +66,26 @@ def _start_measurement(env, ssd, args) -> None:
     because the namespaces under test exist now (per-namespace rate
     probes bind at install).
     """
-    for _ in range(2):
-        settle = env.process(ssd.drain())
-        env.run_until(settle)
+    settle(env, ssd)
     ssd.tracer.recorder.clear()
     if not args.no_timeseries:
-        ssd.enable_timeseries(
-            interval_us=args.interval_us, capacity=args.timeseries_capacity
-        )
+        ssd.enable_timeseries(interval_us=args.interval_us)
 
 
-def run_prof(args: argparse.Namespace, out=None) -> Dict[str, Any]:
+def run(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     """Build the stack, run the workload, profile; returns the report."""
     out = out if out is not None else sys.stdout
     env, ssd, store = _build_stack(args.cache_bytes, args.recorder_capacity)
-    _RUNNERS[args.workload](env, ssd, store, args)
+    measured_phase = prepare_workload(
+        args.workload, env, ssd, store,
+        seed=args.seed, ops=args.ops, threads=args.threads,
+        key_space=args.key_space, records=args.records,
+    )
+    _start_measurement(env, ssd, args)
+    measured_phase()
 
-    # Let the background Put pipeline (phases 2/3, log flushes) drain so
-    # detached spans finish and the trees are complete.
-    for _ in range(2):
-        settle = env.process(ssd.drain())
-        env.run_until(settle)
+    # Detached spans must finish so the trees are complete.
+    settle(env, ssd)
     if ssd.timeseries is not None:
         ssd.timeseries.stop()
         ssd.timeseries.sample_now()  # end-state sample after the drain
@@ -162,16 +110,13 @@ def run_prof(args: argparse.Namespace, out=None) -> Dict[str, Any]:
             "samples": len(ssd.timeseries.samples),
             "dropped": ssd.timeseries.dropped,
         }
-    report["capture"] = {
-        "recorder": dict(report["recorder"]),
-        "oplog": ssd.oplog.counts() if ssd.oplog.enabled else None,
-    }
+    report["capture"] = {"recorder": dict(report["recorder"]), "oplog": None}
 
     print(
         format_table(
             f"kamlprof breakdown ({args.workload}, seed {args.seed})",
             ["op", "ns", "component", "us", "fraction"],
-            breakdown_rows(report, min_fraction=args.min_fraction),
+            breakdown_rows(report, min_fraction=MIN_FRACTION),
         ),
         file=out,
     )
@@ -237,73 +182,31 @@ def run_prof(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         f"(ring capacity {args.recorder_capacity})",
         file=out,
     )
-    if ssd.oplog.enabled:
-        counts = ssd.oplog.counts()
-        print(
-            f"op journal: {counts['recorded']} recorded, "
-            f"{counts['dropped']} dropped "
-            f"(capacity {counts['capacity']})",
-            file=out,
-        )
 
     if args.flame_out:
         write_collapsed(args.flame_out, collapsed_stacks(events))
         print(f"collapsed stacks written to {args.flame_out}", file=out)
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.json_out, report)
         print(f"breakdown JSON written to {args.json_out}", file=out)
     if args.timeseries_out and ssd.timeseries is not None:
         ssd.timeseries.write_json(args.timeseries_out)
         print(f"telemetry JSON written to {args.timeseries_out}", file=out)
 
-    step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if step_summary:
-        with open(step_summary, "a") as handle:
-            handle.write(
-                markdown_breakdown(
-                    report,
-                    title=f"kamlprof latency breakdown ({args.workload})",
-                )
-            )
-            handle.write("\n")
-            capture = report["capture"]
-            oplog_cell = "off"
-            if capture["oplog"] is not None:
-                oplog_cell = (
-                    f"{capture['oplog']['recorded']} recorded / "
-                    f"{capture['oplog']['dropped']} dropped"
-                )
-            handle.write(
-                "**Capture health:** "
-                f"spans {capture['recorder']['recorded']} recorded / "
-                f"{capture['recorder']['dropped']} dropped; "
-                f"op journal {oplog_cell}\n\n"
-            )
+    append_step_summary(
+        markdown_breakdown(
+            report, title=f"kamlprof latency breakdown ({args.workload})"
+        )
+        + f"\n**Capture health:** {capture_health(report['capture'])}\n"
+    )
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness prof",
-        description="Profile a seeded workload: critical-path latency "
-                    "attribution plus device telemetry.",
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    shared_options(
+        parser, workload=SIM_WORKLOADS, ops=1000, threads=4, records=1000,
+        key_space=512, seed=7, cache_bytes=1 << 20, json_out=None,
     )
-    parser.add_argument(
-        "--workload", choices=WORKLOADS, default="ycsb-b",
-        help="which workload to profile",
-    )
-    parser.add_argument("--ops", type=int, default=1000, help="total operations")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument(
-        "--records", type=int, default=1000, help="YCSB table size (ycsb-b)"
-    )
-    parser.add_argument(
-        "--key-space", type=int, default=512, help="key range (mixed)"
-    )
-    parser.add_argument("--seed", type=int, default=7, help="workload RNG seed")
-    parser.add_argument("--cache-bytes", type=int, default=1 << 20)
     parser.add_argument(
         "--recorder-capacity", type=int, default=1 << 18,
         help="flight-recorder ring size for the profiled run",
@@ -313,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated time between telemetry samples",
     )
     parser.add_argument(
-        "--timeseries-capacity", type=int, default=4096,
-        help="telemetry ring size (oldest samples drop beyond this)",
-    )
-    parser.add_argument(
         "--no-timeseries", action="store_true",
         help="skip the telemetry sampler (pure span attribution)",
     )
@@ -324,27 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=5, help="slowest-request exemplars to keep"
     )
     parser.add_argument(
-        "--min-fraction", type=float, default=0.005,
-        help="hide breakdown rows below this fraction",
-    )
-    parser.add_argument(
         "--flame-out", default=None,
         help="write flamegraph.pl/speedscope collapsed stacks here",
     )
     parser.add_argument(
-        "--json-out", default=None, help="write the breakdown report JSON here"
-    )
-    parser.add_argument(
         "--timeseries-out", default=None, help="write the telemetry JSON here"
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``prof`` parser, for callers that profile in-process
+    (``perf --profile``, ``diff --seed-a/--seed-b``)."""
+    parser = argparse.ArgumentParser(prog="python -m repro.harness prof")
+    add_arguments(parser)
     return parser
-
-
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    run_prof(args, out=out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

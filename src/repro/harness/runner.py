@@ -36,6 +36,17 @@ def build_kaml_store(
     return env, ssd, store
 
 
+def settle(env: Environment, ssd: KamlSsd) -> None:
+    """Let the background Put pipeline (phases 2/3, log flushes) finish.
+
+    Two drains: a drain is a forced flush plus a fixed wait, and a
+    record whose phase 2 appends during the first wait sits in a page
+    only the second flush programs.
+    """
+    for _ in range(2):
+        env.run_until(env.process(ssd.drain()))
+
+
 def build_block_device(
     config: Optional[ReproConfig] = None,
     preconditioned: bool = True,

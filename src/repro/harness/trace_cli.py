@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.harness.reporting import format_kv
-from repro.kaml import NamespaceAttributes
+from repro.harness.reporting import format_kv, shared_options, write_json
+from repro.harness.runner import build_kaml_ssd, build_kaml_store, settle
+from repro.obs.metrics import percentile
 from repro.obs.oplog import load_journal, mix_summary, write_journal
+from repro.workloads import SIM_WORKLOADS, prepare_workload
 from repro.workloads.replay import (
     SYNTH_GENERATORS,
     journal_to_issues,
@@ -34,62 +35,14 @@ from repro.workloads.replay import (
     replay_journal,
 )
 
-SIM_WORKLOADS = ("ycsb-b", "mixed")
 RECORD_WORKLOADS = SIM_WORKLOADS + tuple(sorted(SYNTH_GENERATORS))
+#: Read share of the synth-* generators when driven from this CLI.
+SYNTH_READ_FRACTION = 0.5
 
 
 # ---------------------------------------------------------------------------
 # record
 # ---------------------------------------------------------------------------
-
-def _record_ycsb_b(env, ssd, store, args) -> None:
-    from repro.workloads import KamlAdapter, Ycsb
-
-    ycsb = Ycsb(
-        env,
-        KamlAdapter(store),
-        records=args.records,
-        workload="b",
-        seed=args.seed,
-    )
-    ycsb.setup()
-    ops_per_thread = max(1, args.ops // args.threads)
-    ycsb.run(threads=args.threads, ops_per_thread=ops_per_thread)
-
-
-def _record_mixed(env, ssd, store, args) -> None:
-    from repro.workloads.oltp import drive
-
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(args.key_space * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def worker(rng, ops):
-        for _ in range(ops):
-            key = rng.randrange(args.key_space)
-            if rng.random() < 0.5:
-                yield from store.put(namespace_id, key, ("rec", key), 512)
-            else:
-                yield from store.get(namespace_id, key)
-
-    ops_per_thread = max(1, args.ops // args.threads)
-    workers = [
-        env.process(worker(random.Random(args.seed + 997 * t), ops_per_thread))
-        for t in range(args.threads)
-    ]
-    env.run_until(env.all_of(workers))
-
-
-_SIM_RECORDERS = {
-    "ycsb-b": _record_ycsb_b,
-    "mixed": _record_mixed,
-}
-
 
 def _print_journal_summary(rows: List[Dict[str, Any]], out) -> None:
     summary = mix_summary(rows)
@@ -110,8 +63,7 @@ def run_record(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         rows = SYNTH_GENERATORS[args.workload](
             args.ops,
             args.key_space,
-            read_fraction=args.read_fraction,
-            value_size=args.value_size,
+            read_fraction=SYNTH_READ_FRACTION,
             seed=args.seed,
         )
         written = write_journal(args.out, rows)
@@ -119,16 +71,16 @@ def run_record(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         _print_journal_summary(rows, out)
         return {"rows": written, "dropped": 0, "out": args.out}
 
-    from repro.harness.runner import build_kaml_store
-
     env, ssd, store = build_kaml_store(cache_bytes=args.cache_bytes)
-    journal = ssd.enable_oplog(path=args.out, capacity=args.capacity)
+    journal = ssd.enable_oplog(path=args.out)
     try:
-        _SIM_RECORDERS[args.workload](env, ssd, store, args)
-        # Drain so every captured command has acked before the file closes.
-        for _ in range(2):
-            settle = env.process(ssd.drain())
-            env.run_until(settle)
+        prepare_workload(
+            args.workload, env, ssd, store,
+            seed=args.seed, ops=args.ops, threads=args.threads,
+            key_space=args.key_space, records=args.records,
+        )()
+        # Every captured command must have acked before the file closes.
+        settle(env, ssd)
     finally:
         journal.close()
     counts = journal.counts()
@@ -143,68 +95,23 @@ def run_record(args: argparse.Namespace, out=None) -> Dict[str, Any]:
             "out": args.out}
 
 
-def build_record_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness record",
-        description="Capture an op journal from a seeded workload (or "
-                    "synthesize one with the same schema).",
-    )
-    parser.add_argument(
-        "--workload", choices=RECORD_WORKLOADS, default="ycsb-b",
-        help="simulated workload to capture, or a synthetic generator",
+def add_record_arguments(parser: argparse.ArgumentParser) -> None:
+    shared_options(
+        parser, workload=RECORD_WORKLOADS, ops=1000, threads=4, records=1000,
+        key_space=512, seed=7, cache_bytes=1 << 20,
     )
     parser.add_argument("--out", required=True,
                         help="journal path (.jsonl or .jsonl.gz)")
-    parser.add_argument("--ops", type=int, default=1000, help="total operations")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument(
-        "--records", type=int, default=1000, help="YCSB table size (ycsb-b)"
-    )
-    parser.add_argument(
-        "--key-space", type=int, default=512,
-        help="key range (mixed and synth-* workloads)",
-    )
-    parser.add_argument("--seed", type=int, default=7, help="workload RNG seed")
-    parser.add_argument("--cache-bytes", type=int, default=1 << 20)
-    parser.add_argument(
-        "--capacity", type=int, default=1 << 20,
-        help="op-journal row budget; rows beyond it are dropped (counted)",
-    )
-    parser.add_argument(
-        "--read-fraction", type=float, default=0.5,
-        help="read share for synth-* generators",
-    )
-    parser.add_argument(
-        "--value-size", type=int, default=1024,
-        help="put payload size for synth-* generators",
-    )
-    return parser
-
-
-def record_main(argv: Optional[List[str]] = None, out=None) -> int:
-    args = build_record_parser().parse_args(argv)
-    run_record(args, out=out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, int(round(fraction * (len(sorted_values) - 1)))))
-    return sorted_values[index]
-
-
 def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     out = out if out is not None else sys.stdout
     rows = load_journal(args.journal)
     issues = journal_to_issues(rows, layer=args.layer)
-
-    from repro.harness.runner import build_kaml_ssd, build_kaml_store
 
     if args.layer == "store":
         env, ssd, target = build_kaml_store(cache_bytes=args.cache_bytes)
@@ -215,7 +122,7 @@ def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
 
     capture = None
     if args.capture_out:
-        capture = ssd.enable_oplog(path=args.capture_out, capacity=args.capacity)
+        capture = ssd.enable_oplog(path=args.capture_out)
     try:
         result = replay_journal(
             env, target, issues,
@@ -224,9 +131,7 @@ def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
             threads=args.threads,
             speed=args.speed,
         )
-        for _ in range(2):
-            settle = env.process(ssd.drain())
-            env.run_until(settle)
+        settle(env, ssd)
     finally:
         if capture is not None:
             capture.close()
@@ -243,8 +148,8 @@ def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         "elapsed_us": result.elapsed_us,
         "ops_per_second": result.ops_per_second,
         "throughput_mb_s": result.throughput_mb_s,
-        "latency_p50_us": _percentile(latencies, 0.50),
-        "latency_p99_us": _percentile(latencies, 0.99),
+        "latency_p50_us": percentile(latencies, 0.50),
+        "latency_p99_us": percentile(latencies, 0.99),
         "namespace_map": {str(k): v for k, v in sorted(namespace_map.items())},
     }
     if capture is not None:
@@ -265,28 +170,18 @@ def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
             file=out,
         )
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.json_out, report)
         print(f"replay report written to {args.json_out}", file=out)
     return report
 
 
-def build_replay_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness replay",
-        description="Re-issue a captured or synthetic op journal against "
-                    "a fresh stack.",
-    )
+def add_replay_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("journal", help="journal path (.jsonl or .jsonl.gz)")
     parser.add_argument(
         "--mode", choices=("closed", "open"), default="closed",
         help="closed: lanes issue back-to-back; open: honor recorded gaps",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="closed-loop lanes (1 preserves the exact captured order)",
-    )
+    shared_options(parser, threads=1, cache_bytes=1 << 20, json_out=None)
     parser.add_argument(
         "--speed", type=float, default=1.0,
         help="open-loop time compression (2.0 replays twice as fast)",
@@ -296,24 +191,7 @@ def build_replay_parser() -> argparse.ArgumentParser:
         help="which captured layer to re-issue (never both: the store "
              "layer re-generates its own device traffic)",
     )
-    parser.add_argument("--cache-bytes", type=int, default=1 << 20,
-                        help="host cache size for --layer store")
     parser.add_argument(
         "--capture-out", default=None,
         help="re-capture the replay into this journal (round-trip check)",
     )
-    parser.add_argument("--capacity", type=int, default=1 << 20,
-                        help="re-capture row budget")
-    parser.add_argument("--json-out", default=None,
-                        help="write the replay report JSON here")
-    return parser
-
-
-def replay_main(argv: Optional[List[str]] = None, out=None) -> int:
-    args = build_replay_parser().parse_args(argv)
-    run_replay(args, out=out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(record_main())

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
+from repro.errors import ReproError
 from repro.flash import (
     EraseFailure,
     FlashArray,
@@ -33,7 +34,7 @@ from repro.obs import NULL_CONTEXT, NullTracer, TraceContext
 from repro.sim import Environment, Event, Gate, SimLock
 
 
-class LogSpaceError(Exception):
+class LogSpaceError(ReproError):
     """A log ran out of blocks and GC could not reclaim any."""
 
 
@@ -47,49 +48,6 @@ class _WritePoint:
     #: Pending flush-timer event (bootstrap or armed timeout); defused
     #: when the page flushes early so no ghost fires at the deadline.
     timer: Optional[Event] = None
-
-
-class LogStats:
-    """Registry-backed per-log counters with the legacy attribute names.
-
-    The underlying counters carry ``log=<id>`` labels (plus ``namespace``
-    and ``stream`` on the byte/record counters) so figure-level reports
-    can attribute bandwidth; this view re-aggregates them for existing
-    ``log.stats.x`` callers.
-    """
-
-    def __init__(self, metrics, log_id: int):
-        self._metrics = metrics
-        self._log_id = log_id
-
-    def _count(self, name: str) -> int:
-        return int(self._metrics.total(name, log=self._log_id))
-
-    @property
-    def appended_records(self) -> int:
-        return self._count("kaml.log.appended_records")
-
-    @property
-    def programmed_pages(self) -> int:
-        return self._count("kaml.log.programmed_pages")
-
-    @property
-    def gc_relocated_records(self) -> int:
-        return self._count("kaml.log.gc.relocated_records")
-
-    @property
-    def gc_erased_blocks(self) -> int:
-        return self._count("kaml.log.gc.erased_blocks")
-
-    @property
-    def wasted_chunks(self) -> int:
-        # Trailing chunks lost when a record didn't fit the open page.
-        return self._count("kaml.log.wasted_chunks")
-
-    @property
-    def retired_blocks(self) -> int:
-        # Blocks that exceeded erase endurance.
-        return self._count("kaml.log.retired_blocks")
 
 
 class KamlLog:
@@ -128,7 +86,6 @@ class KamlLog:
         self._gc_generation = 0
         self.gc_policy = WearAwarePolicy()
         self.gc_policy.metrics = self.metrics
-        self.stats = LogStats(self.metrics, log_id)
         self.free: List[int] = list(range(self.geometry.blocks_per_chip))
         self.full: List[int] = []
         self._active: Dict[bool, Optional[int]] = {False: None, True: None}  # for_gc -> block

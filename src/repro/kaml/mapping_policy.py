@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.errors import ReproError
 
-class LogAssignmentError(Exception):
+
+class LogAssignmentError(ReproError):
     """A policy produced an invalid assignment."""
 
 

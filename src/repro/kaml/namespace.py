@@ -6,11 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
+from repro.errors import ReproError
 from repro.ftl.mapping import BucketedHashIndex, HashIndex, SortedIndex
 from repro.kaml.mapping_policy import AllLogsPolicy
 
 
-class NamespaceError(Exception):
+class NamespaceError(ReproError):
     """Namespace lifecycle or addressing failure."""
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, NamedTuple, Tuple
 
+from repro.errors import ReproError
 from repro.flash.address import PagePointer
 
 #: Per-record on-flash header: 8 B key + 4 B namespace + 4 B length.
 RECORD_HEADER_BYTES = 16
 
 
-class RecordTooLargeError(Exception):
+class RecordTooLargeError(ReproError):
     """A record (with header) does not fit in one flash page."""
 
 

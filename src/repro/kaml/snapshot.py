@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import ReproError
 from repro.ftl.mapping import BucketedHashIndex, HashIndex, SortedIndex
 
 
-class SnapshotError(Exception):
+class SnapshotError(ReproError):
     """Snapshot lifecycle misuse."""
 
 

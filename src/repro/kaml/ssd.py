@@ -33,6 +33,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
+from repro.errors import InvariantError, ReproError
 from repro.flash import FlashArray, PagePointer
 from repro.kaml.log import KamlLog, LogSpaceError
 from repro.kaml.namespace import Namespace, NamespaceAttributes, NamespaceError
@@ -52,7 +53,7 @@ from repro.sim import Environment, Gate, Process
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, OnboardDram
 
 
-class KamlError(Exception):
+class KamlError(ReproError):
     """Command-level failure on the KAML SSD."""
 
 
@@ -102,40 +103,6 @@ class StagedBatch:
         self.txn_id = txn_id
 
 
-class KamlStats:
-    """Registry-backed view with the legacy counter attribute names.
-
-    Kept so ``ssd.stats.gets``-style callers survive the migration to the
-    :mod:`repro.obs` registry; the registry is the source of truth.
-    """
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._metrics = metrics
-
-    def _count(self, name: str) -> int:
-        return int(self._metrics.total(name))
-
-    @property
-    def gets(self) -> int:
-        return self._count("kaml.ssd.gets")
-
-    @property
-    def puts(self) -> int:
-        return self._count("kaml.ssd.puts")
-
-    @property
-    def put_records(self) -> int:
-        return self._count("kaml.ssd.put_records")
-
-    @property
-    def deletes(self) -> int:
-        return self._count("kaml.ssd.deletes")
-
-    @property
-    def recovered_batches(self) -> int:
-        return self._count("kaml.ssd.recovered_batches")
-
-
 class KamlSsd:
     """A key-addressable, multi-log SSD."""
 
@@ -170,7 +137,6 @@ class KamlSsd:
         self.nvram = NvramBuffer(env, config.resources.nvram_bytes)
         self.link = HostInterconnect(env, config.interconnect)
         self.dram = OnboardDram(config.resources.dram_bytes)
-        self.stats = KamlStats(self.metrics)
         # Logs occupy targets channel-major so that N <= channels logs land
         # on N distinct channels (the Figure 8 configuration).
         self.logs: List[KamlLog] = []
@@ -1408,11 +1374,13 @@ class KamlSsd:
         ctx = self.tracer.request("kaml.recover", batches=len(staged), scan=scan_mode)
         if scan_mode:
             yield from self._rebuild_from_flash(ctx)
-        for handle, payload in staged:
-            if isinstance(payload, StagedBatch):
-                batch = payload
-            else:  # legacy plain-list payload
-                batch = StagedBatch("put", list(payload or []))
+        for handle, batch in staged:
+            if not isinstance(batch, StagedBatch):
+                raise InvariantError(
+                    "SAN-NVRAM",
+                    f"NVRAM handle {handle} holds a foreign payload "
+                    f"({type(batch).__name__}); only StagedBatch pins can replay",
+                )
             if batch.kind == "prepare":
                 # In-doubt 2PC participant batch: durable but undecided.
                 # Keep the pin; only the cluster coordinator's intent
@@ -1695,8 +1663,8 @@ class KamlSsd:
             "staged_records": len(self._staged),
             "valid_bytes": sum(self._valid_bytes.values()),
             "free_blocks": sum(log.free_blocks for log in self.logs),
-            "retired_blocks": sum(log.stats.retired_blocks for log in self.logs),
-            "gc_erased_blocks": sum(log.stats.gc_erased_blocks for log in self.logs),
+            "retired_blocks": int(self.metrics.total("kaml.log.retired_blocks")),
+            "gc_erased_blocks": int(self.metrics.total("kaml.log.gc.erased_blocks")),
             "flash_programs": self.array.total_programs(),
             "flash_reads": self.array.total_reads(),
             "erase_count_min": erase_low,

@@ -39,6 +39,8 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
+
 #: Bump when a row's meaning changes; readers refuse newer majors.
 SCHEMA_VERSION = 1
 
@@ -70,7 +72,7 @@ def _open_for_read(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-class OpJournalError(Exception):
+class OpJournalError(ReproError):
     """Bad journal configuration or an unreadable/incompatible file."""
 
 

@@ -42,6 +42,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
+from repro.errors import ReproError
+
 #: Event priorities.  Lower sorts earlier among events scheduled for the
 #: same instant.  URGENT is used internally for resource handoffs so that a
 #: released resource is re-granted before ordinary timeouts at the same time.
@@ -53,7 +55,7 @@ NORMAL = 1
 _COMPACT_MIN_GHOSTS = 64
 
 
-class SimulationError(Exception):
+class SimulationError(ReproError):
     """Raised for misuse of the simulation kernel."""
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.errors import ReproError
 
-class DramExhausted(Exception):
+
+class DramExhausted(ReproError):
     """An allocation did not fit in on-board DRAM."""
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple  # noqa: F401 (Deque/Tuple in annotations)
 
+from repro.errors import InvariantError, ReproError
 from repro.sim import Environment, Event
 from repro.sim.core import NORMAL
 
 
-class NvramExhausted(Exception):
+class NvramExhausted(ReproError):
     """A non-blocking reservation did not fit."""
 
 
@@ -101,8 +102,6 @@ class NvramBuffer:
             nbytes, _payload = self._handles.pop(handle)
         except KeyError:
             if 0 <= handle < self._next_handle:
-                from repro.errors import InvariantError
-
                 raise InvariantError(
                     "SAN-NVRAM",
                     f"double release of NVRAM handle {handle}",
@@ -138,8 +137,6 @@ class NvramBuffer:
         Explicit ``raise`` (not ``assert``): must survive ``python -O``.
         """
         if self._handles:
-            from repro.errors import InvariantError
-
             raise InvariantError(
                 "SAN-NVRAM",
                 f"{len(self._handles)} live reservation(s) "

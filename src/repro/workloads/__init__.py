@@ -36,6 +36,13 @@ from repro.workloads.multitenant import (
     TenantSpec,
     run_multitenant,
 )
+from repro.workloads.catalogue import (
+    SIM_WORKLOADS,
+    fresh_namespace,
+    mixed,
+    prepare_workload,
+    ycsb_b,
+)
 from repro.workloads.replay import (
     ReplayError,
     ReplayIssue,
@@ -49,6 +56,7 @@ from repro.workloads.replay import (
 
 __all__ = [
     "AliasZipfianChooser",
+    "SIM_WORKLOADS",
     "UniformChooser",
     "ZipfianChooser",
     "LatestChooser",
@@ -75,7 +83,10 @@ __all__ = [
     "TraceOp",
     "ReplayError",
     "ReplayIssue",
+    "fresh_namespace",
     "journal_to_issues",
+    "mixed",
+    "prepare_workload",
     "prepare_namespaces",
     "replay",
     "replay_journal",
@@ -85,4 +96,5 @@ __all__ = [
     "synth_hotkey",
     "synthesize",
     "trace_from_journal",
+    "ycsb_b",
 ]

@@ -31,6 +31,7 @@ import math
 import random
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.sim import Environment
 from repro.workloads.micro import HOST_SOFTWARE_US, MicroResult
@@ -40,7 +41,7 @@ from repro.workloads.micro import HOST_SOFTWARE_US, MicroResult
 _REPLAY_TAG = "replay"
 
 
-class ReplayError(Exception):
+class ReplayError(ReproError):
     """Malformed journal rows or an unsupported replay configuration."""
 
 
@@ -152,16 +153,12 @@ def prepare_namespaces(
     rows = list(rows)
     mapping: Dict[int, int] = {}
 
-    def create(attributes: NamespaceAttributes):
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
     for original_id, facts in sorted(journal_namespaces(rows, layer=layer).items()):
         attributes = NamespaceAttributes(
             expected_keys=max(64, int(facts["keys"] * 1.5)),
             index_structure="sorted" if facts["scans"] else "bucket",
         )
-        process = env.process(create(attributes))
+        process = env.process(ssd.create_namespace(attributes))
         env.run_until(process)
         mapping[original_id] = process.value
     return mapping

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import List, NamedTuple, Optional
 
+from repro.errors import ReproError
 from repro.kaml import KamlSsd, PutItem
 from repro.sim import Environment
 from repro.workloads.keydist import UniformChooser, ZipfianChooser
@@ -33,7 +34,7 @@ class TraceOp(NamedTuple):
     size: int = 0      # put only
 
 
-class TraceError(Exception):
+class TraceError(ReproError):
     """Malformed trace text or unsupported operation."""
 
 

@@ -135,3 +135,27 @@ def test_whole_tree_smoke_within_budget():
     assert report.violations == []
     assert report.module_count > 40
     assert elapsed < 60.0, f"whole-tree lint took {elapsed:.1f}s"
+
+
+def test_attr_types_resolve_classes_indexed_later(tmp_path):
+    """``self.x = Later()`` types ``x`` even when Later's module sorts
+    after the holder's (``fault`` holds a ``kaml`` device): attr types
+    are inferred once every class is indexed, not during the walk."""
+    from repro.analysis_tools.core import load_modules
+    from repro.analysis_tools.graph import Project
+
+    (tmp_path / "a_holder.py").write_text(
+        "from z_later import Later\n\n\n"
+        "class Holder:\n"
+        "    def __init__(self):\n"
+        "        self.thing = Later()\n\n"
+        "    def use(self):\n"
+        "        self.thing.poke()\n"
+    )
+    (tmp_path / "z_later.py").write_text(
+        "class Later:\n    def poke(self):\n        pass\n"
+    )
+    project = Project(load_modules([tmp_path]))
+    use = next(uid for uid in project.functions if uid.endswith("::Holder.use"))
+    callees = [site.callee for site in project.call_edges.get(use, ())]
+    assert any(callee.endswith("::Later.poke") for callee in callees)

@@ -115,7 +115,7 @@ def test_gc_workload_passes_relocation_checks(armed):
 
     env.process(flow())
     env.run()
-    assert ssd.logs[0].stats.gc_erased_blocks > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks", log=0) > 0
     ssd.close()  # nothing leaked: pins drained, NVRAM empty
 
 

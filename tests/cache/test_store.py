@@ -106,7 +106,7 @@ def test_multi_record_commit_is_atomic_on_flash():
         return values
 
     assert run(env, flow()) == [("rec", k) for k in range(5)]
-    assert ssd.stats.puts == 1  # one atomic Put for the whole commit
+    assert ssd.metrics.total("kaml.ssd.puts") == 1  # one atomic Put for the whole commit
 
 
 def test_isolation_no_lost_updates():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy, key_shard_slot
 from repro.cluster.errors import ClusterError
-from repro.fault.cluster_harness import default_device_config
+from repro.fault.harness import default_device_config
 from repro.sim import Environment
 
 

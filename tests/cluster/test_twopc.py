@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy, key_shard_slot
 from repro.cluster.errors import TwoPhaseCommitError
 from repro.cluster.twopc import IntentJournal, recover_transactions
-from repro.fault.cluster_harness import default_device_config
+from repro.fault.harness import default_device_config
 from repro.sim import Environment
 
 

@@ -102,7 +102,8 @@ def prof_breakdown_mini() -> Dict[str, Any]:
     """
     import io
 
-    from repro.harness.prof_cli import build_parser, run_prof
+    from repro.harness.prof_cli import build_parser
+    from repro.harness.prof_cli import run as run_prof
 
     args = build_parser().parse_args([
         "--workload", "mixed", "--ops", "80", "--threads", "2",

@@ -3,24 +3,20 @@
 import pytest
 
 from repro.cluster import key_shard_slot
-from repro.fault.cluster_harness import (
-    _cluster_group_keys,
-    run_cluster_matrix,
-    run_cluster_scenario,
-)
+from repro.fault.harness import group_keys, run_matrix, run_scenario
 from repro.fault.plan import CLUSTER_CRASH_POINTS, FaultPlan
 
 
 @pytest.mark.parametrize("num_shards", [2, 4, 8])
 def test_group_keys_straddle_shards(num_shards):
     """Every exclusive key group must be a genuine cross-shard batch."""
-    for keys in _cluster_group_keys(num_shards):
+    for keys in group_keys(num_shards):
         slots = {key_shard_slot(key, num_shards) for key in keys}
         assert len(slots) >= 2
 
 
 def test_counting_pass_reaches_every_coordinator_point():
-    profile = run_cluster_scenario(FaultPlan(), seed=1)
+    profile = run_scenario(FaultPlan(), seed=1, shards=2)
     assert profile["ok"], profile["failures"]
     assert not profile["crashed"]
     for point in CLUSTER_CRASH_POINTS:
@@ -37,7 +33,7 @@ def test_coordinator_cut_recovers_all_or_nothing(point):
     stragglers (the put happened everywhere).  Either way the exclusive
     key groups expose any torn batch.
     """
-    cell = run_cluster_scenario(FaultPlan(point=point, hit=1), seed=1)
+    cell = run_scenario(FaultPlan(point=point, hit=1), seed=1)
     assert cell["ok"], cell["failures"]
     assert cell["crashed"]
     assert cell["fired"]["point"] == point
@@ -48,7 +44,7 @@ def test_coordinator_cut_recovers_all_or_nothing(point):
 
 
 def test_cluster_matrix_single_seed_is_green():
-    report = run_cluster_matrix([2], num_shards=2)
+    report = run_matrix([2], shards=2)
     assert report["ok"], [
         cell["failures"] for cell in report["cells"] if not cell["ok"]
     ]

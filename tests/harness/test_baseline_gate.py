@@ -154,17 +154,16 @@ def test_build_baseline_merges_perf_section(fig5_result, perf_artifact):
     perf = baseline["perf"]
     assert perf["tolerance"] == DEFAULT_TOLERANCE
     assert perf["workloads"]["kernel"]["sim_events"] == 76929.0
-    assert perf["workloads"]["mixed"]["events_per_sec"] == 90000.0
-    # Only the gated fields are pinned, not the whole artifact row.
-    assert "wall_s" not in perf["workloads"]["kernel"]
+    # Only the gated, deterministic field is pinned: wall-clock numbers
+    # mean nothing on another machine and stay out of the baseline.
+    assert perf["workloads"]["mixed"] == {"sim_events": 26657.0}
 
 
-def test_perf_throughput_drop_fails(fig5_result, perf_artifact):
+def test_perf_wall_clock_drop_is_not_gated(fig5_result, perf_artifact):
+    slow = json.loads(json.dumps(perf_artifact))
+    slow["workloads"]["kernel"]["events_per_sec"] = 1000.0  # another machine
     baseline = build_baseline(fig5_result, perf_artifact)
-    current = build_baseline(fig5_result, perf_artifact)
-    current["perf"]["workloads"]["kernel"]["events_per_sec"] = 300000.0  # -25%
-    failures, _report = compare(current, baseline)
-    assert any("kernel/events_per_sec" in f for f in failures)
+    assert compare(build_baseline(fig5_result, slow), baseline)[0] == []
 
 
 def test_perf_event_bloat_fails(fig5_result, perf_artifact):
@@ -183,18 +182,6 @@ def test_perf_event_reduction_is_not_a_regression(fig5_result, perf_artifact):
     assert compare(current, baseline)[0] == []
 
 
-def test_perf_wall_tolerance_loosens_only_wall_metrics(fig5_result, perf_artifact):
-    baseline = build_baseline(fig5_result, perf_artifact)
-    current = build_baseline(fig5_result, perf_artifact)
-    current["perf"]["workloads"]["kernel"]["events_per_sec"] = 300000.0  # -25%
-    current["perf"]["workloads"]["mixed"]["sim_events"] = 26657 * 1.3   # +30%
-    failures, _report = compare(current, baseline, wall_tolerance=0.5)
-    # The wall-clock drop is inside the loose bound; deterministic event
-    # bloat still fails at the strict tolerance.
-    assert not any("events_per_sec" in f for f in failures)
-    assert any("mixed/sim_events" in f for f in failures)
-
-
 def test_perf_missing_workload_fails(fig5_result, perf_artifact):
     baseline = build_baseline(fig5_result, perf_artifact)
     current = build_baseline(fig5_result, perf_artifact)
@@ -206,7 +193,7 @@ def test_perf_missing_workload_fails(fig5_result, perf_artifact):
 def test_markdown_summary_includes_perf_rows(fig5_result, perf_artifact):
     baseline = build_baseline(fig5_result, perf_artifact)
     summary = markdown_summary(baseline, baseline)
-    assert "perf: kernel/events_per_sec" in summary
+    assert "perf: kernel/sim_events" in summary
     assert "perf: mixed/sim_events" in summary
     assert "FAIL" not in summary
 
@@ -234,10 +221,10 @@ def test_cli_merges_perf_artifact_on_rebaseline(
     ]) == 0
     assert "perf gate passed" in capsys.readouterr().out
 
-    # A slower perf artifact trips the gate.
-    slow = json.loads(json.dumps(perf_artifact))
-    slow["workloads"]["kernel"]["events_per_sec"] = 100000.0
-    perf_path.write_text(json.dumps(slow))
+    # An event-bloated perf artifact trips the gate.
+    bloated = json.loads(json.dumps(perf_artifact))
+    bloated["workloads"]["kernel"]["sim_events"] = 76929 * 2
+    perf_path.write_text(json.dumps(bloated))
     assert main([
         "--artifact", str(artifact), "--baseline", str(baseline_path),
         "--perf-artifact", str(perf_path),
@@ -365,7 +352,6 @@ def test_checked_in_baseline_is_valid():
     assert perf.get("workloads"), "baseline pins no perf workloads"
     for row in perf["workloads"].values():
         assert row["sim_events"] > 0
-        assert row["events_per_sec"] > 0
     cluster = baseline.get("cluster", {})
     assert cluster.get("ops_per_sec", 0) > 0, "baseline pins no cluster tier"
     assert cluster.get("rebalance_p99_us", 0) > 0

@@ -1,6 +1,8 @@
 """The `python -m repro.harness` command-line interface."""
 
-from repro.harness.__main__ import EXPERIMENTS, main
+import pytest
+
+from repro.harness.__main__ import COMMANDS, EXPERIMENTS, main
 
 
 def test_list_flag(capsys):
@@ -54,3 +56,14 @@ def test_seed_flag_ignored_by_unseeded_experiments(capsys):
     """Experiments without a seed parameter still run under --seed."""
     assert main(["flush-timer", "--seed", "5"]) == 0
     assert "flush timer" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_subcommand_has_help_and_is_listed(name, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([name, "--help"])
+    assert exit_info.value.code == 0
+    assert f"python -m repro.harness {name}" in capsys.readouterr().out
+    assert main(["--list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert name in listed

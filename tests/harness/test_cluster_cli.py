@@ -9,7 +9,13 @@ even for failure text with metacharacters.
 
 import json
 
-from repro.harness.cluster_cli import _md_cell, _step_summary, main
+from repro.harness.__main__ import main as harness_main
+from repro.harness.cluster_cli import summary as _step_summary
+from repro.harness.reporting import md_cell as _md_cell
+
+
+def main(argv):
+    return harness_main(["cluster", *argv])
 
 
 def test_cell_matrix_end_to_end(tmp_path, capsys, monkeypatch):

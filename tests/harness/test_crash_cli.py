@@ -10,7 +10,13 @@ metacharacters.
 
 import json
 
-from repro.harness.crash_cli import _md_cell, _step_summary, main
+from repro.harness.__main__ import main as harness_main
+from repro.harness.crash_cli import summary as _step_summary
+from repro.harness.reporting import md_cell as _md_cell
+
+
+def main(argv):
+    return harness_main(["crash", *argv])
 
 
 def test_list_points(capsys):
@@ -80,3 +86,68 @@ def test_step_summary_escapes_table_metacharacters():
 
 def test_md_cell_flattens_newlines():
     assert _md_cell("a\nb|c") == "a b\\|c"
+
+
+# -- regressions: the crash CLI used to drop its own arguments ---------------
+
+
+def test_every_flag_reaches_the_engine_for_both_layers(monkeypatch, capsys):
+    """--ops and the flash-fault rates used to stop at the device cells."""
+    from repro.harness import crash_cli
+
+    seen = {}
+
+    def fake_matrix(seeds, **kwargs):
+        seen.update(kwargs, seeds=seeds)
+        return {"ok": True, "seeds": seeds, "points": kwargs["points"], "cells": []}
+
+    monkeypatch.setattr(crash_cli, "run_matrix", fake_matrix)
+    assert main([
+        "--matrix", "--seeds", "4", "--ops", "7", "--cluster-shards", "4",
+        "--program-fail-rate", "0.1", "--erase-fail-rate", "0.05",
+    ]) == 0
+    assert seen["ops_per_writer"] == 7 and seen["shards"] == 4
+    assert (seen["program_fail_rate"], seen["erase_fail_rate"]) == (0.1, 0.05)
+    assert any(p.startswith("cluster.") for p in seen["points"])  # one call, both layers
+
+
+def test_flash_fault_rates_reach_cluster_cells():
+    from repro.fault import FaultPlan, run_scenario
+
+    cell = run_scenario(
+        FaultPlan(), seed=1, ops_per_writer=12, shards=2,
+        program_fail_rate=0.2, erase_fail_rate=0.2,
+    )
+    assert cell["ok"], cell["failures"]
+    assert cell["ops"] == 4 * 12  # --ops reaches the cluster workload too
+    assert cell["metrics"].total("fault.flash.injected") > 0
+
+
+def test_repro_hint_is_built_from_the_failing_cell():
+    from repro.harness.crash_cli import repro_hint
+
+    # A failing counting-pass cell has no point: never print "--point None".
+    assert repro_hint({"point": None, "seed": 3, "shards": 4}) == (
+        "python -m repro.harness crash --matrix --seeds 3 --cluster-shards 4"
+    )
+    assert repro_hint({"point": "log.mid_flush", "seed": 2}) == (
+        "python -m repro.harness crash --point log.mid_flush --seeds 2"
+    )
+
+
+def test_counting_cells_of_two_layers_do_not_share_a_dump_name(tmp_path):
+    from repro.harness.reporting import write_flight_dumps
+
+    class Recorder:
+        def write_jsonl(self, path):
+            with open(path, "w") as handle:
+                handle.write("{}\n")
+
+    failing = {"ok": False, "seed": 1, "point": None, "recorder": Recorder()}
+    written = write_flight_dumps(
+        [failing, dict(failing, shards=2), dict(failing, ok=True)], str(tmp_path)
+    )
+    assert [path.rsplit("/", 1)[1] for path in written] == [
+        "flight-device-seed1-counting.jsonl",
+        "flight-shards2-seed1-counting.jsonl",
+    ]

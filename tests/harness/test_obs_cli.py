@@ -3,12 +3,13 @@
 import io
 import json
 
+from repro.harness.__main__ import command_parser
 from repro.harness.__main__ import main as harness_main
-from repro.harness.obs_cli import build_parser, main, run_obs
+from repro.harness.obs_cli import run as run_obs
 
 
 def run(extra_args, out=None):
-    args = build_parser().parse_args(extra_args)
+    args = command_parser("obs").parse_args(extra_args)
     return run_obs(args, out=out if out is not None else io.StringIO())
 
 
@@ -71,5 +72,7 @@ def test_obs_listed_in_harness_help(capsys):
     assert "obs" in capsys.readouterr().out
 
 
-def test_obs_cli_entry_point():
-    assert main(["--ops", "10", "--threads", "1"], out=io.StringIO()) == 0
+def test_json_mode_prints_exactly_one_document():
+    out = io.StringIO()
+    result = run(["--ops", "10", "--threads", "1", "--json"], out=out)
+    assert json.loads(out.getvalue())["elapsed_us"] == result["elapsed_us"]

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.harness.__main__ import main as harness_main
-from repro.harness.prof_cli import build_parser, run_prof
+from repro.harness.prof_cli import build_parser
+from repro.harness.prof_cli import run as run_prof
 from repro.obs.profile import COMPONENTS
 
 FAST = [

@@ -3,15 +3,11 @@
 import io
 import json
 
-from repro.harness.__main__ import main as harness_main
 from repro.harness import baseline as baseline_mod
-from repro.harness.diff_cli import build_parser as diff_parser, run_diff
-from repro.harness.trace_cli import (
-    build_record_parser,
-    build_replay_parser,
-    run_record,
-    run_replay,
-)
+from repro.harness.__main__ import command_parser
+from repro.harness.__main__ import main as harness_main
+from repro.harness.diff_cli import run as run_diff
+from repro.harness.trace_cli import run_record, run_replay
 from repro.obs.oplog import load_journal
 
 FAST_RECORD = [
@@ -20,12 +16,12 @@ FAST_RECORD = [
 
 
 def record(extra, out=None):
-    args = build_record_parser().parse_args(FAST_RECORD + list(extra))
+    args = command_parser("record").parse_args(FAST_RECORD + list(extra))
     return run_record(args, out=out if out is not None else io.StringIO())
 
 
 def replay(journal, extra, out=None):
-    args = build_replay_parser().parse_args([journal] + list(extra))
+    args = command_parser("replay").parse_args([journal] + list(extra))
     return run_replay(args, out=out if out is not None else io.StringIO())
 
 
@@ -84,7 +80,7 @@ def test_diff_cli_on_report_files(tmp_path):
     ))
     out = io.StringIO()
     json_out = tmp_path / "diff.json"
-    args = diff_parser().parse_args(
+    args = command_parser("diff").parse_args(
         [str(a), str(b), "--json-out", str(json_out)]
     )
     report = run_diff(args, out=out)
@@ -101,7 +97,7 @@ def test_step_summary_written_for_diff(tmp_path, monkeypatch):
     b = tmp_path / "b.json"
     a.write_text(json.dumps({"fractions": {"kaml.get/ns=1/gc_wait": 0.0}}))
     b.write_text(json.dumps({"fractions": {"kaml.get/ns=1/gc_wait": 0.3}}))
-    args = diff_parser().parse_args([str(a), str(b)])
+    args = command_parser("diff").parse_args([str(a), str(b)])
     run_diff(args, out=io.StringIO())
     assert "kaml.gc" in summary.read_text()
 
@@ -158,3 +154,13 @@ def test_perf_gate_failure_ships_diff_report(tmp_path, monkeypatch):
     # ...and the shipped diff attributes the breakdown shift.
     assert diff["suspects"][0]["owner"] == "flash.chip"
     assert "Perf-gate differential attribution" in summary.read_text()
+
+
+def test_replay_reports_the_shared_interpolated_percentile():
+    """p50/p99 in a replay report mean what they mean in prof/SLO/kamlbench
+    output: the linear-interpolation percentile, not round()-nearest-rank."""
+    from repro.harness import trace_cli
+    from repro.obs.metrics import percentile
+
+    assert trace_cli.percentile is percentile
+    assert percentile([1.0, 2.0, 3.0, 10.0], 0.5) == 2.5  # nearest-rank says 3.0

@@ -16,7 +16,7 @@ from tests.sim.zero_event_seam import counted_grants, forced_refusal
 from repro.cache import KamlStore
 from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
 from repro.config import FlashGeometry, KamlParams, ReproConfig
-from repro.fault.cluster_harness import default_device_config
+from repro.fault.harness import default_device_config
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.sim import Environment
 
@@ -93,7 +93,7 @@ def device_scenario():
     proc = env.process(ssd.drain())
     env.run_until(proc)
     # The schedule under test includes GC.
-    assert sum(log.stats.gc_erased_blocks for log in ssd.logs) > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
     return env, ops
 
 

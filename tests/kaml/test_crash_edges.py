@@ -80,7 +80,7 @@ def test_crash_during_gc_preserves_data():
     # Run long enough that GC is active, then cut power mid-everything.
     env.run(until=250_000.0)
     assert state.get("cold_done")
-    assert sum(log.stats.gc_erased_blocks for log in ssd.logs) > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
     ssd.simulate_crash()
 
     def recovery():

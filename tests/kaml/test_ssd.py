@@ -346,6 +346,6 @@ def test_stats_counters():
         yield from ssd.get(nsid, 0)
 
     run(env, flow())
-    assert ssd.stats.puts == 1
-    assert ssd.stats.put_records == 3
-    assert ssd.stats.gets == 1
+    assert ssd.metrics.total("kaml.ssd.puts") == 1
+    assert ssd.metrics.total("kaml.ssd.put_records") == 3
+    assert ssd.metrics.total("kaml.ssd.gets") == 1

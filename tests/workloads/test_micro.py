@@ -61,7 +61,7 @@ def test_kaml_insert_creates_new_keys():
     env, ssd, nsid = make_kaml()
     result = kaml_insert(env, ssd, nsid, 512, threads=2, ops_per_thread=5)
     assert result.ops == 10
-    assert ssd.stats.put_records >= 10
+    assert ssd.metrics.total("kaml.ssd.put_records") >= 10
 
 
 def test_block_fetch_runs():
@@ -74,14 +74,14 @@ def test_block_fetch_runs():
 def test_block_update_small_pays_rmw():
     env, device = make_block()
     result = block_update(env, device, 512, threads=2, ops_per_thread=10)
-    assert device.ftl.stats.rmw_reads >= result.ops  # every sub-page write reads
+    assert device.ftl.metrics.total("ftl.rmw_reads") >= result.ops  # every sub-page write reads
 
 
 def test_block_update_full_page_no_rmw():
     env, device = make_block()
-    before = device.ftl.stats.rmw_reads
+    before = device.ftl.metrics.total("ftl.rmw_reads")
     block_update(env, device, 4096, threads=2, ops_per_thread=10)
-    assert device.ftl.stats.rmw_reads == before
+    assert device.ftl.metrics.total("ftl.rmw_reads") == before
 
 
 def test_put_vs_write_update_shape():

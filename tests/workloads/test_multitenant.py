@@ -1,7 +1,7 @@
 """Multi-tenant cluster workload: model exactness and 2PC coverage."""
 
 from repro.cluster import ClusterConfig, KamlCluster
-from repro.fault.cluster_harness import default_device_config
+from repro.fault.harness import default_device_config
 from repro.sim import Environment
 from repro.workloads.multitenant import (
     DEFAULT_TENANTS,

@@ -155,7 +155,7 @@ def test_store_layer_replay_targets_the_cache_api():
     issues = journal_to_issues(rows, layer="store")
     result = replay_journal(env2, store2, issues, namespace_map=mapping)
     assert result.ops == 2
-    assert ssd2.stats.puts >= 1
+    assert ssd2.metrics.total("kaml.ssd.puts") >= 1
 
 
 def test_replay_rejects_bad_configuration():
