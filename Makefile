@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
+.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,10 +39,19 @@ bench:
 bench-aa:
 	$(PYTHON) -m kamlbench aa --seed 1
 
-# Figure 5 smoke benchmark; leaves metrics + Chrome trace + flight-recorder
-# artifacts in benchmarks/artifacts/.
+# The committed trajectory: a PR that touches the measured path runs
+# `make bench-record PR=<n>`, commits BENCH_<n>.json and adds its row to
+# the table in docs/performance.md.
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	$(PYTHON) -m kamlbench run --seed 1 --out BENCH_$(PR).json
+
+# The CI smoke benchmarks: Figure 5 leaves metrics + Chrome trace +
+# flight-recorder artifacts in benchmarks/artifacts/ (the perf gate reads
+# them); Figures 10 and 8 guard read and write parallelism.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig5_bandwidth.py -q
+	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py -q
 
 # Simulator-throughput benchmark: deterministic sim-event counts (gated
 # by perf-gate alongside the fig5 numbers) plus wall events/sec and

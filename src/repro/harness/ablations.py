@@ -140,48 +140,52 @@ def index_structure_ablation(
 
 def flush_timer_ablation(
     timeouts_us=(200.0, 1000.0, 5000.0),
+    gaps_us=(100.0, 600.0, 3000.0),
     records: int = 48,
     value_size: int = 512,
 ) -> Dict[str, Any]:
-    """Trickle-rate Puts: how long until everything is actually on flash?
+    """Trickle-rate Puts: inter-arrival gap against the flush timer.
 
-    The timer bounds how long a partially filled page may hold committed
-    data in NVRAM (Section IV-B).  Low-rate workloads drain faster with a
-    short timer at the cost of padding pages (wasted chunks).
+    The timer pads and programs a part-filled page once nothing has
+    joined it for ``flush_timeout_us`` (Section IV-B; the records are
+    already durable in NVRAM).  A trickle whose gap is under the timer
+    keeps its page open and coalesces into full pages; one whose gap is
+    over it pads a page per record.  What a longer timer costs is
+    staging residency: how long after the last Put committed data is
+    still only in NVRAM.
     """
+    def trickle(env, ssd, gap_us):
+        nsid = yield from ssd.create_namespace()
+        for i in range(records):
+            yield from ssd.put([PutItem(nsid, i, ("t", i), value_size)])
+            yield env.timeout(gap_us)
+        start = env.now
+        while ssd._staged:
+            yield env.timeout(100.0)
+        return env.now - start
+
     rows: List[List[Any]] = []
     metrics: Dict[str, float] = {}
     for timeout_us in timeouts_us:
-        env = Environment()
-        config = ReproConfig()
-        # One log so trickled records actually share pages when the timer
-        # lets them accumulate.
-        config = config.with_(
-            kaml=replace(config.kaml, flush_timeout_us=timeout_us, num_logs=1)
-        )
-        ssd = KamlSsd(env, config)
-
-        def trickle():
-            nsid = yield from ssd.create_namespace()
-            for i in range(records):
-                yield from ssd.put([PutItem(nsid, i, ("t", i), value_size)])
-                yield env.timeout(300.0)  # slower than page fill wants
-            start = env.now
-            while ssd._staged:
-                yield env.timeout(100.0)
-            return env.now - start
-
-        drain_lag = drive(env, trickle())
-        wasted = int(ssd.metrics.total("kaml.log.wasted_chunks"))
-        programmed = int(ssd.metrics.total("kaml.log.programmed_pages"))
-        rows.append([timeout_us, drain_lag, programmed, wasted])
-        metrics[f"drain-lag/{timeout_us}"] = drain_lag
-        metrics[f"pages/{timeout_us}"] = programmed
+        for gap_us in gaps_us:
+            env = Environment()
+            config = ReproConfig()
+            # One log, so the sweep isolates the timer from log striping.
+            config = config.with_(
+                kaml=replace(config.kaml, flush_timeout_us=timeout_us, num_logs=1)
+            )
+            ssd = KamlSsd(env, config)
+            drain_lag = drive(env, trickle(env, ssd, gap_us))
+            wasted = int(ssd.metrics.total("kaml.log.wasted_chunks"))
+            programmed = int(ssd.metrics.total("kaml.log.programmed_pages"))
+            rows.append([timeout_us, gap_us, drain_lag, programmed, wasted])
+            metrics[f"drain-lag/{timeout_us}/{gap_us}"] = drain_lag
+            metrics[f"pages/{timeout_us}/{gap_us}"] = programmed
 
     return {
-        "title": "Ablation: NVRAM page-buffer flush timer (trickle writes)",
-        "headers": ["timer us", "post-burst drain lag us", "pages programmed",
-                    "wasted chunks"],
+        "title": "Ablation: NVRAM page-buffer flush timer (trickle gap vs timer)",
+        "headers": ["timer us", "gap us", "post-trickle drain lag us",
+                    "pages programmed", "wasted chunks"],
         "rows": rows,
         "metrics": metrics,
     }

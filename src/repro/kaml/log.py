@@ -3,7 +3,8 @@
 Each log owns one flash target (a chip behind a channel) and manages its
 blocks as an append-only stream of record-packed pages.  A page fills in a
 non-volatile buffer (records are already durable in NVRAM when they arrive
-here) and is programmed when full or when the flush timer expires.  GC
+here) and is programmed when full or once nothing has joined it for the
+flush timeout.  GC
 runs per log: victims are chosen by low erase count and low valid bytes,
 pages are parsed via the OOB bitmap, and still-valid records are
 re-appended through a dedicated GC write point.
@@ -48,6 +49,8 @@ class _WritePoint:
     #: Pending flush-timer event (bootstrap or armed timeout); defused
     #: when the page flushes early so no ghost fires at the deadline.
     timer: Optional[Event] = None
+    #: Sim time of the newest append; the flush timer counts from here.
+    last_append: float = 0.0
 
 
 class KamlLog:
@@ -170,6 +173,7 @@ class KamlLog:
             point = self._points[for_gc]
         was_empty = point.assembly.is_empty
         start = point.assembly.add(record)
+        point.last_append = self.env.now
         event = self.env.event()
         point.waiters.append((start, record, event))
         stream = "gc" if for_gc else "host"
@@ -213,27 +217,38 @@ class KamlLog:
         self.env.process(self._flush_process(assembly, waiters, for_gc, self.epoch))
 
     def _start_flush_timer(self, for_gc: bool, point: _WritePoint) -> None:
-        """Program a partially filled page after a timeout (Section IV-B).
+        """Pad and program a part-filled page once it goes quiet
+        (Section IV-B): ``flush_timeout_us`` after its *last* append.
 
-        Event-based replacement for the old generator process, keeping its
-        exact two-step schedule (a bootstrap event at *now*, the timeout at
-        bootstrap dispatch) so event ordering — and therefore every
-        fixed-seed digest — is unchanged.  Unlike the process version, the
-        timer is defused when the page flushes early, so a full page does
-        not leave a ghost wakeup in the heap.
+        The records are durable in NVRAM already, so only a page nobody
+        is feeding any more is worth padding.  Quiescence is checked
+        lazily — an append only stamps ``last_append``; a timer that fires
+        early re-arms for the remainder — so an open page has one pending
+        timer whose firings are at least (timeout - feed gap) apart,
+        however many records join.  Two-step schedule (a bootstrap event
+        at *now*, the timeout at bootstrap dispatch); the timer is
+        defused when the page flushes early, so a full page leaves no
+        ghost wakeup in the heap.
         """
         generation = point.generation
+        hold_us = self.params.flush_timeout_us
 
         def arm(_bootstrap: Event) -> None:
             if self._points[for_gc] is not point or point.generation != generation:
                 return  # flushed while the bootstrap was in flight
-            timeout = self.env.timeout(self.params.flush_timeout_us)
-            timeout.add_callback(fire)
-            point.timer = timeout
+            wait(hold_us)
+
+        def wait(delay_us: float) -> None:
+            point.timer = self.env.timeout(delay_us)
+            point.timer.add_callback(fire)
 
         def fire(_timeout: Event) -> None:
             current = self._points[for_gc]
             if current.generation == generation and not current.assembly.is_empty:
+                remaining_us = current.last_append + hold_us - self.env.now
+                if remaining_us > 0:
+                    wait(remaining_us)  # fed since it was armed: not quiet yet
+                    return
                 # Timer flushes pad out the page: the free tail is wasted.
                 self._wasted_chunks_counter.inc(current.assembly.free_chunks)
                 self._timer_flushes_counter.inc()
@@ -611,6 +626,11 @@ class KamlLog:
     @property
     def free_blocks(self) -> int:
         return len(self.free)
+
+    def open_room(self) -> int:
+        """Free chunks of the part-filled host page; 0 when none is open."""
+        assembly = self._points[False].assembly
+        return assembly.free_chunks if assembly.records else 0
 
     def force_flush(self) -> None:
         """Push any open pages toward flash (test/shutdown helper)."""

@@ -4,7 +4,7 @@ tables and log assignments (Sections III-A, IV-B, IV-C)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.ftl.mapping import BucketedHashIndex, HashIndex, SortedIndex
@@ -13,6 +13,18 @@ from repro.kaml.mapping_policy import AllLogsPolicy
 
 class NamespaceError(ReproError):
     """Namespace lifecycle or addressing failure."""
+
+
+#: Weight of the newest inter-arrival gap in a namespace's rate estimate.
+#: 1/8 (TCP's smoothed-RTT gain): smooth enough that one short gap in a
+#: trickle does not re-open a wide stripe, quick enough that a burst
+#: turning into a trickle has narrowed within a handful of records.
+GAP_EWMA_WEIGHT = 1 / 8
+#: How many times per flush timeout each open page must be fed.  Feeding
+#: ``width`` pages in turn feeds each one every ``width * mean_gap``;
+#: holding that to a quarter of the timeout leaves room for gaps four
+#: times the mean before a page being filled is padded as quiet.
+FEEDS_PER_TIMEOUT = 4
 
 
 @dataclass
@@ -58,6 +70,12 @@ class Namespace:
         self.index: Optional[IndexType] = index
         self.log_ids = list(log_ids)
         self._next_log = 0
+        #: Logs whose open host page this namespace is filling, least
+        #: recently fed first, and the arrival-rate estimate that bounds
+        #: how many of them there may be (:meth:`pick_log`).
+        self._feeding: List[int] = []
+        self._mean_gap_us = 0.0
+        self._last_arrival_us: Optional[float] = None
         #: False while the index is swapped out to flash (Section IV-C).
         self.resident = True
 
@@ -66,7 +84,8 @@ class Namespace:
         return f"namespace:{self.namespace_id}:index"
 
     def next_log_id(self) -> int:
-        """Round-robin across the namespace's assigned logs."""
+        """Round-robin across the namespace's assigned logs: the rotation
+        :meth:`pick_log` opens new pages in."""
         if not self.log_ids:
             raise NamespaceError(
                 f"namespace {self.namespace_id} has no logs assigned"
@@ -74,6 +93,52 @@ class Namespace:
         log_id = self.log_ids[self._next_log % len(self.log_ids)]
         self._next_log += 1
         return log_id
+
+    def retarget(self, log_ids: Sequence[int]) -> None:
+        """Swap the assigned logs; steering state described the old set."""
+        self.log_ids = list(log_ids)
+        self._feeding.clear()
+        self._mean_gap_us = 0.0
+        self._last_arrival_us = None
+
+    def stripe_width(self, hold_us: float) -> int:
+        """How many open pages the current arrival rate can keep fed."""
+        width = len(self.log_ids)
+        if FEEDS_PER_TIMEOUT * self._mean_gap_us * width > hold_us:
+            width = max(1, int(hold_us / (FEEDS_PER_TIMEOUT * self._mean_gap_us)))
+        return width
+
+    def pick_log(self, logs: Sequence[Any], nchunks: int, now: float, hold_us: float) -> Any:
+        """The log whose open page a host record of ``nchunks`` joins.
+
+        Records that arrive together share a page: the namespace stripes
+        only as wide as its arrival rate can keep filling before the
+        logs' ``hold_us`` quiescence timer pads a page.  A burst spreads
+        over every assigned log; a trickle collapses onto one page.  A
+        new namespace starts wide and narrows on evidence.  Call at
+        staging time — the answer depends on what is open *now*.
+        """
+        if self._last_arrival_us is not None:
+            gap_us = now - self._last_arrival_us
+            self._mean_gap_us += GAP_EWMA_WEIGHT * (gap_us - self._mean_gap_us)
+        self._last_arrival_us = now
+        width = self.stripe_width(hold_us)
+        # Enough pages open: join the least recently fed one that can take
+        # the record.  Pages that launched (or were emptied by a crash) or
+        # have no room for it are no longer ours to fill and drop out as
+        # they come up.  Narrowing sheds nothing: the estimate is noisy,
+        # and a page fed too rarely goes quiet and leaves by the timer.
+        feeding = self._feeding
+        while feeding and len(feeding) >= width:
+            log_id = feeding.pop(0)
+            if logs[log_id].open_room() >= nchunks:
+                break
+        else:
+            log_id = self.next_log_id()
+            if log_id in feeding:
+                feeding.remove(log_id)
+        feeding.append(log_id)
+        return logs[log_id]
 
     def require_resident(self) -> None:
         if not self.resident or self.index is None:

@@ -261,7 +261,7 @@ class KamlSsd:
             self._log_subscribers[log_id] -= 1
         for log_id in new_ids:
             self._log_subscribers[log_id] += 1
-        namespace.log_ids = list(new_ids)
+        namespace.retarget(new_ids)
 
     def close_namespace(self, namespace_id: int) -> Any:
         """Swap a namespace's mapping table out of DRAM (Section IV-C).
@@ -784,18 +784,23 @@ class KamlSsd:
             if namespace is None:
                 return None
             self.metrics.counter("kaml.ssd.install_reappends").inc()
-            log = self.logs[namespace.next_log_id()]
-            record = Record(
-                item.namespace_id, item.key, item.value, item.size, seq=version
-            )
-            location = yield from log.append(record)
+            record = Record(*item, seq=version)
+            location = yield from self._pick_log(namespace, record).append(record)
             if self.epoch != epoch:
                 return None
             mark = self._erase_mark(location)
         return location
 
+    def _pick_log(self, namespace: Namespace, record: Record) -> KamlLog:
+        """Host-record placement (:meth:`Namespace.pick_log`) as of *now*: ask
+        right before staging, never ahead for a batch (all would see one state)."""
+        nchunks = record.chunks(self.geometry.chunk_size)
+        return namespace.pick_log(
+            self.logs, nchunks, self.env.now, self.config.kaml.flush_timeout_us
+        )
+
     def _append_record(
-        self, log, record, epoch: int, ctx=NULL_CONTEXT, parent=None
+        self, namespace, record, epoch: int, ctx=NULL_CONTEXT, parent=None
     ) -> Any:
         """Append one record, re-checking the epoch at first resume.
 
@@ -810,6 +815,7 @@ class KamlSsd:
         """
         if self.epoch != epoch:
             return None  # ghost append from before a cut
+        log = self._pick_log(namespace, record)
         location = yield from log.append(record, ctx=ctx, parent=parent)
         # The mark is captured in the same event cascade as *this*
         # append's completion — capturing it later (say when the whole
@@ -845,13 +851,10 @@ class KamlSsd:
             appends = []
             for item, version in zip(items, versions):
                 namespace = self.namespaces[item.namespace_id]
-                log = self.logs[namespace.next_log_id()]
-                record = Record(
-                    item.namespace_id, item.key, item.value, item.size, seq=version
-                )
+                record = Record(*item, seq=version)
                 appends.append(
                     self.env.process(
-                        self._append_record(log, record, epoch, ctx, phase2_span)
+                        self._append_record(namespace, record, epoch, ctx, phase2_span)
                     )
                 )
             landed = yield self.env.all_of(appends)
@@ -969,10 +972,9 @@ class KamlSsd:
             if self.epoch == epoch:
                 self.nvram.release(handle)
             return
-        log = self.logs[namespace.next_log_id()]
         record = Record(namespace_id, key, TOMBSTONE, 0, seq=version)
         try:
-            location = yield from log.append(record)
+            location = yield from self._pick_log(namespace, record).append(record)
         except LogSpaceError:
             self.metrics.counter(
                 "kaml.ssd.delete_append_failures", namespace=namespace_id
@@ -1560,10 +1562,8 @@ class KamlSsd:
             namespace = self.namespaces.get(item.namespace_id)
             if namespace is None:
                 continue
-            log = self.logs[namespace.next_log_id()]
-            record = Record(
-                item.namespace_id, item.key, item.value, item.size, seq=version
-            )
+            record = Record(*item, seq=version)
+            log = self._pick_log(namespace, record)
             staged_events.append((item, version, log._stage(record, for_gc=False)))
             touched.add(log.log_id)
         for log_id in sorted(touched):

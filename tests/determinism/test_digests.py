@@ -189,13 +189,15 @@ SCENARIOS = {
 }
 
 #: Captured on the pre-rewrite kernel (commit ad2ae2b lineage); see
-#: module docstring before touching these.
+#: module docstring before touching these.  All but ``fig5_mini`` (which
+#: did not move) were re-pinned once, under DESIGN.md's model re-pin
+#: protocol, for rate-adaptive log striping + the quiescence flush timer.
 EXPECTED = {
     "fig5_mini": "af7d64f5fcad938e8f0d518189165ff7330b0ffefebfa9f3f0173761e177b3a9",
-    "fig10_mini": "7cfa5dc94e7349e555aaffc0f28db0de8a9695cec3e04e6a13d33efff3a1138f",
-    "crash_scenario": "07b171a9e9b2658410fbb7dcdc48038cc47bf254de16613fc9ab7c1f8a66bce4",
-    "prof_breakdown_mini": "86c897b6c9837273c3f3a54d4688a51e4513cd9682efe007def520d7d4d651be",
-    "ycsb_replay_mini": "ec43c50d765dfb96eb69d3692e4c08d0965a7f32c25572fa72f405de143749e7",
+    "fig10_mini": "e560a9c13846124bd1c17d3e19e8486bad82325c04c41faa45f6d372d178bb08",
+    "crash_scenario": "40e89e9a3a5fd263c0804e937f45c030e444cb5a223b708a3b8a688d2edd9d48",
+    "prof_breakdown_mini": "29263d6fb9c84114b78bb87689442b794e90e7c86bdbec07151b76b0d1767e34",
+    "ycsb_replay_mini": "122f35598415dd799bc7babe290506750465717b004ecbfd1494368977f16fa0",
 }
 
 

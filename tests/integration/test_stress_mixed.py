@@ -34,7 +34,9 @@ def test_mixed_stress_audit():
 
     def writer(partition):
         my_keys = [k for k in range(keys) if k % 4 == partition]
-        for i in range(80):
+        # Enough churn to wrap the 192-page device: records share pages,
+        # so it takes ~5 ops to program one.
+        for i in range(400):
             key = my_keys[i % len(my_keys)]
             if i % 11 == 10:
                 removed = yield from ssd.delete(nsid, key)

@@ -63,7 +63,7 @@ def device_scenario():
 
     def writer(partition):
         mine = [k for k in range(keys) if k % 4 == partition]
-        for i in range(160):
+        for i in range(320):  # records share pages: ~6 ops program one
             key = mine[i % len(mine)]
             if i % 11 == 10:
                 yield from timed(env, ops, partition, "delete", ssd.delete(nsid, key))

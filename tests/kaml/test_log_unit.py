@@ -147,6 +147,81 @@ def test_timer_flushes_partial_page():
     assert log.metrics.total("kaml.log.wasted_chunks", log=log.log_id) > 0
 
 
+def flush_launches(log):
+    """Spy on the log: sim times at which an open host page was launched."""
+    launches = []
+    launch = log._launch_flush
+
+    def spy(for_gc):
+        if not for_gc and not log._points[False].assembly.is_empty:
+            launches.append(log.env.now)
+        launch(for_gc)
+
+    log._launch_flush = spy
+    return launches
+
+
+def stage_at(env, log, when, key, size):
+    env.run(until=when)
+    log._stage(record(key, size=size), for_gc=False)
+
+
+def test_lone_append_and_same_instant_batch_flush_at_exactly_one_timeout():
+    for batch in (1, 3):
+        env, log, hooks, array = make_log(flush_timeout=500.0)
+        launches = flush_launches(log)
+        env.run(until=123.0)
+        for key in range(batch):
+            log._stage(record(key, size=100), for_gc=False)
+        env.run()
+        assert launches == [623.0]
+        assert log.metrics.total("kaml.log.timer_flushes", log=log.log_id) == 1
+
+
+def test_timer_measures_quiescence_not_age():
+    env, log, hooks, array = make_log(flush_timeout=500.0)
+    launches = flush_launches(log)
+    for key, when in enumerate((0.0, 400.0, 800.0, 1200.0)):
+        stage_at(env, log, when, key, size=100)  # one chunk each
+        assert log.open_room() == 64 - (key + 1)
+    env.run()
+    # Fed every 400 us, the page outlives three age deadlines and is padded
+    # one timeout after its *last* append.
+    assert launches == [1700.0]
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 1
+    assert log.metrics.total("kaml.log.wasted_chunks", log=log.log_id) == 60
+    assert log.open_room() == 0
+
+
+def test_fed_page_is_held_until_full_and_no_longer():
+    timeout = 500.0
+    env, log, hooks, array = make_log(flush_timeout=timeout)
+    launches = flush_launches(log)
+    per_page = 8  # 1,000 B records are 8 of a page's 64 chunks
+    for key in range(per_page):
+        stage_at(env, log, key * 0.95 * timeout, key, size=1000)
+    env.run()
+    assert launches == [(per_page - 1) * 0.95 * timeout]  # full: no padding
+    assert launches[0] <= (per_page - 1) * timeout
+    assert log.metrics.total("kaml.log.timer_flushes", log=log.log_id) == 0
+    assert log.metrics.total("kaml.log.wasted_chunks", log=log.log_id) == 0
+
+
+def test_timer_events_do_not_scale_with_appends():
+    timeout, gap, appends = 500.0, 100.0, 50
+    env, log, hooks, array = make_log(flush_timeout=timeout)
+    before = env.events_processed
+    for key in range(appends):
+        stage_at(env, log, key * gap, key, size=100)
+    window = appends * gap
+    env.run(until=window)
+    assert log.open_room() == 64 - appends  # still the one open page
+    # Nothing else is scheduled, so every event is the page's timer: the
+    # bootstrap, then one firing per (timeout - gap) at worst — an append
+    # never defuses or re-arms it.
+    assert env.events_processed - before <= window / (timeout - gap) + 1
+
+
 def test_oversized_tail_starts_new_page():
     env, log, hooks, array = make_log()
 
