@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
+.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-diff bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,6 +45,14 @@ bench-aa:
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
 	$(PYTHON) -m kamlbench run --seed 1 --out BENCH_$(PR).json
+
+# Two committed records side by side: the trajectory row for TO, every
+# end-to-end delta against its BENCHMARK.json bound, and a non-zero exit
+# if a simulated/exact metric not listed in MOVED differs at all, e.g.
+# `make bench-diff FROM=18 TO=19 MOVED=sim_events_per_op`.
+bench-diff:
+	@test -n "$(FROM)" -a -n "$(TO)" || { echo "usage: make bench-diff FROM=<n> TO=<n> [MOVED=metric,...]"; exit 2; }
+	$(PYTHON) benchmarks/bench_diff.py $(FROM) $(TO) --moved "$(MOVED)"
 
 # The CI smoke benchmarks: Figure 5 leaves metrics + Chrome trace +
 # flight-recorder artifacts in benchmarks/artifacts/ (the perf gate reads

@@ -64,7 +64,8 @@ class BufferPool:
 
         Pages absent on disk (never written) materialise as empty pages.
         """
-        yield self.env.timeout(self.fs.host_costs.cache_probe_us)
+        probe_us = self.fs.host_costs.cache_probe_us
+        self.env.try_advance(probe_us) or (yield self.env.timeout(probe_us))
         frame_key = (file_name, page_index)
         frame = self._frames.get(frame_key)
         if frame is not None:
@@ -127,7 +128,7 @@ class BufferPool:
     def checkpointer(self, interval_us: float) -> Any:
         """Run as a process: periodic fuzzy checkpoints forever."""
         while True:
-            yield self.env.timeout(interval_us)
+            self.env.try_advance(interval_us) or (yield self.env.timeout(interval_us))
             yield from self.checkpoint()
 
     # ------------------------------------------------------------------

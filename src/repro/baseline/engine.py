@@ -202,7 +202,8 @@ class ShoreMtEngine:
             lsn = yield from self.wal.append(dict(txn_id=txn.txn_id, kind="commit"))
             yield from self.wal.flush_to(lsn)
         else:
-            yield self.env.timeout(self.config.host.txn_overhead_us)
+            overhead_us = self.config.host.txn_overhead_us
+            self.env.try_advance(overhead_us) or (yield self.env.timeout(overhead_us))
         txn.mark_committed()
         self.locks.release_all(txn)
         self.committed += 1
@@ -248,7 +249,8 @@ class ShoreMtEngine:
                 self.free(txn)
                 if attempt > max_retries:
                     raise
-                yield self.env.timeout(self.config.host.txn_overhead_us * attempt)
+                backoff_us = self.config.host.txn_overhead_us * attempt
+                self.env.try_advance(backoff_us) or (yield self.env.timeout(backoff_us))
 
     # ------------------------------------------------------------------
     # Crash / recovery (logical ARIES: undo uncommitted, redo committed)

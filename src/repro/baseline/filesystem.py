@@ -66,22 +66,26 @@ class SimpleFilesystem:
 
     def read_page(self, name: str, page_index: int, nbytes: int = None) -> Any:
         lpn = self._lpn(name, page_index)
-        yield self.env.timeout(self.host_costs.fs_op_us)
+        op_us = self.host_costs.fs_op_us
+        self.env.try_advance(op_us) or (yield self.env.timeout(op_us))
         data = yield from self.device.read(lpn, nbytes or self.page_size)
         return data
 
     def write_page(self, name: str, page_index: int, data: Any, nbytes: int = None) -> Any:
         lpn = self._lpn(name, page_index)
-        yield self.env.timeout(self.host_costs.fs_op_us)
+        op_us = self.host_costs.fs_op_us
+        self.env.try_advance(op_us) or (yield self.env.timeout(op_us))
         yield from self.device.write(lpn, data, nbytes or self.page_size)
 
     def fsync(self, name: str) -> Any:
         """Durability barrier: flush command plus device round trip."""
         self._extent(name)
         self.fsyncs += 1
-        yield self.env.timeout(self.host_costs.fs_op_us)
+        op_us = self.host_costs.fs_op_us
+        self.env.try_advance(op_us) or (yield self.env.timeout(op_us))
         yield from self.device.link.command_overhead()
-        yield self.env.timeout(self.host_costs.fsync_us)
+        fsync_us = self.host_costs.fsync_us
+        self.env.try_advance(fsync_us) or (yield self.env.timeout(fsync_us))
 
     # -- internals -----------------------------------------------------------
 

@@ -61,7 +61,8 @@ class HeapFile:
         """Place a record and index it; returns its RID."""
         if key in self._index:
             raise KeyError(f"duplicate key {key} in {self.name!r}")
-        yield self.fs.env.timeout(self.fs.host_costs.index_level_us)
+        env, level_us = self.fs.env, self.fs.host_costs.index_level_us
+        env.try_advance(level_us) or (yield env.timeout(level_us))
         page_index = self._fill_page
         while True:
             if page_index >= self.pages:
@@ -83,7 +84,8 @@ class HeapFile:
 
     def read(self, key: int) -> Any:
         """Return ``(value, size, rid)`` or None."""
-        yield self.fs.env.timeout(self.fs.host_costs.index_level_us)
+        env, level_us = self.fs.env, self.fs.host_costs.index_level_us
+        env.try_advance(level_us) or (yield env.timeout(level_us))
         rid = self._index.get(key)
         if rid is None:
             return None
@@ -96,7 +98,8 @@ class HeapFile:
 
     def update(self, key: int, value: Any, size: int) -> Any:
         """In-place update; returns the before image ``(value, size)``."""
-        yield self.fs.env.timeout(self.fs.host_costs.index_level_us)
+        env, level_us = self.fs.env, self.fs.host_costs.index_level_us
+        env.try_advance(level_us) or (yield env.timeout(level_us))
         rid = self._index.get(key)
         if rid is None:
             raise KeyError(f"unknown key {key} in {self.name!r}")
@@ -110,7 +113,8 @@ class HeapFile:
 
     def delete(self, key: int) -> Any:
         """Remove a record; returns its before image or None."""
-        yield self.fs.env.timeout(self.fs.host_costs.index_level_us)
+        env, level_us = self.fs.env, self.fs.host_costs.index_level_us
+        env.try_advance(level_us) or (yield env.timeout(level_us))
         rid = self._index.pop(key, None)
         if rid is None:
             return None

@@ -76,10 +76,11 @@ class WriteAheadLog:
         if not self._mutex.try_acquire(owner="append"):
             yield self._mutex.acquire(owner="append")
         try:
-            yield self.env.timeout(
+            record_us = (
                 self.costs.wal_record_us
                 + record_fields.get("size", 0) / self.costs.copy_bytes_per_us
             )
+            self.env.try_advance(record_us) or (yield self.env.timeout(record_us))
             lsn = self._next_lsn
             self._next_lsn += 1
             record = LogRecord(lsn=lsn, **record_fields)

@@ -185,7 +185,8 @@ class KamlStore:
         yield from self.locks.acquire(
             txn, self.locks.lock_name(namespace_id, key), LockMode.EXCLUSIVE
         )
-        yield self.env.timeout(size / self.costs.copy_bytes_per_us)
+        copy_us = size / self.costs.copy_bytes_per_us
+        self.env.try_advance(copy_us) or (yield self.env.timeout(copy_us))
         txn.stage_write(namespace_id, key, value, size)
         oplog = self.ssd.oplog
         if oplog.enabled:
@@ -253,7 +254,8 @@ class KamlStore:
             for namespace_id, key in deletes:
                 yield from self.ssd.delete(namespace_id, key)
                 self.buffer.discard(namespace_id, key)
-            yield self.env.timeout(self.costs.txn_overhead_us)
+            overhead_us = self.costs.txn_overhead_us
+            self.env.try_advance(overhead_us) or (yield self.env.timeout(overhead_us))
             txn.mark_committed()
             self.locks.release_all(txn)
             self.metrics.counter("store.txn.committed").inc()
@@ -271,7 +273,8 @@ class KamlStore:
         """``TransactionAbort()``: discard private copies, release locks."""
         txn.require_active()
         txn.writes.clear()
-        yield self.env.timeout(self.costs.txn_overhead_us)
+        overhead_us = self.costs.txn_overhead_us
+        self.env.try_advance(overhead_us) or (yield self.env.timeout(overhead_us))
         txn.mark_aborted()
         self.locks.cancel_wait(txn)
         self.locks.release_all(txn)
@@ -386,4 +389,5 @@ class KamlStore:
                 if attempt > max_retries:
                     raise
                 # Brief randomless backoff proportional to attempt count.
-                yield self.env.timeout(self.costs.txn_overhead_us * attempt)
+                backoff_us = self.costs.txn_overhead_us * attempt
+                self.env.try_advance(backoff_us) or (yield self.env.timeout(backoff_us))

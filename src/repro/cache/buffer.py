@@ -98,7 +98,8 @@ class BufferManager:
         cache_span = ctx.begin(
             "cache.read", namespace=namespace_id, key=key
         ) if ctx is not None else None
-        yield self.env.timeout(self.costs.cache_probe_us)
+        probe_us = self.costs.cache_probe_us
+        self.env.try_advance(probe_us) or (yield self.env.timeout(probe_us))
         cache_key = (namespace_id, key)
         counters = self._read_counters.get(namespace_id)
         if counters is None:
@@ -188,7 +189,8 @@ class BufferManager:
         while self._used > self.capacity_bytes:
             yield from self._evict_one()
         self._used_bytes_gauge.set(self._used)
-        yield self.env.timeout(size / self.costs.copy_bytes_per_us)
+        copy_us = size / self.costs.copy_bytes_per_us
+        self.env.try_advance(copy_us) or (yield self.env.timeout(copy_us))
 
     def _evict_one(self) -> Any:
         victim_key, victim = next(iter(self._entries.items()))

@@ -102,7 +102,7 @@ class LockManager:
     def acquire(self, txn: Any, name: Hashable, mode: LockMode) -> Any:
         """Timed acquire for transaction ``txn`` (needs ``.txn_id`` and
         ``.held_locks``).  Raises :class:`DeadlockError` on victimisation."""
-        yield self.env.timeout(self.costs.lock_us)
+        self.env.try_advance(self.costs.lock_us) or (yield self.env.timeout(self.costs.lock_us))
         lock = self._locks.get(name)
         if lock is None:
             lock = _Lock()

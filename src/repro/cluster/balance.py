@@ -134,7 +134,8 @@ class Autobalancer:
             self.cluster.epoch == epoch
             and len(self.migrations) < self.max_migrations
         ):
-            yield self.cluster.env.timeout(self.check_interval_us)
+            env, interval_us = self.cluster.env, self.check_interval_us
+            env.try_advance(interval_us) or (yield env.timeout(interval_us))
             if self.cluster.epoch != epoch:
                 return
             plan = self.detector.pick_migration()

@@ -91,16 +91,16 @@ class IntentJournal:
         )
 
     def log_begin(self, txn_id: int, shards: List[int]) -> Any:
-        yield self.env.timeout(self.write_us)
+        self.env.try_advance(self.write_us) or (yield self.env.timeout(self.write_us))
         self._entries[txn_id] = JournalEntry(txn_id, shards)
 
     def log_commit(self, txn_id: int) -> Any:
         """The commit point: after this write the transaction happened."""
-        yield self.env.timeout(self.write_us)
+        self.env.try_advance(self.write_us) or (yield self.env.timeout(self.write_us))
         self._entries[txn_id].state = "commit"
 
     def log_end(self, txn_id: int) -> Any:
-        yield self.env.timeout(self.write_us)
+        self.env.try_advance(self.write_us) or (yield self.env.timeout(self.write_us))
         self._entries[txn_id].state = "end"
 
 

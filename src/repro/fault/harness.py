@@ -309,7 +309,8 @@ def _writer(env, target, shadow, seed, widx, ops):
         if target.epoch != epoch0:
             return  # cut landed during the command: treat as unacked
         shadow.ack(op_id)
-        yield env.timeout(rng.uniform(50.0, 400.0))
+        think_us = rng.uniform(50.0, 400.0)
+        env.try_advance(think_us) or (yield env.timeout(think_us))
 
 
 def _reader(env, target, seed, ops):
@@ -323,7 +324,8 @@ def _reader(env, target, seed, ops):
             yield from target.get(rng.randrange(target.single_keys))
         except target.swallowed:
             return
-        yield env.timeout(rng.uniform(80.0, 300.0))
+        think_us = rng.uniform(80.0, 300.0)
+        env.try_advance(think_us) or (yield env.timeout(think_us))
 
 
 def _read_back(target, shadow):

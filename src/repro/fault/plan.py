@@ -127,7 +127,8 @@ class PowerLossInjector:
             self._cut(name, count)
 
     def _timer(self) -> Any:
-        yield self.target.env.timeout(self.plan.at_time)
+        env, at_time = self.target.env, self.plan.at_time
+        env.try_advance(at_time) or (yield env.timeout(at_time))
         if self.fired is None:
             self._cut("timer", 0)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.config import FlashGeometry
 from repro.flash.errors import (
@@ -11,6 +11,7 @@ from repro.flash.errors import (
     EraseError,
     ProgramError,
     ProgramOrderError,
+    ReadError,
     WearOutError,
 )
 from repro.flash.page import FlashPage
@@ -28,7 +29,10 @@ class FlashBlock:
 
     def __init__(self, geometry: FlashGeometry):
         self.geometry = geometry
-        self.pages = [FlashPage() for _ in range(geometry.pages_per_block)]
+        # A page object exists from its first program to the next erase;
+        # an erased page is ``None`` (a default device has 262,144 pages
+        # and most are never written).
+        self.pages: List[Optional[FlashPage]] = [None] * geometry.pages_per_block
         self.erase_count = 0
         self.write_pointer = 0  # next page index to program
         self.state = BlockState.FREE
@@ -60,7 +64,8 @@ class FlashBlock:
                 f"pages must be programmed sequentially: expected "
                 f"{self.write_pointer}, got {page_index}"
             )
-        self.pages[page_index].program(data, oob)
+        self.pages[page_index] = page = FlashPage()
+        page.program(data, oob)
         self.write_pointer += 1
         self.state = (
             BlockState.FULL if self.write_pointer == len(self.pages) else BlockState.OPEN
@@ -68,14 +73,21 @@ class FlashBlock:
 
     def read(self, page_index: int) -> Tuple[Any, Any]:
         self._check_page_index(page_index)
-        return self.pages[page_index].read()
+        page = self.pages[page_index]
+        if page is None:
+            raise ReadError("read of an erased page")
+        return page.read()
+
+    def peek_oob(self, page_index: int) -> Any:
+        """:meth:`FlashPage.peek_oob` of a page, ``None`` while erased."""
+        page = self.pages[page_index]
+        return None if page is None else page.peek_oob()
 
     def erase(self) -> None:
         if self.state is BlockState.BAD:
             raise EraseError("erase of a bad block")
         self.erase_count += 1
-        for page in self.pages:
-            page.erase()
+        self.pages = [None] * len(self.pages)
         self.write_pointer = 0
         if self.erase_count >= self.geometry.erase_endurance:
             self.state = BlockState.BAD

@@ -67,7 +67,8 @@ class FlashChannel:
             )
         try:
             started = self.env.now
-            yield self.env.timeout(self.transfer_time(nbytes))
+            transfer_us = self.transfer_time(nbytes)
+            self.env.try_advance(transfer_us) or (yield self.env.timeout(transfer_us))
             self.bus_busy_us += self.env.now - started
             ctx.record_span(
                 "bus.transfer", start_us=started, parent=parent,

@@ -87,7 +87,7 @@ class FlashChip:
             )
         try:
             started = self.env.now
-            yield self.env.timeout(self._read_us)
+            self.env.try_advance(self._read_us) or (yield self.env.timeout(self._read_us))
             self.stats.reads += 1
             self.stats.busy_us += self.env.now - started
             ctx.record_span(
@@ -128,7 +128,7 @@ class FlashChip:
                 # bitmap decodes to nothing, so scans and GC skip it.
                 block.program(page_index, {}, oob=0)
                 started = self.env.now
-                yield self.env.timeout(self._program_us)
+                self.env.try_advance(self._program_us) or (yield self.env.timeout(self._program_us))
                 self.stats.programs += 1
                 self.stats.busy_us += self.env.now - started
                 ctx.record_span(
@@ -141,7 +141,7 @@ class FlashChip:
                 )
             block.program(page_index, data, oob)
             started = self.env.now
-            yield self.env.timeout(self._program_us)
+            self.env.try_advance(self._program_us) or (yield self.env.timeout(self._program_us))
             self.stats.programs += 1
             self.stats.busy_us += self.env.now - started
             ctx.record_span(
@@ -162,7 +162,7 @@ class FlashChip:
             )
         try:
             started = self.env.now
-            yield self.env.timeout(self._erase_us)
+            self.env.try_advance(self._erase_us) or (yield self.env.timeout(self._erase_us))
             self.stats.erases += 1
             self.stats.busy_us += self.env.now - started
             ctx.record_span(

@@ -219,11 +219,12 @@ class PageFtl:
             self._fill_generation += 1
             yield from self._flush(entries)
         else:
-            yield self.env.timeout(0.0)
+            self.env.try_advance(0.0) or (yield self.env.timeout(0.0))
 
     def _fill_timer(self, generation: int) -> Any:
         """Flush a partial buffer that sat idle too long (Section IV-B)."""
-        yield self.env.timeout(self.params.buffer_flush_timeout_us)
+        idle_us = self.params.buffer_flush_timeout_us
+        self.env.try_advance(idle_us) or (yield self.env.timeout(idle_us))
         if self._fill_generation == generation and self._fill:
             entries, self._fill = self._fill, []
             self._fill_generation += 1

@@ -76,7 +76,7 @@ def gc_policy_ablation(
                     yield from ssd.put(
                         [PutItem(nsid, cold_key, ("cold", i), value_size)]
                     )
-                yield env.timeout(1500.0)
+                env.try_advance(1500.0) or (yield env.timeout(1500.0))
             yield from ssd.drain()
 
         drive(env, churn())
@@ -158,10 +158,10 @@ def flush_timer_ablation(
         nsid = yield from ssd.create_namespace()
         for i in range(records):
             yield from ssd.put([PutItem(nsid, i, ("t", i), value_size)])
-            yield env.timeout(gap_us)
+            env.try_advance(gap_us) or (yield env.timeout(gap_us))
         start = env.now
         while ssd._staged:
-            yield env.timeout(100.0)
+            env.try_advance(100.0) or (yield env.timeout(100.0))
         return env.now - start
 
     rows: List[List[Any]] = []
@@ -254,13 +254,14 @@ def qos_isolation_ablation(
                 i += 1
 
         def victim_reader():
-            yield env.timeout(3000.0)  # let the flood reach steady state
+            # let the flood reach steady state
+            env.try_advance(3000.0) or (yield env.timeout(3000.0))
             for i in range(victim_ops):
                 key = (i * 37) % victim_records
                 start = env.now
                 yield from ssd.get(victim_ns, key)
                 victim_latencies.append(env.now - start)
-                yield env.timeout(400.0)
+                env.try_advance(400.0) or (yield env.timeout(400.0))
             stop["flag"] = True
 
         for thread_id in range(noisy_threads):

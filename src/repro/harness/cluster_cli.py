@@ -54,7 +54,8 @@ def _hot_writer(env: Environment, cluster: KamlCluster, seed: int,
     """Single serial writer hammering the homed namespace."""
     rng = Random(seed * 7_368_787 + 11)
     for op in range(HOT_OPS):
-        yield env.timeout(rng.uniform(*HOT_THINK_US))
+        think_us = rng.uniform(*HOT_THINK_US)
+        env.try_advance(think_us) or (yield env.timeout(think_us))
         key = rng.randrange(HOT_KEYS)
         value = ("hot", key, op)
         yield from cluster.put(

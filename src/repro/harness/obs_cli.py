@@ -44,7 +44,7 @@ MAX_BREACH_PRINTS = 8
 def _dashboard(env, ssd, namespace_id, interval_us, done, out):
     """Print one status line per ``interval_us`` of *simulated* time."""
     while not done.triggered:
-        yield env.timeout(interval_us)
+        env.try_advance(interval_us) or (yield env.timeout(interval_us))
         summary = ssd.slo.latency_summary()
         put_row = summary.get(f"slo.put.us{{namespace={namespace_id}}}") or {}
         get_row = summary.get(f"slo.store.get.us{{namespace={namespace_id}}}") or {}

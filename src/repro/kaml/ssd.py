@@ -293,7 +293,8 @@ class KamlSsd:
             + self.geometry.page_size / self.config.flash.bus_bytes_per_us
         )
         # Index pages stream across all channels in parallel.
-        yield self.env.timeout(per_page * pages / max(1, self.geometry.channels))
+        stream_us = per_page * pages / max(1, self.geometry.channels)
+        self.env.try_advance(stream_us) or (yield self.env.timeout(stream_us))
 
     # ------------------------------------------------------------------
     # Data path (Table I)
@@ -424,14 +425,13 @@ class KamlSsd:
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
         # Drain this namespace's staging pipeline.
+        settle_us = self.config.flash.program_us + self.config.kaml.flush_timeout_us
         for _ in range(64):
             if not any(k[0] == namespace_id for k in self._staged):
                 break
             for log in self.logs:
                 log.force_flush()
-            yield self.env.timeout(
-                self.config.flash.program_us + self.config.kaml.flush_timeout_us
-            )
+            self.env.try_advance(settle_us) or (yield self.env.timeout(settle_us))
         else:
             raise SnapshotError("staging pipeline did not drain")
         index = clone_index(namespace.index)
@@ -1410,7 +1410,7 @@ class KamlSsd:
             # agree before the device serves traffic again.
             sanitize.check_recovery(self)
         ctx.close()
-        yield self.env.timeout(0.0)
+        self.env.try_advance(0.0) or (yield self.env.timeout(0.0))
 
     def _rebuild_from_flash(self, ctx: TraceContext = NULL_CONTEXT) -> Any:
         """Reconstruct mapping tables and block lists by scanning flash.
@@ -1596,9 +1596,8 @@ class KamlSsd:
         """Force all open pages to flash and wait for them (test helper)."""
         for log in self.logs:
             log.force_flush()
-        yield self.env.timeout(
-            self.config.flash.program_us * 4 + self.config.kaml.flush_timeout_us
-        )
+        settle_us = self.config.flash.program_us * 4 + self.config.kaml.flush_timeout_us
+        self.env.try_advance(settle_us) or (yield self.env.timeout(settle_us))
 
     def close(self) -> None:
         """End-of-life check point for a drained device.

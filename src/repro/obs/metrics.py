@@ -51,6 +51,28 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     return sorted_values[lower] + (sorted_values[upper] - sorted_values[lower]) * weight
 
 
+def bucket_percentile(
+    counts: Sequence[int], bounds: Sequence[float], fraction: float
+) -> float:
+    """Percentile from histogram bucket counts, linear inside the bucket.
+
+    Resolution is the bucket width; the first bucket starts at zero and
+    the overflow bucket reports the last bound.
+    """
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    rank = fraction * total
+    seen = 0
+    for i, n in enumerate(counts):
+        if n and seen + n >= rank:
+            low = bounds[i - 1] if i > 0 else 0.0
+            high = bounds[i] if i < len(bounds) else bounds[-1]
+            return low + (high - low) * (rank - seen) / n
+        seen += n
+    return float(bounds[-1])
+
+
 #: Default histogram bucket upper bounds, in the unit of the observed
 #: value (microseconds for ``_us`` histograms).  Roughly logarithmic,
 #: spanning sub-microsecond firmware steps to multi-millisecond GC stalls.
@@ -169,10 +191,12 @@ class Histogram(Instrument):
     """Fixed-bucket histogram that also keeps raw samples for percentiles.
 
     Bucket counts give the coarse shape cheaply; the retained samples give
-    exact interpolated percentiles.  Simulation runs are small enough that
-    retaining samples is fine; ``max_samples`` caps memory for pathological
-    runs (beyond it, bucket counts and running aggregates stay exact while
-    percentiles come from the first ``max_samples`` observations).
+    exact interpolated percentiles.  ``max_samples`` caps memory for long
+    runs: bucket counts and running aggregates stay exact for ever, and
+    once an observation has gone unretained the percentiles are
+    interpolated from the bucket counts (:func:`bucket_percentile`) rather
+    than answered from a prefix of the run; :attr:`percentile_source` and
+    :meth:`export` say which of the two answered.
     """
 
     kind = "histogram"
@@ -226,7 +250,14 @@ class Histogram(Instrument):
             self._sorted = True
         return self._samples
 
+    @property
+    def percentile_source(self) -> str:
+        """``"samples"`` while every observation is retained, else ``"buckets"``."""
+        return "buckets" if self.count > len(self._samples) else "samples"
+
     def percentile(self, fraction: float) -> float:
+        if self.percentile_source == "buckets":
+            return bucket_percentile(self.bucket_counts, self.bounds, fraction)
         return percentile(self._sorted_samples(), fraction)
 
     def summary(self) -> Dict[str, float]:
@@ -236,19 +267,19 @@ class Histogram(Instrument):
                 "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
                 "p50": 0.0, "p95": 0.0, "p99": 0.0,
             }
-        values = self._sorted_samples()
         return {
             "count": self.count,
             "mean": self.mean,
             "min": self.min_value,
             "max": self.max_value,
-            "p50": percentile(values, 0.50),
-            "p95": percentile(values, 0.95),
-            "p99": percentile(values, 0.99),
+            "p50": self.percentile(0.50),
+            "p95": self.percentile(0.95),
+            "p99": self.percentile(0.99),
         }
 
     def export(self) -> Dict[str, object]:
-        data = dict(self.summary())
+        data: Dict[str, object] = dict(self.summary())
+        data["percentile_source"] = self.percentile_source
         data["buckets"] = {
             "le": list(self.bounds),
             "counts": list(self.bucket_counts),

@@ -116,7 +116,7 @@ class TimeSeriesCollector:
 
     def _run(self) -> Any:
         while self._running:
-            yield self.env.timeout(self.interval_us)
+            self.env.try_advance(self.interval_us) or (yield self.env.timeout(self.interval_us))
             if not self._running:
                 return
             self.sample_now()

@@ -96,7 +96,7 @@ def check_relocation(ssd: Any, record: Any, old: Any, new: Any) -> None:
     from repro.kaml.record import TOMBSTONE, decode_bitmap
 
     block = ssd.array.block_at(new.page)
-    oob = block.pages[new.page.page].peek_oob()
+    oob = block.peek_oob(new.page.page)
     if oob is None:
         raise InvariantError(
             "SAN-OOB",
@@ -161,7 +161,7 @@ def check_recovery(ssd: Any) -> None:
 
     def reference(namespace_id: int, key: int, location: Any) -> None:
         block = ssd.array.block_at(location.page)
-        oob = block.pages[location.page.page].peek_oob()
+        oob = block.peek_oob(location.page.page)
         runs = decode_bitmap(oob or 0, ssd.geometry.chunks_per_page)
         if (location.chunk, location.nchunks) not in runs:
             raise InvariantError(

@@ -23,18 +23,22 @@ Performance notes (see ``docs/performance.md`` for the full story):
 * Cancellation is cheap: :meth:`Event.defuse` turns a scheduled event into
   a guaranteed no-op without touching the heap; the environment compacts
   the heap only when defused ghosts pile up.
-* Uncontended acquisitions cost no event at all: when
-  :meth:`Environment._would_run_next` proves that a grant scheduled now
-  would be the very next dispatch, ``Resource.try_acquire`` and friends
-  hand the grant back inline instead of pushing it through the heap.
+* Uncontended acquisitions and uninterrupted delays cost no event at
+  all: when :meth:`Environment._would_run_next` proves that a grant
+  scheduled now, or a timeout scheduled for ``now + delay``, would be the
+  very next dispatch, ``Resource.try_acquire`` and friends hand the grant
+  back inline and :meth:`Environment.try_advance` moves the clock inline,
+  instead of pushing an event through the heap.
+* ``Environment.now`` is a plain attribute the dispatch loops write (it
+  is read some 26 times per cold Get); only the kernel may assign it.
 
 Determinism contract: events are dispatched in exactly ``(time, priority,
 sequence)`` order, where sequence numbers are handed out at schedule time.
 Every optimisation here preserves that order bit-for-bit — the fixed-seed
 digests in ``tests/determinism`` hold across the rewrite.  The only events
-ever removed are provable no-ops: defused ghosts, and grants that
-:meth:`Environment._would_run_next` shows would have been popped next
-with nothing able to run in between.
+ever removed are provable no-ops: defused ghosts, and grants and delays
+that :meth:`Environment._would_run_next` shows would have been popped
+next with nothing able to run in between.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ class Timeout(Event):
         self.delay = delay
         env._eid = eid = env._eid + 1
         queue = env._queue
-        heappush(queue, (env._now + delay, NORMAL, eid, self))
+        heappush(queue, (env.now + delay, NORMAL, eid, self))
         if len(queue) > env._queue_high:
             env._queue_high = len(queue)
 
@@ -187,7 +191,8 @@ class Environment:
     """Owns simulated time and the pending-event queue."""
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time; written by the dispatch loops only.
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._ndefused = 0
@@ -202,6 +207,9 @@ class Environment:
         #: True while the event being dispatched still has callbacks left
         #: to run after the current one (see :meth:`_would_run_next`).
         self._fanning_out = False
+        #: Latest instant :meth:`try_advance` may carry the clock to:
+        #: ``until`` while :meth:`run` has one.
+        self._horizon = float("inf")
         #: Tracer of the stack under test (see :meth:`attach_tracer`).
         self.tracer = None
 
@@ -228,11 +236,6 @@ class Environment:
         """
         if self.tracer is None:
             self.tracer = tracer
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def queue_depth(self) -> int:
@@ -296,21 +299,22 @@ class Environment:
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         self._eid = eid = self._eid + 1
         queue = self._queue
-        heappush(queue, (self._now + delay, priority, eid, event))
+        heappush(queue, (self.now + delay, priority, eid, event))
         if len(queue) > self._queue_high:
             self._queue_high = len(queue)
 
-    def _would_run_next(self, priority: int) -> bool:
-        """Would an event scheduled *now* at ``priority`` be the very next
-        dispatch?
+    def _would_run_next(self, priority: int, delay: float = 0.0) -> bool:
+        """Would an event scheduled for ``now + delay`` at ``priority`` be
+        the very next dispatch?
 
         True when nothing can run before it: the event being dispatched
         has no further callbacks, and no heap entry sorts ahead of
-        ``(now, priority, <fresh sequence number>)`` — every entry already
-        at ``now`` with that priority or a more urgent one holds an older
-        sequence number and would go first.  A caller that would schedule
-        such an event and immediately yield it may skip both: the push,
-        the pop and the resume decide nothing, so every timestamp and the
+        ``(now + delay, priority, <fresh sequence number>)`` — every entry
+        already at that instant with that priority or a more urgent one
+        holds an older sequence number and would go first (a ghost counts:
+        refusing is always safe).  A caller that would schedule such an
+        event and immediately yield it may skip both: the push, the pop
+        and the resume decide nothing, so every timestamp and the
         relative order of all other events stay as they were.
         """
         if self._fanning_out:
@@ -319,7 +323,25 @@ class Environment:
         if not queue:
             return True
         head = queue[0]
-        return head[0] > self._now or head[1] > priority
+        when = self.now + delay
+        return head[0] > when or (head[1] > priority and head[0] == when)
+
+    def try_advance(self, delay: float) -> bool:
+        """Take ``delay`` inline when ``timeout(delay)`` would be the very
+        next dispatch: ``env.try_advance(d) or (yield env.timeout(d))``.
+
+        On ``True`` the clock stands where that timeout would have put it
+        and the caller carries on exactly as if resumed by it; on ``False``
+        nothing was touched.  A delay, unlike a grant, can carry a process
+        past the point where the running loop hands control back, so it
+        is also refused beyond ``run(until=...)``, and (as fan-out) in
+        ``step()`` and in the last dispatch of ``run_until``.
+        """
+        when = self.now + delay  # the float Timeout.__init__ would push
+        if 0 <= delay and when <= self._horizon and self._would_run_next(NORMAL, delay):
+            self.now = when
+            return True
+        return False
 
     def _note_defused(self) -> None:
         self._ndefused = ghosts = self._ndefused + 1
@@ -346,25 +368,21 @@ class Environment:
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
         when, _priority, _eid, event = heappop(self._queue)
-        self._now = when
+        self.now = when
         self.events_processed += 1
         if event._defused:
             self._ndefused -= 1
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         if callbacks:
-            # All but the last callback run with _fanning_out set: code
-            # they resume is not the last thing this dispatch does, so an
-            # event it schedules is not provably next (_would_run_next).
-            last = callbacks.pop()
+            # The caller decides what happens after this one dispatch, so
+            # nothing it resumes is provably next: all of it fans out.
+            self._fanning_out = True
             try:
-                if callbacks:
-                    self._fanning_out = True
-                    for callback in callbacks:
-                        callback(event)
+                for callback in callbacks:
+                    callback(event)
             finally:
                 self._fanning_out = False
-            last(event)
 
     def run_until(self, event: Event) -> None:
         """Run until ``event`` triggers.
@@ -383,21 +401,24 @@ class Environment:
                         "run_until: event can never fire (schedule empty)"
                     )
                 when, _priority, _eid, popped = pop(queue)
-                self._now = when
+                self.now = when
                 dispatched += 1
                 if popped._defused:
                     self._ndefused -= 1
                 callbacks, popped.callbacks = popped.callbacks, None
                 popped._processed = True
                 if callbacks:
-                    # Same fan-out bookkeeping as step().
-                    last = callbacks.pop()
+                    # Same fan-out bookkeeping as run(), except that the
+                    # target's dispatch is this loop's last: the caller
+                    # runs next, so all of it fans out.
+                    last = None if popped is event else callbacks.pop()
                     if callbacks:
                         self._fanning_out = True
                         for callback in callbacks:
                             callback(popped)
                         self._fanning_out = False
-                    last(popped)
+                    if last is not None:
+                        last(popped)
                 if queue is not self._queue:  # compacted mid-flight
                     queue = self._queue
         finally:
@@ -406,27 +427,32 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or simulated time reaches ``until``."""
-        if until is not None and until < self._now:
-            raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
-        # Hot loop: pop-advance-dispatch with local bindings.  Equivalent to
-        # `while self._queue: self.step()` but without the per-event method
-        # call and attribute traffic.
+        if until is not None and until < self.now:
+            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
+        # Hot loop: pop-advance-dispatch with local bindings instead of a
+        # step() call per event, without the per-event method call and
+        # attribute traffic (and, unlike step(), with the fast paths on).
         queue = self._queue
         pop = heappop
         dispatched = 0
+        if until is not None:
+            self._horizon = until
         try:
             while queue:
                 if until is not None and queue[0][0] > until:
-                    self._now = until
+                    self.now = until
                     return
                 when, _priority, _eid, event = pop(queue)
-                self._now = when
+                self.now = when
                 dispatched += 1
                 if event._defused:
                     self._ndefused -= 1
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
                 if callbacks:
+                    # All but the last callback run with _fanning_out set:
+                    # code they resume is not the last thing this dispatch
+                    # does, so an event it schedules is not provably next.
                     last = callbacks.pop()
                     if callbacks:
                         self._fanning_out = True
@@ -438,6 +464,7 @@ class Environment:
                     queue = self._queue
         finally:
             self._fanning_out = False
+            self._horizon = float("inf")
             self.events_processed += dispatched
         if until is not None:
-            self._now = until
+            self.now = until

@@ -8,7 +8,7 @@ Usage inside a process::
 
     request = bus.try_acquire() or (yield bus.request())
     try:
-        yield env.timeout(transfer_time)
+        env.try_advance(transfer_time) or (yield env.timeout(transfer_time))
     finally:
         bus.release(request)
 
@@ -17,8 +17,10 @@ kernel can prove the grant event would have been the very next dispatch
 (:meth:`Environment._would_run_next`); otherwise it returns ``None`` and
 the caller queues with ``request()`` as before.  Either way the process
 resumes at the same instant, in the same order relative to everything
-else.  Use plain ``request()`` when the request is not yielded on the spot
-(``any_of`` with a timeout, ``cancel``).
+else.  An inline grant is the resource's one pre-granted token, not a fresh
+:class:`Request`: ``release`` only ever asks a request whether it was
+granted and by whom.  Use plain ``request()`` when the request is not
+yielded on the spot (``any_of`` with a timeout, ``cancel``).
 
 Cancelled requests are counted rather than scanned: ``queue_length`` is
 O(1), and the wait heap is compacted when cancelled ghosts outnumber live
@@ -66,7 +68,7 @@ class Resource:
     """A counted resource with a FIFO (priority-aware) wait queue."""
 
     __slots__ = ("env", "capacity", "name", "_in_use", "_ticket", "_waiting",
-                 "_ncancelled")
+                 "_ncancelled", "_token")
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -78,6 +80,10 @@ class Resource:
         self._ticket = 0
         self._waiting: List[Tuple[int, int, Request]] = []
         self._ncancelled = 0
+        #: What every inline grant hands back (see :meth:`try_acquire`).
+        self._token = token = Request(self, 0)
+        token._triggered = token._processed = True
+        token._value = token
 
     @property
     def in_use(self) -> int:
@@ -102,7 +108,7 @@ class Resource:
             heappush(self._waiting, (priority, ticket, request))
         return request
 
-    def try_acquire(self, priority: int = 0) -> Optional[Request]:
+    def try_acquire(self) -> Optional[Request]:
         """Claim one unit without an event, or return ``None``.
 
         Succeeds when :meth:`request` would grant on the spot *and* that
@@ -118,10 +124,7 @@ class Resource:
             and self.env._would_run_next(URGENT)
         ):
             self._in_use += 1
-            request = Request(self, priority)
-            request._triggered = request._processed = True
-            request._value = request
-            return request
+            return self._token
         return None
 
     def release(self, request: Request) -> None:

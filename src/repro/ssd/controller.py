@@ -66,7 +66,7 @@ class FirmwarePool:
             self._queue_depth_gauge.set(self._pool.queue_length)
         try:
             started = self.env.now
-            yield self.env.timeout(cost_us)
+            self.env.try_advance(cost_us) or (yield self.env.timeout(cost_us))
             self.busy_us += self.env.now - started
         finally:
             self._pool.release(request)

@@ -29,14 +29,16 @@ class HostInterconnect:
     def command_overhead(self) -> Any:
         """Submission queue doorbell + completion interrupt."""
         self.commands += 1
-        yield self.env.timeout(self.timings.command_us)
+        command_us = self.timings.command_us
+        self.env.try_advance(command_us) or (yield self.env.timeout(command_us))
 
     def _transfer(self, pipe: Resource, nbytes: int) -> Any:
         if nbytes <= 0:
             return
         request = pipe.try_acquire() or (yield pipe.request())
         try:
-            yield self.env.timeout(nbytes / self.timings.bytes_per_us)
+            wire_us = nbytes / self.timings.bytes_per_us
+            self.env.try_advance(wire_us) or (yield self.env.timeout(wire_us))
         finally:
             pipe.release(request)
 

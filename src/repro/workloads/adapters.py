@@ -89,7 +89,7 @@ class ShoreAdapter:
         # 4 KB page), with slack for growth.
         pages = max(16, expected_rows // 4)
         self.engine.create_table(table, pages=min(pages, self.table_pages * 64))
-        yield self.engine.env.timeout(0.0)
+        self.engine.env.try_advance(0.0) or (yield self.engine.env.timeout(0.0))
 
     def run_transaction(self, body, max_retries: int = 64) -> Any:
         result = yield from self.engine.run_transaction(body, max_retries)

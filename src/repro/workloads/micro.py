@@ -65,7 +65,7 @@ def run_closed_loop(
     def worker(thread_id: int):
         for i in range(ops_per_thread):
             op_start = env.now
-            yield env.timeout(HOST_SOFTWARE_US)
+            env.try_advance(HOST_SOFTWARE_US) or (yield env.timeout(HOST_SOFTWARE_US))
             yield from make_op(thread_id, i)
             result.latencies_us.append(env.now - op_start)
             result.ops += 1

@@ -163,7 +163,8 @@ class MultiTenantWorkload:
             if key % spec.workers == widx
         ]
         for _ in range(spec.ops_per_worker):
-            yield self.env.timeout(rng.uniform(*spec.think_us))
+            think_us = rng.uniform(*spec.think_us)
+            self.env.try_advance(think_us) or (yield self.env.timeout(think_us))
             roll = rng.random()
             started = self.env.now
             try:

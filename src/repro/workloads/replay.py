@@ -262,7 +262,7 @@ def replay_journal(
 
         def worker(lane: List[ReplayIssue]):
             for issue in lane:
-                yield env.timeout(host_overhead_us)
+                env.try_advance(host_overhead_us) or (yield env.timeout(host_overhead_us))
                 yield from one(issue)
 
         procs = [env.process(worker(lane)) for lane in lanes if lane]
@@ -275,7 +275,7 @@ def replay_journal(
                 if previous is not None:
                     gap = max(0.0, issue.issue_us - previous) / speed
                     if gap > 0:
-                        yield env.timeout(gap)
+                        env.try_advance(gap) or (yield env.timeout(gap))
                 previous = issue.issue_us
                 in_flight.append(env.process(one(issue)))
 

@@ -191,7 +191,7 @@ def replay(
     def worker(lane: List[TraceOp]):
         for op in lane:
             op_start = env.now
-            yield env.timeout(HOST_SOFTWARE_US)
+            env.try_advance(HOST_SOFTWARE_US) or (yield env.timeout(HOST_SOFTWARE_US))
             if op.op == "get":
                 yield from ssd.get(namespace_id, op.key)
                 result.bytes_moved += op.size

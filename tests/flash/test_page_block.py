@@ -123,3 +123,38 @@ def test_block_erase_count_monotonic(geometry):
     for expected in range(1, 5):
         block.erase()
         assert block.erase_count == expected
+
+
+# -- lazy pages -------------------------------------------------------------
+
+def test_fresh_array_allocates_no_page(geometry):
+    """Page objects exist from their first program, not from construction."""
+    from repro.config import FlashTimings
+    from repro.flash import FlashArray
+    from repro.sim import Environment
+
+    array = FlashArray(Environment(), geometry, FlashTimings())
+    blocks = [block for _, _, chip in array.iter_chips() for block in chip.blocks]
+    assert len(blocks) == geometry.total_chips * geometry.blocks_per_chip
+    assert all(page is None for block in blocks for page in block.pages)
+    block = blocks[0]
+    assert block.peek_oob(0) is None
+    block.program(0, "a", oob=0b1)
+    assert isinstance(block.pages[0], FlashPage) and block.pages[1:] == [None] * (
+        geometry.pages_per_block - 1
+    )
+    assert block.peek_oob(0) == 0b1
+
+
+def test_block_program_erase_read_raises_as_before(geometry):
+    block = FlashBlock(geometry)
+    with pytest.raises(ReadError, match="read of an erased page"):
+        block.read(0)
+    block.program(0, "a", oob=7)
+    assert block.read(0) == ("a", 7)
+    with pytest.raises(ReadError, match="read of an erased page"):
+        block.read(1)  # beyond the write pointer
+    block.erase()
+    assert block.pages == [None] * geometry.pages_per_block  # objects dropped
+    with pytest.raises(ReadError, match="read of an erased page"):
+        block.read(0)

@@ -1,21 +1,25 @@
-"""Exactness oracle for zero-event acquisition on the real stack.
+"""Exactness oracle for zero-event acquisitions and delays on the real stack.
 
-A mixed Get/Put/delete workload that drives GC on one device, and a
-2-shard cluster with cross-shard atomic Puts, each run twice: normally, and
-with ``Environment._would_run_next`` forced false so every firmware
-context, chip engine, bus, PCIe pipe, program lock and NVRAM reservation is
-granted through the heap as before the fast path.  Every op must be issued
-and completed at the same simulated instants, the clocks must end equal,
-and the runs must differ in dispatched events by exactly the grants elided.
+A mixed Get/Put/delete workload that drives GC on one device, a 2-shard
+cluster with cross-shard atomic Puts, and a device whose power is cut by
+``run(until=T)`` mid-workload, each run twice: normally, and with
+``Environment._would_run_next`` forced false so every firmware context,
+chip engine, bus, PCIe pipe, program lock and NVRAM reservation is granted,
+and every cost delay taken, through the heap as before the fast paths.
+Every op must be issued and completed at the same simulated instants, the
+clocks must end equal, and the runs must differ in dispatched events by
+exactly the grants and advances elided.
 """
 
 import random
 
+import pytest
 from tests.sim.zero_event_seam import counted_grants, forced_refusal
 
 from repro.cache import KamlStore
 from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
 from repro.config import FlashGeometry, KamlParams, ReproConfig
+from repro.errors import PowerLossError
 from repro.fault.harness import default_device_config
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.sim import Environment
@@ -40,7 +44,8 @@ def timed(env, ops, client, kind, gen):
     return result
 
 
-def device_scenario():
+def small_device():
+    """A 4-chip, 4-log device with one namespace: ``(env, ssd, nsid)``."""
     env = Environment()
     geometry = FlashGeometry(
         channels=2, chips_per_channel=2, blocks_per_chip=12, pages_per_block=4
@@ -49,17 +54,21 @@ def device_scenario():
         geometry=geometry, kaml=KamlParams(num_logs=4, flush_timeout_us=300.0)
     )
     ssd = KamlSsd(env, config)
-    store = KamlStore(env, ssd, 32 * 1024)
-    rng = random.Random(99)
-    keys = 24
-    ops = []
 
     def setup():
         return (yield from ssd.create_namespace(NamespaceAttributes(expected_keys=64)))
 
     proc = env.process(setup())
     env.run_until(proc)
-    nsid = proc.value
+    return env, ssd, proc.value
+
+
+def device_scenario():
+    env, ssd, nsid = small_device()
+    store = KamlStore(env, ssd, 32 * 1024)
+    rng = random.Random(99)
+    keys = 24
+    ops = []
 
     def writer(partition):
         mine = [k for k in range(keys) if k % 4 == partition]
@@ -76,7 +85,8 @@ def device_scenario():
             else:
                 item = PutItem(nsid, key, ("w", partition, i), rng.choice([200, 900, 2048]))
                 yield from timed(env, ops, partition, "put", ssd.put([item]))
-            yield env.timeout(rng.choice([0.0, 50.0, 400.0]))
+            think_us = rng.choice([0.0, 50.0, 400.0])
+            env.try_advance(think_us) or (yield env.timeout(think_us))
 
     def reader(client):
         for i in range(80):
@@ -85,7 +95,8 @@ def device_scenario():
                 yield from timed(env, ops, client, "get", ssd.get(nsid, key))
             else:
                 yield from timed(env, ops, client, "cached-get", store.get(nsid, key))
-            yield env.timeout(rng.choice([0.0, 100.0]))
+            think_us = rng.choice([0.0, 100.0])
+            env.try_advance(think_us) or (yield env.timeout(think_us))
 
     procs = [env.process(writer(p)) for p in range(4)]
     procs += [env.process(reader(4 + r)) for r in range(2)]
@@ -129,6 +140,48 @@ def cluster_scenario():
     return env, ops
 
 
+def power_cut_scenario(cut_at):
+    """Two writers; ``run(until=T)`` stops the clock mid-workload, power
+    dies, the device recovers by scanning flash and every key is read back."""
+    env, ssd, nsid = small_device()
+    rng = random.Random(17)
+    keys = 24
+    ops = []
+
+    def writer(partition):
+        mine = [k for k in range(keys) if k % 2 == partition]
+        try:
+            for i in range(400):
+                if ssd.epoch:
+                    return  # power was cut; the host stops issuing
+                item = PutItem(nsid, mine[i % len(mine)], ("w", partition, i),
+                               rng.choice([200, 900, 2048]))
+                yield from timed(env, ops, partition, "put", ssd.put([item]))
+                think_us = rng.choice([0.0, 35.5, 420.0])
+                env.try_advance(think_us) or (yield env.timeout(think_us))
+        except PowerLossError:
+            return
+
+    for partition in range(2):
+        env.process(writer(partition))
+    env.run(until=cut_at)
+    assert env.now == cut_at and 10 < len(ops) < 800  # mid-workload
+    ops.append(("cut", env.queue_depth, len(ops), env.now))
+    ssd.power_loss()
+
+    def recover_and_read_back():
+        yield from ssd.recover()
+        for key in range(keys):
+            value = yield from timed(env, ops, "audit", key, ssd.get(nsid, key))
+            ops.append(("recovered", key, value, env.now))
+
+    proc = env.process(recover_and_read_back())
+    env.run_until(proc)
+    proc.value  # re-raise a failed recovery  # noqa: B018
+    ops.append(("sim_time_us", env.now))
+    return env, ops
+
+
 def test_device_with_gc_is_bit_identical_and_cheaper():
     events, reference = run_twice(device_scenario)
     assert events < 0.9 * reference
@@ -136,4 +189,12 @@ def test_device_with_gc_is_bit_identical_and_cheaper():
 
 def test_two_shard_cluster_is_bit_identical_and_cheaper():
     events, reference = run_twice(cluster_scenario)
+    assert events < 0.9 * reference
+
+
+@pytest.mark.parametrize("cut_at", [3_011.0, 5_400.5, 7_003.25, 9_999.0, 14_250.75, 21_000.0])
+def test_power_cut_by_run_until_time_recovers_identically(cut_at):
+    """The horizon refusal: no process may be carried past ``T`` inline, so
+    the cut finds, and recovery rebuilds, the same device in both kernels."""
+    events, reference = run_twice(lambda: power_cut_scenario(cut_at))
     assert events < 0.9 * reference

@@ -145,6 +145,41 @@ def test_histogram_sample_cap_keeps_aggregates_exact():
     assert len(histogram._samples) == 10
 
 
+def test_histogram_percentiles_answer_from_samples_up_to_the_cap():
+    histogram = Histogram("lat_us", buckets=(10.0, 100.0), max_samples=10)
+    for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 50.0):
+        histogram.observe(value)
+    assert histogram.count == histogram.max_samples
+    assert histogram.percentile_source == "samples"
+    assert histogram.percentile(0.5) == 5.5  # exact, from the samples
+    assert histogram.export()["percentile_source"] == "samples"
+
+
+def test_histogram_percentiles_do_not_freeze_past_the_cap():
+    """A burst fills the sample cap, then the run settles: p99 must follow
+    the run (bucket counts are exact for ever), not the retained prefix."""
+    histogram = Histogram("wait_us", buckets=(1.0, 10.0, 100.0, 1000.0), max_samples=10)
+    for _ in range(10):
+        histogram.observe(222.0)  # the load phase's bursts
+    frozen = histogram.percentile(0.99)
+    assert frozen == 222.0
+    for _ in range(9_990):
+        histogram.observe(0.5)  # steady state
+    assert len(histogram._samples) == 10 and histogram.count == 10_000
+    assert histogram.percentile_source == "buckets"
+    # rank 9,900 of 10,000 lies in the first bucket (9,990 values <= 1 us),
+    # linear inside it: 0 + (1 - 0) * 9,900 / 9,990.
+    assert histogram.percentile(0.99) == pytest.approx(9_900 / 9_990)
+    summary = histogram.summary()
+    assert summary["p99"] == histogram.percentile(0.99) and summary["p50"] < 1.0
+    assert summary["max"] == 222.0  # aggregates were always exact
+    export = histogram.export()
+    assert export["percentile_source"] == "buckets" and export["p99"] == summary["p99"]
+    # The tail beyond the last bound reports the last bound.
+    histogram.observe(5_000.0)
+    assert histogram.percentile(1.0) == 1000.0
+
+
 # ---------------------------------------------------------------------------
 # Labels
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Zero-event acquisition: when it grants, when it must refuse.
+"""Zero-event acquisition and zero-event delays: when they go inline,
+when they must refuse.
 
 ``Resource.try_acquire`` / ``SimLock.try_acquire`` / ``NvramBuffer.try_reserve``
-skip the grant event only when ``Environment._would_run_next`` proves that
-event would have been the very next dispatch.  Each refusal case below is a
-schedule in which skipping it *would* reorder something; the differential
-oracles (``test_zero_event_property.py``, ``tests/integration/
-test_zero_event_exactness.py``) check that the grants reorder nothing.
+skip the grant event, and ``Environment.try_advance`` skips the timeout,
+only when ``Environment._would_run_next`` proves that event would have been
+the very next dispatch.  Each refusal case below is a schedule in which
+skipping it *would* reorder something — or, for a delay, would carry a
+process past the point where the running loop hands control back; the
+differential oracles (``test_zero_event_property.py``, ``tests/integration/
+test_zero_event_exactness.py``) check that what goes inline reorders nothing.
 """
 
 import pytest
@@ -152,6 +155,162 @@ def test_fan_out_flag_clears_after_a_callback_raises():
     with pytest.raises(RuntimeError):
         env.run()
     assert env._would_run_next(URGENT)
+
+
+# ---------------------------------------------------------------------------
+# Delays: Environment.try_advance
+# ---------------------------------------------------------------------------
+
+def sleeper(env, delay, log):
+    """One delay in the canonical call-site shape; logs how it was taken."""
+    inline = env.try_advance(delay)
+    inline or (yield env.timeout(delay))
+    log.append((env.now, "inline" if inline else "heap"))
+
+
+def test_delay_that_would_pop_next_moves_the_clock_inline():
+    env = Environment(initial_time=2.0)
+    env.timeout(7.5)  # a later entry does not refuse
+    before = (env.events_processed, env.queue_depth)
+    assert env.try_advance(7.25)
+    assert env.now == 2.0 + 7.25
+    assert (env.events_processed, env.queue_depth) == before
+    log = []
+    env.process(sleeper(env, 0.125, log))
+    env.run()
+    assert log == [(9.375, "inline")]
+    # bootstrap + process completion + the 9.5 timeout; the delay cost nothing.
+    assert env.events_processed == 3
+
+
+def test_delay_refuses_when_the_head_is_earlier():
+    env = Environment()
+    env.timeout(3.0)
+    assert not env._would_run_next(NORMAL, 5.0)
+    assert not env.try_advance(5.0)
+    assert env.now == 0.0 and env.queue_depth == 1  # touched nothing
+    assert env.try_advance(2.0)  # ... and a shorter delay still goes
+
+
+def test_delay_refuses_when_the_head_is_exactly_at_its_deadline():
+    """The entry already there holds the older sequence number and wins the
+    tie: a timeout is NORMAL, the least urgent priority there is."""
+    env = Environment()
+    order = []
+    env.timeout(5.0).add_callback(lambda _event: order.append("older"))
+    assert not env._would_run_next(NORMAL, 5.0)
+    assert env._would_run_next(URGENT, 5.0)  # only a more urgent entry overtakes
+    assert not env.try_advance(5.0)
+
+    def late():
+        env.try_advance(5.0) or (yield env.timeout(5.0))
+        order.append("late")
+
+    env.process(late())
+    env.run()
+    assert order == ["older", "late"]
+
+
+def test_delay_refuses_behind_a_ghost():
+    env = Environment()
+    env.timeout(1.0).defuse()  # a no-op entry, but it is still the head
+    assert not env.try_advance(2.0)
+
+
+def test_delay_refuses_mid_fan_out():
+    env = Environment()
+    start = Event(env)
+    logs = {"a": [], "b": []}
+
+    def waiter(tag):
+        yield start
+        yield from sleeper(env, 1.0, logs[tag])
+
+    env.process(waiter("a"))
+    env.process(waiter("b"))
+    env.run(until=1.0)
+    start.succeed()
+    env.run()
+    # "a" is not the last thing the dispatch of `start` does; "b" is, but
+    # by then a's timeout sits in the heap at the same deadline.
+    assert logs == {"a": [(2.0, "heap")], "b": [(2.0, "heap")]}
+
+
+def test_delay_refuses_beyond_run_until_time():
+    """``run(until=T)`` hands control back at T — that is how power cuts
+    are timed — so a delay reaching past T stays a pending timeout."""
+    env = Environment()
+    log = []
+
+    def flow():
+        yield from sleeper(env, 4.0, log)   # 4.0 <= T: inline
+        yield from sleeper(env, 6.0, log)   # exactly T: the parent runs it too
+        yield from sleeper(env, 0.5, log)   # 10.5 > T: must not happen yet
+
+    env.process(flow())
+    env.run(until=10.0)
+    assert log == [(4.0, "inline"), (10.0, "inline")]
+    assert env.now == 10.0 and env.queue_depth == 1  # one timeout left pending
+    assert env.peek() == 10.5
+    env.run()  # no horizon any more
+    assert log[-1] == (10.5, "heap") and env.now == 10.5
+
+
+def test_delay_refuses_in_the_last_dispatch_of_run_until():
+    """Whatever the target's dispatch resumes runs *before* the caller of
+    ``run_until`` takes over (kamlbench spins, the crash harness cuts power
+    there): it must stop where the heap-driven kernel would have."""
+    env = Environment()
+    log = []
+
+    def child():
+        env.try_advance(1.0) or (yield env.timeout(1.0))
+
+    target = env.process(child())
+
+    def follower():
+        yield target
+        log.append((env.now, "woke"))
+        yield from sleeper(env, 0.0, log)
+        yield from sleeper(env, 3.0, log)
+
+    env.process(follower())
+    env.run_until(target)
+    # Woken by the target's own dispatch, and no further: even a zero delay
+    # (and a grant) waits for the next loop.
+    assert log == [(1.0, "woke")] and env.now == 1.0
+    assert Resource(env).try_acquire() is not None  # flag cleared on return
+    env.run()
+    assert log == [(1.0, "woke"), (1.0, "heap"), (4.0, "inline")]
+
+
+def test_delay_and_grant_refuse_under_step():
+    """``step()`` dispatches one event and the caller decides what next."""
+    env = Environment()
+    log = []
+    resource = Resource(env)
+
+    def flow():
+        log.append(resource.try_acquire() is not None)
+        yield from sleeper(env, 2.0, log)
+
+    env.process(flow())
+    env.step()  # the bootstrap
+    assert log == [False] and env.now == 0.0 and env.queue_depth == 1
+    env.step()  # the timeout
+    assert log == [False, (2.0, "heap")]
+
+
+def test_negative_delay_still_raises_through_the_fallback():
+    env = Environment()
+    assert not env.try_advance(-1.0) and env.now == 0.0
+
+    def flow():
+        env.try_advance(-1.0) or (yield env.timeout(-1.0))
+
+    env.process(flow())
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        env.run()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Differential oracle for zero-event acquisition over random process graphs.
+"""Differential oracle for zero-event acquisitions and delays over random
+process graphs.
 
 Every generated program runs twice: once normally, once with the kernel's
-"would run next" predicate forced false so every acquisition goes through
-the heap as it did before the fast path existed.  The two runs must resume
-every process at the same instants in the same global order, and differ in
-dispatched events by exactly the number of grants the normal run elided.
+"would run next" predicate forced false so every acquisition and every
+delay goes through the heap as it did before the fast paths existed.  The
+two runs must resume every process at the same instants in the same global
+order — also as seen by a driver that takes control back between
+``run(until=...)`` slices or ``run_until`` calls — and differ in dispatched
+events by exactly the number of grants and advances the normal run elided.
 """
 
 from hypothesis import given, settings
@@ -31,12 +34,22 @@ STEP = st.one_of(
     st.tuples(st.just("fire"), st.integers(0, 1)),
     st.tuples(st.just("join"), st.integers(0, 1)),   # one event, many waiters
     st.tuples(st.just("spawn"), DELAYS),             # child process hand-off
+    st.tuples(st.just("await"), st.integers(0, 4)),  # an earlier body: what the "join" driver joins
 )
 
 PROGRAM = st.lists(st.lists(STEP, min_size=1, max_size=7), min_size=1, max_size=6)
 
+#: How the driver runs the schedule: in one go, in ``run(until=T)`` slices,
+#: or joining each process in turn with ``run_until``.  Between calls it
+#: notes how far every process has got.
+DRIVE = st.one_of(
+    st.just(("run",)),
+    st.tuples(st.just("slices"), st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.5, 6.0]), max_size=3)),
+    st.just(("join",)),
+)
 
-def execute(program, seam):
+
+def execute(program, seam, drive=("run",)):
     """Run ``program`` under ``seam``; returns (trace, final now, events,
     grants counted by the seam or None)."""
     with seam() as grants:
@@ -49,7 +62,7 @@ def execute(program, seam):
         trace = []
 
         def child(pid, index, delay):
-            yield env.timeout(delay)
+            env.try_advance(delay) or (yield env.timeout(delay))
             trace.append((env.now, pid, index, "child"))
             return delay
 
@@ -57,19 +70,19 @@ def execute(program, seam):
             for index, step in enumerate(steps):
                 kind = step[0]
                 if kind == "sleep":
-                    yield env.timeout(step[1])
+                    env.try_advance(step[1]) or (yield env.timeout(step[1]))
                 elif kind == "resource":
                     resource = resources[step[1]]
                     request = resource.try_acquire() or (yield resource.request())
                     trace.append((env.now, pid, index, "granted"))
-                    yield env.timeout(step[2])
+                    env.try_advance(step[2]) or (yield env.timeout(step[2]))
                     resource.release(request)
                 elif kind == "lock":
                     lock = locks[step[1]]
                     if not lock.try_acquire(owner=pid):
                         yield lock.acquire(owner=pid)
                     trace.append((env.now, pid, index, "locked"))
-                    yield env.timeout(step[2])
+                    env.try_advance(step[2]) or (yield env.timeout(step[2]))
                     lock.release()
                 elif kind == "both":
                     resource, lock = resources[step[1]], locks[step[2]]
@@ -77,7 +90,7 @@ def execute(program, seam):
                     if not lock.try_acquire(owner=pid):
                         yield lock.acquire(owner=pid)
                     trace.append((env.now, pid, index, "both"))
-                    yield env.timeout(step[3])
+                    env.try_advance(step[3]) or (yield env.timeout(step[3]))
                     lock.release()
                     resource.release(request)
                 elif kind == "nvram":
@@ -85,7 +98,7 @@ def execute(program, seam):
                     if handle is None:
                         handle = yield nvram.reserve(step[1])
                     trace.append((env.now, pid, index, "reserved", handle))
-                    yield env.timeout(step[2])
+                    env.try_advance(step[2]) or (yield env.timeout(step[2]))
                     nvram.release(handle)
                 elif kind == "all_of":
                     yield env.all_of([env.timeout(delay) for delay in step[1]])
@@ -101,20 +114,29 @@ def execute(program, seam):
                     yield shared[step[1]]
                 elif kind == "spawn":
                     yield env.process(child(pid, index, step[1]))
+                elif kind == "await" and pid:
+                    yield procs[step[1] % pid]  # earlier bodies only: no cycles
                 trace.append((env.now, pid, index, kind))
 
-        for pid, steps in enumerate(program):
-            env.process(body(pid, steps))
+        procs = [env.process(body(pid, steps)) for pid, steps in enumerate(program)]
+        if drive[0] == "slices":
+            for cut in sorted(drive[1]):
+                env.run(until=cut)
+                trace.append((env.now, "driver", len(trace)))
+        elif drive[0] == "join":
+            for proc in procs:
+                env.run_until(proc)
+                trace.append((env.now, "driver", len(trace)))
         env.run()
         assert all(r.in_use == 0 for r in resources) and nvram.used_bytes == 0
         return trace, env.now, env.events_processed, grants and grants[0]
 
 
 @settings(max_examples=250, deadline=None)
-@given(PROGRAM)
-def test_inline_grants_reorder_nothing(program):
-    trace, now, events, elided = execute(program, counted_grants)
-    ref_trace, ref_now, ref_events, _ = execute(program, forced_refusal)
+@given(PROGRAM, DRIVE)
+def test_inline_grants_reorder_nothing(program, drive):
+    trace, now, events, elided = execute(program, counted_grants, drive)
+    ref_trace, ref_now, ref_events, _ = execute(program, forced_refusal, drive)
     assert trace == ref_trace
     assert now == ref_now
     assert ref_events - events == elided
@@ -145,7 +167,7 @@ def test_the_oracle_can_fail():
         return order
 
     exact = two_waiters()
-    with predicate(lambda original: lambda self, priority: True):
+    with predicate(lambda original: lambda self, priority, delay=0.0: True):
         reckless = two_waiters()
     assert exact == [("a", "woke"), ("b", "woke"), ("a", "granted"), ("b", "granted")]
     assert reckless != exact
