@@ -161,6 +161,8 @@ class FlashChip:
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )
         try:
+            if generation != self.generation:
+                return None  # power was cut while queued; the pulse never starts
             started = self.env.now
             self.env.try_advance(self._erase_us) or (yield self.env.timeout(self._erase_us))
             self.stats.erases += 1
