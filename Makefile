@@ -49,17 +49,20 @@ bench-record:
 # Two committed records side by side: the trajectory row for TO, every
 # end-to-end delta against its BENCHMARK.json bound, and a non-zero exit
 # if a simulated/exact metric not listed in MOVED differs at all, e.g.
-# `make bench-diff FROM=18 TO=19 MOVED=sim_events_per_op`.
+# `make bench-diff FROM=18 TO=19 MOVED=sim_events_per_op`; a MOVED entry
+# may be scoped to one workload, `MOVED=cluster-2pc/sim_mean_us,...`.
 bench-diff:
-	@test -n "$(FROM)" -a -n "$(TO)" || { echo "usage: make bench-diff FROM=<n> TO=<n> [MOVED=metric,...]"; exit 2; }
+	@test -n "$(FROM)" -a -n "$(TO)" || { echo "usage: make bench-diff FROM=<n> TO=<n> [MOVED=[workload/]metric,...]"; exit 2; }
 	$(PYTHON) benchmarks/bench_diff.py $(FROM) $(TO) --moved "$(MOVED)"
 
 # The CI smoke benchmarks: Figure 5 leaves metrics + Chrome trace +
 # flight-recorder artifacts in benchmarks/artifacts/ (the perf gate reads
-# them); Figures 10 and 8 guard read and write parallelism.
+# them); Figures 10 and 8 guard read and write parallelism, the QoS
+# ablation guards read isolation (dies suspending programs for host reads).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig5_bandwidth.py -q
-	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py -q
+	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py \
+		benchmarks/test_ablation_qos.py -q
 
 # Simulator-throughput benchmark: deterministic sim-event counts (gated
 # by perf-gate alongside the fig5 numbers) plus wall events/sec and

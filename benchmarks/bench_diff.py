@@ -3,6 +3,7 @@
 Prints the docs/performance.md trajectory row for TO and each (workload, metric)
 delta against its BENCHMARK.json bound; exits 1 if, for the same seed, a simulated
 or exact metric not named in ``--moved`` differs *at all* (they repeat bit-for-bit).
+A ``--moved`` entry is a metric (excused on every workload) or ``workload/metric``.
 """
 
 import argparse
@@ -26,7 +27,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="PR number of the older BENCH_<n>.json")
     parser.add_argument("new", help="PR number of the newer one")
-    parser.add_argument("--moved", default="", help="exact metrics allowed to differ (a,b,...)")
+    parser.add_argument("--moved", default="",
+                        help="exact metrics allowed to differ: metric or workload/metric (a,b,...)")
     parser.add_argument("--root", type=pathlib.Path, default=REPO, help="where the JSON files are")
     args = parser.parse_args(argv)
     old, new, contract = (
@@ -48,7 +50,7 @@ def main(argv=None):
             verdict = "WORSE" if (delta if lower else -delta) > bound else "ok"
             if same_seed and (name.startswith("sim_") or name == "write_amp"):
                 verdict = "identical" if a == b else f"{verdict}, moved as declared"
-                if a != b and name not in moved:
+                if a != b and name not in moved and f"{workload}/{name}" not in moved:
                     verdict = "MOVED: exact metric, same seed"
                     broken.append(f"{workload} {name}: {a!r} -> {b!r}")
             cells = (short(a), short(b), f"{delta:+.1%}", f"{bound:.0%}", verdict)

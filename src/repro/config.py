@@ -82,6 +82,13 @@ class FlashTimings:
     read_us: float = 70.0
     program_us: float = 700.0
     erase_us: float = 3000.0
+    #: Program/erase suspension for a host read (Wu & He, FAST '12; an
+    #: ordinary NAND command since).  Suspend: finish the in-flight ISPP step
+    #: and ramp the pump down before the die can sense.  Resume: ramp up and
+    #: re-load the page register before the pulse carries on.  DESIGN.md
+    #: section 5 has the 20/50/100 µs sensitivity row.
+    suspend_us: float = 20.0
+    resume_us: float = 20.0
     #: Channel data bus bandwidth: 8 KB in ~20 µs (400 MB/s per channel).
     bus_bytes_per_us: float = 400.0
     #: Fixed command handshake on the bus per operation.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.config import FlashGeometry, FlashTimings
 from repro.flash.address import PagePointer
@@ -50,6 +50,11 @@ class FlashArray:
             for chip_index in range(self.geometry.chips_per_channel):
                 yield channel_index, chip_index
 
+    def attach_metrics(self, registry) -> None:
+        """Publish every die's suspension counters in the stack's registry."""
+        for _channel, _chip_index, chip in self.iter_chips():
+            chip.attach_metrics(registry)
+
     def power_loss(self) -> None:
         """Abort every in-flight program/erase: the power is gone."""
         for _channel, _chip_index, chip in self.iter_chips():
@@ -58,10 +63,10 @@ class FlashArray:
     # -- timed operations ----------------------------------------------------
 
     def read_page(self, pointer: PagePointer, transfer_bytes: int = None,
-                  ctx=NULL_CONTEXT, parent=None) -> Any:
+                  ctx=NULL_CONTEXT, parent=None, priority: bool = False) -> Any:
         result = yield from self.channel(pointer.channel).read_page(
-            pointer.chip, pointer.block, pointer.page,
-            transfer_bytes=transfer_bytes, ctx=ctx, parent=parent,
+            pointer.chip, pointer.block, pointer.page, transfer_bytes=transfer_bytes,
+            ctx=ctx, parent=parent, priority=priority,
         )
         return result
 
@@ -88,6 +93,15 @@ class FlashArray:
 
     def total_reads(self) -> int:
         return sum(chip.stats.reads for _, _, chip in self.iter_chips())
+
+    def suspension_totals(self) -> Dict[str, float]:
+        """Device-wide sums of the dies' suspension tallies, as report keys."""
+        stats = [chip.stats for _, _, chip in self.iter_chips()]
+        return {
+            "flash_suspensions": sum(s.suspensions for s in stats),
+            "flash_suspended_reads": sum(s.suspended_reads for s in stats),
+            "flash_away_us": sum(s.away_us for s in stats),
+        }
 
     def erase_count_spread(self) -> Tuple[int, int]:
         """(min, max) erase count across all blocks — wear-leveling metric."""

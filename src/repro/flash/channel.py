@@ -81,11 +81,15 @@ class FlashChannel:
 
     def read_page(self, chip_index: int, block_index: int, page_index: int,
                   transfer_bytes: int = None, ctx=NULL_CONTEXT,
-                  parent=None) -> Any:
-        """Cell read on the chip, then bus transfer toward the controller."""
+                  parent=None, priority: bool = False) -> Any:
+        """Cell read on the chip, then bus transfer toward the controller.
+
+        ``priority`` marks the read a host read command is waiting on: the
+        die suspends a program/erase for it (:mod:`repro.flash.chip`).
+        """
         chip = self.chip(chip_index)
         result = yield from chip.read_cells(
-            block_index, page_index, ctx=ctx, parent=parent
+            block_index, page_index, ctx=ctx, parent=parent, priority=priority
         )
         nbytes = self.geometry.page_size if transfer_bytes is None else transfer_bytes
         yield from self.transfer(nbytes, ctx=ctx, parent=parent)

@@ -1,8 +1,20 @@
-"""A flash chip (die): one command engine over many blocks."""
+"""A flash chip (die): one command engine over many blocks.
+
+Die arbitration is read-priority.  A program or erase is a *pulse* that
+holds ``engine``.  A **host read** (``priority=True``: the flash read a
+host read command is waiting on) that finds a pulse in flight does not
+queue: it suspends the pulse -- ``suspend_us``, the sense, and ``resume_us``
+before the pulse carries on -- and the pulse ends later by exactly the time
+the die was away.  No pulse is postponed by more than its own length; a
+read that would break that bound queues on ``engine`` like any other
+command, so writes cannot starve.  In the queue every request is keyed by
+its arrival time and a host read by ``now - program_us``: a bounded head
+start that overtakes only pulses queued within one ``t_PROG`` before it.
+"""
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.config import FlashGeometry, FlashTimings
 from repro.flash.block import FlashBlock
@@ -12,15 +24,36 @@ from repro.sim import Environment, Resource
 
 
 class ChipStats:
-    """Per-chip operation tallies (slotted: bumped on every flash op)."""
+    """Per-chip operation tallies (slotted: bumped on every flash op).
 
-    __slots__ = ("reads", "programs", "erases", "busy_us")
+    ``busy_us`` is die-occupied time counted once: a read served inside a
+    suspended pulse adds nothing, the pulse's elapsed time covers it.
+    ``away_us`` is the part of it pulses spent suspended.
+    """
+
+    __slots__ = ("reads", "programs", "erases", "busy_us",
+                 "suspensions", "suspended_reads", "away_us")
 
     def __init__(self) -> None:
         self.reads = 0
         self.programs = 0
         self.erases = 0
         self.busy_us = 0.0
+        self.suspensions = 0
+        self.suspended_reads = 0
+        self.away_us = 0.0
+
+
+class _Pulse:
+    """The program/erase in flight on a die, as a suspending read sees it."""
+
+    __slots__ = ("kind", "slack", "owed", "sense_end")
+
+    def __init__(self, kind: str, length: float):
+        self.kind = kind
+        self.slack = length  # postponement still allowed: its own length in all
+        self.owed = 0.0  # away time the pulse has not slept off yet
+        self.sense_end = float("-inf")  # end of the last suspending read's sense
 
 
 class FlashChip:
@@ -50,6 +83,13 @@ class FlashChip:
         self._read_us = timings.read_us
         self._program_us = timings.program_us
         self._erase_us = timings.erase_us
+        self._suspend_us = timings.suspend_us
+        self._resume_us = timings.resume_us
+        #: The pulse holding ``engine``; None between pulses.
+        self._pulse: Optional[_Pulse] = None
+        #: ``flash.suspensions{kind}`` / ``flash.suspended_reads``, resolved
+        #: once by :meth:`attach_metrics` (None: no registry attached).
+        self._counters = None
         #: Optional transient-fault hook (``repro.fault``): called as
         #: ``hook(op, block_index, page_index)`` and returns True when the
         #: operation should fail.  None (the default) costs nothing.
@@ -58,6 +98,14 @@ class FlashChip:
         #: mutated cells by the cut aborts instead of completing later —
         #: on real hardware the charge pump simply dies with the power.
         self.generation = 0
+
+    def attach_metrics(self, registry) -> None:
+        """Resolve the suspension counters once: no per-op label hashing."""
+        self._counters = {
+            "program": registry.counter("flash.suspensions", kind="program"),
+            "erase": registry.counter("flash.suspensions", kind="erase"),
+            "read": registry.counter("flash.suspended_reads"),
+        }
 
     def power_loss(self) -> None:
         """A power cut: operations still queued or mid-pulse never land."""
@@ -71,31 +119,83 @@ class FlashChip:
     # -- timed operations (drive with ``yield from``) ---------------------
 
     def read_cells(self, block_index: int, page_index: int,
-                   ctx=NULL_CONTEXT, parent=None) -> Any:
-        """Cell array -> page register.  Holds the chip engine for t_R.
+                   ctx=NULL_CONTEXT, parent=None, priority: bool = False) -> Any:
+        """Cell array -> page register.  Holds the chip engine for t_R, or
+        (``priority``, see the module docstring) suspends the pulse that does.
 
-        With a trace context, engine arbitration is recorded as a
+        With a trace context, the wait for the die is recorded as a
         ``nand.wait`` span (contended dies only) and the read pulse as
         ``nand.read`` — spans are bookkeeping, never simulation events.
         """
         block = self.block(block_index)
-        queued = self.env.now
-        request = self.engine.try_acquire() or (yield self.engine.request())
-        if self.env.now > queued:
+        env = self.env
+        queued = env.now
+        pulse = self._pulse
+        if priority and pulse is not None:
+            back = pulse.sense_end + self._resume_us  # the pulse carries on
+            suspends = queued >= back
+            if suspends:  # the die is on the pulse: take it off first
+                start, back = queued + self._suspend_us, queued
+            else:  # already away: join the line (or cut the resume short)
+                start = max(queued, pulse.sense_end)
+            sense_end = start + self._read_us
+            away = sense_end + self._resume_us - back
+            if away <= pulse.slack:
+                pulse.slack -= away
+                pulse.owed += away
+                pulse.sense_end = sense_end
+                delay = sense_end - queued
+                env.try_advance(delay) or (yield env.timeout(delay))
+                stats, counters = self.stats, self._counters
+                stats.reads += 1
+                stats.suspended_reads += 1
+                stats.suspensions += suspends
+                stats.away_us += away
+                if counters is not None:
+                    counters["read"].inc()
+                    counters[pulse.kind].inc(suspends)
+                if start > queued:
+                    ctx.record_span(
+                        "nand.wait", start_us=queued, end_us=start,
+                        parent=parent, chip=self.name,
+                    )
+                ctx.record_span(
+                    "nand.read", start_us=start, parent=parent, chip=self.name
+                )
+                return block.read(page_index)
+        key = queued - self._program_us if priority else queued
+        request = self.engine.try_acquire() or (yield self.engine.request(key))
+        if env.now > queued:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )
         try:
-            started = self.env.now
-            self.env.try_advance(self._read_us) or (yield self.env.timeout(self._read_us))
+            started = env.now
+            env.try_advance(self._read_us) or (yield env.timeout(self._read_us))
             self.stats.reads += 1
-            self.stats.busy_us += self.env.now - started
+            self.stats.busy_us += env.now - started
             ctx.record_span(
                 "nand.read", start_us=started, parent=parent, chip=self.name
             )
             return block.read(page_index)
         finally:
             self.engine.release(request)
+
+    def _spend_pulse(self, kind: str, length: float, ctx, parent, **tags) -> Any:
+        """Spend a program/erase pulse on the die: ``length`` µs, then
+        whatever suspending reads kept the die away, until nothing is owed."""
+        env = self.env
+        self._pulse = pulse = _Pulse(kind, length)
+        started = env.now
+        env.try_advance(length) or (yield env.timeout(length))
+        while pulse.owed:
+            owed, pulse.owed = pulse.owed, 0.0
+            env.try_advance(owed) or (yield env.timeout(owed))
+        self.stats.busy_us += env.now - started
+        ctx.record_span(
+            f"nand.{kind}", start_us=started, parent=parent, chip=self.name,
+            away_us=length - pulse.slack, **tags,
+        )
 
     def program_cells(
         self, block_index: int, page_index: int, data: Any, oob: Any,
@@ -114,7 +214,7 @@ class FlashChip:
         if generation is None:
             generation = self.generation
         queued = self.env.now
-        request = self.engine.try_acquire() or (yield self.engine.request())
+        request = self.engine.try_acquire() or (yield self.engine.request(queued))
         if self.env.now > queued:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
@@ -127,27 +227,19 @@ class FlashChip:
                 # advances past it) but holds no records — an all-zero OOB
                 # bitmap decodes to nothing, so scans and GC skip it.
                 block.program(page_index, {}, oob=0)
-                started = self.env.now
-                self.env.try_advance(self._program_us) or (yield self.env.timeout(self._program_us))
-                self.stats.programs += 1
-                self.stats.busy_us += self.env.now - started
-                ctx.record_span(
-                    "nand.program", start_us=started, parent=parent,
-                    chip=self.name, failed=True,
+                yield from self._spend_pulse(
+                    "program", self._program_us, ctx, parent, failed=True
                 )
+                self.stats.programs += 1
                 raise ProgramFailure(
                     f"{self.name}: program verify failed at block "
                     f"{block_index} page {page_index}"
                 )
             block.program(page_index, data, oob)
-            started = self.env.now
-            self.env.try_advance(self._program_us) or (yield self.env.timeout(self._program_us))
+            yield from self._spend_pulse("program", self._program_us, ctx, parent)
             self.stats.programs += 1
-            self.stats.busy_us += self.env.now - started
-            ctx.record_span(
-                "nand.program", start_us=started, parent=parent, chip=self.name
-            )
         finally:
+            self._pulse = None
             self.engine.release(request)
 
     def erase(self, block_index: int, ctx=NULL_CONTEXT, parent=None) -> Any:
@@ -155,7 +247,7 @@ class FlashChip:
         block = self.block(block_index)
         generation = self.generation
         queued = self.env.now
-        request = self.engine.try_acquire() or (yield self.engine.request())
+        request = self.engine.try_acquire() or (yield self.engine.request(queued))
         if self.env.now > queued:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
@@ -163,13 +255,8 @@ class FlashChip:
         try:
             if generation != self.generation:
                 return None  # power was cut while queued; the pulse never starts
-            started = self.env.now
-            self.env.try_advance(self._erase_us) or (yield self.env.timeout(self._erase_us))
+            yield from self._spend_pulse("erase", self._erase_us, ctx, parent)
             self.stats.erases += 1
-            self.stats.busy_us += self.env.now - started
-            ctx.record_span(
-                "nand.erase", start_us=started, parent=parent, chip=self.name
-            )
             if generation != self.generation:
                 return None  # power was cut mid-pulse; the cells kept their charge
             if self.fault_hook is not None and self.fault_hook("erase", block_index, None):
@@ -180,4 +267,5 @@ class FlashChip:
                 )
             block.erase()
         finally:
+            self._pulse = None
             self.engine.release(request)

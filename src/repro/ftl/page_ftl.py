@@ -83,6 +83,7 @@ class PageFtl:
             clock=lambda: env.now
         )
         env.attach_metrics(self.metrics)
+        array.attach_metrics(self.metrics)
         self.tracer = Tracer(clock=lambda: env.now)
         env.attach_tracer(self.tracer)
         self.geometry = config.geometry
@@ -151,7 +152,8 @@ class PageFtl:
             read_span = ctx.begin("ftl.flash_read", parent=ctx.root)
             try:
                 data, oob = yield from self.array.read_page(
-                    pointer, transfer_bytes=nbytes, ctx=ctx, parent=read_span
+                    pointer, transfer_bytes=nbytes, ctx=ctx, parent=read_span,
+                    priority=True,
                 )
             finally:
                 ctx.finish(read_span)

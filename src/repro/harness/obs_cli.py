@@ -49,11 +49,14 @@ def _dashboard(env, ssd, namespace_id, interval_us, done, out):
         put_row = summary.get(f"slo.put.us{{namespace={namespace_id}}}") or {}
         get_row = summary.get(f"slo.store.get.us{{namespace={namespace_id}}}") or {}
         recorder = ssd.tracer.recorder
+        dies = ssd.array.suspension_totals()
         print(
             f"[obs t={env.now:>10.0f}us] "
             f"put p99={put_row.get('p99', 0.0):>8.1f}us "
             f"get p99={get_row.get('p99', 0.0):>8.1f}us "
             f"breaches={len(ssd.slo.breaches):>3d} "
+            f"suspensions={dies['flash_suspensions']:>4d} "
+            f"(reads {dies['flash_suspended_reads']}, away {dies['flash_away_us']:.0f}us) "
             f"spans={recorder.recorded:>6d} (dropped {recorder.dropped})",
             file=out,
         )

@@ -132,6 +132,7 @@ class KamlSsd:
         env.attach_tracer(self.tracer)
         self.slo = SloTracker(self.metrics, self.tracer.recorder)
         self.array = FlashArray(env, config.geometry, config.flash)
+        self.array.attach_metrics(self.metrics)
         self.firmware = FirmwarePool(env, config.resources.firmware_contexts)
         self.firmware.metrics = self.metrics
         self.nvram = NvramBuffer(env, config.resources.nvram_bytes)
@@ -377,7 +378,7 @@ class KamlSsd:
                 data, _oob = yield from self.array.read_page(
                     location.page,
                     transfer_bytes=location.nchunks * self.geometry.chunk_size,
-                    ctx=ctx, parent=read_span,
+                    ctx=ctx, parent=read_span, priority=True,
                 )
             finally:
                 self._unpin(block_key)
@@ -502,7 +503,7 @@ class KamlSsd:
             self._pin(block_key)
         try:
             data, _oob = yield from self.array.read_page(
-                location.page,
+                location.page, priority=True,
                 transfer_bytes=location.nchunks * self.geometry.chunk_size,
             )
         finally:
@@ -561,7 +562,7 @@ class KamlSsd:
                 continue  # deleted while the scan was in flight
             try:
                 data, _oob = yield from self.array.read_page(
-                    location.page,
+                    location.page, priority=True,
                     transfer_bytes=location.nchunks * self.geometry.chunk_size,
                 )
             finally:
@@ -1666,6 +1667,7 @@ class KamlSsd:
             "gc_erased_blocks": int(self.metrics.total("kaml.log.gc.erased_blocks")),
             "flash_programs": self.array.total_programs(),
             "flash_reads": self.array.total_reads(),
+            **self.array.suspension_totals(),
             "erase_count_min": erase_low,
             "erase_count_max": erase_high,
         }

@@ -2,7 +2,9 @@
 
 :class:`Resource` models anything with finite concurrency: a flash channel's
 data bus, a chip's command engine, the WAL's log mutex.  Requests are served
-FIFO (optionally by priority).
+FIFO, or in ``(priority, arrival)`` order when callers pass a priority: any
+float sorts, so a queue can be keyed by time (a flash die keys each request
+by its arrival instant and gives host reads a bounded head start).
 
 Usage inside a process::
 
@@ -49,7 +51,7 @@ class Request(Event):
 
     __slots__ = ("resource", "priority", "cancelled")
 
-    def __init__(self, resource: "Resource", priority: int):
+    def __init__(self, resource: "Resource", priority: float):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
@@ -78,7 +80,7 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._ticket = 0
-        self._waiting: List[Tuple[int, int, Request]] = []
+        self._waiting: List[Tuple[float, int, Request]] = []
         self._ncancelled = 0
         #: What every inline grant hands back (see :meth:`try_acquire`).
         self._token = token = Request(self, 0)
@@ -97,8 +99,9 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    def request(self, priority: int = 0) -> Request:
-        """Claim one unit.  The returned event fires when granted."""
+    def request(self, priority: float = 0) -> Request:
+        """Claim one unit.  The returned event fires when granted; waiters
+        are granted lowest ``priority`` first, FIFO among equals."""
         request = Request(self, priority)
         if self._in_use < self.capacity and not self._waiting:
             self._in_use += 1

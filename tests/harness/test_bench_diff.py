@@ -14,13 +14,13 @@ spec.loader.exec_module(bench_diff)
 
 @pytest.fixture
 def root(tmp_path):
-    """BENCHMARK.json plus BENCH_18.json copied as PR 1 and a doctored PR 2."""
-    contract = (REPO / "BENCHMARK.json").read_text()
-    record = json.loads((REPO / "BENCH_18.json").read_text())
-    (tmp_path / "BENCHMARK.json").write_text(contract)
-    (tmp_path / "BENCH_1.json").write_text(json.dumps(record))
+    """BENCHMARK.json plus a committed record (BENCH_18.json unless said
+    otherwise) copied as PR 1 and a doctored PR 2."""
+    (tmp_path / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
 
-    def doctor(scaled, seed=1):
+    def doctor(scaled, seed=1, base=18):
+        record = json.loads((REPO / f"BENCH_{base}.json").read_text())
+        (tmp_path / "BENCH_1.json").write_text(json.dumps(record))
         doctored = json.loads(json.dumps(record))
         doctored["seed"] = seed
         for (workload, metric), factor in scaled.items():
@@ -61,6 +61,28 @@ def test_the_smallest_move_of_a_simulated_result_fails_even_inside_its_bound(roo
         "cluster-2pc sim_p999_us", "ycsb-b-hot write_amp",
     ]
     assert "MOVED: exact metric, same seed" in capsys.readouterr().out
+
+
+def test_a_move_scoped_to_a_workload_excuses_no_other_workload(root, capsys):
+    """``workload/metric`` lets three workloads move while the bypass
+    workload must still repeat to the last bit."""
+    moved = ["--moved", "cluster-2pc/sim_mean_us,ycsb-b-cold/sim_mean_us,sim_events_per_op"]
+    scaled = {("cluster-2pc", "sim_mean_us"): 0.6, ("ycsb-b-cold", "sim_mean_us"): 0.98,
+              ("ycsb-b-hot", "sim_events_per_op"): 1.004}
+    assert bench_diff.main(root(scaled, base=19) + moved) == 0
+    out = capsys.readouterr().out
+    table = {tuple(line.split()[:2]): line for line in out.splitlines()[3:]}
+    assert table["cluster-2pc", "sim_mean_us"].endswith("ok, moved as declared")
+    assert table["put-gc", "sim_mean_us"].endswith("identical")
+
+    scaled["put-gc", "sim_mean_us"] = 1.0 + 1e-12
+    complaint = bench_diff.main(root(scaled, base=19) + moved)
+    assert [line.split(":")[2].strip() for line in complaint.splitlines()] == [
+        "put-gc sim_mean_us",
+    ]
+    # The same name unscoped would have excused it everywhere.
+    unscoped = ["--moved", "sim_mean_us,sim_events_per_op"]
+    assert bench_diff.main(root(scaled, base=19) + unscoped) == 0
 
 
 def test_different_seeds_are_held_to_the_bounds_only(root, capsys):

@@ -28,6 +28,7 @@ def test_smoke_run_reports_full_span_tree():
     text = out.getvalue()
     assert "Trace summary" in text
     assert "[obs t=" in text  # the live dashboard printed at least one line
+    assert " suspensions=" in text  # ... with the dies' suspension tallies
 
 
 def test_slo_breaches_are_detected_and_dumped():

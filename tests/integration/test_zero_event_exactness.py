@@ -1,8 +1,10 @@
 """Exactness oracle for zero-event acquisitions and delays on the real stack.
 
-A mixed Get/Put/delete workload that drives GC on one device, a 2-shard
-cluster with cross-shard atomic Puts, and a device whose power is cut by
-``run(until=T)`` mid-workload, each run twice: normally, and with
+A mixed Get/Put/delete workload that drives GC on one device, host reads
+under a write flood (so dies suspend programs and erases for them, and
+power is cut while one is suspended), a 2-shard cluster with cross-shard
+atomic Puts, and a device whose power is cut by ``run(until=T)``
+mid-workload, each run twice: normally, and with
 ``Environment._would_run_next`` forced false so every firmware context,
 chip engine, bus, PCIe pipe, program lock and NVRAM reservation is granted,
 and every cost delay taken, through the heap as before the fast paths.
@@ -21,6 +23,7 @@ from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
 from repro.config import FlashGeometry, KamlParams, ReproConfig
 from repro.errors import PowerLossError
 from repro.fault.harness import default_device_config
+from repro.fault.shadow import ShadowModel
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.sim import Environment
 
@@ -108,6 +111,102 @@ def device_scenario():
     return env, ops
 
 
+def flood_scenario(cut_while_suspended=None):
+    """Three readers of keys that live on flash beside four zero-think-time
+    writers: most Gets find their die mid-program, some mid-erase, and
+    suspend it.  With ``cut_while_suspended="program"|"erase"`` the power
+    dies by ``run(until=T)`` at the first instant a die is away from such a
+    pulse, sensing; the device must recover to the shadow model's verdict."""
+    env, ssd, nsid = small_device()
+    rng = random.Random(23)
+    shadow = ShadowModel()
+    static, churned = range(16), range(16, 32)
+    ops = []
+
+    def put(client, key, size):
+        op_id = shadow.begin("put", [key])
+        item = PutItem(nsid, key, shadow.value_for(op_id, key), size)
+        yield from timed(env, ops, client, "put", ssd.put([item]))
+        shadow.ack(op_id)
+
+    def populate():
+        for key in static:
+            yield from put("setup", key, 900)
+        yield from ssd.drain()
+
+    env.run_until(env.process(populate()))
+
+    def writer(partition):
+        mine = [k for k in churned if k % 4 == partition]
+        try:
+            for i in range(500):
+                if ssd.epoch:
+                    return  # power was cut; the host stops issuing
+                yield from put(partition, mine[i % len(mine)], 2048)
+        except PowerLossError:
+            return
+
+    def reader(client):
+        try:
+            for _ in range(260):
+                if ssd.epoch:
+                    return
+                yield from timed(env, ops, client, "get", ssd.get(nsid, rng.choice(static)))
+                think_us = rng.choice([0.0, 40.0, 250.0])
+                env.try_advance(think_us) or (yield env.timeout(think_us))
+        except PowerLossError:
+            return
+
+    procs = [env.process(writer(p)) for p in range(4)]
+    procs += [env.process(reader(4 + r)) for r in range(3)]
+    done = env.all_of(procs)  # also where a ghost's sanitizer complaint lands
+    if cut_while_suspended is None:
+        env.run_until(done)
+        env.run_until(env.process(ssd.drain()))
+        # The schedule under test suspends both kinds of pulse.
+        assert ssd.metrics.value("flash.suspensions", kind="program") > 100
+        assert ssd.metrics.value("flash.suspensions", kind="erase") > 10
+        # One tally, three views: per-die stats, the report, the registry.
+        report = ssd.utilization_report()
+        assert report["flash_suspensions"] == ssd.metrics.total("flash.suspensions")
+        assert report["flash_suspended_reads"] == ssd.metrics.value("flash.suspended_reads")
+        assert 0.0 < report["flash_away_us"] < env.now * 4
+        return env, ops
+
+    def die_away():
+        for _channel, _index, chip in ssd.array.iter_chips():
+            pulse = chip._pulse
+            if (pulse is not None and pulse.kind == cut_while_suspended
+                    and env.now < pulse.sense_end):
+                return chip
+        return None
+
+    while die_away() is None:
+        env.run(until=env.now + 5.0)
+    chip = die_away()
+    ops.append(("cut", chip.name, env.queue_depth, len(ops), env.now))
+    before = [(b.erase_count, b.programmed_pages) for b in chip.blocks]
+    ssd.power_loss()
+    env.run(until=env.now + 7_000.0)  # the ghost pulse runs out its time
+    # Cells were written at pulse start and an erase lands at pulse end, so
+    # a cut inside a suspension tears or keeps exactly what it would have:
+    # the suspended erase did not erase.
+    assert [(b.erase_count, b.programmed_pages) for b in chip.blocks] == before
+
+    def recover_and_read_back():
+        yield from ssd.recover()
+        observed = {}
+        for key in shadow.touched_keys:
+            observed[key] = yield from timed(env, ops, "audit", key, ssd.get(nsid, key))
+        return observed
+
+    proc = env.process(recover_and_read_back())
+    env.run_until(proc)
+    assert shadow.verify(proc.value) == []
+    ops.append(("sim_time_us", env.now))
+    return env, ops
+
+
 def cluster_scenario():
     env = Environment()
     cluster = KamlCluster.build(env, default_device_config(), ClusterConfig(num_shards=2))
@@ -184,6 +283,17 @@ def power_cut_scenario(cut_at):
 
 def test_device_with_gc_is_bit_identical_and_cheaper():
     events, reference = run_twice(device_scenario)
+    assert events < 0.9 * reference
+
+
+def test_reads_suspending_a_write_flood_are_bit_identical_and_cheaper():
+    events, reference = run_twice(flood_scenario)
+    assert events < 0.9 * reference
+
+
+@pytest.mark.parametrize("kind", ["program", "erase"])
+def test_power_cut_while_a_pulse_is_suspended_recovers_identically(kind):
+    events, reference = run_twice(lambda: flood_scenario(cut_while_suspended=kind))
     assert events < 0.9 * reference
 
 

@@ -115,3 +115,6 @@ def test_utilization_report_fields():
     assert report["staged_records"] == 0
     assert report["free_blocks"] > 0
     assert report["erase_count_max"] >= report["erase_count_min"]
+    # No host read met a program: nothing was suspended.
+    assert report["flash_suspensions"] == report["flash_suspended_reads"] == 0
+    assert report["flash_away_us"] == 0.0
