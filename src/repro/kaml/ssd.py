@@ -801,7 +801,7 @@ class KamlSsd:
         )
 
     def _append_record(
-        self, namespace, record, epoch: int, ctx=NULL_CONTEXT, parent=None
+        self, record, epoch: int, ctx=NULL_CONTEXT, parent=None
     ) -> Any:
         """Append one record, re-checking the epoch at first resume.
 
@@ -812,10 +812,13 @@ class KamlSsd:
         recovered epoch's write point.  That ghost page is worse than a
         leak: its flush can fire mid-recovery, before the flash rescan
         has rebuilt the block lists, and wedge replay with a spurious
-        log-full error.
+        log-full error.  A namespace deleted after the ack is skipped
+        the same way: its records can never be read, so they are garbage
+        before they are written.
         """
-        if self.epoch != epoch:
-            return None  # ghost append from before a cut
+        namespace = self.namespaces.get(record.namespace_id)
+        if self.epoch != epoch or namespace is None:
+            return None
         log = self._pick_log(namespace, record)
         location = yield from log.append(record, ctx=ctx, parent=parent)
         # The mark is captured in the same event cascade as *this*
@@ -851,11 +854,10 @@ class KamlSsd:
         try:
             appends = []
             for item, version in zip(items, versions):
-                namespace = self.namespaces[item.namespace_id]
                 record = Record(*item, seq=version)
                 appends.append(
                     self.env.process(
-                        self._append_record(namespace, record, epoch, ctx, phase2_span)
+                        self._append_record(record, epoch, ctx, phase2_span)
                     )
                 )
             landed = yield self.env.all_of(appends)
@@ -868,7 +870,7 @@ class KamlSsd:
             if self.epoch == epoch:
                 for item, version, landing in zip(items, versions, landed):
                     if landing is None:
-                        continue  # ghost append: a cut landed mid-phase-2
+                        continue  # never appended: a cut, or the namespace is gone
                     location, mark = landing
                     location = yield from self._refresh_location(
                         item, version, location, mark, epoch

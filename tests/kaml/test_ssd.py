@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import sanitize
 from repro.config import KamlParams, ReproConfig
 from repro.kaml import (
     DedicatedLogsPolicy,
@@ -349,3 +350,35 @@ def test_stats_counters():
     assert ssd.metrics.total("kaml.ssd.puts") == 1
     assert ssd.metrics.total("kaml.ssd.put_records") == 3
     assert ssd.metrics.total("kaml.ssd.gets") == 1
+
+
+# -- namespace deleted under an acknowledged command ------------------------
+
+def test_namespace_deleted_after_ack_leaves_no_reservation_or_pin():
+    """An acked Put (or Delete) whose namespace is dropped before its
+    background half runs completes quietly: the NVRAM pin is released
+    and the completion process resolves instead of raising."""
+    sanitize.set_enabled(True)
+    try:
+        env, ssd = make_ssd()
+
+        def flow():
+            # Put: the namespace goes before phase 2 takes its first step.
+            nsid = yield from ssd.create_namespace()
+            done = yield from ssd.put([PutItem(nsid, k, "v", 512) for k in range(3)])
+            yield from ssd.delete_namespace(nsid)
+            yield done
+            # Delete: the namespace goes while the tombstone append is in flight.
+            nsid = yield from ssd.create_namespace()
+            yield from put_one(ssd, nsid, 1, "x")
+            yield from ssd.drain()
+            yield from ssd.delete(nsid, 1)
+            yield env.timeout(1.0)  # _complete_delete is now waiting on its page
+            yield from ssd.delete_namespace(nsid)
+            yield from ssd.drain()
+
+        run(env, flow())
+        assert len(ssd.nvram) == 0
+        ssd.close()  # SAN-NVRAM / SAN-PIN
+    finally:
+        sanitize.set_enabled(None)
