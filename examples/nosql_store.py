@@ -23,12 +23,13 @@ def run_kaml():
     ycsb = Ycsb(env, adapter, records=RECORDS, workload="a", seed=5)
     ycsb.setup()
     result = ycsb.run(threads=THREADS, ops_per_thread=OPS_PER_THREAD)
+    hits = store.metrics.total("cache.hits")
     print(format_kv("KAML caching layer, YCSB-A", {
         "operations": result.transactions,
         "throughput ops/s": result.tps,
         "mean latency us": result.mean_latency_us,
-        "cache hit ratio": store.buffer.stats.hit_ratio,
-        "cache evictions": store.buffer.stats.evictions,
+        "cache hit ratio": hits / (hits + store.metrics.total("cache.misses")),
+        "cache evictions": int(store.metrics.total("cache.evictions")),
         "deadlock aborts": result.aborts,
     }))
     return result.tps

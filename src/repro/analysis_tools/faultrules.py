@@ -21,9 +21,10 @@ from repro.analysis_tools.core import (
 from repro.analysis_tools.graph import Project
 
 #: Device-private state fault code must never read: the per-namespace
-#: mapping table and the SSD's install/staging bookkeeping.
+#: mapping table, and the ``Mapping`` with its install/staging bookkeeping.
 _FORBIDDEN_ATTRS = {
     "index",
+    "mapping",
     "_installed_versions",
     "_staged",
     "_valid_bytes",

@@ -24,7 +24,7 @@ from the dataflow engine (:mod:`repro.analysis_tools.dataflow`).  Both
 under-approximate, so an unresolvable receiver silences the rule rather
 than producing a spurious race.
 
-The fix is the same one `_pin_location` applies in ``kaml/ssd.py``:
+The fix is the same one ``Mapping.read`` applies in ``kaml/mapping.py``:
 re-validate (or pin) the shared state *after* the yield, in the same
 sim instant as its use, or hold a common lock across the window.
 """

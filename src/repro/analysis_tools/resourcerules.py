@@ -3,9 +3,9 @@ call boundaries.
 
 Two counted resources keep the firmware honest:
 
-* **block pins** — ``self._pin(block)`` / ``self._unpin(block)`` guard
-  flash locations against GC erase; a leaked pin wedges GC forever
-  (``wait_unpinned`` never drains).
+* **block pins** — ``self._pin(block)`` / ``self._unpin(block)``
+  (``kaml/mapping.py``) guard flash locations against GC erase; a leaked
+  pin wedges GC forever (``wait_unpinned`` never drains).
 * **NVRAM reservations** — ``self.nvram.reserve(...)`` (or its
   zero-event form ``try_reserve``, see ``TryThenWait``) /
   ``self.nvram.release(handle)`` bound the persistent staging buffer; a
@@ -29,10 +29,6 @@ Deliberate imprecision, tuned against this codebase's idioms:
 * **Uniform producers** — a function whose every exit holds the same
   positive balance is a *producer* by contract (``_pin`` itself); the
   leak, if any, is flagged in a caller that drops the net.
-* **Conditional producers** — ``_pin_location`` returns either a pinned
-  location or ``(None, None)``; its callsites contribute no definite
-  count and its own body is exempt.  Callers that drop its *successful*
-  result are the runtime sanitizer's catch, not this rule's.
 """
 
 from __future__ import annotations
@@ -52,11 +48,8 @@ from repro.analysis_tools.core import (
 )
 from repro.analysis_tools.graph import FunctionInfo, Project, iter_project_functions
 
-PIN_ACQUIRE = {"_pin", "pin_block"}
-PIN_RELEASE = {"_unpin", "unpin_block"}
-#: Functions that conditionally return an acquired resource; callsites
-#: count as zero definite and their own bodies are exempt.
-CONDITIONAL_PRODUCERS = {"_pin_location"}
+PIN_ACQUIRE = {"_pin"}
+PIN_RELEASE = {"_unpin"}
 
 KINDS = ("pin", "nvram")
 
@@ -113,15 +106,10 @@ class _Nets:
         try:
             info = self.project.functions[uid]
             totals = {kind: 0 for kind in KINDS}
-            if info.func.name in CONDITIONAL_PRODUCERS:
-                self._memo[uid] = totals
-                return totals
             for event in _own_events(info):
                 totals[event.kind] += event.delta
             for site in self.project.call_edges.get(uid, ()):  # noqa: B007
                 callee = self.project.functions[site.callee]
-                if callee.func.name in CONDITIONAL_PRODUCERS:
-                    continue
                 if self._is_resource_primitive(callee):
                     continue  # the callsite itself was the event
                 for kind, value in self.net(site.callee).items():
@@ -141,8 +129,6 @@ def _call_events(project: Project, nets: _Nets, info: FunctionInfo) -> List[_Eve
     events: List[_Event] = []
     for site in project.call_edges.get(info.uid, ()):  # noqa: B007
         callee = project.functions[site.callee]
-        if callee.func.name in CONDITIONAL_PRODUCERS:
-            continue
         if nets._is_resource_primitive(callee):
             continue
         for kind, value in sorted(nets.net(site.callee).items()):
@@ -199,8 +185,6 @@ def res001_resource_pairing(project: Project) -> List[Violation]:
     findings: List[Violation] = []
     for info in iter_project_functions(project):
         if info.module.subpackage in TOOLING_SUBPACKAGES:
-            continue
-        if info.func.name in CONDITIONAL_PRODUCERS:
             continue
         if nets._is_resource_primitive(info):
             continue

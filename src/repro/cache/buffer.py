@@ -13,36 +13,8 @@ from typing import Any, Tuple
 
 from repro.config import HostCosts
 from repro.kaml import KamlSsd, PutItem
-from repro.obs import MetricsRegistry, TraceContext
+from repro.obs import TraceContext
 from repro.sim import Environment
-
-
-class CacheStats:
-    """Compatible accessor over the ``cache.*`` registry counters."""
-
-    def __init__(self, metrics: MetricsRegistry):
-        self._metrics = metrics
-
-    @property
-    def hits(self) -> int:
-        return int(self._metrics.total("cache.hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self._metrics.total("cache.misses"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self._metrics.total("cache.evictions"))
-
-    @property
-    def writebacks(self) -> int:
-        return int(self._metrics.total("cache.writebacks"))
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class _Entry:
@@ -73,7 +45,6 @@ class BufferManager:
         self._entries: "OrderedDict[Tuple[int, int], _Entry]" = OrderedDict()
         self._used = 0
         self.metrics = ssd.metrics
-        self.stats = CacheStats(self.metrics)
         # Hot-path instruments, resolved once instead of per access.
         self._used_bytes_gauge = self.metrics.gauge("cache.used_bytes")
         self._writebacks_counter = self.metrics.counter("cache.writebacks")

@@ -79,14 +79,6 @@ class LockManager:
             else MetricsRegistry(clock=lambda: env.now)
         )
 
-    @property
-    def deadlocks(self) -> int:
-        return int(self.metrics.total("cache.lock.deadlocks"))
-
-    @property
-    def conflicts(self) -> int:
-        return int(self.metrics.total("cache.lock.conflicts"))
-
     # ------------------------------------------------------------------
     # Granularity
     # ------------------------------------------------------------------

@@ -160,7 +160,7 @@ def flush_timer_ablation(
             yield from ssd.put([PutItem(nsid, i, ("t", i), value_size)])
             env.try_advance(gap_us) or (yield env.timeout(gap_us))
         start = env.now
-        while ssd._staged:
+        while ssd.staged_records:
             env.try_advance(100.0) or (yield env.timeout(100.0))
         return env.now - start
 

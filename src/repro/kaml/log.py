@@ -10,13 +10,15 @@ pages are parsed via the OOB bitmap, and still-valid records are
 re-appended through a dedicated GC write point.
 
 The log knows nothing about namespaces; validity checks and index updates
-go through the hooks the :class:`~repro.kaml.ssd.KamlSsd` provides.
+go through the six hooks :class:`~repro.kaml.mapping.Mapping` provides.
+After a power cut it rebuilds its own block lists from its flash target
+(:meth:`KamlLog.rescan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
@@ -30,8 +32,14 @@ from repro.flash import (
     WearOutError,
 )
 from repro.ftl.gc_policy import GcCandidate, WearAwarePolicy
-from repro.kaml.record import PageAssembly, Record, RecordLocation, RecordTooLargeError
-from repro.obs import NULL_CONTEXT, NullTracer, TraceContext
+from repro.kaml.record import (
+    PageAssembly,
+    Record,
+    RecordLocation,
+    RecordTooLargeError,
+    decode_bitmap,
+)
+from repro.obs import NULL_CONTEXT, MetricsRegistry, NullTracer, TraceContext
 from repro.sim import Environment, Event, Gate, SimLock
 
 
@@ -69,6 +77,9 @@ class KamlLog:
         channel: int,
         chip: int,
         hooks: Any,
+        metrics: Optional[MetricsRegistry] = None,
+        tracer: Any = None,
+        crash_point: Callable[[str], None] = lambda name: None,
     ):
         self.env = env
         self.config = config
@@ -79,12 +90,12 @@ class KamlLog:
         self.hooks = hooks
         self.geometry = config.geometry
         self.params = config.kaml
-        self.metrics = getattr(hooks, "metrics", None)
-        if self.metrics is None:
-            from repro.obs import MetricsRegistry
-
-            self.metrics = MetricsRegistry(clock=lambda: env.now)
-        self.tracer = getattr(hooks, "tracer", None) or NullTracer()
+        self.metrics = metrics if metrics is not None else MetricsRegistry(
+            clock=lambda: env.now
+        )
+        self.tracer = tracer or NullTracer()
+        #: Announces a named crash point to the device's fault injector.
+        self._crash_point = crash_point
         #: Monotonic id for GC passes; tags every span of one pass.
         self._gc_generation = 0
         self.gc_policy = WearAwarePolicy()
@@ -146,7 +157,7 @@ class KamlLog:
         """Append one record; returns its :class:`RecordLocation` once the
         containing page is programmed (Put phase 2, Section IV-D)."""
         started = self.env.now
-        event = self._stage(record, for_gc=False)
+        event = self.stage(record, for_gc=False)
         location = yield event
         ctx.record_span(
             "log.append",
@@ -158,7 +169,7 @@ class KamlLog:
         )
         return location
 
-    def _stage(self, record: Record, for_gc: bool) -> Event:
+    def stage(self, record: Record, for_gc: bool) -> Event:
         """Synchronously place a record into the open page; returns the
         event that fires with its location after the program completes."""
         point = self._points[for_gc]
@@ -261,11 +272,8 @@ class KamlLog:
         self.env._schedule(bootstrap, 0.0)
 
     def _flush_process(
-        self, assembly: PageAssembly, waiters, for_gc: bool,
-        epoch: Optional[int] = None,
+        self, assembly: PageAssembly, waiters, for_gc: bool, epoch: int
     ) -> Any:
-        if epoch is None:
-            epoch = self.epoch
         if self.epoch != epoch:
             return  # launched an instant before a cut; the page is gone
         if not self._program_lock.try_acquire(owner=("flush", for_gc)):
@@ -515,12 +523,13 @@ class KamlLog:
                         # II-A's "limited number of erase operations").
                         retired = True
                         break
+                if self.epoch != epoch:
+                    return  # ghost pass: the erase died with the power
                 if retired:
                     self.metrics.counter(
                         "kaml.log.retired_blocks", log=self.log_id
                     ).inc()
-                    if erase_span is not None:
-                        erase_span.tags["retired"] = True
+                    erase_span.tags["retired"] = True
                     ctx.finish(erase_span)
                     self.hooks.block_erased(block_key)
                     continue
@@ -590,7 +599,7 @@ class KamlLog:
             return
         staged = []
         for record, old_location in survivors:
-            event = self._stage(record, for_gc=True)
+            event = self.stage(record, for_gc=True)
             staged.append((event, record, old_location))
         self._launch_flush(for_gc=True)
         moved_bytes = 0
@@ -637,16 +646,11 @@ class KamlLog:
         self._launch_flush(for_gc=False)
         self._launch_flush(for_gc=True)
 
-    def _crash_point(self, name: str) -> None:
-        """Announce a named crash point to the SSD's fault injector."""
-        fault = getattr(self.hooks, "fault", None)
-        if fault is not None:
-            fault.reached(name)
-
     def reset_write_points(self) -> None:
-        """Drop open-page state after a simulated crash; the records are
+        """Drop in-flight state after a simulated crash; the records are
         still staged in NVRAM and will be replayed (Section IV-D)."""
         self.epoch += 1
+        self.gc_running = False
         for for_gc in (False, True):
             point = self._points[for_gc]
             if point.timer is not None:
@@ -655,43 +659,72 @@ class KamlLog:
             self._points[for_gc] = _WritePoint(
                 self._new_assembly(), generation=point.generation + 1
             )
+            # Re-sync the soft write pointer with what actually reached flash.
+            block = self._active[for_gc]
+            if block is not None:
+                self._active_wp[for_gc] = self._chip().block(block).write_pointer
 
     def power_loss(self) -> None:
         """Full power cut: block lists and write points lived in DRAM.
 
-        Everything is cleared; :meth:`adopt_blocks` reinstalls lists
-        reconstructed by the recovery flash scan.  The lock instance is
-        deliberately kept — ghost flushes from before the cut still
-        release it through their ``finally`` blocks.
+        Everything is cleared; :meth:`rescan` rebuilds the lists from
+        flash.  The lock instance is deliberately kept — ghost flushes
+        from before the cut still release it through their ``finally``
+        blocks.
         """
         self.reset_write_points()
-        self.gc_running = False
         self.free = []
         self.full = []
         self._active = {False: None, True: None}
         self._active_wp = {False: 0, True: 0}
 
-    def adopt_blocks(
-        self,
-        free: List[int],
-        full: List[int],
-        host_active: Optional[Tuple[int, int]] = None,
-        gc_active: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Install block lists reconstructed by the recovery scan.
+    def rescan(self, ctx: TraceContext = NULL_CONTEXT) -> Any:
+        """Rebuild the block lists :meth:`power_loss` emptied, from flash.
 
-        ``host_active``/``gc_active`` are optional ``(block, write_pointer)``
-        pairs: partially-programmed blocks the streams resume appending
-        into.  Re-adopting those tails matters — sealing every partial
-        block as full after a crash can leave the log with zero
-        allocatable pages, wedging both replay and the GC that would
-        have reclaimed space.
+        Every programmed page of the log's target is read; the OOB bitmap
+        yields each record's chunk run (no external directory needed).
+        Returns ``(pages_read, [(record, location)])`` for the recovery
+        procedure to rank.
         """
-        self.free = list(free)
-        self.full = list(full)
-        self._active = {False: None, True: None}
-        self._active_wp = {False: 0, True: 0}
-        for for_gc, adopted in ((False, host_active), (True, gc_active)):
-            if adopted is not None:
-                self._active[for_gc] = adopted[0]
-                self._active_wp[for_gc] = adopted[1]
+        chip = self._chip()
+        #: (free_pages, block_index, write_pointer) of partial blocks.
+        partial: List[Tuple[int, int, int]] = []
+        pages_read = 0
+        found: List[Tuple[Record, RecordLocation]] = []
+        for block_index in range(self.geometry.blocks_per_chip):
+            block = chip.block(block_index)
+            if block.is_bad:
+                continue  # retired; never allocatable again
+            free_pages = self.geometry.pages_per_block - block.programmed_pages
+            if block.programmed_pages == 0:
+                self.free.append(block_index)
+            elif free_pages:
+                partial.append((free_pages, block_index, block.programmed_pages))
+            else:
+                self.full.append(block_index)
+            for page_index in range(block.programmed_pages):
+                pointer = PagePointer(self.channel, self.chip, block_index, page_index)
+                data, oob = yield from self.array.read_page(
+                    pointer, ctx=ctx, parent=ctx.root
+                )
+                pages_read += 1
+                for start, nchunks in decode_bitmap(
+                    oob or 0, self.geometry.chunks_per_page
+                ):
+                    record = data.get(start) if data else None
+                    if record is not None:
+                        found.append((record, RecordLocation(pointer, start, nchunks)))
+        # The two emptiest partial blocks become the resumed write
+        # points; the rest are sealed for GC.  Discarding every
+        # partial tail instead can leave the log with zero
+        # allocatable pages — replay then wedges because GC has
+        # nowhere to relocate survivors either.  GC gets the largest
+        # tail: it is the stream that reclaims whole blocks, so
+        # feeding it first un-wedges a full log; the host stream can
+        # wait on the space gate, GC cannot.
+        partial.sort(key=lambda entry: (-entry[0], entry[1]))
+        for for_gc, (_free, block_index, write_pointer) in zip((True, False), partial):
+            self._active[for_gc] = block_index
+            self._active_wp[for_gc] = write_pointer
+        self.full.extend(entry[1] for entry in partial[2:])
+        return pages_read, found

@@ -4,6 +4,7 @@ tables and log assignments (Sections III-A, IV-B, IV-C)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
@@ -55,6 +56,15 @@ class NamespaceAttributes:
 IndexType = Union[BucketedHashIndex, HashIndex, SortedIndex]
 
 
+def _series(kind: str, name: str) -> cached_property:
+    """A namespace's own series of ``name``: resolved on first use (an
+    eager zero-valued series would show in every registry export) and
+    kept on the namespace, so it dies with it."""
+    return cached_property(
+        lambda self: getattr(self._metrics, kind)(name, namespace=self.namespace_id)
+    )
+
+
 class Namespace:
     """A live namespace: id, mapping table, and its set of logs."""
 
@@ -64,8 +74,10 @@ class Namespace:
         attributes: NamespaceAttributes,
         index: IndexType,
         log_ids: List[int],
+        metrics: Any = None,
     ):
         self.namespace_id = namespace_id
+        self._metrics = metrics
         self.attributes = attributes
         self.index: Optional[IndexType] = index
         self.log_ids = list(log_ids)
@@ -82,6 +94,13 @@ class Namespace:
     @property
     def dram_tag(self) -> str:
         return f"namespace:{self.namespace_id}:index"
+
+    gets_counter = _series("counter", "kaml.ssd.gets")
+    staged_hits_counter = _series("counter", "kaml.ssd.get_staged_hits")
+    get_us_histogram = _series("histogram", "kaml.get.us")
+    put_bytes_counter = _series("counter", "kaml.put.bytes")
+    deletes_counter = _series("counter", "kaml.ssd.deletes")
+    delete_failures_counter = _series("counter", "kaml.ssd.delete_append_failures")
 
     def next_log_id(self) -> int:
         """Round-robin across the namespace's assigned logs: the rotation

@@ -69,6 +69,12 @@ class RecordLocation(NamedTuple):
     chunk: int
     nchunks: int
 
+    @property
+    def block_key(self) -> Tuple[int, int, int]:
+        """``(channel, chip, block)``: the erase unit holding the record —
+        the key of valid-byte accounting, read pins and GC's hooks."""
+        return self.page[:3]
+
 
 def chunks_for(value_size: int, chunk_size: int) -> int:
     """Chunks needed for a value plus its record header."""

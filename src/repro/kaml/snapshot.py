@@ -32,10 +32,6 @@ class Snapshot:
     def dram_tag(self) -> str:
         return f"snapshot:{self.snapshot_id}:index"
 
-    @property
-    def supports_range(self) -> bool:
-        return hasattr(self.index, "range")
-
 
 def clone_index(index: Any) -> Any:
     """A same-structure copy of a mapping table (firmware memcpy)."""

@@ -29,13 +29,14 @@ throughput implies their firmware avoids too.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
 from repro.errors import InvariantError, ReproError
-from repro.flash import FlashArray, PagePointer
+from repro.flash import FlashArray
 from repro.kaml.log import KamlLog, LogSpaceError
+from repro.kaml.mapping import Mapping
 from repro.kaml.namespace import Namespace, NamespaceAttributes, NamespaceError
 from repro.kaml.record import (
     RECORD_HEADER_BYTES,
@@ -44,12 +45,11 @@ from repro.kaml.record import (
     RecordLocation,
     RecordTooLargeError,
     chunks_for,
-    decode_bitmap,
 )
 from repro.kaml.snapshot import Snapshot, SnapshotError, clone_index
 from repro.obs import NULL_CONTEXT, MetricsRegistry, SloTracker, TraceContext, Tracer
 from repro.obs.oplog import NULL_OPLOG
-from repro.sim import Environment, Gate, Process
+from repro.sim import Environment
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, OnboardDram
 
 
@@ -64,10 +64,6 @@ class PutItem(NamedTuple):
     key: int
     value: Any
     size: int
-
-
-#: Sentinel for staged deletions in the NVRAM write cache.
-_DELETED = object()
 
 
 class StagedBatch:
@@ -133,11 +129,18 @@ class KamlSsd:
         self.slo = SloTracker(self.metrics, self.tracer.recorder)
         self.array = FlashArray(env, config.geometry, config.flash)
         self.array.attach_metrics(self.metrics)
-        self.firmware = FirmwarePool(env, config.resources.firmware_contexts)
-        self.firmware.metrics = self.metrics
+        self.firmware = FirmwarePool(env, config.resources.firmware_contexts, metrics=self.metrics)
         self.nvram = NvramBuffer(env, config.resources.nvram_bytes)
         self.link = HostInterconnect(env, config.interconnect)
         self.dram = OnboardDram(config.resources.dram_bytes)
+        #: Attached by :class:`repro.fault.PowerLossInjector`; the data
+        #: path announces named crash points through :meth:`_crash_point`.
+        self.fault: Optional[Any] = None
+        #: Which copy of every key is live, and whether its block may be
+        #: erased: the mapping tables and everything derived from them.
+        self.mapping = Mapping(env, config, self.array, self.firmware, self.metrics)
+        self.namespaces: Dict[int, Namespace] = self.mapping.namespaces
+        self.snapshots: Dict[int, Snapshot] = self.mapping.snapshots
         # Logs occupy targets channel-major so that N <= channels logs land
         # on N distinct channels (the Figure 8 configuration).
         self.logs: List[KamlLog] = []
@@ -145,40 +148,18 @@ class KamlSsd:
             channel = log_id % config.geometry.channels
             chip = log_id // config.geometry.channels
             self.logs.append(
-                KamlLog(env, config, self.array, log_id, channel, chip, hooks=self)
+                KamlLog(
+                    env, config, self.array, log_id, channel, chip, hooks=self.mapping,
+                    metrics=self.metrics, tracer=self.tracer,
+                    crash_point=self._crash_point,
+                )
             )
-        self.namespaces: Dict[int, Namespace] = {}
         self._next_namespace_id = 1
         self._log_subscribers: Dict[int, int] = {log.log_id: 0 for log in self.logs}
         #: Bumped by :meth:`simulate_crash`; pre-crash processes ("ghosts")
         #: compare against it and die without mutating recovered state.
         self.epoch = 0
-        #: NVRAM write cache: (namespace, key) -> (version, value, size)
-        #: for acknowledged Puts whose mapping install has not landed yet.
-        #: ``Get`` serves from here so committed data is always visible.
-        self._staged: Dict[Tuple[int, int], Tuple[int, Any, int]] = {}
-        #: Last installed (or deleted) version per key: orders out-of-order
-        #: phase-3 installs from concurrent Puts.
-        self._installed_versions: Dict[Tuple[int, int], int] = {}
-        self._version_counter = 0
-        self._valid_bytes: Dict[Tuple[int, int, int], int] = {}
-        #: Blocks a log's GC has claimed as erase victims but not yet
-        #: erased.  A late phase-3 install whose record sits in one of
-        #: these was already judged garbage by the survivor scan; it must
-        #: re-append rather than publish a mapping the erase will sever.
-        self._doomed_blocks: Set[Tuple[int, int, int]] = set()
-        self._pins: Dict[Tuple[int, int, int], int] = {}
-        self._pin_gate = Gate(env, name="kaml.pins")
-        self.snapshots: Dict[int, Snapshot] = {}
         self._next_snapshot_id = 1
-        #: On-flash delete markers: (namespace, key) -> (version, location)
-        #: of the newest tombstone.  A tombstone stays valid (GC keeps it)
-        #: while it is the newest version of its key, so a rescan after a
-        #: later power loss cannot resurrect the deleted value.
-        self._tombstones: Dict[Tuple[int, int], Tuple[int, RecordLocation]] = {}
-        #: Attached by :class:`repro.fault.PowerLossInjector`; the data
-        #: path announces named crash points through :meth:`_crash_point`.
-        self.fault: Optional[Any] = None
         #: True between :meth:`power_loss` and the end of :meth:`recover`:
         #: mapping tables must be rebuilt by scanning flash.
         self._dram_lost = False
@@ -192,10 +173,6 @@ class KamlSsd:
         self._phase2_us_histogram = self.metrics.histogram("kaml.put.phase2_us")
         self._nvram_pin_us_histogram = self.metrics.histogram("kaml.put.nvram_pin_us")
         self._index_probes_histogram = self.metrics.histogram("kaml.get.index_probes")
-        #: namespace_id -> cached per-namespace instruments
-        self._gets_counters: Dict[int, Any] = {}
-        self._put_bytes_counters: Dict[int, Any] = {}
-        self._get_us_histograms: Dict[int, Any] = {}
         #: Device telemetry sampler — None until a harness opts in via
         #: :meth:`enable_timeseries` (pay-as-you-go: default runs must
         #: schedule zero extra simulation events).
@@ -222,6 +199,7 @@ class KamlSsd:
             attributes.log_policy.select(
                 [log.log_id for log in self.logs], dict(self._log_subscribers)
             ),
+            self.metrics,
         )
         self.dram.allocate(namespace.dram_tag, index.memory_bytes)
         for log_id in namespace.log_ids:
@@ -237,19 +215,11 @@ class KamlSsd:
             raise KamlError(
                 f"namespace {namespace_id} has live snapshots; delete them first"
             )
-        if namespace.index is not None:
-            for location in namespace.index.values():
-                self._adjust_valid(location, -1)
-        for entry_key in [k for k in self._staged if k[0] == namespace_id]:
-            del self._staged[entry_key]
-        for entry_key in [k for k in self._tombstones if k[0] == namespace_id]:
-            _version, location = self._tombstones.pop(entry_key)
-            self._adjust_valid(location, -1)
+        self.mapping.drop_namespace(namespace_id)
         if self.dram.holds(namespace.dram_tag):
             self.dram.free(namespace.dram_tag)
         for log_id in namespace.log_ids:
             self._log_subscribers[log_id] -= 1
-        del self.namespaces[namespace_id]
         yield from self.firmware.execute(self.costs.dispatch_us)
 
     def retarget_namespace(self, namespace_id: int, log_policy: Any) -> None:
@@ -312,11 +282,7 @@ class KamlSsd:
         """``Get`` returning ``(value, size)`` — what the caching layer uses."""
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
-        gets_counter = self._gets_counters.get(namespace_id)
-        if gets_counter is None:
-            gets_counter = self.metrics.counter("kaml.ssd.gets", namespace=namespace_id)
-            self._gets_counters[namespace_id] = gets_counter
-        gets_counter.inc()
+        namespace.gets_counter.inc()
         owns_ctx = ctx is None
         if owns_ctx:
             ctx = self.tracer.request("kaml.get", namespace=namespace_id, key=key)
@@ -335,26 +301,18 @@ class KamlSsd:
                 self.costs.dispatch_us, ctx=ctx, parent=dispatch_span
             )
             ctx.finish(dispatch_span)
-            # A logically committed but not-yet-installed value is served from
-            # the NVRAM staging area — acknowledged Puts are always visible.
-            staged = self._staged.get((namespace_id, key))
+            staged, location, scanned = self.mapping.lookup(namespace, key)
             if staged is not None:
-                self.metrics.counter(
-                    "kaml.ssd.get_staged_hits", namespace=namespace_id
-                ).inc()
+                namespace.staged_hits_counter.inc()
                 get_span.tags["source"] = "staged"
                 _version, value, size = staged
                 yield from self.firmware.execute(self.costs.hash_probe_us)
-                if value is _DELETED:
-                    outcome = "absent"
-                    return None
                 with ctx.span("get.transfer", parent=get_span):
                     yield from self.link.device_to_host(size)
                 outcome = "ok"
                 out_size = size
                 return value, size
             probe_span = ctx.begin("get.index_probe", parent=get_span)
-            location, scanned = namespace.index.lookup(key)
             self._index_probes_histogram.observe(scanned)
             yield from self.firmware.execute(scanned * self.costs.hash_probe_us)
             ctx.finish(probe_span)
@@ -363,38 +321,18 @@ class KamlSsd:
                 outcome = "absent"
                 return None
             get_span.tags["source"] = "flash"
-            location, block_key = yield from self._pin_location(
-                namespace.index, key, location
-            )
-            if location is None:
+            record = yield from self.mapping.read(namespace.index, key, location, ctx, get_span)
+            if record is None:
                 get_span.tags["source"] = "absent"
                 outcome = "absent"
                 return None
-            read_span = ctx.begin(
-                "get.flash_read", parent=get_span,
-                channel=block_key[0], chip=block_key[1], block=block_key[2],
-            )
-            try:
-                data, _oob = yield from self.array.read_page(
-                    location.page,
-                    transfer_bytes=location.nchunks * self.geometry.chunk_size,
-                    ctx=ctx, parent=read_span, priority=True,
-                )
-            finally:
-                self._unpin(block_key)
-                ctx.finish(read_span)
-            record = data[location.chunk]
             with ctx.span("get.transfer", parent=get_span):
                 yield from self.link.device_to_host(record.size)
             outcome = "ok"
             out_size = record.size
             return record.value, record.size
         finally:
-            get_us = self._get_us_histograms.get(namespace_id)
-            if get_us is None:
-                get_us = self.metrics.histogram("kaml.get.us", namespace=namespace_id)
-                self._get_us_histograms[namespace_id] = get_us
-            get_us.observe(self.env.now - started)
+            namespace.get_us_histogram.observe(self.env.now - started)
             if owns_ctx:
                 ctx.close()
             else:
@@ -428,7 +366,7 @@ class KamlSsd:
         # Drain this namespace's staging pipeline.
         settle_us = self.config.flash.program_us + self.config.kaml.flush_timeout_us
         for _ in range(64):
-            if not any(k[0] == namespace_id for k in self._staged):
+            if not self.mapping.staged_items(namespace_id):
                 break
             for log in self.logs:
                 log.force_flush()
@@ -440,9 +378,7 @@ class KamlSsd:
         self._next_snapshot_id += 1
         snapshot = Snapshot(snapshot_id, namespace_id, index)
         self.dram.allocate(snapshot.dram_tag, index.memory_bytes)
-        for location in index.values():
-            self._adjust_valid(location, +1)
-        self.snapshots[snapshot_id] = snapshot
+        self.mapping.add_snapshot(snapshot)
         # Cloning is a DRAM-to-DRAM copy inside the controller.
         yield from self.firmware.execute(
             self.costs.dispatch_us
@@ -453,25 +389,21 @@ class KamlSsd:
     def delete_snapshot(self, snapshot_id: int) -> Any:
         """Drop a snapshot; its exclusive record versions become garbage."""
         snapshot = self._snapshot(snapshot_id)
-        for location in snapshot.index.values():
-            self._adjust_valid(location, -1)
+        self.mapping.drop_snapshot(snapshot_id)
         self.dram.free(snapshot.dram_tag)
-        del self.snapshots[snapshot_id]
         yield from self.firmware.execute(self.costs.dispatch_us)
 
     def get_from_snapshot(self, snapshot_id: int, key: int) -> Any:
         """Read a key as of the snapshot instant."""
         snapshot = self._snapshot(snapshot_id)
-        self.metrics.counter(
-            "kaml.ssd.gets", namespace=snapshot.namespace_id
-        ).inc()
+        self._namespace(snapshot.namespace_id).gets_counter.inc()
         yield from self.link.command_overhead()
         yield from self.firmware.execute(self.costs.dispatch_us)
         location, scanned = snapshot.index.lookup(key)
         yield from self.firmware.execute(scanned * self.costs.hash_probe_us)
         if location is None:
             return None
-        record = yield from self._read_record(location, snapshot.index, key)
+        record = yield from self.mapping.read(snapshot.index, key, location)
         if record is None:
             return None
         yield from self.link.device_to_host(record.size)
@@ -482,33 +414,6 @@ class KamlSsd:
             return self.snapshots[snapshot_id]
         except KeyError:
             raise SnapshotError(f"unknown snapshot id: {snapshot_id}") from None
-
-    def _read_record(
-        self, location: RecordLocation, index=None, key: Optional[int] = None
-    ) -> Any:
-        """Pin-protected flash read of one record.
-
-        When ``index``/``key`` are given, the location is re-validated
-        under the pin (see :meth:`_pin_location`); returns None if the
-        key was deleted while probing.
-        """
-        if index is not None:
-            location, block_key = yield from self._pin_location(index, key, location)
-            if location is None:
-                return None
-        else:
-            block_key = (
-                location.page.channel, location.page.chip, location.page.block
-            )
-            self._pin(block_key)
-        try:
-            data, _oob = yield from self.array.read_page(
-                location.page, priority=True,
-                transfer_bytes=location.nchunks * self.geometry.chunk_size,
-            )
-        finally:
-            self._unpin(block_key)
-        return data[location.chunk]
 
     def scan(self, namespace_id: int, low: int, high: int) -> Any:
         """Range scan (extension): ``[(key, value)]`` for low <= key <= high.
@@ -527,49 +432,32 @@ class KamlSsd:
                 f"namespace {namespace_id} uses a hash index; create it with "
                 f'index_structure="sorted" to enable Scan'
             )
-        self.metrics.counter("kaml.ssd.gets", namespace=namespace_id).inc()
+        namespace.gets_counter.inc()
         started = self.env.now
         yield from self.link.command_overhead()
         yield from self.firmware.execute(self.costs.dispatch_us)
-        matches: Dict[int, Tuple[str, Any]] = {
-            key: ("flash", location)
-            for key, location in namespace.index.range(low, high)
+        on_flash = dict(namespace.index.range(low, high))
+        staged = {
+            key: (value, size)
+            for key, value, size in self.mapping.staged_items(namespace_id)
+            if low <= key <= high
         }
-        matches.update({
-            staged_key: ("staged", (value, size))
-            for (staged_ns, staged_key), (_v, value, size) in self._staged.items()
-            if staged_ns == namespace_id and low <= staged_key <= high
-        })
+        matches = sorted(on_flash.keys() | staged.keys())
         yield from self.firmware.execute(
             (namespace.index._probes() + len(matches)) * self.costs.hash_probe_us
         )
         results = []
         total_bytes = 0
-        for key in sorted(matches):
-            source, entry = matches[key]
-            if source == "staged":
-                value, size = entry
-                if value is _DELETED:
-                    continue
-                results.append((key, value))
-                total_bytes += size
-                continue
-            location = entry
-            location, block_key = yield from self._pin_location(
-                namespace.index, key, location
-            )
-            if location is None:
-                continue  # deleted while the scan was in flight
-            try:
-                data, _oob = yield from self.array.read_page(
-                    location.page, priority=True,
-                    transfer_bytes=location.nchunks * self.geometry.chunk_size,
-                )
-            finally:
-                self._unpin(block_key)
-            record = data[location.chunk]
-            results.append((key, record.value))
-            total_bytes += record.size
+        for key in matches:
+            if key in staged:
+                value, size = staged[key]
+            else:
+                record = yield from self.mapping.read(namespace.index, key, on_flash[key])
+                if record is None:
+                    continue  # deleted while the scan was in flight
+                value, size = record.value, record.size
+            results.append((key, value))
+            total_bytes += size
         yield from self.link.device_to_host(total_bytes)
         oplog = self.oplog
         if oplog.enabled:
@@ -602,15 +490,8 @@ class KamlSsd:
         self._validate_items(items)
         self._puts_counter.inc()
         self._put_records_counter.inc(len(items))
-        put_bytes_counters = self._put_bytes_counters
         for item in items:
-            counter = put_bytes_counters.get(item.namespace_id)
-            if counter is None:
-                counter = self.metrics.counter(
-                    "kaml.put.bytes", namespace=item.namespace_id
-                )
-                put_bytes_counters[item.namespace_id] = counter
-            counter.inc(item.size)
+            self.namespaces[item.namespace_id].put_bytes_counter.inc(item.size)
         owns_ctx = ctx is None
         if owns_ctx and not self.tracer.enabled:
             # Disarmed tracer: skip building span tags entirely.
@@ -664,10 +545,9 @@ class KamlSsd:
             # kamllint: allow[KL-RES001] crash path keeps the NVRAM reservation: replay owns it
             return None  # crashed mid-command; NVRAM replay owns the batch
         # Phase 1: reserve/inspect every key's index entry (probe CPU cost)
-        # and stage the whole batch atomically in NVRAM.  Concurrent Puts
-        # to the same key are ordered by the versions assigned here;
-        # installs in phase 3 follow version order, so no entry stays
-        # locked across a flash program.
+        # and stage the whole batch atomically in NVRAM.  Installs in
+        # phase 3 follow the version order assigned at the commit below,
+        # so no entry stays locked across a flash program.
         # Per-record index probing/reservation spreads across the
         # controller's cores: a batch pays ~one record's latency per
         # firmware-context wave, not the serial sum.
@@ -698,17 +578,7 @@ class KamlSsd:
                 ctx.close()
             # kamllint: allow[KL-RES001] crash path keeps the NVRAM reservation: replay owns it
             return None
-        versions = []
-        for item in items:
-            self._version_counter += 1
-            versions.append(self._version_counter)
-            self._staged[(item.namespace_id, item.key)] = (
-                self._version_counter, item.value, item.size,
-            )
-        # Stamp the commit versions into the pinned payload (an NVRAM
-        # write): replay after a crash must reproduce exactly this commit
-        # order, not the order the batches reached NVRAM.
-        batch.versions = list(versions)
+        records = self.mapping.commit(batch)
         # Logically committed: acknowledge the host, finish in background.
         ctx.finish(phase1_span)
         ctx.event("put.ack", parent=put_span, namespace=items[0].namespace_id)
@@ -732,65 +602,32 @@ class KamlSsd:
             op_id=op_id,
         )
         return self.env.process(
-            self._complete_put(
-                items, versions, handle, epoch, pin_start, ctx, put_span, owns_ctx
-            )
+            self._complete_put(records, handle, epoch, pin_start, ctx, put_span, owns_ctx)
         )
 
-    def _block_key_of(self, location: RecordLocation) -> Tuple[int, int, int]:
-        page = location.page
-        return (page.channel, page.chip, page.block)
-
-    def _erase_mark(self, location: Optional[RecordLocation]) -> int:
-        """Erase generation of the block holding ``location``.
-
-        A block cannot complete an erase at the same sim instant one of
-        its pages finished programming (cleaning requires reads and
-        relocation appends, which take time), so a mark captured in the
-        same event cascade as the append's completion is a stable
-        snapshot.
-        """
-        if location is None:
-            return 0
-        page = location.page
-        return self.array.chip(page.channel, page.chip).block(page.block).erase_count
-
-    def _refresh_location(
-        self, item: PutItem, version: int, location: RecordLocation,
-        mark: int, epoch: int,
-    ) -> Any:
-        """Revalidate a phase-2 location just before its mapping install.
+    def _reappend(self, record: Record, epoch: int) -> Any:
+        """Re-append a record whose phase-2 copy GC claimed before its install.
 
         GC deliberately treats appended-but-not-yet-installed records as
         garbage (no mapping points at them), so in the window between
         the flash append and the install's firmware work the containing
         block can be cleaned and erased.  Installing the stale location
         would publish a pointer into an erased — or worse, erased and
-        reprogrammed — page.  Two signals cover the whole window: a
-        moved erase generation means the erase already happened, and a
-        doomed block means GC's survivor scan has passed (judging this
-        record garbage) with the erase merely in flight.  Either way,
-        re-append the record under its original commit version and try
-        again; returns the live location, or None if a newer write
-        superseded this install (or the device crashed) while retrying.
+        reprogrammed — page.  :meth:`Mapping.severed` covers the whole
+        window; while it holds, re-append the record under its original
+        commit version and try again.  Returns the live location, or
+        None if a newer write superseded this install (or the device
+        crashed) while retrying.
         """
-        while (
-            self._erase_mark(location) != mark
-            or self._block_key_of(location) in self._doomed_blocks
-        ):
-            entry_key = (item.namespace_id, item.key)
-            if version < self._installed_versions.get(entry_key, 0):
+        while True:
+            if self.mapping.superseded(record):
                 return None  # a newer write won; this record is garbage
-            namespace = self.namespaces.get(item.namespace_id)
-            if namespace is None:
+            landing = yield from self._append_record(record, epoch)
+            if landing is None or self.epoch != epoch:
                 return None
             self.metrics.counter("kaml.ssd.install_reappends").inc()
-            record = Record(*item, seq=version)
-            location = yield from self._pick_log(namespace, record).append(record)
-            if self.epoch != epoch:
-                return None
-            mark = self._erase_mark(location)
-        return location
+            if not self.mapping.severed(*landing):
+                return landing[0]
 
     def _pick_log(self, namespace: Namespace, record: Record) -> KamlLog:
         """Host-record placement (:meth:`Namespace.pick_log`) as of *now*: ask
@@ -800,9 +637,7 @@ class KamlSsd:
             self.logs, nchunks, self.env.now, self.config.kaml.flush_timeout_us
         )
 
-    def _append_record(
-        self, record, epoch: int, ctx=NULL_CONTEXT, parent=None
-    ) -> Any:
+    def _append_record(self, record, epoch: int, ctx=NULL_CONTEXT, parent=None) -> Any:
         """Append one record, re-checking the epoch at first resume.
 
         The append runs as a child process, and a power cut can land in
@@ -816,19 +651,18 @@ class KamlSsd:
         the same way: its records can never be read, so they are garbage
         before they are written.
         """
-        namespace = self.namespaces.get(record.namespace_id)
-        if self.epoch != epoch or namespace is None:
+        if self.epoch != epoch or record.namespace_id not in self.namespaces:
             return None
-        log = self._pick_log(namespace, record)
+        log = self._pick_log(self.namespaces[record.namespace_id], record)
         location = yield from log.append(record, ctx=ctx, parent=parent)
         # The mark is captured in the same event cascade as *this*
         # append's completion — capturing it later (say when the whole
         # batch's all_of fires) would race a GC erase of this block and
         # make the stale location look live.
-        return location, self._erase_mark(location)
+        return location, self.mapping.erase_mark(location)
 
     def _complete_put(
-        self, items, versions, handle, epoch, pin_start,
+        self, records, handle, epoch, pin_start,
         ctx=NULL_CONTEXT, put_span=None, owns_ctx=False,
     ) -> Any:
         """Phases 2 and 3: flash writes, then mapping-table installs.
@@ -849,37 +683,27 @@ class KamlSsd:
             return
         phase2_start = self.env.now
         phase2_span = ctx.begin("put.phase2", parent=put_span)
-        if phase2_span is not None:
-            ctx.detach(phase2_span)
+        ctx.detach(phase2_span)
         try:
-            appends = []
-            for item, version in zip(items, versions):
-                record = Record(*item, seq=version)
-                appends.append(
-                    self.env.process(
-                        self._append_record(record, epoch, ctx, phase2_span)
-                    )
-                )
-            landed = yield self.env.all_of(appends)
+            landed = yield self.env.all_of([
+                self.env.process(self._append_record(record, epoch, ctx, phase2_span))
+                for record in records
+            ])
             install_start = self.env.now
             yield from self.firmware.execute(
-                len(items) * (self.costs.per_record_us + self.costs.hash_update_us)
+                len(records) * (self.costs.per_record_us + self.costs.hash_update_us)
             )
             if self.epoch == epoch:
                 self._crash_point("put.before_install")
             if self.epoch == epoch:
-                for item, version, landing in zip(items, versions, landed):
+                for record, landing in zip(records, landed):
                     if landing is None:
                         continue  # never appended: a cut, or the namespace is gone
                     location, mark = landing
-                    location = yield from self._refresh_location(
-                        item, version, location, mark, epoch
-                    )
-                    if location is None or self.epoch != epoch:
-                        continue
-                    self._install_versioned(
-                        item.namespace_id, item.key, version, location
-                    )
+                    if self.mapping.severed(location, mark):
+                        location = yield from self._reappend(record, epoch)
+                    if location is not None and self.epoch == epoch:
+                        self.mapping.install(record, location)
             ctx.record_span("put.install", start_us=install_start, parent=phase2_span)
         finally:
             if self.epoch == epoch:
@@ -888,8 +712,7 @@ class KamlSsd:
                 self._phase2_us_histogram.observe(self.env.now - phase2_start)
                 self._nvram_used_gauge.set(self.nvram.used_bytes)
                 ctx.record_span("put.nvram_pin", start_us=pin_start, parent=put_span)
-            if phase2_span is not None:
-                ctx.finish(phase2_span)
+            ctx.finish(phase2_span)
             if put_span is not None:
                 # Detached at the ack — close() below cannot reach it.
                 ctx.finish(put_span)
@@ -903,33 +726,22 @@ class KamlSsd:
         """
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
-        self.metrics.counter("kaml.ssd.deletes", namespace=namespace_id).inc()
+        namespace.deletes_counter.inc()
         started = self.env.now
         epoch = self.epoch
         yield from self.link.command_overhead()
         yield from self.firmware.execute(self.costs.dispatch_us)
-        location, scanned = namespace.index.lookup(key)
+        _location, scanned = namespace.index.lookup(key)
         yield from self.firmware.execute(scanned * self.costs.hash_probe_us)
         if self.epoch != epoch:
             return False
-        staged = self._staged.pop((namespace_id, key), None)
-        existed = location is not None or (
-            staged is not None and staged[1] is not _DELETED
-        )
-        # A newer version than any in-flight install: older installs for
-        # this key become garbage on arrival instead of resurrecting it.
-        self._version_counter += 1
-        version = self._version_counter
-        self._installed_versions[(namespace_id, key)] = version
-        if location is not None:
-            namespace.index.delete(key)
-            self._adjust_valid(location, -1)
+        marker, existed = self.mapping.commit_delete(namespace_id, key)
         # Make the delete durable: pin the intent in NVRAM and append a
         # tombstone record in the background.  Without the on-flash
         # marker, a power loss would rescan the old record and resurrect
         # the key (deletes must survive crashes like Puts do).
         batch = StagedBatch(
-            "delete", [PutItem(namespace_id, key, TOMBSTONE, 0)], versions=[version]
+            "delete", [PutItem(namespace_id, key, TOMBSTONE, 0)], versions=[marker.seq]
         )
         handle = self.nvram.try_reserve(RECORD_HEADER_BYTES, payload=batch)
         if handle is None:
@@ -937,11 +749,7 @@ class KamlSsd:
         if self.epoch != epoch:
             # kamllint: allow[KL-RES001] crash path keeps the reserved tombstone: replay owns it
             return False  # crashed mid-command; NVRAM replay owns the intent
-        # `version` is the phase-1 snapshot by design: version ordering
-        # replaces entry locks, so the install must use the version taken
-        # before the yield rather than re-reading the counter.
-        # kamllint: allow[KL-RACE001] phase-1 version snapshot orders the install
-        self.env.process(self._complete_delete(namespace_id, key, version, handle, epoch))
+        self.env.process(self._complete_delete(marker, handle, epoch))
         oplog = self.oplog
         if oplog.enabled:
             oplog.record(
@@ -950,9 +758,7 @@ class KamlSsd:
             )
         return existed
 
-    def _complete_delete(
-        self, namespace_id: int, key: int, version: int, handle: int, epoch: int
-    ) -> Any:
+    def _complete_delete(self, record: Record, handle: int, epoch: int) -> Any:
         """Append the tombstone record and retire the NVRAM pin.
 
         The pin is released only once the tombstone is on flash (or the
@@ -968,23 +774,19 @@ class KamlSsd:
             # recovered epoch's write point.  The pin survives; replay
             # owns the acked delete.
             return
-        namespace = self.namespaces.get(namespace_id)
+        namespace = self.namespaces.get(record.namespace_id)
         if namespace is None:
             # Namespace dropped: the key can never be read again, so the
             # pinned intent is moot and the space can be reclaimed.
-            if self.epoch == epoch:
-                self.nvram.release(handle)
+            self.nvram.release(handle)
             return
-        record = Record(namespace_id, key, TOMBSTONE, 0, seq=version)
         try:
             location = yield from self._pick_log(namespace, record).append(record)
         except LogSpaceError:
-            self.metrics.counter(
-                "kaml.ssd.delete_append_failures", namespace=namespace_id
-            ).inc()
+            namespace.delete_failures_counter.inc()
             return  # keep the pin: replay owns the acked delete
         if self.epoch == epoch:
-            self._install_tombstone(namespace_id, key, version, location)
+            self.mapping.install(record, location)
             self.nvram.release(handle)
 
     # ------------------------------------------------------------------
@@ -1044,20 +846,11 @@ class KamlSsd:
         yield from self.firmware.execute(self.costs.dispatch_us + sum(probe_costs))
         if self.epoch != epoch:
             return None  # crashed mid-commit; the pin (still "prepare") survives
-        versions = []
-        for item in items:
-            self._version_counter += 1
-            versions.append(self._version_counter)
-            self._staged[(item.namespace_id, item.key)] = (
-                self._version_counter, item.value, item.size,
-            )
         # The decisive NVRAM write: kind + versions flip atomically, so a
         # crash from here on replays the batch as an acknowledged Put.
-        batch.versions = list(versions)
+        records = self.mapping.commit(batch)
         batch.kind = "put"
-        return self.env.process(
-            self._complete_put(items, versions, handle, epoch, pin_start)
-        )
+        return self.env.process(self._complete_put(records, handle, epoch, pin_start))
 
     def abort_prepared(self, handle: int) -> Any:
         """Participant *abort*: drop a prepared batch without a trace."""
@@ -1096,201 +889,11 @@ class KamlSsd:
         namespace.require_resident()
         yield from self.link.command_overhead()
         keys = {key for key, _location in namespace.index.items()}
-        for (staged_ns, staged_key), (_v, value, _size) in self._staged.items():
-            if staged_ns != namespace_id:
-                continue
-            if value is _DELETED:
-                keys.discard(staged_key)
-            else:
-                keys.add(staged_key)
+        keys.update(key for key, _v, _size in self.mapping.staged_items(namespace_id))
         yield from self.firmware.execute(
             self.costs.dispatch_us + len(keys) * self.costs.hash_probe_us
         )
         return sorted(keys)
-
-    # ------------------------------------------------------------------
-    # Mapping installs and valid-byte accounting
-    # ------------------------------------------------------------------
-
-    def _install(self, namespace_id: int, key: int, location: RecordLocation) -> None:
-        """Point a key at its new record; retire the old copy's bytes."""
-        namespace = self.namespaces.get(namespace_id)
-        if namespace is None or namespace.index is None:
-            return  # namespace deleted mid-flight; the record is garbage
-        old_location, _ = namespace.index.lookup(key)
-        namespace.index.insert(key, location)
-        if old_location is not None:
-            self._adjust_valid(old_location, -1)
-        self._adjust_valid(location, +1)
-        # The new record outranks any tombstone for this key: the marker
-        # is no longer the newest version, so it becomes garbage.
-        tombstone = self._tombstones.pop((namespace_id, key), None)
-        if tombstone is not None:
-            self._adjust_valid(tombstone[1], -1)
-
-    def _install_versioned(
-        self, namespace_id: int, key: int, version: int, location: RecordLocation
-    ) -> None:
-        """Install a phase-3 mapping unless a newer write/delete won.
-
-        Out-of-order installs are possible because concurrent Puts no
-        longer serialize on entry locks; the version assigned at phase 1
-        is the commit order.  A superseded install's flash record is
-        never counted valid, so GC discards it for free.
-        """
-        entry_key = (namespace_id, key)
-        if version < self._installed_versions.get(entry_key, 0):
-            return
-        self._installed_versions[entry_key] = version
-        self._install(namespace_id, key, location)
-        staged = self._staged.get(entry_key)
-        if staged is not None and staged[0] <= version:
-            del self._staged[entry_key]
-
-    def _install_tombstone(
-        self, namespace_id: int, key: int, version: int, location: RecordLocation
-    ) -> None:
-        """Register an on-flash delete marker unless a newer write won."""
-        namespace = self.namespaces.get(namespace_id)
-        if namespace is None:
-            return  # namespace deleted mid-flight; the marker is garbage
-        entry_key = (namespace_id, key)
-        if version < self._installed_versions.get(entry_key, 0):
-            return
-        self._installed_versions[entry_key] = version
-        if namespace.index is not None:
-            old_location, _ = namespace.index.lookup(key)
-            if old_location is not None:
-                namespace.index.delete(key)
-                self._adjust_valid(old_location, -1)
-        old_tombstone = self._tombstones.get(entry_key)
-        if old_tombstone is not None:
-            self._adjust_valid(old_tombstone[1], -1)
-        self._tombstones[entry_key] = (version, location)
-        self._adjust_valid(location, +1)
-        staged = self._staged.get(entry_key)
-        if staged is not None and staged[0] <= version:
-            del self._staged[entry_key]
-
-    def _adjust_valid(self, location: RecordLocation, sign: int) -> None:
-        block_key = (location.page.channel, location.page.chip, location.page.block)
-        nbytes = location.nchunks * self.geometry.chunk_size
-        self._valid_bytes[block_key] = self._valid_bytes.get(block_key, 0) + sign * nbytes
-
-    # ------------------------------------------------------------------
-    # Hooks the logs use (GC and erase safety)
-    # ------------------------------------------------------------------
-
-    def valid_bytes(self, block_key: Tuple[int, int, int]) -> int:
-        return self._valid_bytes.get(block_key, 0)
-
-    def _indices_for(self, namespace_id: int):
-        """Every live mapping table that can reference this namespace's
-        records: the current index plus any snapshots."""
-        namespace = self.namespaces.get(namespace_id)
-        if namespace is not None and namespace.index is not None:
-            yield namespace.index
-        for snapshot in self.snapshots.values():
-            if snapshot.namespace_id == namespace_id:
-                yield snapshot.index
-
-    def is_valid(self, record: Record, location: RecordLocation) -> bool:
-        if record.value is TOMBSTONE:
-            current = self._tombstones.get((record.namespace_id, record.key))
-            return current is not None and current[1] == location
-        for index in self._indices_for(record.namespace_id):
-            current, _ = index.lookup(record.key)
-            if current == location:
-                return True
-        return False
-
-    def relocate(self, record: Record, old: RecordLocation, new: RecordLocation) -> bool:
-        """Compare-and-swap a GC-relocated record's mapping entries.
-
-        Every referencing table (current index and snapshots) is repointed
-        so the old copy really becomes garbage.
-        """
-        if record.value is TOMBSTONE:
-            entry_key = (record.namespace_id, record.key)
-            current = self._tombstones.get(entry_key)
-            if current is None or current[1] != old:
-                return False
-            self._tombstones[entry_key] = (current[0], new)
-            self._adjust_valid(old, -1)
-            self._adjust_valid(new, +1)
-            if sanitize.enabled():
-                sanitize.check_relocation(self, record, old, new)
-            return True
-        moved = False
-        for index in self._indices_for(record.namespace_id):
-            current, _ = index.lookup(record.key)
-            if current != old:
-                continue
-            index.insert(record.key, new)
-            self._adjust_valid(old, -1)
-            self._adjust_valid(new, +1)
-            moved = True
-        if moved and sanitize.enabled():
-            # SAN-OOB/SAN-VALID: the mapping tables, the destination
-            # page's OOB bitmap, and valid-byte accounting must agree
-            # after every relocation (the Figure 4 invariant).
-            sanitize.check_relocation(self, record, old, new)
-        return moved
-
-    def block_doomed(self, block_key: Tuple[int, int, int]) -> None:
-        """GC claimed this block as an erase victim (pre-erase)."""
-        self._doomed_blocks.add(block_key)
-
-    def block_erased(self, block_key: Tuple[int, int, int]) -> None:
-        self._valid_bytes.pop(block_key, None)
-        self._doomed_blocks.discard(block_key)
-
-    def _pin(self, block_key: Tuple[int, int, int]) -> None:
-        self._pins[block_key] = self._pins.get(block_key, 0) + 1
-
-    def _pin_location(self, index, key: int, location: RecordLocation) -> Any:
-        """Pin the block holding ``key``'s record, chasing GC relocations.
-
-        The optimistic index probe yields (firmware time) between the
-        lookup and the flash read; GC can relocate the record and erase
-        the old block inside that window.  Pin first, then re-check the
-        mapping in the same sim instant: once the pin is visible, the
-        pre-erase barrier holds the erase off, so a confirmed location
-        stays readable.  Returns ``(location, block_key)`` with the pin
-        held, or ``(None, None)`` if the key vanished (deleted) while
-        probing.
-        """
-        while True:
-            block_key = (
-                location.page.channel, location.page.chip, location.page.block
-            )
-            self._pin(block_key)
-            current, scanned = index.lookup(key)
-            if current == location:
-                return location, block_key
-            self._unpin(block_key)
-            if current is None:
-                return None, None
-            self.metrics.counter("kaml.get.relocation_chases").inc()
-            location = current
-            yield from self.firmware.execute(scanned * self.costs.hash_probe_us)
-
-    def _unpin(self, block_key: Tuple[int, int, int]) -> None:
-        if sanitize.enabled():
-            sanitize.check_unpin(self._pins, block_key)
-        remaining = self._pins.get(block_key, 0) - 1
-        if remaining <= 0:
-            self._pins.pop(block_key, None)
-        else:
-            self._pins[block_key] = remaining
-        self._pin_gate.fire()
-
-    def wait_unpinned(self, block_key: Tuple[int, int, int]) -> Any:
-        """Block until no reader holds the block (pre-erase barrier)."""
-        started = self.env.now
-        while self._pins.get(block_key, 0) > 0:
-            yield self._pin_gate.wait()
-        self.metrics.observe("kaml.gc.pin_wait_us", self.env.now - started)
 
     # ------------------------------------------------------------------
     # Crash and recovery (Section IV-D failure handling)
@@ -1313,19 +916,8 @@ class KamlSsd:
         self.epoch += 1
         for log in self.logs:
             log.reset_write_points()
-            log.gc_running = False
         self.nvram.power_loss()  # queued (ungranted) reservations are volatile
-        self._staged.clear()  # firmware-DRAM view; replay rebuilds installs
-        self._pins.clear()
-        self._doomed_blocks.clear()  # the pending erases died with the firmware
-        # Re-sync soft write pointers with what actually reached flash.
-        for log in self.logs:
-            for for_gc in (False, True):
-                block = log._active[for_gc]
-                if block is not None:
-                    log._active_wp[for_gc] = (
-                        self.array.chip(log.channel, log.chip).block(block).write_pointer
-                    )
+        self.mapping.reset()
 
     def power_loss(self) -> None:
         """Full power cut: every byte of controller DRAM is gone.
@@ -1342,22 +934,10 @@ class KamlSsd:
         for log in self.logs:
             log.power_loss()
         self.nvram.power_loss()
-        self._staged.clear()
-        self._pins.clear()
-        self._doomed_blocks.clear()
-        self._installed_versions.clear()
-        self._valid_bytes.clear()
-        self._tombstones.clear()
-        self._version_counter = 0
-        for snapshot in self.snapshots.values():
-            if self.dram.holds(snapshot.dram_tag):
-                self.dram.free(snapshot.dram_tag)
-        self.snapshots.clear()
-        for namespace in self.namespaces.values():
-            if self.dram.holds(namespace.dram_tag):
-                self.dram.free(namespace.dram_tag)
-            namespace.index = None
-            namespace.resident = False
+        for holder in [*self.snapshots.values(), *self.namespaces.values()]:
+            if self.dram.holds(holder.dram_tag):
+                self.dram.free(holder.dram_tag)
+        self.mapping.clear()
         self._dram_lost = True
         self.metrics.counter("kaml.ssd.power_losses").inc()
 
@@ -1393,6 +973,7 @@ class KamlSsd:
                 self.metrics.counter("kaml.ssd.preserved_prepares").inc()
                 ctx.event("recover.prepare_preserved", txn=batch.txn_id)
                 continue
+            versioned = batch.versions is not None  # replay stamps the rest
             replayed = yield from self._replay_batch(batch)
             self.nvram.release(handle)
             self.metrics.counter("kaml.ssd.recovered_batches").inc()
@@ -1400,7 +981,7 @@ class KamlSsd:
                 "recover.batch_replayed",
                 kind=batch.kind,
                 records=replayed,
-                versioned=batch.versions is not None,
+                versioned=versioned,
             )
         self._dram_lost = False
         # `scan_mode` records whether *this* recovery had to scan flash; a
@@ -1411,20 +992,19 @@ class KamlSsd:
             # SAN-OOB / SAN-VALID: the rebuilt mapping tables, the OOB
             # bitmaps they reference, and valid-byte accounting must all
             # agree before the device serves traffic again.
-            sanitize.check_recovery(self)
+            sanitize.check_recovery(self.mapping)
         ctx.close()
         self.env.try_advance(0.0) or (yield self.env.timeout(0.0))
 
     def _rebuild_from_flash(self, ctx: TraceContext = NULL_CONTEXT) -> Any:
         """Reconstruct mapping tables and block lists by scanning flash.
 
-        Every programmed page of every log target is read; the OOB
-        bitmap yields each record's chunk run (no external directory
-        needed).  The newest copy of each key wins by record sequence,
-        with physical position as the tie-break for GC-duplicated copies
-        of the same version.  The version counter resumes above every
-        sequence seen — including stale copies — so new commits always
-        outrank pre-crash ones.
+        Each log reads its own target (:meth:`KamlLog.rescan`).  The
+        newest copy of each key wins by record sequence, with physical
+        position as the tie-break for GC-duplicated copies of the same
+        version.  The version counter resumes above every sequence seen
+        — including stale copies — so new commits always outrank
+        pre-crash ones.
         """
         scan_start = self.env.now
         winners: Dict[Tuple[int, int], Tuple[Tuple[int, Tuple[int, ...]], Record,
@@ -1433,74 +1013,17 @@ class KamlSsd:
         scanned_records = 0
         scanned_pages = 0
         for log in self.logs:
-            chip = self.array.chip(log.channel, log.chip)
-            free_blocks: List[int] = []
-            full_blocks: List[int] = []
-            #: (free_pages, block_index, write_pointer) of partial blocks.
-            partial_blocks: List[Tuple[int, int, int]] = []
-            for block_index in range(self.geometry.blocks_per_chip):
-                block = chip.block(block_index)
-                if block.is_bad:
-                    continue  # retired; never allocatable again
-                if block.programmed_pages == 0:
-                    free_blocks.append(block_index)
-                    continue
-                if block.programmed_pages < self.geometry.pages_per_block:
-                    partial_blocks.append(
-                        (
-                            self.geometry.pages_per_block - block.programmed_pages,
-                            block_index,
-                            block.programmed_pages,
-                        )
-                    )
-                else:
-                    full_blocks.append(block_index)
-                for page_index in range(block.programmed_pages):
-                    pointer = PagePointer(log.channel, log.chip, block_index, page_index)
-                    data, oob = yield from self.array.read_page(
-                        pointer, ctx=ctx, parent=ctx.root
-                    )
-                    scanned_pages += 1
-                    for start, nchunks in decode_bitmap(
-                        oob or 0, self.geometry.chunks_per_page
-                    ):
-                        record = data.get(start) if data else None
-                        if record is None:
-                            continue
-                        scanned_records += 1
-                        max_seq = max(max_seq, record.seq)
-                        location = RecordLocation(pointer, start, nchunks)
-                        entry_key = (record.namespace_id, record.key)
-                        rank = (
-                            record.seq,
-                            (pointer.channel, pointer.chip, pointer.block,
-                             pointer.page, start),
-                        )
-                        previous = winners.get(entry_key)
-                        if previous is None or rank > previous[0]:
-                            winners[entry_key] = (rank, record, location)
-            # The two emptiest partial blocks become the resumed write
-            # points; the rest are sealed for GC.  Discarding every
-            # partial tail instead can leave the log with zero
-            # allocatable pages — replay then wedges because GC has
-            # nowhere to relocate survivors either.  GC gets the largest
-            # tail: it is the stream that reclaims whole blocks, so
-            # feeding it first un-wedges a full log; the host stream can
-            # wait on the space gate, GC cannot.
-            partial_blocks.sort(key=lambda entry: (-entry[0], entry[1]))
-            host_active = gc_active = None
-            if partial_blocks:
-                _, block_index, pointer_index = partial_blocks[0]
-                gc_active = (block_index, pointer_index)
-            if len(partial_blocks) > 1:
-                _, block_index, pointer_index = partial_blocks[1]
-                host_active = (block_index, pointer_index)
-            full_blocks.extend(entry[1] for entry in partial_blocks[2:])
-            log.adopt_blocks(
-                free_blocks, full_blocks,
-                host_active=host_active, gc_active=gc_active,
-            )
-        self._version_counter = max(self._version_counter, max_seq)
+            pages, found = yield from log.rescan(ctx)
+            scanned_pages += pages
+            scanned_records += len(found)
+            for record, location in found:
+                max_seq = max(max_seq, record.seq)
+                rank = (record.seq, (*location.page, location.chunk))
+                entry_key = (record.namespace_id, record.key)
+                previous = winners.get(entry_key)
+                if previous is None or rank > previous[0]:
+                    winners[entry_key] = (rank, record, location)
+        self.mapping.resume_versions(max_seq)
         # Fresh mapping tables, then install each key's newest copy.
         for namespace in self.namespaces.values():
             index = Namespace.build_index(
@@ -1514,17 +1037,11 @@ class KamlSsd:
         inserts = 0
         for entry_key in sorted(winners):
             _rank, record, location = winners[entry_key]
-            namespace = self.namespaces.get(record.namespace_id)
-            if namespace is None or namespace.index is None:
+            if record.namespace_id not in self.namespaces:
                 continue  # records of a deleted namespace are garbage
-            self._installed_versions[entry_key] = record.seq
-            if record.value is TOMBSTONE:
-                self._tombstones[entry_key] = (record.seq, location)
-                self._adjust_valid(location, +1)
-                continue
-            namespace.index.insert(record.key, location)
-            self._adjust_valid(location, +1)
-            inserts += 1
+            self.mapping.install(record, location)
+            if record.value is not TOMBSTONE:
+                inserts += 1
         yield from self.firmware.execute(
             inserts * (self.costs.hash_insert_us + self.costs.per_record_us)
         )
@@ -1550,39 +1067,20 @@ class KamlSsd:
         the scan saw.  Unversioned batches were never acknowledged;
         they apply all-or-nothing with fresh versions.
         """
-        versions = batch.versions
-        if versions is None:
-            versions = []
-            for _item in batch.items:
-                self._version_counter += 1
-                versions.append(self._version_counter)
-        else:
-            for version in versions:
-                self._version_counter = max(self._version_counter, version)
         staged_events = []
         touched = set()
-        for item, version in zip(batch.items, versions):
-            namespace = self.namespaces.get(item.namespace_id)
+        for record in self.mapping.commit(batch):
+            namespace = self.namespaces.get(record.namespace_id)
             if namespace is None:
                 continue
-            record = Record(*item, seq=version)
             log = self._pick_log(namespace, record)
-            staged_events.append((item, version, log._stage(record, for_gc=False)))
+            staged_events.append((record, log.stage(record, for_gc=False)))
             touched.add(log.log_id)
         for log_id in sorted(touched):
             self.logs[log_id].force_flush()
-        for item, version, event in staged_events:
+        for record, event in staged_events:
             location = yield event
-            if batch.kind == "delete":
-                self._install_tombstone(item.namespace_id, item.key, version, location)
-            elif batch.versions is None:
-                self._install(item.namespace_id, item.key, location)
-                self._installed_versions[(item.namespace_id, item.key)] = max(
-                    version,
-                    self._installed_versions.get((item.namespace_id, item.key), 0),
-                )
-            else:
-                self._install_versioned(item.namespace_id, item.key, version, location)
+            self.mapping.install(record, location)
         return len(staged_events)
 
     # ------------------------------------------------------------------
@@ -1594,6 +1092,11 @@ class KamlSsd:
             return self.namespaces[namespace_id]
         except KeyError:
             raise NamespaceError(f"unknown namespace id: {namespace_id}") from None
+
+    @property
+    def staged_records(self) -> int:
+        """Acknowledged records whose mapping install has not landed yet."""
+        return self.mapping.staged_count
 
     def drain(self) -> Any:
         """Force all open pages to flash and wait for them (test helper)."""
@@ -1662,8 +1165,8 @@ class KamlSsd:
             "dram_used_bytes": self.dram.used_bytes,
             "dram_free_bytes": self.dram.free_bytes,
             "nvram_used_bytes": self.nvram.used_bytes,
-            "staged_records": len(self._staged),
-            "valid_bytes": sum(self._valid_bytes.values()),
+            "staged_records": self.staged_records,
+            "valid_bytes": self.mapping.valid_bytes_total(),
             "free_blocks": sum(log.free_blocks for log in self.logs),
             "retired_blocks": int(self.metrics.total("kaml.log.retired_blocks")),
             "gc_erased_blocks": int(self.metrics.total("kaml.log.gc.erased_blocks")),

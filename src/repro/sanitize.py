@@ -91,100 +91,70 @@ def check_page_assembly(assembly: Any) -> None:
 # ----------------------------------------------------------------------
 
 
-def check_relocation(ssd: Any, record: Any, old: Any, new: Any) -> None:
+def _check_run_on_flash(
+    mapping: Any, namespace_id: int, key: int, location: Any, when: str
+) -> None:
+    """SAN-OOB: the page's OOB bitmap must describe the run a table names."""
+    from repro.kaml.record import decode_bitmap
+
+    oob = mapping.array.block_at(location.page).peek_oob(location.page.page)
+    runs = decode_bitmap(oob or 0, mapping.geometry.chunks_per_page)
+    if (location.chunk, location.nchunks) not in runs:
+        raise InvariantError(
+            "SAN-OOB",
+            f"{when}: ns={namespace_id} key={key} references run "
+            f"({location.chunk}, {location.nchunks}) absent from page "
+            f"{location.page} OOB (runs={runs})",
+        )
+
+
+def check_relocation(mapping: Any, record: Any, old: Any, new: Any) -> None:
     """SAN-OOB / SAN-VALID: post-conditions of a successful relocation."""
-    from repro.kaml.record import TOMBSTONE, decode_bitmap
-
-    block = ssd.array.block_at(new.page)
-    oob = block.peek_oob(new.page.page)
-    if oob is None:
+    _check_run_on_flash(mapping, record.namespace_id, record.key, new, "GC relocation")
+    if not mapping.is_valid(record, new):
         raise InvariantError(
             "SAN-OOB",
-            f"relocated record ns={record.namespace_id} key={record.key} "
-            f"points at unprogrammed page {new.page}",
+            f"no mapping table or delete marker points at relocated "
+            f"ns={record.namespace_id} key={record.key} after GC install",
         )
-    runs = decode_bitmap(oob, ssd.geometry.chunks_per_page)
-    if (new.chunk, new.nchunks) not in runs:
-        raise InvariantError(
-            "SAN-OOB",
-            f"destination OOB bitmap {oob:#x} has no run "
-            f"({new.chunk}, {new.nchunks}) for ns={record.namespace_id} "
-            f"key={record.key}; runs={runs}",
-        )
-    if record.value is TOMBSTONE:
-        entry = ssd._tombstones.get((record.namespace_id, record.key))
-        if entry is None or entry[1] != new:
-            raise InvariantError(
-                "SAN-OOB",
-                f"tombstone table does not point at relocated marker "
-                f"ns={record.namespace_id} key={record.key} after GC install",
-            )
-    elif not any(
-        index.lookup(record.key)[0] == new
-        for index in ssd._indices_for(record.namespace_id)
-    ):
-        raise InvariantError(
-            "SAN-OOB",
-            f"no mapping table points at relocated ns={record.namespace_id} "
-            f"key={record.key} after GC install",
-        )
-    for block_key in (_block_key(old), _block_key(new)):
-        check_valid_bytes(ssd, block_key)
+    for block_key in (old.block_key, new.block_key):
+        check_valid_bytes(mapping, block_key)
 
 
-def _block_key(location: Any) -> Tuple[int, int, int]:
-    return (location.page.channel, location.page.chip, location.page.block)
-
-
-def check_valid_bytes(ssd: Any, block_key: Tuple[int, int, int]) -> None:
+def check_valid_bytes(mapping: Any, block_key: Tuple[int, int, int]) -> None:
     """SAN-VALID: a block's valid-byte count must stay non-negative."""
-    count = ssd._valid_bytes.get(block_key, 0)
+    count = mapping.valid_bytes(block_key)
     if count < 0:
         raise InvariantError(
             "SAN-VALID", f"block {block_key} has {count} valid bytes"
         )
 
 
-def check_recovery(ssd: Any) -> None:
+def check_recovery(mapping: Any) -> None:
     """SAN-OOB / SAN-VALID: post-conditions of scan-based recovery.
 
     Every mapping-table entry and tombstone must reference a chunk run
-    that the destination page's OOB bitmap actually describes, and each
-    block's valid-byte accounting must equal exactly the bytes those
-    references cover — nothing lost, nothing double-counted.  Called by
-    :meth:`~repro.kaml.ssd.KamlSsd.recover` after a full power loss
-    (snapshots did not survive, so references are enumerable exactly).
+    that the destination page's OOB bitmap actually describes, and the
+    valid-byte accounting must cover exactly those references.  Called
+    by :meth:`~repro.kaml.ssd.KamlSsd.recover` after a full power loss.
     """
-    from repro.kaml.record import decode_bitmap
+    for namespace_id, key, location in mapping.references():
+        _check_run_on_flash(mapping, namespace_id, key, location, "recovered mapping")
+    check_accounting(mapping)
 
+
+def check_accounting(mapping: Any) -> None:
+    """SAN-VALID: each block's valid-byte accounting must equal exactly
+    the bytes the live references cover — nothing lost, nothing
+    double-counted, never negative."""
     referenced: Dict[Tuple[int, int, int], int] = {}
-
-    def reference(namespace_id: int, key: int, location: Any) -> None:
-        block = ssd.array.block_at(location.page)
-        oob = block.peek_oob(location.page.page)
-        runs = decode_bitmap(oob or 0, ssd.geometry.chunks_per_page)
-        if (location.chunk, location.nchunks) not in runs:
-            raise InvariantError(
-                "SAN-OOB",
-                f"recovered mapping ns={namespace_id} key={key} references "
-                f"run ({location.chunk}, {location.nchunks}) absent from "
-                f"page {location.page} OOB (runs={runs})",
-            )
-        block_key = _block_key(location)
-        referenced[block_key] = referenced.get(block_key, 0) + (
-            location.nchunks * ssd.geometry.chunk_size
+    for _namespace_id, _key, location in mapping.references():
+        referenced[location.block_key] = referenced.get(location.block_key, 0) + (
+            location.nchunks * mapping.geometry.chunk_size
         )
-
-    for namespace in ssd.namespaces.values():
-        if namespace.index is None:
-            continue
-        for key, location in namespace.index.items():
-            reference(namespace.namespace_id, key, location)
-    for (namespace_id, key), (_version, location) in sorted(ssd._tombstones.items()):
-        reference(namespace_id, key, location)
-    blocks = set(referenced) | set(ssd._valid_bytes)
-    for block_key in sorted(blocks):
-        accounted = ssd._valid_bytes.get(block_key, 0)
+    valid_bytes = mapping.valid_bytes_by_block()
+    for block_key in sorted(set(referenced) | set(valid_bytes)):
+        accounted = valid_bytes.get(block_key, 0)
         expected = referenced.get(block_key, 0)
         if accounted < 0:
             raise InvariantError(
@@ -193,8 +163,8 @@ def check_recovery(ssd: Any) -> None:
         if accounted != expected:
             raise InvariantError(
                 "SAN-VALID",
-                f"block {block_key} accounts {accounted} valid bytes after "
-                f"recovery; live references cover {expected}",
+                f"block {block_key} accounts {accounted} valid bytes; "
+                f"live references cover {expected}",
             )
 
 
@@ -218,7 +188,7 @@ def check_close(ssd: Any) -> None:
             f"{len(handles)} NVRAM reservation(s) leaked at close: "
             f"handles {handles} ({ssd.nvram.used_bytes} B still pinned)",
         )
-    leaked = {key: count for key, count in ssd._pins.items() if count > 0}
+    leaked = ssd.mapping.pinned_blocks()
     if leaked:
         raise InvariantError(
             "SAN-PIN", f"block read-pins leaked at close: {leaked}"

@@ -16,29 +16,18 @@ from repro.sim import Environment, Resource
 class FirmwarePool:
     """A pool of embedded-CPU execution contexts."""
 
-    def __init__(self, env: Environment, contexts: int):
+    def __init__(self, env: Environment, contexts: int, metrics=None):
+        """``metrics`` is the stack root's optional
+        :class:`~repro.obs.MetricsRegistry`; with one, context-wait
+        latency and run-queue depth are recorded."""
         self.env = env
         self._pool = Resource(env, capacity=contexts, name="firmware")
         self.busy_us = 0.0
-        self._metrics = None
         self._wait_us_histogram = None
         self._queue_depth_gauge = None
-
-    @property
-    def metrics(self):
-        """Optional :class:`~repro.obs.MetricsRegistry` set by the stack
-        root; records context-wait latency and run-queue depth."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-        if registry is not None:
-            self._wait_us_histogram = registry.histogram("kaml.firmware.wait_us")
-            self._queue_depth_gauge = registry.gauge("kaml.firmware.queue_depth")
-        else:
-            self._wait_us_histogram = None
-            self._queue_depth_gauge = None
+        if metrics is not None:
+            self._wait_us_histogram = metrics.histogram("kaml.firmware.wait_us")
+            self._queue_depth_gauge = metrics.gauge("kaml.firmware.queue_depth")
 
     @property
     def contexts(self) -> int:

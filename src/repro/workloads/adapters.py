@@ -68,11 +68,11 @@ class KamlAdapter:
 
     @property
     def committed(self) -> int:
-        return self.store.stats.committed
+        return int(self.store.metrics.total("store.txn.committed"))
 
     @property
     def aborted(self) -> int:
-        return self.store.stats.aborted
+        return int(self.store.metrics.total("store.txn.aborted"))
 
 
 class ShoreAdapter:

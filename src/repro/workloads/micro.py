@@ -100,7 +100,7 @@ def kaml_populate(env: Environment, ssd: KamlSsd, namespace_id: int,
         # Setup ends with everything on flash: measurements that follow
         # must exercise the real read path, not the NVRAM staging area.
         for _ in range(16):
-            if not ssd._staged:
+            if not ssd.staged_records:
                 break
             yield from ssd.drain()
 

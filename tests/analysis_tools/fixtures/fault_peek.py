@@ -5,5 +5,5 @@ def verify_recovery(ssd, namespace, key):
     # Reading the mapping table directly lets a recovery bug "verify"
     # itself; the harness must go through the public command surface.
     location, _ = namespace.index.lookup(key)
-    staged = ssd._staged.get((1, key))
-    return location, staged, ssd._tombstones
+    staged = ssd.mapping._staged.get((1, key))
+    return location, staged, ssd.mapping._tombstones

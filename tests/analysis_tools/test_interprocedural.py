@@ -46,6 +46,23 @@ def test_race_message_names_write_site():
     assert "no common lock" in message
 
 
+def test_res001_sees_the_pins_of_the_module_that_owns_them():
+    # KL-RES001 finds pins by method *name*: a rename in kaml/mapping.py
+    # that the name tables do not follow would blind it without a sound.
+    from repro.analysis_tools.core import load_modules
+    from repro.analysis_tools.graph import Project, iter_project_functions
+    from repro.analysis_tools.resourcerules import _own_events
+
+    project = Project(load_modules([str(SRC / "kaml" / "mapping.py")]))
+    pins = [
+        event.delta
+        for info in iter_project_functions(project)
+        for event in _own_events(info)
+        if event.kind == "pin"
+    ]
+    assert pins.count(+1) >= 1 and pins.count(-1) >= 1
+
+
 def test_res_leak_reports_interprocedural_source():
     violations = [
         v for v in run_lint([FIXTURES / "res_leak.py"]) if v.rule == "KL-RES001"

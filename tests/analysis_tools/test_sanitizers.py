@@ -129,7 +129,7 @@ def test_close_reports_leaked_pin(armed):
 
     env.process(flow())
     env.run()
-    ssd._pins[(0, 0, 0)] = 1  # simulate a reader that never unpinned
+    ssd.mapping._pin((0, 0, 0))  # simulate a reader that never unpinned
     with pytest.raises(InvariantError, match="SAN-PIN.*leaked"):
         ssd.close()
 

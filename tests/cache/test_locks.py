@@ -177,7 +177,7 @@ def test_two_txn_deadlock_detected(env):
     env.process(txn_b())
     env.run()
     assert sorted(outcome.values()) == ["ok", "victim"]
-    assert lm.deadlocks >= 1
+    assert lm.metrics.total("cache.lock.deadlocks") >= 1
     # The youngest (t2) must be the victim.
     assert outcome["b"] == "victim"
 
@@ -220,7 +220,7 @@ def test_no_false_deadlock_on_plain_contention(env):
         env.process(worker(txn))
     env.run()
     assert sorted(done) == [1, 2, 3]
-    assert lm.deadlocks == 0
+    assert lm.metrics.total("cache.lock.deadlocks") == 0
 
 
 def test_lock_striping_groups_keys():
@@ -247,7 +247,7 @@ def test_striping_creates_false_conflicts(env):
     env.process(writer(t2, 1))
     env.run()
     assert max(grants) >= 10.0
-    assert lm.conflicts == 1
+    assert lm.metrics.total("cache.lock.conflicts") == 1
 
 
 def test_record_level_no_false_conflicts(env):
@@ -265,7 +265,7 @@ def test_record_level_no_false_conflicts(env):
     env.process(writer(t2, 1))
     env.run()
     assert grants == [pytest.approx(0.6), pytest.approx(0.6)]
-    assert lm.conflicts == 0
+    assert lm.metrics.total("cache.lock.conflicts") == 0
 
 
 def test_records_per_lock_validation(env):

@@ -107,4 +107,4 @@ def test_concurrent_rfu_increments_never_lose_updates():
         return final
 
     assert run(env, flow()) == workers
-    assert store.locks.deadlocks == 0  # RFU avoids S->X upgrade cycles
+    assert store.metrics.total("cache.lock.deadlocks") == 0  # RFU avoids S->X upgrade cycles

@@ -50,7 +50,7 @@ def test_abort_discards_updates():
         return value
 
     assert run(env, flow()) is None
-    assert store.stats.aborted == 1
+    assert store.metrics.total("store.txn.aborted") == 1
 
 
 def test_read_your_own_writes():
@@ -153,7 +153,7 @@ def test_deadlock_victim_retries_and_completes():
         return True
 
     assert run(env, flow())
-    assert store.stats.committed == 2
+    assert store.metrics.total("store.txn.committed") == 2
 
 
 def test_disjoint_transactions_commit_in_parallel():
@@ -180,7 +180,7 @@ def test_disjoint_transactions_commit_in_parallel():
     # Eight commits finish within a small window of each other rather
     # than serializing end-to-end.
     assert solo < elapsed
-    assert store.stats.committed == 8
+    assert store.metrics.total("store.txn.committed") == 8
 
 
 def test_lock_striping_serializes_neighbors():
@@ -218,8 +218,8 @@ def test_cache_hit_serves_transaction_read():
         return value
 
     assert run(env, flow()) == "warm"
-    assert store.buffer.stats.hits == 1
-    assert store.buffer.stats.misses == 0
+    assert store.metrics.total("cache.hits") == 1
+    assert store.metrics.total("cache.misses") == 0
 
 
 def test_run_transaction_returns_body_value():

@@ -97,8 +97,8 @@ def test_buffer_miss_then_hit():
     first, second = run(env, flow())
     assert first == ("on-flash", 128)
     assert second == ("on-flash", 128)
-    assert buffer.stats.misses == 1
-    assert buffer.stats.hits == 1
+    assert buffer.metrics.total("cache.misses") == 1
+    assert buffer.metrics.total("cache.hits") == 1
 
 
 def test_buffer_read_absent_key():
@@ -129,7 +129,7 @@ def test_buffer_lru_eviction():
         return None
 
     run(env, flow())
-    assert buffer.stats.evictions == 1
+    assert buffer.metrics.total("cache.evictions") == 1
     assert (1, 1) not in buffer
     assert (1, 0) in buffer and (1, 2) in buffer
 
@@ -148,7 +148,7 @@ def test_buffer_dirty_eviction_writes_back():
         return value
 
     assert run(env, flow()) == "dirty-v"
-    assert buffer.stats.writebacks == 1
+    assert buffer.metrics.total("cache.writebacks") == 1
 
 
 def test_buffer_flush_writes_all_dirty():
@@ -168,7 +168,7 @@ def test_buffer_flush_writes_all_dirty():
         return values
 
     assert run(env, flow()) == [f"d{k}" for k in range(4)]
-    assert buffer.stats.writebacks == 4
+    assert buffer.metrics.total("cache.writebacks") == 4
 
 
 def test_buffer_update_replaces_size_accounting():
@@ -215,4 +215,5 @@ def test_buffer_hit_ratio():
         yield from buffer.read(nsid, 1)
 
     run(env, flow())
-    assert buffer.stats.hit_ratio == pytest.approx(0.75)
+    hits = buffer.metrics.total("cache.hits")
+    assert hits / (hits + buffer.metrics.total("cache.misses")) == pytest.approx(0.75)

@@ -69,8 +69,8 @@ def test_cache_miss_path_reads_through_ssd():
     proc = env.process(flow())
     env.run_until(proc)
     assert proc.value == [("v", key) for key in range(32)]
-    assert store.buffer.stats.evictions > 0
-    assert store.buffer.stats.misses > 0
+    assert store.metrics.total("cache.evictions") > 0
+    assert store.metrics.total("cache.misses") > 0
 
 
 def test_tpcb_invariant_with_tiny_cache():

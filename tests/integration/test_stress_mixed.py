@@ -78,15 +78,16 @@ def test_mixed_stress_audit():
     # stays valid while it is the newest version of its key, so a power
     # loss cannot resurrect the deleted value), and the staging pipeline
     # is empty.
-    expected_valid = 0
-    for key, value in model.items():
-        location, _ = ssd.namespaces[nsid].index.lookup(key)
-        assert location is not None, key
-        expected_valid += location.nchunks * geometry.chunk_size
-    for _version, location in ssd._tombstones.values():
-        expected_valid += location.nchunks * geometry.chunk_size
-    assert sum(ssd._valid_bytes.values()) == expected_valid
-    assert not ssd._staged
+    index = ssd.namespaces[nsid].index
+    assert {key for key, _location in index.items()} == set(model)
+    # The index holds exactly the live keys, so every other reference is
+    # a live tombstone.
+    expected_valid = sum(
+        location.nchunks * geometry.chunk_size
+        for _nsid, _key, location in ssd.mapping.references()
+    )
+    assert ssd.mapping.valid_bytes_total() == expected_valid
+    assert not ssd.staged_records
     # GC actually ran under this churn.
     assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
 

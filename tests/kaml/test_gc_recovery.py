@@ -105,13 +105,13 @@ def test_deleted_namespace_records_become_garbage():
         nsid = yield from ssd.create_namespace(NamespaceAttributes(expected_keys=16))
         yield from ssd.put([PutItem(nsid, k, "junk", 2048) for k in range(8)])
         yield from ssd.drain()
-        block_valid_before = sum(ssd._valid_bytes.values())
+        block_valid_before = ssd.mapping.valid_bytes_total()
         yield from ssd.delete_namespace(nsid)
         return block_valid_before
 
     valid_before = run(env, flow())
     assert valid_before > 0
-    assert sum(ssd._valid_bytes.values()) == 0
+    assert ssd.mapping.valid_bytes_total() == 0
 
 
 # -- crash / recovery ---------------------------------------------------------

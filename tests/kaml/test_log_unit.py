@@ -1,9 +1,10 @@
 """Direct unit tests for KamlLog: staging, flushing, timers, wear."""
 
 from repro.config import FlashGeometry, KamlParams, ReproConfig
-from repro.flash import FlashArray
+from repro.flash import FlashArray, PagePointer
+from repro.flash.block import BlockState
 from repro.kaml.log import KamlLog, LogSpaceError
-from repro.kaml.record import Record, RecordLocation, decode_bitmap
+from repro.kaml.record import Record, RecordLocation, decode_bitmap, encode_bitmap
 from repro.sim import Environment
 
 
@@ -16,23 +17,19 @@ class FakeHooks:
         self.locations = {}      # key -> current RecordLocation
         self.relocations = []
 
-    @staticmethod
-    def _block_key(location):
-        return (location.page.channel, location.page.chip, location.page.block)
-
     def register(self, key, location):
         """Mark a key's freshly written record as its current copy."""
         old = self.locations.get(key)
         if old is not None:
-            self.valid[self._block_key(old)] -= old.nchunks * 128
+            self.valid[old.block_key] -= old.nchunks * 128
         self.locations[key] = location
-        block_key = self._block_key(location)
+        block_key = location.block_key
         self.valid[block_key] = self.valid.get(block_key, 0) + location.nchunks * 128
 
     def invalidate(self, key):
         old = self.locations.pop(key, None)
         if old is not None:
-            self.valid[self._block_key(old)] -= old.nchunks * 128
+            self.valid[old.block_key] -= old.nchunks * 128
 
     def valid_bytes(self, block_key):
         return self.valid.get(block_key, 0)
@@ -105,7 +102,7 @@ def test_records_pack_into_one_page():
     env, log, hooks, array = make_log()
 
     def flow():
-        stages = [log._stage(record(k, size=1000), for_gc=False) for k in range(4)]
+        stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(4)]
         log.force_flush()
         locations = []
         for event in stages:
@@ -125,7 +122,7 @@ def test_full_page_flushes_without_timer():
 
     def flow():
         # 8 records x 8 chunks each = 64 chunks: exactly one page.
-        stages = [log._stage(record(k, size=1000), for_gc=False) for k in range(8)]
+        stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(8)]
         for event in stages:
             yield event
         return env.now
@@ -163,7 +160,7 @@ def flush_launches(log):
 
 def stage_at(env, log, when, key, size):
     env.run(until=when)
-    log._stage(record(key, size=size), for_gc=False)
+    log.stage(record(key, size=size), for_gc=False)
 
 
 def test_lone_append_and_same_instant_batch_flush_at_exactly_one_timeout():
@@ -172,7 +169,7 @@ def test_lone_append_and_same_instant_batch_flush_at_exactly_one_timeout():
         launches = flush_launches(log)
         env.run(until=123.0)
         for key in range(batch):
-            log._stage(record(key, size=100), for_gc=False)
+            log.stage(record(key, size=100), for_gc=False)
         env.run()
         assert launches == [623.0]
         assert log.metrics.total("kaml.log.timer_flushes", log=log.log_id) == 1
@@ -227,8 +224,8 @@ def test_oversized_tail_starts_new_page():
 
     def flow():
         # 60 chunks, then a 10-chunk record that cannot fit the tail.
-        first = log._stage(record(1, size=7600), for_gc=False)
-        second = log._stage(record(2, size=1200), for_gc=False)
+        first = log.stage(record(1, size=7600), for_gc=False)
+        second = log.stage(record(2, size=1200), for_gc=False)
         log.force_flush()
         a = yield first
         b = yield second
@@ -320,3 +317,56 @@ def test_space_error_when_everything_valid():
         return "fit"
 
     assert run(env, flow()) == "full"
+
+
+# -- rescan: the log rebuilds its own block lists after a power cut -----------
+
+def test_rescan_restores_block_lists_and_both_write_points():
+    env, log, hooks, array = make_log(blocks=8, pages=4)
+
+    def flow():
+        for key in range(6):  # one 7,000 B record per page: a full block + 2 pages
+            yield from log.append(record(key, size=7000))
+        yield log.stage(record(100, size=7000), for_gc=True)  # one page, GC stream
+
+    run(env, flow())
+    free, full = sorted(log.free), sorted(log.full)
+    active, write_pointers = dict(log._active), dict(log._active_wp)
+    assert write_pointers == {False: 2, True: 1}
+    array.power_loss()
+    log.power_loss()
+    assert (log.free, log.full) == ([], [])
+    pages, found = run(env, log.rescan())
+    assert pages == 7
+    assert sorted(rec.key for rec, _location in found) == [0, 1, 2, 3, 4, 5, 100]
+    for rec, location in found:
+        data, _bitmap = array.block_at(location.page).read(location.page.page)
+        assert data[location.chunk] == rec
+    assert (sorted(log.free), sorted(log.full)) == (free, full)
+    # GC's tail (3 free pages) is the larger one, so each stream resumes
+    # exactly where it stopped.
+    assert (log._active, log._active_wp) == (active, write_pointers)
+
+
+def test_rescan_feeds_gc_the_larger_tail_seals_the_rest_and_skips_bad_blocks():
+    env, log, hooks, array = make_log(blocks=8, pages=4)
+    programmed = {0: 4, 1: 1, 2: 3, 3: 2}  # block -> pages: full, then three tails
+
+    def flow():
+        for block, pages in programmed.items():
+            for page in range(pages):
+                yield from array.program_page(
+                    PagePointer(0, 0, block, page),
+                    {0: record(10 * block + page, size=100)},
+                    oob=encode_bitmap([1]),
+                )
+
+    run(env, flow())
+    array.chip(0, 0).block(4).state = BlockState.BAD
+    log.power_loss()
+    pages, found = run(env, log.rescan())
+    assert pages == 10 and len(found) == 10
+    assert log._active == {True: 1, False: 3}  # 3 free pages to GC, 2 to the host
+    assert log._active_wp == {True: 1, False: 2}
+    assert log.full == [0, 2]  # the smallest tail is sealed for GC to reclaim
+    assert log.free == [5, 6, 7]  # the bad block is in no list

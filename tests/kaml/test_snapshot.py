@@ -113,9 +113,9 @@ def test_delete_snapshot_frees_space():
         yield from ssd.put([PutItem(nsid, 1, "x", 128)])
         snap = yield from ssd.snapshot_namespace(nsid)
         dram_with = ssd.dram.used_bytes
-        valid_with = sum(ssd._valid_bytes.values())
+        valid_with = ssd.mapping.valid_bytes_total()
         yield from ssd.delete_snapshot(snap)
-        return dram_with, valid_with, ssd.dram.used_bytes, sum(ssd._valid_bytes.values())
+        return dram_with, valid_with, ssd.dram.used_bytes, ssd.mapping.valid_bytes_total()
 
     dram_with, valid_with, dram_after, valid_after = run(env, flow())
     assert dram_after < dram_with

@@ -14,6 +14,7 @@ from repro.kaml import (
     PutItem,
     RecordTooLargeError,
 )
+from repro.kaml.record import Record
 from repro.sim import Environment
 
 
@@ -382,3 +383,28 @@ def test_namespace_deleted_after_ack_leaves_no_reservation_or_pin():
         ssd.close()  # SAN-NVRAM / SAN-PIN
     finally:
         sanitize.set_enabled(None)
+
+
+def test_delete_namespace_leaves_no_per_key_state_behind():
+    """50 Puts, a Delete, DeleteNamespace: the mapping forgets every
+    version, tombstone, staged value and valid byte of the namespace."""
+    env, ssd = make_ssd()
+
+    def flow():
+        nsid = yield from ssd.create_namespace()
+        for key in range(50):
+            yield from put_one(ssd, nsid, key, ("v", key))
+        yield from ssd.delete(nsid, 7)
+        yield from ssd.drain()
+        assert ssd.mapping.valid_bytes_total() > 0
+        yield from ssd.delete_namespace(nsid)
+        return nsid
+
+    nsid = run(env, flow())
+    mapping = ssd.mapping
+    # Version 0 loses to any version the table still remembers for the key.
+    leftover = [k for k in range(50) if mapping.superseded(Record(nsid, k, None, 0, seq=0))]
+    assert leftover == []
+    assert list(mapping.references()) == []  # index entries and tombstones
+    assert mapping.staged_items(nsid) == [] and ssd.staged_records == 0
+    assert mapping.valid_bytes_total() == 0

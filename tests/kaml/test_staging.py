@@ -92,7 +92,7 @@ def test_final_state_after_drain_is_last_version():
 
     assert run(env, flow()) == ("v", 9)
     # Staging area fully drained.
-    assert not ssd._staged
+    assert not ssd.staged_records
 
 
 def test_concurrent_same_key_writers_converge():
@@ -112,12 +112,12 @@ def test_concurrent_same_key_writers_converge():
 
     value = run(env, flow())
     assert value[0] == "w"
-    assert not ssd._staged
+    assert not ssd.staged_records
     # Exactly one record (one 128 B chunk) remains valid; the eleven
     # superseded copies are garbage for GC.
     from repro.kaml.record import chunks_for
     expected = chunks_for(64, ssd.geometry.chunk_size) * ssd.geometry.chunk_size
-    assert sum(ssd._valid_bytes.values()) == expected
+    assert ssd.mapping.valid_bytes_total() == expected
 
 
 def test_delete_wins_over_in_flight_install():
