@@ -1,8 +1,10 @@
 """Integration tests for the KamlStore transactional API (Table II)."""
 
-from repro.cache import KamlStore
+import pytest
+
+from repro.cache import CacheCapacityError, KamlStore
 from repro.config import KamlParams, ReproConfig
-from repro.kaml import KamlSsd
+from repro.kaml import KamlSsd, PutItem
 from repro.sim import Environment
 
 
@@ -220,6 +222,73 @@ def test_cache_hit_serves_transaction_read():
     assert run(env, flow()) == "warm"
     assert store.metrics.total("cache.hits") == 1
     assert store.metrics.total("cache.misses") == 0
+
+
+def test_update_larger_than_the_cache_commits_and_releases_its_lock():
+    """A committed value too big to cache is durable, simply not cached,
+    and its X lock is released: the next transaction on the key runs."""
+    env, ssd, store = make_store(cache_bytes=4 * 1024)
+    outcomes = []
+
+    def writer(nsid, value):
+        def body(txn):
+            yield from store.transaction_update(txn, nsid, 1, value, 8_000)
+
+        try:
+            yield from store.run_transaction(body)
+            outcomes.append(value)
+        except Exception as exc:  # a client that survives a failed op
+            outcomes.append(type(exc).__name__)
+
+    def flow():
+        nsid = yield from store.create_namespace()
+        yield from store.put(nsid, 1, "small", 64)  # a stale cached copy
+        yield env.all_of([env.process(writer(nsid, v)) for v in ("big", "bigger")])
+        assert store.locks.holders_of(store.locks.lock_name(nsid, 1)) == {}
+        assert (nsid, 1) not in store.buffer and store.buffer.used_bytes == 0
+        cached = yield from store.get(nsid, 1)
+        flash = yield from ssd.get(nsid, 1)
+        return cached, flash
+
+    assert run(env, flow()) == ("bigger", "bigger")
+    assert outcomes == ["big", "bigger"]
+    assert store.metrics.total("store.txn.committed") == 2
+
+
+def test_read_miss_larger_than_the_cache_is_served_uncached():
+    env, ssd, store = make_store(cache_bytes=4 * 1024)
+
+    def flow():
+        nsid = yield from store.create_namespace()
+        yield from ssd.put([PutItem(nsid, 5, "on-flash", 8_000)])
+        txn = store.transaction_begin()
+        value = yield from store.transaction_read(txn, nsid, 5)
+        yield from store.transaction_commit(txn)
+        store.transaction_free(txn)
+        again = yield from store.get(nsid, 5)
+        return value, again
+
+    assert run(env, flow()) == ("on-flash", "on-flash")
+    assert store.buffer.used_bytes == 0
+    assert store.metrics.total("cache.misses") == 2
+
+
+def test_dirty_value_larger_than_the_cache_is_refused_unchanged():
+    env, ssd, store = make_store(cache_bytes=4 * 1024)
+
+    def flow():
+        nsid = yield from store.create_namespace()
+        yield from store.put_cached(nsid, 1, "dirty", 64)
+        started = env.now
+        with pytest.raises(CacheCapacityError):
+            yield from store.put_cached(nsid, 1, "huge", 8_000)
+        assert env.now == started
+        yield from store.flush()
+        yield from ssd.drain()
+        return (yield from ssd.get(nsid, 1))
+
+    assert run(env, flow()) == "dirty"
+    assert store.buffer.used_bytes == 64
 
 
 def test_run_transaction_returns_body_value():

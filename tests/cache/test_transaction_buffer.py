@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.buffer import BufferManager
+from repro.cache.buffer import BufferManager, CacheCapacityError
 from repro.cache.transaction import DELETED, Transaction, TransactionError, TxnState
 from repro.config import KamlParams, ReproConfig
 from repro.kaml import KamlSsd, PutItem
@@ -185,15 +185,22 @@ def test_buffer_update_replaces_size_accounting():
 
 
 def test_buffer_oversized_value_rejected():
+    """Only a dirty oversized value is refused (the cache would hold the
+    sole copy); a clean one is left uncached and evicts its stale copy."""
     env, ssd = make_env_ssd()
     buffer = BufferManager(env, ssd, capacity_bytes=100, costs=ssd.config.host)
 
     def flow():
         nsid = yield from ssd.create_namespace()
+        yield from buffer.install_clean(nsid, 1, "x", 50)
         yield from buffer.install_clean(nsid, 1, "x", 500)
+        assert (nsid, 1) not in buffer and buffer.used_bytes == 0
+        yield from buffer.install_dirty(nsid, 2, "y", 80)
+        yield from buffer.install_dirty(nsid, 2, "y", 500)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(CacheCapacityError):
         run(env, flow())
+    assert buffer.used_bytes == 80
 
 
 def test_buffer_capacity_validation():
