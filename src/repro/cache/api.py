@@ -27,11 +27,21 @@ from repro.cache.locks import DeadlockError, LockManager, LockMode
 from repro.cache.transaction import DELETED, Transaction, TxnState
 from repro.config import HostCosts
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
+from repro.obs import lazy_instrument
 from repro.sim import Environment
 
 
 class KamlStore:
-    """The KAML caching layer's application-facing API."""
+    """The KAML caching layer's application-facing API.
+
+    Every request reads ``tracer.enabled`` once: a disarmed tracer costs
+    the store no tracing call at all, and an armed one gets the same spans
+    either way.
+    """
+
+    _begun_counter = lazy_instrument("counter", "store.txn.begun")
+    _committed_counter = lazy_instrument("counter", "store.txn.committed")
+    _aborted_counter = lazy_instrument("counter", "store.txn.aborted")
 
     def __init__(
         self,
@@ -73,32 +83,68 @@ class KamlStore:
         txn = Transaction(self._next_txn_id)
         self._next_txn_id += 1
         txn.begin()
-        self.metrics.counter("store.txn.begun").inc()
+        self._begun_counter.inc()
         return txn
 
     def transaction_read(self, txn: Transaction, namespace_id: int, key: int) -> Any:
         """``TransactionRead()``: S-lock the record, serve it from the
         transaction's workspace, the cache, or the SSD."""
-        txn.require_active()
-        staged = txn.staged(namespace_id, key)
+        return self._locked_read(txn, namespace_id, key, LockMode.SHARED, "store.txn.read")
+
+    def transaction_read_for_update(
+        self, txn: Transaction, namespace_id: int, key: int
+    ) -> Any:
+        """Read with an exclusive lock up front (SELECT ... FOR UPDATE).
+
+        Avoids the S->X upgrade deadlocks that read-then-update patterns
+        (TPC-B balance updates, YCSB-F read-modify-write) would otherwise
+        generate under contention.
+        """
+        return self._locked_read(
+            txn, namespace_id, key, LockMode.EXCLUSIVE, "store.txn.read_for_update"
+        )
+
+    def _locked_read(
+        self, txn: Transaction, namespace_id: int, key: int, mode: LockMode, request: str
+    ) -> Any:
+        """Both transactional reads: lock the record in ``mode``, then read
+        it from the workspace, the cache or the SSD.
+
+        The tracer is read once.  Disarmed, an uncontended lock and a cache
+        hit run inline and no tracing call is made; armed, the ``request``
+        trace carries its ``lock.acquire`` and ``cache.read`` spans.
+        """
+        if txn.state is not TxnState.ACTIVE:
+            txn.require_active()  # raises
+        staged = txn.writes.get((namespace_id, key))
         if staged is DELETED:
             return None
         if staged is not None:
             return staged[0]
         started = self.env.now
-        ctx = self.tracer.request(
-            "store.txn.read", txn=txn.txn_id, namespace=namespace_id, key=key
-        )
+        tracer = self.tracer
+        ctx = tracer.request(
+            request, txn=txn.txn_id, namespace=namespace_id, key=key
+        ) if tracer.enabled else None
+        locks = self.locks
+        name = locks.lock_name(namespace_id, key)
         result = None
         try:
-            with ctx.span("lock.acquire", parent=ctx.root, mode="S"):
-                yield from self.locks.acquire(
-                    txn, self.locks.lock_name(namespace_id, key), LockMode.SHARED
-                )
+            if ctx is None:
+                if not locks.try_acquire(txn, name, mode):
+                    yield from locks.acquire(txn, name, mode)
+            else:
+                with ctx.span("lock.acquire", parent=ctx.root, mode=mode.value):
+                    if not locks.try_acquire(txn, name, mode):
+                        yield from locks.acquire(txn, name, mode)
             txn.reads.add((namespace_id, key))
-            result = yield from self.buffer.read(namespace_id, key, ctx=ctx)
+            if ctx is None:
+                result = self.buffer.try_hit(namespace_id, key)
+            if result is None:
+                result = yield from self.buffer.read(namespace_id, key, ctx=ctx)
         finally:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             oplog = self.ssd.oplog
             if oplog.enabled:
                 # Transactional reads are the store-level workload too:
@@ -110,47 +156,7 @@ class KamlStore:
                     result[1] if result is not None else 0,
                     started, self.env.now,
                     outcome="ok" if result is not None else "absent",
-                    trace_id=ctx.trace_id, layer="store",
-                )
-        return result[0] if result is not None else None
-
-    def transaction_read_for_update(
-        self, txn: Transaction, namespace_id: int, key: int
-    ) -> Any:
-        """Read with an exclusive lock up front (SELECT ... FOR UPDATE).
-
-        Avoids the S->X upgrade deadlocks that read-then-update patterns
-        (TPC-B balance updates, YCSB-F read-modify-write) would otherwise
-        generate under contention.
-        """
-        txn.require_active()
-        staged = txn.staged(namespace_id, key)
-        if staged is DELETED:
-            return None
-        if staged is not None:
-            return staged[0]
-        started = self.env.now
-        ctx = self.tracer.request(
-            "store.txn.read_for_update", txn=txn.txn_id, namespace=namespace_id, key=key
-        )
-        result = None
-        try:
-            with ctx.span("lock.acquire", parent=ctx.root, mode="X"):
-                yield from self.locks.acquire(
-                    txn, self.locks.lock_name(namespace_id, key), LockMode.EXCLUSIVE
-                )
-            txn.reads.add((namespace_id, key))
-            result = yield from self.buffer.read(namespace_id, key, ctx=ctx)
-        finally:
-            ctx.close()
-            oplog = self.ssd.oplog
-            if oplog.enabled:
-                oplog.record(
-                    "get", namespace_id, key,
-                    result[1] if result is not None else 0,
-                    started, self.env.now,
-                    outcome="ok" if result is not None else "absent",
-                    trace_id=ctx.trace_id, layer="store",
+                    trace_id=ctx.trace_id if ctx is not None else 0, layer="store",
                 )
         return result[0] if result is not None else None
 
@@ -159,11 +165,13 @@ class KamlStore:
     ) -> Any:
         """``TransactionUpdate()``: X-lock and stage a private copy; the
         change stays in host memory until commit."""
-        txn.require_active()
+        if txn.state is not TxnState.ACTIVE:
+            txn.require_active()  # raises
         started = self.env.now
-        yield from self.locks.acquire(
-            txn, self.locks.lock_name(namespace_id, key), LockMode.EXCLUSIVE
-        )
+        locks = self.locks
+        name = locks.lock_name(namespace_id, key)
+        if not locks.try_acquire(txn, name, LockMode.EXCLUSIVE):
+            yield from locks.acquire(txn, name, LockMode.EXCLUSIVE)
         copy_us = size / self.costs.copy_bytes_per_us
         self.env.try_advance(copy_us) or (yield self.env.timeout(copy_us))
         txn.stage_write(namespace_id, key, value, size)
@@ -182,15 +190,16 @@ class KamlStore:
     ) -> Any:
         """``TransactionInsert()``: identical locking to update; semantic
         distinction kept for workload fidelity."""
-        yield from self.transaction_update(txn, namespace_id, key, value, size)
+        return self.transaction_update(txn, namespace_id, key, value, size)
 
     def transaction_delete(self, txn: Transaction, namespace_id: int, key: int) -> Any:
         """Extension: transactional delete (tombstone until commit)."""
         txn.require_active()
         started = self.env.now
-        yield from self.locks.acquire(
-            txn, self.locks.lock_name(namespace_id, key), LockMode.EXCLUSIVE
-        )
+        locks = self.locks
+        name = locks.lock_name(namespace_id, key)
+        if not locks.try_acquire(txn, name, LockMode.EXCLUSIVE):
+            yield from locks.acquire(txn, name, LockMode.EXCLUSIVE)
         txn.stage_delete(namespace_id, key)
         oplog = self.ssd.oplog
         if oplog.enabled:
@@ -207,22 +216,25 @@ class KamlStore:
         NVRAM); multiple transactions commit in parallel when they touch
         disjoint records — the paper's key advantage over a centralized
         WAL (Section V-D-1)."""
-        txn.require_active()
+        if txn.state is not TxnState.ACTIVE:
+            txn.require_active()  # raises
         items = []
         deletes = []
-        for (namespace_id, key), staged in txn.writes.items():
-            if staged is DELETED:
-                deletes.append((namespace_id, key))
-            else:
-                value, size = staged
-                items.append(PutItem(namespace_id, key, value, size))
+        if txn.writes:
+            for (namespace_id, key), staged in txn.writes.items():
+                if staged is DELETED:
+                    deletes.append((namespace_id, key))
+                else:
+                    value, size = staged
+                    items.append(PutItem(namespace_id, key, value, size))
         started = self.env.now
-        ctx = self.tracer.request(
+        tracer = self.tracer
+        ctx = tracer.request(
             "store.txn.commit",
             txn=txn.txn_id,
             records=len(items),
             deletes=len(deletes),
-        )
+        ) if tracer.enabled else None
         try:
             if items:
                 yield from self.ssd.put(items, ctx=ctx)
@@ -237,15 +249,16 @@ class KamlStore:
             self.env.try_advance(overhead_us) or (yield self.env.timeout(overhead_us))
             txn.mark_committed()
             self.locks.release_all(txn)
-            self.metrics.counter("store.txn.committed").inc()
+            self._committed_counter.inc()
         finally:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             self.slo.record(
                 "txn.commit",
                 items[0].namespace_id if items else None,
                 started,
                 self.env.now,
-                ctx.trace_id,
+                ctx.trace_id if ctx is not None else 0,
             )
 
     def transaction_abort(self, txn: Transaction) -> Any:
@@ -257,7 +270,7 @@ class KamlStore:
         txn.mark_aborted()
         self.locks.cancel_wait(txn)
         self.locks.release_all(txn)
-        self.metrics.counter("store.txn.aborted").inc()
+        self._aborted_counter.inc()
 
     def transaction_free(self, txn: Transaction) -> None:
         """``TransactionFree()``: release the XCB (back to IDLE)."""
@@ -270,12 +283,21 @@ class KamlStore:
     def get(self, namespace_id: int, key: int) -> Any:
         """Cache-accelerated read outside any transaction."""
         started = self.env.now
-        ctx = self.tracer.request("store.get", namespace=namespace_id, key=key)
+        tracer = self.tracer
+        ctx = tracer.request(
+            "store.get", namespace=namespace_id, key=key
+        ) if tracer.enabled else None
         result = None
         try:
-            result = yield from self.buffer.read(namespace_id, key, ctx=ctx)
+            if ctx is None:
+                result = self.buffer.try_hit(namespace_id, key)
+            if result is None:
+                result = yield from self.buffer.read(namespace_id, key, ctx=ctx)
         finally:
-            ctx.close()
+            trace_id = 0
+            if ctx is not None:
+                ctx.close()
+                trace_id = ctx.trace_id
             op_id = 0
             oplog = self.ssd.oplog
             if oplog.enabled:
@@ -287,10 +309,10 @@ class KamlStore:
                     result[1] if result is not None else 0,
                     started, self.env.now,
                     outcome="ok" if result is not None else "absent",
-                    trace_id=ctx.trace_id, layer="store",
+                    trace_id=trace_id, layer="store",
                 )
             self.slo.record(
-                "store.get", namespace_id, started, self.env.now, ctx.trace_id,
+                "store.get", namespace_id, started, self.env.now, trace_id,
                 op_id=op_id,
             )
         return result[0] if result is not None else None
@@ -298,21 +320,27 @@ class KamlStore:
     def put(self, namespace_id: int, key: int, value: Any, size: int) -> Any:
         """Durable single-record write (write-through)."""
         started = self.env.now
-        ctx = self.tracer.request("store.put", namespace=namespace_id, key=key)
+        tracer = self.tracer
+        ctx = tracer.request(
+            "store.put", namespace=namespace_id, key=key
+        ) if tracer.enabled else None
         try:
             yield from self.ssd.put([PutItem(namespace_id, key, value, size)], ctx=ctx)
             yield from self.buffer.install_clean(namespace_id, key, value, size)
         finally:
-            ctx.close()
+            trace_id = 0
+            if ctx is not None:
+                ctx.close()
+                trace_id = ctx.trace_id
             op_id = 0
             oplog = self.ssd.oplog
             if oplog.enabled:
                 op_id = oplog.record(
                     "put", namespace_id, key, size, started, self.env.now,
-                    trace_id=ctx.trace_id, layer="store",
+                    trace_id=trace_id, layer="store",
                 )
             self.slo.record(
-                "store.put", namespace_id, started, self.env.now, ctx.trace_id,
+                "store.put", namespace_id, started, self.env.now, trace_id,
                 op_id=op_id,
             )
 

@@ -19,12 +19,12 @@ the cycle is aborted with :class:`DeadlockError`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.config import HostCosts
 from repro.errors import ReproError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, lazy_instrument
 from repro.sim import Environment, Event
 
 
@@ -49,14 +49,22 @@ class _Waiter:
     cancelled: bool = False
 
 
-@dataclass
 class _Lock:
-    holders: Dict[int, LockMode] = field(default_factory=dict)
-    queue: List[_Waiter] = field(default_factory=list)
+    """A lock somebody holds or waits for (free locks have no entry)."""
+
+    __slots__ = ("holders", "queue")
+
+    def __init__(self, holders: Dict[int, LockMode]) -> None:
+        self.holders = holders
+        self.queue: List[_Waiter] = []
 
 
 class LockManager:
     """Keyed S/X locks with FIFO queuing and deadlock victimisation."""
+
+    _conflicts_counter = lazy_instrument("counter", "cache.lock.conflicts")
+    _deadlocks_counter = lazy_instrument("counter", "cache.lock.deadlocks")
+    _wait_us_histogram = lazy_instrument("histogram", "cache.lock.wait_us")
 
     def __init__(
         self,
@@ -96,36 +104,24 @@ class LockManager:
         ``.held_locks``).  Raises :class:`DeadlockError` on victimisation."""
         self.env.try_advance(self.costs.lock_us) or (yield self.env.timeout(self.costs.lock_us))
         lock = self._locks.get(name)
-        if lock is None:
-            lock = _Lock()
-            self._locks[name] = lock
         txn_id = txn.txn_id
-        held = lock.holders.get(txn_id)
-        if held is not None:
-            if held is mode or held is LockMode.EXCLUSIVE:
-                return  # already strong enough
-            # Upgrade S -> X: immediate if sole holder, else wait.
-            if len(lock.holders) == 1:
-                lock.holders[txn_id] = LockMode.EXCLUSIVE
-                return
-        elif self._grantable(lock, mode):
-            lock.holders[txn_id] = mode
-            txn.held_locks.add(name)
+        if lock is None or self._can_grant(lock, txn_id, mode):
+            self._grant(txn, name, lock, mode)
             return
         # Must wait: check for a deadlock this wait would create.
-        self.metrics.counter("cache.lock.conflicts").inc()
+        self._conflicts_counter.inc()
         blockers = self._blockers(lock, txn_id, mode)
         victim = self._find_deadlock_victim(txn_id, blockers)
         if victim == txn_id:
-            self.metrics.counter("cache.lock.deadlocks").inc()
+            self._deadlocks_counter.inc()
             raise DeadlockError(f"txn {txn_id} victimised on lock {name!r}")
         if victim is not None:
-            self.metrics.counter("cache.lock.deadlocks").inc()
+            self._deadlocks_counter.inc()
             self._kill_waiter(victim)
         waiter = _Waiter(txn_id, mode, self.env.event())
         # Upgraders go to the front so they cannot deadlock behind
         # later arrivals wanting the same lock.
-        if held is not None:
+        if txn_id in lock.holders:
             lock.queue.insert(0, waiter)
         else:
             lock.queue.append(waiter)
@@ -135,8 +131,29 @@ class LockManager:
             yield waiter.event
         finally:
             self._waiting_on.pop(txn_id, None)
-            self.metrics.observe("cache.lock.wait_us", self.env.now - wait_started)
+            self._wait_us_histogram.observe(self.env.now - wait_started)
         txn.held_locks.add(name)
+
+    def try_acquire(self, txn: Any, name: Hashable, mode: LockMode) -> bool:
+        """Zero-event form of :meth:`acquire` for a lock granted on the spot::
+
+            if not locks.try_acquire(txn, name, mode):
+                yield from locks.acquire(txn, name, mode)
+
+        Checks first that ``acquire`` would grant without waiting, then
+        takes the lock-manager cost inline (:meth:`Environment.try_advance`):
+        with nothing else running in between, the grant ``acquire`` would
+        decide after its delay is the one decided here.  ``False`` (a wait
+        is needed, or the delay must go through the event heap) changes
+        nothing.
+        """
+        lock = self._locks.get(name)
+        if lock is not None and not self._can_grant(lock, txn.txn_id, mode):
+            return False
+        if not self.env.try_advance(self.costs.lock_us):
+            return False
+        self._grant(txn, name, lock, mode)
+        return True
 
     def release_all(self, txn: Any) -> None:
         """Drop every lock the transaction holds (commit/abort, SS2PL).
@@ -144,13 +161,17 @@ class LockManager:
         Release order follows a sorted key: ``held_locks`` is a set, and
         grant order downstream must not depend on hash order.
         """
-        for name in sorted(txn.held_locks, key=repr):
+        held = txn.held_locks
+        for name in held if len(held) == 1 else sorted(held, key=repr):
             lock = self._locks.get(name)
             if lock is None:
                 continue
             lock.holders.pop(txn.txn_id, None)
-            self._grant_waiters(name, lock)
-        txn.held_locks.clear()
+            if lock.queue:
+                self._grant_waiters(name, lock)
+            elif not lock.holders:
+                del self._locks[name]
+        held.clear()
 
     def release_one(self, txn: Any, name: Hashable) -> None:
         """Release a single lock early (latch semantics, not 2PL)."""
@@ -175,10 +196,35 @@ class LockManager:
     # Internals
     # ------------------------------------------------------------------
 
+    def _can_grant(self, lock: _Lock, txn_id: int, mode: LockMode) -> bool:
+        """Would ``txn_id`` get ``lock`` in ``mode`` without waiting?  (A
+        name with no entry is free; callers check that first.)"""
+        held = lock.holders.get(txn_id)
+        if held is None:
+            return self._grantable(lock, mode)
+        # Already strong enough, or an S -> X upgrade by the sole holder.
+        return held is mode or held is LockMode.EXCLUSIVE or len(lock.holders) == 1
+
+    def _grant(self, txn: Any, name: Hashable, lock: Optional[_Lock], mode: LockMode) -> None:
+        """Take a lock that is free (``lock`` None) or :meth:`_can_grant`
+        allowed."""
+        txn_id = txn.txn_id
+        if lock is None:
+            self._locks[name] = _Lock({txn_id: mode})
+            txn.held_locks.add(name)
+            return
+        held = lock.holders.get(txn_id)
+        if held is None:
+            lock.holders[txn_id] = mode
+            txn.held_locks.add(name)
+        elif held is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
+            lock.holders[txn_id] = LockMode.EXCLUSIVE  # sole holder's upgrade
+
     def _grantable(self, lock: _Lock, mode: LockMode) -> bool:
-        if any(not w.cancelled for w in lock.queue):
+        if lock.queue and any(not w.cancelled for w in lock.queue):
             return False  # FIFO fairness: no barging past waiters
-        return all(_compatible(held, mode) for held in lock.holders.values())
+        holders = lock.holders
+        return not holders or all(_compatible(held, mode) for held in holders.values())
 
     def _grant_waiters(self, name: Hashable, lock: _Lock) -> None:
         while lock.queue:

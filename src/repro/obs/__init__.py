@@ -16,7 +16,7 @@ from repro.obs.metrics import (
     labels_key,
     percentile,
 )
-from repro.obs.registry import MetricsRegistry, SpanRecord
+from repro.obs.registry import MetricsRegistry, SpanRecord, lazy_instrument
 from repro.obs.export import (
     derived_metrics,
     summary_row,
@@ -91,6 +91,7 @@ __all__ = [
     "install_device_probes",
     "key_fingerprint",
     "labels_key",
+    "lazy_instrument",
     "load_journal",
     "markdown_diff",
     "mix_summary",

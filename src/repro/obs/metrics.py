@@ -235,7 +235,7 @@ class Histogram(Instrument):
         if value > self.max_value:
             self.max_value = value
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
-        if len(self._samples) < self.max_samples:
+        if self.count <= self.max_samples:  # i.e. len(self._samples) < max_samples
             if self._samples and value < self._samples[-1]:
                 self._sorted = False
             self._samples.append(value)

@@ -16,6 +16,7 @@ linkage, so nested spans reconstruct where a command's latency went.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (
@@ -27,6 +28,14 @@ from repro.obs.metrics import (
     PolledGauge,
     labels_key,
 )
+
+
+def lazy_instrument(kind: str, name: str) -> cached_property:
+    """Class attribute for the unlabelled instrument ``name`` of
+    ``self.metrics``: resolved by the first access, a plain attribute read
+    after that.  Lazy because an eager, never-touched instrument would
+    still show in every registry export."""
+    return cached_property(lambda self: getattr(self.metrics, kind)(name))
 
 
 @dataclass

@@ -27,6 +27,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import FlightRecorder
 
 
+def _label(namespace: NamespaceLabel) -> str:
+    """Registry label values must sort homogeneously: namespaces are
+    stringified, and a namespace-less op (e.g. a delete-only commit) files
+    under the aggregate "all" series."""
+    return "all" if namespace is None else str(namespace)
+
+
 class SloPolicy(NamedTuple):
     """A latency objective: ``op`` commands must finish in ``threshold_us``.
 
@@ -82,7 +89,7 @@ class SloTracker:
         self.breaches: List[SloBreach] = []
         #: Breaches beyond ``max_breaches`` are counted but not retained.
         self.overflowed_breaches = 0
-        # (op, label_ns) -> histogram, resolved once instead of per command.
+        # (op, namespace) -> histogram, resolved once instead of per command.
         self._histograms: Dict[Any, Any] = {}
 
     # -- configuration ---------------------------------------------------
@@ -111,15 +118,10 @@ class SloTracker:
     ) -> Optional[SloBreach]:
         """Observe one command latency; returns the breach if any."""
         latency_us = end_us - start_us
-        # Registry label values must sort homogeneously; namespaces are
-        # stringified and a namespace-less op (e.g. a delete-only commit)
-        # files under the aggregate "all" series.
-        label_ns = "all" if namespace is None else str(namespace)
-        cache_key = (op, label_ns)
-        histogram = self._histograms.get(cache_key)
+        histogram = self._histograms.get((op, namespace))
         if histogram is None:
-            histogram = self.registry.histogram(f"slo.{op}.us", namespace=label_ns)
-            self._histograms[cache_key] = histogram
+            histogram = self.registry.histogram(f"slo.{op}.us", namespace=_label(namespace))
+            self._histograms[(op, namespace)] = histogram
         histogram.observe(latency_us)
         for policy in self.policies:
             if not policy.matches(op, namespace):
@@ -127,7 +129,7 @@ class SloTracker:
             if latency_us <= policy.threshold_us:
                 continue
             self.registry.counter(
-                "slo.breaches", op=op, namespace=label_ns
+                "slo.breaches", op=op, namespace=_label(namespace)
             ).inc()
             breach = SloBreach(
                 op=op,

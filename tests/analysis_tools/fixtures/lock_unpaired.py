@@ -16,6 +16,12 @@ class FlushWorker:
             yield self._program_lock.acquire(owner="flush")
         yield from page.program()
 
+    def flush_delegated(self, page):
+        # So is the try-then-delegate spelling of a generator acquire.
+        if not self._program_lock.try_acquire(owner="flush"):
+            yield from self._program_lock.acquire(owner="flush")
+        yield from page.program()
+
     def poke(self):
         # A bare try_acquire is still an acquisition.
         return self._program_lock.try_acquire(owner="poke")

@@ -271,3 +271,88 @@ def test_record_level_no_false_conflicts(env):
 def test_records_per_lock_validation(env):
     with pytest.raises(ValueError):
         LockManager(env, HostCosts(), records_per_lock=0)
+
+
+# -- try_acquire: the zero-event grant ------------------------------------------
+
+
+def lock_state(lm, env, *txns):
+    """Everything a refused try_acquire must leave untouched."""
+    return (
+        env.now,
+        env.queue_depth,
+        {
+            name: (dict(lock.holders), [(w.txn_id, w.mode, w.cancelled) for w in lock.queue])
+            for name, lock in lm._locks.items()
+        },
+        dict(lm._waiting_on),
+        [set(txn.held_locks) for txn in txns],
+        lm.metrics.total("cache.lock.conflicts"),
+    )
+
+
+def test_try_acquire_grants_a_free_lock_inline(env):
+    lm = manager(env)
+    t1 = make_txn(1)
+    assert lm.try_acquire(t1, "r", LockMode.SHARED)
+    assert env.now == pytest.approx(HostCosts().lock_us)
+    assert lm.holders_of("r") == {1: LockMode.SHARED} and t1.held_locks == {"r"}
+    # Already held, then the sole holder's upgrade: both inline.
+    assert lm.try_acquire(t1, "r", LockMode.SHARED)
+    assert lm.try_acquire(t1, "r", LockMode.EXCLUSIVE)
+    assert lm.holders_of("r") == {1: LockMode.EXCLUSIVE}
+    assert lm.try_acquire(t1, "r", LockMode.SHARED)  # weaker: no-op
+    assert lm.holders_of("r") == {1: LockMode.EXCLUSIVE}
+    assert env.now == pytest.approx(4 * HostCosts().lock_us)
+    assert env.events_processed == 0
+    lm.release_all(t1)
+    assert lm.holders_of("r") == {} and not lm._locks
+
+
+def test_try_acquire_refuses_behind_a_queued_waiter(env):
+    lm = manager(env)
+    t1, t2, t3 = make_txn(1), make_txn(2), make_txn(3)
+    assert lm.try_acquire(t1, "r", LockMode.SHARED)
+    env.process(lm.acquire(t2, "r", LockMode.EXCLUSIVE))
+    env.run()  # t2 is now queued behind t1's S lock
+    before = lock_state(lm, env, t1, t2, t3)
+    assert not lm.try_acquire(t3, "r", LockMode.SHARED)  # FIFO: no barging
+    assert lock_state(lm, env, t1, t2, t3) == before
+
+
+def test_try_acquire_refuses_an_incompatible_holder(env):
+    lm = manager(env)
+    t1, t2 = make_txn(1), make_txn(2)
+    assert lm.try_acquire(t1, "r", LockMode.EXCLUSIVE)
+    before = lock_state(lm, env, t1, t2)
+    assert not lm.try_acquire(t2, "r", LockMode.SHARED)
+    assert not lm.try_acquire(t2, "r", LockMode.EXCLUSIVE)
+    assert lock_state(lm, env, t1, t2) == before
+
+
+def test_try_acquire_refuses_an_upgrade_beside_other_holders(env):
+    lm = manager(env)
+    t1, t2 = make_txn(1), make_txn(2)
+    assert lm.try_acquire(t1, "r", LockMode.SHARED)
+    assert lm.try_acquire(t2, "r", LockMode.SHARED)
+    before = lock_state(lm, env, t1, t2)
+    assert not lm.try_acquire(t1, "r", LockMode.EXCLUSIVE)
+    assert lock_state(lm, env, t1, t2) == before
+
+
+def test_try_acquire_refuses_when_the_delay_is_not_next(env):
+    """Something else is due before the lock-manager cost would end: the
+    grant must go through the heap, and the refusal leaves no trace (no
+    lock entry, no clock movement)."""
+    lm = manager(env)
+    t1 = make_txn(1)
+    env.timeout(HostCosts().lock_us / 2)
+    before = lock_state(lm, env, t1)
+    assert not lm.try_acquire(t1, "r", LockMode.EXCLUSIVE)
+    assert lock_state(lm, env, t1) == before and not lm._locks
+    # The fallback then takes the same lock at the same instant a grant
+    # without the fast path would.
+    env.process(lm.acquire(t1, "r", LockMode.EXCLUSIVE))
+    env.run()
+    assert env.now == pytest.approx(HostCosts().lock_us)
+    assert lm.holders_of("r") == {1: LockMode.EXCLUSIVE}
