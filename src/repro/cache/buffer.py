@@ -4,18 +4,23 @@ Unlike a page cache, entries are variable-sized key-value pairs keyed by
 (namespace id, key).  Misses issue ``Get`` to the SSD; transactional
 commits write through with ``Put``; non-transactional writes may stay
 dirty and are flushed by eviction.
+
+A dirty entry stays cached, and readable, until the ``Put`` that writes
+it back has committed, and it is marked clean only if no newer value
+landed meanwhile.  Write-backs go out one at a time, so two of them for
+one key commit in the order they were issued.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.config import HostCosts
 from repro.errors import ReproError
 from repro.kaml import KamlSsd, PutItem
 from repro.obs import NULL_CONTEXT, TraceContext
-from repro.sim import Environment
+from repro.sim import Environment, SimLock
 
 
 class CacheCapacityError(ReproError):
@@ -55,6 +60,7 @@ class BufferManager:
         self._writebacks_counter = self.metrics.counter("cache.writebacks")
         self._evictions_counter = self.metrics.counter("cache.evictions")
         self._read_counters: dict = {}
+        self._writeback_lock = SimLock(env, name="cache.writeback")
 
     @property
     def used_bytes(self) -> int:
@@ -101,7 +107,7 @@ class BufferManager:
             if result is None:
                 return None
             value, size = result
-            yield from self._insert(cache_key, value, size, dirty=False)
+            yield from self._insert(cache_key, value, size, dirty=False, fill=True)
             return value, size
         finally:
             if ctx is not None:
@@ -153,16 +159,8 @@ class BufferManager:
             for cache_key, entry in self._entries.items()
             if entry.dirty
         ]
-        if not dirty:
-            return
-        items = [
-            PutItem(cache_key[0], cache_key[1], entry.value, entry.size)
-            for cache_key, entry in dirty
-        ]
-        yield from self.ssd.put(items)
-        for _cache_key, entry in dirty:
-            entry.dirty = False
-        self._writebacks_counter.inc(len(dirty))
+        if dirty:
+            yield from self._write_back(dirty)
 
     # ------------------------------------------------------------------
     # Internals
@@ -177,7 +175,12 @@ class BufferManager:
         )
         return counters
 
-    def _insert(self, cache_key: Tuple[int, int], value: Any, size: int, dirty: bool) -> Any:
+    def _insert(
+        self, cache_key: Tuple[int, int], value: Any, size: int, dirty: bool,
+        fill: bool = False,
+    ) -> Any:
+        """Cache ``value``; ``fill`` marks a miss's SSD value, which never
+        replaces a dirty entry written while the ``Get`` was in flight."""
         if size > self.capacity_bytes:
             if dirty:
                 # The cache would be the only copy: refuse before touching it.
@@ -190,6 +193,8 @@ class BufferManager:
             return
         existing = self._entries.get(cache_key)
         if existing is not None:
+            if fill and existing.dirty:
+                return
             self._used -= existing.size
             existing.value = value
             existing.size = size
@@ -205,13 +210,37 @@ class BufferManager:
         copy_us = size / self.costs.copy_bytes_per_us
         self.env.try_advance(copy_us) or (yield self.env.timeout(copy_us))
 
+    def _write_back(self, entries: List[Tuple[Tuple[int, int], _Entry]]) -> Any:
+        """Put those of ``entries`` still cached and dirty in one batch;
+        each turns clean unless a newer value replaced it meanwhile."""
+        if not self._writeback_lock.try_acquire():
+            yield self._writeback_lock.acquire()
+        try:
+            # Another write-back may have written or dropped some meanwhile.
+            written = [
+                (cache_key, entry, entry.value, entry.size)
+                for cache_key, entry in entries
+                if entry.dirty and self._entries.get(cache_key) is entry
+            ]
+            if not written:
+                return
+            yield from self.ssd.put([
+                PutItem(cache_key[0], cache_key[1], value, size)
+                for cache_key, _entry, value, size in written
+            ])
+            for _cache_key, entry, value, size in written:
+                if entry.value is value and entry.size == size:
+                    entry.dirty = False
+            self._writebacks_counter.inc(len(written))
+        finally:
+            self._writeback_lock.release()
+
     def _evict_one(self) -> Any:
         victim_key, victim = next(iter(self._entries.items()))
         if victim.dirty:
-            yield from self.ssd.put(
-                [PutItem(victim_key[0], victim_key[1], victim.value, victim.size)]
-            )
-            self._writebacks_counter.inc()
+            yield from self._write_back([(victim_key, victim)])
+            if victim.dirty or self._entries.get(victim_key) is not victim:
+                return  # re-dirtied (now most recent) or gone while the Put ran
         self._entries.pop(victim_key, None)
         self._used -= victim.size
         self._evictions_counter.inc()
