@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-diff bench-smoke bench-perf bench-cluster prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay diff
+.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-diff bench-smoke prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -47,8 +47,10 @@ bench-record:
 	$(PYTHON) -m kamlbench run --seed 1 --out BENCH_$(PR).json
 
 # Two committed records side by side: the trajectory row for TO, every
-# end-to-end delta against its BENCHMARK.json bound, and a non-zero exit
-# if a simulated/exact metric not listed in MOVED differs at all, e.g.
+# end-to-end delta against its BENCHMARK.json bound, the per-layer
+# metrics ranked by how far they moved (the layer that moved comes
+# first), and a non-zero exit if, for the same seed and length, a
+# simulated/exact metric not listed in MOVED differs at all, e.g.
 # `make bench-diff FROM=18 TO=19 MOVED=sim_events_per_op`; a MOVED entry
 # may be scoped to one workload, `MOVED=cluster-2pc/sim_mean_us,...`.
 bench-diff:
@@ -57,23 +59,16 @@ bench-diff:
 
 # The CI smoke benchmarks: Figure 5 leaves metrics + Chrome trace +
 # flight-recorder artifacts in benchmarks/artifacts/ (the perf gate reads
-# them); Figures 10 and 8 guard read and write parallelism, the QoS
+# the metrics); Figures 10 and 8 guard read and write parallelism, the QoS
 # ablation guards read isolation (dies suspending programs for host reads).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig5_bandwidth.py -q
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py \
 		benchmarks/test_ablation_qos.py -q
 
-# Simulator-throughput benchmark: deterministic sim-event counts (gated
-# by perf-gate alongside the fig5 numbers) plus wall events/sec and
-# ops/sec (printed, never gated).
-bench-perf:
-	mkdir -p benchmarks/artifacts
-	$(PYTHON) -m repro.harness perf --json benchmarks/artifacts/perf.json
-
 # kamlprof: critical-path latency breakdown + flamegraph + device
-# telemetry for the canonical workload.  The JSON report's component
-# fractions feed the perf gate's bottleneck-shift check.
+# telemetry for the canonical workload (artifacts only; kamlbench's
+# <layer>.sim_share is the recorded per-layer split).
 prof:
 	mkdir -p benchmarks/artifacts
 	$(PYTHON) -m repro.harness prof --workload ycsb-b \
@@ -81,24 +76,15 @@ prof:
 		--flame-out benchmarks/artifacts/prof.folded \
 		--timeseries-out benchmarks/artifacts/timeseries.json
 
-# Cluster serving-tier benchmark at the gated configuration (4 shards x
-# 3 seeds); the artifact's aggregate throughput and rebalance p99 feed
-# the perf gate.
-bench-cluster:
-	mkdir -p benchmarks/artifacts
-	$(PYTHON) -m repro.harness cluster --shards 4 --seeds 1,2,3 \
-		--json-out benchmarks/artifacts/cluster.json
-
-# Compare the freshest smoke-bench + perf + prof + cluster artifacts
-# against baseline.json.
+# Compare the freshest Figure 5 smoke-bench artifact against the paper
+# shapes pinned in baseline.json.
 perf-gate:
 	$(PYTHON) benchmarks/compare_baseline.py
 
-# Refresh the checked-in baseline after an *intentional* performance shift:
-# re-runs the smoke bench, the throughput benchmark, the profiler, and
-# the cluster tier, rewrites baseline.json with every gated metric, and
+# Refresh the checked-in baseline after an *intentional* shift of the
+# Figure 5 shapes: re-runs the smoke bench, rewrites baseline.json, and
 # you commit the result.
-rebaseline: bench-smoke bench-perf prof bench-cluster
+rebaseline: bench-smoke
 	$(PYTHON) benchmarks/compare_baseline.py --rebaseline
 
 # Power-loss crash-consistency matrix: every crash point x 3 seeds, with
@@ -117,9 +103,8 @@ obs-demo:
 	$(PYTHON) -m repro.harness obs --ops 200 --slo-put-us 100 \
 		--trace-out /tmp/kaml_trace.json --flight-out /tmp/kaml_flight.jsonl
 
-# kamltrace: capture the canonical YCSB-B run as an op journal, replay
-# it deterministically, and diff two seeds of the same workload (the
-# empty diff is the noise floor the attribution thresholds are set by).
+# kamltrace: capture the canonical YCSB-B run as an op journal and
+# replay it deterministically.
 record:
 	mkdir -p benchmarks/artifacts
 	$(PYTHON) -m repro.harness record --workload ycsb-b \
@@ -129,7 +114,3 @@ replay:
 	$(PYTHON) -m repro.harness replay benchmarks/artifacts/ycsb-b.jsonl.gz \
 		--mode closed --threads 1 \
 		--json-out benchmarks/artifacts/replay.json
-
-diff:
-	$(PYTHON) -m repro.harness diff --workload mixed --seed-a 7 --seed-b 11 \
-		--json-out benchmarks/artifacts/diff_seeds.json

@@ -9,7 +9,6 @@ harness subcommands (each has its own ``--help``)::
     python -m repro.harness --list
     python -m repro.harness obs --ops 200 --slo-put-us 150   # obs driver
     python -m repro.harness crash --matrix                   # crash matrix
-    python -m repro.harness perf --json perf.json            # sim throughput
     python -m repro.harness prof --workload ycsb-b           # latency profiler
 """
 
@@ -23,11 +22,9 @@ from repro.harness import (
     ablations,
     cluster_cli,
     crash_cli,
-    diff_cli,
     experiments,
     format_table,
     obs_cli,
-    perf_cli,
     prof_cli,
     trace_cli,
 )
@@ -56,11 +53,9 @@ COMMANDS = {
     "obs": ("observability driver (tracing/SLO dashboard)", obs_cli.add_arguments, obs_cli.run),
     "crash": ("crash-consistency matrix", crash_cli.add_arguments, crash_cli.run),
     "cluster": ("sharded serving-tier matrix", cluster_cli.add_arguments, cluster_cli.run),
-    "perf": ("simulator throughput benchmark", perf_cli.add_arguments, perf_cli.run),
     "prof": ("latency-attribution profiler", prof_cli.add_arguments, prof_cli.run),
     "record": ("capture an op journal", trace_cli.add_record_arguments, trace_cli.run_record),
     "replay": ("re-issue a captured journal", trace_cli.add_replay_arguments, trace_cli.run_replay),
-    "diff": ("differential run attribution", diff_cli.add_arguments, diff_cli.run),
 }
 
 

@@ -10,8 +10,8 @@ the :mod:`repro.obs.timeseries` telemetry ring, so one command yields
 both the *why is it slow* and the *what was the device doing* views.
 
 Everything is simulated time, so a fixed ``--seed`` produces a
-bit-identical breakdown JSON — which is what lets the perf gate pin
-component fractions in ``benchmarks/baseline.json``.
+bit-identical breakdown JSON (the ``prof_breakdown_mini`` digest pins
+one).
 
 Example::
 
@@ -101,8 +101,8 @@ def run(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         "retained": len(events),
         "dropped": recorder.dropped,
     }
-    # SLO percentiles and telemetry means ride along so `harness diff`
-    # can compare two prof artifacts on all three axes at once.
+    # SLO percentiles and telemetry means ride along, so one artifact
+    # holds all three views of the run.
     report["slo"] = ssd.slo.latency_summary()
     if ssd.timeseries is not None:
         report["telemetry"] = {
@@ -229,11 +229,3 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeseries-out", default=None, help="write the telemetry JSON here"
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``prof`` parser, for callers that profile in-process
-    (``perf --profile``, ``diff --seed-a/--seed-b``)."""
-    parser = argparse.ArgumentParser(prog="python -m repro.harness prof")
-    add_arguments(parser)
-    return parser

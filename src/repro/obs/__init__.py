@@ -45,7 +45,6 @@ from repro.obs.oplog import (
     mix_summary,
     write_journal,
 )
-from repro.obs.diff import diff_reports, markdown_diff
 from repro.obs.profile import (
     COMPONENTS,
     KNOWN_SPAN_NAMES,
@@ -87,13 +86,11 @@ __all__ = [
     "collapsed_stacks",
     "component_of",
     "derived_metrics",
-    "diff_reports",
     "install_device_probes",
     "key_fingerprint",
     "labels_key",
     "lazy_instrument",
     "load_journal",
-    "markdown_diff",
     "mix_summary",
     "percentile",
     "summary_row",

@@ -1,26 +1,14 @@
-"""Differential run attribution: what regressed, and which component owns it.
+"""Which subsystem owns each kamlprof component.
 
-Given two run reports — ``harness prof`` JSON artifacts, perf-gate
-baseline documents, or anything carrying breakdown fractions — this
-module computes the per-component shift in where request time goes, the
-shift in SLO percentiles, and the shift in telemetry series means, then
-aggregates significant component shifts by owning subsystem into a
-ranked suspect list.  ``harness diff`` is the CLI front end; the perf
-gate (:mod:`repro.harness.baseline`) ships the same report as a CI
-artifact whenever it fails, so a red gate arrives with its own first
-round of triage attached.
-
-All thresholds are explicit and reported back (``noise_pp`` for
-breakdown shifts in percentage points, ``noise_rel``/``floor_us`` for
-percentile shifts), because the honest answer to "did this move?" on a
-stochastic simulation is always relative to a noise model.
+kamlbench imports the table from here to fold span time into its
+per-layer ``<layer>.sim_share`` metrics (the layer is the owner's first
+dotted part); ``benchmarks/bench_diff.py`` names the layer that moved
+between two records by the same prefixes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-from repro.obs.profile import breakdown_fractions
+from typing import Dict
 
 #: Which subsystem owns each kamlprof component — the attribution step
 #: that turns "nand_wait grew 6pp" into "look at flash.chip".
@@ -44,291 +32,3 @@ COMPONENT_OWNERS: Dict[str, str] = {
     "cluster": "cluster.serving",
     "other": "unattributed",
 }
-
-#: Default significance threshold for breakdown shifts, in percentage
-#: points.  Two seeds of the same workload stay within this.
-DEFAULT_NOISE_PP = 2.0
-
-#: Default relative + absolute noise floor for latency percentiles.
-DEFAULT_NOISE_REL = 0.25
-DEFAULT_FLOOR_US = 1.0
-
-_PERCENTILE_FIELDS = ("p50", "p99", "p999", "count")
-
-
-def _fractions_of(report: Dict[str, Any]) -> Dict[str, float]:
-    """Extract flat ``{"op/ns=N/component": fraction}`` from any report form.
-
-    Accepts a full ``harness prof`` report (``requests`` key), the perf
-    baseline document (``breakdown.fractions``), or an already-flat
-    ``{"fractions": ...}`` mapping.
-    """
-    if "requests" in report:
-        return breakdown_fractions(report)
-    breakdown = report.get("breakdown")
-    if isinstance(breakdown, dict) and "fractions" in breakdown:
-        return dict(breakdown["fractions"])
-    if "fractions" in report:
-        return dict(report["fractions"])
-    return {}
-
-
-def _slo_of(report: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
-    """Extract SLO percentile series from either report form."""
-    slo = report.get("slo")
-    if isinstance(slo, dict):
-        return {str(k): dict(v) for k, v in slo.items() if isinstance(v, dict)}
-    latency = report.get("latency_p99_us")
-    if isinstance(latency, dict):
-        # Baseline form carries only p99 per series; synthesize rows.
-        return {str(k): {"p99": float(v)} for k, v in latency.items()}
-    return {}
-
-
-def _telemetry_of(report: Dict[str, Any]) -> Dict[str, float]:
-    """Mean of each telemetry series.
-
-    Accepts the :meth:`TimeSeriesCollector.to_builtin` shape
-    (``{"series": [names], "samples": [{name: value, ...}]}``) or a
-    pre-summarized ``{"summary": {name: {"mean": ...}}}`` mapping.
-    """
-    telemetry = report.get("telemetry")
-    if not isinstance(telemetry, dict):
-        return {}
-    summary = telemetry.get("summary")
-    if isinstance(summary, dict):
-        return {
-            str(name): float(row["mean"])
-            for name, row in sorted(summary.items())
-            if isinstance(row, dict) and "mean" in row
-        }
-    names = telemetry.get("series")
-    samples = telemetry.get("samples")
-    if not isinstance(names, list) or not isinstance(samples, list):
-        return {}
-    means: Dict[str, float] = {}
-    for name in sorted(names):
-        values = [row[name] for row in samples if isinstance(row, dict) and name in row]
-        if values:
-            means[str(name)] = sum(values) / len(values)
-    return means
-
-
-def _component_of_key(key: str) -> str:
-    """``"kaml.get/ns=1/nand_wait"`` -> ``"nand_wait"``."""
-    return key.rsplit("/", 1)[-1]
-
-
-def diff_fractions(
-    a: Dict[str, float],
-    b: Dict[str, float],
-    noise_pp: float = DEFAULT_NOISE_PP,
-) -> List[Dict[str, Any]]:
-    """Per-key breakdown shifts, ranked by absolute percentage points."""
-    rows: List[Dict[str, Any]] = []
-    for key in sorted(set(a) | set(b)):
-        fraction_a = float(a.get(key, 0.0))
-        fraction_b = float(b.get(key, 0.0))
-        shift_pp = (fraction_b - fraction_a) * 100.0
-        component = _component_of_key(key)
-        rows.append({
-            "key": key,
-            "component": component,
-            "owner": COMPONENT_OWNERS.get(component, "unattributed"),
-            "a": fraction_a,
-            "b": fraction_b,
-            "shift_pp": shift_pp,
-            "significant": abs(shift_pp) > noise_pp,
-        })
-    rows.sort(key=lambda row: (-abs(row["shift_pp"]), row["key"]))
-    return rows
-
-
-def diff_percentiles(
-    a: Dict[str, Dict[str, float]],
-    b: Dict[str, Dict[str, float]],
-    noise_rel: float = DEFAULT_NOISE_REL,
-    floor_us: float = DEFAULT_FLOOR_US,
-) -> List[Dict[str, Any]]:
-    """Per-series percentile shifts; significance is relative + floored."""
-    rows: List[Dict[str, Any]] = []
-    for series in sorted(set(a) | set(b)):
-        row_a = a.get(series, {})
-        row_b = b.get(series, {})
-        for field in _PERCENTILE_FIELDS:
-            if field not in row_a and field not in row_b:
-                continue
-            value_a = float(row_a.get(field, 0.0))
-            value_b = float(row_b.get(field, 0.0))
-            delta = value_b - value_a
-            scale = max(abs(value_a), floor_us)
-            rel = delta / scale
-            rows.append({
-                "series": series,
-                "field": field,
-                "a": value_a,
-                "b": value_b,
-                "delta": delta,
-                "rel": rel,
-                "significant": (
-                    field != "count"
-                    and abs(rel) > noise_rel
-                    and abs(delta) > floor_us
-                ),
-            })
-    rows.sort(key=lambda row: (-abs(row["rel"]), row["series"], row["field"]))
-    return rows
-
-
-def diff_telemetry(
-    a: Dict[str, float],
-    b: Dict[str, float],
-    noise_rel: float = DEFAULT_NOISE_REL,
-) -> List[Dict[str, Any]]:
-    """Shift in each telemetry series mean between the two runs."""
-    rows: List[Dict[str, Any]] = []
-    for name in sorted(set(a) | set(b)):
-        mean_a = float(a.get(name, 0.0))
-        mean_b = float(b.get(name, 0.0))
-        delta = mean_b - mean_a
-        scale = max(abs(mean_a), 1e-9)
-        rel = delta / scale
-        rows.append({
-            "series": name,
-            "a": mean_a,
-            "b": mean_b,
-            "delta": delta,
-            "rel": rel,
-            "significant": abs(rel) > noise_rel and mean_a != 0.0,
-        })
-    rows.sort(key=lambda row: (-abs(row["rel"]), row["series"]))
-    return rows
-
-
-def diff_reports(
-    report_a: Dict[str, Any],
-    report_b: Dict[str, Any],
-    noise_pp: float = DEFAULT_NOISE_PP,
-    noise_rel: float = DEFAULT_NOISE_REL,
-    floor_us: float = DEFAULT_FLOOR_US,
-) -> Dict[str, Any]:
-    """Full differential report between two runs (A = reference, B = new).
-
-    Returns component shifts, SLO shifts, telemetry shifts, and a
-    ``suspects`` list: significant component shifts aggregated by owning
-    subsystem, ranked by total absolute percentage points moved.
-    """
-    components = diff_fractions(
-        _fractions_of(report_a), _fractions_of(report_b), noise_pp=noise_pp
-    )
-    slo = diff_percentiles(
-        _slo_of(report_a), _slo_of(report_b),
-        noise_rel=noise_rel, floor_us=floor_us,
-    )
-    telemetry = diff_telemetry(
-        _telemetry_of(report_a), _telemetry_of(report_b), noise_rel=noise_rel
-    )
-
-    by_owner: Dict[str, Dict[str, Any]] = {}
-    for row in components:
-        if not row["significant"]:
-            continue
-        entry = by_owner.setdefault(
-            row["owner"],
-            {"owner": row["owner"], "total_shift_pp": 0.0,
-             "max_shift_pp": 0.0, "keys": []},
-        )
-        entry["total_shift_pp"] += abs(row["shift_pp"])
-        if abs(row["shift_pp"]) > abs(entry["max_shift_pp"]):
-            entry["max_shift_pp"] = row["shift_pp"]
-        entry["keys"].append(row["key"])
-    suspects = sorted(
-        by_owner.values(),
-        key=lambda entry: (-entry["total_shift_pp"], entry["owner"]),
-    )
-
-    significant = (
-        bool(suspects)
-        or any(row["significant"] for row in slo)
-        or any(row["significant"] for row in telemetry)
-    )
-    return {
-        "components": components,
-        "slo": slo,
-        "telemetry": telemetry,
-        "suspects": suspects,
-        "significant": significant,
-        "thresholds": {
-            "noise_pp": noise_pp,
-            "noise_rel": noise_rel,
-            "floor_us": floor_us,
-        },
-    }
-
-
-def markdown_diff(report: Dict[str, Any], title: str = "Differential run report") -> str:
-    """Render a diff report as GitHub-flavored markdown (step summaries)."""
-    lines = [f"### {title}", ""]
-    thresholds = report.get("thresholds", {})
-    suspects = report.get("suspects", [])
-    if suspects:
-        lines.append("**Suspects (owner, ranked by total breakdown shift):**")
-        lines.append("")
-        lines.append("| owner | total shift (pp) | worst shift (pp) | keys |")
-        lines.append("|---|---:|---:|---|")
-        for entry in suspects:
-            keys = ", ".join(entry["keys"][:4])
-            if len(entry["keys"]) > 4:
-                keys += f", +{len(entry['keys']) - 4} more"
-            lines.append(
-                f"| {entry['owner']} | {entry['total_shift_pp']:.2f} "
-                f"| {entry['max_shift_pp']:+.2f} | {keys} |"
-            )
-    else:
-        noise = thresholds.get("noise_pp", DEFAULT_NOISE_PP)
-        lines.append(
-            f"No component shift above the {noise:.1f} pp noise threshold."
-        )
-    lines.append("")
-
-    moved = [row for row in report.get("components", []) if row["significant"]]
-    if moved:
-        lines.append("**Component shifts above noise:**")
-        lines.append("")
-        lines.append("| request/component | A | B | shift (pp) | owner |")
-        lines.append("|---|---:|---:|---:|---|")
-        for row in moved[:12]:
-            lines.append(
-                f"| {row['key']} | {row['a']:.3f} | {row['b']:.3f} "
-                f"| {row['shift_pp']:+.2f} | {row['owner']} |"
-            )
-        lines.append("")
-
-    slo_moved = [row for row in report.get("slo", []) if row["significant"]]
-    if slo_moved:
-        lines.append("**SLO percentile shifts above noise:**")
-        lines.append("")
-        lines.append("| series | field | A (us) | B (us) | delta |")
-        lines.append("|---|---|---:|---:|---:|")
-        for row in slo_moved[:12]:
-            lines.append(
-                f"| {row['series']} | {row['field']} | {row['a']:.2f} "
-                f"| {row['b']:.2f} | {row['rel']:+.1%} |"
-            )
-        lines.append("")
-
-    telemetry_moved = [
-        row for row in report.get("telemetry", []) if row["significant"]
-    ]
-    if telemetry_moved:
-        lines.append("**Telemetry series mean shifts above noise:**")
-        lines.append("")
-        lines.append("| series | A | B | delta |")
-        lines.append("|---|---:|---:|---:|")
-        for row in telemetry_moved[:12]:
-            lines.append(
-                f"| {row['series']} | {row['a']:.3f} | {row['b']:.3f} "
-                f"| {row['rel']:+.1%} |"
-            )
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"

@@ -196,8 +196,8 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._ndefused = 0
-        #: Total events dispatched over the environment's lifetime (the
-        #: numerator of the ``harness perf`` sim-events/sec metric).
+        #: Total events dispatched over the environment's lifetime (what
+        #: kamlbench's ``sim_events_per_op`` and the event-count test count).
         self.events_processed = 0
         self.active_process = None  # set by Process while it runs
         #: Deepest the heap has been; only a push can set a new high, so

@@ -102,10 +102,10 @@ def prof_breakdown_mini() -> Dict[str, Any]:
     """
     import io
 
-    from repro.harness.prof_cli import build_parser
+    from repro.harness.__main__ import command_parser
     from repro.harness.prof_cli import run as run_prof
 
-    args = build_parser().parse_args([
+    args = command_parser("prof").parse_args([
         "--workload", "mixed", "--ops", "80", "--threads", "2",
         "--key-space", "64", "--seed", "13", "--no-timeseries",
     ])

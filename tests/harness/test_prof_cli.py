@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from repro.harness.__main__ import command_parser
 from repro.harness.__main__ import main as harness_main
-from repro.harness.prof_cli import build_parser
 from repro.harness.prof_cli import run as run_prof
 from repro.obs.profile import COMPONENTS
 
@@ -17,7 +17,7 @@ FAST = [
 
 
 def run(extra_args, out=None):
-    args = build_parser().parse_args(FAST + list(extra_args))
+    args = command_parser("prof").parse_args(FAST + list(extra_args))
     return run_prof(args, out=out if out is not None else io.StringIO())
 
 

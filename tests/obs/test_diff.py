@@ -1,106 +1,8 @@
-"""Differential attribution: shift ranking, owners, noise thresholds."""
+"""The component -> owning subsystem table."""
 
-from repro.obs.diff import (
-    COMPONENT_OWNERS,
-    diff_fractions,
-    diff_percentiles,
-    diff_reports,
-    markdown_diff,
-)
+from repro.obs.diff import COMPONENT_OWNERS
 from repro.obs.profile import COMPONENTS
 
 
 def test_every_component_has_an_owner():
     assert set(COMPONENT_OWNERS) == set(COMPONENTS)
-
-
-def test_identical_reports_diff_to_nothing():
-    report = {
-        "fractions": {"kaml.get/ns=1/nand_wait": 0.4,
-                      "kaml.get/ns=1/cache_cpu": 0.6},
-        "slo": {"slo.get.us{namespace=1}": {"p50": 5.0, "p99": 20.0}},
-    }
-    diff = diff_reports(report, report)
-    assert diff["significant"] is False
-    assert diff["suspects"] == []
-    assert all(not row["significant"] for row in diff["components"])
-    assert all(not row["significant"] for row in diff["slo"])
-
-
-def test_component_shift_is_ranked_and_attributed():
-    a = {"fractions": {
-        "kaml.get/ns=1/nand_wait": 0.10,
-        "kaml.get/ns=1/cache_cpu": 0.60,
-        "kaml.get/ns=1/lock_wait": 0.30,
-    }}
-    b = {"fractions": {
-        "kaml.get/ns=1/nand_wait": 0.35,   # +25pp — the regression
-        "kaml.get/ns=1/cache_cpu": 0.40,   # -20pp
-        "kaml.get/ns=1/lock_wait": 0.25,   # -5pp
-    }}
-    diff = diff_reports(a, b)
-    assert diff["significant"] is True
-    # Rows ranked by |shift|.
-    assert diff["components"][0]["key"] == "kaml.get/ns=1/nand_wait"
-    assert diff["components"][0]["owner"] == "flash.chip"
-    # Top suspect is the component that moved most.
-    assert diff["suspects"][0]["owner"] == "flash.chip"
-    owners = [entry["owner"] for entry in diff["suspects"]]
-    assert "cache.buffer" in owners and "cache.locks" in owners
-
-
-def test_noise_threshold_suppresses_small_shifts():
-    a = {"fractions": {"kaml.put/ns=1/log_append": 0.50}}
-    b = {"fractions": {"kaml.put/ns=1/log_append": 0.51}}  # 1pp
-    assert diff_reports(a, b)["significant"] is False
-    assert diff_reports(a, b, noise_pp=0.5)["significant"] is True
-
-
-def test_missing_keys_compare_against_zero():
-    rows = diff_fractions({}, {"kaml.get/ns=1/gc_wait": 0.10})
-    assert rows[0]["a"] == 0.0
-    assert rows[0]["shift_pp"] == 10.0
-    assert rows[0]["significant"]
-
-
-def test_percentile_shift_needs_relative_and_absolute_motion():
-    a = {"s": {"p99": 100.0, "p50": 0.1}}
-    b = {"s": {"p99": 140.0, "p50": 0.5}}
-    rows = {(r["field"]): r for r in diff_percentiles(a, b)}
-    assert rows["p99"]["significant"]        # +40% and +40us
-    # p50 moved 400% relatively but is under the 1us floor: noise.
-    assert not rows["p50"]["significant"]
-
-
-def test_baseline_document_form_is_accepted():
-    baseline = {
-        "breakdown": {"fractions": {"kaml.get/ns=1/nvram_wait": 0.05}},
-        "latency_p99_us": {"slo.get.us{namespace=1}": 30.0},
-    }
-    current = {
-        "breakdown": {"fractions": {"kaml.get/ns=1/nvram_wait": 0.25}},
-        "latency_p99_us": {"slo.get.us{namespace=1}": 90.0},
-    }
-    diff = diff_reports(baseline, current)
-    assert diff["suspects"][0]["owner"] == "ssd.nvram"
-    slo_rows = [r for r in diff["slo"] if r["significant"]]
-    assert slo_rows and slo_rows[0]["field"] == "p99"
-
-
-def test_telemetry_summary_form_diffs_means():
-    a = {"telemetry": {"summary": {"chan0.util": {"mean": 0.2}}}}
-    b = {"telemetry": {"summary": {"chan0.util": {"mean": 0.5}}}}
-    diff = diff_reports(a, b)
-    rows = [r for r in diff["telemetry"] if r["significant"]]
-    assert rows and rows[0]["series"] == "chan0.util"
-
-
-def test_markdown_renders_suspects_and_quiet_runs():
-    a = {"fractions": {"kaml.get/ns=1/bus_wait": 0.10}}
-    b = {"fractions": {"kaml.get/ns=1/bus_wait": 0.40}}
-    text = markdown_diff(diff_reports(a, b), title="t")
-    assert "### t" in text
-    assert "flash.channel" in text
-    assert "| kaml.get/ns=1/bus_wait |" in text
-    quiet = markdown_diff(diff_reports(a, a))
-    assert "No component shift above" in quiet
