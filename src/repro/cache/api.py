@@ -26,6 +26,7 @@ from repro.cache.buffer import BufferManager
 from repro.cache.locks import DeadlockError, LockManager, LockMode
 from repro.cache.transaction import DELETED, Transaction, TxnState
 from repro.config import HostCosts
+from repro.errors import PowerLossError, ReproError
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.obs import lazy_instrument
 from repro.sim import Environment
@@ -215,7 +216,8 @@ class KamlStore:
         The ``Put`` ack is the durability point (the SSD has the batch in
         NVRAM); multiple transactions commit in parallel when they touch
         disjoint records — the paper's key advantage over a centralized
-        WAL (Section V-D-1)."""
+        WAL (Section V-D-1).  A ``Put`` the device refuses (say, a batch
+        larger than NVRAM) aborts the transaction and re-raises."""
         if txn.state is not TxnState.ACTIVE:
             txn.require_active()  # raises
         items = []
@@ -237,7 +239,15 @@ class KamlStore:
         ) if tracer.enabled else None
         try:
             if items:
-                yield from self.ssd.put(items, ctx=ctx)
+                try:
+                    yield from self.ssd.put(items, ctx=ctx)
+                except PowerLossError:
+                    raise
+                except ReproError:
+                    # Refused before its ack: nothing is durable, so the
+                    # transaction aborts instead of holding its locks.
+                    yield from self.transaction_abort(txn)
+                    raise
                 for item in items:
                     yield from self.buffer.install_clean(
                         item.namespace_id, item.key, item.value, item.size

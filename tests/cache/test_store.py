@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cache import CacheCapacityError, KamlStore
-from repro.config import KamlParams, ReproConfig
+from repro.config import KamlParams, ReproConfig, SsdResources
 from repro.kaml import KamlSsd, PutItem
 from repro.sim import Environment
+from repro.ssd import NvramExhausted
 
 
 def make_store(records_per_lock=1, cache_bytes=1 << 20):
@@ -253,6 +254,39 @@ def test_update_larger_than_the_cache_commits_and_releases_its_lock():
     assert run(env, flow()) == ("bigger", "bigger")
     assert outcomes == ["big", "bigger"]
     assert store.metrics.total("store.txn.committed") == 2
+
+
+def test_commit_the_device_refuses_aborts_and_releases_its_locks():
+    """A commit whose Put the device refuses before its ack (a batch
+    larger than NVRAM) aborts: nothing is published, the typed error
+    reaches the caller, and the next transaction on one of its keys runs."""
+    env = Environment()
+    config = ReproConfig.small().with_(resources=SsdResources(nvram_bytes=64 * 1024))
+    ssd = KamlSsd(env, config)
+    store = KamlStore(env, ssd, cache_bytes=1 << 20)
+    seen = []
+
+    def flow():
+        nsid = yield from store.create_namespace()
+
+        def writer(txn):
+            for key in range(20):
+                yield from store.transaction_update(txn, nsid, key, f"v{key}", 4_000)
+
+        def reader(txn):
+            return (yield from store.transaction_read(txn, nsid, 3))
+
+        with pytest.raises(NvramExhausted):
+            yield from store.run_transaction(writer)
+        seen.append((yield from store.run_transaction(reader)))
+        assert store.locks.holders_of(store.locks.lock_name(nsid, 3)) == {}
+
+    env.process(flow())
+    env.run(until=1_000_000.0)
+    assert seen == [None]
+    assert store.metrics.total("store.txn.aborted") == 1
+    assert store.metrics.total("store.txn.committed") == 1
+    assert store.buffer.used_bytes == 0
 
 
 def test_read_miss_larger_than_the_cache_is_served_uncached():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import sanitize
-from repro.config import KamlParams, ReproConfig
+from repro.config import KamlParams, ReproConfig, SsdResources
 from repro.kaml import (
     DedicatedLogsPolicy,
     ExplicitLogsPolicy,
@@ -16,6 +16,7 @@ from repro.kaml import (
 )
 from repro.kaml.record import Record
 from repro.sim import Environment
+from repro.ssd import NvramExhausted
 
 
 def make_ssd(num_logs=None, geometry=None, **kaml_overrides):
@@ -253,6 +254,32 @@ def test_nonpositive_size_rejected():
 
     with pytest.raises(KamlError):
         run(env, flow())
+
+
+def test_batch_larger_than_nvram_is_refused_before_any_side_effect():
+    """A batch that can never fit in NVRAM is refused up front: no counter
+    moves, no PCIe time is spent and no span is recorded."""
+    env = Environment()
+    config = ReproConfig.small().with_(resources=SsdResources(nvram_bytes=64 * 1024))
+    ssd = KamlSsd(env, config)
+    nsid = run(env, ssd.create_namespace())
+    items = [PutItem(nsid, key, f"v{key}", 4_000) for key in range(20)]
+    started = env.now
+    recorded = ssd.tracer.recorder.recorded
+
+    def flow():
+        with pytest.raises(NvramExhausted):
+            yield from ssd.put(items)
+        with pytest.raises(NvramExhausted):
+            yield from ssd.prepare_batch(items, txn_id=1)
+
+    run(env, flow())
+    assert env.now == started
+    for name in ("kaml.ssd.puts", "kaml.ssd.put_records", "kaml.put.bytes",
+                 "kaml.ssd.prepares"):
+        assert ssd.metrics.total(name) == 0, name
+    assert ssd.tracer.recorder.recorded == recorded
+    assert ssd.nvram.used_bytes == 0
 
 
 def test_variable_sized_values_coexist():
