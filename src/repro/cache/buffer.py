@@ -19,7 +19,7 @@ from typing import Any, List, Optional, Tuple
 from repro.config import HostCosts
 from repro.errors import ReproError
 from repro.kaml import KamlSsd, PutItem
-from repro.obs import NULL_CONTEXT, TraceContext
+from repro.obs import TraceContext
 from repro.sim import Environment, SimLock
 
 
@@ -74,13 +74,14 @@ class BufferManager:
     # ------------------------------------------------------------------
 
     def read(
-        self, namespace_id: int, key: int, ctx: "TraceContext" = None
+        self, namespace_id: int, key: int, ctx: Optional[TraceContext] = None
     ) -> Any:
         """Return ``(value, size)`` or None; fills from the SSD on miss.
 
         ``ctx`` is the caller's trace: a ``cache.read`` span opens under
-        it and a miss's ``Get`` joins it.  Without one the read, miss
-        included, is untraced and makes no tracing calls.
+        it and a miss's ``Get`` joins it.  Without one the read itself is
+        untraced, and a miss's ``Get`` traces itself only if the device's
+        tracer is armed (the store always passes its armed request).
         """
         cache_span = ctx.begin(
             "cache.read", namespace=namespace_id, key=key
@@ -101,9 +102,7 @@ class BufferManager:
             counters[2].inc()
             if cache_span is not None:
                 cache_span.tags["hit"] = False
-            result = yield from self.ssd.get_record(
-                namespace_id, key, ctx=NULL_CONTEXT if ctx is None else ctx
-            )
+            result = yield from self.ssd.get_record(namespace_id, key, ctx=ctx)
             if result is None:
                 return None
             value, size = result

@@ -228,7 +228,11 @@ class KamlCluster:
             )
             return result
         start_us = self.env.now
-        ctx = self.tracer.request("cluster.scan", namespace=ns.name, fanout=len(shards))
+        tracer = self.tracer
+        ctx = tracer.request(
+            "cluster.scan", namespace=ns.name, fanout=len(shards)
+        ) if tracer.enabled else None
+        trace_id = ctx.trace_id if ctx is not None else 0
         try:
             completions = []
             for shard_id in shards:
@@ -244,9 +248,10 @@ class KamlCluster:
                 )
             partials = yield self.env.all_of(completions)
         finally:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
         self.qos.record("cluster.scan", ns.tenant, start_us, self.env.now,
-                        trace_id=ctx.trace_id)
+                        trace_id=trace_id)
         merged: List[Tuple[int, Any]] = []
         for partial in partials:
             merged.extend(partial)
@@ -265,9 +270,11 @@ class KamlCluster:
                 factory, tenant=ns.tenant, queue_budget_us=budget
             )
         except Exception:
-            ctx.event("cluster.shed", shard=shard_id, tenant=ns.tenant)
+            if ctx is not None:
+                ctx.event("cluster.shed", shard=shard_id, tenant=ns.tenant)
             raise
-        ctx.event("cluster.route", shard=shard_id, namespace=ns.name)
+        if ctx is not None:
+            ctx.event("cluster.route", shard=shard_id, namespace=ns.name)
         return completion
 
     def _wait_migration(self, ns: LogicalNamespace) -> Any:
@@ -290,36 +297,46 @@ class KamlCluster:
         """Admit → queue → run one single-shard request."""
         epoch = self.epoch
         start_us = self.env.now
-        ctx = self.tracer.request(op, namespace=ns.name, shard=shard_id)
+        tracer = self.tracer
+        ctx = tracer.request(
+            op, namespace=ns.name, shard=shard_id
+        ) if tracer.enabled else None
         try:
             completion = self._admit(ns, shard_id, factory, ctx)
         except Exception:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             raise
         ns.inflight += 1
-        span = ctx.begin("cluster.queue", shard=shard_id)
+        span = ctx.begin("cluster.queue", shard=shard_id) if ctx is not None else None
         try:
             value = yield completion
         except Exception:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             if self.epoch == epoch:
                 ns.inflight -= 1
                 self._drain_gate.fire()
             raise
-        ctx.finish(span)
-        ctx.close()
+        trace_id = 0
+        if ctx is not None:
+            trace_id = ctx.trace_id
+            ctx.finish(span)
+            ctx.close()
         ns.inflight -= 1
         self._drain_gate.fire()
-        self.qos.record(op, ns.tenant, start_us, self.env.now, trace_id=ctx.trace_id)
+        self.qos.record(op, ns.tenant, start_us, self.env.now, trace_id=trace_id)
         return value
 
     def _transaction(
         self, ns: LogicalNamespace, by_shard: Dict[int, List[PutItem]]
     ) -> Any:
         start_us = self.env.now
-        ctx = self.tracer.request(
+        tracer = self.tracer
+        ctx = tracer.request(
             "cluster.2pc", namespace=ns.name, shards=len(by_shard)
-        )
+        ) if tracer.enabled else None
+        trace_id = ctx.trace_id if ctx is not None else 0
         participants = [
             (shard_id, self.shards[shard_id], batch)
             for shard_id, batch in sorted(by_shard.items())
@@ -329,12 +346,13 @@ class KamlCluster:
         try:
             background = yield from self.coordinator.run(participants, ctx=ctx)
         finally:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             if self.epoch == epoch:
                 ns.inflight -= 1
                 self._drain_gate.fire()
         self.qos.record(
-            "cluster.put", ns.tenant, start_us, self.env.now, trace_id=ctx.trace_id
+            "cluster.put", ns.tenant, start_us, self.env.now, trace_id=trace_id
         )
         return background
 
@@ -395,7 +413,8 @@ class KamlCluster:
             if self.epoch == epoch:
                 ns.migrating = False
                 self._migration_gate.fire()
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
         self._rebalance_counter.inc()
         self._rebalance_us_histogram.observe(self.env.now - start_us)
         return moved
@@ -440,12 +459,14 @@ class KamlCluster:
             stats, background = yield self.env.process(
                 recover_transactions(self.env, self.journal, self.shards)
             )
-            ctx.event(
-                "cluster.2pc.decision",
-                committed=stats["committed"], aborted=stats["aborted"],
-            )
+            if ctx is not None:
+                ctx.event(
+                    "cluster.2pc.decision",
+                    committed=stats["committed"], aborted=stats["aborted"],
+                )
         finally:
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
         for shard_id in sorted(self.schedulers):
             self.schedulers[shard_id].start(self.epoch)
         return {

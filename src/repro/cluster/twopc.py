@@ -39,7 +39,7 @@ from repro.cluster.device import Device
 from repro.cluster.errors import TwoPhaseCommitError
 from repro.errors import InvariantError, PowerLossError
 from repro.kaml.ssd import PutItem
-from repro.obs import MetricsRegistry, NULL_CONTEXT
+from repro.obs import MetricsRegistry, TraceContext
 from repro.sim import Environment
 
 
@@ -126,7 +126,7 @@ class TwoPhaseCoordinator:
     def run(
         self,
         participants: List[Tuple[int, Device, List[PutItem]]],
-        ctx: Any = NULL_CONTEXT,
+        ctx: Optional[TraceContext] = None,
     ) -> Any:
         """Atomically put every participant's sub-batch; ack after commit.
 
@@ -158,7 +158,9 @@ class TwoPhaseCoordinator:
         # Phase 1: prepare everywhere, concurrently.  Each helper records
         # its durable NVRAM handle so an abort can find it.
         handles: Dict[int, int] = {}
-        span = ctx.begin("cluster.2pc.prepare", txn=txn_id, shards=len(shard_ids))
+        span = ctx.begin(
+            "cluster.2pc.prepare", txn=txn_id, shards=len(shard_ids)
+        ) if ctx is not None else None
         prepares = [
             self.env.process(
                 self._prepare_one(
@@ -172,24 +174,28 @@ class TwoPhaseCoordinator:
         except PowerLossError:
             # The devices are off; there is nothing to abort right now.
             # Recovery presumes abort from the still-"begin" journal entry.
-            ctx.finish(span)
+            if ctx is not None:
+                ctx.finish(span)
             raise
         except Exception as exc:
-            ctx.finish(span)
+            if ctx is not None:
+                ctx.finish(span)
             yield from self._abort(participants, handles, txn_id)
             raise TwoPhaseCommitError(
                 f"txn {txn_id} prepare failed: {exc}"
             ) from exc
-        ctx.finish(span)
+        if ctx is not None:
+            ctx.finish(span)
 
         self._crash_point("cluster.2pc.after_prepare")
 
         # The commit point: one journal write decides the transaction.
         yield from self.journal.log_commit(txn_id)
-        ctx.event("cluster.2pc.decision", txn=txn_id, decision="commit")
+        if ctx is not None:
+            ctx.event("cluster.2pc.decision", txn=txn_id, decision="commit")
+            span = ctx.begin("cluster.2pc.commit", txn=txn_id)
 
         # Phase 2: upgrade every prepare, ascending shard order.
-        span = ctx.begin("cluster.2pc.commit", txn=txn_id)
         background = []
         committed = 0
         try:
@@ -205,9 +211,11 @@ class TwoPhaseCoordinator:
         except PowerLossError:
             # Journal state is "commit": recovery finishes the remaining
             # shards from their surviving prepares.
-            ctx.finish(span)
+            if ctx is not None:
+                ctx.finish(span)
             raise
-        ctx.finish(span)
+        if ctx is not None:
+            ctx.finish(span)
 
         yield from self.journal.log_end(txn_id)
         self._txn_us_histogram.observe(self.env.now - start_us)

@@ -10,7 +10,6 @@ from repro.flash.block import FlashBlock
 from repro.flash.channel import FlashChannel
 from repro.flash.chip import FlashChip
 from repro.flash.errors import AddressError
-from repro.obs.trace import NULL_CONTEXT
 from repro.sim import Environment
 
 
@@ -63,7 +62,7 @@ class FlashArray:
     # -- timed operations ----------------------------------------------------
 
     def read_page(self, pointer: PagePointer, transfer_bytes: int = None,
-                  ctx=NULL_CONTEXT, parent=None, priority: bool = False) -> Any:
+                  ctx=None, parent=None, priority: bool = False) -> Any:
         result = yield from self.channel(pointer.channel).read_page(
             pointer.chip, pointer.block, pointer.page, transfer_bytes=transfer_bytes,
             ctx=ctx, parent=parent, priority=priority,
@@ -71,13 +70,13 @@ class FlashArray:
         return result
 
     def program_page(self, pointer: PagePointer, data: Any, oob: Any = None,
-                     ctx=NULL_CONTEXT, parent=None) -> Any:
+                     ctx=None, parent=None) -> Any:
         yield from self.channel(pointer.channel).program_page(
             pointer.chip, pointer.block, pointer.page, data, oob,
             ctx=ctx, parent=parent,
         )
 
-    def erase_block(self, pointer: PagePointer, ctx=NULL_CONTEXT,
+    def erase_block(self, pointer: PagePointer, ctx=None,
                     parent=None) -> Any:
         yield from self.channel(pointer.channel).erase_block(
             pointer.chip, pointer.block, ctx=ctx, parent=parent

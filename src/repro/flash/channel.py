@@ -7,7 +7,6 @@ from typing import Any, List
 from repro.config import FlashGeometry, FlashTimings
 from repro.flash.chip import FlashChip
 from repro.flash.errors import AddressError
-from repro.obs.trace import NULL_CONTEXT
 from repro.sim import Environment, Resource
 
 
@@ -49,7 +48,7 @@ class FlashChannel:
     def transfer_time(self, nbytes: int) -> float:
         return self._bus_command_us + nbytes / self._bus_bytes_per_us
 
-    def transfer(self, nbytes: int, ctx=NULL_CONTEXT, parent=None) -> Any:
+    def transfer(self, nbytes: int, ctx=None, parent=None) -> Any:
         """Occupy the bus long enough to move ``nbytes``.
 
         With a trace context, arbitration time is recorded as a
@@ -60,7 +59,7 @@ class FlashChannel:
         queued = self.env.now
         request = self.bus.try_acquire() or (yield self.bus.request())
         granted = self.env.now
-        if granted > queued:
+        if granted > queued and ctx is not None:
             ctx.record_span(
                 "bus.wait", start_us=queued, end_us=granted,
                 parent=parent, channel=self.index,
@@ -70,17 +69,18 @@ class FlashChannel:
             transfer_us = self.transfer_time(nbytes)
             self.env.try_advance(transfer_us) or (yield self.env.timeout(transfer_us))
             self.bus_busy_us += self.env.now - started
-            ctx.record_span(
-                "bus.transfer", start_us=started, parent=parent,
-                channel=self.index, bytes=nbytes,
-            )
+            if ctx is not None:
+                ctx.record_span(
+                    "bus.transfer", start_us=started, parent=parent,
+                    channel=self.index, bytes=nbytes,
+                )
         finally:
             self.bus.release(request)
 
     # -- whole commands ----------------------------------------------------
 
     def read_page(self, chip_index: int, block_index: int, page_index: int,
-                  transfer_bytes: int = None, ctx=NULL_CONTEXT,
+                  transfer_bytes: int = None, ctx=None,
                   parent=None, priority: bool = False) -> Any:
         """Cell read on the chip, then bus transfer toward the controller.
 
@@ -96,7 +96,7 @@ class FlashChannel:
         return result
 
     def program_page(self, chip_index: int, block_index: int, page_index: int,
-                     data: Any, oob: Any = None, ctx=NULL_CONTEXT,
+                     data: Any, oob: Any = None, ctx=None,
                      parent=None) -> Any:
         """Bus transfer toward the chip, then the program operation.
 
@@ -116,6 +116,6 @@ class FlashChannel:
         )
 
     def erase_block(self, chip_index: int, block_index: int,
-                    ctx=NULL_CONTEXT, parent=None) -> Any:
+                    ctx=None, parent=None) -> Any:
         chip = self.chip(chip_index)
         yield from chip.erase(block_index, ctx=ctx, parent=parent)

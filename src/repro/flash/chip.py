@@ -19,7 +19,6 @@ from typing import Any, Optional
 from repro.config import FlashGeometry, FlashTimings
 from repro.flash.block import FlashBlock
 from repro.flash.errors import AddressError, EraseFailure, ProgramFailure
-from repro.obs.trace import NULL_CONTEXT
 from repro.sim import Environment, Resource
 
 
@@ -119,7 +118,7 @@ class FlashChip:
     # -- timed operations (drive with ``yield from``) ---------------------
 
     def read_cells(self, block_index: int, page_index: int,
-                   ctx=NULL_CONTEXT, parent=None, priority: bool = False) -> Any:
+                   ctx=None, parent=None, priority: bool = False) -> Any:
         """Cell array -> page register.  Holds the chip engine for t_R, or
         (``priority``, see the module docstring) suspends the pulse that does.
 
@@ -154,18 +153,19 @@ class FlashChip:
                 if counters is not None:
                     counters["read"].inc()
                     counters[pulse.kind].inc(suspends)
-                if start > queued:
+                if ctx is not None:
+                    if start > queued:
+                        ctx.record_span(
+                            "nand.wait", start_us=queued, end_us=start,
+                            parent=parent, chip=self.name,
+                        )
                     ctx.record_span(
-                        "nand.wait", start_us=queued, end_us=start,
-                        parent=parent, chip=self.name,
+                        "nand.read", start_us=start, parent=parent, chip=self.name
                     )
-                ctx.record_span(
-                    "nand.read", start_us=start, parent=parent, chip=self.name
-                )
                 return block.read(page_index)
         key = queued - self._program_us if priority else queued
         request = self.engine.try_acquire() or (yield self.engine.request(key))
-        if env.now > queued:
+        if env.now > queued and ctx is not None:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )
@@ -174,9 +174,10 @@ class FlashChip:
             env.try_advance(self._read_us) or (yield env.timeout(self._read_us))
             self.stats.reads += 1
             self.stats.busy_us += env.now - started
-            ctx.record_span(
-                "nand.read", start_us=started, parent=parent, chip=self.name
-            )
+            if ctx is not None:
+                ctx.record_span(
+                    "nand.read", start_us=started, parent=parent, chip=self.name
+                )
             return block.read(page_index)
         finally:
             self.engine.release(request)
@@ -192,14 +193,15 @@ class FlashChip:
             owed, pulse.owed = pulse.owed, 0.0
             env.try_advance(owed) or (yield env.timeout(owed))
         self.stats.busy_us += env.now - started
-        ctx.record_span(
-            f"nand.{kind}", start_us=started, parent=parent, chip=self.name,
-            away_us=length - pulse.slack, **tags,
-        )
+        if ctx is not None:
+            ctx.record_span(
+                f"nand.{kind}", start_us=started, parent=parent, chip=self.name,
+                away_us=length - pulse.slack, **tags,
+            )
 
     def program_cells(
         self, block_index: int, page_index: int, data: Any, oob: Any,
-        generation: Any = None, ctx=NULL_CONTEXT, parent=None,
+        generation: Any = None, ctx=None, parent=None,
     ) -> Any:
         """Page register -> cell array.  Holds the chip engine for t_PROG.
 
@@ -215,7 +217,7 @@ class FlashChip:
             generation = self.generation
         queued = self.env.now
         request = self.engine.try_acquire() or (yield self.engine.request(queued))
-        if self.env.now > queued:
+        if self.env.now > queued and ctx is not None:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )
@@ -242,13 +244,13 @@ class FlashChip:
             self._pulse = None
             self.engine.release(request)
 
-    def erase(self, block_index: int, ctx=NULL_CONTEXT, parent=None) -> Any:
+    def erase(self, block_index: int, ctx=None, parent=None) -> Any:
         """Erase a whole block.  Holds the chip engine for t_BERS."""
         block = self.block(block_index)
         generation = self.generation
         queued = self.env.now
         request = self.engine.try_acquire() or (yield self.engine.request(queued))
-        if self.env.now > queued:
+        if self.env.now > queued and ctx is not None:
             ctx.record_span(
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )

@@ -132,13 +132,14 @@ class PageFtl:
             raise FtlError(f"read size {nbytes} outside (0, {LOGICAL_PAGE}]")
         self.metrics.counter("ftl.host_reads").inc()
         started = self.env.now
-        ctx = self.tracer.request("ftl.read", lpn=lpn, bytes=nbytes)
+        tracer = self.tracer
+        ctx = tracer.request("ftl.read", lpn=lpn, bytes=nbytes) if tracer.enabled else None
         yield from self.firmware.execute(
             self.costs.dispatch_us + self.costs.lba_lock_us + self.costs.array_map_us
         )
         lock_wait = self.env.now
         yield from self._page_locks.acquire(lpn, owner="read")
-        if self.env.now > lock_wait:
+        if self.env.now > lock_wait and ctx is not None:
             ctx.record_span("ftl.lba_lock_wait", start_us=lock_wait)
         self.metrics.observe("ftl.lba_lock_wait_us", self.env.now - lock_wait)
         try:
@@ -149,18 +150,22 @@ class PageFtl:
             if location is None:
                 return None
             pointer, slot = location
-            read_span = ctx.begin("ftl.flash_read", parent=ctx.root)
+            read_span = ctx.begin(
+                "ftl.flash_read", parent=ctx.root
+            ) if ctx is not None else None
             try:
                 data, oob = yield from self.array.read_page(
                     pointer, transfer_bytes=nbytes, ctx=ctx, parent=read_span,
                     priority=True,
                 )
             finally:
-                ctx.finish(read_span)
+                if ctx is not None:
+                    ctx.finish(read_span)
             return data[slot]
         finally:
             self._page_locks.release(lpn)
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             self.metrics.observe("ftl.read.us", self.env.now - started)
 
     def write(self, lpn: int, data: Any, nbytes: int = LOGICAL_PAGE) -> Any:
@@ -176,16 +181,20 @@ class PageFtl:
         self.metrics.counter("ftl.host_writes").inc()
         self.metrics.counter("ftl.host_write_bytes").inc(nbytes)
         started = self.env.now
-        ctx = self.tracer.request("ftl.write", lpn=lpn, bytes=nbytes)
+        tracer = self.tracer
+        ctx = tracer.request("ftl.write", lpn=lpn, bytes=nbytes) if tracer.enabled else None
         yield from self.firmware.execute(self.costs.dispatch_us + self.costs.lba_lock_us)
         if nbytes < LOGICAL_PAGE:
-            with ctx.span("ftl.rmw_read", parent=ctx.root):
+            if ctx is None:
                 yield from self._read_for_merge(lpn)
+            else:
+                with ctx.span("ftl.rmw_read", parent=ctx.root):
+                    yield from self._read_for_merge(lpn)
         reserve_start = self.env.now
         handle = self.nvram.try_reserve(LOGICAL_PAGE, payload=(lpn, data))
         if handle is None:
             handle = yield self.nvram.reserve(LOGICAL_PAGE, payload=(lpn, data))
-        if self.env.now > reserve_start:
+        if self.env.now > reserve_start and ctx is not None:
             ctx.record_span("ftl.nvram_reserve", start_us=reserve_start)
         yield from self.firmware.execute(
             LOGICAL_PAGE / self.costs.nvram_copy_bytes_per_us
@@ -211,7 +220,8 @@ class PageFtl:
         elif len(self._fill) == 1:
             self.env.process(self._fill_timer(self._fill_generation))
         # The command is complete: data is durable in NVRAM.
-        ctx.close()
+        if ctx is not None:
+            ctx.close()
         self.metrics.observe("ftl.write.us", self.env.now - started)
 
     def flush(self) -> Any:
@@ -405,6 +415,7 @@ class PageFtl:
         ctx = self.tracer.request(
             "ftl.gc", channel=target.channel, chip=target.chip
         )
+        erase_span = None
         try:
             while len(target.free) < self.params.gc_restore_target:
                 candidates = [
@@ -415,10 +426,13 @@ class PageFtl:
                     break  # nothing worth reclaiming
                 block_index = victim.token
                 target.full.remove(block_index)
-                with ctx.span("gc.relocate_block", parent=ctx.root, block=block_index):
+                if ctx is None:
                     yield from self._relocate_block(target, block_index)
+                else:
+                    with ctx.span("gc.relocate_block", parent=ctx.root, block=block_index):
+                        yield from self._relocate_block(target, block_index)
+                    erase_span = ctx.begin("gc.erase", parent=ctx.root, block=block_index)
                 pointer = PagePointer(target.channel, target.chip, block_index, 0)
-                erase_span = ctx.begin("gc.erase", parent=ctx.root, block=block_index)
                 try:
                     yield from self.array.erase_block(
                         pointer, ctx=ctx, parent=erase_span
@@ -426,18 +440,21 @@ class PageFtl:
                 except WearOutError:
                     # Endurance exceeded: retire the block (capacity loss).
                     self.metrics.counter("ftl.retired_blocks").inc()
-                    erase_span.tags["retired"] = True
-                    ctx.finish(erase_span)
+                    if ctx is not None:
+                        erase_span.tags["retired"] = True
+                        ctx.finish(erase_span)
                     self._valid.pop((target.channel, target.chip, block_index), None)
                     continue
-                ctx.finish(erase_span)
+                if ctx is not None:
+                    ctx.finish(erase_span)
                 self.metrics.counter("ftl.gc.erased_blocks").inc()
                 self._valid.pop((target.channel, target.chip, block_index), None)
                 target.free.append(block_index)
                 target.space_gate.fire()
         finally:
             target.gc_running = False
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             # Wake blocked writers so they re-check (and fail loudly if
             # nothing was reclaimed).
             target.space_gate.fire()

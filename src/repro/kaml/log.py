@@ -39,7 +39,7 @@ from repro.kaml.record import (
     RecordTooLargeError,
     decode_bitmap,
 )
-from repro.obs import NULL_CONTEXT, MetricsRegistry, NullTracer, TraceContext
+from repro.obs import MetricsRegistry, TraceContext, Tracer
 from repro.sim import Environment, Event, Gate, SimLock
 
 
@@ -93,7 +93,10 @@ class KamlLog:
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             clock=lambda: env.now
         )
-        self.tracer = tracer or NullTracer()
+        if tracer is None:
+            tracer = Tracer(clock=lambda: env.now)
+            tracer.enabled = False
+        self.tracer = tracer
         #: Announces a named crash point to the device's fault injector.
         self._crash_point = crash_point
         #: Monotonic id for GC passes; tags every span of one pass.
@@ -152,21 +155,22 @@ class KamlLog:
     # ------------------------------------------------------------------
 
     def append(
-        self, record: Record, ctx: TraceContext = NULL_CONTEXT, parent=None
+        self, record: Record, ctx: Optional[TraceContext] = None, parent=None
     ) -> Any:
         """Append one record; returns its :class:`RecordLocation` once the
         containing page is programmed (Put phase 2, Section IV-D)."""
         started = self.env.now
         event = self.stage(record, for_gc=False)
         location = yield event
-        ctx.record_span(
-            "log.append",
-            start_us=started,
-            parent=parent,
-            log=self.log_id,
-            namespace=record.namespace_id,
-            key=record.key,
-        )
+        if ctx is not None:
+            ctx.record_span(
+                "log.append",
+                start_us=started,
+                parent=parent,
+                log=self.log_id,
+                namespace=record.namespace_id,
+                key=record.key,
+            )
         return location
 
     def stage(self, record: Record, for_gc: bool) -> Event:
@@ -315,20 +319,22 @@ class KamlLog:
                 # so the profiler can separate flash-program cost (bus
                 # transfer, engine wait, t_PROG) from the request-side
                 # log.append wait that covers it.
-                flush_ctx = self.tracer.request(
+                tracer = self.tracer
+                flush_ctx = tracer.request(
                     "kaml.flash_program",
                     log=self.log_id,
                     stream="gc" if for_gc else "host",
                     records=len(assembly.records),
-                )
+                ) if tracer.enabled else None
                 try:
                     yield from self.array.program_page(
-                        pointer, data, oob=assembly.bitmap(),
-                        ctx=flush_ctx, parent=flush_ctx.root,
+                        pointer, data, oob=assembly.bitmap(), ctx=flush_ctx,
+                        parent=flush_ctx.root if flush_ctx is not None else None,
                     )
                 except ProgramFailure:
-                    flush_ctx.root.tags["failed"] = True
-                    flush_ctx.close()
+                    if flush_ctx is not None:
+                        flush_ctx.root.tags["failed"] = True
+                        flush_ctx.close()
                     # Transient media fault: the attempted page is burned
                     # (its write pointer advanced past garbage); remap the
                     # whole assembly to the next allocatable page.
@@ -336,15 +342,15 @@ class KamlLog:
                     self.metrics.counter(
                         "kaml.log.program_failures", log=self.log_id
                     ).inc()
-                    fail_ctx = self.tracer.request(
-                        "kaml.flash_fault",
-                        kind="program",
-                        log=self.log_id,
-                        block=pointer.block,
-                        page=pointer.page,
-                        attempt=attempts,
-                    )
-                    fail_ctx.close()
+                    if tracer.enabled:
+                        tracer.request(
+                            "kaml.flash_fault",
+                            kind="program",
+                            log=self.log_id,
+                            block=pointer.block,
+                            page=pointer.page,
+                            attempt=attempts,
+                        ).close()
                     if self.epoch != epoch:
                         return
                     if attempts >= self.MAX_PROGRAM_RETRIES:
@@ -359,7 +365,8 @@ class KamlLog:
                         "kaml.log.program_retries", log=self.log_id
                     ).inc()
                     continue
-                flush_ctx.close()
+                if flush_ctx is not None:
+                    flush_ctx.close()
                 break
             self._programmed_pages_counter.inc()
             self._programmed_bytes_counter.inc(self.geometry.page_size)
@@ -441,10 +448,13 @@ class KamlLog:
     def _gc_process(self) -> Any:
         epoch = self.epoch
         self._gc_generation += 1
-        ctx = self.tracer.request(
+        tracer = self.tracer
+        ctx = tracer.request(
             "kaml.gc", log=self.log_id, generation=self._gc_generation
-        )
-        gc_span = ctx.root
+        ) if tracer.enabled else None
+        gc_span = clean_span = erase_span = None
+        if ctx is not None:
+            gc_span = ctx.root
         try:
             while len(self.free) < self.params.gc_restore_target:
                 if self.epoch != epoch:
@@ -463,30 +473,33 @@ class KamlLog:
                 # detect that and re-append instead (the survivor scan
                 # below has already judged them garbage).
                 self.hooks.block_doomed(self.block_key(block_index))
-                clean_span = ctx.begin(
-                    "gc.clean_block",
-                    parent=gc_span,
-                    log=self.log_id,
-                    block=block_index,
-                    generation=self._gc_generation,
-                )
+                if ctx is not None:
+                    clean_span = ctx.begin(
+                        "gc.clean_block",
+                        parent=gc_span,
+                        log=self.log_id,
+                        block=block_index,
+                        generation=self._gc_generation,
+                    )
                 yield from self._clean_block(block_index, ctx, clean_span)
-                ctx.finish(clean_span)
+                if ctx is not None:
+                    ctx.finish(clean_span)
                 if self.epoch != epoch:
                     return
                 block_key = self.block_key(block_index)
                 pin_wait_start = self.env.now
                 yield from self.hooks.wait_unpinned(block_key)
-                if self.env.now > pin_wait_start:
-                    ctx.record_span(
-                        "gc.pin_wait",
-                        start_us=pin_wait_start,
-                        parent=gc_span,
-                        block=block_index,
+                if ctx is not None:
+                    if self.env.now > pin_wait_start:
+                        ctx.record_span(
+                            "gc.pin_wait",
+                            start_us=pin_wait_start,
+                            parent=gc_span,
+                            block=block_index,
+                        )
+                    erase_span = ctx.begin(
+                        "gc.erase", parent=gc_span, log=self.log_id, block=block_index
                     )
-                erase_span = ctx.begin(
-                    "gc.erase", parent=gc_span, log=self.log_id, block=block_index
-                )
                 retired = False
                 erase_attempts = 0
                 while True:
@@ -503,14 +516,14 @@ class KamlLog:
                         self.metrics.counter(
                             "kaml.log.erase_failures", log=self.log_id
                         ).inc()
-                        fail_ctx = self.tracer.request(
-                            "kaml.flash_fault",
-                            kind="erase",
-                            log=self.log_id,
-                            block=block_index,
-                            attempt=erase_attempts,
-                        )
-                        fail_ctx.close()
+                        if tracer.enabled:
+                            tracer.request(
+                                "kaml.flash_fault",
+                                kind="erase",
+                                log=self.log_id,
+                                block=block_index,
+                                attempt=erase_attempts,
+                            ).close()
                         if self.epoch != epoch:
                             return
                         if erase_attempts > self.MAX_ERASE_RETRIES:
@@ -529,11 +542,13 @@ class KamlLog:
                     self.metrics.counter(
                         "kaml.log.retired_blocks", log=self.log_id
                     ).inc()
-                    erase_span.tags["retired"] = True
-                    ctx.finish(erase_span)
+                    if ctx is not None:
+                        erase_span.tags["retired"] = True
+                        ctx.finish(erase_span)
                     self.hooks.block_erased(block_key)
                     continue
-                ctx.finish(erase_span)
+                if ctx is not None:
+                    ctx.finish(erase_span)
                 self.metrics.counter(
                     "kaml.log.gc.erased_blocks", log=self.log_id
                 ).inc()
@@ -542,7 +557,8 @@ class KamlLog:
                 self.space_gate.fire()
         finally:
             self.gc_running = False
-            ctx.close()
+            if ctx is not None:
+                ctx.close()
             # Wake any flush that was waiting so it can re-check state.
             self.space_gate.fire()
 
@@ -562,7 +578,7 @@ class KamlLog:
         return required_pages <= available
 
     def _clean_block(
-        self, block_index: int, ctx: TraceContext = NULL_CONTEXT, parent=None
+        self, block_index: int, ctx: Optional[TraceContext] = None, parent=None
     ) -> Any:
         """Relocate every still-valid record out of a victim block."""
         self.metrics.observe(
@@ -613,14 +629,15 @@ class KamlLog:
                     "kaml.log.gc.relocated_records", log=self.log_id
                 ).inc()
                 moved_bytes += record.size
-                ctx.event(
-                    "gc.relocate",
-                    parent=parent,
-                    log=self.log_id,
-                    namespace=record.namespace_id,
-                    key=record.key,
-                    block=block_index,
-                )
+                if ctx is not None:
+                    ctx.event(
+                        "gc.relocate",
+                        parent=parent,
+                        log=self.log_id,
+                        namespace=record.namespace_id,
+                        key=record.key,
+                        block=block_index,
+                    )
         self.metrics.counter(
             "kaml.log.gc.moved_bytes", log=self.log_id
         ).inc(moved_bytes)
@@ -678,7 +695,7 @@ class KamlLog:
         self._active = {False: None, True: None}
         self._active_wp = {False: 0, True: 0}
 
-    def rescan(self, ctx: TraceContext = NULL_CONTEXT) -> Any:
+    def rescan(self, ctx: Optional[TraceContext] = None) -> Any:
         """Rebuild the block lists :meth:`power_loss` emptied, from flash.
 
         Every programmed page of the log's target is read; the OOB bitmap
@@ -687,6 +704,7 @@ class KamlLog:
         procedure to rank.
         """
         chip = self._chip()
+        root = ctx.root if ctx is not None else None
         #: (free_pages, block_index, write_pointer) of partial blocks.
         partial: List[Tuple[int, int, int]] = []
         pages_read = 0
@@ -705,7 +723,7 @@ class KamlLog:
             for page_index in range(block.programmed_pages):
                 pointer = PagePointer(self.channel, self.chip, block_index, page_index)
                 data, oob = yield from self.array.read_page(
-                    pointer, ctx=ctx, parent=ctx.root
+                    pointer, ctx=ctx, parent=root
                 )
                 pages_read += 1
                 for start, nchunks in decode_bitmap(

@@ -23,7 +23,7 @@ from repro.config import ReproConfig
 from repro.kaml.namespace import Namespace
 from repro.kaml.record import TOMBSTONE, Record, RecordLocation
 from repro.kaml.snapshot import Snapshot
-from repro.obs import NULL_CONTEXT, MetricsRegistry, TraceContext
+from repro.obs import MetricsRegistry, TraceContext
 from repro.sim import Environment, Gate
 
 BlockKey = Tuple[int, int, int]
@@ -202,7 +202,7 @@ class Mapping:
 
     def read(
         self, table: Any, key: int, location: RecordLocation,
-        ctx: TraceContext = NULL_CONTEXT, parent: Any = None,
+        ctx: Optional[TraceContext] = None, parent: Any = None,
     ) -> Any:
         """Pin-protected flash read of ``key``'s record, chasing GC.
 
@@ -229,7 +229,7 @@ class Mapping:
         read_span = ctx.begin(
             "get.flash_read", parent=parent,
             channel=block_key[0], chip=block_key[1], block=block_key[2],
-        )
+        ) if ctx is not None else None
         try:
             data, _oob = yield from self.array.read_page(
                 location.page,
@@ -238,7 +238,8 @@ class Mapping:
             )
         finally:
             self._unpin(block_key)
-            ctx.finish(read_span)
+            if ctx is not None:
+                ctx.finish(read_span)
         return data[location.chunk]
 
     def erase_mark(self, location: RecordLocation) -> int:

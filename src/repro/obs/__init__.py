@@ -26,10 +26,7 @@ from repro.obs.export import (
     write_json,
 )
 from repro.obs.trace import (
-    NULL_CONTEXT,
     FlightRecorder,
-    NullContext,
-    NullTracer,
     SpanEvent,
     TraceContext,
     Tracer,
@@ -50,7 +47,6 @@ from repro.obs.profile import (
     KNOWN_SPAN_NAMES,
     SPAN_COMPONENTS,
     analyze,
-    breakdown_fractions,
     collapsed_stacks,
     component_of,
     write_collapsed,
@@ -62,15 +58,12 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "KNOWN_SPAN_NAMES",
-    "NULL_CONTEXT",
     "NULL_OPLOG",
     "FlightRecorder",
     "OpJournal",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullContext",
-    "NullTracer",
     "SloBreach",
     "SloPolicy",
     "SloTracker",
@@ -81,7 +74,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "analyze",
-    "breakdown_fractions",
     "chrome_trace",
     "collapsed_stacks",
     "component_of",

@@ -425,26 +425,6 @@ def analyze(events: Iterable[SpanEvent], top_n: int = 5) -> Dict[str, Any]:
     }
 
 
-def breakdown_fractions(report: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten a report into ``{"op/ns=N/component": fraction}``.
-
-    Every taxonomy component is emitted for every (op, namespace) pair —
-    zeros included — so the baseline's key set is stable and a component
-    *appearing* (e.g. bus_wait going 0 -> 0.2) gates exactly like one
-    growing.
-    """
-    flat: Dict[str, float] = {}
-    for op, by_namespace in sorted(report.get("requests", {}).items()):
-        for namespace, bucket in sorted(by_namespace.items()):
-            components = bucket.get("components", {})
-            for comp in COMPONENTS:
-                row = components.get(comp)
-                flat[f"{op}/ns={namespace}/{comp}"] = (
-                    float(row["fraction"]) if row else 0.0
-                )
-    return flat
-
-
 # ---------------------------------------------------------------------------
 # Collapsed-stack (flamegraph.pl / speedscope) export
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ per-namespace op rate and cache hit rate — sampled on a fixed simulated
 interval.  This is the raw signal hot-shard detection and diurnal
 workload replays will consume.
 
-Pay-as-you-go, like the tracer's ``NULL_CONTEXT`` fast path: nothing is
+Pay-as-you-go, like a disarmed tracer (``ctx=None``): nothing is
 constructed and no simulation process exists until a harness opts in
 (``KamlSsd.enable_timeseries`` / ``repro.harness prof``), so default
 runs schedule zero extra events and every determinism digest and

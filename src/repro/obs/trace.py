@@ -394,15 +394,16 @@ class Tracer:
         if self.enabled:
             self.recorder.record(event)
 
-    def request(self, name: str, **tags: Any):
+    def request(self, name: str, **tags: Any) -> Optional[TraceContext]:
         """New trace with an open root span named ``name``.
 
-        When the tracer is disarmed (``enabled = False``) this returns the
-        shared :data:`NULL_CONTEXT` instead: no context, no root span, no
-        span-id churn — tracing costs one attribute check per request.
+        When the tracer is disarmed (``enabled = False``) this returns
+        None, the one spelling of "untraced": every layer takes
+        ``ctx=None`` and guards its span calls with ``ctx is not None``.
+        Hot paths read ``enabled`` themselves and skip this call.
         """
         if not self.enabled:
-            return NULL_CONTEXT
+            return None
         self._trace_counter += 1
         ctx = TraceContext(self, self._trace_counter, name)
         ctx.begin(name, **tags)
@@ -428,111 +429,3 @@ class Tracer:
             "dropped": self.recorder.dropped,
             "traces": self._trace_counter,
         }
-
-
-class _NullTags(dict):
-    """A tags dict that silently ignores writes (shared by NULL_SPAN)."""
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        return None
-
-    def setdefault(self, key: Any, default: Any = None) -> Any:
-        return default
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-
-class NullSpan:
-    """Inert span returned by :class:`NullContext`.
-
-    Call sites write ``span.tags["key"] = value`` unconditionally; when
-    tracing is disarmed those writes land here and vanish.  Keeping the
-    shape of :class:`SpanEvent` (ids, times, ``tags``) means hot paths
-    never branch on whether tracing is on.
-    """
-
-    __slots__ = ()
-
-    trace_id = 0
-    span_id = 0
-    parent_id: Optional[int] = None
-    name = ""
-    start_us = 0.0
-    end_us: Optional[float] = 0.0
-    phase = PHASE_SPAN
-    tags: Dict[str, Any] = _NullTags()
-    duration_us = 0.0
-
-    def overlaps(self, start_us: float, end_us: float) -> bool:
-        return False
-
-    def export(self) -> Dict[str, Any]:
-        return {}
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<NullSpan>"
-
-
-#: Shared inert span: what NULL_CONTEXT hands out instead of SpanEvents.
-NULL_SPAN = NullSpan()
-
-
-class NullContext:
-    """No-op stand-in so call sites never branch on ``tracer is None``."""
-
-    trace_id = 0
-    #: NULL_SPAN, not None: call sites write ``ctx.root.tags[...]`` without
-    #: branching, and a NullSpan parent only ever flows back into this
-    #: context's own no-op methods.
-    root = NULL_SPAN
-
-    def begin(self, name: str, **kwargs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def finish(self, event: Any, end_us: Optional[float] = None) -> None:
-        return None
-
-    def detach(self, event: Any) -> None:
-        return None
-
-    def span(self, name: str, **kwargs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def record_span(self, name: str, start_us: float, **kwargs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def event(self, name: str, **kwargs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def close(self) -> None:
-        return None
-
-    def __enter__(self) -> "NullContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-#: Shared inert context: safe to use as a default anywhere.
-NULL_CONTEXT = NullContext()
-
-
-class NullTracer:
-    """Inert tracer for components built without a stack root."""
-
-    enabled = False
-    recorder = FlightRecorder(capacity=1)
-
-    def request(self, name: str, **tags: Any) -> NullContext:
-        return NULL_CONTEXT
-
-    def summary(self) -> Dict[str, Any]:
-        return {"spans": {}, "recorded": 0, "retained": 0, "dropped": 0, "traces": 0}

@@ -336,11 +336,19 @@ class Environment:
         past the point where the running loop hands control back, so it
         is also refused beyond ``run(until=...)``, and (as fan-out) in
         ``step()`` and in the last dispatch of ``run_until``.
+
+        The test is :meth:`_would_run_next` ``(NORMAL, delay)``, inlined:
+        most tries on a busy schedule refuse, and a refusal should cost
+        one evaluation, not a second call.
         """
         when = self.now + delay  # the float Timeout.__init__ would push
-        if 0 <= delay and when <= self._horizon and self._would_run_next(NORMAL, delay):
-            self.now = when
-            return True
+        if 0 <= delay and when <= self._horizon and not self._fanning_out:
+            queue = self._queue
+            if not queue or queue[0][0] > when or (
+                queue[0][0] == when and queue[0][1] > NORMAL
+            ):
+                self.now = when
+                return True
         return False
 
     def _note_defused(self) -> None:

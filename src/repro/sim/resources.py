@@ -119,27 +119,31 @@ class Resource:
         carry on exactly as if it had yielded the grant, then skips an
         event that decides nothing.  ``None`` (contended, or something
         else is due to run first) means fall back to
-        ``yield resource.request()``.
+        ``yield resource.request()``.  The kernel test is
+        :meth:`Environment._would_run_next` ``(URGENT)``, inlined.
         """
-        if (
-            self._in_use < self.capacity
-            and not self._waiting
-            and self.env._would_run_next(URGENT)
-        ):
-            self._in_use += 1
-            return self._token
+        if self._in_use < self.capacity and not self._waiting:
+            env = self.env
+            queue = env._queue
+            if not env._fanning_out and (
+                not queue or queue[0][0] > env.now
+                or (queue[0][0] == env.now and queue[0][1] > URGENT)
+            ):
+                self._in_use += 1
+                return self._token
         return None
 
     def release(self, request: Request) -> None:
         """Return a previously granted unit."""
-        if not request.triggered:
+        if not request._triggered:
             raise SimulationError("releasing a request that was never granted")
         if request.resource is not self:
             raise SimulationError("request released on the wrong resource")
         self._in_use -= 1
         if self._in_use < 0:
             raise SimulationError(f"resource {self.name!r} over-released")
-        self._grant_next()
+        if self._waiting:
+            self._grant_next()
 
     def _note_cancelled(self) -> None:
         self._ncancelled = ghosts = self._ncancelled + 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.trace import NULL_CONTEXT
 from repro.sim import Environment, Resource
 
 
@@ -38,7 +37,7 @@ class FirmwarePool:
         """Commands waiting for a context right now (telemetry probe)."""
         return self._pool.queue_length
 
-    def execute(self, cost_us: float, ctx=NULL_CONTEXT, parent=None) -> Any:
+    def execute(self, cost_us: float, ctx=None, parent=None) -> Any:
         """Run ``cost_us`` of firmware work on some core.
 
         With a trace context, contended context acquisition is recorded
@@ -48,7 +47,7 @@ class FirmwarePool:
             return
         queued = self.env.now
         request = self._pool.try_acquire() or (yield self._pool.request())
-        if self.env.now > queued:
+        if self.env.now > queued and ctx is not None:
             ctx.record_span("firmware.wait", start_us=queued, parent=parent)
         if self._wait_us_histogram is not None:
             self._wait_us_histogram.observe(self.env.now - queued)

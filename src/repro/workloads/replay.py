@@ -289,7 +289,8 @@ def replay_journal(
         done.add_callback(lambda _e: finish.append(env.now))
         env.run_until(done)
     result.elapsed_us = (finish[0] if finish else env.now) - start
-    ctx.close()
+    if ctx is not None:
+        ctx.close()
     return result
 
 

@@ -3,10 +3,10 @@
 A mixed multi-key transactional workload — hot keys shared by six
 clients, S->X upgrades, cross-key read/update pairs that deadlock,
 explicit aborts, deletes, and non-transactional gets/puts through a cache
-small enough to miss and evict — runs twice: normally, and with
-``Environment._would_run_next`` forced false so every ``try_acquire`` /
-``try_hit`` / ``try_advance`` refuses and the store falls back to the
-generators.  Every op must be issued and completed at the same simulated
+small enough to miss and evict — runs twice: normally, and with the
+kernel's "would run next" test forced false (``tests/sim/zero_event_seam.py``)
+so every ``try_acquire`` / ``try_hit`` / ``try_advance`` refuses and the store
+falls back to the generators.  Every op must be issued and completed at the same simulated
 instants, and the registry export and (armed) span stream must match.
 """
 

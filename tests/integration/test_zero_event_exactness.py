@@ -1,18 +1,24 @@
 """Exactness oracle for zero-event acquisitions and delays on the real stack.
 
-A mixed Get/Put/delete workload that drives GC on one device, host reads
-under a write flood (so dies suspend programs and erases for them, and
-power is cut while one is suspended), a 2-shard cluster with cross-shard
-atomic Puts, and a device whose power is cut by ``run(until=T)``
-mid-workload, each run twice: normally, and with
-``Environment._would_run_next`` forced false so every firmware context,
-chip engine, bus, PCIe pipe, program lock and NVRAM reservation is granted,
-and every cost delay taken, through the heap as before the fast paths.
+A mixed Get/Put/delete workload that drives GC on one device, GC
+relocating survivors under reads, host reads under a write flood (so dies
+suspend programs and erases for them, and power is cut while one is
+suspended), a 2-shard cluster with cross-shard atomic Puts, and a device
+whose power is cut by ``run(until=T)`` mid-workload, each run twice:
+normally, and with the kernel's "would run next" test forced false
+(``tests/sim/zero_event_seam.py``) so every firmware context, chip engine,
+bus, PCIe pipe, program lock and NVRAM reservation is granted, and every
+cost delay taken, through the heap as before the fast paths.
 Every op must be issued and completed at the same simulated instants, the
 clocks must end equal, and the runs must differ in dispatched events by
 exactly the grants and advances elided.
+
+The GC and 2PC workloads also run with every tracer armed and disarmed:
+tracing is bookkeeping, so the two must agree on every op's timestamps,
+the dispatched events and the registry export.
 """
 
+import json
 import random
 
 import pytest
@@ -25,14 +31,15 @@ from repro.errors import PowerLossError
 from repro.fault.harness import default_device_config
 from repro.fault.shadow import ShadowModel
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
+from repro.obs import to_builtin
 from repro.sim import Environment
 
 
 def run_twice(scenario):
     with counted_grants() as grants:
-        env, ops = scenario()
+        env, ops, *_ = scenario()
     with forced_refusal():
-        ref_env, ref_ops = scenario()
+        ref_env, ref_ops, *_ = scenario()
     assert ops == ref_ops  # every (client, op, issue time, completion time)
     assert env.now == ref_env.now
     assert grants[0] > 0
@@ -66,8 +73,15 @@ def small_device():
     return env, ssd, proc.value
 
 
-def device_scenario():
+def observed(registries, tracers):
+    """The registries' export and the number of spans the tracers kept."""
+    export = json.dumps([to_builtin(registry) for registry in registries], sort_keys=True)
+    return export, sum(tracer.recorder.recorded for tracer in tracers)
+
+
+def device_scenario(armed=True):
     env, ssd, nsid = small_device()
+    ssd.tracer.enabled = armed
     store = KamlStore(env, ssd, 32 * 1024)
     rng = random.Random(99)
     keys = 24
@@ -108,7 +122,37 @@ def device_scenario():
     env.run_until(proc)
     # The schedule under test includes GC.
     assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
-    return env, ops
+    return env, ops, observed([ssd.metrics], [ssd.tracer])
+
+
+def relocation_scenario(armed=True):
+    """One log, one record per page, and every block keeps one live record,
+    so each GC victim has survivors to relocate while a reader reads them."""
+    env = Environment()
+    ssd = KamlSsd(env, ReproConfig.small().with_(kaml=KamlParams(num_logs=1)))
+    ssd.tracer.enabled = armed
+    proc = env.process(ssd.create_namespace())
+    env.run_until(proc)
+    nsid = proc.value
+    ops = []
+
+    def writer():
+        for i in range(120):
+            key = 100 + i if i % 8 == 0 else i % 3
+            item = PutItem(nsid, key, ("w", i), 8000)
+            yield from timed(env, ops, "writer", "put", ssd.put([item]))
+            env.try_advance(900.0) or (yield env.timeout(900.0))
+
+    def reader():
+        for i in range(120):
+            key = 100 + 8 * (i % 12)
+            yield from timed(env, ops, "reader", "get", ssd.get(nsid, key))
+            env.try_advance(450.0) or (yield env.timeout(450.0))
+
+    env.run_until(env.all_of([env.process(writer()), env.process(reader())]))
+    env.run()
+    assert ssd.metrics.total("kaml.log.gc.relocated_records") > 10
+    return env, ops, observed([ssd.metrics], [ssd.tracer])
 
 
 def flood_scenario(cut_while_suspended=None):
@@ -207,9 +251,12 @@ def flood_scenario(cut_while_suspended=None):
     return env, ops
 
 
-def cluster_scenario():
+def cluster_scenario(armed=True):
     env = Environment()
     cluster = KamlCluster.build(env, default_device_config(), ClusterConfig(num_shards=2))
+    devices = list(cluster.shards.values())
+    for tracer in [cluster.tracer, *(device.tracer for device in devices)]:
+        tracer.enabled = armed
     cluster.register_tenant(TenantPolicy("t", latency_budget_us=100_000.0))
     rng = random.Random(5)
     ops = []
@@ -236,7 +283,11 @@ def cluster_scenario():
     env.run_until(env.all_of(procs))
     proc = env.process(cluster.drain())
     env.run_until(proc)
-    return env, ops
+    assert cluster.metrics.total("cluster.2pc.txns") > 0
+    return env, ops, observed(
+        [cluster.metrics, *(device.metrics for device in devices)],
+        [cluster.tracer, *(device.tracer for device in devices)],
+    )
 
 
 def power_cut_scenario(cut_at):
@@ -286,6 +337,11 @@ def test_device_with_gc_is_bit_identical_and_cheaper():
     assert events < 0.9 * reference
 
 
+def test_gc_relocation_under_reads_is_bit_identical_and_cheaper():
+    events, reference = run_twice(relocation_scenario)
+    assert events < 0.9 * reference
+
+
 def test_reads_suspending_a_write_flood_are_bit_identical_and_cheaper():
     events, reference = run_twice(flood_scenario)
     assert events < 0.9 * reference
@@ -300,6 +356,21 @@ def test_power_cut_while_a_pulse_is_suspended_recovers_identically(kind):
 def test_two_shard_cluster_is_bit_identical_and_cheaper():
     events, reference = run_twice(cluster_scenario)
     assert events < 0.9 * reference
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [device_scenario, relocation_scenario, cluster_scenario],
+    ids=["device-gc", "gc-relocation", "cluster-2pc"],
+)
+def test_arming_the_tracers_moves_nothing_simulated(scenario):
+    env, ops, (export, spans) = scenario(armed=True)
+    quiet_env, quiet_ops, (quiet_export, quiet_spans) = scenario(armed=False)
+    assert spans > 0 and quiet_spans == 0
+    assert ops == quiet_ops  # every (client, op, issue time, completion time)
+    assert env.now == quiet_env.now
+    assert env.events_processed == quiet_env.events_processed
+    assert export == quiet_export
 
 
 @pytest.mark.parametrize("cut_at", [3_011.0, 5_400.5, 7_003.25, 9_999.0, 14_250.75, 21_000.0])

@@ -10,7 +10,6 @@ from repro.obs.profile import (
     REQUEST_ROOTS,
     SPAN_COMPONENTS,
     analyze,
-    breakdown_fractions,
     build_trace_trees,
     collapsed_lines,
     collapsed_stacks,
@@ -210,20 +209,8 @@ def test_exemplars_are_slowest_first_and_bounded(tracer, clock):
 
 
 # ---------------------------------------------------------------------------
-# Baseline flattening and the collapsed-stack export
+# The collapsed-stack export
 # ---------------------------------------------------------------------------
-
-
-def test_breakdown_fractions_emit_every_component_including_zeros(
-    tracer, clock
-):
-    ctx = tracer.request("kaml.get", namespace=1)
-    clock.now = 10.0
-    ctx.close()
-    flat = breakdown_fractions(analyze(tracer.recorder.events()))
-    assert set(flat) == {f"kaml.get/ns=1/{comp}" for comp in COMPONENTS}
-    assert flat["kaml.get/ns=1/firmware_cpu"] == pytest.approx(1.0)
-    assert flat["kaml.get/ns=1/nand_read"] == 0.0
 
 
 def test_collapsed_stacks_weight_self_time_in_nanoseconds(tracer, clock):

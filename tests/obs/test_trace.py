@@ -6,9 +6,7 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_CONTEXT,
     FlightRecorder,
-    NullTracer,
     Tracer,
     chrome_trace,
     write_chrome_trace,
@@ -153,34 +151,15 @@ def test_trace_ids_are_distinct_and_spans_globally_unique(tracer):
     assert len(set(ids)) == len(ids)
 
 
-def test_null_context_is_inert():
-    from repro.obs.trace import NULL_SPAN
-
-    span = NULL_CONTEXT.begin("x")
-    assert span is NULL_SPAN
-    span.tags["key"] = "value"  # writes vanish; hot paths never branch
-    assert "key" not in span.tags
-    assert span.duration_us == 0.0
-    NULL_CONTEXT.finish(span)
-    NULL_CONTEXT.detach(span)
-    NULL_CONTEXT.record_span("x", start_us=0.0)
-    NULL_CONTEXT.event("x")
-    NULL_CONTEXT.close()
-    with NULL_CONTEXT.span("x") as inner:
-        inner.tags["k"] = 1
-    tracer = NullTracer()
-    assert tracer.request("op") is NULL_CONTEXT
-    assert tracer.summary()["traces"] == 0
-
-
 def test_disarmed_tracer_requests_are_free(clock):
     tracer = Tracer(clock=clock)
     tracer.enabled = False
-    ctx = tracer.request("op")
-    assert ctx is NULL_CONTEXT
+    assert tracer.request("op") is None  # untraced: no context, no span ids
     assert tracer.recorder.recorded == 0
+    assert tracer.summary()["traces"] == 0
     tracer.enabled = True
-    assert tracer.request("op") is not NULL_CONTEXT
+    ctx = tracer.request("op")
+    assert ctx.trace_id == 1 and ctx.root.span_id == 1
 
 
 # ---------------------------------------------------------------------------
