@@ -71,7 +71,7 @@ class KamlCluster:
         self.shards: Dict[int, Device] = dict(enumerate(devices))
         self.metrics = MetricsRegistry(clock=lambda: env.now)
         self.tracer = Tracer(clock=lambda: env.now)
-        self.qos = QosManager(self.metrics, self.tracer.recorder)
+        self.qos = QosManager(self.metrics, self.tracer)
         self.placement = PlacementMap(len(devices))
         self.journal = IntentJournal(env, write_us=self.config.journal_write_us)
         self.coordinator = TwoPhaseCoordinator(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.errors import ClusterError
-from repro.obs import FlightRecorder, MetricsRegistry, SloTracker
+from repro.obs import MetricsRegistry, SloTracker, Tracer
 
 
 @dataclass
@@ -51,9 +51,9 @@ class QosManager:
     #: Ops tracked per tenant (cluster-level command names).
     OPS = ("cluster.get", "cluster.put", "cluster.delete", "cluster.scan")
 
-    def __init__(self, metrics: MetricsRegistry, recorder: FlightRecorder):
+    def __init__(self, metrics: MetricsRegistry, tracer: Tracer):
         self.metrics = metrics
-        self.slo = SloTracker(metrics, recorder)
+        self.slo = SloTracker(metrics, tracer)
         self._tenants: Dict[str, TenantPolicy] = {}
 
     def register(self, policy: TenantPolicy) -> TenantPolicy:

@@ -47,10 +47,8 @@ def _build_stack(cache_bytes: int, recorder_capacity: int):
     env, ssd, store = build_kaml_store(cache_bytes=cache_bytes)
     # The default ring keeps the last 16Ki spans — plenty for breach
     # dumps, too small for a whole profiled run.  Swap in a large ring
-    # shared by the tracer and the SLO tracker before any span records.
-    recorder = FlightRecorder(capacity=recorder_capacity)
-    ssd.tracer.recorder = recorder
-    ssd.slo.recorder = recorder
+    # before any span records (the SLO tracker reads it through the tracer).
+    ssd.tracer.recorder = FlightRecorder(capacity=recorder_capacity)
     return env, ssd, store
 
 

@@ -126,7 +126,7 @@ class KamlSsd:
         #: and the per-namespace latency SLO tracker on top of both.
         self.tracer = Tracer(clock=lambda: env.now)
         env.attach_tracer(self.tracer)
-        self.slo = SloTracker(self.metrics, self.tracer.recorder)
+        self.slo = SloTracker(self.metrics, self.tracer)
         self.array = FlashArray(env, config.geometry, config.flash)
         self.array.attach_metrics(self.metrics)
         self.firmware = FirmwarePool(env, config.resources.firmware_contexts, metrics=self.metrics)

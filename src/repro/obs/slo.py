@@ -24,7 +24,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Union
 NamespaceLabel = Optional[Union[int, str]]
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import FlightRecorder
+from repro.obs.trace import Tracer
 
 
 def _label(namespace: NamespaceLabel) -> str:
@@ -74,13 +74,15 @@ class SloTracker:
     def __init__(
         self,
         registry: MetricsRegistry,
-        recorder: FlightRecorder,
+        tracer: Tracer,
         policies: Optional[List[SloPolicy]] = None,
         max_breaches: int = 64,
         window_slack_us: float = 2_000.0,
     ):
         self.registry = registry
-        self.recorder = recorder
+        #: Dumps read ``tracer.recorder`` when they run, so a ring swapped
+        #: in after construction (profilers enlarge it) is the one read.
+        self.tracer = tracer
         self.policies: List[SloPolicy] = list(policies or [])
         self.max_breaches = max_breaches
         #: Extra sim-time kept on each side of a breach window so the
@@ -170,11 +172,12 @@ class SloTracker:
         retains; a breach resolved long after the fact may have lost its
         window to ring eviction (``capacity`` bounds memory, not time).
         """
-        window = self.recorder.window(
+        recorder = self.tracer.recorder
+        window = recorder.window(
             breach.start_us - self.window_slack_us,
             breach.end_us + self.window_slack_us,
         )
-        trace = self.recorder.trace(breach.trace_id) if breach.trace_id else []
+        trace = recorder.trace(breach.trace_id) if breach.trace_id else []
         seen = {id(event) for event in window}
         combined = window + [e for e in trace if id(e) not in seen]
         combined.sort(key=lambda e: (e.start_us, e.span_id))

@@ -10,7 +10,7 @@ from repro.obs import MetricsRegistry, Tracer
 def make_qos():
     metrics = MetricsRegistry(clock=lambda: 0.0)
     tracer = Tracer(clock=lambda: 0.0)
-    return QosManager(metrics, tracer.recorder), metrics
+    return QosManager(metrics, tracer), metrics
 
 
 def test_queue_budget_defaults_to_half_the_latency_budget():
@@ -63,3 +63,29 @@ def test_breaches_are_counted_against_their_tenant():
     qos.record("cluster.get", "bronze", start_us=0.0, end_us=500.0)
     assert qos.breach_counts() == {"gold": 1, "bronze": 0}
     assert metrics.total("slo.breaches") == 1
+
+
+def test_breach_dump_reads_the_recorder_the_tracer_holds_now():
+    from repro.cluster import ClusterConfig, KamlCluster
+    from repro.fault.harness import default_device_config
+    from repro.obs import FlightRecorder
+    from repro.sim import Environment
+
+    env = Environment()
+    cluster = KamlCluster.build(
+        env, default_device_config(), ClusterConfig(num_shards=2)
+    )
+    cluster.tracer.recorder = FlightRecorder(capacity=1024)
+    cluster.register_tenant(
+        TenantPolicy("t", latency_budget_us=0.001, queue_budget_us=1e9)
+    )
+
+    def flow():
+        yield from cluster.create_namespace("data", tenant="t", mode="hashed")
+        yield from cluster.put("data", [(1, "v", 250)])
+
+    env.process(flow())
+    env.run()
+    assert cluster.tracer.recorder.events()
+    events = cluster.qos.slo.dump_breaches()[0]["events"]
+    assert "cluster.put" in {event["name"] for event in events}

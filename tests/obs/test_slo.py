@@ -17,7 +17,7 @@ from repro.workloads.oltp import drive
 
 
 def make_tracker(**kwargs):
-    return SloTracker(MetricsRegistry(), FlightRecorder(capacity=256), **kwargs)
+    return SloTracker(MetricsRegistry(), Tracer(capacity=256), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +92,10 @@ def test_latency_summary_reports_interpolated_percentiles():
 
 
 def test_breach_dump_merges_trace_and_window():
-    recorder = FlightRecorder(capacity=256)
-    tracker = SloTracker(MetricsRegistry(), recorder, window_slack_us=5.0)
-    tracker.set_slo("put", 1.0)
     clock = {"now": 0.0}
-    tracer = Tracer(clock=lambda: clock["now"], recorder=recorder)
+    tracer = Tracer(clock=lambda: clock["now"], capacity=256)
+    tracker = SloTracker(MetricsRegistry(), tracer, window_slack_us=5.0)
+    tracker.set_slo("put", 1.0)
     slow = tracer.request("slow.put")
     clock["now"] = 50.0
     slow.close()
@@ -111,6 +110,29 @@ def test_breach_dump_merges_trace_and_window():
     assert "slow.put" in names
     assert "unrelated" not in names
     assert dump["breach"]["latency_us"] == 50.0
+
+
+def test_breach_dump_reads_the_recorder_the_tracer_holds_now():
+    # Profilers swap in a larger ring after construction; the dump must
+    # read that ring, not the one the device was built with.
+    from repro.config import ReproConfig
+    from repro.kaml import KamlSsd, PutItem
+    from repro.sim import Environment
+
+    env = Environment()
+    ssd = KamlSsd(env, ReproConfig())
+    ssd.tracer.recorder = FlightRecorder(capacity=1024)
+    ssd.slo.set_slo("put", 0.0)
+
+    def scenario():
+        namespace_id = yield from ssd.create_namespace()
+        yield from ssd.put([PutItem(namespace_id, 1, "v", 512)])
+        yield from ssd.drain()
+
+    drive(env, scenario())
+    assert ssd.tracer.recorder.events()
+    events = ssd.slo.dump_breaches()[0]["events"]
+    assert {event["name"] for event in events} >= {"kaml.put", "put.phase1"}
 
 
 # ---------------------------------------------------------------------------
