@@ -10,21 +10,15 @@ concurrency design relies on (see ``docs/static-analysis.md``):
 * ``KL-CTX001`` — a ``TraceContext`` in scope must be threaded to every
   callee that accepts one,
 * ``KL-LCK001`` — latch-style acquire/release pairing per function,
-* ``KL-LCK002`` — the static lock-order graph must be acyclic, expanded
-  to full call depth over the project call graph,
 * ``KL-SIM001`` — sim processes (generators) must not do host I/O,
-* ``KL-SIM002`` — nor may anything they can reach through calls,
 * ``KL-INV001`` — no ``assert`` guards (they vanish under ``python -O``),
-* ``KL-RACE001`` — no unlocked cross-process use of shared state across
-  a yield (the static analogue of the read-vs-GC relocation race),
-* ``KL-RES001`` — pins and NVRAM reservations release on every path,
-  across call boundaries.
+* ``KL-FLT001`` — fault-injection code must not read mapping-table state,
+* ``KL-OBS001`` — span names and ``component=`` tags must be registered.
 
-The interprocedural rules run on a shared project call graph
-(``repro.analysis_tools.graph``) built once per run from a single parse
-of each file.  Run via ``python -m repro.analysis_tools src/repro``
-(human output), ``--format github`` (workflow annotations) or ``--json``
-for machines; suppress a finding in place with a
+Every rule looks at one module at a time, over a single parse of each
+file.  Run via ``python -m repro.analysis_tools src/repro`` (human
+output), ``--format github`` (workflow annotations) or ``--json`` for
+machines; suppress a finding in place with a
 ``# kamllint: allow[RULE-ID] reason`` pragma — stale pragmas are
 themselves reported.
 """
@@ -40,7 +34,6 @@ from repro.analysis_tools.core import (
     run_analysis,
     run_lint,
 )
-from repro.analysis_tools.locks import build_lock_graph
 
 __all__ = [
     "LintModule",
@@ -48,7 +41,6 @@ __all__ = [
     "RULE_CATALOGUE",
     "UnknownRuleError",
     "Violation",
-    "build_lock_graph",
     "clear_module_cache",
     "load_modules",
     "run_analysis",

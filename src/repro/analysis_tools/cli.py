@@ -5,7 +5,6 @@ Usage::
     python -m repro.analysis_tools src/repro            # human output
     python -m repro.analysis_tools --json src/repro     # machine output
     python -m repro.analysis_tools --format github src/repro
-    python -m repro.analysis_tools --lock-graph src/repro
     python -m repro.analysis_tools --list-rules
 
 Exit status: 0 when clean, 1 when violations were found (or stale
@@ -30,11 +29,6 @@ from repro.analysis_tools.core import (
     Violation,
     run_analysis,
 )
-from repro.analysis_tools.locks import build_lock_graph, find_cycles
-
-#: Back-compat alias: the catalogue moved to core so the CLI, ``--rules``
-#: validation, and the pragma audit share one source of truth.
-RULES = RULE_CATALOGUE
 
 
 def _github_escape(text: str) -> str:
@@ -45,13 +39,10 @@ def _github_escape(text: str) -> str:
 
 
 def _render_github(violation: Violation) -> str:
-    message = violation.message
-    if violation.trace:
-        message += " [via: " + " -> ".join(violation.trace) + "]"
     return (
         f"::error file={violation.path},line={violation.line},"
         f"col={violation.col + 1},title={violation.rule}::"
-        + _github_escape(message)
+        + _github_escape(violation.message)
     )
 
 
@@ -98,11 +89,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
-    parser.add_argument(
-        "--lock-graph",
-        action="store_true",
-        help="dump the static lock-order graph as JSON and exit",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -118,25 +104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     rules = None
     if args.rules:
         rules = [rule.strip() for rule in args.rules.split(",") if rule.strip()]
-
-    if args.lock_graph:
-        from repro.analysis_tools.core import load_modules
-
-        modules = load_modules(args.paths)
-        edges = build_lock_graph(modules)
-        payload = {
-            "edges": [
-                {
-                    "from": source,
-                    "to": target,
-                    "sites": [{"path": path, "line": line} for path, line in sites],
-                }
-                for (source, target), sites in sorted(edges.items())
-            ],
-            "cycles": find_cycles(edges),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if payload["cycles"] else 0
 
     try:
         report = run_analysis(args.paths, rules=rules)

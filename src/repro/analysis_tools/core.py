@@ -3,9 +3,8 @@
 Parsing is cached: every ``.py`` file is ``ast.parse``d at most once per
 interpreter process (keyed by path + mtime + size), so the whole rule
 suite — and repeated ``run_lint`` calls from tests or pre-commit — share
-one tree per file.  All passes receive a single :class:`Project`
-(see :mod:`repro.analysis_tools.graph`) built once per run, which also
-carries the interprocedural call graph the cross-function rules use.
+one tree per file.  Every pass receives the same list of parsed modules
+and looks at one module (one function) at a time.
 """
 
 from __future__ import annotations
@@ -14,20 +13,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis_tools.graph import Project
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: ``# kamllint: allow[KL-DET001]`` or ``allow[KL-DET001,KL-DET002] why``
 _PRAGMA = re.compile(r"#\s*kamllint:\s*(file-)?allow\[([A-Z0-9\-, ]+)\]")
@@ -46,14 +32,10 @@ RULE_CATALOGUE: Dict[str, str] = {
     "KL-DET003": "no iteration over set-typed values (hash-order leak)",
     "KL-CTX001": "a held TraceContext must be passed to ctx-accepting callees",
     "KL-LCK001": "latch-style locks release in the acquiring function",
-    "KL-LCK002": "the static lock-order graph must be acyclic (full call depth)",
     "KL-SIM001": "sim processes (generators) must not call host I/O",
-    "KL-SIM002": "no host I/O reachable from a sim process through any call chain",
     "KL-INV001": "no assert guards; raise repro.errors.InvariantError",
     "KL-FLT001": "fault-injection code must not read mapping-table state",
     "KL-OBS001": "span names and component= tags must be in the kamlprof taxonomy",
-    "KL-RACE001": "no unlocked cross-process use of shared state across a yield",
-    "KL-RES001": "pins and NVRAM reservations release on every path, across calls",
 }
 
 
@@ -70,37 +52,25 @@ class UnknownRuleError(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One finding: a rule id anchored to a file position.
-
-    ``trace`` (optional) is the call chain that establishes the hazard
-    for interprocedural rules — outermost frame first, rendered by the
-    CLI as ``via: a -> b -> c`` and carried verbatim in ``--json``.
-    """
+    """One finding: a rule id anchored to a file position."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    trace: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
         }
-        if self.trace:
-            payload["trace"] = list(self.trace)
-        return payload
 
     def render(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.trace:
-            text += "\n    via: " + " -> ".join(self.trace)
-        return text
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 @dataclass(frozen=True)
@@ -238,10 +208,9 @@ def load_modules(paths: Sequence[str]) -> List[LintModule]:
     return [_load_module(file_path) for file_path in files]
 
 
-#: A rule pass: takes the whole project at once (cross-module rules need
-#: the full call graph) and returns raw findings; pragma filtering
-#: happens in :func:`run_analysis`.
-RulePass = Callable[["Project"], List[Violation]]
+#: A rule pass: takes every parsed module of the run and returns raw
+#: findings; pragma filtering happens in :func:`run_analysis`.
+RulePass = Callable[[Sequence[LintModule]], List[Violation]]
 
 _PASSES: List[RulePass] = []
 
@@ -268,8 +237,6 @@ def _import_rule_modules() -> None:
         faultrules,
         locks,
         obsrules,
-        racerules,
-        resourcerules,
         simproc,
     )
 
@@ -295,17 +262,14 @@ def run_analysis(
     selected rules are audited (the others were never evaluated); grants
     naming a rule id missing from the catalogue are always stale.
     """
-    from repro.analysis_tools.graph import Project
-
     _import_rule_modules()
     wanted = validate_rules(rules)
     modules = load_modules(paths)
-    project = Project(modules)
     by_path = {str(module.path): module for module in modules}
     findings: List[Violation] = []
     used_sites: Set[PragmaSite] = set()
     for rule_pass in _PASSES:
-        for violation in rule_pass(project):
+        for violation in rule_pass(modules):
             if wanted is not None and violation.rule not in wanted:
                 continue
             module = by_path.get(violation.path)
@@ -443,7 +407,7 @@ def walk_own(func: ast.AST):
 
 def method_calls(func: ast.AST) -> List[ast.Call]:
     """The ``recv.method(...)`` calls of a function's own body, in source
-    order (the order the stateful lock/resource walks need)."""
+    order (the order KL-LCK001's stateful walk needs)."""
     calls = [
         node for node in walk_own(func)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

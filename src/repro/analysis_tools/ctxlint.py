@@ -15,7 +15,8 @@ receivers escape the rule — reviewers still own those.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+import re
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis_tools.core import (
     LintModule,
@@ -26,13 +27,28 @@ from repro.analysis_tools.core import (
     register_pass,
     walk_own,
 )
-from repro.analysis_tools.graph import Project, class_aliases
 
 CTX_PARAM = "ctx"
 
-#: The alias resolver now lives in the call-graph module (the project
-#: resolver grew out of this rule); kept as a local name for callers.
-_aliases = class_aliases
+
+def snake(name: str) -> str:
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
+
+
+def class_aliases(class_name: str) -> Set[str]:
+    """Receiver spellings that plausibly hold an instance of the class.
+
+    ``KamlLog`` -> ``kaml_log``/``kamllog``/``log``/``logs``/``self``.
+    """
+    snaked = snake(class_name)
+    aliases = {snaked, snaked.replace("_", "")}
+    parts = snaked.split("_")
+    aliases.add(parts[-1])          # kaml_log -> log
+    aliases.add(parts[-1] + "s")    # collections: logs[i]
+    if parts[0] in ("kaml", "repro"):
+        aliases.add("_".join(parts[1:]))
+    aliases.add("self")             # sibling methods on the same class
+    return aliases
 
 
 def _params(func: ast.FunctionDef) -> List[str]:
@@ -43,7 +59,7 @@ def _params(func: ast.FunctionDef) -> List[str]:
     return names
 
 
-def _accepting_defs(modules: List[LintModule]) -> Dict[str, Set[str]]:
+def _accepting_defs(modules: Sequence[LintModule]) -> Dict[str, Set[str]]:
     """method name -> class names defining it with a ``ctx`` parameter."""
     accepting: Dict[str, Set[str]] = {}
     for module in modules:
@@ -88,15 +104,14 @@ def _receiver_matches(
     for class_name in sorted(classes):
         if tail == "self" and class_name != own_class:
             continue
-        if tail in _aliases(class_name):
+        if tail in class_aliases(class_name):
             return class_name
     return None
 
 
 @register_pass
-def ctx001_propagation(project: Project) -> List[Violation]:
+def ctx001_propagation(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-CTX001: thread a held ``ctx`` into every ctx-accepting callee."""
-    modules = project.modules
     accepting = _accepting_defs(modules)
     findings: List[Violation] = []
     for module in modules:
@@ -130,12 +145,3 @@ def ctx001_propagation(project: Project) -> List[Violation]:
                 )
     return findings
 
-
-def accepting_table(modules: List[LintModule]) -> List[Tuple[str, str]]:
-    """(class, method) pairs that accept ctx — for docs/debugging."""
-    accepting = _accepting_defs(modules)
-    return sorted(
-        (class_name, method)
-        for method, classes in accepting.items()
-        for class_name in classes
-    )

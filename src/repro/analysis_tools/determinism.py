@@ -10,7 +10,7 @@ hash-order-dependent iteration.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.analysis_tools.core import (
     LintModule,
@@ -19,7 +19,6 @@ from repro.analysis_tools.core import (
     dotted_name,
     register_pass,
 )
-from repro.analysis_tools.graph import Project
 
 #: Dotted-call suffixes that read the host clock.
 _WALLCLOCK_SUFFIXES = (
@@ -53,14 +52,13 @@ def _matches_wallclock(dotted: str) -> bool:
 
 
 @register_pass
-def det001_wall_clock(project: Project) -> List[Violation]:
+def det001_wall_clock(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-DET001: sim/firmware code must not read the host clock.
 
     All timing flows from ``Environment.now``; the one sanctioned
     boundary is the allowlisted ``wallclock()`` helper in
     ``repro.harness.reporting``.
     """
-    modules = project.modules
     findings = []
     for module in modules:
         if module.subpackage in TOOLING_SUBPACKAGES:
@@ -96,14 +94,13 @@ def det001_wall_clock(project: Project) -> List[Violation]:
 
 
 @register_pass
-def det002_global_random(project: Project) -> List[Violation]:
+def det002_global_random(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-DET002: only injected, seeded ``random.Random`` instances.
 
     The module-level functions share one process-global generator whose
     state depends on import order and every other caller — a seed leak
     across otherwise-independent experiments.
     """
-    modules = project.modules
     findings = []
     for module in modules:
         if module.subpackage in TOOLING_SUBPACKAGES:
@@ -185,7 +182,7 @@ def _collect_set_locals(func: ast.AST) -> Set[str]:
 
 
 @register_pass
-def det003_set_iteration(project: Project) -> List[Violation]:
+def det003_set_iteration(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-DET003: no iteration over set-typed expressions.
 
     Set iteration order depends on element hashes (salted for strings),
@@ -194,7 +191,6 @@ def det003_set_iteration(project: Project) -> List[Violation]:
     Detection is syntactic plus single-function local inference; sets
     that cross function boundaries are the reviewer's job.
     """
-    modules = project.modules
     findings = []
     for module in modules:
         if module.subpackage in TOOLING_SUBPACKAGES:

@@ -10,7 +10,7 @@ very state recovery rebuilds, letting a bug vanish into its own test.
 from __future__ import annotations
 
 import ast
-from typing import List
+from typing import List, Sequence
 
 from repro.analysis_tools.core import (
     LintModule,
@@ -18,7 +18,6 @@ from repro.analysis_tools.core import (
     Violation,
     register_pass,
 )
-from repro.analysis_tools.graph import Project
 
 #: Device-private state fault code must never read: the per-namespace
 #: mapping table, and the ``Mapping`` with its install/staging bookkeeping.
@@ -39,7 +38,7 @@ def _is_fault_module(module: LintModule) -> bool:
 
 
 @register_pass
-def flt001_no_mapping_peek(project: Project) -> List[Violation]:
+def flt001_no_mapping_peek(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-FLT001: fault-injection code must not read mapping-table state.
 
     Flags every Load-context attribute access to the forbidden names in
@@ -47,7 +46,6 @@ def flt001_no_mapping_peek(project: Project) -> List[Violation]:
     are not flagged — there are none to write to from outside, and the
     Load restriction is what keeps verification honest.
     """
-    modules = project.modules
     findings = []
     for module in modules:
         if not _is_fault_module(module):

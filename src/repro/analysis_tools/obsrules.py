@@ -20,7 +20,7 @@ the name and its component to ``repro.obs.profile.SPAN_COMPONENTS``.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.analysis_tools.core import (
     TOOLING_SUBPACKAGES,
@@ -29,7 +29,6 @@ from repro.analysis_tools.core import (
     receiver_text,
     register_pass,
 )
-from repro.analysis_tools.graph import Project
 from repro.obs.profile import COMPONENTS, KNOWN_SPAN_NAMES
 
 RULE = "KL-OBS001"
@@ -56,8 +55,7 @@ def _first_literal(call: ast.Call) -> "ast.Constant | None":
 
 
 @register_pass
-def span_taxonomy_pass(project: Project) -> List[Violation]:
-    modules = project.modules
+def span_taxonomy_pass(modules: Sequence[LintModule]) -> List[Violation]:
     findings: List[Violation] = []
     for module in modules:
         if module.subpackage in TOOLING_SUBPACKAGES:

@@ -1,19 +1,17 @@
-"""KL-SIM001/KL-SIM002 (no host I/O in sim processes, directly or
-transitively) and KL-INV001 (no ``assert`` guards in production code).
+"""KL-SIM001 (no host I/O in sim processes) and KL-INV001 (no
+``assert`` guards in production code).
 
 A sim process is a generator the kernel resumes between events; a
 blocking host call inside one stalls the *entire* simulated world and
 ties experiment timing to host state.  KL-SIM001 checks each
-generator's own body; KL-SIM002 follows the project call graph, so a
-blocking call hidden two helpers down is found and reported with the
-chain that reaches it.  ``assert`` guards disappear under ``python -O``
+generator's own body.  ``assert`` guards disappear under ``python -O``
 — invariants must raise :class:`repro.errors.InvariantError`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis_tools.core import (
     LintModule,
@@ -25,10 +23,9 @@ from repro.analysis_tools.core import (
     register_pass,
     walk_own,
 )
-from repro.analysis_tools.graph import Project, iter_project_functions
 
 #: The harness drives experiments and prints reports from sim processes
-#: on purpose (the obs CLI dashboard); it is exempt from KL-SIM001/002.
+#: on purpose (the obs CLI dashboard); it is exempt from KL-SIM001.
 _SIM001_EXEMPT = TOOLING_SUBPACKAGES | {"harness"}
 
 _BLOCKING_BARE = {"open", "input", "print", "breakpoint", "exec", "eval"}
@@ -78,10 +75,10 @@ def _blocking_calls(func: ast.FunctionDef) -> List[Tuple[ast.Call, str]]:
 
 
 @register_pass
-def sim001_blocking_io(project: Project) -> List[Violation]:
+def sim001_blocking_io(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-SIM001: generator sim processes must not call host I/O."""
     findings = []
-    for module in project.modules:
+    for module in modules:
         if module.subpackage in _SIM001_EXEMPT:
             continue
         for _class_name, func in iter_functions(module.tree):
@@ -102,56 +99,10 @@ def sim001_blocking_io(project: Project) -> List[Violation]:
 
 
 @register_pass
-def sim002_transitive_io(project: Project) -> List[Violation]:
-    """KL-SIM002: no host I/O reachable from a sim process, at any depth.
-
-    Every generator in a non-exempt subpackage is treated as a sim
-    process root; the project call graph (non-spawn edges — a spawned
-    process blocks only itself, and is a root in its own right) is
-    walked breadth-first, and a blocking call in any *reached* function
-    is reported at the callsite with the chain from the generator.
-    Depth-0 findings are KL-SIM001's job and are not duplicated here.
-    Each blocking site is reported once, under its shortest chain.
-    """
-    #: sink position -> (chain, violation ingredients); shortest chain wins
-    best: Dict[Tuple[str, int, int], Tuple[Tuple[str, ...], str, str]] = {}
-    for info in iter_project_functions(project):
-        if not info.is_generator:
-            continue
-        if info.module.subpackage in _SIM001_EXEMPT:
-            continue
-        tree = project.reachable_tree(info.uid)
-        for reached_uid in sorted(tree):
-            if reached_uid == info.uid:
-                continue  # own body is KL-SIM001
-            reached = project.functions[reached_uid]
-            for node, dotted in _blocking_calls(reached.func):
-                key = (str(reached.path), node.lineno, node.col_offset)
-                chain = project.chain(tree, reached_uid)
-                if key in best and len(best[key][0]) <= len(chain):
-                    continue
-                best[key] = (chain, dotted, info.display)
-    findings = []
-    for (path, line, col), (chain, dotted, root_display) in sorted(best.items()):
-        findings.append(
-            Violation(
-                "KL-SIM002",
-                path,
-                line,
-                col,
-                f"blocking host I/O `{dotted}()` is reachable from sim "
-                f"process `{root_display}`",
-                trace=chain,
-            )
-        )
-    return findings
-
-
-@register_pass
-def inv001_no_assert(project: Project) -> List[Violation]:
+def inv001_no_assert(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-INV001: guards must survive ``python -O``."""
     findings = []
-    for module in project.modules:
+    for module in modules:
         if module.subpackage in TOOLING_SUBPACKAGES:
             continue
         for node in ast.walk(module.tree):

@@ -81,11 +81,7 @@ class LockManager:
         self._locks: Dict[Hashable, _Lock] = {}
         #: txn_id -> lock name it is currently blocked on (for cycle search)
         self._waiting_on: Dict[int, Hashable] = {}
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else MetricsRegistry(clock=lambda: env.now)
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Granularity

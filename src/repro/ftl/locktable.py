@@ -17,12 +17,9 @@ from repro.sim import Environment, SimLock
 class LockTable:
     """Exclusive locks keyed by an arbitrary hashable."""
 
-    def __init__(self, env: Environment, name: str = "locktable", static_site: str = ""):
+    def __init__(self, env: Environment, name: str = "locktable"):
         self.env = env
         self.name = name
-        #: Site label for the runtime lock-order sanitizer; keys stay in
-        #: the instance name so per-key orders remain distinguishable.
-        self.static_site = static_site or f"LockTable.{name}"
         self._locks: Dict[Hashable, SimLock] = {}
         self._metrics = None
         self._wait_us_histogram = None
@@ -54,11 +51,9 @@ class LockTable:
         """Timed acquire; drive with ``yield from``."""
         lock = self._locks.get(key)
         if lock is None:
-            lock = SimLock(
-                self.env,
-                name=f"{self.name}[{key!r}]",
-                static_site=self.static_site,
-            )
+            # The key stays in the instance name so the lock-order
+            # sanitizer tells per-key orders apart.
+            lock = SimLock(self.env, name=f"{self.name}[{key!r}]")
             self._locks[key] = lock
         queued = self.env.now
         if not lock.try_acquire(owner):

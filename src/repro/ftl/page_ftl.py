@@ -79,13 +79,10 @@ class PageFtl:
         self.array = array
         self.firmware = firmware
         self.nvram = nvram
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: env.now
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         env.attach_metrics(self.metrics)
         array.attach_metrics(self.metrics)
         self.tracer = Tracer(clock=lambda: env.now)
-        env.attach_tracer(self.tracer)
         self.geometry = config.geometry
         self.params = config.block_ftl
         self.costs = config.firmware
@@ -97,9 +94,7 @@ class PageFtl:
         self.map = DirectMap(self.logical_pages)
         self.gc_policy = WearAwarePolicy()
         self.gc_policy.metrics = self.metrics
-        self._page_locks = LockTable(
-            env, name="ftl.lpn", static_site="PageFtl._page_locks"
-        )
+        self._page_locks = LockTable(env, name="ftl.lpn")
         self._page_locks.metrics = self.metrics
         self._targets: List[_Target] = []
         for channel, chip in array.iter_targets():

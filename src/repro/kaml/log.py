@@ -90,9 +90,7 @@ class KamlLog:
         self.hooks = hooks
         self.geometry = config.geometry
         self.params = config.kaml
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: env.now
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         if tracer is None:
             tracer = Tracer(clock=lambda: env.now)
             tracer.enabled = False
@@ -111,9 +109,7 @@ class KamlLog:
             False: _WritePoint(self._new_assembly()),
             True: _WritePoint(self._new_assembly()),
         }
-        self._program_lock = SimLock(
-            env, name=f"log{log_id}.program", static_site="KamlLog._program_lock"
-        )
+        self._program_lock = SimLock(env, name=f"log{log_id}.program")
         # Hot-path instruments, resolved once instead of per append/flush
         # (registry lookups sort+hash the label set on every call).
         metrics = self.metrics

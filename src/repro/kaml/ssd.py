@@ -118,14 +118,11 @@ class KamlSsd:
         self.config = config
         self.geometry = config.geometry
         self.costs = config.firmware
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: env.now
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         env.attach_metrics(self.metrics)
         #: Request-scoped tracing: one tracer + flight recorder per stack,
         #: and the per-namespace latency SLO tracker on top of both.
         self.tracer = Tracer(clock=lambda: env.now)
-        env.attach_tracer(self.tracer)
         self.slo = SloTracker(self.metrics, self.tracer)
         self.array = FlashArray(env, config.geometry, config.flash)
         self.array.attach_metrics(self.metrics)
@@ -572,7 +569,6 @@ class KamlSsd:
                 put_span.tags["crashed"] = True
                 if owns_ctx:
                     ctx.close()
-            # kamllint: allow[KL-RES001] crash path keeps the NVRAM reservation: replay owns it
             return None  # crashed mid-command; NVRAM replay owns the batch
         # Phase 1: reserve/inspect every key's index entry (probe CPU cost)
         # and stage the whole batch atomically in NVRAM.  Installs in
@@ -609,8 +605,7 @@ class KamlSsd:
                 put_span.tags["crashed"] = True
                 if owns_ctx:
                     ctx.close()
-            # kamllint: allow[KL-RES001] crash path keeps the NVRAM reservation: replay owns it
-            return None
+            return None  # crashed mid-command; NVRAM replay owns the batch
         records = self.mapping.commit(batch)
         trace_id = 0
         if ctx is not None:
@@ -790,7 +785,6 @@ class KamlSsd:
         if handle is None:
             handle = yield self.nvram.reserve(RECORD_HEADER_BYTES, payload=batch)
         if self.epoch != epoch:
-            # kamllint: allow[KL-RES001] crash path keeps the reserved tombstone: replay owns it
             return False  # crashed mid-command; NVRAM replay owns the intent
         self.env.process(self._complete_delete(marker, handle, epoch))
         oplog = self.oplog
@@ -1031,7 +1025,6 @@ class KamlSsd:
         # `scan_mode` records whether *this* recovery had to scan flash; a
         # power cut landing mid-recovery bumps the epoch and the harness
         # restarts recover() from scratch, so the stale flag is never trusted.
-        # kamllint: allow[KL-RACE001] snapshot of this recovery's own mode
         if scan_mode and sanitize.enabled():
             # SAN-OOB / SAN-VALID: the rebuilt mapping tables, the OOB
             # bitmaps they reference, and valid-byte accounting must all

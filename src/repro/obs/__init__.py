@@ -16,7 +16,7 @@ from repro.obs.metrics import (
     labels_key,
     percentile,
 )
-from repro.obs.registry import MetricsRegistry, SpanRecord, lazy_instrument
+from repro.obs.registry import MetricsRegistry, lazy_instrument
 from repro.obs.export import (
     derived_metrics,
     summary_row,
@@ -69,7 +69,6 @@ __all__ = [
     "SloTracker",
     "SPAN_COMPONENTS",
     "SpanEvent",
-    "SpanRecord",
     "TimeSeriesCollector",
     "TraceContext",
     "Tracer",

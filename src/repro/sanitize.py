@@ -19,14 +19,13 @@ Checks (rule ids referenced by :class:`~repro.errors.InvariantError`):
 * ``SAN-PIN`` — block read-pin accounting: no unpin without a pin.
 * ``SAN-NVRAM`` — no NVRAM reservations may survive device close.
 * ``SAN-LOCK`` — the observed runtime lock-acquisition order must stay
-  acyclic; observed edges can be cross-checked against the static
-  lock-order graph computed by ``kamllint``.
+  acyclic.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InvariantError
 
@@ -208,39 +207,32 @@ class LockOrderRecorder:
     An edge that closes a cycle is a latent deadlock: two interleavings
     exist in which the involved processes block each other forever, even
     if this particular run got lucky.  Cycles raise ``SAN-LOCK``
-    immediately.
-
-    Edges are recorded at two granularities: per lock *instance*
-    (``log0.program``) for cycle detection, and per static *site*
-    (``KamlLog._program_lock``) so :meth:`check_static` can cross-check
-    the graph kamllint computed from the source.
+    immediately.  Edges are per lock *instance* (``log0.program``).
     """
 
     def __init__(self) -> None:
-        #: process -> list of (instance_name, static_site) currently held
-        self._held: Dict[Any, List[Tuple[str, str]]] = {}
+        #: process -> instance names it currently holds
+        self._held: Dict[Any, List[str]] = {}
         self._edges: Dict[str, Set[str]] = {}
-        self._site_edges: Set[Tuple[str, str]] = set()
 
     # -- event hooks (called by SimLock) --------------------------------
 
-    def on_acquire(self, process: Any, name: str, site: str) -> None:
+    def on_acquire(self, process: Any, name: str) -> None:
         """A process asked for a lock; edges come from what it holds."""
-        for held_name, held_site in self._held.get(process, ()):  # noqa: B007
+        for held_name in self._held.get(process, ()):
             if held_name == name:
                 continue  # re-acquire of the same instance
-            self._site_edges.add((held_site, site))
             self._add_edge(held_name, name)
 
-    def on_granted(self, process: Any, name: str, site: str) -> None:
-        self._held.setdefault(process, []).append((name, site))
+    def on_granted(self, process: Any, name: str) -> None:
+        self._held.setdefault(process, []).append(name)
 
     def on_release(self, process: Any, name: str) -> None:
         held = self._held.get(process)
         if not held:
             return
         for position in range(len(held) - 1, -1, -1):
-            if held[position][0] == name:
+            if held[position] == name:
                 del held[position]
                 break
         if not held:
@@ -283,37 +275,6 @@ class LockOrderRecorder:
             for source, targets in self._edges.items()
             for target in targets
         )
-
-    def site_edges(self) -> List[Tuple[str, str]]:
-        """Observed static-site edges, deterministically ordered."""
-        return sorted(self._site_edges)
-
-    def check_static(self, static_edges: Set[Tuple[str, str]]) -> List[Tuple[str, str]]:
-        """Observed site edges absent from the static lock-order graph.
-
-        The static graph from ``kamllint --lock-graph`` over-approximates
-        same-function nesting; an observed edge it misses means a lock
-        order exists only through a dynamic path the linter cannot see —
-        exactly what should be reviewed (and allowlisted) by hand.
-        """
-        closure = _transitive_closure(static_edges)
-        return [edge for edge in self.site_edges() if edge not in closure]
-
-
-def _transitive_closure(edges: Set[Tuple[str, str]]) -> FrozenSet[Tuple[str, str]]:
-    adjacency: Dict[str, Set[str]] = {}
-    for source, target in edges:
-        adjacency.setdefault(source, set()).add(target)
-    closed: Set[Tuple[str, str]] = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for source, target in list(closed):
-            for onward in adjacency.get(target, ()):  # noqa: B007
-                if (source, onward) not in closed:
-                    closed.add((source, onward))
-                    changed = True
-    return frozenset(closed)
 
 
 def recorder_for(env: Any) -> LockOrderRecorder:

@@ -210,8 +210,6 @@ class Environment:
         #: Latest instant :meth:`try_advance` may carry the clock to:
         #: ``until`` while :meth:`run` has one.
         self._horizon = float("inf")
-        #: Tracer of the stack under test (see :meth:`attach_tracer`).
-        self.tracer = None
 
     def attach_metrics(self, registry) -> None:
         """Track the pending-event queue depth in ``registry``.
@@ -226,16 +224,6 @@ class Environment:
                 "sim.queue_depth",
                 lambda: (float(len(self._queue)), float(self._queue_high)),
             )
-
-    def attach_tracer(self, tracer) -> None:
-        """Publish the stack root's tracer on the environment.
-
-        Components that only hold an ``env`` (harness drivers, the obs
-        CLI dashboard) reach the flight recorder through ``env.tracer``.
-        First caller wins, mirroring :meth:`attach_metrics`.
-        """
-        if self.tracer is None:
-            self.tracer = tracer
 
     @property
     def queue_depth(self) -> int:

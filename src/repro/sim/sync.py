@@ -20,13 +20,9 @@ class SimLock:
     :meth:`Resource.try_acquire`); both feed the lock-order sanitizer.
     """
 
-    def __init__(self, env: Environment, name: str = "", static_site: str = ""):
+    def __init__(self, env: Environment, name: str = ""):
         self.env = env
         self.name = name
-        #: Which source-level lock site this instance belongs to, e.g.
-        #: ``"KamlLog._program_lock"`` — lets the runtime lock-order
-        #: sanitizer cross-check against kamllint's static graph.
-        self.static_site = static_site or name or "simlock"
         self._resource = Resource(env, capacity=1, name=name)
         self._held_request: Optional[Request] = None
         self.holder: Any = None
@@ -66,9 +62,7 @@ class SimLock:
         # The acquiring process is the one running right now; record
         # edges from every lock it already holds to this one.
         acquirer = self.env.active_process
-        sanitize.recorder_for(self.env).on_acquire(
-            acquirer, self.name or "simlock", self.static_site
-        )
+        sanitize.recorder_for(self.env).on_acquire(acquirer, self.name or "simlock")
         return acquirer
 
     def _note_granted(self, request: Request, owner: Any, acquirer: Any) -> None:
@@ -76,9 +70,7 @@ class SimLock:
         self.holder = owner
         self._holder_process = acquirer
         if sanitize.enabled():
-            sanitize.recorder_for(self.env).on_granted(
-                acquirer, self.name or "simlock", self.static_site
-            )
+            sanitize.recorder_for(self.env).on_granted(acquirer, self.name or "simlock")
 
     def release(self) -> None:
         if self._held_request is None:

@@ -3,15 +3,14 @@
 import json
 from pathlib import Path
 
-from repro.analysis_tools.cli import RULES, main
+from repro.analysis_tools.cli import main
 
-REPO = Path(__file__).resolve().parents[2]
-SRC = str(REPO / "src" / "repro")
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_clean_tree_exits_zero(capsys):
-    assert main([SRC]) == 0
+    # Every finding in this fixture is suppressed by a pragma it uses.
+    assert main([str(FIXTURES / "allow_pragma.py")]) == 0
     assert "kamllint: clean" in capsys.readouterr().out
 
 
@@ -43,20 +42,19 @@ def test_unknown_rule_names_the_offender(capsys):
 
 
 def test_github_format_emits_workflow_annotations(capsys):
-    assert main(["--format", "github", str(FIXTURES / "sim_transitive.py")]) == 1
+    assert main(["--format", "github", str(FIXTURES / "sim_blocking.py")]) == 1
     out = capsys.readouterr().out
     assert "::error file=" in out
-    assert "title=KL-SIM002" in out
-    assert "via:" in out  # call-chain trace rides along in the annotation
+    assert "title=KL-SIM001" in out
 
 
 def test_json_out_writes_report_artifact(tmp_path, capsys):
     report = tmp_path / "kamllint.json"
-    assert main(["--json-out", str(report), str(FIXTURES / "res_leak.py")]) == 1
+    assert main(["--json-out", str(report), str(FIXTURES / "bare_assert.py")]) == 1
     capsys.readouterr()
     payload = json.loads(report.read_text())
     assert payload["count"] == len(payload["violations"]) > 0
-    assert all(v["rule"] == "KL-RES001" for v in payload["violations"])
+    assert all(v["rule"] == "KL-INV001" for v in payload["violations"])
     assert "stale_pragmas" in payload
 
 
@@ -76,13 +74,8 @@ def test_no_paths_is_usage_error():
 
 def test_list_rules_covers_every_rule(capsys):
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in RULES:
-        assert rule in out
-
-
-def test_lock_graph_flags_fixture_cycle(capsys):
-    assert main(["--lock-graph", str(FIXTURES / "lock_cycle.py")]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["cycles"]
-    assert any(edge["from"] == "Mover._map_lock" for edge in payload["edges"])
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
+        "KL-CTX001", "KL-DET001", "KL-DET002", "KL-DET003", "KL-FLT001",
+        "KL-INV001", "KL-LCK001", "KL-OBS001", "KL-SIM001",
+    ]

@@ -7,7 +7,7 @@ from repro.config import FlashGeometry, KamlParams, ReproConfig
 from repro.errors import InvariantError
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.kaml.record import PageAssembly, Record, encode_bitmap
-from repro.sanitize import LockOrderRecorder, _transitive_closure
+from repro.sanitize import LockOrderRecorder
 from repro.sim import Environment
 from repro.ssd.nvram import NvramBuffer
 
@@ -148,44 +148,25 @@ def test_close_reports_leaked_nvram(armed):
 
 def test_recorder_raises_on_runtime_cycle():
     recorder = LockOrderRecorder()
-    recorder.on_acquire("p1", "A", "SiteA")
-    recorder.on_granted("p1", "A", "SiteA")
-    recorder.on_acquire("p1", "B", "SiteB")  # edge A -> B
-    recorder.on_granted("p1", "B", "SiteB")
+    recorder.on_acquire("p1", "A")
+    recorder.on_granted("p1", "A")
+    recorder.on_acquire("p1", "B")  # edge A -> B
+    recorder.on_granted("p1", "B")
     recorder.on_release("p1", "B")
     recorder.on_release("p1", "A")
-    recorder.on_acquire("p2", "B", "SiteB")
-    recorder.on_granted("p2", "B", "SiteB")
+    recorder.on_acquire("p2", "B")
+    recorder.on_granted("p2", "B")
     with pytest.raises(InvariantError, match="SAN-LOCK.*cycle"):
-        recorder.on_acquire("p2", "A", "SiteA")  # edge B -> A closes the cycle
+        recorder.on_acquire("p2", "A")  # edge B -> A closes the cycle
     assert ("A", "B") in recorder.edges()
 
 
 def test_recorder_ignores_same_instance_reacquire():
     recorder = LockOrderRecorder()
-    recorder.on_acquire("p1", "A", "SiteA")
-    recorder.on_granted("p1", "A", "SiteA")
-    recorder.on_acquire("p1", "A", "SiteA")  # no self-edge
+    recorder.on_acquire("p1", "A")
+    recorder.on_granted("p1", "A")
+    recorder.on_acquire("p1", "A")  # no self-edge
     assert recorder.edges() == []
-
-
-def test_check_static_flags_unexplained_edges():
-    recorder = LockOrderRecorder()
-    recorder.on_granted("p1", "a", "SiteA")
-    recorder.on_acquire("p1", "b", "SiteB")
-    assert recorder.site_edges() == [("SiteA", "SiteB")]
-    # Direct static edge explains it.
-    assert recorder.check_static({("SiteA", "SiteB")}) == []
-    # So does a transitive static path A -> C -> B.
-    assert recorder.check_static({("SiteA", "SiteC"), ("SiteC", "SiteB")}) == []
-    # An empty static graph does not.
-    assert recorder.check_static(set()) == [("SiteA", "SiteB")]
-
-
-def test_transitive_closure():
-    closure = _transitive_closure({("a", "b"), ("b", "c")})
-    assert ("a", "c") in closure
-    assert ("c", "a") not in closure
 
 
 def test_simlock_records_per_environment(armed):
@@ -193,8 +174,8 @@ def test_simlock_records_per_environment(armed):
     from repro.sim import SimLock
 
     env = Environment()
-    lock_a = SimLock(env, name="a", static_site="T.a")
-    lock_b = SimLock(env, name="b", static_site="T.b")
+    lock_a = SimLock(env, name="a")
+    lock_b = SimLock(env, name="b")
 
     def flow():
         yield lock_a.acquire()
@@ -206,6 +187,5 @@ def test_simlock_records_per_environment(armed):
     env.run()
     recorder = sanitize.recorder_for(env)
     assert recorder.edges() == [("a", "b")]
-    assert recorder.site_edges() == [("T.a", "T.b")]
     other = Environment()
     assert sanitize.recorder_for(other).edges() == []

@@ -11,7 +11,7 @@ from repro.sim import Environment
 
 def make_scheduler(queue_limit=4, workers=1, start=True):
     env = Environment()
-    metrics = MetricsRegistry(clock=lambda: env.now)
+    metrics = MetricsRegistry()
     scheduler = ShardScheduler(
         env, 0, metrics, queue_limit=queue_limit, workers=workers
     )

@@ -137,11 +137,12 @@ def test_sorted_key_order_stays_clean(armed):
     ]
 
 
-def test_observed_edges_match_static_site_graph(armed):
-    """Cross-check: runtime site edges are explained by a static graph."""
+def test_nested_tables_record_one_instance_edge(armed):
+    """A key of one table held while taking a key of another: one edge,
+    between the two per-key lock instances."""
     env = Environment()
-    outer = LockTable(env, name="outer", static_site="Outer.table")
-    inner = LockTable(env, name="inner", static_site="Inner.table")
+    outer = LockTable(env, name="outer")
+    inner = LockTable(env, name="inner")
 
     def worker():
         yield from outer.acquire(1)
@@ -151,7 +152,4 @@ def test_observed_edges_match_static_site_graph(armed):
 
     env.process(worker())
     env.run()
-    recorder = sanitize.recorder_for(env)
-    assert recorder.site_edges() == [("Outer.table", "Inner.table")]
-    assert recorder.check_static({("Outer.table", "Inner.table")}) == []
-    assert recorder.check_static(set()) == [("Outer.table", "Inner.table")]
+    assert sanitize.recorder_for(env).edges() == [("outer[1]", "inner[2]")]

@@ -39,7 +39,7 @@ def add_namespace(mapping, namespace_id):
 
 def make_mapping():
     env = Environment()
-    mapping = Mapping(env, CONFIG, None, None, MetricsRegistry(clock=lambda: env.now))
+    mapping = Mapping(env, CONFIG, None, None, MetricsRegistry())
     return mapping, add_namespace(mapping, 1)
 
 

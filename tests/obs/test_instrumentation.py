@@ -3,7 +3,7 @@ the compatible stats accessors agree with the raw counters."""
 
 import pytest
 
-from repro.harness import build_kaml_ssd, build_kaml_store
+from repro.harness import build_kaml_store
 from repro.harness.reporting import to_json as result_to_json
 from repro.kaml import PutItem
 from repro.obs import derived_metrics
@@ -136,23 +136,3 @@ def test_result_to_json_embeds_registry(ycsb_run):
     assert decoded["registry"]["derived"]["kaml.gc.write_amplification"] >= 1.0
     assert "kaml.put.phase1_us" in decoded["registry"]["histograms"]
 
-
-def test_span_api_measures_ssd_operation_sim_time():
-    """The span API composes with stack instruments: wrap a Put, get its
-    end-to-end sim-time distribution under the caller's own name."""
-    env, ssd = build_kaml_ssd()
-
-    def create():
-        namespace_id = yield from ssd.create_namespace()
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def one_put():
-        with ssd.metrics.span("client.put_us", namespace=namespace_id):
-            yield from ssd.put([PutItem(namespace_id, 1, b"v", 64)])
-
-    drive(env, one_put())
-    histogram = ssd.metrics.histogram("client.put_us", namespace=namespace_id)
-    assert histogram.count == 1
-    assert histogram.summary()["mean"] > 0.0
