@@ -1,5 +1,6 @@
 """The lint engine: the AST cache, the pragma audit, rule-id validation."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from repro.analysis_tools import (
 )
 from repro.analysis_tools.core import PARSE_COUNTS
 
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
@@ -69,3 +72,15 @@ def test_unknown_rule_raises_before_any_work():
     with pytest.raises(UnknownRuleError) as excinfo:
         run_lint([FIXTURES], rules={"KL-NOPE", "KL-INV001"})
     assert excinfo.value.unknown == ["KL-NOPE"]
+
+
+def test_whole_tree_smoke_within_budget():
+    # A full run over the production tree lints clean and stays well
+    # inside an interactive budget.
+    clear_module_cache()
+    start = time.monotonic()
+    report = run_analysis([str(SRC)])
+    elapsed = time.monotonic() - start
+    assert report.violations == []
+    assert report.module_count > 40
+    assert elapsed < 60.0, f"whole-tree lint took {elapsed:.1f}s"
