@@ -1,51 +1,54 @@
 #!/usr/bin/env python
 """Trace capture and replay against the simulated KAML SSD.
 
-Production KV traces are proprietary, so this repo ships a synthetic
-generator with controllable skew and a replayable one-op-per-line text
-format.  This example synthesizes a skewed mixed workload, replays it,
-and prints latency percentiles plus the device's wear report.
+Production KV traces are proprietary, so this repo ships synthetic
+generators that emit the kamltrace op-journal schema (the same rows a
+live capture records).  This example preconditions a namespace,
+synthesizes a hot-key skewed mixed journal, saves and reloads it, replays
+it closed-loop, and prints latency percentiles plus the device's wear
+report.
 
 Run:  python examples/trace_replay.py
 """
 
+import os
+import tempfile
+
 from repro.analysis import summarize, wear_report
 from repro.harness import build_kaml_ssd, format_kv
-from repro.workloads import Trace, sequential_fill, synthesize
-from repro.workloads.trace import replay
+from repro.obs import load_journal, mix_summary, write_journal
+from repro.workloads import journal_to_issues, replay_journal, synth_hotkey
+from repro.workloads.micro import kaml_populate
 from repro.workloads.oltp import drive
 
 
 def main() -> None:
     env, ssd = build_kaml_ssd()
+    nsid = drive(env, ssd.create_namespace())
 
-    def create():
-        nsid = yield from ssd.create_namespace()
-        return nsid
-
-    nsid = drive(env, create())
-
-    # Precondition: fill 1,000 keys, then replay a zipfian 70/30 mix.
-    replay(env, ssd, nsid, sequential_fill(1000, value_size=1024), threads=8)
-    trace = synthesize(
+    # Precondition: fill 1,000 keys, then replay a hot-key 70/30 mix.
+    kaml_populate(env, ssd, nsid, keys=1000, value_size=1024)
+    rows = synth_hotkey(
         operations=800,
         key_space=1000,
         read_fraction=0.7,
         value_size=1024,
-        distribution="zipfian",
+        namespace=nsid,
         seed=21,
     )
 
-    # The same trace can be saved and reloaded as plain text.
-    text = trace.dumps()
-    reloaded = Trace.loads(text)
-    assert reloaded.ops == trace.ops
+    # The same journal can be saved and reloaded (gzipped JSONL).
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "hotkey.jsonl.gz")
+        write_journal(path, rows)
+        reloaded = load_journal(path)
+    assert reloaded == rows
 
-    result = replay(env, ssd, nsid, reloaded, threads=8)
+    result = replay_journal(env, ssd, journal_to_issues(reloaded), threads=8)
     latency = summarize(result.latencies_us)
-    print(format_kv("Trace replay (zipfian, 70% reads, 8 threads)", {
+    print(format_kv("Journal replay (hot-key, 70% reads, 8 threads)", {
         "operations": result.ops,
-        "trace working set": trace.working_set(),
+        "journal working set": mix_summary(reloaded)["working_set"],
         "throughput ops/s": result.ops_per_second,
         "mean latency us": latency.mean_us,
         "p95 latency us": latency.p95_us,

@@ -147,7 +147,7 @@ class KamlStore:
             if ctx is not None:
                 ctx.close()
             oplog = self.ssd.oplog
-            if oplog.enabled:
+            if oplog is not None:
                 # Transactional reads are the store-level workload too:
                 # journal them as "get" rows so a captured OLTP/YCSB run
                 # keeps its read mix (workspace-served reads never leave
@@ -177,7 +177,7 @@ class KamlStore:
         self.env.try_advance(copy_us) or (yield self.env.timeout(copy_us))
         txn.stage_write(namespace_id, key, value, size)
         oplog = self.ssd.oplog
-        if oplog.enabled:
+        if oplog is not None:
             # Journaled at stage time, even if the transaction later
             # aborts: the journal captures what the client asked for.
             # Durability is the commit's device-layer put batch.
@@ -203,7 +203,7 @@ class KamlStore:
             yield from locks.acquire(txn, name, LockMode.EXCLUSIVE)
         txn.stage_delete(namespace_id, key)
         oplog = self.ssd.oplog
-        if oplog.enabled:
+        if oplog is not None:
             oplog.record(
                 "delete", namespace_id, key, 0, started, self.env.now,
                 layer="store",
@@ -310,7 +310,7 @@ class KamlStore:
                 trace_id = ctx.trace_id
             op_id = 0
             oplog = self.ssd.oplog
-            if oplog.enabled:
+            if oplog is not None:
                 # layer="store" keeps host-level rows (cache hits
                 # included) apart from the device rows the SSD journals
                 # itself on a cache miss.
@@ -344,7 +344,7 @@ class KamlStore:
                 trace_id = ctx.trace_id
             op_id = 0
             oplog = self.ssd.oplog
-            if oplog.enabled:
+            if oplog is not None:
                 op_id = oplog.record(
                     "put", namespace_id, key, size, started, self.env.now,
                     trace_id=trace_id, layer="store",

@@ -31,8 +31,7 @@ from repro.harness.reporting import (
     write_json,
 )
 from repro.harness.runner import build_kaml_store, settle
-from repro.obs import analyze, write_chrome_trace
-from repro.obs.profile import breakdown_rows
+from repro.obs import write_chrome_trace
 from repro.workloads import fresh_namespace, mixed
 
 #: Key range of the mixed workload (and the namespace sized for it).
@@ -134,20 +133,6 @@ def run(args: argparse.Namespace, out=None) -> Dict[str, Any]:
             file=out,
         )
 
-    profile_report = None
-    if args.profile:
-        # Reuse the kamlprof report path over the same recorded window.
-        profile_report = analyze(ssd.tracer.recorder.events())
-        print(file=out)
-        print(
-            format_table(
-                "kamlprof breakdown (flight-recorder window)",
-                ["op", "ns", "component", "us", "fraction"],
-                breakdown_rows(profile_report, min_fraction=0.005),
-            ),
-            file=out,
-        )
-
     if args.trace_out:
         write_chrome_trace(
             args.trace_out, ssd.tracer.recorder.events(), process_name="repro-obs"
@@ -195,8 +180,6 @@ def run(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         "elapsed_us": env.now,
         "capture": capture,
     }
-    if profile_report is not None:
-        result["profile"] = profile_report
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True, default=str), file=stream)
     return result
@@ -226,10 +209,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--record-out", default=None,
         help="capture an op journal (.jsonl/.jsonl.gz) during the run",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also print the kamlprof latency breakdown of the recorded window",
     )
     parser.add_argument(
         "--json", action="store_true",

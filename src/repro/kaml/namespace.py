@@ -97,7 +97,6 @@ class Namespace:
 
     gets_counter = _series("counter", "kaml.ssd.gets")
     staged_hits_counter = _series("counter", "kaml.ssd.get_staged_hits")
-    get_us_histogram = _series("histogram", "kaml.get.us")
     put_bytes_counter = _series("counter", "kaml.put.bytes")
     deletes_counter = _series("counter", "kaml.ssd.deletes")
     delete_failures_counter = _series("counter", "kaml.ssd.delete_append_failures")

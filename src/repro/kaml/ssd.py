@@ -47,8 +47,7 @@ from repro.kaml.record import (
     chunks_for,
 )
 from repro.kaml.snapshot import Snapshot, SnapshotError, clone_index
-from repro.obs import MetricsRegistry, SloTracker, TraceContext, Tracer
-from repro.obs.oplog import NULL_OPLOG
+from repro.obs import MetricsRegistry, OpJournal, SloTracker, TraceContext, Tracer
 from repro.sim import Environment
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, NvramExhausted, OnboardDram
 
@@ -174,10 +173,10 @@ class KamlSsd:
         #: :meth:`enable_timeseries` (pay-as-you-go: default runs must
         #: schedule zero extra simulation events).
         self.timeseries = None
-        #: kamltrace op journal — the shared :data:`NULL_OPLOG` until a
-        #: harness opts in via :meth:`enable_oplog` (same contract: one
-        #: attribute check per command, zero extra simulation events).
-        self.oplog = NULL_OPLOG
+        #: kamltrace op journal — None until a harness opts in via
+        #: :meth:`enable_oplog` (same contract: one ``is not None`` check
+        #: per command, zero extra simulation events).
+        self.oplog = None
 
     # ------------------------------------------------------------------
     # Namespace management (Table I)
@@ -348,7 +347,6 @@ class KamlSsd:
             out_size = record.size
             return record.value, record.size
         finally:
-            namespace.get_us_histogram.observe(self.env.now - started)
             trace_id = 0
             if ctx is not None:
                 trace_id = ctx.trace_id
@@ -358,7 +356,7 @@ class KamlSsd:
                     ctx.finish(get_span)
             op_id = 0
             oplog = self.oplog
-            if oplog.enabled:
+            if oplog is not None:
                 op_id = oplog.record(
                     "get", namespace_id, key, out_size, started, self.env.now,
                     outcome=outcome, trace_id=trace_id,
@@ -479,7 +477,7 @@ class KamlSsd:
             total_bytes += size
         yield from self.link.device_to_host(total_bytes)
         oplog = self.oplog
-        if oplog.enabled:
+        if oplog is not None:
             oplog.record(
                 "scan", namespace_id, low, total_bytes, started, self.env.now,
                 outcome="ok", key2=high,
@@ -619,7 +617,7 @@ class KamlSsd:
         self._phase1_us_histogram.observe(self.env.now - phase1_start)
         op_id = 0
         oplog = self.oplog
-        if oplog.enabled:
+        if oplog is not None:
             # One row per record, journaled at the ack (the host-visible
             # completion); batch rows share a head id so replay regroups
             # the atomic batch.
@@ -788,7 +786,7 @@ class KamlSsd:
             return False  # crashed mid-command; NVRAM replay owns the intent
         self.env.process(self._complete_delete(marker, handle, epoch))
         oplog = self.oplog
-        if oplog.enabled:
+        if oplog is not None:
             oplog.record(
                 "delete", namespace_id, key, 0, started, self.env.now,
                 outcome="ok" if existed else "absent",
@@ -1181,16 +1179,14 @@ class KamlSsd:
     ) -> Any:
         """Start the kamltrace op journal (``repro.obs.oplog``).
 
-        Opt-in only: with the default :data:`~repro.obs.oplog.NULL_OPLOG`
-        every choke point pays one attribute check and schedules zero
-        extra simulation events, so pinned digests and ``sim_events``
-        counts are untouched.  With ``path=None`` rows accumulate in
-        memory (``journal.rows``); with a path they stream as JSONL
-        (gzipped when the name ends in ``.gz``).  The caller owns
-        ``journal.close()`` for streamed captures.
+        Opt-in only: while ``oplog`` is None every choke point pays one
+        ``is not None`` check and schedules zero extra simulation events,
+        so pinned digests and ``sim_events`` counts are untouched.  With
+        ``path=None`` rows accumulate in memory (``journal.rows``); with a
+        path they stream as JSONL (gzipped when the name ends in
+        ``.gz``).  The caller owns ``journal.close()`` for streamed
+        captures.
         """
-        from repro.obs.oplog import OpJournal
-
         journal = OpJournal(path=path, capacity=capacity)
         self.oplog = journal
         return journal

@@ -35,7 +35,6 @@ from repro.obs.trace import (
 )
 from repro.obs.slo import SloBreach, SloPolicy, SloTracker
 from repro.obs.oplog import (
-    NULL_OPLOG,
     OpJournal,
     key_fingerprint,
     load_journal,
@@ -58,7 +57,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "KNOWN_SPAN_NAMES",
-    "NULL_OPLOG",
     "FlightRecorder",
     "OpJournal",
     "Gauge",

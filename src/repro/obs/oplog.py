@@ -9,7 +9,7 @@ against a fresh stack, and what ties an SLO breach back to the concrete
 op that breached.
 
 The journal follows the same pay-as-you-go contract as tracing: a stack
-starts with :data:`NULL_OPLOG` (one attribute check per command, no
+starts with ``oplog = None`` (one ``is not None`` check per command, no
 rows, no sim events) and a harness opts in via
 ``KamlSsd.enable_oplog()``.  Rows stream to a JSONL file (gzipped when
 the path ends in ``.gz``) or accumulate in memory; either way the row
@@ -86,9 +86,6 @@ class OpJournal:
     overflow in :attr:`dropped` — the journal never grows unbounded and
     never lies about completeness.
     """
-
-    #: Checked by hot paths before building a row (NULL_OPLOG is False).
-    enabled = True
 
     def __init__(self, path: Optional[str] = None, capacity: int = 1 << 20):
         if capacity <= 0:
@@ -203,38 +200,6 @@ class OpJournal:
         return None
 
 
-class NullOpJournal:
-    """Inert journal: the default on every stack (capture off).
-
-    Shares the shape of :class:`OpJournal` so choke points never branch
-    beyond one ``enabled`` check; ``record`` returning 0 is the same
-    "no op id" value a dropped row yields.
-    """
-
-    enabled = False
-    recorded = 0
-    dropped = 0
-    capacity = 0
-    path = None
-    rows: List[Dict[str, Any]] = []
-
-    def record(self, *args: Any, **kwargs: Any) -> int:
-        return 0
-
-    def record_batch(self, *args: Any, **kwargs: Any) -> int:
-        return 0
-
-    def close(self) -> None:
-        return None
-
-    def counts(self) -> Dict[str, int]:
-        return {"recorded": 0, "dropped": 0, "capacity": 0}
-
-
-#: Shared inert journal — assigned to every stack at construction.
-NULL_OPLOG = NullOpJournal()
-
-
 # ---------------------------------------------------------------------------
 # Reading captured journals
 # ---------------------------------------------------------------------------
@@ -253,7 +218,13 @@ def parse_journal(lines: Iterable[str]) -> List[Dict[str, Any]]:
         if not isinstance(row, dict):
             raise OpJournalError(f"line {line_number}: expected a JSON object")
         if "kamltrace" in row:
-            version = int(row["kamltrace"])
+            try:
+                version = int(row["kamltrace"])
+            except (TypeError, ValueError):
+                raise OpJournalError(
+                    f"line {line_number}: bad schema version "
+                    f"{row['kamltrace']!r}"
+                ) from None
             if version > SCHEMA_VERSION:
                 raise OpJournalError(
                     f"journal schema v{version} is newer than this reader "

@@ -21,14 +21,6 @@ from repro.workloads.micro import (
 from repro.workloads.tpcb import TpcB
 from repro.workloads.tpcc import TpcC
 from repro.workloads.ycsb import Ycsb, YCSB_MIXES
-from repro.workloads.trace import (
-    Trace,
-    TraceOp,
-    replay,
-    sequential_fill,
-    synthesize,
-    trace_from_journal,
-)
 from repro.workloads.multitenant import (
     DEFAULT_TENANTS,
     MultiTenantWorkload,
@@ -79,8 +71,6 @@ __all__ = [
     "TenantResult",
     "TenantSpec",
     "run_multitenant",
-    "Trace",
-    "TraceOp",
     "ReplayError",
     "ReplayIssue",
     "fresh_namespace",
@@ -88,13 +78,9 @@ __all__ = [
     "mixed",
     "prepare_workload",
     "prepare_namespaces",
-    "replay",
     "replay_journal",
-    "sequential_fill",
     "synth_diurnal",
     "synth_flashcrowd",
     "synth_hotkey",
-    "synthesize",
-    "trace_from_journal",
     "ycsb_b",
 ]

@@ -2,10 +2,10 @@
 
 One definition each of the ``mixed`` Get/Put workload, ``ycsb-b`` and
 the "namespace at 75 % of capacity" rig that ``obs`` / ``prof`` /
-``record`` / ``perf`` / ``diff`` and the figure experiments share.
-Seeds, sizes and thread counts are arguments, so two commands given the
-same values replay the same history — ``perf`` pins the ``sim_events``
-and ``prof`` the breakdown fractions of one and the same run.
+``record`` and the figure experiments share.  Seeds, sizes and thread
+counts are arguments, so two callers given the same values replay the
+same history — the sim-event count test pins the ``sim_events`` and
+``prof`` the breakdown fractions of one and the same run.
 """
 
 from __future__ import annotations

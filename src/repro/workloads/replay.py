@@ -83,19 +83,22 @@ def journal_to_issues(
         pending_batch = 0
         pending_items = []
 
-    for row in rows:
+    for index, row in enumerate(rows, start=1):
         if row.get("layer", "ssd") != layer:
             continue
         op = row.get("op")
         try:
             namespace = int(row["ns"])
             key = int(row["key_hash"])
-        except (KeyError, TypeError, ValueError):
-            raise ReplayError(f"row is missing ns/key_hash: {row!r}") from None
-        issue_us = float(row.get("issue_us") or 0.0)
-        size = int(row.get("size") or 0)
-        if op == "put":
+            issue_us = float(row.get("issue_us") or 0.0)
+            size = int(row.get("size") or 0)
             batch = int(row.get("batch") or 0) or int(row.get("op_id") or 0)
+            high = int(row.get("key2", key))
+        except (KeyError, TypeError, ValueError):
+            raise ReplayError(
+                f"row {index}: missing or non-numeric field: {row!r}"
+            ) from None
+        if op == "put":
             if pending_items and batch and batch == pending_batch:
                 pending_items.append((namespace, key, size))
                 continue
@@ -106,7 +109,6 @@ def journal_to_issues(
             continue
         flush_pending()
         if op == "scan":
-            high = int(row.get("key2", key))
             issues.append(ReplayIssue("scan", issue_us, ((namespace, key, high),)))
         elif op in ("get", "delete"):
             issues.append(ReplayIssue(op, issue_us, ((namespace, key, size),)))
@@ -205,7 +207,10 @@ def _issue_on_store(store, issue: ReplayIssue, namespace_map: Dict[int, int]):
         yield from store.get(mapped, key)
         return 0
     if issue.op == "delete":
+        # The store has no non-transactional delete: delete on the device
+        # and drop the cached copy, as a committed transaction does.
         yield from store.ssd.delete(mapped, key)
+        store.buffer.discard(mapped, key)
         return 0
     if issue.op == "scan":
         results = yield from store.scan(mapped, key, third)

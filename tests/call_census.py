@@ -8,6 +8,7 @@ Sanitizers (``KAML_SANITIZE=1``) are off while counting: their checks are
 not the path a budget pins.
 """
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -46,6 +47,9 @@ def census(env, operation):
         finally:
             sys.setprofile(None)
 
+    # Collect first: a cyclic-GC pass inside the census would finalize
+    # generators an earlier test abandoned, and count their cleanup.
+    gc.collect()
     armed = sanitize.enabled()
     sanitize.set_enabled(False)
     try:

@@ -18,7 +18,7 @@ from repro.kaml import KamlSsd, PutItem
 from repro.sim import Environment
 
 #: One device Get served from flash (before: obs 23, sim 40).
-GET_MISS_BUDGET = {"kaml": 8, "flash": 11, "ssd": 5, "obs": 9, "sim": 29}
+GET_MISS_BUDGET = {"kaml": 8, "flash": 11, "ssd": 5, "obs": 8, "sim": 29}
 #: One single-record Put, from command arrival through its mapping
 #: install in phase 3 (before: obs 46, sim 108).
 PUT_BUDGET = {"kaml": 72, "flash": 22, "ssd": 14, "obs": 24, "sim": 94}

@@ -5,7 +5,6 @@ import pytest
 from repro.harness.runner import build_kaml_ssd, build_kaml_store
 from repro.kaml import NamespaceAttributes, PutItem
 from repro.obs.oplog import (
-    NULL_OPLOG,
     OpJournal,
     OpJournalError,
     key_fingerprint,
@@ -74,11 +73,6 @@ def test_record_batch_heads_and_members():
     assert rows[1]["batch"] == head
 
 
-def test_null_oplog_is_disabled_and_free():
-    assert NULL_OPLOG.enabled is False
-    assert NULL_OPLOG.record("get", 1, 1, 0, 0.0, 1.0) == 0
-
-
 @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
 def test_streaming_round_trip(tmp_path, suffix):
     path = str(tmp_path / f"journal{suffix}")
@@ -105,6 +99,12 @@ def test_write_journal_and_header_validation(tmp_path):
 def test_parse_journal_rejects_newer_major():
     with pytest.raises(OpJournalError):
         parse_journal(['{"kamltrace": 2}', "{}"])
+
+
+@pytest.mark.parametrize("version", ['"x"', "null", "[1]"])
+def test_parse_journal_rejects_non_numeric_header(version):
+    with pytest.raises(OpJournalError, match="line 1"):
+        parse_journal(['{"kamltrace": %s}' % version, "{}"])
 
 
 def test_mix_summary_handles_synthetic_acks():
@@ -207,7 +207,7 @@ def test_disabled_capture_records_nothing():
         yield from ssd.get_record(namespace_id, 1)
 
     drive(env, work())
-    assert ssd.oplog is NULL_OPLOG
+    assert ssd.oplog is None
 
 
 def test_slo_breach_carries_op_id():

@@ -14,13 +14,20 @@ from repro.workloads.replay import (
     synth_flashcrowd,
     synth_hotkey,
 )
-from repro.workloads.trace import trace_from_journal
 
 
 def drive(env, generator):
     process = env.process(generator)
     env.run_until(process)
     return process.value
+
+
+def row(op_id, op, key, size=0, layer="ssd", **extra):
+    """One hand-written journal row in namespace 1."""
+    return dict({
+        "op_id": op_id, "op": op, "layer": layer, "ns": 1, "key_hash": key,
+        "size": size, "issue_us": 0.0, "batch": 0,
+    }, **extra)
 
 
 def capture_small_run(scan=False):
@@ -76,6 +83,21 @@ def test_journal_to_issues_rejects_unknown_ops():
         ])
 
 
+@pytest.mark.parametrize("op, field, value", [
+    ("put", "issue_us", "soon"),
+    ("put", "size", "big"),
+    ("put", "batch", "head"),
+    ("put", "op_id", "first"),  # read because batch=0 means "my own id"
+    ("scan", "key2", "end"),
+    ("get", "ns", None),
+])
+def test_journal_to_issues_rejects_non_numeric_fields(op, field, value):
+    bad = row(2, op, 2)
+    bad[field] = value
+    with pytest.raises(ReplayError, match="row 2"):
+        journal_to_issues([row(1, "get", 1), bad])
+
+
 def test_closed_loop_replay_reproduces_op_sequence():
     rows = capture_small_run(scan=True)
     env, ssd = build_kaml_ssd()
@@ -89,6 +111,59 @@ def test_closed_loop_replay_reproduces_op_sequence():
     original = [(r["op"], r["key_hash"], r["size"]) for r in rows]
     replayed = [(r["op"], r["key_hash"], r["size"]) for r in recapture.rows]
     assert replayed == original
+
+
+def test_closed_loop_replay_over_several_lanes():
+    rows = [row(key + 1, "put", key, 256) for key in range(24)]
+    env, ssd = build_kaml_ssd()
+    mapping = prepare_namespaces(env, ssd, rows)
+    recapture = ssd.enable_oplog()
+    result = replay_journal(
+        env, ssd, journal_to_issues(rows), namespace_map=mapping, threads=4
+    )
+    assert result.ops == 24
+    assert result.elapsed_us > 0
+    assert len(result.latencies_us) == 24
+    # Every issue ran exactly once, whatever order the lanes interleaved.
+    assert sorted(r["key_hash"] for r in recapture.rows) == list(range(24))
+
+
+def test_replay_end_state_after_delete():
+    rows = [
+        row(1, "put", 1, 256), row(2, "put", 2, 256),
+        row(3, "delete", 1), row(4, "get", 2),
+    ]
+    env, ssd = build_kaml_ssd()
+    mapping = prepare_namespaces(env, ssd, rows)
+    result = replay_journal(env, ssd, journal_to_issues(rows), namespace_map=mapping)
+    assert result.ops == 4
+
+    def check():
+        yield from ssd.drain()
+        one = yield from ssd.get(mapping[1], 1)
+        two = yield from ssd.get(mapping[1], 2)
+        return one, two
+
+    assert drive(env, check()) == (None, ("replay", 2))
+
+
+def test_store_layer_replayed_delete_drops_the_cached_copy():
+    rows = [
+        row(1, "put", 5, 64, layer="store"),
+        row(2, "delete", 5, layer="store"),
+    ]
+    env, ssd, store = build_kaml_store(cache_bytes=1 << 20)
+    mapping = prepare_namespaces(env, ssd, rows, layer="store")
+    replay_journal(
+        env, store, journal_to_issues(rows, layer="store"), namespace_map=mapping
+    )
+
+    def check():
+        device = yield from ssd.get(mapping[1], 5)
+        cached = yield from store.get(mapping[1], 5)
+        return device, cached
+
+    assert drive(env, check()) == (None, None)
 
 
 def test_prepare_namespaces_sizes_and_sorts():
@@ -186,6 +261,16 @@ def test_synth_generators_are_seed_deterministic(name):
     assert issues == sorted(issues)  # arrivals are monotonic
 
 
+@pytest.mark.parametrize("generator, kwargs", [
+    (synth_hotkey, {"hot_keys": 0}),
+    (synth_diurnal, {"period_us": 0.0}),
+    (synth_flashcrowd, {"crowd_keys": 11}),
+])
+def test_synth_generators_refuse_bad_arguments(generator, kwargs):
+    with pytest.raises(ReplayError):
+        generator(10, 10, **kwargs)
+
+
 def test_synth_hotkey_concentrates_traffic():
     rows = synth_hotkey(500, 1000, hot_fraction=0.9, hot_keys=4, seed=1)
     hot = sum(1 for row in rows if row["key_hash"] < 4)
@@ -228,10 +313,3 @@ def test_synth_journals_replay_end_to_end():
         mode="open", speed=4.0,
     )
     assert result.ops == 60
-
-
-def test_trace_from_journal_bridge():
-    rows = capture_small_run(scan=True)
-    trace = trace_from_journal(rows)
-    counts = trace.op_counts()
-    assert counts == {"get": 1, "put": 3, "delete": 1}  # scans dropped
