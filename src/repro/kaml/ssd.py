@@ -700,6 +700,11 @@ class KamlSsd:
         rather than open spans: a committing transaction may close its
         context at the ack, and record-on-completion keeps these spans'
         end times truthful regardless of who owns the context.
+
+        If the flash append fails (log full, program retries exhausted)
+        the pin is kept, as in :meth:`_complete_delete`: the batch was
+        acknowledged at the pin, so the pinned payload is its only durable
+        copy and NVRAM replay owns it.
         """
         if self.epoch != epoch:
             if ctx is not None:
@@ -717,11 +722,19 @@ class KamlSsd:
         if ctx is not None:
             phase2_span = ctx.begin("put.phase2", parent=put_span)
             ctx.detach(phase2_span)
+        append_failed = False
         try:
-            landed = yield self.env.all_of([
-                self.env.process(self._append_record(record, epoch, ctx, phase2_span))
-                for record in records
-            ])
+            try:
+                landed = yield self.env.all_of([
+                    self.env.process(self._append_record(record, epoch, ctx, phase2_span))
+                    for record in records
+                ])
+            except LogSpaceError:
+                append_failed = True  # keep the pin: replay owns the acked batch
+                self.metrics.counter("kaml.ssd.put_append_failures").inc()
+                if ctx is not None:
+                    phase2_span.tags["failed"] = True
+                return
             install_start = self.env.now
             yield from self.firmware.execute(
                 len(records) * (self.costs.per_record_us + self.costs.hash_update_us)
@@ -740,7 +753,7 @@ class KamlSsd:
             if ctx is not None:
                 ctx.record_span("put.install", start_us=install_start, parent=phase2_span)
         finally:
-            if self.epoch == epoch:
+            if self.epoch == epoch and not append_failed:
                 self.nvram.release(handle)
                 self._nvram_pin_us_histogram.observe(self.env.now - pin_start)
                 self._phase2_us_histogram.observe(self.env.now - phase2_start)

@@ -412,6 +412,30 @@ def test_namespace_deleted_after_ack_leaves_no_reservation_or_pin():
         sanitize.set_enabled(None)
 
 
+def test_acked_put_whose_flash_append_fails_keeps_its_pin():
+    """Every program fails, so the acked record's page gives up with
+    LogSpaceError.  The batch was acknowledged at the pin, which is now its
+    only durable copy: the pin stays, the key reads back from staging, the
+    run ends normally, and replay lands the record once flash works again."""
+    env, ssd = make_ssd()
+    nsid = run(env, ssd.create_namespace())
+    for _channel, _index, chip in ssd.array.iter_chips():
+        chip.fault_hook = lambda kind, block, page: kind == "program"
+
+    run(env, put_one(ssd, nsid, 7, "acked"))  # raised LogSpaceError here
+    assert ssd.metrics.value("kaml.ssd.put_append_failures") == 1
+    assert len(ssd.nvram) == 1 and ssd.nvram.used_bytes == 512
+    assert run(env, ssd.get(nsid, 7)) == "acked"
+
+    for _channel, _index, chip in ssd.array.iter_chips():
+        chip.fault_hook = None
+    ssd.simulate_crash()
+    run(env, ssd.recover())
+    assert len(ssd.nvram) == 0 and ssd.staged_records == 0
+    assert ssd.namespaces[nsid].index.lookup(7)[0] is not None
+    assert run(env, ssd.get(nsid, 7)) == "acked"
+
+
 def test_delete_namespace_leaves_no_per_key_state_behind():
     """50 Puts, a Delete, DeleteNamespace: the mapping forgets every
     version, tombstone, staged value and valid byte of the namespace."""
