@@ -180,12 +180,102 @@ def ycsb_replay_mini() -> Dict[str, Any]:
     }
 
 
+def op_instants_mini() -> Dict[str, Any]:
+    """Every op's simulated instants on a GC-pressured device and a 2-shard
+    cluster.
+
+    Hashes each op's client, kind, issue instant and ack instant, plus the
+    instant each Put's phases 2-3 (``KamlSsd._complete_put``) finish.  A
+    Put acks at phase 1, so only the phase-2 instants see how background
+    work at one instant is ordered.  A change that only moves work within
+    one simulated instant (DESIGN.md, "Event-only changes") must leave this
+    digest where it is.
+    """
+    import random
+
+    from tests.integration.test_zero_event_exactness import small_device, timed
+
+    from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
+    from repro.fault.harness import default_device_config
+    from repro.kaml import KamlSsd, PutItem
+    from repro.sim import Environment
+
+    finished = []
+    complete_put = KamlSsd._complete_put
+
+    def recording(self, records, *args, **kwargs):
+        yield from complete_put(self, records, *args, **kwargs)
+        finished.append((
+            [(r.namespace_id, r.key, r.seq) for r in records], self.env.now,
+        ))
+
+    def device() -> Dict[str, Any]:
+        env, ssd, nsid = small_device()
+        rng = random.Random(31)
+        ops = []
+
+        def client(cid):
+            for _ in range(400):
+                roll = rng.random()
+                if roll < 0.1:
+                    yield from timed(env, ops, cid, "delete", ssd.delete(nsid, rng.randrange(24)))
+                elif roll < 0.35:
+                    yield from timed(env, ops, cid, "get", ssd.get(nsid, rng.randrange(24)))
+                else:
+                    items = [
+                        PutItem(nsid, key, ("c", cid, key), rng.choice([200, 900, 2048]))
+                        for key in rng.sample(range(24), rng.randint(1, 4))
+                    ]
+                    yield from timed(env, ops, cid, f"put{len(items)}", ssd.put(items))
+                think_us = rng.choice([0.0, 60.0, 300.0])
+                env.try_advance(think_us) or (yield env.timeout(think_us))
+
+        env.run_until(env.all_of([env.process(client(c)) for c in range(4)]))
+        env.run_until(env.process(ssd.drain()))
+        assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
+        return {"ops": ops, "now": env.now}
+
+    def cluster() -> Dict[str, Any]:
+        env = Environment()
+        tier = KamlCluster.build(env, default_device_config(), ClusterConfig(num_shards=2))
+        tier.register_tenant(TenantPolicy("t", latency_budget_us=100_000.0))
+        env.run_until(env.process(tier.create_namespace("data", tenant="t", mode="hashed")))
+        rng = random.Random(37)
+        ops = []
+
+        def client(cid):
+            for i in range(30):
+                if i % 3 == 2:
+                    yield from timed(env, ops, cid, "get", tier.get("data", rng.randrange(64)))
+                    continue
+                keys = rng.sample(range(64), 3 if i % 3 == 0 else 1)
+                items = [(key, ("c", cid, i), 300) for key in keys]
+                yield from timed(env, ops, cid, f"put{len(items)}", tier.put("data", items))
+
+        env.run_until(env.all_of([env.process(client(c)) for c in range(4)]))
+        env.run_until(env.process(tier.drain()))
+        assert tier.metrics.total("cluster.2pc.txns") > 0
+        return {"ops": ops, "now": env.now}
+
+    KamlSsd._complete_put = recording
+    try:
+        payload = {"device": device()}
+        payload["device_phase2"] = sorted(finished)
+        finished.clear()
+        payload["cluster"] = cluster()
+        payload["cluster_phase2"] = sorted(finished)
+    finally:
+        KamlSsd._complete_put = complete_put
+    return payload
+
+
 SCENARIOS = {
     "fig5_mini": fig5_mini,
     "fig10_mini": fig10_mini,
     "crash_scenario": crash_scenario,
     "prof_breakdown_mini": prof_breakdown_mini,
     "ycsb_replay_mini": ycsb_replay_mini,
+    "op_instants_mini": op_instants_mini,
 }
 
 #: Captured on the pre-rewrite kernel (commit ad2ae2b lineage); see
@@ -194,12 +284,15 @@ SCENARIOS = {
 #: protocol, for rate-adaptive log striping + the quiescence flush timer;
 #: ``crash_scenario`` alone moved again, under the same protocol, when dies
 #: began suspending pulses for host reads (its audit Gets and GC overlap).
+#: ``op_instants_mini`` was added later, to hold event-only changes to
+#: per-op instants.
 EXPECTED = {
     "fig5_mini": "af7d64f5fcad938e8f0d518189165ff7330b0ffefebfa9f3f0173761e177b3a9",
     "fig10_mini": "e560a9c13846124bd1c17d3e19e8486bad82325c04c41faa45f6d372d178bb08",
     "crash_scenario": "d266baaab050014dc4bdac06b252d52a788f7e52a6c53e9dbc5ef857778178e9",
     "prof_breakdown_mini": "29263d6fb9c84114b78bb87689442b794e90e7c86bdbec07151b76b0d1767e34",
     "ycsb_replay_mini": "122f35598415dd799bc7babe290506750465717b004ecbfd1494368977f16fa0",
+    "op_instants_mini": "7b008b292f2ab424402f760618ff0d747b76c1d61183939efa3af4e3a55918b0",
 }
 
 
@@ -225,6 +318,10 @@ def test_ycsb_replay_mini_digest():
     # exactly — checked in the clear before the digest pins the rest.
     assert payload["match"] is True
     assert digest(payload) == EXPECTED["ycsb_replay_mini"]
+
+
+def test_op_instants_mini_digest():
+    assert digest(op_instants_mini()) == EXPECTED["op_instants_mini"]
 
 
 if __name__ == "__main__":
