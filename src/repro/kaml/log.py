@@ -150,24 +150,10 @@ class KamlLog:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(
-        self, record: Record, ctx: Optional[TraceContext] = None, parent=None
-    ) -> Any:
+    def append(self, record: Record) -> Any:
         """Append one record; returns its :class:`RecordLocation` once the
         containing page is programmed (Put phase 2, Section IV-D)."""
-        started = self.env.now
-        event = self.stage(record, for_gc=False)
-        location = yield event
-        if ctx is not None:
-            ctx.record_span(
-                "log.append",
-                start_us=started,
-                parent=parent,
-                log=self.log_id,
-                namespace=record.namespace_id,
-                key=record.key,
-            )
-        return location
+        return (yield self.stage(record, for_gc=False))
 
     def stage(self, record: Record, for_gc: bool) -> Event:
         """Synchronously place a record into the open page; returns the

@@ -48,7 +48,7 @@ from repro.kaml.record import (
 )
 from repro.kaml.snapshot import Snapshot, SnapshotError, clone_index
 from repro.obs import MetricsRegistry, OpJournal, SloTracker, TraceContext, Tracer
-from repro.sim import Environment
+from repro.sim import Environment, Event
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, NvramExhausted, OnboardDram
 
 
@@ -666,28 +666,16 @@ class KamlSsd:
             self.logs, nchunks, self.env.now, self.config.kaml.flush_timeout_us
         )
 
-    def _append_record(self, record, epoch: int, ctx=None, parent=None) -> Any:
-        """Append one record, re-checking the epoch at first resume.
-
-        The append runs as a child process, and a power cut can land in
-        the gap between ``env.process()`` and the body's first step —
-        the parent's own epoch fence passed *before* the cut, so without
-        this check the body would stage a pre-crash record into the
-        recovered epoch's write point.  That ghost page is worse than a
-        leak: its flush can fire mid-recovery, before the flash rescan
-        has rebuilt the block lists, and wedge replay with a spurious
-        log-full error.  A namespace deleted after the ack is skipped
-        the same way: its records can never be read, so they are garbage
-        before they are written.
-        """
+    def _append_record(self, record, epoch: int) -> Any:
+        """Append one record for :meth:`_reappend`; returns ``(location,
+        erase mark)``, or None once the epoch moved or the namespace is gone
+        (its records can never be read: garbage before they are written)."""
         if self.epoch != epoch or record.namespace_id not in self.namespaces:
             return None
         log = self._pick_log(self.namespaces[record.namespace_id], record)
-        location = yield from log.append(record, ctx=ctx, parent=parent)
-        # The mark is captured in the same event cascade as *this*
-        # append's completion — capturing it later (say when the whole
-        # batch's all_of fires) would race a GC erase of this block and
-        # make the stale location look live.
+        location = yield from log.append(record)
+        # Captured in the same event cascade as the append's completion:
+        # see the same rule in _complete_put.
         return location, self.mapping.erase_mark(location)
 
     def _complete_put(
@@ -722,13 +710,40 @@ class KamlSsd:
         if ctx is not None:
             phase2_span = ctx.begin("put.phase2", parent=put_span)
             ctx.detach(phase2_span)
+        # Phase 2 stages every record in this one step, asking for each
+        # record's log right before staging it.  A record whose namespace
+        # was deleted after the ack is skipped: it can never be read, so it
+        # is garbage before it is written.
+        landed: List[Optional[Tuple[RecordLocation, int]]] = [None] * len(records)
+        stages: Dict[Event, Tuple[int, KamlLog]] = {}
+
+        def land(event: Event) -> None:
+            # The erase mark is captured in the dispatch that delivers the
+            # location; capturing it later (say when the whole batch's
+            # all_of fires) would race a GC erase of this block and make
+            # the stale location look live.
+            if event._exception is None:  # slots, not properties: no calls per record
+                index, log = stages[event]
+                location = event._value
+                landed[index] = (location, self.mapping.erase_mark(location))
+                if ctx is not None:
+                    record = records[index]
+                    ctx.record_span(
+                        "log.append", start_us=phase2_start, parent=phase2_span,
+                        log=log.log_id, namespace=record.namespace_id, key=record.key,
+                    )
+
+        for index, record in enumerate(records):
+            namespace = self.namespaces.get(record.namespace_id)
+            if namespace is not None:
+                log = self._pick_log(namespace, record)
+                staged = log.stage(record, for_gc=False)
+                staged.add_callback(land)
+                stages[staged] = (index, log)
         append_failed = False
         try:
             try:
-                landed = yield self.env.all_of([
-                    self.env.process(self._append_record(record, epoch, ctx, phase2_span))
-                    for record in records
-                ])
+                yield self.env.all_of(list(stages))
             except LogSpaceError:
                 append_failed = True  # keep the pin: replay owns the acked batch
                 self.metrics.counter("kaml.ssd.put_append_failures").inc()

@@ -29,6 +29,11 @@ Performance notes (see ``docs/performance.md`` for the full story):
   very next dispatch, ``Resource.try_acquire`` and friends hand the grant
   back inline and :meth:`Environment.try_advance` moves the clock inline,
   instead of pushing an event through the heap.
+* A completion nothing can overtake costs no event either: a process's
+  return, or an ``all_of`` join fired by its last child, runs its
+  callbacks on the spot (:meth:`Environment._finish`) when the completion
+  would be the very next dispatch.  A finished process nobody waits on is
+  processed on the spot (see :mod:`repro.sim.process`).
 * ``Environment.now`` is a plain attribute the dispatch loops write (it
   is read some 26 times per cold Get); only the kernel may assign it.
 
@@ -36,9 +41,11 @@ Determinism contract: events are dispatched in exactly ``(time, priority,
 sequence)`` order, where sequence numbers are handed out at schedule time.
 Every optimisation here preserves that order bit-for-bit — the fixed-seed
 digests in ``tests/determinism`` hold across the rewrite.  The only events
-ever removed are provable no-ops: defused ghosts, and grants and delays
-that :meth:`Environment._would_run_next` shows would have been popped
-next with nothing able to run in between.
+ever removed are provable no-ops: defused ghosts, and grants, delays and
+completions that :meth:`Environment._would_run_next` shows would have been
+popped next with nothing able to run in between.  The one exception is
+event-only, not exact: a finished process nobody waits on (DESIGN.md,
+"Event-only changes").
 """
 
 from __future__ import annotations
@@ -210,6 +217,8 @@ class Environment:
         #: Latest instant :meth:`try_advance` may carry the clock to:
         #: ``until`` while :meth:`run` has one.
         self._horizon = float("inf")
+        #: The event :meth:`run_until` is running until, while it runs.
+        self._until: Optional[Event] = None
 
     def attach_metrics(self, registry) -> None:
         """Track the pending-event queue depth in ``registry``.
@@ -267,6 +276,7 @@ class Environment:
         if not events:
             result.succeed([])
             return result
+        joined = False  # True once every child holds on_fire
 
         def on_fire(event: Event) -> None:
             if result.triggered:
@@ -276,10 +286,17 @@ class Environment:
                 return
             remaining[0] -= 1
             if remaining[0] == 0:
-                result.succeed([e._value for e in events])
+                values = [e._value for e in events]
+                if joined:
+                    # The last child's dispatch: this is its callback's last act.
+                    self._finish(result, values)
+                else:
+                    # Every child had fired already; the caller carries on.
+                    result.succeed(values)
 
         for event in events:
             event.add_callback(on_fire)
+        joined = True
         return result
 
     # -- scheduling ------------------------------------------------------
@@ -339,6 +356,34 @@ class Environment:
                 return True
         return False
 
+    def _finish(self, event: Event, value: Any) -> None:
+        """Succeed ``event`` at ``now`` as the last act of the callback
+        running: a process returning, an ``all_of`` join's last child.
+
+        When :meth:`_would_run_next` ``(NORMAL)`` holds — no callback of
+        the current dispatch is left, and no heap entry (a ghost counts) is
+        at ``now`` — the completion would be the very next pop, so its
+        callbacks run here, with the loops' fan-out bookkeeping, instead of
+        through a push and a pop.  Such an inline dispatch is not counted in
+        ``events_processed``.  ``run_until``'s target always goes through
+        the heap: its dispatch is that loop's last.
+        """
+        event._triggered = True
+        event._value = value
+        if event is self._until or not self._would_run_next(NORMAL):
+            self._schedule(event, 0.0)
+            return
+        callbacks, event.callbacks = event.callbacks, None
+        event._processed = True
+        if callbacks:
+            last = callbacks.pop()
+            if callbacks:
+                self._fanning_out = True
+                for callback in callbacks:
+                    callback(event)
+                self._fanning_out = False
+            last(event)
+
     def _note_defused(self) -> None:
         self._ndefused = ghosts = self._ndefused + 1
         if ghosts >= _COMPACT_MIN_GHOSTS and ghosts * 2 > len(self._queue):
@@ -390,6 +435,7 @@ class Environment:
         queue = self._queue
         pop = heappop
         dispatched = 0
+        self._until = event
         try:
             while not event._processed:
                 if not queue:
@@ -419,6 +465,7 @@ class Environment:
                     queue = self._queue
         finally:
             self._fanning_out = False
+            self._until = None
             self.events_processed += dispatched
 
     def run(self, until: Optional[float] = None) -> None:

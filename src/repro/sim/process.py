@@ -5,6 +5,10 @@ objects.  When a yielded event fires, the kernel resumes the generator with
 the event's value (or throws the event's exception into it).  A process is
 itself an event: it triggers with the generator's return value, so processes
 can wait on each other simply by yielding them.
+
+A process's completion is dispatched inline when it would be the very next
+dispatch (:meth:`Environment._finish`), and a process nobody waits on when
+it returns is processed on the spot: it never enters the heap.
 """
 
 from __future__ import annotations
@@ -85,7 +89,14 @@ class Process(Event):
                     target = generator.send(event._value if event._triggered else None)
             except StopIteration as stop:
                 env.active_process = previous
-                self.succeed(stop.value)
+                if self.callbacks or self is env._until:
+                    env._finish(self, stop.value)
+                else:
+                    # Nobody waits: processed on the spot, not through the
+                    # heap.  A later ``yield self`` resumes at once through
+                    # the loop below instead of at a completion dispatch.
+                    self._triggered = self._processed = True
+                    self._value = stop.value
                 return
             except Interrupt as exc:
                 # An unhandled interrupt terminates the process with that error.

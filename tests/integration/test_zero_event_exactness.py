@@ -1,4 +1,5 @@
-"""Exactness oracle for zero-event acquisitions and delays on the real stack.
+"""Exactness oracle for zero-event acquisitions, delays and completions on
+the real stack.
 
 A mixed Get/Put/delete workload that drives GC on one device, GC
 relocating survivors under reads, host reads under a write flood (so dies
@@ -7,11 +8,12 @@ suspended), a 2-shard cluster with cross-shard atomic Puts, and a device
 whose power is cut by ``run(until=T)`` mid-workload, each run twice:
 normally, and with the kernel's "would run next" test forced false
 (``tests/sim/zero_event_seam.py``) so every firmware context, chip engine,
-bus, PCIe pipe, program lock and NVRAM reservation is granted, and every
-cost delay taken, through the heap as before the fast paths.
+bus, PCIe pipe, program lock and NVRAM reservation is granted, every
+cost delay taken, and every process completion and join dispatched,
+through the heap as before the fast paths.
 Every op must be issued and completed at the same simulated instants, the
 clocks must end equal, and the runs must differ in dispatched events by
-exactly the grants and advances elided.
+exactly the grants, advances and completions elided.
 
 The GC and 2PC workloads also run with every tracer armed and disarmed:
 tracing is bookkeeping, so the two must agree on every op's timestamps,

@@ -1,10 +1,11 @@
-"""Zero-event acquisition and zero-event delays: when they go inline,
+"""Zero-event acquisitions, delays and completions: when they go inline,
 when they must refuse.
 
 ``Resource.try_acquire`` / ``SimLock.try_acquire`` / ``NvramBuffer.try_reserve``
-skip the grant event, and ``Environment.try_advance`` skips the timeout,
-only when ``Environment._would_run_next`` proves that event would have been
-the very next dispatch.  Each refusal case below is a schedule in which
+skip the grant event, ``Environment.try_advance`` skips the timeout, and
+``Environment._finish`` dispatches a process's completion or a join
+inline, only when ``Environment._would_run_next`` proves that event would
+have been the very next dispatch.  Each refusal case below is a schedule in which
 skipping it *would* reorder something — or, for a delay, would carry a
 process past the point where the running loop hands control back; the
 differential oracles (``test_zero_event_property.py``, ``tests/integration/
@@ -39,8 +40,9 @@ def test_idle_resource_is_granted_without_an_event():
     env.process(hold(env, resource, order, "a"))
     env.run()
     assert order == [("a", 0.0)]
-    # bootstrap + timeout + process termination; the grant cost nothing.
-    assert env.events_processed == 3
+    # bootstrap + timeout; the grant cost nothing, and so did the process's
+    # termination (nobody waits on it: processed on the spot).
+    assert env.events_processed == 2
     assert resource.in_use == 0
 
 
@@ -179,8 +181,9 @@ def test_delay_that_would_pop_next_moves_the_clock_inline():
     env.process(sleeper(env, 0.125, log))
     env.run()
     assert log == [(9.375, "inline")]
-    # bootstrap + process completion + the 9.5 timeout; the delay cost nothing.
-    assert env.events_processed == 3
+    # bootstrap + the 9.5 timeout; the delay cost nothing, and so did the
+    # process's completion (nobody waits on it: processed on the spot).
+    assert env.events_processed == 2
 
 
 def test_delay_refuses_when_the_head_is_earlier():
@@ -311,6 +314,195 @@ def test_negative_delay_still_raises_through_the_fallback():
     env.process(flow())
     with pytest.raises(SimulationError, match="negative timeout delay"):
         env.run()
+
+
+# ---------------------------------------------------------------------------
+# Completions: Environment._finish
+# ---------------------------------------------------------------------------
+
+def test_completion_that_would_pop_next_is_dispatched_inline():
+    env = Environment()
+    log = []
+
+    def child():
+        yield env.timeout(1.0)
+        return "done"
+
+    def parent():
+        value = yield env.process(child())
+        log.append((env.now, value))
+
+    env.process(parent())
+    env.run()
+    assert log == [(1.0, "done")]
+    # Two bootstraps and the timeout.  The child's completion ran the
+    # parent's resume inline, and nobody waits on the parent.
+    assert env.events_processed == 3
+
+
+def test_inline_completion_keeps_the_fan_out_rule():
+    """The child returns as its dispatch's last act, so its completion is
+    dispatched inline; of its two waiters only the last may go inline."""
+    env = Environment()
+    logs = {"a": [], "b": []}
+
+    def child():
+        yield env.timeout(1.0)
+
+    def waiter(proc, tag):
+        yield proc
+        yield from sleeper(env, 1.0, logs[tag])
+
+    proc = env.process(child())
+    env.process(waiter(proc, "a"))
+    env.process(waiter(proc, "b"))
+    env.run()
+    assert logs == {"a": [(2.0, "heap")], "b": [(2.0, "heap")]}
+    # Three bootstraps and three timeouts; the completion cost nothing.
+    assert env.events_processed == 6
+
+
+def test_completion_refuses_mid_fan_out():
+    """``a`` returns while ``start`` still has ``b`` to wake: the watcher
+    of ``a`` must not run before ``b`` has."""
+    env = Environment()
+    start = Event(env)
+    order = []
+
+    def quick(tag):
+        yield start
+        order.append(tag)
+
+    def watcher(proc):
+        yield proc
+        order.append("watcher")
+
+    a = env.process(quick("a"))
+    env.process(quick("b"))
+    env.process(watcher(a))
+    env.run(until=1.0)
+    start.succeed()
+    env.run()
+    assert order == ["a", "b", "watcher"]
+
+
+def test_completion_refuses_behind_an_entry_at_now():
+    env = Environment()
+    order = []
+
+    def child():
+        yield env.timeout(1.0)
+        env.timeout(0.0).add_callback(lambda _event: order.append("older"))
+
+    def parent():
+        yield env.process(child())
+        order.append("parent")
+
+    env.process(parent())
+    env.run()
+    assert order == ["older", "parent"]
+
+
+def test_completion_refuses_behind_a_ghost_at_now():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1.0)
+        env.timeout(0.0).defuse()  # a no-op entry, but it is at `now`
+
+    def parent():
+        yield env.process(child())
+
+    env.process(parent())
+    env.run()
+    # Two bootstraps, the timeout, the ghost, and the child's completion.
+    assert env.events_processed == 5
+
+
+def test_completion_of_the_run_until_target_goes_through_the_heap():
+    """Its dispatch is that loop's last: the target returning hands
+    control back there, not at its own last step.  An entry scheduled
+    before the completion still runs first."""
+    env = Environment()
+    log = []
+
+    def child():
+        yield env.timeout(1.0)
+        env.timeout(0.0).add_callback(lambda _event: log.append("same instant"))
+
+    target = env.process(child())
+    env.run_until(target)  # nobody waits on the target, but run_until does
+    assert log == ["same instant"] and target.processed
+    joined = env.all_of([env.process(child())])
+    env.run_until(joined)  # a join that is the target is pushed too
+    assert log == ["same instant"] * 2 and joined.processed
+
+
+def test_completion_refuses_under_step():
+    env = Environment()
+    order = []
+
+    def child():
+        yield env.timeout(1.0)
+
+    def parent():
+        yield env.process(child())
+        order.append(env.now)
+
+    env.process(parent())
+    env.step()  # the parent's bootstrap spawns the child
+    env.step()  # the child's bootstrap
+    env.step()  # the timeout: the child returns, its completion is pushed
+    assert order == [] and env.queue_depth == 1
+    env.step()
+    assert order == [1.0]
+
+
+def test_join_of_events_that_all_fired_goes_through_the_heap():
+    """Such a join triggers while its caller is still running, not as a
+    dispatch's last act: it refuses whatever the caller does next."""
+    env = Environment()
+    fired = env.timeout(0.0)
+    env.run()
+    log = []
+
+    def flow():
+        join = env.all_of([fired])
+        log.append(env.try_advance(1.0))  # the join sits at `now`
+        yield join
+
+    env.process(flow())
+    env.run()
+    assert log == [False]
+
+
+def test_a_finished_process_nobody_waits_on_is_processed_on_the_spot():
+    """Event-only, not exact: a later ``yield proc`` in the same instant
+    resumes at once, ahead of an entry that would have run before the
+    completion's dispatch."""
+    env = Environment()
+    order = []
+
+    def child():
+        yield env.timeout(1.0)
+        return "value"
+
+    def late(proc):
+        yield env.timeout(1.0)
+        order.append(("late", proc.processed))
+        order.append((yield proc))
+
+    def other():
+        yield env.timeout(1.0)
+        order.append("other")
+
+    proc = env.process(child())
+    env.process(late(proc))
+    env.process(other())
+    env.run()
+    assert order == [("late", True), "value", "other"]
+    # Three bootstraps and three timeouts; no completion went through the heap.
+    assert env.events_processed == 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Differential oracle for zero-event acquisitions and delays over random
-process graphs.
+"""Differential oracle for zero-event acquisitions, delays and completions
+over random process graphs.
 
 Every generated program runs twice: once normally, once with the kernel's
-"would run next" predicate forced false so every acquisition and every
-delay goes through the heap as it did before the fast paths existed.  The
+"would run next" predicate forced false so every acquisition, every delay
+and every completion goes through the heap as it did before the fast paths
+existed.  The
 two runs must resume every process at the same instants in the same global
 order — also as seen by a driver that takes control back between
 ``run(until=...)`` slices or ``run_until`` calls — and differ in dispatched
 events by exactly the number of grants and advances the normal run elided.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from tests.sim.zero_event_seam import counted_grants, forced_refusal, predicate
 
@@ -34,6 +35,7 @@ STEP = st.one_of(
     st.tuples(st.just("fire"), st.integers(0, 1)),
     st.tuples(st.just("join"), st.integers(0, 1)),   # one event, many waiters
     st.tuples(st.just("spawn"), DELAYS),             # child process hand-off
+    st.tuples(st.just("fork"), st.integers(0, 1)),   # a child that joins a shared event
     st.tuples(st.just("await"), st.integers(0, 4)),  # an earlier body: what the "join" driver joins
 )
 
@@ -65,6 +67,11 @@ def execute(program, seam, drive=("run",)):
             env.try_advance(delay) or (yield env.timeout(delay))
             trace.append((env.now, pid, index, "child"))
             return delay
+
+        def forked(pid, index, event):
+            # Returns inside the fan-out of an event others wait on too.
+            yield event
+            trace.append((env.now, pid, index, "forked"))
 
         def body(pid, steps):
             for index, step in enumerate(steps):
@@ -114,6 +121,8 @@ def execute(program, seam, drive=("run",)):
                     yield shared[step[1]]
                 elif kind == "spawn":
                     yield env.process(child(pid, index, step[1]))
+                elif kind == "fork":
+                    yield env.process(forked(pid, index, shared[step[1]]))
                 elif kind == "await" and pid:
                     yield procs[step[1] % pid]  # earlier bodies only: no cycles
                 trace.append((env.now, pid, index, kind))
@@ -134,6 +143,10 @@ def execute(program, seam, drive=("run",)):
 
 @settings(max_examples=250, deadline=None)
 @given(PROGRAM, DRIVE)
+# Two children return inside one fan-out, each with its parent waiting;
+# then one body returns inline to two waiters.
+@example([[("fork", 0)], [("fork", 0)]], ("run",))
+@example([[("sleep", 1.0)], [("await", 0), ("sleep", 1.0)], [("await", 0), ("sleep", 1.0)]], ("run",))
 def test_inline_grants_reorder_nothing(program, drive):
     trace, now, events, elided = execute(program, counted_grants, drive)
     ref_trace, ref_now, ref_events, _ = execute(program, forced_refusal, drive)

@@ -1,11 +1,15 @@
-"""Test-only seam for the zero-event oracles (acquisitions and delays).
+"""Test-only seam for the zero-event oracles (acquisitions, delays and
+completions).
 
 The fast path has no switch; the oracles get their "before" run by
 swapping, on the classes and for the duration of one run, the three
 places the kernel's "would run next" test is made:
-``Environment._would_run_next`` (what ``NvramBuffer.try_reserve`` asks)
-and the two methods that evaluate it inline, ``Environment.try_advance``
-and ``Resource.try_acquire``.
+``Environment._would_run_next`` (what ``NvramBuffer.try_reserve`` and
+``Environment._finish`` ask) and the two methods that evaluate it inline,
+``Environment.try_advance`` and ``Resource.try_acquire``.
+
+A finished process nobody waits on is processed on the spot whatever the
+seam says: that rule is event-only, not exact, so it is in both runs.
 """
 
 from contextlib import contextmanager
@@ -58,8 +62,8 @@ def swapped(**methods):
 
 
 def forced_refusal():
-    """Every acquisition and every delay goes through the heap, as before
-    the fast paths."""
+    """Every acquisition, every delay and every completion goes through the
+    heap, as before the fast paths."""
     return swapped(
         _would_run_next=lambda self, priority, delay=0.0: False,
         try_advance=lambda self, delay: False,
@@ -72,9 +76,9 @@ def counted_grants():
     """The real kernel; yields a one-item list counting its grants.
 
     Every caller checks everything else first and makes the kernel test
-    last, so each ``True`` from the predicate, each ``True`` from
-    ``try_advance`` and each token from ``try_acquire`` is exactly one
-    elided event.
+    last, so each ``True`` from the predicate (an NVRAM grant or an
+    inline completion), each ``True`` from ``try_advance`` and each token
+    from ``try_acquire`` is exactly one elided event.
     """
     grants = [0]
     would_run_next = Environment._would_run_next
