@@ -178,8 +178,20 @@ class TwoPhaseCoordinator:
                 ctx.finish(span)
             raise
         except Exception as exc:
+            # Every prepare settles before the abort: one still in flight
+            # would pin its batch after _abort looked for its handle.
+            failure = exc
+            for prepare in prepares:
+                try:
+                    yield prepare
+                except PowerLossError as late:
+                    failure = late
+                except Exception:
+                    pass
             if ctx is not None:
                 ctx.finish(span)
+            if isinstance(failure, PowerLossError):
+                raise failure
             yield from self._abort(participants, handles, txn_id)
             raise TwoPhaseCommitError(
                 f"txn {txn_id} prepare failed: {exc}"

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy, key_shard_slot
 from repro.cluster.errors import TwoPhaseCommitError
 from repro.cluster.twopc import IntentJournal, recover_transactions
+from repro.config import ReproConfig
 from repro.fault.harness import default_device_config
 from repro.sim import Environment
 
@@ -108,6 +109,33 @@ def test_coordinator_rejects_degenerate_participant_sets():
 
     with pytest.raises(TwoPhaseCommitError):
         run(env, duplicated())
+
+
+def test_refused_prepare_aborts_after_every_sibling_settles():
+    # Shard 1 refuses its record (larger than a flash page) on its first
+    # step while shard 0's prepare is still in flight: the abort must
+    # wait for it, or shard 0's NVRAM pin outlives the transaction.
+    env = Environment()
+    config = ReproConfig.small()
+    cluster = KamlCluster.build(env, config, ClusterConfig(num_shards=2))
+    cluster.register_tenant(TenantPolicy("t", latency_budget_us=100_000.0))
+    namespace = run(env, cluster.create_namespace("data", tenant="t", mode="hashed"))
+    first_key = {}
+    for key in range(64):
+        first_key.setdefault(namespace.route(key)[0], key)
+    items = [(first_key[0], "small", 300), (first_key[1], "huge", 2 * config.geometry.page_size)]
+
+    def flow():
+        with pytest.raises(TwoPhaseCommitError):
+            yield from cluster.put("data", items)
+
+    run(env, flow())
+    env.run()
+    assert cluster.journal.open_txns() == []
+    assert cluster.metrics.total("cluster.2pc.aborts") == 1
+    for shard in cluster.shards.values():
+        assert shard.prepared_batches() == {}
+        assert shard.nvram.used_bytes == 0
 
 
 class FakeParticipant:
