@@ -142,5 +142,5 @@ class Autobalancer:
             if plan is None:
                 continue
             name, _source, target = plan
-            yield self.cluster.env.process(self.cluster.rebalance(name, target))
+            yield from self.cluster.rebalance(name, target)
             self.migrations.append(plan)

@@ -150,9 +150,7 @@ class KamlCluster:
         self.placement.add(namespace)
         try:
             for shard_id in placed:
-                local = yield self.env.process(
-                    self.shards[shard_id].create_namespace(attributes)
-                )
+                local = yield from self.shards[shard_id].create_namespace(attributes)
                 namespace.device_ns[shard_id] = local
         except Exception:
             self.placement.remove(name)
@@ -392,21 +390,17 @@ class KamlCluster:
             source = self.shards[source_shard]
             target = self.shards[target_shard]
             source_ns = ns.local_ns(source_shard)
-            target_ns = yield self.env.process(
-                target.create_namespace(ns.attributes)
-            )
-            keys = yield self.env.process(source.list_keys(source_ns))
+            target_ns = yield from target.create_namespace(ns.attributes)
+            keys = yield from source.list_keys(source_ns)
             moved = 0
             for key in keys:
-                record = yield self.env.process(source.get_record(source_ns, key))
+                record = yield from source.get_record(source_ns, key)
                 if record is None:
                     continue  # deleted while listed; nothing to move
                 value, size = record
-                yield self.env.process(
-                    target.put([PutItem(target_ns, key, value, size)])
-                )
+                yield from target.put([PutItem(target_ns, key, value, size)])
                 moved += 1
-            yield self.env.process(source.delete_namespace(source_ns))
+            yield from source.delete_namespace(source_ns)
             ns.placement = [target_shard]
             ns.device_ns = {target_shard: target_ns}
         finally:
@@ -455,10 +449,8 @@ class KamlCluster:
         ctx = self.tracer.request("cluster.recover", shards=len(self.shards))
         try:
             for shard_id in sorted(self.shards):
-                yield self.env.process(self.shards[shard_id].recover())
-            stats, background = yield self.env.process(
-                recover_transactions(self.env, self.journal, self.shards)
-            )
+                yield from self.shards[shard_id].recover()
+            stats, background = yield from recover_transactions(self.journal, self.shards)
             if ctx is not None:
                 ctx.event(
                     "cluster.2pc.decision",
@@ -478,7 +470,7 @@ class KamlCluster:
     def drain(self) -> Any:
         """Flush every device (test/bench helper)."""
         for shard_id in sorted(self.shards):
-            yield self.env.process(self.shards[shard_id].drain())
+            yield from self.shards[shard_id].drain()
 
     def close(self) -> None:
         for shard_id in sorted(self.shards):

@@ -16,9 +16,11 @@ drain it onto the device.  The queue is bounded two ways:
 Admission is synchronous — :meth:`ShardScheduler.submit` either returns
 a completion :class:`~repro.sim.Event` (yield it to wait) or raises
 :class:`~repro.cluster.errors.AdmissionError` before any simulated time
-passes.  Workers are epoch-fenced like every other sim process in this
-stack: a cluster power cut bumps the epoch, fails every queued and
-in-flight completion with :class:`~repro.errors.PowerLossError`, and
+passes.  An admitted request wakes one idle worker, the one idle
+longest, and the worker runs the device op in its own frame.  Workers
+are epoch-fenced like every other sim process in this stack: a cluster
+power cut bumps the epoch, fails every queued and in-flight completion
+with :class:`~repro.errors.PowerLossError`, wakes every idle worker, and
 the old workers die as ghosts; recovery respawns a fresh pool.
 """
 
@@ -30,7 +32,7 @@ from typing import Any, Callable, Deque, List, Optional
 from repro.cluster.errors import AdmissionError
 from repro.errors import PowerLossError
 from repro.obs import MetricsRegistry
-from repro.sim import Environment, Event, Gate
+from repro.sim import Environment, Event
 
 
 class _Request:
@@ -78,7 +80,8 @@ class ShardScheduler:
         self.service_ewma_us = self.SEED_SERVICE_US
         self._queue: Deque[_Request] = deque()
         self._inflight: List[_Request] = []
-        self._gate = Gate(env, name=f"cluster.shard{shard_id}.queue")
+        #: Wake events of the idle workers, longest idle first.
+        self._idle: Deque[Event] = deque()
         shard = str(shard_id)
         self._admitted_counter = metrics.counter("cluster.sched.admitted", shard=shard)
         self._completed_counter = metrics.counter("cluster.sched.completed", shard=shard)
@@ -142,7 +145,8 @@ class ShardScheduler:
         request = _Request(factory, Event(self.env), tenant, self.env.now)
         self._queue.append(request)
         self._depth_gauge.set(len(self._queue))
-        self._gate.fire()
+        if self._idle:
+            self._idle.popleft().succeed()
         return request.completion
 
     # -- worker pool -----------------------------------------------------
@@ -156,15 +160,19 @@ class ShardScheduler:
     def _worker(self, epoch: int) -> Any:
         while self.epoch == epoch:
             if not self._queue:
-                yield self._gate.wait()
+                self._idle.append(self.env.event())
+                yield self._idle[-1]
                 continue
             request = self._queue.popleft()
             self._depth_gauge.set(len(self._queue))
             self._wait_histogram.observe(self.env.now - request.enqueued_us)
             self._inflight.append(request)
             start_us = self.env.now
+            # Begin where a child process's bootstrap would have run, so
+            # the request keeps its place among same-instant rivals.
+            self.env.try_advance(0.0) or (yield self.env.timeout(0.0))
             try:
-                value = yield self.env.process(request.factory())
+                value = yield from request.factory()
             except Exception as exc:
                 if self.epoch != epoch:
                     # Power was cut under this request; power_loss()
@@ -206,4 +214,5 @@ class ShardScheduler:
                     PowerLossError(f"cluster power lost (shard {self.shard_id})")
                 )
         # Wake idle workers so they observe the epoch change and exit.
-        self._gate.fire()
+        while self._idle:
+            self._idle.popleft().succeed()

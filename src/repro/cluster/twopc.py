@@ -145,59 +145,44 @@ class TwoPhaseCoordinator:
         start_us = self.env.now
         self._txn_counter.inc()
         txn_id = self.journal.next_txn_id()
-        # Epoch snapshot per participant: every device call below runs as
-        # a child process, and a power cut can land in the gap between
-        # ``env.process()`` and the body's first step.  The device's own
-        # epoch fence is useless there (the body would capture the
-        # *post*-cut epoch), so each helper re-checks against this
-        # snapshot at first resume and surfaces a clean PowerLossError
-        # instead of poking a powered-off device.
+        # Epoch snapshot per participant, checked by each helper before its
+        # first device call: a call that started after a power cut would take
+        # the post-cut epoch for its own and poke a powered-off device.  A
+        # spawned sibling prepare can start after a cut that landed between
+        # ``env.process()`` and its first step; a call in this frame, after
+        # a cut timed while the frame waited.
         epochs = {shard_id: device.epoch for shard_id, device, _items in participants}
         yield from self.journal.log_begin(txn_id, shard_ids)
 
-        # Phase 1: prepare everywhere, concurrently.  Each helper records
-        # its durable NVRAM handle so an abort can find it.
+        # Phase 1: prepare everywhere, concurrently: the last participant in
+        # this frame, the others in child processes.  Every sibling settles
+        # before anything is decided, so no prepare can pin its batch after
+        # _abort looked for its handle.  Each helper records its durable
+        # NVRAM handle so an abort can find it.
         handles: Dict[int, int] = {}
         span = ctx.begin(
             "cluster.2pc.prepare", txn=txn_id, shards=len(shard_ids)
         ) if ctx is not None else None
-        prepares = [
-            self.env.process(
-                self._prepare_one(
-                    device, items, txn_id, shard_id, handles, epochs[shard_id]
-                )
-            )
-            for shard_id, device, items in participants
+        siblings = [
+            self.env.process(self._prepare_one(participant, txn_id, handles, epochs))
+            for participant in participants[:-1]
         ]
-        try:
-            yield self.env.all_of(prepares)
-        except PowerLossError:
-            # The devices are off; there is nothing to abort right now.
-            # Recovery presumes abort from the still-"begin" journal entry.
-            if ctx is not None:
-                ctx.finish(span)
-            raise
-        except Exception as exc:
-            # Every prepare settles before the abort: one still in flight
-            # would pin its batch after _abort looked for its handle.
-            failure = exc
-            for prepare in prepares:
-                try:
-                    yield prepare
-                except PowerLossError as late:
-                    failure = late
-                except Exception:
-                    pass
-            if ctx is not None:
-                ctx.finish(span)
-            if isinstance(failure, PowerLossError):
-                raise failure
-            yield from self._abort(participants, handles, txn_id)
-            raise TwoPhaseCommitError(
-                f"txn {txn_id} prepare failed: {exc}"
-            ) from exc
+        failures = [(yield from self._prepare_one(participants[-1], txn_id, handles, epochs))]
+        for sibling in siblings:
+            failures.append((yield sibling))
         if ctx is not None:
             ctx.finish(span)
+        failures = list(filter(None, failures))
+        for exc in failures:
+            if isinstance(exc, PowerLossError):
+                # The devices are off; there is nothing to abort right now.
+                # Recovery presumes abort from the still-"begin" entry.
+                raise exc
+        if failures:
+            yield from self._abort(participants, handles, txn_id)
+            raise TwoPhaseCommitError(
+                f"txn {txn_id} prepare failed: {failures[0]}"
+            ) from failures[0]
 
         self._crash_point("cluster.2pc.after_prepare")
 
@@ -212,8 +197,8 @@ class TwoPhaseCoordinator:
         committed = 0
         try:
             for shard_id, device, _items in participants:
-                process = yield self.env.process(
-                    self._commit_one(device, handles[shard_id], epochs[shard_id])
+                process = yield from self._commit_one(
+                    device, handles[shard_id], epochs[shard_id]
                 )
                 if process is not None:
                     background.append(process)
@@ -235,19 +220,24 @@ class TwoPhaseCoordinator:
 
     def _prepare_one(
         self,
-        device: Device,
-        items: List[PutItem],
+        participant: Tuple[int, Device, List[PutItem]],
         txn_id: int,
-        shard_id: int,
         handles: Dict[int, int],
-        epoch: int,
+        epochs: Dict[int, int],
     ) -> Any:
-        if device.epoch != epoch:
-            raise PowerLossError(
-                f"shard {shard_id} lost power before prepare of txn {txn_id}"
-            )
-        handle = yield from device.prepare_batch(items, txn_id)
-        handles[shard_id] = handle
+        """Prepare one participant; returns the exception that stopped it,
+        or None.  A sibling process raising before the coordinator waits on
+        it would escape the kernel loop, so failures are returned."""
+        shard_id, device, items = participant
+        try:
+            if device.epoch != epochs[shard_id]:
+                raise PowerLossError(
+                    f"shard {shard_id} lost power before prepare of txn {txn_id}"
+                )
+            handles[shard_id] = yield from device.prepare_batch(items, txn_id)
+        except Exception as exc:
+            return exc
+        return None
 
     def _commit_one(self, device: Device, handle: int, epoch: int) -> Any:
         if device.epoch != epoch:
@@ -268,13 +258,11 @@ class TwoPhaseCoordinator:
         for shard_id, device, _items in participants:
             handle = handles.get(shard_id)
             if handle is not None:
-                yield self.env.process(device.abort_prepared(handle))
+                yield from device.abort_prepared(handle)
         yield from self.journal.log_end(txn_id)
 
 
-def recover_transactions(
-    env: Environment, journal: IntentJournal, shards: Dict[int, Device]
-) -> Any:
+def recover_transactions(journal: IntentJournal, shards: Dict[int, Device]) -> Any:
     """Replay the intent journal over post-recovery in-doubt prepares.
 
     Run *after* each device's own :meth:`recover` (which rebuilds its
@@ -304,9 +292,7 @@ def recover_transactions(
                 handle = prepared[shard_id].pop(txn_id, None)
                 if handle is None:
                     continue
-                process = yield env.process(
-                    shards[shard_id].commit_prepared(handle)
-                )
+                process = yield from shards[shard_id].commit_prepared(handle)
                 if process is not None:
                     background.append(process)
             stats["committed"] += 1
@@ -316,7 +302,7 @@ def recover_transactions(
                 handle = prepared[shard_id].pop(txn_id, None)
                 if handle is None:
                     continue
-                yield env.process(shards[shard_id].abort_prepared(handle))
+                yield from shards[shard_id].abort_prepared(handle)
             stats["aborted"] += 1
         yield from journal.log_end(txn_id)
     # Belt and braces: a prepare with no open journal entry cannot
@@ -324,6 +310,6 @@ def recover_transactions(
     # safe decision is abort, not a leaked NVRAM pin.
     for shard_id in sorted(prepared):
         for _txn_id, handle in sorted(prepared[shard_id].items()):
-            yield env.process(shards[shard_id].abort_prepared(handle))
+            yield from shards[shard_id].abort_prepared(handle)
             stats["aborted"] += 1
     return stats, background

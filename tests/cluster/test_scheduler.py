@@ -148,3 +148,67 @@ def test_power_loss_fails_queued_completions_and_fences_workers():
         return value
 
     assert run(env, wait()) == "post-recovery"
+
+
+def test_submit_wakes_exactly_one_of_four_idle_workers():
+    env, _metrics, scheduler = make_scheduler(workers=4)
+    env.run()  # every worker parks on a wake event of its own
+    parked = list(scheduler._idle)
+    assert len(parked) == 4
+    completion = scheduler.submit(op(env, 10.0, "done"))
+    assert [wake.triggered for wake in parked] == [True, False, False, False]
+    before = env.events_processed
+    env.run()
+    assert completion.value == "done"
+    # The wake, the op's timeout and the completion: nothing else ran.
+    assert env.events_processed - before == 3
+    # The served worker parked again, behind the three still idle.
+    idle = list(scheduler._idle)
+    assert len(idle) == 4 and idle[:3] == parked[1:]
+
+
+def test_power_cut_inside_an_inline_request_fences_its_worker():
+    env, metrics, scheduler = make_scheduler(workers=1)
+    steps = []
+
+    def slow():
+        def body():
+            steps.append("started")
+            yield env.timeout(1_000.0)
+            steps.append("finished")
+            return "stale"
+
+        return body()
+
+    cut = scheduler.submit(slow)
+
+    def drive():
+        yield env.timeout(100.0)  # the worker is inside the request
+        scheduler.power_loss(1)
+        with pytest.raises(PowerLossError):
+            yield cut
+        scheduler.start(1)
+        value = yield scheduler.submit(op(env, 10.0, "fresh"))
+        return value, env.now
+
+    assert run(env, drive()) == ("fresh", 110.0)
+    env.run()  # the old worker finishes its request as a ghost
+    assert steps == ["started", "finished"]
+    assert metrics.total("cluster.sched.completed") == 1
+    assert scheduler.inflight() == 0
+    assert len(scheduler._idle) == 1  # only the new pool's worker parked
+
+
+def test_power_loss_wakes_parked_workers_and_they_exit():
+    env, _metrics, scheduler = make_scheduler(workers=4)
+    env.run()
+    parked = list(scheduler._idle)
+    scheduler.power_loss(1)
+    assert all(wake.triggered for wake in parked)
+    assert not scheduler._idle
+    env.run()
+    # None of them parked again, so nothing serves a new request.
+    assert not scheduler._idle
+    orphan = scheduler.submit(op(env, 10.0, None))
+    env.run()
+    assert not orphan.triggered

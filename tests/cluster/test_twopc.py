@@ -173,7 +173,7 @@ def test_recovery_presumes_abort_for_undecided_transactions():
     def flow():
         yield from journal.log_begin(1, [0, 1])
         # No log_commit: the coordinator died before the decision.
-        return (yield from recover_transactions(env, journal, shards))
+        return (yield from recover_transactions(journal, shards))
 
     stats, background = run(env, flow())
     assert stats == {"committed": 0, "aborted": 1}
@@ -197,7 +197,7 @@ def test_recovery_finishes_decided_transactions_on_the_straggler():
     def flow():
         yield from journal.log_begin(5, [0, 1])
         yield from journal.log_commit(5)
-        return (yield from recover_transactions(env, journal, shards))
+        return (yield from recover_transactions(journal, shards))
 
     stats, _background = run(env, flow())
     assert stats == {"committed": 1, "aborted": 0}
@@ -213,7 +213,7 @@ def test_recovery_aborts_orphaned_prepares():
 
     def flow():
         # No journal entry at all for txn 9: belt-and-braces abort.
-        return (yield from recover_transactions(env, journal, shards))
+        return (yield from recover_transactions(journal, shards))
 
     stats, _background = run(env, flow())
     assert stats == {"committed": 0, "aborted": 1}
