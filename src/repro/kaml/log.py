@@ -647,7 +647,11 @@ class KamlLog:
 
     def reset_write_points(self) -> None:
         """Drop in-flight state after a simulated crash; the records are
-        still staged in NVRAM and will be replayed (Section IV-D)."""
+        still staged in NVRAM and will be replayed (Section IV-D).
+
+        The soft write pointers stay put: the array is not cut, so a page
+        already allocated to an in-flight program still lands there.
+        """
         self.epoch += 1
         self.gc_running = False
         for for_gc in (False, True):
@@ -658,10 +662,6 @@ class KamlLog:
             self._points[for_gc] = _WritePoint(
                 self._new_assembly(), generation=point.generation + 1
             )
-            # Re-sync the soft write pointer with what actually reached flash.
-            block = self._active[for_gc]
-            if block is not None:
-                self._active_wp[for_gc] = self._chip().block(block).write_pointer
 
     def power_loss(self) -> None:
         """Full power cut: block lists and write points lived in DRAM.

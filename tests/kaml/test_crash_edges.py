@@ -152,3 +152,49 @@ def test_traffic_resumes_after_recovery():
         return old, new
 
     assert run(env, after()) == ("pre-crash", ("post", 19))
+
+
+def test_reset_mid_program_does_not_reprogram_the_page():
+    """A firmware reset lands after a flush allocated its page but before
+    the program finished.  The array is not cut, so that program still
+    lands; the log must not hand the same page out again."""
+    env, ssd = make_small_ssd()
+    log = ssd.logs[0]
+    state = {"acked": []}
+
+    def writer():
+        nsid = yield from ssd.create_namespace(NamespaceAttributes(expected_keys=32))
+        state["nsid"] = nsid
+        for k in range(8):
+            if (yield from ssd.put([PutItem(nsid, k, ("pre", k), 2048)])) is not None:
+                state["acked"].append(k)  # None: the reset cut the command
+
+    env.process(writer())
+
+    def page_in_flight():
+        block = log._active[False]
+        return block is not None and log._active_wp[False] > (
+            log._chip().block(block).write_pointer
+        )
+
+    while not page_in_flight():
+        env.step()
+    ssd.simulate_crash()
+
+    def after():
+        yield from ssd.recover()
+        nsid = state["nsid"]
+        for k in range(12):
+            yield from ssd.put([PutItem(nsid, 100 + k, ("post", k), 2048)])
+        yield from ssd.drain()
+        values = []
+        for key in [*state["acked"], *range(100, 112)]:
+            value = yield from ssd.get(nsid, key)
+            values.append(value)
+        return values
+
+    values = run(env, after())
+    assert len(state["acked"]) >= 4
+    assert values == [("pre", k) for k in state["acked"]] + [
+        ("post", k) for k in range(12)
+    ]
