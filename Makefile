@@ -64,7 +64,7 @@ bench-diff:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig5_bandwidth.py -q
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py \
-		benchmarks/test_ablation_qos.py -q
+		benchmarks/test_ablation_qos.py benchmarks/test_ablation_gc_policy.py -q
 
 # kamlprof: critical-path latency breakdown + flamegraph + device
 # telemetry for the canonical workload (artifacts only; kamlbench's

@@ -6,11 +6,12 @@ non-volatile buffer (records are already durable in NVRAM when they arrive
 here) and is programmed when full or once nothing has joined it for the
 flush timeout.  GC
 runs per log: victims are chosen by low erase count and low valid bytes,
-pages are parsed via the OOB bitmap, and still-valid records are
-re-appended through a dedicated GC write point.
+only the victim pages that still hold valid bytes are read and parsed via
+the OOB bitmap, and still-valid records are re-appended through a
+dedicated GC write point.
 
 The log knows nothing about namespaces; validity checks and index updates
-go through the six hooks :class:`~repro.kaml.mapping.Mapping` provides.
+go through the seven hooks :class:`~repro.kaml.mapping.Mapping` provides.
 After a power cut it rebuilds its own block lists from its flash target
 (:meth:`KamlLog.rescan`).
 """
@@ -575,6 +576,8 @@ class KamlLog:
         survivors: List[Tuple[Record, RecordLocation]] = []
         for page_index in range(block.programmed_pages):
             pointer = PagePointer(self.channel, self.chip, block_index, page_index)
+            if not self.hooks.page_live(pointer):
+                continue  # the block is doomed: a dead page stays dead
             try:
                 data, bitmap = yield from self.array.read_page(
                     pointer, ctx=ctx, parent=parent
@@ -647,11 +650,8 @@ class KamlLog:
 
     def reset_write_points(self) -> None:
         """Drop in-flight state after a simulated crash; the records are
-        still staged in NVRAM and will be replayed (Section IV-D).
-
-        The soft write pointers stay put: the array is not cut, so a page
-        already allocated to an in-flight program still lands there.
-        """
+        still staged in NVRAM and will be replayed (Section IV-D).  Write
+        pointers stay: the array is not cut, so an allocated page still lands."""
         self.epoch += 1
         self.gc_running = False
         for for_gc in (False, True):

@@ -5,10 +5,11 @@ The mapping table is the only thing that names a record's physical
 location, so every fact that follows from it lives here: the namespace
 and snapshot tables, delete markers, the version that orders installs,
 the staged overlay ``Get`` reads acknowledged values from, and the
-per-block valid bytes, read pins and doomed blocks that decide what GC
-must move and when a block may be erased.  One invariant ties them: a
-block's valid bytes equal the bytes of the records some live table
-references in it (:meth:`Mapping.references`).  Commands use ``lookup`` /
+per-block and per-page valid bytes, read pins and doomed blocks that
+decide what GC must read and move and when a block may be erased.  One
+invariant ties them: a block's (and a page's) valid bytes equal the bytes
+of the records some live table references in it
+(:meth:`Mapping.references`).  Commands use ``lookup`` /
 ``commit`` / ``install`` / ``read``; each :class:`~repro.kaml.log.KamlLog`
 gets the mapping as its GC ``hooks`` and stays ignorant of namespaces.
 """
@@ -20,6 +21,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
+from repro.flash import PagePointer
 from repro.kaml.namespace import Namespace
 from repro.kaml.record import TOMBSTONE, Record, RecordLocation
 from repro.kaml.snapshot import Snapshot
@@ -58,6 +60,7 @@ class Mapping:
         #: loss cannot resurrect the deleted value.
         self._tombstones: Dict[EntryKey, RecordLocation] = {}
         self._valid_bytes: Dict[BlockKey, int] = defaultdict(int)
+        self._page_valid_bytes: Dict[PagePointer, int] = defaultdict(int)
         #: Blocks a log's GC has claimed as erase victims but not yet
         #: erased.  A late phase-3 install whose record sits in one of
         #: these was already judged garbage by the survivor scan; it must
@@ -279,6 +282,7 @@ class Mapping:
         self.reset()
         self._installed_versions.clear()
         self._valid_bytes.clear()
+        self._page_valid_bytes.clear()
         self._tombstones.clear()
         self._version_counter = 0
         self.snapshots.clear()
@@ -303,6 +307,9 @@ class Mapping:
     def valid_bytes_by_block(self) -> Dict[BlockKey, int]:
         return dict(self._valid_bytes)
 
+    def valid_bytes_by_page(self) -> Dict[PagePointer, int]:
+        return dict(self._page_valid_bytes)
+
     def valid_bytes_total(self) -> int:
         return sum(self._valid_bytes.values())
 
@@ -316,6 +323,10 @@ class Mapping:
 
     def valid_bytes(self, block_key: BlockKey) -> int:
         return self._valid_bytes.get(block_key, 0)
+
+    def page_live(self, page: PagePointer) -> bool:
+        """Does a live table still reference a record on this page?"""
+        return self._page_valid_bytes.get(page, 0) > 0
 
     def is_valid(self, record: Record, location: RecordLocation) -> bool:
         if record.value is TOMBSTONE:
@@ -358,6 +369,8 @@ class Mapping:
 
     def block_erased(self, block_key: BlockKey) -> None:
         self._valid_bytes.pop(block_key, None)
+        for page in range(self.geometry.pages_per_block):
+            self._page_valid_bytes.pop(block_key + (page,), None)
         self._doomed_blocks.discard(block_key)
 
     def wait_unpinned(self, block_key: BlockKey) -> Any:
@@ -381,8 +394,9 @@ class Mapping:
         return tables
 
     def _adjust_valid(self, location: RecordLocation, sign: int) -> None:
-        nbytes = location.nchunks * self.geometry.chunk_size
-        self._valid_bytes[location.block_key] += sign * nbytes
+        nbytes = sign * location.nchunks * self.geometry.chunk_size
+        self._valid_bytes[location.block_key] += nbytes
+        self._page_valid_bytes[location.page] += nbytes
 
     def _pin(self, block_key: BlockKey) -> None:
         self._pins[block_key] += 1

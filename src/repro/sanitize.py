@@ -14,8 +14,8 @@ Checks (rule ids referenced by :class:`~repro.errors.InvariantError`):
 * ``SAN-OOB`` — after a GC relocation, the destination page's OOB
   bitmap must describe the relocated record's chunk run, and the
   mapping table must point at the new location.
-* ``SAN-VALID`` — per-block valid-byte accounting must never go
-  negative.
+* ``SAN-VALID`` — per-block and per-page valid-byte accounting must
+  never go negative, and must equal the bytes the live references cover.
 * ``SAN-PIN`` — block read-pin accounting: no unpin without a pin.
 * ``SAN-NVRAM`` — no NVRAM reservations may survive device close.
 * ``SAN-LOCK`` — the observed runtime lock-acquisition order must stay
@@ -116,17 +116,19 @@ def check_relocation(mapping: Any, record: Any, old: Any, new: Any) -> None:
             f"no mapping table or delete marker points at relocated "
             f"ns={record.namespace_id} key={record.key} after GC install",
         )
-    for block_key in (old.block_key, new.block_key):
-        check_valid_bytes(mapping, block_key)
+    for location in (old, new):
+        check_valid_bytes(mapping, location)
 
 
-def check_valid_bytes(mapping: Any, block_key: Tuple[int, int, int]) -> None:
-    """SAN-VALID: a block's valid-byte count must stay non-negative."""
-    count = mapping.valid_bytes(block_key)
-    if count < 0:
-        raise InvariantError(
-            "SAN-VALID", f"block {block_key} has {count} valid bytes"
-        )
+def check_valid_bytes(mapping: Any, location: Any) -> None:
+    """SAN-VALID: the valid-byte counts of a location's block and page
+    must stay non-negative."""
+    for unit, key, count in (
+        ("block", location.block_key, mapping.valid_bytes(location.block_key)),
+        ("page", location.page, mapping.valid_bytes_by_page().get(location.page, 0)),
+    ):
+        if count < 0:
+            raise InvariantError("SAN-VALID", f"{unit} {key} has {count} valid bytes")
 
 
 def check_recovery(mapping: Any) -> None:
@@ -143,28 +145,33 @@ def check_recovery(mapping: Any) -> None:
 
 
 def check_accounting(mapping: Any) -> None:
-    """SAN-VALID: each block's valid-byte accounting must equal exactly
-    the bytes the live references cover — nothing lost, nothing
-    double-counted, never negative."""
-    referenced: Dict[Tuple[int, int, int], int] = {}
+    """SAN-VALID: each block's and each page's valid-byte accounting must
+    equal exactly the bytes the live references cover — nothing lost,
+    nothing double-counted, never negative.  GC skips reading a page
+    whose count is zero, so a page undercounted here is a record lost."""
+    by_block: Dict[Tuple[int, ...], int] = {}
+    by_page: Dict[Tuple[int, ...], int] = {}
     for _namespace_id, _key, location in mapping.references():
-        referenced[location.block_key] = referenced.get(location.block_key, 0) + (
-            location.nchunks * mapping.geometry.chunk_size
-        )
-    valid_bytes = mapping.valid_bytes_by_block()
-    for block_key in sorted(set(referenced) | set(valid_bytes)):
-        accounted = valid_bytes.get(block_key, 0)
-        expected = referenced.get(block_key, 0)
-        if accounted < 0:
-            raise InvariantError(
-                "SAN-VALID", f"block {block_key} has {accounted} valid bytes"
-            )
-        if accounted != expected:
-            raise InvariantError(
-                "SAN-VALID",
-                f"block {block_key} accounts {accounted} valid bytes; "
-                f"live references cover {expected}",
-            )
+        nbytes = location.nchunks * mapping.geometry.chunk_size
+        by_block[location.block_key] = by_block.get(location.block_key, 0) + nbytes
+        by_page[location.page] = by_page.get(location.page, 0) + nbytes
+    for unit, referenced, valid_bytes in (
+        ("block", by_block, mapping.valid_bytes_by_block()),
+        ("page", by_page, mapping.valid_bytes_by_page()),
+    ):
+        for key in sorted(set(referenced) | set(valid_bytes)):
+            accounted = valid_bytes.get(key, 0)
+            expected = referenced.get(key, 0)
+            if accounted < 0:
+                raise InvariantError(
+                    "SAN-VALID", f"{unit} {key} has {accounted} valid bytes"
+                )
+            if accounted != expected:
+                raise InvariantError(
+                    "SAN-VALID",
+                    f"{unit} {key} accounts {accounted} valid bytes; "
+                    f"live references cover {expected}",
+                )
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,9 @@ class FakeHooks:
     def valid_bytes(self, block_key):
         return self.valid.get(block_key, 0)
 
+    def page_live(self, pointer):
+        return any(location.page == pointer for location in self.locations.values())
+
     def is_valid(self, record, location):
         return self.locations.get(record.key) == location
 
@@ -280,6 +283,53 @@ def test_gc_relocates_valid_records():
         location = hooks.locations[key]
         data, _bitmap = array.block_at(location.page).read(location.page.page)
         assert data[location.chunk].key == key
+
+
+def fill_block(log, keys):
+    """One page-sized record per key, each on a page of its own."""
+    locations = {}
+    for key in keys:
+        locations[key] = yield from log.append(record(key, size=7000))
+    return locations
+
+
+def test_gc_reads_only_the_pages_that_hold_a_live_record():
+    """Live records on pages 0 and 2 of a four-page victim: two reads,
+    and exactly those two records move."""
+    env, log, hooks, array = make_log(blocks=8, pages=4)
+    locations = run(env, fill_block(log, range(4)))
+    victim = locations[0].page.block
+    assert {location.page.block for location in locations.values()} == {victim}
+    for key in (0, 2):
+        hooks.register(key, locations[key])
+    chip = array.chip(0, 0)
+    reads = chip.stats.reads
+    run(env, log._clean_block(victim))
+    assert chip.stats.reads - reads == 2
+    assert [(key, old) for key, old, _new in hooks.relocations] == [
+        (0, locations[0]), (2, locations[2])
+    ]
+    assert hooks.valid_bytes((0, 0, victim)) == 0
+
+
+def test_gc_erases_a_victim_with_no_live_page_after_zero_reads():
+    env, log, hooks, array = make_log(blocks=4, pages=4)
+    # Nothing is registered: the fifth record seals the first block as
+    # pure garbage and opens a second.
+    locations = run(env, fill_block(log, range(5)))
+    victim = locations[0].page.block
+    assert log.full == [victim] and not log.gc_running
+    chip = array.chip(0, 0)
+    reads, erases = chip.stats.reads, chip.block(victim).erase_count
+
+    def gc_pass():
+        log.gc_running = True
+        yield from log._gc_process()
+
+    run(env, gc_pass())
+    assert chip.stats.reads == reads
+    assert chip.block(victim).erase_count == erases + 1
+    assert hooks.relocations == []
 
 
 def test_worn_out_blocks_retire():

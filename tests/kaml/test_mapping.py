@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import sanitize
 from repro.config import ReproConfig
+from repro.errors import InvariantError
 from repro.flash import PagePointer
 from repro.kaml.mapping import Mapping
 from repro.kaml.namespace import Namespace, NamespaceAttributes
@@ -149,6 +150,68 @@ def test_commit_delete_reports_existence_and_keeps_the_older_marker():
     mapping.install(second, at(block=3))
     assert not mapping.is_valid(first, at(block=2))
     sanitize.check_accounting(mapping)
+
+
+def live_pages(mapping):
+    """``{page: valid bytes}`` of every page that still holds some."""
+    return {page: n for page, n in mapping.valid_bytes_by_page().items() if n}
+
+
+def page(block, index=0):
+    return PagePointer(0, 0, block, index)
+
+
+def test_page_counts_follow_installs_markers_snapshots_and_relocations():
+    mapping, namespace = make_mapping()
+    mapping.install(value(7, 1), at(block=1))
+    mapping.install(marker(8, 2), at(block=1, page=1))
+    assert live_pages(mapping) == {page(1): NBYTES, page(1, 1): NBYTES}
+    assert mapping.page_live(page(1)) and not mapping.page_live(page(1, 2))
+    mapping.add_snapshot(Snapshot(5, 1, clone_index(namespace.index)))
+    assert live_pages(mapping)[page(1)] == 2 * NBYTES  # table + snapshot
+    mapping.install(value(7, 3), at(block=2))  # the snapshot keeps the old copy
+    assert live_pages(mapping) == {page(1): NBYTES, page(1, 1): NBYTES, page(2): NBYTES}
+    assert mapping.relocate(value(7, 1), at(block=1), at(block=3))
+    assert not mapping.page_live(page(1))
+    assert mapping.relocate(marker(8, 2), at(block=1, page=1), at(block=3, page=1))
+    assert live_pages(mapping) == {page(2): NBYTES, page(3): NBYTES, page(3, 1): NBYTES}
+    sanitize.check_accounting(mapping)
+    mapping.drop_snapshot(5)
+    mapping.install(value(8, 4), at(block=2, page=1))  # outranks the marker
+    assert live_pages(mapping) == {page(2): NBYTES, page(2, 1): NBYTES}
+    sanitize.check_accounting(mapping)
+    mapping.drop_namespace(1)
+    assert live_pages(mapping) == {}
+    sanitize.check_accounting(mapping)
+
+
+def test_block_erased_and_clear_forget_page_counts():
+    mapping, _ = make_mapping()
+    mapping.install(value(7, 1), at(block=1))
+    mapping.install(value(8, 2), at(block=1, page=CONFIG.geometry.pages_per_block - 1))
+    mapping.install(value(9, 3), at(block=2))
+    mapping.block_erased((0, 0, 1))
+    assert mapping.valid_bytes_by_page() == {page(2): NBYTES}
+    mapping.clear()
+    assert mapping.valid_bytes_by_page() == {}
+    assert not mapping.page_live(page(2))
+
+
+def test_doctored_page_count_trips_san_valid():
+    """Bytes moved between two pages of one block: the block total still
+    agrees, and only the per-page check sees the page GC would skip."""
+    mapping, _ = make_mapping()
+    mapping.install(value(7, 1), at(block=1))
+    mapping._page_valid_bytes[page(1)] -= NBYTES
+    mapping._page_valid_bytes[page(1, 1)] += NBYTES
+    assert mapping.valid_bytes((0, 0, 1)) == NBYTES
+    with pytest.raises(InvariantError) as info:
+        sanitize.check_accounting(mapping)
+    assert info.value.rule == "SAN-VALID"
+    mapping._page_valid_bytes[page(1, 1)] = -NBYTES
+    with pytest.raises(InvariantError) as info:
+        sanitize.check_valid_bytes(mapping, at(block=1, page=1))
+    assert info.value.rule == "SAN-VALID"
 
 
 KEYS = st.integers(0, 5)
