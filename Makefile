@@ -66,15 +66,14 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py \
 		benchmarks/test_ablation_qos.py benchmarks/test_ablation_gc_policy.py -q
 
-# kamlprof: critical-path latency breakdown + flamegraph + device
-# telemetry for the canonical workload (artifacts only; kamlbench's
-# <layer>.sim_share is the recorded per-layer split).
+# kamlprof: critical-path latency breakdown + flamegraph for the
+# canonical workload (artifacts only; kamlbench's <layer>.sim_share is
+# the recorded per-layer split).
 prof:
 	mkdir -p benchmarks/artifacts
 	$(PYTHON) -m repro.harness prof --workload ycsb-b \
 		--json-out benchmarks/artifacts/prof.json \
-		--flame-out benchmarks/artifacts/prof.folded \
-		--timeseries-out benchmarks/artifacts/timeseries.json
+		--flame-out benchmarks/artifacts/prof.folded
 
 # Compare the freshest Figure 5 smoke-bench artifact against the paper
 # shapes pinned in baseline.json.
@@ -100,15 +99,15 @@ cluster-matrix:
 		--shards 2,4,8 --seeds 1,2,3
 
 obs-demo:
-	$(PYTHON) -m repro.harness obs --ops 200 --slo-put-us 100 \
-		--trace-out /tmp/kaml_trace.json --flight-out /tmp/kaml_flight.jsonl
+	$(PYTHON) -m repro.harness prof --workload mixed --ops 200 --slo-put-us 100 \
+		--trace-out /tmp/kaml_trace.json
 
 # kamltrace: capture the canonical YCSB-B run as an op journal and
 # replay it deterministically.
 record:
 	mkdir -p benchmarks/artifacts
-	$(PYTHON) -m repro.harness record --workload ycsb-b \
-		--out benchmarks/artifacts/ycsb-b.jsonl.gz
+	$(PYTHON) -m repro.harness prof --workload ycsb-b \
+		--record-out benchmarks/artifacts/ycsb-b.jsonl.gz
 
 replay:
 	$(PYTHON) -m repro.harness replay benchmarks/artifacts/ycsb-b.jsonl.gz \

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Trace capture and replay against the simulated KAML SSD.
 
-Production KV traces are proprietary, so this repo ships synthetic
-generators that emit the kamltrace op-journal schema (the same rows a
+Production KV traces are proprietary, so this repo ships a synthetic
+generator that emits the kamltrace op-journal schema (the same rows a
 live capture records).  This example preconditions a namespace,
 synthesizes a hot-key skewed mixed journal, saves and reloads it, replays
 it closed-loop, and prints latency percentiles plus the device's wear

@@ -1,9 +1,9 @@
 """Hot-shard detection and the rebalancing trigger.
 
-The signal comes from the same opt-in :class:`TimeSeriesCollector` that
-powers single-device telemetry (``repro.harness prof``): per shard, a
-delta probe turns the device's command counters into an ops-per-interval
-rate and a gauge probe samples the scheduler queue depth.  The detector
+The signal comes from the opt-in :class:`TimeSeriesCollector`, of which
+this module is the one user: per shard, a delta probe turns the device's
+command counters into an ops-per-interval rate and a gauge probe samples
+the scheduler queue depth.  The detector
 reads the retained ring — no extra simulation events beyond the
 collector's own tick — and flags shards whose recent rate exceeds a
 multiple of the cluster mean.

@@ -7,9 +7,13 @@ harness subcommands (each has its own ``--help``)::
     python -m repro.harness fig9 fig10    # several in one go
     python -m repro.harness all           # the full evaluation
     python -m repro.harness --list
-    python -m repro.harness obs --ops 200 --slo-put-us 150   # obs driver
+    python -m repro.harness prof --workload ycsb-b           # seeded-run driver
     python -m repro.harness crash --matrix                   # crash matrix
-    python -m repro.harness prof --workload ycsb-b           # latency profiler
+    python -m repro.harness replay /tmp/cap.jsonl.gz         # journal replay
+
+``prof`` is the one driver of a seeded workload on the full store stack:
+the kamlprof breakdown, SLO breach dumps, a Chrome trace and the op
+journal are all views of its one run.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from repro.harness import (
     crash_cli,
     experiments,
     format_table,
-    obs_cli,
     prof_cli,
     trace_cli,
 )
@@ -50,11 +53,9 @@ EXPERIMENTS = {
 #: Dispatch, ``--list`` and each ``<name> --help`` are generated from
 #: this table.  ``run(args)`` returns an exit code or a report dict.
 COMMANDS = {
-    "obs": ("observability driver (tracing/SLO dashboard)", obs_cli.add_arguments, obs_cli.run),
+    "prof": ("seeded run: profile, SLOs, trace, journal", prof_cli.add_arguments, prof_cli.run),
     "crash": ("crash-consistency matrix", crash_cli.add_arguments, crash_cli.run),
     "cluster": ("sharded serving-tier matrix", cluster_cli.add_arguments, cluster_cli.run),
-    "prof": ("latency-attribution profiler", prof_cli.add_arguments, prof_cli.run),
-    "record": ("capture an op journal", trace_cli.add_record_arguments, trace_cli.run_record),
     "replay": ("re-issue a captured journal", trace_cli.add_replay_arguments, trace_cli.run_replay),
 }
 
@@ -69,14 +70,8 @@ def command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        _description, _add_arguments, run = COMMANDS[argv[0]]
-        result = run(command_parser(argv[0]).parse_args(argv[1:]))
-        return result if isinstance(result, int) else 0
-
+def figures_parser() -> argparse.ArgumentParser:
+    """The argument parser of a figure/experiment run (no subcommand)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Reproduce the KAML paper's evaluation figures.",
@@ -95,7 +90,18 @@ def main(argv=None) -> int:
         "--seed", type=int, default=None,
         help="override the workload RNG seed of experiments that accept one",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:
+        _description, _add_arguments, run = COMMANDS[argv[0]]
+        result = run(command_parser(argv[0]).parse_args(argv[1:]))
+        return result if isinstance(result, int) else 0
+
+    args = figures_parser().parse_args(argv)
 
     if args.list or not args.figures:
         for name, (_func, description) in EXPERIMENTS.items():

@@ -117,7 +117,7 @@ _SHARED_OPTIONS: Dict[str, Dict[str, Any]] = {
     "threads": {"type": int, "help": "concurrent workers"},
     "cache_bytes": {"type": int, "help": "host cache size (store layer)"},
     "records": {"type": int, "help": "YCSB table size (ycsb-b)"},
-    "key_space": {"type": int, "help": "key range (mixed and synth-* workloads)"},
+    "key_space": {"type": int, "help": "key range (mixed workload)"},
     "workload": {"help": "which workload to run"},
     "json_out": {"help": "write the report JSON here"},
 }

@@ -1,17 +1,14 @@
-"""``python -m repro.harness record`` / ``replay`` — kamltrace front end.
+"""``python -m repro.harness replay`` — the kamltrace replayer.
 
-``record`` runs a seeded workload with the op journal enabled and
-streams every host-visible store/device command to a JSONL(.gz) file —
-or, for the ``synth-*`` workloads, emits a synthetic journal with the
-same schema without running a simulation at all.  ``replay`` re-issues
-a journal against a fresh stack in open- or closed-loop mode and can
-re-capture while doing so, which is the capture -> replay -> capture
-round trip the determinism suite pins.
+Re-issues an op journal (captured by ``prof --record-out``) against a
+fresh stack in open- or closed-loop mode and can re-capture while doing
+so, which is the capture -> replay -> capture round trip the determinism
+suite pins.
 
 Example::
 
-    python -m repro.harness record --workload ycsb-b --ops 1000 \
-        --out /tmp/ycsb-b.jsonl.gz
+    python -m repro.harness prof --workload ycsb-b --ops 1000 \
+        --record-out /tmp/ycsb-b.jsonl.gz
     python -m repro.harness replay /tmp/ycsb-b.jsonl.gz --mode closed \
         --threads 1 --capture-out /tmp/ycsb-b.replayed.jsonl.gz
 """
@@ -19,94 +16,15 @@ Example::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.harness.reporting import format_kv, shared_options, write_json
 from repro.harness.runner import build_kaml_ssd, build_kaml_store, settle
 from repro.obs.metrics import percentile
-from repro.obs.oplog import load_journal, mix_summary, write_journal
-from repro.workloads import SIM_WORKLOADS, prepare_workload
-from repro.workloads.replay import (
-    SYNTH_GENERATORS,
-    journal_to_issues,
-    prepare_namespaces,
-    replay_journal,
-)
+from repro.obs.oplog import load_journal
+from repro.workloads.replay import journal_to_issues, prepare_namespaces, replay_journal
 
-RECORD_WORKLOADS = SIM_WORKLOADS + tuple(sorted(SYNTH_GENERATORS))
-#: Read share of the synth-* generators when driven from this CLI.
-SYNTH_READ_FRACTION = 0.5
-
-
-# ---------------------------------------------------------------------------
-# record
-# ---------------------------------------------------------------------------
-
-def _print_journal_summary(rows: List[Dict[str, Any]], out) -> None:
-    summary = mix_summary(rows)
-    print(format_kv("Journal summary", {
-        "rows": sum(summary["ops"].values()),
-        "ops": json.dumps(summary["ops"], sort_keys=True),
-        "layers": json.dumps(summary["layers"], sort_keys=True),
-        "namespaces": json.dumps(summary["namespaces"], sort_keys=True),
-        "working_set": summary["working_set"],
-        "bytes": summary["bytes"],
-        "span_us": round(summary["span_us"], 1),
-    }), file=out)
-
-
-def run_record(args: argparse.Namespace, out=None) -> Dict[str, Any]:
-    out = out if out is not None else sys.stdout
-    if args.workload in SYNTH_GENERATORS:
-        rows = SYNTH_GENERATORS[args.workload](
-            args.ops,
-            args.key_space,
-            read_fraction=SYNTH_READ_FRACTION,
-            seed=args.seed,
-        )
-        written = write_journal(args.out, rows)
-        print(f"synthetic journal: {written} rows -> {args.out}", file=out)
-        _print_journal_summary(rows, out)
-        return {"rows": written, "dropped": 0, "out": args.out}
-
-    env, ssd, store = build_kaml_store(cache_bytes=args.cache_bytes)
-    journal = ssd.enable_oplog(path=args.out)
-    try:
-        prepare_workload(
-            args.workload, env, ssd, store,
-            seed=args.seed, ops=args.ops, threads=args.threads,
-            key_space=args.key_space, records=args.records,
-        )()
-        # Every captured command must have acked before the file closes.
-        settle(env, ssd)
-    finally:
-        journal.close()
-    counts = journal.counts()
-    print(
-        f"captured {counts['recorded']} ops ({counts['dropped']} dropped, "
-        f"capacity {counts['capacity']}) -> {args.out}",
-        file=out,
-    )
-    rows = load_journal(args.out)
-    _print_journal_summary(rows, out)
-    return {"rows": counts["recorded"], "dropped": counts["dropped"],
-            "out": args.out}
-
-
-def add_record_arguments(parser: argparse.ArgumentParser) -> None:
-    shared_options(
-        parser, workload=RECORD_WORKLOADS, ops=1000, threads=4, records=1000,
-        key_space=512, seed=7, cache_bytes=1 << 20,
-    )
-    parser.add_argument("--out", required=True,
-                        help="journal path (.jsonl or .jsonl.gz)")
-
-
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
 
 def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     out = out if out is not None else sys.stdout

@@ -169,12 +169,8 @@ class KamlSsd:
         self._phase2_us_histogram = self.metrics.histogram("kaml.put.phase2_us")
         self._nvram_pin_us_histogram = self.metrics.histogram("kaml.put.nvram_pin_us")
         self._index_probes_histogram = self.metrics.histogram("kaml.get.index_probes")
-        #: Device telemetry sampler — None until a harness opts in via
-        #: :meth:`enable_timeseries` (pay-as-you-go: default runs must
-        #: schedule zero extra simulation events).
-        self.timeseries = None
         #: kamltrace op journal — None until a harness opts in via
-        #: :meth:`enable_oplog` (same contract: one ``is not None`` check
+        #: :meth:`enable_oplog` (pay-as-you-go: one ``is not None`` check
         #: per command, zero extra simulation events).
         self.oplog = None
 
@@ -1180,27 +1176,6 @@ class KamlSsd:
         """
         if sanitize.enabled():
             sanitize.check_close(self)
-
-    def enable_timeseries(
-        self, interval_us: float = 1000.0, capacity: int = 4096
-    ) -> Any:
-        """Start the device telemetry sampler (``repro.obs.timeseries``).
-
-        Opt-in only: this launches a periodic sampling process, so runs
-        that must stay event-count-identical to the seed (determinism
-        digests, the perf gate) simply never call it.  Call after the
-        namespaces under test exist — per-namespace rate probes are
-        registered for the namespaces present now.
-        """
-        from repro.obs.timeseries import TimeSeriesCollector, install_device_probes
-
-        collector = TimeSeriesCollector(
-            self.env, interval_us=interval_us, capacity=capacity
-        )
-        install_device_probes(collector, self)
-        collector.start()
-        self.timeseries = collector
-        return collector
 
     def enable_oplog(
         self, path: Optional[str] = None, capacity: int = 1 << 20

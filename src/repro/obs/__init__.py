@@ -19,7 +19,6 @@ from repro.obs.metrics import (
 from repro.obs.registry import MetricsRegistry, lazy_instrument
 from repro.obs.export import (
     derived_metrics,
-    summary_row,
     to_builtin,
     to_json,
     to_text,
@@ -50,7 +49,7 @@ from repro.obs.profile import (
     component_of,
     write_collapsed,
 )
-from repro.obs.timeseries import TimeSeriesCollector, install_device_probes
+from repro.obs.timeseries import TimeSeriesCollector
 
 __all__ = [
     "COMPONENTS",
@@ -75,14 +74,12 @@ __all__ = [
     "collapsed_stacks",
     "component_of",
     "derived_metrics",
-    "install_device_probes",
     "key_fingerprint",
     "labels_key",
     "lazy_instrument",
     "load_journal",
     "mix_summary",
     "percentile",
-    "summary_row",
     "to_builtin",
     "to_json",
     "to_text",

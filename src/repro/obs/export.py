@@ -11,7 +11,7 @@ comparable across PRs (the CI smoke-bench job uploads one per run).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.registry import MetricsRegistry
 
@@ -122,19 +122,3 @@ def to_text(registry: MetricsRegistry, title: str = "metrics") -> str:
         lines.extend(f"{name.ljust(width)}  {derived[name]:.4f}" for name in sorted(derived))
     return "\n".join(lines)
 
-
-def summary_row(
-    registry: MetricsRegistry, name: str, **labels
-) -> Optional[List[Any]]:
-    """One ``[name, count, mean, p50, p95, p99]`` table row, or None."""
-    from repro.obs.metrics import labels_key
-
-    instrument = registry.family(name).get(labels_key(labels))
-    if instrument is None or instrument.kind != "histogram":
-        return None
-    summary = instrument.summary()
-    return [
-        instrument.key_string(),
-        summary["count"], summary["mean"],
-        summary["p50"], summary["p95"], summary["p99"],
-    ]

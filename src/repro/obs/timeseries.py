@@ -1,17 +1,14 @@
-"""Sim-time device telemetry: a bounded ring of fixed-interval samples.
+"""Sim-time telemetry: a bounded ring of fixed-interval samples.
 
-The profiler (``repro.obs.profile``) explains single requests; the
-time-series collector shows the device breathing — per-channel bus and
-per-chip engine utilization, queue depths, NVRAM occupancy, GC debt,
-per-namespace op rate and cache hit rate — sampled on a fixed simulated
-interval.  This is the raw signal hot-shard detection and diurnal
-workload replays will consume.
+The cluster autobalancer (:mod:`repro.cluster.balance`) is its one user:
+per shard, a delta probe turns the device's command counters into an
+ops-per-interval rate and a gauge probe samples the scheduler queue
+depth, and the hot-shard detector reads the retained ring.
 
 Pay-as-you-go, like a disarmed tracer (``ctx=None``): nothing is
-constructed and no simulation process exists until a harness opts in
-(``KamlSsd.enable_timeseries`` / ``repro.harness prof``), so default
-runs schedule zero extra events and every determinism digest and
-perf-gate ``sim_events`` count is untouched.
+constructed and no simulation process exists until a harness opts in,
+so default runs schedule zero extra events and every determinism digest
+and perf-gate ``sim_events`` count is untouched.
 
 Probes are plain zero-argument callables registered by name —
 ``add_probe`` samples the value as-is (gauges: occupancy, queue depth),
@@ -25,7 +22,6 @@ bound inside a long simulation.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -52,8 +48,7 @@ class _DeltaProbe:
 class TimeSeriesCollector:
     """Fixed-interval sampler over registered probes (simulated time)."""
 
-    def __init__(self, env: Environment, interval_us: float = 1000.0,
-                 capacity: int = 4096):
+    def __init__(self, env: Environment, interval_us: float = 1000.0, capacity: int = 4096):
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
         self.env = env
@@ -74,8 +69,7 @@ class TimeSeriesCollector:
         self._names[name] = True
         self._probes.append((name, fn))
 
-    def add_delta_probe(self, name: str, fn: Callable[[], float],
-                        scale: float = 1.0) -> None:
+    def add_delta_probe(self, name: str, fn: Callable[[], float], scale: float = 1.0) -> None:
         """Sample the increase of ``fn()`` since the last tick, scaled.
 
         ``scale=1/interval_us`` turns a busy-microsecond accumulator into
@@ -83,10 +77,6 @@ class TimeSeriesCollector:
         ops-per-interval rate.
         """
         self.add_probe(name, _DeltaProbe(fn, scale))
-
-    @property
-    def series(self) -> List[str]:
-        return [name for name, _fn in self._probes]
 
     # -- sampling ----------------------------------------------------------
 
@@ -120,93 +110,3 @@ class TimeSeriesCollector:
             if not self._running:
                 return
             self.sample_now()
-
-    # -- export ------------------------------------------------------------
-
-    def to_builtin(self) -> Dict[str, Any]:
-        """JSON-ready: schema documented in docs/profiling.md."""
-        return {
-            "interval_us": self.interval_us,
-            "capacity": self.capacity,
-            "dropped": self.dropped,
-            "series": self.series,
-            "samples": list(self.samples),
-        }
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_builtin(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-series ``{min, mean, max, last}`` over the retained ring."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name in self.series:
-            values = [row[name] for row in self.samples if name in row]
-            if not values:
-                continue
-            out[name] = {
-                "min": min(values),
-                "mean": sum(values) / len(values),
-                "max": max(values),
-                "last": values[-1],
-            }
-        return out
-
-
-def install_device_probes(collector: TimeSeriesCollector, ssd: Any) -> None:
-    """Register the canonical KAML device probes on ``collector``.
-
-    Duck-typed against :class:`repro.kaml.ssd.KamlSsd` (obs must not
-    import the kaml package).  Covers: per-channel bus utilization and
-    queue depth, per-chip engine utilization, firmware run-queue depth,
-    NVRAM occupancy and reservation back-pressure, per-log free blocks
-    (GC debt), and per-namespace Get/Put rates plus cache hit rate.
-    """
-    interval = collector.interval_us
-    util = 1.0 / interval
-    for channel in ssd.array.channels:
-        collector.add_delta_probe(
-            f"chan{channel.index}.bus_util",
-            (lambda ch: lambda: ch.bus_busy_us)(channel), scale=util,
-        )
-        collector.add_probe(
-            f"chan{channel.index}.bus_queue",
-            (lambda ch: lambda: ch.bus.queue_length)(channel),
-        )
-        for chip_index, chip in enumerate(channel.chips):
-            collector.add_delta_probe(
-                f"chan{channel.index}.chip{chip_index}.util",
-                (lambda c: lambda: c.stats.busy_us)(chip), scale=util,
-            )
-    collector.add_probe("firmware.queue", lambda: ssd.firmware.queue_depth)
-    collector.add_probe("nvram.used_bytes", lambda: ssd.nvram.used_bytes)
-    collector.add_probe(
-        "nvram.pending_reservations", lambda: ssd.nvram.pending_reservations
-    )
-    for log in ssd.logs:
-        collector.add_probe(
-            f"log{log.log_id}.free_blocks",
-            (lambda lg: lambda: lg.free_blocks)(log),
-        )
-    metrics = ssd.metrics
-
-    def _cache_hit_rate() -> float:
-        hits = metrics.total("cache.hits")
-        misses = metrics.total("cache.misses")
-        return hits / (hits + misses) if hits + misses > 0 else 0.0
-
-    collector.add_probe("cache.hit_rate", _cache_hit_rate)
-    for namespace_id in sorted(ssd.namespaces):
-        collector.add_delta_probe(
-            f"ns{namespace_id}.gets",
-            (lambda ns: lambda: metrics.total("kaml.ssd.gets", namespace=ns))(
-                namespace_id
-            ),
-        )
-        collector.add_delta_probe(
-            f"ns{namespace_id}.put_bytes",
-            (lambda ns: lambda: metrics.total("kaml.put.bytes", namespace=ns))(
-                namespace_id
-            ),
-        )

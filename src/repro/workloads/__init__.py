@@ -41,8 +41,6 @@ from repro.workloads.replay import (
     journal_to_issues,
     prepare_namespaces,
     replay_journal,
-    synth_diurnal,
-    synth_flashcrowd,
     synth_hotkey,
 )
 
@@ -79,8 +77,6 @@ __all__ = [
     "prepare_workload",
     "prepare_namespaces",
     "replay_journal",
-    "synth_diurnal",
-    "synth_flashcrowd",
     "synth_hotkey",
     "ycsb_b",
 ]

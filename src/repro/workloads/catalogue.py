@@ -1,8 +1,8 @@
 """The seeded store workloads every harness command drives.
 
 One definition each of the ``mixed`` Get/Put workload, ``ycsb-b`` and
-the "namespace at 75 % of capacity" rig that ``obs`` / ``prof`` /
-``record`` and the figure experiments share.  Seeds, sizes and thread
+the "namespace at 75 % of capacity" rig that ``prof`` and the figure
+experiments share.  Seeds, sizes and thread
 counts are arguments, so two callers given the same values replay the
 same history — the sim-event count test pins the ``sim_events`` and
 ``prof`` the breakdown fractions of one and the same run.

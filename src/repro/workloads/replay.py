@@ -19,15 +19,14 @@ closed loop
     captured one, which is what the capture -> replay -> capture
     round-trip invariant in the determinism suite pins.
 
-The synthetic generators at the bottom emit the same journal schema
-without running a simulation — hot-key skew, diurnal load, and
-flash-crowd spikes — so the replay engine doubles as a workload driver
-for arrival patterns the YCSB/microbench generators cannot express.
+The synthetic generator at the bottom, :func:`synth_hotkey`, emits the
+same journal schema without running a simulation, so the replay engine
+doubles as a driver for a hot-key arrival pattern the YCSB/microbench
+generators cannot express.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -300,7 +299,7 @@ def replay_journal(
 
 
 # ---------------------------------------------------------------------------
-# Synthetic journal generators (same schema, no simulation)
+# Synthetic journal generator (same schema, no simulation)
 # ---------------------------------------------------------------------------
 
 def _synthetic_row(
@@ -361,91 +360,3 @@ def synth_hotkey(
         _emit(rows, rng, namespace, key, read_fraction, value_size, now_us)
     return rows
 
-
-def synth_diurnal(
-    operations: int,
-    key_space: int,
-    period_us: float = 200_000.0,
-    peak_gap_us: float = 20.0,
-    trough_gap_us: float = 400.0,
-    read_fraction: float = 0.5,
-    value_size: int = 1024,
-    namespace: int = 1,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
-    """Diurnal load: arrival rate swings sinusoidally over ``period_us``.
-
-    The mean gap interpolates between ``peak_gap_us`` (busy hour) and
-    ``trough_gap_us`` (idle) following ``0.5*(1-cos)`` activity, so the
-    journal alternates saturation and idle drain — the pattern that
-    exposes flush-timer and GC-scheduling behavior steady load hides.
-    """
-    if peak_gap_us <= 0 or trough_gap_us <= 0 or period_us <= 0:
-        raise ReplayError("diurnal gaps and period must be positive")
-    rng = random.Random(seed)
-    rows: List[Dict[str, Any]] = []
-    now_us = 0.0
-    for _ in range(operations):
-        activity = 0.5 * (1.0 - math.cos(2.0 * math.pi * now_us / period_us))
-        mean_gap = trough_gap_us + (peak_gap_us - trough_gap_us) * activity
-        now_us += rng.expovariate(1.0 / mean_gap)
-        key = rng.randrange(key_space)
-        _emit(rows, rng, namespace, key, read_fraction, value_size, now_us)
-    return rows
-
-
-def synth_flashcrowd(
-    operations: int,
-    key_space: int,
-    base_gap_us: float = 200.0,
-    crowd_at_us: Optional[float] = None,
-    crowd_duration_us: float = 5_000.0,
-    crowd_gap_us: float = 5.0,
-    crowd_keys: int = 4,
-    read_fraction: float = 0.5,
-    crowd_read_fraction: float = 0.95,
-    value_size: int = 1024,
-    namespace: int = 1,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
-    """Flash crowd: steady background traffic with one sharp spike.
-
-    At ``crowd_at_us`` (default: 40 % into the steady-state span) the
-    arrival gap collapses to ``crowd_gap_us`` and traffic concentrates,
-    read-heavy, on ``crowd_keys`` keys for ``crowd_duration_us`` — the
-    cache-stampede shape that stresses open-loop replay (closed-loop
-    replay would flatten the spike into the device's service rate).
-    """
-    if crowd_keys <= 0 or crowd_keys > key_space:
-        raise ReplayError("crowd_keys must be in (0, key_space]")
-    if crowd_at_us is None:
-        crowd_at_us = 0.4 * operations * base_gap_us
-    rng = random.Random(seed)
-    rows: List[Dict[str, Any]] = []
-    now_us = 0.0
-    crowd_end_us = crowd_at_us + crowd_duration_us
-    for _ in range(operations):
-        # The arrival gap follows the regime the clock is in now; the
-        # op's regime (key choice, mix) follows the time it lands at, so
-        # every op stamped inside the window uses crowd keys.
-        gap = (
-            crowd_gap_us if crowd_at_us <= now_us < crowd_end_us
-            else base_gap_us
-        )
-        now_us += rng.expovariate(1.0 / gap)
-        in_crowd = crowd_at_us <= now_us < crowd_end_us
-        if in_crowd:
-            key = rng.randrange(crowd_keys)
-            _emit(rows, rng, namespace, key, crowd_read_fraction,
-                  value_size, now_us)
-        else:
-            key = rng.randrange(key_space)
-            _emit(rows, rng, namespace, key, read_fraction, value_size, now_us)
-    return rows
-
-
-SYNTH_GENERATORS = {
-    "synth-hotkey": synth_hotkey,
-    "synth-diurnal": synth_diurnal,
-    "synth-flashcrowd": synth_flashcrowd,
-}

@@ -107,7 +107,7 @@ def prof_breakdown_mini() -> Dict[str, Any]:
 
     args = command_parser("prof").parse_args([
         "--workload", "mixed", "--ops", "80", "--threads", "2",
-        "--key-space", "64", "--seed", "13", "--no-timeseries",
+        "--key-space", "64", "--seed", "13",
     ])
     report = run_prof(args, out=io.StringIO())
     return {

@@ -1,21 +1,23 @@
-"""``harness record`` / ``replay``."""
+"""``harness replay``, fed journals that ``prof --record-out`` captured."""
 
 import io
 import json
 
 from repro.harness.__main__ import command_parser
 from repro.harness.__main__ import main as harness_main
-from repro.harness.trace_cli import run_record, run_replay
-from repro.obs.oplog import load_journal
+from repro.harness.prof_cli import run as run_prof
+from repro.harness.trace_cli import run_replay
 
-FAST_RECORD = [
+FAST_CAPTURE = [
     "--ops", "40", "--threads", "2", "--records", "30", "--key-space", "64",
 ]
 
 
-def record(extra, out=None):
-    args = command_parser("record").parse_args(FAST_RECORD + list(extra))
-    return run_record(args, out=out if out is not None else io.StringIO())
+def capture(path, extra=()):
+    args = command_parser("prof").parse_args(
+        FAST_CAPTURE + ["--record-out", path] + list(extra)
+    )
+    return run_prof(args, out=io.StringIO())
 
 
 def replay(journal, extra, out=None):
@@ -23,42 +25,9 @@ def replay(journal, extra, out=None):
     return run_replay(args, out=out if out is not None else io.StringIO())
 
 
-def test_record_replay_round_trip_is_exact(tmp_path):
-    captured = str(tmp_path / "cap.jsonl.gz")
-    recaptured = str(tmp_path / "cap2.jsonl.gz")
-    out = io.StringIO()
-    result = record(["--workload", "ycsb-b", "--out", captured], out=out)
-    assert result["rows"] > 0 and result["dropped"] == 0
-    assert "Journal summary" in out.getvalue()
-
-    report = replay(
-        captured,
-        ["--mode", "closed", "--threads", "1", "--capture-out", recaptured],
-    )
-    assert report["ops"] == report["issues"] > 0
-
-    key = lambda rows: [
-        (r["op"], r["ns"], r["key_hash"], r["size"])
-        for r in rows if r["layer"] == "ssd"
-    ]
-    assert key(load_journal(recaptured)) == key(load_journal(captured))
-
-
-def test_record_synthetic_workload(tmp_path):
-    path = str(tmp_path / "synth.jsonl")
-    result = record(
-        ["--workload", "synth-hotkey", "--out", path, "--seed", "3"]
-    )
-    rows = load_journal(path)
-    assert len(rows) == result["rows"] == 40
-    # Synthetic journals replay open-loop.
-    report = replay(path, ["--mode", "open", "--speed", "8"])
-    assert report["ops"] == 40
-
-
 def test_replay_json_report(tmp_path):
     captured = str(tmp_path / "cap.jsonl")
-    record(["--workload", "mixed", "--out", captured])
+    capture(captured, ["--workload", "mixed"])
     report_path = tmp_path / "replay.json"
     replay(captured, ["--json-out", str(report_path)])
     on_disk = json.loads(report_path.read_text())
@@ -68,14 +37,11 @@ def test_replay_json_report(tmp_path):
 
 
 def test_harness_dispatch_reaches_subcommands(tmp_path, capsys):
-    path = str(tmp_path / "synth.jsonl")
-    assert harness_main([
-        "record", "--workload", "synth-diurnal", "--ops", "20",
-        "--key-space", "32", "--out", path,
-    ]) == 0
+    path = str(tmp_path / "cap.jsonl")
+    assert harness_main(["prof", *FAST_CAPTURE, "--record-out", path]) == 0
     assert harness_main(["replay", path, "--mode", "closed"]) == 0
     captured = capsys.readouterr().out
-    assert "synthetic journal" in captured
+    assert "op journal: " in captured
     assert "Replay (closed-loop)" in captured
 
 

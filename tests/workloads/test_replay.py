@@ -1,4 +1,4 @@
-"""kamltrace replay engine: parsing, both loop modes, synth generators."""
+"""kamltrace replay engine: parsing, both loop modes, the synth generator."""
 
 import pytest
 
@@ -6,12 +6,9 @@ from repro.harness.runner import build_kaml_ssd, build_kaml_store
 from repro.kaml import NamespaceAttributes, PutItem
 from repro.workloads.replay import (
     ReplayError,
-    SYNTH_GENERATORS,
     journal_to_issues,
     prepare_namespaces,
     replay_journal,
-    synth_diurnal,
-    synth_flashcrowd,
     synth_hotkey,
 )
 
@@ -243,9 +240,8 @@ def test_replay_rejects_bad_configuration():
         replay_journal(env, ssd, [], speed=0.0)
 
 
-@pytest.mark.parametrize("name", sorted(SYNTH_GENERATORS))
-def test_synth_generators_are_seed_deterministic(name):
-    generator = SYNTH_GENERATORS[name]
+@pytest.mark.parametrize("generator", [synth_hotkey], ids=["synth-hotkey"])
+def test_synth_generators_are_seed_deterministic(generator):
     rows_a = generator(100, 32, seed=3)
     rows_b = generator(100, 32, seed=3)
     rows_c = generator(100, 32, seed=4)
@@ -263,8 +259,7 @@ def test_synth_generators_are_seed_deterministic(name):
 
 @pytest.mark.parametrize("generator, kwargs", [
     (synth_hotkey, {"hot_keys": 0}),
-    (synth_diurnal, {"period_us": 0.0}),
-    (synth_flashcrowd, {"crowd_keys": 11}),
+    (synth_hotkey, {"hot_keys": 11}),
 ])
 def test_synth_generators_refuse_bad_arguments(generator, kwargs):
     with pytest.raises(ReplayError):
@@ -275,33 +270,6 @@ def test_synth_hotkey_concentrates_traffic():
     rows = synth_hotkey(500, 1000, hot_fraction=0.9, hot_keys=4, seed=1)
     hot = sum(1 for row in rows if row["key_hash"] < 4)
     assert hot > 400  # ~90% of 500
-
-
-def test_synth_diurnal_rate_swings():
-    rows = synth_diurnal(
-        400, 64, period_us=100_000.0, peak_gap_us=10.0,
-        trough_gap_us=1000.0, seed=2,
-    )
-    # Arrivals near the activity peak are much denser than near the
-    # trough: compare op counts in the first vs second quarter-period.
-    trough = sum(1 for r in rows if r["issue_us"] < 25_000.0)
-    peak = sum(
-        1 for r in rows if 25_000.0 <= r["issue_us"] < 75_000.0
-    )
-    assert peak > trough
-
-
-def test_synth_flashcrowd_spikes():
-    rows = synth_flashcrowd(
-        400, 256, base_gap_us=100.0, crowd_at_us=5_000.0,
-        crowd_duration_us=2_000.0, crowd_gap_us=2.0, crowd_keys=3, seed=3,
-    )
-    in_crowd = [
-        r for r in rows if 5_000.0 <= r["issue_us"] < 7_000.0
-    ]
-    outside = [r for r in rows if r["issue_us"] < 5_000.0]
-    assert len(in_crowd) > len(outside)  # the spike dominates its window
-    assert all(r["key_hash"] < 3 for r in in_crowd)
 
 
 def test_synth_journals_replay_end_to_end():
