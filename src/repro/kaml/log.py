@@ -91,6 +91,7 @@ class KamlLog:
         self.hooks = hooks
         self.geometry = config.geometry
         self.params = config.kaml
+        self._chunks_per_page = self.geometry.chunks_per_page
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if tracer is None:
             tracer = Tracer(clock=lambda: env.now)
@@ -166,7 +167,6 @@ class KamlLog:
                 f"record of {record.size} B exceeds one page"
             )
         if not point.assembly.fits(record):
-            self._wasted_chunks_counter.inc(point.assembly.free_chunks)
             self._launch_flush(for_gc)
             point = self._points[for_gc]
         was_empty = point.assembly.is_empty
@@ -206,6 +206,11 @@ class KamlLog:
             point.timer.defuse()
             point.timer = None
         assembly, waiters = point.assembly, point.waiters
+        # Every launch passes here, so this is the one place padding is
+        # counted: the page's free tail is programmed as waste.
+        padded = self._chunks_per_page - assembly.used_chunks
+        if padded:
+            self._wasted_chunks_counter.value += padded
         self._points[for_gc] = _WritePoint(self._new_assembly(), generation=point.generation + 1)
         # The epoch is captured *here*, not at the flush body's first
         # step: a power cut can land between ``env.process()`` and the
@@ -247,8 +252,6 @@ class KamlLog:
                 if remaining_us > 0:
                     wait(remaining_us)  # fed since it was armed: not quiet yet
                     return
-                # Timer flushes pad out the page: the free tail is wasted.
-                self._wasted_chunks_counter.inc(current.assembly.free_chunks)
                 self._timer_flushes_counter.inc()
                 self._launch_flush(for_gc)
 

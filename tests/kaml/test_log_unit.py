@@ -312,6 +312,19 @@ def test_gc_reads_only_the_pages_that_hold_a_live_record():
     assert hooks.valid_bytes((0, 0, victim)) == 0
 
 
+def test_gc_pass_counts_the_padding_of_its_part_filled_page():
+    """One 55-chunk survivor leaves the GC page 9 chunks short; the
+    forced flush at the end of the clean pads them, and they count."""
+    env, log, hooks, array = make_log(blocks=8, pages=4)
+    locations = run(env, fill_block(log, range(4)))
+    victim = locations[0].page.block
+    hooks.register(0, locations[0])
+    wasted = log.metrics.total("kaml.log.wasted_chunks", log=log.log_id)
+    run(env, log._clean_block(victim))
+    assert [key for key, _old, _new in hooks.relocations] == [0]
+    assert log.metrics.total("kaml.log.wasted_chunks", log=log.log_id) - wasted == 64 - 55
+
+
 def test_gc_erases_a_victim_with_no_live_page_after_zero_reads():
     env, log, hooks, array = make_log(blocks=4, pages=4)
     # Nothing is registered: the fifth record seals the first block as
