@@ -141,20 +141,30 @@ class Namespace:
             self._mean_gap_us += GAP_EWMA_WEIGHT * (gap_us - self._mean_gap_us)
         self._last_arrival_us = now
         width = self.stripe_width(hold_us)
-        # Enough pages open: join the least recently fed one that can take
-        # the record.  Pages that launched (or were emptied by a crash) or
-        # have no room for it are no longer ours to fill and drop out as
-        # they come up.  Narrowing sheds nothing: the estimate is noisy,
-        # and a page fed too rarely goes quiet and leaves by the timer.
+        # At width, join the least recently fed page that can take the
+        # record; launched pages (or pages a crash emptied) drop out as the
+        # scan reaches them.  If none can, only the fullest page leaves:
+        # its padding costs least.  Narrowing sheds nothing: the estimate
+        # is noisy, and a page fed too rarely leaves by the timer.
         feeding = self._feeding
-        while feeding and len(feeding) >= width:
-            log_id = feeding.pop(0)
-            if logs[log_id].open_room() >= nchunks:
-                break
-        else:
+        if len(feeding) >= width:
+            fullest, least_room = None, nchunks
+            for log_id in list(feeding):
+                room = logs[log_id].open_room()
+                if room >= nchunks:
+                    feeding.remove(log_id)
+                    feeding.append(log_id)
+                    return logs[log_id]
+                if not room:
+                    feeding.remove(log_id)
+                elif room < least_room:
+                    fullest, least_room = log_id, room
+            if fullest is not None and len(feeding) >= width:
+                feeding.remove(fullest)
+        # Below width, or nothing fits: the next rotation log not fed.
+        log_id = self.next_log_id()
+        while log_id in feeding:
             log_id = self.next_log_id()
-            if log_id in feeding:
-                feeding.remove(log_id)
         feeding.append(log_id)
         return logs[log_id]
 

@@ -30,7 +30,7 @@ from repro.sim import Environment
 from repro.sim.resources import Resource
 from repro.workloads import prepare_workload
 
-EXPECTED = {"kernel": 76_865, "mixed": 9_158, "ycsb-b": 2_781, "cluster": 8_675}
+EXPECTED = {"kernel": 76_865, "mixed": 8_983, "ycsb-b": 2_881, "cluster": 8_643}
 
 
 def kernel_events() -> int:

@@ -7,6 +7,7 @@ the power epoch it describes.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,14 +32,20 @@ class OpenPage:
 
     def __init__(self):
         self.room = 0
+        self.launched = self.padded = 0  # pages programmed, chunks padded
 
     def open_room(self):
         return self.room
 
     def stage(self, nchunks):
         if self.room < nchunks:
-            self.room = PAGE_CHUNKS  # pad-launch whatever was open; new page
-        self.room -= nchunks  # a full page launches: room 0 again
+            if self.room:  # pad-launch whatever was open
+                self.launched += 1
+                self.padded += self.room
+            self.room = PAGE_CHUNKS
+        self.room -= nchunks
+        if not self.room:  # a full page launches: room 0 again
+            self.launched += 1
 
 
 def make_namespace(log_ids):
@@ -77,14 +84,28 @@ def test_record_that_does_not_fit_opens_the_next_page():
     logs = [OpenPage() for _ in range(16)]
     namespace = make_namespace(range(16))
     times = [i * TIMEOUT_US for i in range(12)]  # width 1 from the third on
-    picks = feed(namespace, logs, times, nchunks=20)
-    fed = logs[picks[-1]]
-    assert 0 < fed.room < 30
-    room = fed.room
+    feed(namespace, logs, times, nchunks=20)
+    stripe = {log_id: logs[log_id].room for log_id in namespace._feeding}
+    assert any(stripe.values()) and max(stripe.values()) < 30
     chosen = namespace.pick_log(logs, 30, times[-1] + TIMEOUT_US, TIMEOUT_US)
-    assert chosen is not fed and chosen.room == 0  # a fresh page elsewhere
-    assert fed.room == room  # left to fill or go quiet, never padded early
-    assert namespace._feeding == [logs.index(chosen)]
+    assert logs.index(chosen) not in stripe and chosen.room == 0  # a fresh page
+    # Every page the stripe held is left to fill or go quiet: none padded early.
+    assert {log_id: logs[log_id].room for log_id in stripe} == stripe
+
+
+def test_full_width_pads_only_when_no_page_in_the_stripe_fits():
+    # put-gc's 256 / 1,000 / 3,500 B records, arriving together: the
+    # stripe spans all 8 logs, so every page a record skips is one it
+    # would otherwise have padded early (14 % of chunks under "try the
+    # head, else pad the next log of the rotation").
+    logs = [OpenPage() for _ in range(8)]
+    namespace = make_namespace(range(8))
+    sizes = random.Random(1).choices([3, 8, 28], k=4000)
+    for nchunks in sizes:
+        namespace.pick_log(logs, nchunks, 0.0, TIMEOUT_US).stage(nchunks)
+    assert namespace.stripe_width(TIMEOUT_US) == 8
+    padded = sum(log.padded for log in logs)
+    assert padded <= 0.04 * PAGE_CHUNKS * sum(log.launched for log in logs)
 
 
 def test_retarget_resets_steering_state():
@@ -171,19 +192,21 @@ def test_unfitting_record_never_pads_the_fed_page_early():
     namespace = ssd.namespaces[nsid]
 
     def flow():
-        for key in range(8):  # narrow onto one page; 20 chunks a record
+        for key in range(8):  # narrow the stripe; 20 chunks a record
             yield from ssd.put([PutItem(nsid, key, key, 2500)])
             yield env.timeout(TIMEOUT_US / 3)
-        (fed,) = namespace._feeding
-        room = ssd.logs[fed].open_room()
-        assert 0 < room < 55
+        stripe = {log_id: ssd.logs[log_id].open_room() for log_id in namespace._feeding}
+        assert any(stripe.values()) and max(stripe.values()) < 55
         yield from ssd.put([PutItem(nsid, 99, 99, 7000)])  # 55 chunks
         yield env.timeout(1.0)  # phase 2 stages after the ack
-        return fed, room
+        return stripe
 
-    fed, room = run(env, flow())
-    assert fed not in namespace._feeding  # it went to a fresh page...
-    assert ssd.logs[fed].open_room() == room  # ...and this one stayed open
+    stripe = run(env, flow())
+    # It went to a fresh page...
+    fresh = namespace._feeding[-1]
+    assert fresh not in stripe and ssd.logs[fresh].open_room() == PAGE_CHUNKS - 55
+    # ...and every page the stripe held stayed open.
+    assert {log_id: ssd.logs[log_id].open_room() for log_id in stripe} == stripe
 
 
 def test_tombstones_join_part_filled_pages():
@@ -288,7 +311,14 @@ def test_pick_stays_in_log_set_and_within_width(arrivals):
 
     def checked(self, logs, nchunks, now, hold_us):
         feeding = len(self._feeding)
+        most_room = max((logs[log_id].open_room() for log_id in self._feeding), default=0)
         log = pick_log(self, logs, nchunks, now, hold_us)
+        # At width, a pick pads a page only if no page in the stripe could
+        # take the record.  (Below width it opens on the next rotation log,
+        # whose page another namespace sharing the log may have part-filled.)
+        at_width = feeding >= self.stripe_width(hold_us)
+        if at_width and 0 < log.open_room() < nchunks <= most_room:
+            violations.append(("padded with room in the stripe", log.log_id))
         if log.log_id not in self.log_ids:
             violations.append(("outside log_ids", log.log_id))
         if len(self._feeding) > max(feeding, self.stripe_width(hold_us)):
