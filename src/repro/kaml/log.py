@@ -91,7 +91,6 @@ class KamlLog:
         self.hooks = hooks
         self.geometry = config.geometry
         self.params = config.kaml
-        self._chunks_per_page = self.geometry.chunks_per_page
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if tracer is None:
             tracer = Tracer(clock=lambda: env.now)
@@ -208,7 +207,7 @@ class KamlLog:
         assembly, waiters = point.assembly, point.waiters
         # Every launch passes here, so this is the one place padding is
         # counted: the page's free tail is programmed as waste.
-        padded = self._chunks_per_page - assembly.used_chunks
+        padded = assembly.chunks_per_page - assembly.used_chunks
         if padded:
             self._wasted_chunks_counter.value += padded
         self._points[for_gc] = _WritePoint(self._new_assembly(), generation=point.generation + 1)
