@@ -96,7 +96,7 @@ def test_record_that_does_not_fit_opens_the_next_page():
 def test_full_width_pads_only_when_no_page_in_the_stripe_fits():
     # put-gc's 256 / 1,000 / 3,500 B records, arriving together: the
     # stripe spans all 8 logs, so every page a record skips is one it
-    # would otherwise have padded early (14 % of chunks under "try the
+    # would otherwise have padded early (12 % of chunks under "try the
     # head, else pad the next log of the rotation").
     logs = [OpenPage() for _ in range(8)]
     namespace = make_namespace(range(8))
