@@ -179,7 +179,9 @@ class BufferManager:
         fill: bool = False,
     ) -> Any:
         """Cache ``value``; ``fill`` marks a miss's SSD value, which never
-        replaces a dirty entry written while the ``Get`` was in flight."""
+        replaces an entry that appeared while the ``Get`` was in flight: a
+        write put it there, so it is at least as new.  The fill still
+        refreshes LRU and pays the copy."""
         if size > self.capacity_bytes:
             if dirty:
                 # The cache would be the only copy: refuse before touching it.
@@ -192,13 +194,11 @@ class BufferManager:
             return
         existing = self._entries.get(cache_key)
         if existing is not None:
-            if fill and existing.dirty:
-                return
-            self._used -= existing.size
-            existing.value = value
-            existing.size = size
-            existing.dirty = existing.dirty or dirty
-            self._used += size
+            if not fill:
+                self._used += size - existing.size
+                existing.value = value
+                existing.size = size
+                existing.dirty = existing.dirty or dirty
             self._entries.move_to_end(cache_key)
         else:
             self._entries[cache_key] = _Entry(value, size, dirty)

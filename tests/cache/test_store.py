@@ -392,25 +392,35 @@ def test_entry_redirtied_during_flush_stays_dirty():
     assert run(env, flow()) == "v1-new"
 
 
-def test_miss_fill_does_not_overwrite_a_newer_dirty_value():
+def test_miss_fill_does_not_overwrite_a_newer_written_value():
+    """A write-through Put that installs while a miss's Get reads flash is
+    newer than the Get's value: the fill must not replace it."""
     env, ssd, store = make_store(cache_bytes=4096)
+    finished = {}
 
     def flow():
         nsid = yield from store.create_namespace()
         yield from ssd.put([PutItem(nsid, 7, "old", 1_000)])
+        yield from ssd.drain()  # the miss's Get goes to flash
+
+        def reader():
+            value = yield from store.get(nsid, 7)
+            finished["read"] = env.now
+            return value
 
         def writer():
-            yield env.timeout(5.0)  # lands while the miss's Get is in flight
-            yield from store.put_cached(nsid, 7, "new", 1_000)
+            yield env.timeout(1.0)
+            yield from store.put(nsid, 7, "new", 1_000)
+            finished["write"] = env.now
 
-        reader = env.process(store.get(nsid, 7))
-        yield env.all_of([reader, env.process(writer())])
+        reading = env.process(reader())
+        yield env.all_of([reading, env.process(writer())])
         cached = yield from store.get(nsid, 7)
-        yield from store.flush()
-        yield from ssd.drain()
-        return reader.value, cached, (yield from ssd.get(nsid, 7))
+        return reading.value, cached, (yield from ssd.get(nsid, 7))
 
     assert run(env, flow()) == ("old", "new", "new")
+    assert finished["write"] < finished["read"]
+    assert store.buffer.used_bytes == 1_000
 
 
 def test_run_transaction_returns_body_value():
