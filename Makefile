@@ -61,13 +61,15 @@ bench-diff:
 # flight-recorder artifacts in benchmarks/artifacts/ (the perf gate reads
 # the metrics); Figures 10 and 8 guard read and write parallelism, the QoS
 # ablation guards read isolation (dies suspending programs for host reads),
-# the GC-policy ablation KAML GC, and the index-flush ablation and Figure 7
-# the flush timer and batch sharing.
+# the GC-policy ablation KAML GC, the index-flush ablation and Figure 7
+# the flush timer and batch sharing, and Figure 9 the OLTP shapes that run
+# every SS2PL transaction through the host cache.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig5_bandwidth.py -q
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py \
 		benchmarks/test_ablation_qos.py benchmarks/test_ablation_gc_policy.py \
-		benchmarks/test_ablation_index_flush.py benchmarks/test_fig7_batch.py -q
+		benchmarks/test_ablation_index_flush.py benchmarks/test_fig7_batch.py \
+		benchmarks/test_fig9_oltp.py -q
 
 # kamlprof: critical-path latency breakdown + flamegraph for the
 # canonical workload (artifacts only; kamlbench's <layer>.sim_share is

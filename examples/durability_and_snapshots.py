@@ -43,7 +43,7 @@ def crash_recovery_demo() -> None:
     print(f"Put of 3 records acked at t={state['acked']:.0f}us; "
           f"flash programs so far: {programs}")
     print("power cut!")
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recover_and_check():
         yield from ssd.recover()

@@ -13,7 +13,7 @@ from repro.cache.locks import (
     DeadlockError,
 )
 from repro.cache.transaction import Transaction, TransactionError, TxnState
-from repro.cache.buffer import BufferManager, CacheCapacityError
+from repro.cache.buffer import BufferManager
 from repro.cache.api import KamlStore
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "TransactionError",
     "TxnState",
     "BufferManager",
-    "CacheCapacityError",
     "KamlStore",
 ]

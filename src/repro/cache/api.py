@@ -354,10 +354,6 @@ class KamlStore:
                 op_id=op_id,
             )
 
-    def put_cached(self, namespace_id: int, key: int, value: Any, size: int) -> Any:
-        """Write-back write: dirty in cache, flushed on eviction/flush."""
-        yield from self.buffer.install_dirty(namespace_id, key, value, size)
-
     def snapshot(self, namespace_id: int) -> Any:
         """Freeze a namespace (commits are write-through, so the cache
         holds nothing newer than the SSD; the SSD drains its own staging
@@ -379,9 +375,6 @@ class KamlStore:
         results reflect every committed value)."""
         results = yield from self.ssd.scan(namespace_id, low, high)
         return results
-
-    def flush(self) -> Any:
-        yield from self.buffer.flush()
 
     # ------------------------------------------------------------------
     # Helpers for retry loops

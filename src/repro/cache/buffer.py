@@ -1,39 +1,29 @@
 """The host key-value cache (Section III-D "Caching").
 
 Unlike a page cache, entries are variable-sized key-value pairs keyed by
-(namespace id, key).  Misses issue ``Get`` to the SSD; transactional
-commits write through with ``Put``; non-transactional writes may stay
-dirty and are flushed by eviction.
-
-A dirty entry stays cached, and readable, until the ``Put`` that writes
-it back has committed, and it is marked clean only if no newer value
-landed meanwhile.  Write-backs go out one at a time, so two of them for
-one key commit in the order they were issued.
+(namespace id, key).  Misses issue ``Get`` to the SSD, and every write
+reaches the cache only after its ``Put`` committed (write-through), so
+each entry mirrors the SSD's copy and eviction simply drops the least
+recently used ones.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.config import HostCosts
-from repro.errors import ReproError
-from repro.kaml import KamlSsd, PutItem
+from repro.kaml import KamlSsd
 from repro.obs import TraceContext
-from repro.sim import Environment, SimLock
-
-
-class CacheCapacityError(ReproError):
-    """A dirty value larger than the whole cache: it cannot be held."""
+from repro.sim import Environment
 
 
 class _Entry:
-    __slots__ = ("value", "size", "dirty")
+    __slots__ = ("value", "size")
 
-    def __init__(self, value: Any, size: int, dirty: bool):
+    def __init__(self, value: Any, size: int):
         self.value = value
         self.size = size
-        self.dirty = dirty
 
 
 class BufferManager:
@@ -57,10 +47,8 @@ class BufferManager:
         self.metrics = ssd.metrics
         # Hot-path instruments, resolved once instead of per access.
         self._used_bytes_gauge = self.metrics.gauge("cache.used_bytes")
-        self._writebacks_counter = self.metrics.counter("cache.writebacks")
         self._evictions_counter = self.metrics.counter("cache.evictions")
         self._read_counters: dict = {}
-        self._writeback_lock = SimLock(env, name="cache.writeback")
 
     @property
     def used_bytes(self) -> int:
@@ -106,7 +94,7 @@ class BufferManager:
             if result is None:
                 return None
             value, size = result
-            yield from self._insert(cache_key, value, size, dirty=False, fill=True)
+            yield from self._insert(cache_key, value, size, fill=True)
             return value, size
         finally:
             if ctx is not None:
@@ -140,26 +128,12 @@ class BufferManager:
 
     def install_clean(self, namespace_id: int, key: int, value: Any, size: int) -> Any:
         """Place a just-persisted value in the cache (commit write-through)."""
-        return self._insert((namespace_id, key), value, size, dirty=False)
-
-    def install_dirty(self, namespace_id: int, key: int, value: Any, size: int) -> Any:
-        """Write-back path: the value is newer than the SSD's copy."""
-        return self._insert((namespace_id, key), value, size, dirty=True)
+        return self._insert((namespace_id, key), value, size)
 
     def discard(self, namespace_id: int, key: int) -> None:
         entry = self._entries.pop((namespace_id, key), None)
         if entry is not None:
             self._used -= entry.size
-
-    def flush(self) -> Any:
-        """Write every dirty entry back to the SSD (one batched Put)."""
-        dirty = [
-            (cache_key, entry)
-            for cache_key, entry in self._entries.items()
-            if entry.dirty
-        ]
-        if dirty:
-            yield from self._write_back(dirty)
 
     # ------------------------------------------------------------------
     # Internals
@@ -175,72 +149,33 @@ class BufferManager:
         return counters
 
     def _insert(
-        self, cache_key: Tuple[int, int], value: Any, size: int, dirty: bool,
-        fill: bool = False,
+        self, cache_key: Tuple[int, int], value: Any, size: int, fill: bool = False
     ) -> Any:
         """Cache ``value``; ``fill`` marks a miss's SSD value, which never
         replaces an entry that appeared while the ``Get`` was in flight: a
         write put it there, so it is at least as new.  The fill still
         refreshes LRU and pays the copy."""
         if size > self.capacity_bytes:
-            if dirty:
-                # The cache would be the only copy: refuse before touching it.
-                raise CacheCapacityError(
-                    f"dirty value of {size} B exceeds cache capacity {self.capacity_bytes} B"
-                )
-            # The SSD holds this value: serve it uncached, drop any stale copy.
+            # Serve it uncached and drop any stale copy.
             self.discard(*cache_key)
             self._used_bytes_gauge.set(self._used)
             return
-        existing = self._entries.get(cache_key)
+        entries = self._entries
+        existing = entries.get(cache_key)
         if existing is not None:
             if not fill:
                 self._used += size - existing.size
                 existing.value = value
                 existing.size = size
-                existing.dirty = existing.dirty or dirty
-            self._entries.move_to_end(cache_key)
+            entries.move_to_end(cache_key)
         else:
-            self._entries[cache_key] = _Entry(value, size, dirty)
+            entries[cache_key] = _Entry(value, size)
             self._used += size
         while self._used > self.capacity_bytes:
-            yield from self._evict_one()
+            _victim_key, victim = entries.popitem(last=False)
+            self._used -= victim.size
+            self._evictions_counter.inc()
+            self._used_bytes_gauge.set(self._used)
         self._used_bytes_gauge.set(self._used)
         copy_us = size / self.costs.copy_bytes_per_us
         self.env.try_advance(copy_us) or (yield self.env.timeout(copy_us))
-
-    def _write_back(self, entries: List[Tuple[Tuple[int, int], _Entry]]) -> Any:
-        """Put those of ``entries`` still cached and dirty in one batch;
-        each turns clean unless a newer value replaced it meanwhile."""
-        if not self._writeback_lock.try_acquire():
-            yield self._writeback_lock.acquire()
-        try:
-            # Another write-back may have written or dropped some meanwhile.
-            written = [
-                (cache_key, entry, entry.value, entry.size)
-                for cache_key, entry in entries
-                if entry.dirty and self._entries.get(cache_key) is entry
-            ]
-            if not written:
-                return
-            yield from self.ssd.put([
-                PutItem(cache_key[0], cache_key[1], value, size)
-                for cache_key, _entry, value, size in written
-            ])
-            for _cache_key, entry, value, size in written:
-                if entry.value is value and entry.size == size:
-                    entry.dirty = False
-            self._writebacks_counter.inc(len(written))
-        finally:
-            self._writeback_lock.release()
-
-    def _evict_one(self) -> Any:
-        victim_key, victim = next(iter(self._entries.items()))
-        if victim.dirty:
-            yield from self._write_back([(victim_key, victim)])
-            if victim.dirty or self._entries.get(victim_key) is not victim:
-                return  # re-dirtied (now most recent) or gone while the Put ran
-        self._entries.pop(victim_key, None)
-        self._used -= victim.size
-        self._evictions_counter.inc()
-        self._used_bytes_gauge.set(self._used)

@@ -650,10 +650,15 @@ class KamlLog:
         self._launch_flush(for_gc=False)
         self._launch_flush(for_gc=True)
 
-    def reset_write_points(self) -> None:
-        """Drop in-flight state after a simulated crash; the records are
-        still staged in NVRAM and will be replayed (Section IV-D).  Write
-        pointers stay: the array is not cut, so an allocated page still lands."""
+    def power_loss(self) -> None:
+        """Full power cut: block lists and write points lived in DRAM.
+
+        Everything is cleared; the records are still staged in NVRAM and
+        will be replayed (Section IV-D), and :meth:`rescan` rebuilds the
+        lists from flash.  The lock instance is deliberately kept — ghost
+        flushes from before the cut still release it through their
+        ``finally`` blocks.
+        """
         self.epoch += 1
         self.gc_running = False
         for for_gc in (False, True):
@@ -664,16 +669,6 @@ class KamlLog:
             self._points[for_gc] = _WritePoint(
                 self._new_assembly(), generation=point.generation + 1
             )
-
-    def power_loss(self) -> None:
-        """Full power cut: block lists and write points lived in DRAM.
-
-        Everything is cleared; :meth:`rescan` rebuilds the lists from
-        flash.  The lock instance is deliberately kept — ghost flushes
-        from before the cut still release it through their ``finally``
-        blocks.
-        """
-        self.reset_write_points()
         self.free = []
         self.full = []
         self._active = {False: None, True: None}

@@ -271,15 +271,11 @@ class Mapping:
     # Power cuts and inspection
     # ------------------------------------------------------------------
 
-    def reset(self) -> None:
-        """Firmware reset: in-flight state dies, DRAM tables survive."""
-        self._staged.clear()  # replay rebuilds the installs
-        self._pins.clear()
-        self._doomed_blocks.clear()  # the pending erases died with the firmware
-
     def clear(self) -> None:
         """Full power cut: every table is gone until flash is rescanned."""
-        self.reset()
+        self._staged.clear()  # replay rebuilds the installs
+        self._pins.clear()
+        self._doomed_blocks.clear()  # the pending erases died with the power
         self._installed_versions.clear()
         self._valid_bytes.clear()
         self._page_valid_bytes.clear()

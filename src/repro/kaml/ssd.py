@@ -152,13 +152,10 @@ class KamlSsd:
             )
         self._next_namespace_id = 1
         self._log_subscribers: Dict[int, int] = {log.log_id: 0 for log in self.logs}
-        #: Bumped by :meth:`simulate_crash`; pre-crash processes ("ghosts")
+        #: Bumped by :meth:`power_loss`; pre-crash processes ("ghosts")
         #: compare against it and die without mutating recovered state.
         self.epoch = 0
         self._next_snapshot_id = 1
-        #: True between :meth:`power_loss` and the end of :meth:`recover`:
-        #: mapping tables must be rebuilt by scanning flash.
-        self._dram_lost = False
         # Hot-path instruments, resolved once instead of per command
         # (registry lookups sort+hash the label set on every call).
         self._puts_counter = self.metrics.counter("kaml.ssd.puts")
@@ -963,29 +960,14 @@ class KamlSsd:
         if fault is not None:
             fault.reached(name)
 
-    def simulate_crash(self) -> None:
-        """Power-cut at the current instant.
-
-        On-board DRAM (mapping tables) and NVRAM (staged batches) are
-        persistent per Section IV-A; open-page assemblies and in-flight
-        firmware state are lost.  Processes from before the crash become
-        ghosts: their waits never resolve.
-        """
-        self.epoch += 1
-        for log in self.logs:
-            log.reset_write_points()
-        self.nvram.power_loss()  # queued (ungranted) reservations are volatile
-        self.mapping.reset()
-
     def power_loss(self) -> None:
         """Full power cut: every byte of controller DRAM is gone.
 
-        Harsher than :meth:`simulate_crash` (which models a firmware
-        reset with DRAM preserved): mapping tables, valid-byte and
-        version accounting, block lists, and snapshots all vanish.  Only
-        NVRAM reservations and flash pages whose program completed
-        survive; :meth:`recover` must rebuild everything else by
-        scanning flash.  Processes from before the cut become ghosts.
+        Mapping tables, valid-byte and version accounting, block lists,
+        and snapshots all vanish.  Only NVRAM reservations and flash pages
+        whose program completed survive; :meth:`recover` must rebuild
+        everything else by scanning flash.  Processes from before the cut
+        become ghosts.
         """
         self.epoch += 1
         self.array.power_loss()  # in-flight programs/erases never land
@@ -996,27 +978,26 @@ class KamlSsd:
             if self.dram.holds(holder.dram_tag):
                 self.dram.free(holder.dram_tag)
         self.mapping.clear()
-        self._dram_lost = True
         self.metrics.counter("kaml.ssd.power_losses").inc()
 
     def recover(self) -> Any:
-        """Bring the device back to a consistent, serving state.
+        """Bring the device back to a consistent, serving state after
+        :meth:`power_loss`.
 
-        After :meth:`simulate_crash` this replays every staged NVRAM
-        batch (redo logging, Section IV-D).  After :meth:`power_loss` it
-        first rebuilds the per-namespace mapping tables by scanning
+        It first rebuilds the per-namespace mapping tables by scanning
         every programmed flash page through its OOB bitmap — flash is
         self-describing (Figure 4) — ranking copies of a key by record
-        sequence (last-writer-wins), then replays NVRAM.  Batches replay
-        oldest-first with their phase-1 commit versions, so the result
-        is as if each acknowledged command had completed just before the
-        crash; never-acknowledged batches apply atomically or not at all.
+        sequence (last-writer-wins), then replays every staged NVRAM
+        batch (redo logging, Section IV-D).  Batches replay oldest-first
+        with their phase-1 commit versions, so the result is as if each
+        acknowledged command had completed just before the crash;
+        never-acknowledged batches apply atomically or not at all.  A
+        power cut landing mid-recovery bumps the epoch, and the caller
+        restarts ``recover()`` from scratch.
         """
         staged = list(self.nvram.live_payloads())
-        scan_mode = self._dram_lost
-        ctx = self.tracer.request("kaml.recover", batches=len(staged), scan=scan_mode)
-        if scan_mode:
-            yield from self._rebuild_from_flash(ctx)
+        ctx = self.tracer.request("kaml.recover", batches=len(staged))
+        yield from self._rebuild_from_flash(ctx)
         for handle, batch in staged:
             if not isinstance(batch, StagedBatch):
                 raise InvariantError(
@@ -1043,11 +1024,7 @@ class KamlSsd:
                     records=replayed,
                     versioned=versioned,
                 )
-        self._dram_lost = False
-        # `scan_mode` records whether *this* recovery had to scan flash; a
-        # power cut landing mid-recovery bumps the epoch and the harness
-        # restarts recover() from scratch, so the stale flag is never trusted.
-        if scan_mode and sanitize.enabled():
+        if sanitize.enabled():
             # SAN-OOB / SAN-VALID: the rebuilt mapping tables, the OOB
             # bitmaps they reference, and valid-byte accounting must all
             # agree before the device serves traffic again.

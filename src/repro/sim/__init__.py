@@ -1,9 +1,13 @@
 """Discrete-event simulation kernel.
 
 A small, dependency-free kernel in the style of SimPy: simulated time,
-generator-based processes, one-shot events, and queued resources.  Every
-other subsystem in :mod:`repro` (flash chips, channels, firmware, host
-threads) is expressed as processes scheduled by an :class:`Environment`.
+generator-based processes, one-shot events, queued resources, and the
+lock and gate built on them.  Every other subsystem in :mod:`repro`
+(flash chips, channels, firmware, host threads) is expressed as processes
+scheduled by an :class:`Environment`.  A process runs until it returns or
+raises, and a resource request is held until released: nothing in the
+stack interrupts a process or withdraws a request, so the kernel offers
+neither.
 
 Typical usage::
 
@@ -19,21 +23,18 @@ Typical usage::
 """
 
 from repro.sim.core import Environment, Event, Timeout, SimulationError
-from repro.sim.process import Process, Interrupt
+from repro.sim.process import Process
 from repro.sim.resources import Resource, Request
 from repro.sim.sync import SimLock, Gate
-from repro.sim.store import Store
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Resource",
     "Request",
     "SimLock",
     "Gate",
-    "Store",
     "SimulationError",
 ]

@@ -21,25 +21,16 @@ the caller queues with ``request()`` as before.  Either way the process
 resumes at the same instant, in the same order relative to everything
 else.  An inline grant is the resource's one pre-granted token, not a fresh
 :class:`Request`: ``release`` only ever asks a request whether it was
-granted and by whom.  Use plain ``request()`` when the request is not
-yielded on the spot (``any_of`` with a timeout, ``cancel``).
-
-Cancelled requests are counted rather than scanned: ``queue_length`` is
-O(1), and the wait heap is compacted when cancelled ghosts outnumber live
-waiters, so a timeout-heavy workload cannot inflate the queue (or the
-events/sec metric) with leaked entries.
+granted and by whom.  A request, once made, is waited for and released:
+there is no withdrawal.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from repro.sim.core import URGENT, Environment, Event, SimulationError
-
-#: Compact a resource's wait heap once this many cancelled ghosts are in it
-#: (and they outnumber live waiters).
-_COMPACT_MIN_CANCELLED = 16
 
 
 class Request(Event):
@@ -49,28 +40,18 @@ class Request(Event):
     back to :meth:`Resource.release` when done.
     """
 
-    __slots__ = ("resource", "priority", "cancelled")
+    __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: float):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (e.g. when a waiter times out)."""
-        if self.triggered:
-            raise SimulationError("cannot cancel a granted request; release it")
-        if not self.cancelled:
-            self.cancelled = True
-            self.resource._note_cancelled()
 
 
 class Resource:
     """A counted resource with a FIFO (priority-aware) wait queue."""
 
-    __slots__ = ("env", "capacity", "name", "_in_use", "_ticket", "_waiting",
-                 "_ncancelled", "_token")
+    __slots__ = ("env", "capacity", "name", "_in_use", "_ticket", "_waiting", "_token")
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -81,7 +62,6 @@ class Resource:
         self._in_use = 0
         self._ticket = 0
         self._waiting: List[Tuple[float, int, Request]] = []
-        self._ncancelled = 0
         #: What every inline grant hands back (see :meth:`try_acquire`).
         self._token = token = Request(self, 0)
         token._triggered = token._processed = True
@@ -93,7 +73,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._waiting) - self._ncancelled
+        return len(self._waiting)
 
     @property
     def available(self) -> int:
@@ -145,22 +125,10 @@ class Resource:
         if self._waiting:
             self._grant_next()
 
-    def _note_cancelled(self) -> None:
-        self._ncancelled = ghosts = self._ncancelled + 1
-        if ghosts >= _COMPACT_MIN_CANCELLED and ghosts * 2 > len(self._waiting):
-            # Dropping cancelled entries never reorders survivors: the heap
-            # is totally ordered by (priority, ticket).
-            self._waiting = [e for e in self._waiting if not e[2].cancelled]
-            heapify(self._waiting)
-            self._ncancelled = 0
-
     def _grant_next(self) -> None:
         waiting = self._waiting
         while waiting and self._in_use < self.capacity:
             _priority, _ticket, request = heappop(waiting)
-            if request.cancelled:
-                self._ncancelled -= 1
-                continue
             self._in_use += 1
             request.succeed(request, priority=URGENT)
 

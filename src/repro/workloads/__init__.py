@@ -2,7 +2,6 @@
 TPC-B, a TPC-C subset (NewOrder + Payment), and YCSB A/B/C/D/F."""
 
 from repro.workloads.keydist import (
-    AliasZipfianChooser,
     LatestChooser,
     UniformChooser,
     ZipfianChooser,
@@ -45,7 +44,6 @@ from repro.workloads.replay import (
 )
 
 __all__ = [
-    "AliasZipfianChooser",
     "SIM_WORKLOADS",
     "UniformChooser",
     "ZipfianChooser",

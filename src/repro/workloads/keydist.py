@@ -105,78 +105,6 @@ class ZipfianChooser:
         return keys
 
 
-class AliasZipfianChooser:
-    """Zipfian sampling from a precomputed alias table (Vose's method).
-
-    O(item_count) setup, then O(1) per draw from a single uniform
-    variate — no ``pow()`` in the hot loop, unlike the Gray method in
-    :class:`ZipfianChooser`.  Opt-in for paper-scale runs where the key
-    generator shows up in profiles; the draw *stream* differs from
-    ``ZipfianChooser`` (different algorithm over the same distribution),
-    so seeded experiments keep the Gray chooser by default.  Scrambling
-    is identical, so hot-key placement matches.
-    """
-
-    ZIPFIAN_CONSTANT = ZipfianChooser.ZIPFIAN_CONSTANT
-
-    def __init__(self, item_count: int, seed: int = 1, theta: Optional[float] = None,
-                 scrambled: bool = True):
-        if item_count < 1:
-            raise ValueError("item_count must be >= 1")
-        self.item_count = item_count
-        self.theta = self.ZIPFIAN_CONSTANT if theta is None else theta
-        self.scrambled = scrambled
-        self._rng = random.Random(seed)
-        self._prob, self._alias = self._build_table(item_count, self.theta)
-
-    @staticmethod
-    def _build_table(n: int, theta: float):
-        zetan = _zeta_cached(n, theta)
-        # Scaled probabilities: mean 1.0, so every bucket splits between
-        # at most one "small" and one "large" rank (Vose 1991).
-        scale = n / zetan
-        prob = [scale / ((rank + 1) ** theta) for rank in range(n)]
-        alias = list(range(n))
-        small = [i for i in range(n) if prob[i] < 1.0]
-        large = [i for i in range(n) if prob[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            alias[s] = l
-            prob[l] = (prob[l] + prob[s]) - 1.0
-            if prob[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
-        # Leftovers are 1.0 up to float round-off: never alias out.
-        for i in small:
-            prob[i] = 1.0
-        for i in large:
-            prob[i] = 1.0
-        return prob, alias
-
-    def next_key(self) -> int:
-        # One uniform variate supplies both the bucket and the coin flip.
-        u = self._rng.random() * self.item_count
-        bucket = int(u)
-        rank = bucket if (u - bucket) < self._prob[bucket] else self._alias[bucket]
-        if not self.scrambled:
-            return rank
-        return (rank * 0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D) % self.item_count
-
-    def hottest_keys(self, count: int):
-        """The most popular keys, in popularity order (test helper)."""
-        keys = []
-        for rank in range(count):
-            if self.scrambled:
-                keys.append(
-                    (rank * 0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D) % self.item_count
-                )
-            else:
-                keys.append(rank)
-        return keys
-
-
 class LatestChooser:
     """YCSB workload D: favour recently inserted keys."""
 

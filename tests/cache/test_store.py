@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import CacheCapacityError, KamlStore
+from repro.cache import KamlStore
 from repro.config import KamlParams, ReproConfig, SsdResources
 from repro.kaml import KamlSsd, PutItem
 from repro.sim import Environment
@@ -307,38 +307,20 @@ def test_read_miss_larger_than_the_cache_is_served_uncached():
     assert store.metrics.total("cache.misses") == 2
 
 
-def test_dirty_value_larger_than_the_cache_is_refused_unchanged():
-    env, ssd, store = make_store(cache_bytes=4 * 1024)
-
-    def flow():
-        nsid = yield from store.create_namespace()
-        yield from store.put_cached(nsid, 1, "dirty", 64)
-        started = env.now
-        with pytest.raises(CacheCapacityError):
-            yield from store.put_cached(nsid, 1, "huge", 8_000)
-        assert env.now == started
-        yield from store.flush()
-        yield from ssd.drain()
-        return (yield from ssd.get(nsid, 1))
-
-    assert run(env, flow()) == "dirty"
-    assert store.buffer.used_bytes == 64
-
-
-def fill_dirty(store, nsid, keys, size=1_000):
+def put_all(store, nsid, keys, size=1_000):
     for key in keys:
-        yield from store.put_cached(nsid, key, f"v{key}", size)
+        yield from store.put(nsid, key, f"v{key}", size)
 
 
-def test_concurrent_evictions_write_back_a_dirty_victim_once():
-    """Two inserts that both need room evict two different victims, and
-    used_bytes stays the sum of what is cached."""
+def test_concurrent_evictions_evict_two_different_victims():
+    """Two write-through Puts that both need room evict two different
+    victims, and used_bytes stays the sum of what is cached."""
     env, ssd, store = make_store(cache_bytes=4096)
 
     def flow():
         nsid = yield from store.create_namespace()
-        yield from fill_dirty(store, nsid, range(4))
-        yield env.all_of([env.process(fill_dirty(store, nsid, [key])) for key in (4, 5)])
+        yield from put_all(store, nsid, range(4))
+        yield env.all_of([env.process(put_all(store, nsid, [key])) for key in (4, 5)])
         return nsid
 
     nsid = run(env, flow())
@@ -346,50 +328,6 @@ def test_concurrent_evictions_write_back_a_dirty_victim_once():
     assert cached == [2, 3, 4, 5]
     assert store.buffer.used_bytes == 1_000 * len(cached)
     assert store.metrics.total("cache.evictions") == 2
-    assert store.metrics.total("cache.writebacks") == 2
-
-
-def test_write_landing_during_its_eviction_write_back_is_kept():
-    env, ssd, store = make_store(cache_bytes=4096)
-
-    def flow():
-        nsid = yield from store.create_namespace()
-        yield from fill_dirty(store, nsid, range(4))
-        # Key 4 evicts key 0 (dirty); the new value of key 0 lands while
-        # the write-back Put of "v0" is in flight.
-        yield env.all_of([
-            env.process(store.put_cached(nsid, 4, "v4", 1_000)),
-            env.process(store.put_cached(nsid, 0, "v0-new", 1_000)),
-        ])
-        assert (nsid, 0) in store.buffer
-        cached = yield from store.get(nsid, 0)
-        yield from store.flush()
-        yield from ssd.drain()
-        return cached, (yield from ssd.get(nsid, 0))
-
-    assert run(env, flow()) == ("v0-new", "v0-new")
-    assert store.buffer.used_bytes == 4_000
-
-
-def test_entry_redirtied_during_flush_stays_dirty():
-    env, ssd, store = make_store(cache_bytes=4096)
-
-    def flow():
-        nsid = yield from store.create_namespace()
-        yield from fill_dirty(store, nsid, range(3))
-        yield env.all_of([
-            env.process(store.flush()),
-            env.process(store.put_cached(nsid, 1, "v1-new", 1_000)),
-        ])
-        # Write-through Puts push every old entry out; key 1 must be
-        # written back, not dropped as clean.
-        for key in range(10, 14):
-            yield from store.put(nsid, key, "w", 1_000)
-        assert (nsid, 1) not in store.buffer
-        yield from ssd.drain()
-        return (yield from ssd.get(nsid, 1))
-
-    assert run(env, flow()) == "v1-new"
 
 
 def test_miss_fill_does_not_overwrite_a_newer_written_value():

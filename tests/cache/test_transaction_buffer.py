@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.buffer import BufferManager, CacheCapacityError
+from repro.cache.buffer import BufferManager
 from repro.cache.transaction import DELETED, Transaction, TransactionError, TxnState
 from repro.config import KamlParams, ReproConfig
 from repro.kaml import KamlSsd, PutItem
@@ -134,43 +134,6 @@ def test_buffer_lru_eviction():
     assert (1, 0) in buffer and (1, 2) in buffer
 
 
-def test_buffer_dirty_eviction_writes_back():
-    env, ssd = make_env_ssd()
-    buffer = BufferManager(env, ssd, capacity_bytes=300, costs=ssd.config.host)
-
-    def flow():
-        nsid = yield from ssd.create_namespace()
-        yield from buffer.install_dirty(nsid, 1, "dirty-v", 128)
-        yield from buffer.install_clean(nsid, 2, "c2", 128)
-        yield from buffer.install_clean(nsid, 3, "c3", 128)  # evicts key 1
-        yield from ssd.drain()
-        value = yield from ssd.get(nsid, 1)
-        return value
-
-    assert run(env, flow()) == "dirty-v"
-    assert buffer.metrics.total("cache.writebacks") == 1
-
-
-def test_buffer_flush_writes_all_dirty():
-    env, ssd = make_env_ssd()
-    buffer = BufferManager(env, ssd, 1 << 20, ssd.config.host)
-
-    def flow():
-        nsid = yield from ssd.create_namespace()
-        for key in range(4):
-            yield from buffer.install_dirty(nsid, key, f"d{key}", 64)
-        yield from buffer.flush()
-        yield from ssd.drain()
-        values = []
-        for key in range(4):
-            value = yield from ssd.get(nsid, key)
-            values.append(value)
-        return values
-
-    assert run(env, flow()) == [f"d{k}" for k in range(4)]
-    assert buffer.metrics.total("cache.writebacks") == 4
-
-
 def test_buffer_update_replaces_size_accounting():
     env, ssd = make_env_ssd()
     buffer = BufferManager(env, ssd, 1 << 20, ssd.config.host)
@@ -185,8 +148,8 @@ def test_buffer_update_replaces_size_accounting():
 
 
 def test_buffer_oversized_value_rejected():
-    """Only a dirty oversized value is refused (the cache would hold the
-    sole copy); a clean one is left uncached and evicts its stale copy."""
+    """An oversized value is left uncached (the SSD holds it) and evicts
+    its stale copy."""
     env, ssd = make_env_ssd()
     buffer = BufferManager(env, ssd, capacity_bytes=100, costs=ssd.config.host)
 
@@ -194,13 +157,10 @@ def test_buffer_oversized_value_rejected():
         nsid = yield from ssd.create_namespace()
         yield from buffer.install_clean(nsid, 1, "x", 50)
         yield from buffer.install_clean(nsid, 1, "x", 500)
-        assert (nsid, 1) not in buffer and buffer.used_bytes == 0
-        yield from buffer.install_dirty(nsid, 2, "y", 80)
-        yield from buffer.install_dirty(nsid, 2, "y", 500)
+        return nsid
 
-    with pytest.raises(CacheCapacityError):
-        run(env, flow())
-    assert buffer.used_bytes == 80
+    nsid = run(env, flow())
+    assert (nsid, 1) not in buffer and buffer.used_bytes == 0
 
 
 def test_buffer_capacity_validation():

@@ -1,9 +1,9 @@
 """Every error the stack raises is catchable as one class: ``ReproError``.
 
 Walks each ``repro.*`` module and fails on an exception class defined
-there that does not descend from the root.  The two exemptions are not
-errors of the stack: ``Interrupt`` is sim-process control flow, and
-``UnknownRuleError`` is argv validation that must stay a ``ValueError``.
+there that does not descend from the root.  The one exemption is not an
+error of the stack: ``UnknownRuleError`` is argv validation that must stay
+a ``ValueError``.
 """
 
 import importlib
@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.errors import ReproError
 
-EXEMPT = {"Interrupt", "UnknownRuleError"}
+EXEMPT = {"UnknownRuleError"}
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")

@@ -109,7 +109,7 @@ def test_ycsb_after_crash_recovery():
 
     # Run traffic to completion, then crash with whatever is staged.
     result = traffic()
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery():
         yield from ssd.recover()

@@ -42,7 +42,7 @@ def test_crash_at_any_instant_recovers_consistently(crash_at):
     env.run(until=crash_at)
     if "nsid" not in state:
         return  # crashed before the namespace existed; nothing to check
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery():
         yield from ssd.recover()
@@ -75,13 +75,16 @@ def test_crash_during_gc_preserves_data():
         for i in range(400):
             yield from ssd.put([PutItem(nsid, i % 4, ("hot", i), 2048)])
             yield env.timeout(1500.0)
+            if state.get("cut"):
+                return  # the host stops at the cut, as its device went dark
 
     env.process(churner())
     # Run long enough that GC is active, then cut power mid-everything.
     env.run(until=250_000.0)
     assert state.get("cold_done")
     assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
-    ssd.simulate_crash()
+    state["cut"] = True
+    ssd.power_loss()
 
     def recovery():
         yield from ssd.recover()
@@ -112,13 +115,13 @@ def test_double_crash_recover():
 
     env.process(writer())
     env.run(until=100.0)
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def first_recovery():
         yield from ssd.recover()
 
     run(env, first_recovery())
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def second_recovery():
         yield from ssd.recover()
@@ -139,7 +142,7 @@ def test_traffic_resumes_after_recovery():
 
     env.process(writer())
     env.run(until=100.0)
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def after():
         yield from ssd.recover()
@@ -154,10 +157,11 @@ def test_traffic_resumes_after_recovery():
     assert run(env, after()) == ("pre-crash", ("post", 19))
 
 
-def test_reset_mid_program_does_not_reprogram_the_page():
-    """A firmware reset lands after a flush allocated its page but before
-    the program finished.  The array is not cut, so that program still
-    lands; the log must not hand the same page out again."""
+def test_power_cut_mid_program_keeps_every_acked_record():
+    """A power cut lands after a flush allocated its page but before the
+    program finished.  That program never lands, so recovery finds the
+    page unprogrammed and may hand it out again; every acknowledged
+    record must still read back, and so must every later write."""
     env, ssd = make_small_ssd()
     log = ssd.logs[0]
     state = {"acked": []}
@@ -167,7 +171,7 @@ def test_reset_mid_program_does_not_reprogram_the_page():
         state["nsid"] = nsid
         for k in range(8):
             if (yield from ssd.put([PutItem(nsid, k, ("pre", k), 2048)])) is not None:
-                state["acked"].append(k)  # None: the reset cut the command
+                state["acked"].append(k)  # None: the cut took the command
 
     env.process(writer())
 
@@ -179,7 +183,10 @@ def test_reset_mid_program_does_not_reprogram_the_page():
 
     while not page_in_flight():
         env.step()
-    ssd.simulate_crash()
+    block = log._chip().block(log._active[False])
+    cut_page = block.write_pointer
+    ssd.power_loss()
+    assert block.write_pointer == cut_page  # the program was cut
 
     def after():
         yield from ssd.recover()

@@ -133,7 +133,7 @@ def test_recovery_replays_staged_batch():
     # Stop right after the ack, before the flush timer programs the page.
     env.run(until=150.0)
     assert state.get("acked")
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery_flow():
         yield from ssd.recover()
@@ -159,7 +159,7 @@ def test_recovery_is_atomic_per_batch():
 
     env.process(writer())
     env.run(until=120.0)
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery_flow():
         yield from ssd.recover()
@@ -193,7 +193,7 @@ def test_recovery_preserves_pre_crash_data():
     env.process(writer())
     env.run(until=60000.0)
     assert state.get("drained") and state.get("second_acked")
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery_flow():
         yield from ssd.recover()
@@ -214,7 +214,7 @@ def test_recovery_with_nothing_staged_is_noop():
         return nsid
 
     nsid = run(env, flow())
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery_flow():
         yield from ssd.recover()
@@ -230,7 +230,7 @@ def test_recovery_rejects_a_foreign_nvram_payload():
     NVRAM image, not a batch to guess at."""
     env, ssd = make_small_ssd()
     assert ssd.nvram.try_reserve(64, payload=[("not", "a", "batch")]) is not None
-    ssd.simulate_crash()
+    ssd.power_loss()
     with pytest.raises(InvariantError, match="SAN-NVRAM"):
         run(env, ssd.recover())
 
@@ -251,7 +251,7 @@ def test_recovery_last_writer_wins_for_same_key():
     env.process(writer())
     env.run(until=400.0)
     assert len(ssd.nvram) >= 1  # at least the unfinished batch is staged
-    ssd.simulate_crash()
+    ssd.power_loss()
 
     def recovery_flow():
         yield from ssd.recover()

@@ -76,7 +76,7 @@ def test_device_matches_dict_model(ops):
             elif kind == "crash_recover":
                 yield from ssd.drain()
                 yield env.timeout(50000.0)
-                ssd.simulate_crash()
+                ssd.power_loss()
                 yield from ssd.recover()
         # Final audit: every key matches the model.
         for key in range(16):

@@ -429,7 +429,7 @@ def test_acked_put_whose_flash_append_fails_keeps_its_pin():
 
     for _channel, _index, chip in ssd.array.iter_chips():
         chip.fault_hook = None
-    ssd.simulate_crash()
+    ssd.power_loss()
     run(env, ssd.recover())
     assert len(ssd.nvram) == 0 and ssd.staged_records == 0
     assert ssd.namespaces[nsid].index.lookup(7)[0] is not None

@@ -1,8 +1,8 @@
-"""Unit tests for resources, locks, gates, stores, and interrupts."""
+"""Unit tests for resources, locks, gates, and processes."""
 
 import pytest
 
-from repro.sim import Environment, Gate, Interrupt, Resource, SimLock, SimulationError, Store
+from repro.sim import Environment, Gate, Resource, SimLock, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -89,37 +89,6 @@ def test_resource_release_ungranted_raises():
     p = env.process(proc(env))
     env.run()
     assert p.value is True
-
-
-def test_resource_cancelled_request_skipped():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        request = res.request()
-        yield request
-        yield env.timeout(5.0)
-        res.release(request)
-
-    def impatient(env):
-        yield env.timeout(1.0)
-        request = res.request()
-        request.cancel()
-        yield env.timeout(0.0)
-
-    def patient(env):
-        yield env.timeout(2.0)
-        request = res.request()
-        yield request
-        order.append(env.now)
-        res.release(request)
-
-    env.process(holder(env))
-    env.process(impatient(env))
-    env.process(patient(env))
-    env.run()
-    assert order == [5.0]
 
 
 def test_resource_capacity_validation():
@@ -240,120 +209,6 @@ def test_gate_fire_with_no_waiters():
     env = Environment()
     gate = Gate(env)
     assert gate.fire() == 0
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-def test_store_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for i in range(3):
-            yield env.timeout(1.0)
-            store.put(i)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append((item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [(0, 1.0), (1, 2.0), (2, 3.0)]
-
-
-def test_store_get_before_put():
-    env = Environment()
-    store = Store(env)
-
-    def consumer(env):
-        item = yield store.get()
-        return item
-
-    def producer(env):
-        yield env.timeout(5.0)
-        store.put("late")
-
-    p = env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert p.value == "late"
-
-
-def test_store_bounded_blocks_putter():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put("a")
-        times.append(("a", env.now))
-        yield store.put("b")
-        times.append(("b", env.now))
-
-    def consumer(env):
-        yield env.timeout(10.0)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [("a", 0.0), ("b", 10.0)]
-
-
-def test_store_capacity_validation():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Store(env, capacity=0)
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-
-
-# ---------------------------------------------------------------------------
-# Interrupt
-# ---------------------------------------------------------------------------
-
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-            return "slept"
-        except Interrupt as exc:
-            return ("interrupted", exc.cause, env.now)
-
-    def interrupter(env, target):
-        yield env.timeout(5.0)
-        target.interrupt("wake-up")
-
-    target = env.process(sleeper(env))
-    env.process(interrupter(env, target))
-    env.run()
-    assert target.value == ("interrupted", "wake-up", 5.0)
-
-
-def test_interrupt_finished_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_is_alive_flag():

@@ -7,11 +7,8 @@ contract of the original tuple-heap loop: events fire in strict
 everything but the ghost accounting.
 """
 
-import pytest
-
 from repro.sim import Environment
 from repro.sim.core import NORMAL, URGENT, Event, _COMPACT_MIN_GHOSTS
-from repro.sim.resources import Resource, _COMPACT_MIN_CANCELLED
 from repro.sim.sync import Gate
 
 
@@ -146,107 +143,6 @@ def test_events_processed_counts_dispatches():
     # event; its termination costs none (nobody waits on the process, so
     # it is processed on the spot).
     assert env.events_processed == 11
-
-
-def test_interrupt_defuses_orphan_timeout():
-    env = Environment()
-    orphan = []
-
-    def sleeper(env):
-        timeout = env.timeout(100.0)
-        orphan.append(timeout)
-        try:
-            yield timeout
-        except RuntimeError:
-            pass
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt(RuntimeError("wake"))
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run(until=2.0)
-    # The abandoned timeout was defused at interrupt time: no listeners,
-    # counted as a ghost, guaranteed no-op when its heap entry drains.
-    assert orphan[0]._defused
-    assert orphan[0].callbacks is None
-    assert env._ndefused == 1
-
-
-# ---------------------------------------------------------------------------
-# Resource counted cancellation
-# ---------------------------------------------------------------------------
-
-def test_resource_queue_length_excludes_cancelled():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        yield env.timeout(10.0)
-        resource.release(request)
-
-    env.process(holder(env))
-    env.run(until=1.0)
-    waiters = [resource.request() for _ in range(4)]
-    assert resource.queue_length == 4
-    waiters[1].cancel()
-    waiters[2].cancel()
-    assert resource.queue_length == 2
-
-
-def test_resource_grant_order_survives_mass_cancellation():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    granted = []
-
-    def worker(env, tag):
-        request = resource.request()
-        yield request
-        granted.append(tag)
-        yield env.timeout(1.0)
-        resource.release(request)
-
-    def churner(env):
-        # Enough cancelled requests to trip the waiting-list compaction.
-        yield env.timeout(0.5)
-        doomed = [resource.request() for _ in range(_COMPACT_MIN_CANCELLED + 4)]
-        for request in doomed:
-            request.cancel()
-
-    for tag in range(3):
-        env.process(worker(env, tag))
-    env.process(churner(env))
-    env.run()
-    assert granted == [0, 1, 2]
-
-
-def test_resource_compaction_resets_counter():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        yield env.timeout(10.0)
-        resource.release(request)
-
-    env.process(holder(env))
-    env.run(until=1.0)
-    live = resource.request()
-    doomed = [resource.request() for _ in range(_COMPACT_MIN_CANCELLED * 2)]
-    for request in doomed:
-        request.cancel()
-    # At least one compaction fired mid-loop (the counter restarted), and
-    # the O(1) queue_length stayed truthful throughout.
-    assert resource._ncancelled < len(doomed)
-    assert resource.queue_length == 1
-    live.cancel()
-    assert resource._ncancelled == 0  # the last cancel tripped compaction
-    assert resource.queue_length == 0
-    assert resource._waiting == []
 
 
 # ---------------------------------------------------------------------------
