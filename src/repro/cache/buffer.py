@@ -10,7 +10,7 @@ recently used ones.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import HostCosts
 from repro.kaml import KamlSsd
@@ -44,6 +44,9 @@ class BufferManager:
         self.costs = costs
         self._entries: "OrderedDict[Tuple[int, int], _Entry]" = OrderedDict()
         self._used = 0
+        #: Misses in flight per key; a write or delete of the key replaces
+        #: the counter, which makes every miss holding the old one stale.
+        self._misses: Dict[Tuple[int, int], List[int]] = {}
         self.metrics = ssd.metrics
         # Hot-path instruments, resolved once instead of per access.
         self._used_bytes_gauge = self.metrics.gauge("cache.used_bytes")
@@ -90,11 +93,19 @@ class BufferManager:
             counters[2].inc()
             if cache_span is not None:
                 cache_span.tags["hit"] = False
-            result = yield from self.ssd.get_record(namespace_id, key, ctx=ctx)
+            pending = self._misses.setdefault(cache_key, [0])
+            pending[0] += 1
+            try:
+                result = yield from self.ssd.get_record(namespace_id, key, ctx=ctx)
+            finally:
+                pending[0] -= 1
+                stale = self._misses.get(cache_key) is not pending
+                if not stale and not pending[0]:
+                    del self._misses[cache_key]
             if result is None:
                 return None
             value, size = result
-            yield from self._insert(cache_key, value, size, fill=True)
+            yield from self._insert(cache_key, value, size, stale)
             return value, size
         finally:
             if ctx is not None:
@@ -128,10 +139,16 @@ class BufferManager:
 
     def install_clean(self, namespace_id: int, key: int, value: Any, size: int) -> Any:
         """Place a just-persisted value in the cache (commit write-through)."""
-        return self._insert((namespace_id, key), value, size)
+        cache_key = (namespace_id, key)
+        if self._misses:
+            self._misses.pop(cache_key, None)
+        return self._insert(cache_key, value, size)
 
     def discard(self, namespace_id: int, key: int) -> None:
-        entry = self._entries.pop((namespace_id, key), None)
+        cache_key = (namespace_id, key)
+        if self._misses:
+            self._misses.pop(cache_key, None)
+        entry = self._entries.pop(cache_key, None)
         if entry is not None:
             self._used -= entry.size
 
@@ -149,12 +166,11 @@ class BufferManager:
         return counters
 
     def _insert(
-        self, cache_key: Tuple[int, int], value: Any, size: int, fill: bool = False
+        self, cache_key: Tuple[int, int], value: Any, size: int, stale: bool = False
     ) -> Any:
-        """Cache ``value``; ``fill`` marks a miss's SSD value, which never
-        replaces an entry that appeared while the ``Get`` was in flight: a
-        write put it there, so it is at least as new.  The fill still
-        refreshes LRU and pays the copy."""
+        """Cache ``value``.  A ``stale`` miss fill (a write or delete of the key
+        reached the cache during its ``Get``) caches nothing: it only
+        refreshes LRU on an entry that exists and pays the copy."""
         if size > self.capacity_bytes:
             # Serve it uncached and drop any stale copy.
             self.discard(*cache_key)
@@ -163,12 +179,12 @@ class BufferManager:
         entries = self._entries
         existing = entries.get(cache_key)
         if existing is not None:
-            if not fill:
+            if not stale:
                 self._used += size - existing.size
                 existing.value = value
                 existing.size = size
             entries.move_to_end(cache_key)
-        else:
+        elif not stale:
             entries[cache_key] = _Entry(value, size)
             self._used += size
         while self._used > self.capacity_bytes:

@@ -361,6 +361,41 @@ def test_miss_fill_does_not_overwrite_a_newer_written_value():
     assert store.buffer.used_bytes == 1_000
 
 
+def test_miss_fill_does_not_recache_a_transactionally_deleted_value():
+    """A transaction that deletes the key and discards it from the cache
+    while a miss's Get reads flash: the fill must not re-cache the value
+    the delete removed."""
+    env, ssd, store = make_store(cache_bytes=4096)
+    finished = {}
+
+    def flow():
+        nsid = yield from store.create_namespace()
+        yield from ssd.put([PutItem(nsid, 7, "old", 1_000)])
+        yield from ssd.drain()  # the miss's Get goes to flash
+
+        def reader():
+            value = yield from store.get(nsid, 7)
+            finished["read"] = env.now
+            return value
+
+        def deleter():
+            yield env.timeout(1.0)
+            txn = store.transaction_begin()
+            yield from store.transaction_delete(txn, nsid, 7)
+            yield from store.transaction_commit(txn)
+            store.transaction_free(txn)
+            finished["delete"] = env.now
+
+        reading = env.process(reader())
+        yield env.all_of([reading, env.process(deleter())])
+        cached = yield from store.get(nsid, 7)
+        return reading.value, cached, (yield from ssd.get(nsid, 7))
+
+    assert run(env, flow()) == ("old", None, None)
+    assert finished["delete"] < finished["read"]
+    assert store.buffer.used_bytes == 0
+
+
 def test_run_transaction_returns_body_value():
     env, ssd, store = make_store()
 
