@@ -180,6 +180,42 @@ def ycsb_replay_mini() -> Dict[str, Any]:
     }
 
 
+def gc_pressured_device(env, ssd, nsid) -> list:
+    """Four clients' seeded Put/Get/Delete mix on
+    ``test_zero_event_exactness.small_device()``, then a drain; the Puts
+    keep the device's GC erasing blocks.  Returns every op's ``(client,
+    kind, issue instant, ack instant)``."""
+    import random
+
+    from tests.integration.test_zero_event_exactness import timed
+
+    from repro.kaml import PutItem
+
+    rng = random.Random(31)
+    ops = []
+
+    def client(cid):
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.1:
+                yield from timed(env, ops, cid, "delete", ssd.delete(nsid, rng.randrange(24)))
+            elif roll < 0.35:
+                yield from timed(env, ops, cid, "get", ssd.get(nsid, rng.randrange(24)))
+            else:
+                items = [
+                    PutItem(nsid, key, ("c", cid, key), rng.choice([200, 900, 2048]))
+                    for key in rng.sample(range(24), rng.randint(1, 4))
+                ]
+                yield from timed(env, ops, cid, f"put{len(items)}", ssd.put(items))
+            think_us = rng.choice([0.0, 60.0, 300.0])
+            env.try_advance(think_us) or (yield env.timeout(think_us))
+
+    env.run_until(env.all_of([env.process(client(c)) for c in range(4)]))
+    env.run_until(env.process(ssd.drain()))
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
+    return ops
+
+
 def op_instants_mini() -> Dict[str, Any]:
     """Every op's simulated instants on a GC-pressured device and a 2-shard
     cluster.
@@ -197,7 +233,7 @@ def op_instants_mini() -> Dict[str, Any]:
 
     from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
     from repro.fault.harness import default_device_config
-    from repro.kaml import KamlSsd, PutItem
+    from repro.kaml import KamlSsd
     from repro.sim import Environment
 
     finished = []
@@ -211,28 +247,7 @@ def op_instants_mini() -> Dict[str, Any]:
 
     def device() -> Dict[str, Any]:
         env, ssd, nsid = small_device()
-        rng = random.Random(31)
-        ops = []
-
-        def client(cid):
-            for _ in range(400):
-                roll = rng.random()
-                if roll < 0.1:
-                    yield from timed(env, ops, cid, "delete", ssd.delete(nsid, rng.randrange(24)))
-                elif roll < 0.35:
-                    yield from timed(env, ops, cid, "get", ssd.get(nsid, rng.randrange(24)))
-                else:
-                    items = [
-                        PutItem(nsid, key, ("c", cid, key), rng.choice([200, 900, 2048]))
-                        for key in rng.sample(range(24), rng.randint(1, 4))
-                    ]
-                    yield from timed(env, ops, cid, f"put{len(items)}", ssd.put(items))
-                think_us = rng.choice([0.0, 60.0, 300.0])
-                env.try_advance(think_us) or (yield env.timeout(think_us))
-
-        env.run_until(env.all_of([env.process(client(c)) for c in range(4)]))
-        env.run_until(env.process(ssd.drain()))
-        assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
+        ops = gc_pressured_device(env, ssd, nsid)
         return {"ops": ops, "now": env.now}
 
     def cluster() -> Dict[str, Any]:

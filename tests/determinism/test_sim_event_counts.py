@@ -9,9 +9,12 @@ means the simulation schedules more (or less) work per operation:
 * ``ycsb-b`` — YCSB B (95 % reads) through the caching layer and lock
   table, the stack Figure 10 exercises;
 * ``cluster`` — Gets, single-key Puts and cross-shard (2PC) Puts through
-  a 2-shard ``KamlCluster``: shard queues, workers and the coordinator.
+  a 2-shard ``KamlCluster``: shard queues, workers and the coordinator;
+* ``gc`` — ``op_instants_mini``'s GC-pressured device schedule: multi-record
+  Puts, Gets and Deletes straight on a small ``KamlSsd`` whose logs run GC,
+  the log, relocation and NVRAM path ``put-gc`` runs.
 
-Store and cluster workloads count only their measured phase (setup
+Store, cluster and gc workloads count only their measured phase (setup
 excluded).  A change to the modelled device re-pins these numbers
 together with the digests, under DESIGN.md's re-pin protocol.  A kernel
 or cluster-tier hand-off change may re-pin them alone only if it is exact
@@ -23,6 +26,9 @@ them alone.
 
 import random
 
+from tests.determinism.test_digests import gc_pressured_device
+from tests.integration.test_zero_event_exactness import small_device
+
 from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
 from repro.config import ReproConfig
 from repro.harness.runner import build_kaml_store
@@ -30,7 +36,9 @@ from repro.sim import Environment
 from repro.sim.resources import Resource
 from repro.workloads import prepare_workload
 
-EXPECTED = {"kernel": 76_865, "mixed": 8_983, "ycsb-b": 2_881, "cluster": 8_643}
+EXPECTED = {
+    "kernel": 76_865, "mixed": 8_983, "ycsb-b": 2_881, "cluster": 8_643, "gc": 17_024,
+}
 
 
 def kernel_events() -> int:
@@ -92,11 +100,19 @@ def cluster_events(clients: int = 4, ops: int = 250, keys: int = 256) -> int:
     return env.events_processed - before
 
 
+def gc_events() -> int:
+    env, ssd, nsid = small_device()
+    before = env.events_processed
+    gc_pressured_device(env, ssd, nsid)
+    return env.events_processed - before
+
+
 def test_sim_event_counts_are_exact():
     counts = {
         "kernel": kernel_events(),
         "mixed": store_events("mixed", seed=42, ops=2000, key_space=512),
         "ycsb-b": store_events("ycsb-b", seed=7, ops=1000, records=1000),
         "cluster": cluster_events(),
+        "gc": gc_events(),
     }
     assert counts == EXPECTED
