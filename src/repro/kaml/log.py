@@ -18,7 +18,7 @@ After a power cut it rebuilds its own block lists from its flash target
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import sanitize
@@ -53,7 +53,9 @@ class _WritePoint:
     """An open page being assembled (user or GC stream)."""
 
     assembly: PageAssembly
-    waiters: List[Tuple[int, Record, Event]] = field(default_factory=list)
+    #: Fires with the page's :class:`PagePointer` once it is programmed:
+    #: one completion per page, made when the first record joins it.
+    programmed: Optional[Event] = None
     generation: int = 0
     #: Pending flush-timer event (bootstrap or armed timeout); defused
     #: when the page flushes early so no ghost fires at the deadline.
@@ -154,11 +156,13 @@ class KamlLog:
     def append(self, record: Record) -> Any:
         """Append one record; returns its :class:`RecordLocation` once the
         containing page is programmed (Put phase 2, Section IV-D)."""
-        return (yield self.stage(record, for_gc=False))
+        programmed, start = self.stage(record, for_gc=False)
+        return RecordLocation((yield programmed), start, record.chunks(self.geometry.chunk_size))
 
-    def stage(self, record: Record, for_gc: bool) -> Event:
+    def stage(self, record: Record, for_gc: bool) -> Tuple[Event, int]:
         """Synchronously place a record into the open page; returns the
-        event that fires with its location after the program completes."""
+        page's one completion, which fires with its :class:`PagePointer`
+        after the program, and the record's first chunk in the page."""
         point = self._points[for_gc]
         nchunks = record.chunks(self.geometry.chunk_size)
         if nchunks > self.geometry.chunks_per_page:
@@ -171,8 +175,9 @@ class KamlLog:
         was_empty = point.assembly.is_empty
         start = point.assembly.add(record)
         point.last_append = self.env.now
-        event = self.env.event()
-        point.waiters.append((start, record, event))
+        programmed = point.programmed
+        if programmed is None:
+            programmed = point.programmed = Event(self.env)
         stream = "gc" if for_gc else "host"
         counters = self._append_counters.get((record.namespace_id, stream))
         if counters is None:
@@ -193,7 +198,7 @@ class KamlLog:
             self._launch_flush(for_gc)
         elif was_empty:
             self._start_flush_timer(for_gc, point)
-        return event
+        return programmed, start
 
     def _launch_flush(self, for_gc: bool) -> None:
         point = self._points[for_gc]
@@ -204,7 +209,7 @@ class KamlLog:
             # instead of letting it fire as a ghost wakeup.
             point.timer.defuse()
             point.timer = None
-        assembly, waiters = point.assembly, point.waiters
+        assembly = point.assembly
         # Every launch passes here, so this is the one place padding is
         # counted: the page's free tail is programmed as waste.
         padded = assembly.chunks_per_page - assembly.used_chunks
@@ -216,7 +221,7 @@ class KamlLog:
         # first resume, and a flush that captured the post-cut epoch
         # would happily program a page of pre-crash records into the
         # recovered log.
-        self.env.process(self._flush_process(assembly, waiters, for_gc, self.epoch))
+        self.env.process(self._flush_process(assembly, point.programmed, for_gc, self.epoch))
 
     def _start_flush_timer(self, for_gc: bool, point: _WritePoint) -> None:
         """Pad and program a part-filled page once it goes quiet
@@ -261,7 +266,7 @@ class KamlLog:
         self.env._schedule(bootstrap, 0.0)
 
     def _flush_process(
-        self, assembly: PageAssembly, waiters, for_gc: bool, epoch: int
+        self, assembly: PageAssembly, programmed: Event, for_gc: bool, epoch: int
     ) -> Any:
         if self.epoch != epoch:
             return  # launched an instant before a cut; the page is gone
@@ -285,11 +290,9 @@ class KamlLog:
                 pointer = self._try_allocate(for_gc)
                 if pointer is None:
                     if not self.gc_running:
-                        error = LogSpaceError(
+                        programmed.fail(LogSpaceError(
                             f"log {self.log_id} is full and nothing is reclaimable"
-                        )
-                        for _start, _record, event in waiters:
-                            event.fail(error)
+                        ))
                         return
                     self._program_lock.release()
                     held = False
@@ -339,12 +342,10 @@ class KamlLog:
                     if self.epoch != epoch:
                         return
                     if attempts >= self.MAX_PROGRAM_RETRIES:
-                        error = LogSpaceError(
+                        programmed.fail(LogSpaceError(
                             f"log {self.log_id} page program failed "
                             f"{attempts} times; giving up"
-                        )
-                        for _start, _record, event in waiters:
-                            event.fail(error)
+                        ))
                         return
                     self.metrics.counter(
                         "kaml.log.program_retries", log=self.log_id
@@ -363,14 +364,7 @@ class KamlLog:
             # A crash hit while this page was programming: the page is a
             # torn write the mapping tables never point at.
             return
-        for start, record, event in waiters:
-            event.succeed(
-                RecordLocation(
-                    page=pointer,
-                    chunk=start,
-                    nchunks=record.chunks(self.geometry.chunk_size),
-                )
-            )
+        programmed.succeed(pointer)
 
     # ------------------------------------------------------------------
     # Block allocation
@@ -600,14 +594,12 @@ class KamlLog:
                     survivors.append((record, location))
         if not survivors:
             return
-        staged = []
-        for record, old_location in survivors:
-            event = self.stage(record, for_gc=True)
-            staged.append((event, record, old_location))
+        staged = [(*self.stage(record, for_gc=True), record, old) for record, old in survivors]
         self._launch_flush(for_gc=True)
         moved_bytes = 0
-        for event, record, old_location in staged:
-            new_location = yield event
+        for programmed, start, record, old_location in staged:
+            pointer = yield programmed  # once per page: later records resume at once
+            new_location = RecordLocation(pointer, start, old_location.nchunks)
             self._crash_point("gc.mid_relocation")
             if self.epoch != epoch:
                 return  # ghost pass: never CAS into recovered mapping state

@@ -583,12 +583,7 @@ class KamlSsd:
                 probe_costs[0], ctx=ctx, parent=probe_span
             )
         else:
-            yield self.env.all_of([
-                self.env.process(
-                    self.firmware.execute(c, ctx=ctx, parent=probe_span)
-                )
-                for c in probe_costs
-            ])
+            yield self.firmware.execute_wave(probe_costs, ctx=ctx, parent=probe_span)
         if ctx is not None:
             ctx.finish(probe_span)
         if self.epoch != epoch:
@@ -706,33 +701,39 @@ class KamlSsd:
         # Phase 2 stages every record in this one step, asking for each
         # record's log right before staging it.  A record whose namespace
         # was deleted after the ack is skipped: it can never be read, so it
-        # is garbage before it is written.
+        # is garbage before it is written.  Records that share a page share
+        # its one completion.
         landed: List[Optional[Tuple[RecordLocation, int]]] = [None] * len(records)
-        stages: Dict[Event, Tuple[int, KamlLog]] = {}
+        #: page completion -> (index, start chunk, log) of each record in it
+        stages: Dict[Event, List[Tuple[int, int, KamlLog]]] = {}
+        chunk_size = self.geometry.chunk_size
 
         def land(event: Event) -> None:
             # The erase mark is captured in the dispatch that delivers the
-            # location; capturing it later (say when the whole batch's
-            # all_of fires) would race a GC erase of this block and make
-            # the stale location look live.
+            # page; capturing it later (say when the whole batch's all_of
+            # fires) would race a GC erase of this block and make the stale
+            # location look live.
             if event._exception is None:  # slots, not properties: no calls per record
-                index, log = stages[event]
-                location = event._value
-                landed[index] = (location, self.mapping.erase_mark(location))
-                if ctx is not None:
+                pointer = event._value
+                for index, start, log in stages[event]:
                     record = records[index]
-                    ctx.record_span(
-                        "log.append", start_us=phase2_start, parent=phase2_span,
-                        log=log.log_id, namespace=record.namespace_id, key=record.key,
-                    )
+                    location = RecordLocation(pointer, start, record.chunks(chunk_size))
+                    landed[index] = (location, self.mapping.erase_mark(location))
+                    if ctx is not None:
+                        ctx.record_span(
+                            "log.append", start_us=phase2_start, parent=phase2_span,
+                            log=log.log_id, namespace=record.namespace_id, key=record.key,
+                        )
 
         for index, record in enumerate(records):
             namespace = self.namespaces.get(record.namespace_id)
             if namespace is not None:
                 log = self._pick_log(namespace, record)
-                staged = log.stage(record, for_gc=False)
-                staged.add_callback(land)
-                stages[staged] = (index, log)
+                programmed, start = log.stage(record, for_gc=False)
+                if programmed not in stages:
+                    stages[programmed] = []
+                    programmed.add_callback(land)
+                stages[programmed].append((index, start, log))
         append_failed = False
         try:
             try:
@@ -1105,21 +1106,21 @@ class KamlSsd:
         the scan saw.  Unversioned batches were never acknowledged;
         they apply all-or-nothing with fresh versions.
         """
-        staged_events = []
+        staged = []
         touched = set()
         for record in self.mapping.commit(batch):
             namespace = self.namespaces.get(record.namespace_id)
             if namespace is None:
                 continue
             log = self._pick_log(namespace, record)
-            staged_events.append((record, log.stage(record, for_gc=False)))
+            staged.append((record, *log.stage(record, for_gc=False)))
             touched.add(log.log_id)
         for log_id in sorted(touched):
             self.logs[log_id].force_flush()
-        for record, event in staged_events:
-            location = yield event
+        for record, page, start in staged:
+            location = RecordLocation((yield page), start, record.chunks(self.geometry.chunk_size))
             self.mapping.install(record, location)
-        return len(staged_events)
+        return len(staged)
 
     # ------------------------------------------------------------------
     # Helpers

@@ -7,9 +7,9 @@ outside the context so cores are not pinned during I/O.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Event, Resource
 
 
 class FirmwarePool:
@@ -58,3 +58,39 @@ class FirmwarePool:
             self.busy_us += self.env.now - started
         finally:
             self._pool.release(request)
+
+    def execute_wave(self, costs: List[float], ctx=None, parent=None) -> Event:
+        """One :meth:`execute` per cost, each on a context of its own, without
+        a process per cost: one bootstrap at ``now`` claims contexts in list
+        order as those processes would, each cost's timeout releases its
+        context, and the last release fires the event returned."""
+        env, pool, wave, queued = self.env, self._pool, Event(self.env), self.env.now
+        remaining = [sum(cost > 0 for cost in costs)]
+
+        def run(request, cost: float) -> None:
+            started = env.now
+            if started > queued and ctx is not None:
+                ctx.record_span("firmware.wait", start_us=queued, parent=parent)
+            if self._wait_us_histogram is not None:
+                self._wait_us_histogram.observe(started - queued)
+                self._queue_depth_gauge.set(pool.queue_length)
+
+            def release(_timeout: Event) -> None:
+                self.busy_us += env.now - started
+                pool.release(request)
+                remaining[0] -= 1
+                if not remaining[0]:
+                    env._finish(wave, None)  # this callback's last act
+
+            env.timeout(cost).add_callback(release)
+
+        def claim(_bootstrap: Event) -> None:
+            for cost in costs:
+                if cost > 0:  # an inline grant is processed: run() is called at once
+                    granted = pool.try_acquire() or pool.request()
+                    granted.add_callback(lambda request, cost=cost: run(request, cost))
+            if not remaining[0]:
+                env._finish(wave, None)
+
+        env.timeout(0.0).add_callback(claim)
+        return wave

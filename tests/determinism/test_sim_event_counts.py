@@ -37,7 +37,7 @@ from repro.sim.resources import Resource
 from repro.workloads import prepare_workload
 
 EXPECTED = {
-    "kernel": 76_865, "mixed": 8_983, "ycsb-b": 2_881, "cluster": 8_643, "gc": 17_024,
+    "kernel": 76_865, "mixed": 8_246, "ycsb-b": 2_869, "cluster": 7_843, "gc": 12_383,
 }
 
 

@@ -108,8 +108,8 @@ def test_records_pack_into_one_page():
         stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(4)]
         log.force_flush()
         locations = []
-        for event in stages:
-            locations.append((yield event))
+        for event, start in stages:
+            locations.append(RecordLocation((yield event), start, 8))
         return locations
 
     locations = run(env, flow())
@@ -120,13 +120,29 @@ def test_records_pack_into_one_page():
     assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 1
 
 
+def test_records_that_share_a_page_share_one_completion():
+    env, log, hooks, array = make_log(flush_timeout=10_000_000.0)
+    # 1,000 B records are 8 of a page's 64 chunks: eight fill one page and
+    # launch its program, the ninth opens the next page.
+    stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(9)]
+    events = [event for event, _start in stages]
+    assert all(event is events[0] for event in events[:8])
+    assert events[8] is not events[0]
+    assert [start for _event, start in stages] == [8 * k for k in range(8)] + [0]
+    log.force_flush()
+    env.run()
+    first, second = events[0].value, events[8].value
+    assert (first.block, first.page) == (second.block, second.page - 1)
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 2
+
+
 def test_full_page_flushes_without_timer():
     env, log, hooks, array = make_log(flush_timeout=10_000_000.0)
 
     def flow():
         # 8 records x 8 chunks each = 64 chunks: exactly one page.
         stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(8)]
-        for event in stages:
+        for event, _start in stages:
             yield event
         return env.now
 
@@ -227,11 +243,11 @@ def test_oversized_tail_starts_new_page():
 
     def flow():
         # 60 chunks, then a 10-chunk record that cannot fit the tail.
-        first = log.stage(record(1, size=7600), for_gc=False)
-        second = log.stage(record(2, size=1200), for_gc=False)
+        first, first_start = log.stage(record(1, size=7600), for_gc=False)
+        second, second_start = log.stage(record(2, size=1200), for_gc=False)
         log.force_flush()
-        a = yield first
-        b = yield second
+        a = RecordLocation((yield first), first_start, 60)
+        b = RecordLocation((yield second), second_start, 10)
         return a, b
 
     a, b = run(env, flow())
@@ -312,6 +328,37 @@ def test_gc_reads_only_the_pages_that_hold_a_live_record():
     assert hooks.valid_bytes((0, 0, victim)) == 0
 
 
+def test_clean_block_relocates_each_survivor_to_its_own_location():
+    """Six survivors, up to three to a victim page, move into one GC page
+    with one completion: each still gets its own chunk run, which holds
+    its record."""
+    env, log, hooks, array = make_log(blocks=8, pages=4)
+
+    def fill():
+        # 32 records of 8 chunks: eight to a page, one block of four pages.
+        stages = [(k, *log.stage(record(k, size=1000), for_gc=False)) for k in range(32)]
+        locations = {}
+        for key, event, start in stages:
+            locations[key] = RecordLocation((yield event), start, 8)
+        return locations
+
+    locations = run(env, fill())
+    victim = locations[0].page.block
+    assert {location.page.block for location in locations.values()} == {victim}
+    live = [1, 2, 5, 9, 10, 30]
+    for key in live:
+        hooks.register(key, locations[key])
+    run(env, log._clean_block(victim))
+    moved = {key: new for key, _old, new in hooks.relocations}
+    assert sorted(moved) == live
+    assert len({new.page for new in moved.values()}) == 1
+    assert sorted(new.chunk for new in moved.values()) == [8 * k for k in range(6)]
+    for key, new in moved.items():
+        assert new.nchunks == 8 and hooks.locations[key] == new
+        data, _bitmap = array.block_at(new.page).read(new.page.page)
+        assert data[new.chunk].key == key
+
+
 def test_gc_pass_counts_the_padding_of_its_part_filled_page():
     """One 55-chunk survivor leaves the GC page 9 chunks short; the
     forced flush at the end of the clean pads them, and they count."""
@@ -390,7 +437,7 @@ def test_rescan_restores_block_lists_and_both_write_points():
     def flow():
         for key in range(6):  # one 7,000 B record per page: a full block + 2 pages
             yield from log.append(record(key, size=7000))
-        yield log.stage(record(100, size=7000), for_gc=True)  # one page, GC stream
+        yield log.stage(record(100, size=7000), for_gc=True)[0]  # one page, GC stream
 
     run(env, flow())
     free, full = sorted(log.free), sorted(log.full)

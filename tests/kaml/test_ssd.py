@@ -436,6 +436,56 @@ def test_acked_put_whose_flash_append_fails_keeps_its_pin():
     assert run(env, ssd.get(nsid, 7)) == "acked"
 
 
+def test_put_records_that_share_a_page_each_install_their_own_run():
+    """Four records of one Put land in one page, whose single completion
+    installs each of them at its own chunk run."""
+    env, ssd = make_ssd(num_logs=1)
+    nsid = run(env, ssd.create_namespace())
+
+    def flow():
+        done = yield from ssd.put([PutItem(nsid, k, ("v", k), 512) for k in range(4)])
+        yield done
+
+    run(env, flow())
+    assert ssd.staged_records == 0
+    locations = [ssd.namespaces[nsid].index.lookup(k)[0] for k in range(4)]
+    assert len({location.page for location in locations}) == 1
+    assert len({location.chunk for location in locations}) == 4
+    assert ssd.metrics.total("kaml.log.programmed_pages") == 1
+
+
+def test_page_that_exhausts_its_retries_fails_each_waiting_put_once():
+    """Three acked Puts, four records, one page on one log: every program
+    fails, so the page gives up after its retries.  Each Put sees the
+    failure once and keeps its own pin; replay lands all four records."""
+    env, ssd = make_ssd(num_logs=1)
+    nsid = run(env, ssd.create_namespace())
+    for _channel, _index, chip in ssd.array.iter_chips():
+        chip.fault_hook = lambda kind, block, page: kind == "program"
+    batches = [[1, 2], [3], [4]]
+
+    def flow():
+        done = []
+        for keys in batches:
+            done.append((yield from ssd.put([PutItem(nsid, k, ("v", k), 512) for k in keys])))
+        for process in done:
+            yield process
+        return len(done)
+
+    assert run(env, flow()) == 3
+    assert ssd.metrics.total("kaml.log.program_failures") == ssd.logs[0].MAX_PROGRAM_RETRIES
+    assert ssd.metrics.value("kaml.ssd.put_append_failures") == 3
+    assert len(ssd.nvram) == 3 and ssd.nvram.used_bytes == 4 * 512
+    assert [run(env, ssd.get(nsid, k)) for k in range(1, 5)] == [("v", k) for k in range(1, 5)]
+
+    for _channel, _index, chip in ssd.array.iter_chips():
+        chip.fault_hook = None
+    ssd.power_loss()
+    run(env, ssd.recover())
+    assert len(ssd.nvram) == 0 and ssd.staged_records == 0
+    assert [run(env, ssd.get(nsid, k)) for k in range(1, 5)] == [("v", k) for k in range(1, 5)]
+
+
 def test_delete_namespace_leaves_no_per_key_state_behind():
     """50 Puts, a Delete, DeleteNamespace: the mapping forgets every
     version, tombstone, staged value and valid byte of the namespace."""

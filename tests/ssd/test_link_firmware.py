@@ -1,8 +1,10 @@
 """Unit tests for the PCIe interconnect model and firmware pool."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import InterconnectTimings
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 from repro.ssd import FirmwarePool, HostInterconnect
 
@@ -114,3 +116,78 @@ def test_firmware_zero_cost_is_free():
     p = env.process(job(env))
     env.run()
     assert p.value == 0.0
+
+
+def fan_out(pool, costs):
+    """What :meth:`FirmwarePool.execute_wave` replaces: one ``execute``
+    process per cost, joined."""
+    env = pool.env
+    return env.all_of([env.process(pool.execute(cost)) for cost in costs])
+
+
+def wave(pool, costs):
+    return pool.execute_wave(costs)
+
+
+COSTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+    st.floats(min_value=0.05, max_value=9.0, allow_nan=False),
+)
+INSTANTS = st.sampled_from([0.0, 1.0, 2.5, 4.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    contexts=st.integers(min_value=1, max_value=4),
+    waves=st.lists(
+        st.tuples(INSTANTS, st.lists(COSTS, min_size=2, max_size=8)),
+        min_size=1, max_size=3,
+    ),
+    rivals=st.lists(st.tuples(INSTANTS, COSTS), max_size=10),
+)
+def test_wave_matches_the_per_process_fan_out(contexts, waves, rivals):
+    """On a contended pool, a wave and the fan-out it replaces finish every
+    job at the same instants, with the same busy time and the same wait
+    samples, in the same order."""
+
+    def outcome(launch):
+        env = Environment()
+        registry = MetricsRegistry()
+        pool = FirmwarePool(env, contexts, metrics=registry)
+        finished = []
+
+        def rival(tag, at, cost):
+            yield env.timeout(at)
+            yield from pool.execute(cost)
+            finished.append((tag, env.now))
+
+        def batch(tag, at, costs):
+            yield env.timeout(at)
+            yield launch(pool, costs)
+            finished.append((tag, env.now))
+
+        for tag, (at, costs) in enumerate(waves):
+            env.process(batch(("wave", tag), at, costs))
+        for tag, (at, cost) in enumerate(rivals):
+            env.process(rival(("rival", tag), at, cost))
+        env.run()
+        return (
+            finished,
+            pool.busy_us,
+            registry.histogram("kaml.firmware.wait_us")._samples,
+            registry.gauge("kaml.firmware.queue_depth").high_water,
+        )
+
+    assert outcome(wave) == outcome(fan_out)
+
+
+def test_wave_of_free_work_completes_at_once():
+    env = Environment()
+    pool = FirmwarePool(env, contexts=1)
+
+    def job():
+        yield pool.execute_wave([0.0, 0.0])
+        return env.now
+
+    assert run(env, job()) == 0.0
+    assert pool.busy_us == 0.0
