@@ -34,7 +34,6 @@ class FlashGeometry:
     blocks_per_chip: int = 64
     pages_per_block: int = 64
     page_size: int = 8 * KIB
-    oob_size: int = 256
     chunk_size: int = 128
     erase_endurance: int = 3000
 
@@ -144,8 +143,6 @@ class KamlParams:
     gc_free_block_threshold: int = 2
     #: Stop a GC pass once this many free blocks are available again.
     gc_restore_target: int = 4
-    #: Hash mapping table default sizing.
-    index_slots: int = 1 << 16
     #: Slots per bucket in the mapping tables (a firmware cache line's
     #: worth of entries scanned linearly — the Figure 5a cost model).
     index_bucket_slots: int = 8
@@ -155,8 +152,6 @@ class KamlParams:
 class BlockFtlParams:
     """Baseline page-level FTL knobs."""
 
-    #: Logical sector size exposed by the NVMe interface.
-    sector_size: int = 512
     #: Fraction of physical pages reserved as over-provisioning.
     overprovision: float = 0.125
     gc_free_block_threshold: int = 2
