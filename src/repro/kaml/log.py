@@ -56,10 +56,6 @@ class _WritePoint:
     #: Fires with the page's :class:`PagePointer` once it is programmed:
     #: one completion per page, made when the first record joins it.
     programmed: Optional[Event] = None
-    generation: int = 0
-    #: Pending flush-timer event (bootstrap or armed timeout); defused
-    #: when the page flushes early so no ghost fires at the deadline.
-    timer: Optional[Event] = None
     #: Sim time of the newest append; the flush timer counts from here.
     last_append: float = 0.0
 
@@ -112,6 +108,9 @@ class KamlLog:
             False: _WritePoint(self._new_assembly()),
             True: _WritePoint(self._new_assembly()),
         }
+        #: The host write point's quiescence timer, kept across pages
+        #: (:meth:`_timer_fired`); the GC write point has none.
+        self._timer: Optional[Event] = None
         self._program_lock = SimLock(env, name=f"log{log_id}.program")
         # Hot-path instruments, resolved once instead of per append/flush
         # (registry lookups sort+hash the label set on every call).
@@ -140,7 +139,7 @@ class KamlLog:
         self.epoch = 0
 
     def _new_assembly(self) -> PageAssembly:
-        return PageAssembly(self.geometry.chunks_per_page, self.geometry.chunk_size)
+        return PageAssembly(self.geometry.chunks_per_page)
 
     @property
     def block_capacity_bytes(self) -> int:
@@ -156,24 +155,25 @@ class KamlLog:
     def append(self, record: Record) -> Any:
         """Append one record; returns its :class:`RecordLocation` once the
         containing page is programmed (Put phase 2, Section IV-D)."""
-        programmed, start = self.stage(record, for_gc=False)
-        return RecordLocation((yield programmed), start, record.chunks(self.geometry.chunk_size))
-
-    def stage(self, record: Record, for_gc: bool) -> Tuple[Event, int]:
-        """Synchronously place a record into the open page; returns the
-        page's one completion, which fires with its :class:`PagePointer`
-        after the program, and the record's first chunk in the page."""
-        point = self._points[for_gc]
         nchunks = record.chunks(self.geometry.chunk_size)
-        if nchunks > self.geometry.chunks_per_page:
+        programmed, start = self.stage(record, nchunks, for_gc=False)
+        return RecordLocation((yield programmed), start, nchunks)
+
+    def stage(self, record: Record, nchunks: int, for_gc: bool) -> Tuple[Event, int]:
+        """Synchronously place a record of ``nchunks`` chunks into the open
+        page; returns the page's one completion, which fires with its
+        :class:`PagePointer` after the program, and the record's first
+        chunk in the page."""
+        point = self._points[for_gc]
+        if nchunks > point.assembly.chunks_per_page:
             raise RecordTooLargeError(
                 f"record of {record.size} B exceeds one page"
             )
-        if not point.assembly.fits(record):
+        if point.assembly.used_chunks + nchunks > point.assembly.chunks_per_page:
             self._launch_flush(for_gc)
             point = self._points[for_gc]
-        was_empty = point.assembly.is_empty
-        start = point.assembly.add(record)
+        assembly = point.assembly
+        start = assembly.add(record, nchunks)
         point.last_append = self.env.now
         programmed = point.programmed
         if programmed is None:
@@ -192,30 +192,25 @@ class KamlLog:
                 ),
             )
             self._append_counters[(record.namespace_id, stream)] = counters
-        counters[0].inc()
-        counters[1].inc(record.size)
-        if point.assembly.free_chunks == 0:
+        counters[0].value += 1
+        counters[1].value += record.size
+        if assembly.used_chunks == assembly.chunks_per_page:
             self._launch_flush(for_gc)
-        elif was_empty:
-            self._start_flush_timer(for_gc, point)
+        elif not start and not for_gc and self._timer is None:
+            self._arm_timer(self.params.flush_timeout_us)
         return programmed, start
 
     def _launch_flush(self, for_gc: bool) -> None:
         point = self._points[for_gc]
-        if point.assembly.is_empty:
-            return
-        if point.timer is not None:
-            # The page is flushing before its deadline: kill the timer
-            # instead of letting it fire as a ghost wakeup.
-            point.timer.defuse()
-            point.timer = None
         assembly = point.assembly
+        if not assembly.records:
+            return
         # Every launch passes here, so this is the one place padding is
         # counted: the page's free tail is programmed as waste.
         padded = assembly.chunks_per_page - assembly.used_chunks
         if padded:
             self._wasted_chunks_counter.value += padded
-        self._points[for_gc] = _WritePoint(self._new_assembly(), generation=point.generation + 1)
+        self._points[for_gc] = _WritePoint(self._new_assembly())
         # The epoch is captured *here*, not at the flush body's first
         # step: a power cut can land between ``env.process()`` and the
         # first resume, and a flush that captured the post-cut epoch
@@ -223,47 +218,33 @@ class KamlLog:
         # recovered log.
         self.env.process(self._flush_process(assembly, point.programmed, for_gc, self.epoch))
 
-    def _start_flush_timer(self, for_gc: bool, point: _WritePoint) -> None:
-        """Pad and program a part-filled page once it goes quiet
-        (Section IV-B): ``flush_timeout_us`` after its *last* append.
+    def _arm_timer(self, delay_us: float) -> None:
+        self._timer = self.env.timeout(delay_us)
+        self._timer.add_callback(self._timer_fired)
+
+    def _timer_fired(self, _timer: Event) -> None:
+        """Pad and program the open host page once it goes quiet (Section
+        IV-B): ``flush_timeout_us`` after its *last* append.
 
         The records are durable in NVRAM already, so only a page nobody
-        is feeding any more is worth padding.  Quiescence is checked
-        lazily — an append only stamps ``last_append``; a timer that fires
-        early re-arms for the remainder — so an open page has one pending
-        timer whose firings are at least (timeout - feed gap) apart,
-        however many records join.  Two-step schedule (a bootstrap event
-        at *now*, the timeout at bootstrap dispatch); the timer is
-        defused when the page flushes early, so a full page leaves no
-        ghost wakeup in the heap.
+        is feeding any more is worth padding.  One timer per log serves
+        every host page: the first append to an empty page arms it only if
+        none is pending, an append only stamps ``last_append``, and a page
+        that launches full leaves it pending for the next page.  Firing, it
+        re-arms for the remainder if the open page was fed since, launches
+        the page if it is quiet, and lapses if no page is open.  The GC
+        write point has no timer: :meth:`_clean_block` launches its page.
         """
-        generation = point.generation
-        hold_us = self.params.flush_timeout_us
-
-        def arm(_bootstrap: Event) -> None:
-            if self._points[for_gc] is not point or point.generation != generation:
-                return  # flushed while the bootstrap was in flight
-            wait(hold_us)
-
-        def wait(delay_us: float) -> None:
-            point.timer = self.env.timeout(delay_us)
-            point.timer.add_callback(fire)
-
-        def fire(_timeout: Event) -> None:
-            current = self._points[for_gc]
-            if current.generation == generation and not current.assembly.is_empty:
-                remaining_us = current.last_append + hold_us - self.env.now
-                if remaining_us > 0:
-                    wait(remaining_us)  # fed since it was armed: not quiet yet
-                    return
-                self._timer_flushes_counter.inc()
-                self._launch_flush(for_gc)
-
-        bootstrap = Event(self.env)
-        bootstrap._triggered = True
-        bootstrap.add_callback(arm)
-        point.timer = bootstrap
-        self.env._schedule(bootstrap, 0.0)
+        point = self._points[False]
+        self._timer = None
+        if not point.assembly.records:
+            return
+        remaining_us = point.last_append + self.params.flush_timeout_us - self.env.now
+        if remaining_us > 0:
+            self._arm_timer(remaining_us)  # fed since it was armed: not quiet yet
+            return
+        self._timer_flushes_counter.value += 1
+        self._launch_flush(False)
 
     def _flush_process(
         self, assembly: PageAssembly, programmed: Event, for_gc: bool, epoch: int
@@ -280,9 +261,9 @@ class KamlLog:
                 sanitize.check_page_assembly(assembly)
             data = {}
             start_cursor = 0
-            for record in assembly.records:
+            for record, nchunks in zip(assembly.records, assembly.runs):
                 data[start_cursor] = record
-                start_cursor += record.chunks(self.geometry.chunk_size)
+                start_cursor += nchunks
             attempts = 0
             while True:
                 if self.epoch != epoch:
@@ -354,8 +335,8 @@ class KamlLog:
                 if flush_ctx is not None:
                     flush_ctx.close()
                 break
-            self._programmed_pages_counter.inc()
-            self._programmed_bytes_counter.inc(self.geometry.page_size)
+            self._programmed_pages_counter.value += 1
+            self._programmed_bytes_counter.value += self.geometry.page_size
             self._program_us_histogram.observe(self.env.now - program_start)
         finally:
             if held:
@@ -594,8 +575,11 @@ class KamlLog:
                     survivors.append((record, location))
         if not survivors:
             return
-        staged = [(*self.stage(record, for_gc=True), record, old) for record, old in survivors]
-        self._launch_flush(for_gc=True)
+        staged = [
+            (*self.stage(record, old.nchunks, for_gc=True), record, old)
+            for record, old in survivors
+        ]
+        self._launch_flush(for_gc=True)  # the GC write point has no timer
         moved_bytes = 0
         for programmed, start, record, old_location in staged:
             pointer = yield programmed  # once per page: later records resume at once
@@ -635,7 +619,7 @@ class KamlLog:
     def open_room(self) -> int:
         """Free chunks of the part-filled host page; 0 when none is open."""
         assembly = self._points[False].assembly
-        return assembly.free_chunks if assembly.records else 0
+        return assembly.chunks_per_page - assembly.used_chunks if assembly.records else 0
 
     def force_flush(self) -> None:
         """Push any open pages toward flash (test/shutdown helper)."""
@@ -653,14 +637,13 @@ class KamlLog:
         """
         self.epoch += 1
         self.gc_running = False
-        for for_gc in (False, True):
-            point = self._points[for_gc]
-            if point.timer is not None:
-                point.timer.defuse()
-                point.timer = None
-            self._points[for_gc] = _WritePoint(
-                self._new_assembly(), generation=point.generation + 1
-            )
+        if self._timer is not None:
+            self._timer.defuse()
+            self._timer = None
+        self._points = {
+            False: _WritePoint(self._new_assembly()),
+            True: _WritePoint(self._new_assembly()),
+        }
         self.free = []
         self.full = []
         self._active = {False: None, True: None}

@@ -245,23 +245,25 @@ class Mapping:
                 ctx.finish(read_span)
         return data[location.chunk]
 
-    def erase_mark(self, location: RecordLocation) -> int:
-        """Erase generation of the block holding ``location``.
+    def erase_mark(self, page: PagePointer) -> int:
+        """Erase generation of the block holding ``page``.
 
         A block cannot complete an erase at the same sim instant one of
         its pages finished programming (cleaning requires reads and
         relocation appends, which take time), so a mark captured in the
         same event cascade as the append's completion is a stable
-        snapshot.
+        snapshot; every record on the page shares it.  Read straight off
+        the array's lists: ``page`` names a programmed page, so the
+        bounds checks of ``FlashArray.chip`` would only cost calls.
         """
-        page = location.page
-        return self.array.chip(page.channel, page.chip).block(page.block).erase_count
+        return self.array.channels[page.channel].chips[page.chip].blocks[page.block].erase_count
 
     def severed(self, location: RecordLocation, mark: int) -> bool:
         """Did GC claim the block since ``mark``?  A moved erase generation
         means the erase already happened; a doomed block means the
         survivor scan has passed with the erase merely in flight."""
-        return self.erase_mark(location) != mark or location.block_key in self._doomed_blocks
+        page = location.page
+        return self.erase_mark(page) != mark or page[:3] in self._doomed_blocks
 
     def superseded(self, record: Record) -> bool:
         """Has a newer write or delete of the key already been installed?"""
@@ -391,8 +393,9 @@ class Mapping:
 
     def _adjust_valid(self, location: RecordLocation, sign: int) -> None:
         nbytes = sign * location.nchunks * self.geometry.chunk_size
-        self._valid_bytes[location.block_key] += nbytes
-        self._page_valid_bytes[location.page] += nbytes
+        page = location.page
+        self._valid_bytes[page[:3]] += nbytes
+        self._page_valid_bytes[page] += nbytes
 
     def _pin(self, block_key: BlockKey) -> None:
         self._pins[block_key] += 1

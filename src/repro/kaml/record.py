@@ -127,50 +127,40 @@ class PageAssembly:
 
     The fill buffer each :class:`~repro.kaml.log.KamlLog` keeps per open
     page (Section IV-B): records land here (already durable in NVRAM) until
-    the page is full enough to program.
+    the page is full enough to program.  Each record's chunk-run length is
+    counted once, by the caller, and kept beside it.
     """
 
-    def __init__(self, chunks_per_page: int, chunk_size: int):
+    def __init__(self, chunks_per_page: int):
         self.chunks_per_page = chunks_per_page
-        self.chunk_size = chunk_size
         self.records: List[Record] = []
+        #: Chunk-run length of each record, in page order.
+        self.runs: List[int] = []
         self.used_chunks = 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.records
-
-    @property
-    def free_chunks(self) -> int:
-        return self.chunks_per_page - self.used_chunks
-
-    def fits(self, record: Record) -> bool:
-        return record.chunks(self.chunk_size) <= self.free_chunks
-
-    def add(self, record: Record) -> int:
-        """Append a record; returns its starting chunk."""
-        nchunks = record.chunks(self.chunk_size)
+    def add(self, record: Record, nchunks: int) -> int:
+        """Append a record of ``nchunks`` chunks; returns its starting chunk."""
         if nchunks > self.chunks_per_page:
             raise RecordTooLargeError(
                 f"record of {record.size} B needs {nchunks} chunks; page has "
                 f"{self.chunks_per_page}"
             )
-        if nchunks > self.free_chunks:
-            raise RecordTooLargeError("record does not fit in the open page")
         start = self.used_chunks
+        if start + nchunks > self.chunks_per_page:
+            raise RecordTooLargeError("record does not fit in the open page")
         self.records.append(record)
-        self.used_chunks += nchunks
+        self.runs.append(nchunks)
+        self.used_chunks = start + nchunks
         return start
 
     def bitmap(self) -> int:
-        return encode_bitmap(r.chunks(self.chunk_size) for r in self.records)
+        return encode_bitmap(self.runs)
 
     def chunk_runs(self) -> List[Tuple[int, int]]:
         """(start, nchunks) for each record, in page order."""
         runs = []
         start = 0
-        for record in self.records:
-            nchunks = record.chunks(self.chunk_size)
+        for nchunks in self.runs:
             runs.append((start, nchunks))
             start += nchunks
         return runs

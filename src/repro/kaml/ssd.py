@@ -156,6 +156,8 @@ class KamlSsd:
         #: compare against it and die without mutating recovered state.
         self.epoch = 0
         self._next_snapshot_id = 1
+        #: The largest value one page holds beside its record header.
+        self._max_value_bytes = self.geometry.page_size - RECORD_HEADER_BYTES
         # Hot-path instruments, resolved once instead of per command
         # (registry lookups sort+hash the label set on every call).
         self._puts_counter = self.metrics.counter("kaml.ssd.puts")
@@ -487,7 +489,7 @@ class KamlSsd:
             namespace.require_resident()
             if item.size <= 0:
                 raise KamlError(f"record size must be positive: {item!r}")
-            if chunks_for(item.size, self.geometry.chunk_size) > self.geometry.chunks_per_page:
+            if item.size > self._max_value_bytes:
                 raise RecordTooLargeError(
                     f"value of {item.size} B does not fit in one flash page"
                 )
@@ -509,8 +511,8 @@ class KamlSsd:
         total_bytes = self._validate_items(items)
         self._puts_counter.inc()
         self._put_records_counter.inc(len(items))
-        for item in items:
-            self.namespaces[item.namespace_id].put_bytes_counter.inc(item.size)
+        for item in items:  # a plain add per record: the sizes are positive
+            self.namespaces[item.namespace_id].put_bytes_counter.value += item.size
         owns_ctx = ctx is None
         put_span = phase1_span = probe_span = None
         if not owns_ctx or self.tracer.enabled:
@@ -541,11 +543,13 @@ class KamlSsd:
             )
         nvram_wait_start = self.env.now
         batch = StagedBatch("put", items)
-        self._crash_point("put.before_nvram_pin")
+        if self.fault is not None:  # crash points inline: no call while unarmed
+            self.fault.reached("put.before_nvram_pin")
         handle = self.nvram.try_reserve(total_bytes, payload=batch)
         if handle is None:
             handle = yield self.nvram.reserve(total_bytes, payload=batch)
-        self._crash_point("put.after_nvram_pin")
+        if self.fault is not None:
+            self.fault.reached("put.after_nvram_pin")
         if ctx is not None:
             ctx.finish(reserve_span)
         self._nvram_wait_us_histogram.observe(self.env.now - nvram_wait_start)
@@ -646,10 +650,9 @@ class KamlSsd:
             if not self.mapping.severed(*landing):
                 return landing[0]
 
-    def _pick_log(self, namespace: Namespace, record: Record) -> KamlLog:
+    def _pick_log(self, namespace: Namespace, nchunks: int) -> KamlLog:
         """Host-record placement (:meth:`Namespace.pick_log`) as of *now*: ask
         right before staging, never ahead for a batch (all would see one state)."""
-        nchunks = record.chunks(self.geometry.chunk_size)
         return namespace.pick_log(
             self.logs, nchunks, self.env.now, self.config.kaml.flush_timeout_us
         )
@@ -660,11 +663,13 @@ class KamlSsd:
         (its records can never be read: garbage before they are written)."""
         if self.epoch != epoch or record.namespace_id not in self.namespaces:
             return None
-        log = self._pick_log(self.namespaces[record.namespace_id], record)
+        log = self._pick_log(
+            self.namespaces[record.namespace_id], record.chunks(self.geometry.chunk_size)
+        )
         location = yield from log.append(record)
         # Captured in the same event cascade as the append's completion:
         # see the same rule in _complete_put.
-        return location, self.mapping.erase_mark(location)
+        return location, self.mapping.erase_mark(location.page)
 
     def _complete_put(
         self, records, handle, epoch, pin_start,
@@ -704,22 +709,22 @@ class KamlSsd:
         # is garbage before it is written.  Records that share a page share
         # its one completion.
         landed: List[Optional[Tuple[RecordLocation, int]]] = [None] * len(records)
-        #: page completion -> (index, start chunk, log) of each record in it
-        stages: Dict[Event, List[Tuple[int, int, KamlLog]]] = {}
+        #: page completion -> (index, start chunk, chunks, log) of each record in it
+        stages: Dict[Event, List[Tuple[int, int, int, KamlLog]]] = {}
         chunk_size = self.geometry.chunk_size
 
         def land(event: Event) -> None:
             # The erase mark is captured in the dispatch that delivers the
             # page; capturing it later (say when the whole batch's all_of
             # fires) would race a GC erase of this block and make the stale
-            # location look live.
+            # location look live.  Every record of the page shares its block.
             if event._exception is None:  # slots, not properties: no calls per record
                 pointer = event._value
-                for index, start, log in stages[event]:
-                    record = records[index]
-                    location = RecordLocation(pointer, start, record.chunks(chunk_size))
-                    landed[index] = (location, self.mapping.erase_mark(location))
+                mark = self.mapping.erase_mark(pointer)
+                for index, start, nchunks, log in stages[event]:
+                    landed[index] = (RecordLocation(pointer, start, nchunks), mark)
                     if ctx is not None:
+                        record = records[index]
                         ctx.record_span(
                             "log.append", start_us=phase2_start, parent=phase2_span,
                             log=log.log_id, namespace=record.namespace_id, key=record.key,
@@ -728,12 +733,13 @@ class KamlSsd:
         for index, record in enumerate(records):
             namespace = self.namespaces.get(record.namespace_id)
             if namespace is not None:
-                log = self._pick_log(namespace, record)
-                programmed, start = log.stage(record, for_gc=False)
+                nchunks = chunks_for(record.size, chunk_size)
+                log = self._pick_log(namespace, nchunks)
+                programmed, start = log.stage(record, nchunks, for_gc=False)
                 if programmed not in stages:
                     stages[programmed] = []
                     programmed.add_callback(land)
-                stages[programmed].append((index, start, log))
+                stages[programmed].append((index, start, nchunks, log))
         append_failed = False
         try:
             try:
@@ -748,8 +754,8 @@ class KamlSsd:
             yield from self.firmware.execute(
                 len(records) * (self.costs.per_record_us + self.costs.hash_update_us)
             )
-            if self.epoch == epoch:
-                self._crash_point("put.before_install")
+            if self.epoch == epoch and self.fault is not None:
+                self.fault.reached("put.before_install")
             if self.epoch == epoch:
                 for record, landing in zip(records, landed):
                     if landing is None:
@@ -838,7 +844,8 @@ class KamlSsd:
             self.nvram.release(handle)
             return
         try:
-            location = yield from self._pick_log(namespace, record).append(record)
+            log = self._pick_log(namespace, record.chunks(self.geometry.chunk_size))
+            location = yield from log.append(record)
         except LogSpaceError:
             namespace.delete_failures_counter.inc()
             return  # keep the pin: replay owns the acked delete
@@ -1112,14 +1119,14 @@ class KamlSsd:
             namespace = self.namespaces.get(record.namespace_id)
             if namespace is None:
                 continue
-            log = self._pick_log(namespace, record)
-            staged.append((record, *log.stage(record, for_gc=False)))
+            nchunks = record.chunks(self.geometry.chunk_size)
+            log = self._pick_log(namespace, nchunks)
+            staged.append((record, nchunks, *log.stage(record, nchunks, for_gc=False)))
             touched.add(log.log_id)
         for log_id in sorted(touched):
             self.logs[log_id].force_flush()
-        for record, page, start in staged:
-            location = RecordLocation((yield page), start, record.chunks(self.geometry.chunk_size))
-            self.mapping.install(record, location)
+        for record, nchunks, page, start in staged:
+            self.mapping.install(record, RecordLocation((yield page), start, nchunks))
         return len(staged)
 
     # ------------------------------------------------------------------

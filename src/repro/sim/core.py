@@ -50,6 +50,7 @@ event-only, not exact: a finished process nobody waits on (DESIGN.md,
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -122,7 +123,13 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.env._schedule(self, 0.0, priority)
+        # Environment._schedule, flattened as in Timeout.__init__.
+        env = self.env
+        env._eid = eid = env._eid + 1
+        queue = env._queue
+        heappush(queue, (env.now, priority, eid, self))
+        if len(queue) > env._queue_high:
+            env._queue_high = len(queue)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -219,6 +226,9 @@ class Environment:
         self._horizon = float("inf")
         #: The event :meth:`run_until` is running until, while it runs.
         self._until: Optional[Event] = None
+        #: ``timeout(delay, value=None)``: bound once here so that making a
+        #: timeout runs one Python frame, :class:`Timeout`'s constructor.
+        self.timeout: Callable[..., Timeout] = partial(Timeout, self)
 
     def attach_metrics(self, registry) -> None:
         """Track the pending-event queue depth in ``registry``.
@@ -243,9 +253,6 @@ class Environment:
 
     def event(self) -> Event:
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
 
     def process(self, generator: Generator) -> "Process":
         from repro.sim.process import Process

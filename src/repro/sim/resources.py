@@ -43,7 +43,14 @@ class Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: float):
-        super().__init__(resource.env)
+        # Event.__init__ flattened: one request per contended claim.
+        self.env = resource.env
+        self.callbacks = None
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.resource = resource
         self.priority = priority
 

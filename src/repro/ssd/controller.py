@@ -51,7 +51,7 @@ class FirmwarePool:
             ctx.record_span("firmware.wait", start_us=queued, parent=parent)
         if self._wait_us_histogram is not None:
             self._wait_us_histogram.observe(self.env.now - queued)
-            self._queue_depth_gauge.set(self._pool.queue_length)
+            self._queue_depth_gauge.set(len(self._pool._waiting))
         try:
             started = self.env.now
             self.env.try_advance(cost_us) or (yield self.env.timeout(cost_us))
@@ -73,7 +73,7 @@ class FirmwarePool:
                 ctx.record_span("firmware.wait", start_us=queued, parent=parent)
             if self._wait_us_histogram is not None:
                 self._wait_us_histogram.observe(started - queued)
-                self._queue_depth_gauge.set(pool.queue_length)
+                self._queue_depth_gauge.set(len(pool._waiting))
 
             def release(_timeout: Event) -> None:
                 self.busy_us += env.now - started

@@ -47,9 +47,9 @@ def test_enabled_reads_environment(monkeypatch):
 
 
 def test_check_page_assembly_accepts_real_assembly():
-    assembly = PageAssembly(chunks_per_page=64, chunk_size=128)
-    assembly.add(Record(1, 10, "a", 200))
-    assembly.add(Record(1, 11, "b", 500))
+    assembly = PageAssembly(chunks_per_page=64)
+    assembly.add(Record(1, 10, "a", 200), 2)
+    assembly.add(Record(1, 11, "b", 500), 4)
     sanitize.check_page_assembly(assembly)
 
 

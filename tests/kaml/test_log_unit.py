@@ -83,6 +83,11 @@ def run(env, gen):
     return proc.value
 
 
+def stage(log, rec, for_gc=False):
+    """Stage one record the way the device does: its chunks counted once."""
+    return log.stage(rec, rec.chunks(log.geometry.chunk_size), for_gc)
+
+
 
 
 def test_append_returns_location_after_program():
@@ -105,7 +110,7 @@ def test_records_pack_into_one_page():
     env, log, hooks, array = make_log()
 
     def flow():
-        stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(4)]
+        stages = [stage(log, record(k, size=1000), for_gc=False) for k in range(4)]
         log.force_flush()
         locations = []
         for event, start in stages:
@@ -124,7 +129,7 @@ def test_records_that_share_a_page_share_one_completion():
     env, log, hooks, array = make_log(flush_timeout=10_000_000.0)
     # 1,000 B records are 8 of a page's 64 chunks: eight fill one page and
     # launch its program, the ninth opens the next page.
-    stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(9)]
+    stages = [stage(log, record(k, size=1000), for_gc=False) for k in range(9)]
     events = [event for event, _start in stages]
     assert all(event is events[0] for event in events[:8])
     assert events[8] is not events[0]
@@ -141,7 +146,7 @@ def test_full_page_flushes_without_timer():
 
     def flow():
         # 8 records x 8 chunks each = 64 chunks: exactly one page.
-        stages = [log.stage(record(k, size=1000), for_gc=False) for k in range(8)]
+        stages = [stage(log, record(k, size=1000), for_gc=False) for k in range(8)]
         for event, _start in stages:
             yield event
         return env.now
@@ -169,7 +174,7 @@ def flush_launches(log):
     launch = log._launch_flush
 
     def spy(for_gc):
-        if not for_gc and not log._points[False].assembly.is_empty:
+        if not for_gc and log._points[False].assembly.records:
             launches.append(log.env.now)
         launch(for_gc)
 
@@ -179,7 +184,7 @@ def flush_launches(log):
 
 def stage_at(env, log, when, key, size):
     env.run(until=when)
-    log.stage(record(key, size=size), for_gc=False)
+    stage(log, record(key, size=size), for_gc=False)
 
 
 def test_lone_append_and_same_instant_batch_flush_at_exactly_one_timeout():
@@ -188,7 +193,7 @@ def test_lone_append_and_same_instant_batch_flush_at_exactly_one_timeout():
         launches = flush_launches(log)
         env.run(until=123.0)
         for key in range(batch):
-            log.stage(record(key, size=100), for_gc=False)
+            stage(log, record(key, size=100), for_gc=False)
         env.run()
         assert launches == [623.0]
         assert log.metrics.total("kaml.log.timer_flushes", log=log.log_id) == 1
@@ -232,10 +237,73 @@ def test_timer_events_do_not_scale_with_appends():
     window = appends * gap
     env.run(until=window)
     assert log.open_room() == 64 - appends  # still the one open page
-    # Nothing else is scheduled, so every event is the page's timer: the
-    # bootstrap, then one firing per (timeout - gap) at worst — an append
-    # never defuses or re-arms it.
+    # Nothing else is scheduled, so every event is the log's timer: one
+    # firing per (timeout - gap) at worst — an append never defuses or
+    # re-arms it.
     assert env.events_processed - before <= window / (timeout - gap) + 1
+
+
+def pending_timers(env, log):
+    """Live heap entries that would run the log's flush timer."""
+    return [
+        event for _when, _priority, _eid, event in env._queue
+        if not event._defused and log._timer_fired in (event.callbacks or ())
+    ]
+
+
+def test_page_after_a_full_page_goes_quiet_one_timeout_after_its_last_append():
+    env, log, hooks, array = make_log(flush_timeout=500.0)
+    launches = flush_launches(log)
+    for key in range(8):  # 1,000 B records: eight fill page A, which launches full
+        stage_at(env, log, 0.0, key, size=1000)
+    stage_at(env, log, 100.0, 8, size=1000)  # page B, under the timer page A armed
+    stage_at(env, log, 300.0, 9, size=1000)
+    env.run()
+    # The timer fires at 500 (armed by page A), finds B fed since and
+    # re-arms: B launches at 300 + 500, as its own timer would have.
+    assert launches == [0.0, 800.0]
+    assert log.metrics.total("kaml.log.timer_flushes", log=log.log_id) == 1
+
+
+def test_one_host_timer_per_log_is_handed_from_a_full_page_to_the_next():
+    env, log, hooks, array = make_log(flush_timeout=500.0)
+    stage(log, record(0, size=1000))
+    timer = log._timer
+    assert pending_timers(env, log) == [timer]
+    for key in range(1, 9):  # page A fills and launches; key 8 opens page B
+        stage(log, record(key, size=1000))
+        assert pending_timers(env, log) == [timer]
+    assert log._timer is timer and log.open_room() == 56
+    for when in (200.0, 400.0, 600.0, 800.0):
+        stage_at(env, log, when, 100 + int(when), size=100)
+        assert len(pending_timers(env, log)) == 1
+    env.run()
+    assert log._timer is None and pending_timers(env, log) == []
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 2
+
+
+def test_gc_clean_arms_no_timer():
+    env, log, hooks, array = make_log(blocks=8, pages=4, flush_timeout=5000.0)
+    locations = run(env, fill_block(log, range(4)))
+    assert log._timer is None  # the last host page went quiet and launched
+    hooks.register(0, locations[0])
+    started = env.now
+    run(env, log._clean_block(locations[0].page.block))
+    assert [key for key, _old, _new in hooks.relocations] == [0]
+    assert log._timer is None and pending_timers(env, log) == []
+    assert env.now - started < 5000.0  # launched by the clean, not by a timer
+
+
+def test_power_loss_leaves_no_timer_in_the_heap():
+    env, log, hooks, array = make_log(flush_timeout=500.0)
+    launches = flush_launches(log)
+    stage_at(env, log, 10.0, 1, size=100)
+    assert len(pending_timers(env, log)) == 1
+    log.power_loss()
+    assert log._timer is None and pending_timers(env, log) == []
+    env.run()
+    assert launches == []
+    assert log.metrics.total("kaml.log.timer_flushes", log=log.log_id) == 0
 
 
 def test_oversized_tail_starts_new_page():
@@ -243,8 +311,8 @@ def test_oversized_tail_starts_new_page():
 
     def flow():
         # 60 chunks, then a 10-chunk record that cannot fit the tail.
-        first, first_start = log.stage(record(1, size=7600), for_gc=False)
-        second, second_start = log.stage(record(2, size=1200), for_gc=False)
+        first, first_start = stage(log, record(1, size=7600), for_gc=False)
+        second, second_start = stage(log, record(2, size=1200), for_gc=False)
         log.force_flush()
         a = RecordLocation((yield first), first_start, 60)
         b = RecordLocation((yield second), second_start, 10)
@@ -336,7 +404,7 @@ def test_clean_block_relocates_each_survivor_to_its_own_location():
 
     def fill():
         # 32 records of 8 chunks: eight to a page, one block of four pages.
-        stages = [(k, *log.stage(record(k, size=1000), for_gc=False)) for k in range(32)]
+        stages = [(k, *stage(log, record(k, size=1000), for_gc=False)) for k in range(32)]
         locations = {}
         for key, event, start in stages:
             locations[key] = RecordLocation((yield event), start, 8)
@@ -437,7 +505,10 @@ def test_rescan_restores_block_lists_and_both_write_points():
     def flow():
         for key in range(6):  # one 7,000 B record per page: a full block + 2 pages
             yield from log.append(record(key, size=7000))
-        yield log.stage(record(100, size=7000), for_gc=True)[0]  # one page, GC stream
+        # One page on the GC stream, launched the way _clean_block launches it.
+        programmed, _start = stage(log, record(100, size=7000), for_gc=True)
+        log._launch_flush(for_gc=True)
+        yield programmed
 
     run(env, flow())
     free, full = sorted(log.free), sorted(log.full)

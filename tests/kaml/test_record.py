@@ -95,41 +95,44 @@ def make_record(key, size):
     return Record(namespace_id=1, key=key, value=f"v{key}", size=size)
 
 
+def add(assembly, record):
+    return assembly.add(record, record.chunks(128))
+
+
 def test_assembly_packs_records_contiguously():
-    assembly = PageAssembly(chunks_per_page=64, chunk_size=128)
-    a = assembly.add(make_record(1, 112))   # 1 chunk
-    b = assembly.add(make_record(2, 240))   # 2 chunks
+    assembly = PageAssembly(chunks_per_page=64)
+    a = add(assembly, make_record(1, 112))   # 1 chunk
+    b = add(assembly, make_record(2, 240))   # 2 chunks
     assert (a, b) == (0, 1)
     assert assembly.used_chunks == 3
     assert assembly.chunk_runs() == [(0, 1), (1, 2)]
 
 
 def test_assembly_bitmap_matches_runs():
-    assembly = PageAssembly(chunks_per_page=64, chunk_size=128)
-    assembly.add(make_record(1, 240))
-    assembly.add(make_record(2, 368))
+    assembly = PageAssembly(chunks_per_page=64)
+    add(assembly, make_record(1, 240))
+    add(assembly, make_record(2, 368))
     assert decode_bitmap(assembly.bitmap()) == assembly.chunk_runs()
 
 
 def test_assembly_fits_and_rejects():
-    assembly = PageAssembly(chunks_per_page=4, chunk_size=128)
+    assembly = PageAssembly(chunks_per_page=4)
     big = make_record(1, 128 * 4 - RECORD_HEADER_BYTES)
-    assert assembly.fits(big)
-    assembly.add(big)
-    assert not assembly.fits(make_record(2, 1))
+    assert add(assembly, big) == 0
+    assert assembly.used_chunks == assembly.chunks_per_page
     with pytest.raises(RecordTooLargeError):
-        assembly.add(make_record(2, 1))
+        add(assembly, make_record(2, 1))
 
 
 def test_assembly_record_larger_than_page():
-    assembly = PageAssembly(chunks_per_page=4, chunk_size=128)
+    assembly = PageAssembly(chunks_per_page=4)
     with pytest.raises(RecordTooLargeError):
-        assembly.add(make_record(1, 128 * 10))
+        add(assembly, make_record(1, 128 * 10))
 
 
 def test_assembly_empty_flags():
-    assembly = PageAssembly(chunks_per_page=64, chunk_size=128)
-    assert assembly.is_empty
-    assert assembly.free_chunks == 64
-    assembly.add(make_record(1, 1))
-    assert not assembly.is_empty
+    assembly = PageAssembly(chunks_per_page=64)
+    assert assembly.records == [] and assembly.runs == []
+    assert assembly.used_chunks == 0
+    add(assembly, make_record(1, 1))
+    assert assembly.runs == [1]
