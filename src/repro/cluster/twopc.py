@@ -44,7 +44,8 @@ from repro.sim import Environment
 
 
 class JournalEntry:
-    """One transaction's durable intent record."""
+    """One open transaction's durable intent record; ``log_end`` retires
+    (deletes) it."""
 
     __slots__ = ("txn_id", "shards", "state")
 
@@ -52,8 +53,8 @@ class JournalEntry:
         self.txn_id = txn_id
         #: Participant shard ids, ascending — the commit/recovery order.
         self.shards = sorted(shards)
-        #: ``"begin"`` → ``"commit"`` → ``"end"``.  ``"begin"`` at
-        #: recovery time means undecided: presume abort.
+        #: ``"begin"`` → ``"commit"``.  ``"begin"`` at recovery time
+        #: means undecided: presume abort.
         self.state = "begin"
 
 
@@ -65,7 +66,8 @@ class IntentJournal:
     power cut mid-write leaves the previous state, which is exactly the
     torn-write semantics presumed-abort relies on.  The journal object
     itself survives :meth:`KamlCluster.power_loss` (only device DRAM and
-    host queue state are volatile).
+    host queue state are volatile).  It holds only open transactions: a
+    retired one leaves no entry.
     """
 
     def __init__(self, env: Environment, write_us: float = 2.0):
@@ -84,11 +86,7 @@ class IntentJournal:
 
     def open_txns(self) -> List[int]:
         """Transaction ids not yet retired, ascending."""
-        return sorted(
-            txn_id
-            for txn_id, entry in self._entries.items()
-            if entry.state != "end"
-        )
+        return sorted(self._entries)
 
     def log_begin(self, txn_id: int, shards: List[int]) -> Any:
         self.env.try_advance(self.write_us) or (yield self.env.timeout(self.write_us))
@@ -101,7 +99,7 @@ class IntentJournal:
 
     def log_end(self, txn_id: int) -> Any:
         self.env.try_advance(self.write_us) or (yield self.env.timeout(self.write_us))
-        self._entries[txn_id].state = "end"
+        del self._entries[txn_id]
 
 
 class TwoPhaseCoordinator:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.obs import lazy_instrument
+
 
 @dataclass(frozen=True)
 class GcCandidate:
@@ -31,21 +33,19 @@ class _InstrumentedPolicy:
 
     name = "abstract"
     metrics = None
+    _victims_counter = lazy_instrument("counter", "gc.victims_chosen", policy="name")
+    _valid_bytes_histogram = lazy_instrument("histogram", "gc.victim.valid_bytes", policy="name")
+    _erase_count_histogram = lazy_instrument("histogram", "gc.victim.erase_count", policy="name")
+    _pool_histogram = lazy_instrument("histogram", "gc.candidate_pool", policy="name")
 
     def _record_choice(
         self, victim: Optional[GcCandidate], pool_size: int
     ) -> Optional[GcCandidate]:
         if self.metrics is not None and victim is not None:
-            self.metrics.counter("gc.victims_chosen", policy=self.name).inc()
-            self.metrics.observe(
-                "gc.victim.valid_bytes", victim.valid_bytes, policy=self.name
-            )
-            self.metrics.observe(
-                "gc.victim.erase_count", victim.erase_count, policy=self.name
-            )
-            self.metrics.observe(
-                "gc.candidate_pool", pool_size, policy=self.name
-            )
+            self._victims_counter.inc()
+            self._valid_bytes_histogram.observe(victim.valid_bytes)
+            self._erase_count_histogram.observe(victim.erase_count)
+            self._pool_histogram.observe(pool_size)
         return victim
 
 

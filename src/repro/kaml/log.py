@@ -40,7 +40,7 @@ from repro.kaml.record import (
     RecordTooLargeError,
     decode_bitmap,
 )
-from repro.obs import MetricsRegistry, TraceContext, Tracer
+from repro.obs import MetricsRegistry, TraceContext, Tracer, lazy_instrument
 from repro.sim import Environment, Event, Gate, SimLock
 
 
@@ -66,6 +66,21 @@ class KamlLog:
     #: Bounded retries for transient media faults before giving up.
     MAX_PROGRAM_RETRIES = 4
     MAX_ERASE_RETRIES = 2
+
+    # GC-pass and fault-path instruments, resolved on first use.
+    _victim_valid_bytes_histogram = lazy_instrument(
+        "histogram", "kaml.gc.victim_valid_bytes", log="log_id"
+    )
+    _clean_block_us_histogram = lazy_instrument("histogram", "kaml.gc.clean_block_us", log="log_id")
+    _relocated_counter = lazy_instrument("counter", "kaml.log.gc.relocated_records", log="log_id")
+    _moved_bytes_counter = lazy_instrument("counter", "kaml.log.gc.moved_bytes", log="log_id")
+    _erased_counter = lazy_instrument("counter", "kaml.log.gc.erased_blocks", log="log_id")
+    _retired_counter = lazy_instrument("counter", "kaml.log.retired_blocks", log="log_id")
+    _erase_failures_counter = lazy_instrument("counter", "kaml.log.erase_failures", log="log_id")
+    _program_failures_counter = lazy_instrument(
+        "counter", "kaml.log.program_failures", log="log_id"
+    )
+    _program_retries_counter = lazy_instrument("counter", "kaml.log.program_retries", log="log_id")
 
     def __init__(
         self,
@@ -308,9 +323,7 @@ class KamlLog:
                     # (its write pointer advanced past garbage); remap the
                     # whole assembly to the next allocatable page.
                     attempts += 1
-                    self.metrics.counter(
-                        "kaml.log.program_failures", log=self.log_id
-                    ).inc()
+                    self._program_failures_counter.inc()
                     if tracer.enabled:
                         tracer.request(
                             "kaml.flash_fault",
@@ -328,9 +341,7 @@ class KamlLog:
                             f"{attempts} times; giving up"
                         ))
                         return
-                    self.metrics.counter(
-                        "kaml.log.program_retries", log=self.log_id
-                    ).inc()
+                    self._program_retries_counter.inc()
                     continue
                 if flush_ctx is not None:
                     flush_ctx.close()
@@ -473,9 +484,7 @@ class KamlLog:
                         # Transient fault: retry the erase pulse a bounded
                         # number of times, then retire the block.
                         erase_attempts += 1
-                        self.metrics.counter(
-                            "kaml.log.erase_failures", log=self.log_id
-                        ).inc()
+                        self._erase_failures_counter.inc()
                         if tracer.enabled:
                             tracer.request(
                                 "kaml.flash_fault",
@@ -499,9 +508,7 @@ class KamlLog:
                 if self.epoch != epoch:
                     return  # ghost pass: the erase died with the power
                 if retired:
-                    self.metrics.counter(
-                        "kaml.log.retired_blocks", log=self.log_id
-                    ).inc()
+                    self._retired_counter.inc()
                     if ctx is not None:
                         erase_span.tags["retired"] = True
                         ctx.finish(erase_span)
@@ -509,9 +516,7 @@ class KamlLog:
                     continue
                 if ctx is not None:
                     ctx.finish(erase_span)
-                self.metrics.counter(
-                    "kaml.log.gc.erased_blocks", log=self.log_id
-                ).inc()
+                self._erased_counter.inc()
                 self.hooks.block_erased(block_key)
                 self.free.append(block_index)
                 self.space_gate.fire()
@@ -541,10 +546,8 @@ class KamlLog:
         self, block_index: int, ctx: Optional[TraceContext] = None, parent=None
     ) -> Any:
         """Relocate every still-valid record out of a victim block."""
-        self.metrics.observe(
-            "kaml.gc.victim_valid_bytes",
-            self.hooks.valid_bytes(self.block_key(block_index)),
-            log=self.log_id,
+        self._victim_valid_bytes_histogram.observe(
+            self.hooks.valid_bytes(self.block_key(block_index))
         )
         clean_start = self.env.now
         epoch = self.epoch
@@ -588,9 +591,7 @@ class KamlLog:
             if self.epoch != epoch:
                 return  # ghost pass: never CAS into recovered mapping state
             if self.hooks.relocate(record, old_location, new_location):
-                self.metrics.counter(
-                    "kaml.log.gc.relocated_records", log=self.log_id
-                ).inc()
+                self._relocated_counter.inc()
                 moved_bytes += record.size
                 if ctx is not None:
                     ctx.event(
@@ -601,12 +602,8 @@ class KamlLog:
                         key=record.key,
                         block=block_index,
                     )
-        self.metrics.counter(
-            "kaml.log.gc.moved_bytes", log=self.log_id
-        ).inc(moved_bytes)
-        self.metrics.observe(
-            "kaml.gc.clean_block_us", self.env.now - clean_start, log=self.log_id
-        )
+        self._moved_bytes_counter.inc(moved_bytes)
+        self._clean_block_us_histogram.observe(self.env.now - clean_start)
 
     # ------------------------------------------------------------------
     # Introspection

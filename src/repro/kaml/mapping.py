@@ -25,7 +25,7 @@ from repro.flash import PagePointer
 from repro.kaml.namespace import Namespace
 from repro.kaml.record import TOMBSTONE, Record, RecordLocation
 from repro.kaml.snapshot import Snapshot
-from repro.obs import MetricsRegistry, TraceContext
+from repro.obs import MetricsRegistry, TraceContext, lazy_instrument
 from repro.sim import Environment, Gate
 
 BlockKey = Tuple[int, int, int]
@@ -34,6 +34,9 @@ EntryKey = Tuple[int, int]  # (namespace_id, key)
 
 class Mapping:
     """Every mapping table of one device, and the erase safety they imply."""
+
+    _relocation_chases_counter = lazy_instrument("counter", "kaml.get.relocation_chases")
+    _pin_wait_us_histogram = lazy_instrument("histogram", "kaml.gc.pin_wait_us")
 
     def __init__(
         self, env: Environment, config: ReproConfig,
@@ -226,7 +229,7 @@ class Mapping:
             self._unpin(block_key)
             if current is None:
                 return None
-            self.metrics.counter("kaml.get.relocation_chases").inc()
+            self._relocation_chases_counter.inc()
             location = current
             yield from self.firmware.execute(scanned * self._probe_us)
         read_span = ctx.begin(
@@ -376,7 +379,7 @@ class Mapping:
         started = self.env.now
         while self._pins.get(block_key, 0) > 0:
             yield self._pin_gate.wait()
-        self.metrics.observe("kaml.gc.pin_wait_us", self.env.now - started)
+        self._pin_wait_us_histogram.observe(self.env.now - started)
 
     # ------------------------------------------------------------------
     # Internals

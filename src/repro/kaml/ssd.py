@@ -47,7 +47,7 @@ from repro.kaml.record import (
     chunks_for,
 )
 from repro.kaml.snapshot import Snapshot, SnapshotError, clone_index
-from repro.obs import MetricsRegistry, OpJournal, SloTracker, TraceContext, Tracer
+from repro.obs import MetricsRegistry, OpJournal, SloTracker, TraceContext, Tracer, lazy_instrument
 from repro.sim import Environment, Event
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, NvramExhausted, OnboardDram
 
@@ -100,6 +100,12 @@ class StagedBatch:
 
 class KamlSsd:
     """A key-addressable, multi-log SSD."""
+
+    _reappends_counter = lazy_instrument("counter", "kaml.ssd.install_reappends")
+    _append_failures_counter = lazy_instrument("counter", "kaml.ssd.put_append_failures")
+    _prepares_counter = lazy_instrument("counter", "kaml.ssd.prepares")
+    _prepare_commits_counter = lazy_instrument("counter", "kaml.ssd.prepare_commits")
+    _prepare_aborts_counter = lazy_instrument("counter", "kaml.ssd.prepare_aborts")
 
     def __init__(
         self,
@@ -646,7 +652,7 @@ class KamlSsd:
             landing = yield from self._append_record(record, epoch)
             if landing is None or self.epoch != epoch:
                 return None
-            self.metrics.counter("kaml.ssd.install_reappends").inc()
+            self._reappends_counter.inc()
             if not self.mapping.severed(*landing):
                 return landing[0]
 
@@ -746,7 +752,7 @@ class KamlSsd:
                 yield self.env.all_of(list(stages))
             except LogSpaceError:
                 append_failed = True  # keep the pin: replay owns the acked batch
-                self.metrics.counter("kaml.ssd.put_append_failures").inc()
+                self._append_failures_counter.inc()
                 if ctx is not None:
                     phase2_span.tags["failed"] = True
                 return
@@ -869,7 +875,7 @@ class KamlSsd:
         journal alone decides the outcome.  Returns the NVRAM handle.
         """
         total_bytes = self._validate_items(items)
-        self.metrics.counter("kaml.ssd.prepares").inc()
+        self._prepares_counter.inc()
         yield from self.link.command_overhead()
         yield from self.link.host_to_device(total_bytes)
         batch = StagedBatch("prepare", items, txn_id=txn_id)
@@ -898,7 +904,7 @@ class KamlSsd:
             raise KamlError(f"NVRAM handle {handle} does not hold a prepared batch")
         epoch = self.epoch
         pin_start = self.env.now
-        self.metrics.counter("kaml.ssd.prepare_commits").inc()
+        self._prepare_commits_counter.inc()
         items = batch.items
         probe_costs = []
         for item in items:
@@ -920,7 +926,7 @@ class KamlSsd:
         batch = self.nvram.payload(handle)
         if not isinstance(batch, StagedBatch) or batch.kind != "prepare":
             raise KamlError(f"NVRAM handle {handle} does not hold a prepared batch")
-        self.metrics.counter("kaml.ssd.prepare_aborts").inc()
+        self._prepare_aborts_counter.inc()
         self.nvram.release(handle)
         self._nvram_used_gauge.set(self.nvram.used_bytes)
         yield from self.firmware.execute(self.costs.dispatch_us)

@@ -18,7 +18,8 @@ Naming convention (see docs/internals.md, "Observability"):
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 LabelsKey = Tuple[Tuple[str, object], ...]
 
@@ -191,12 +192,13 @@ class Histogram(Instrument):
     """Fixed-bucket histogram that also keeps raw samples for percentiles.
 
     Bucket counts give the coarse shape cheaply; the retained samples give
-    exact interpolated percentiles.  ``max_samples`` caps memory for long
-    runs: bucket counts and running aggregates stay exact for ever, and
-    once an observation has gone unretained the percentiles are
-    interpolated from the bucket counts (:func:`bucket_percentile`) rather
-    than answered from a prefix of the run; :attr:`percentile_source` and
-    :meth:`export` say which of the two answered.
+    exact interpolated percentiles, 8 bytes each in a typed ``array('d')``.
+    ``max_samples`` caps memory for long runs: bucket counts and running
+    aggregates stay exact for ever, and once an observation has gone
+    unretained the percentiles are interpolated from the bucket counts
+    (:func:`bucket_percentile`) rather than answered from a prefix of the
+    run; :attr:`percentile_source` and :meth:`export` say which of the two
+    answered.
     """
 
     kind = "histogram"
@@ -223,7 +225,7 @@ class Histogram(Instrument):
         self.total = 0.0
         self.min_value = float("inf")
         self.max_value = float("-inf")
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._sorted = True
         self.max_samples = max_samples
 
@@ -244,9 +246,9 @@ class Histogram(Instrument):
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def _sorted_samples(self) -> List[float]:
+    def _sorted_samples(self) -> array[float]:
         if not self._sorted:
-            self._samples.sort()
+            self._samples = array("d", sorted(self._samples))
             self._sorted = True
         return self._samples
 

@@ -23,12 +23,15 @@ from repro.obs.metrics import (
 )
 
 
-def lazy_instrument(kind: str, name: str) -> cached_property:
-    """Class attribute for the unlabelled instrument ``name`` of
-    ``self.metrics``: resolved by the first access, a plain attribute read
-    after that.  Lazy because an eager, never-touched instrument would
-    still show in every registry export."""
-    return cached_property(lambda self: getattr(self.metrics, kind)(name))
+def lazy_instrument(kind: str, name: str, **label_attrs: str) -> cached_property:
+    """Class attribute for the instrument ``name`` of ``self.metrics``:
+    resolved by the first access, a plain attribute read after that.  Each
+    label's value is read from the attribute of ``self`` it names
+    (``log="log_id"``).  Lazy because an eager, never-touched instrument
+    would still show in every registry export."""
+    return cached_property(lambda self: getattr(self.metrics, kind)(
+        name, **{label: getattr(self, attr) for label, attr in label_attrs.items()}
+    ))
 
 
 class MetricsRegistry:
@@ -120,12 +123,3 @@ class MetricsRegistry:
             if want <= set(instrument.labels):
                 result += instrument.value
         return result
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Drop every instrument (benchmark warmup boundary)."""
-        self._instruments.clear()
-        self._kinds.clear()

@@ -21,12 +21,13 @@ from repro.sim import Environment
 #: in its own frame, not in a process each: sim fell 255 -> 211 while
 #: cluster rose 52 -> 62, because a ``yield from`` frame is resumed once
 #: per resume of the device generator below it (kaml and ssd +1 each; 737
-#: calls -> 705 in all).
+#: calls -> 705 in all).  Obs fell 66 -> 54 once the prepare and commit
+#: counters were resolved on first use, not on every call.
 #: One Get through a shard queue and a device flash read.  The request
 #: wakes one idle worker (it used to wake all four: cluster 23, sim 59)
 #: and runs in that worker's frame.
 GET_BUDGET = {"cluster": 19, "kaml": 9, "flash": 11, "ssd": 5, "obs": 20, "sim": 30}
-TWOPC_BUDGET = {"cluster": 62, "kaml": 187, "flash": 122, "ssd": 45, "obs": 78, "sim": 211}
+TWOPC_BUDGET = {"cluster": 62, "kaml": 187, "flash": 122, "ssd": 45, "obs": 54, "sim": 211}
 
 
 def _cluster():

@@ -65,6 +65,7 @@ def test_cross_shard_put_commits_atomically_and_retires_the_journal():
     assert cluster.metrics.total("cluster.2pc.txns") == 1
     assert cluster.metrics.total("cluster.2pc.aborts") == 0
     assert cluster.journal.open_txns() == []
+    assert cluster.journal.entry(1) is None  # retired: no entry left behind
     for shard in cluster.shards.values():
         assert shard.prepared_batches() == {}
 
@@ -132,6 +133,7 @@ def test_refused_prepare_aborts_after_every_sibling_settles():
     run(env, flow())
     env.run()
     assert cluster.journal.open_txns() == []
+    assert cluster.journal.entry(1) is None
     assert cluster.metrics.total("cluster.2pc.aborts") == 1
     for shard in cluster.shards.values():
         assert shard.prepared_batches() == {}
@@ -182,6 +184,7 @@ def test_recovery_presumes_abort_for_undecided_transactions():
     assert shards[1].aborted == [12]
     assert shards[0].committed == []
     assert journal.open_txns() == []
+    assert journal.entry(1) is None
 
 
 def test_recovery_finishes_decided_transactions_on_the_straggler():
@@ -204,6 +207,7 @@ def test_recovery_finishes_decided_transactions_on_the_straggler():
     assert shards[1].committed == [55]
     assert shards[1].aborted == []
     assert journal.open_txns() == []
+    assert journal.entry(5) is None
 
 
 def test_recovery_aborts_orphaned_prepares():

@@ -1,10 +1,14 @@
 """Unit tests for the metric primitives (counters, gauges, histograms,
 and the shared interpolated-percentile implementation)."""
 
+import bisect
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import Counter, Gauge, Histogram, percentile
-from repro.obs.metrics import labels_key
+from repro.obs.metrics import bucket_percentile, labels_key
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +182,78 @@ def test_histogram_percentiles_do_not_freeze_past_the_cap():
     # The tail beyond the last bound reports the last bound.
     histogram.observe(5_000.0)
     assert histogram.percentile(1.0) == 1000.0
+
+
+def test_histogram_sample_costs_at_most_12_bytes():
+    """A retained sample is 8 bytes in a typed array (a list slot plus a
+    float object cost 32)."""
+    histogram = Histogram("lat_us")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100_000):
+            histogram.observe(i * 0.25)  # distinct floats only the histogram holds
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert histogram.percentile_source == "samples"
+    assert retained / 100_000 <= 12
+
+
+_FRACTIONS = (0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 0.999, 1.0)
+_BOUNDS = (1.0, 10.0, 100.0, 1_000.0)
+
+
+def _reference(values, max_samples):
+    """What a histogram keeping its samples in a plain list reports."""
+    retained = sorted(values[:max_samples])
+    counts = [0] * (len(_BOUNDS) + 1)
+    total = 0.0
+    for value in values:
+        counts[bisect.bisect_left(_BOUNDS, value)] += 1
+        total += value
+    source = "buckets" if len(values) > max_samples else "samples"
+
+    def at(fraction):
+        if source == "buckets":
+            return bucket_percentile(counts, _BOUNDS, fraction)
+        return percentile(retained, fraction)
+
+    summary = {
+        "count": len(values), "mean": total / len(values),
+        "min": min(values), "max": max(values),
+        "p50": at(0.50), "p95": at(0.95), "p99": at(0.99),
+    }
+    export = dict(summary, percentile_source=source,
+                  buckets={"le": list(_BOUNDS), "counts": counts})
+    return summary, export, source, [at(fraction) for fraction in _FRACTIONS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.integers(min_value=-1_000, max_value=10**6),
+            st.floats(min_value=-1e6, max_value=1e9, allow_nan=False),
+        ),
+        min_size=1, max_size=40,
+    ),
+    max_samples=st.integers(min_value=1, max_value=30),
+    read_every=st.integers(min_value=1, max_value=7),
+)
+def test_histogram_answers_as_a_plain_list_would(values, max_samples, read_every):
+    """Unsorted int/float streams, crossing the cap, read mid-stream (a read
+    sorts the retained samples; later observations unsort them again)."""
+    histogram = Histogram("lat_us", buckets=_BOUNDS, max_samples=max_samples)
+    for n, value in enumerate(values, start=1):
+        histogram.observe(value)
+        if n % read_every and n != len(values):
+            continue
+        summary, export, source, at = _reference(values[:n], max_samples)
+        assert histogram.percentile_source == source
+        assert histogram.summary() == summary
+        assert histogram.export() == export
+        assert [histogram.percentile(fraction) for fraction in _FRACTIONS] == at
 
 
 # ---------------------------------------------------------------------------

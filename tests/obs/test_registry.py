@@ -75,15 +75,6 @@ def test_observe_shorthand():
     assert registry.histogram("lat_us", log=1).count == 1
 
 
-def test_reset_clears_everything():
-    registry = MetricsRegistry()
-    registry.counter("x").inc()
-    registry.observe("lat_us", 5.0)
-    registry.reset()
-    assert registry.value("x") == 0.0
-    assert list(registry.instruments()) == []
-
-
 # ---------------------------------------------------------------------------
 # Exporters
 # ---------------------------------------------------------------------------
