@@ -27,7 +27,7 @@ from repro.cache.locks import DeadlockError, LockManager, LockMode
 from repro.cache.transaction import DELETED, Transaction, TxnState
 from repro.config import HostCosts
 from repro.errors import PowerLossError, ReproError
-from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
+from repro.kaml import TOMBSTONE, KamlSsd, NamespaceAttributes, PutItem
 from repro.obs import lazy_instrument
 from repro.sim import Environment
 
@@ -213,7 +213,9 @@ class KamlStore:
         """``TransactionCommit()``: publish private copies to the cache,
         flush them with one atomic ``Put``, release locks.
 
-        The ``Put`` ack is the durability point (the SSD has the batch in
+        A deleted key rides in that ``Put`` as a tombstone, so a power cut
+        keeps all of the transaction's writes and deletes or none.  The
+        ``Put`` ack is the durability point (the SSD has the batch in
         NVRAM); multiple transactions commit in parallel when they touch
         disjoint records — the paper's key advantage over a centralized
         WAL (Section V-D-1).  A ``Put`` the device refuses (say, a batch
@@ -221,21 +223,14 @@ class KamlStore:
         if txn.state is not TxnState.ACTIVE:
             txn.require_active()  # raises
         items = []
-        deletes = []
         if txn.writes:
             for (namespace_id, key), staged in txn.writes.items():
-                if staged is DELETED:
-                    deletes.append((namespace_id, key))
-                else:
-                    value, size = staged
-                    items.append(PutItem(namespace_id, key, value, size))
+                value, size = (TOMBSTONE, 0) if staged is DELETED else staged
+                items.append(PutItem(namespace_id, key, value, size))
         started = self.env.now
         tracer = self.tracer
         ctx = tracer.request(
-            "store.txn.commit",
-            txn=txn.txn_id,
-            records=len(items),
-            deletes=len(deletes),
+            "store.txn.commit", txn=txn.txn_id, records=len(items)
         ) if tracer.enabled else None
         try:
             if items:
@@ -249,12 +244,12 @@ class KamlStore:
                     yield from self.transaction_abort(txn)
                     raise
                 for item in items:
-                    yield from self.buffer.install_clean(
-                        item.namespace_id, item.key, item.value, item.size
-                    )
-            for namespace_id, key in deletes:
-                yield from self.ssd.delete(namespace_id, key)
-                self.buffer.discard(namespace_id, key)
+                    if item.value is TOMBSTONE:
+                        self.buffer.discard(item.namespace_id, item.key)
+                    else:
+                        yield from self.buffer.install_clean(
+                            item.namespace_id, item.key, item.value, item.size
+                        )
             overhead_us = self.costs.txn_overhead_us
             self.env.try_advance(overhead_us) or (yield self.env.timeout(overhead_us))
             txn.mark_committed()

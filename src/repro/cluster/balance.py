@@ -27,19 +27,16 @@ def install_cluster_probes(collector: TimeSeriesCollector, cluster: Any) -> None
 
     Duck-typed against :class:`repro.cluster.KamlCluster` (the collector
     must stay importable without the cluster package).  Each shard gets
-    ``shard<i>.ops`` (delta of the device's Get+Put+Delete counters per
-    interval) and ``shard<i>.queue`` (scheduler queue depth).
+    ``shard<i>.ops`` (delta of the device's Get+Put command counters per
+    interval; a Delete is a one-tombstone Put, counted there once) and
+    ``shard<i>.queue`` (scheduler queue depth).
     """
     for shard_id in sorted(cluster.shards):
         device = cluster.shards[shard_id]
         metrics = device.metrics
 
         def _ops_total(m: Any = metrics) -> float:
-            return (
-                m.total("kaml.ssd.gets")
-                + m.total("kaml.ssd.puts")
-                + m.total("kaml.ssd.deletes")
-            )
+            return m.total("kaml.ssd.gets") + m.total("kaml.ssd.puts")
 
         collector.add_delta_probe(f"shard{shard_id}.ops", _ops_total)
         scheduler = cluster.schedulers[shard_id]

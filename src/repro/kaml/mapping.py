@@ -51,7 +51,8 @@ class Mapping:
         self.namespaces: Dict[int, Namespace] = {}
         self.snapshots: Dict[int, Snapshot] = {}
         #: NVRAM write cache: entry -> (version, value, size) for
-        #: acknowledged Puts whose mapping install has not landed yet.
+        #: acknowledged Puts whose mapping install has not landed yet.  A
+        #: Delete stages its ``TOMBSTONE``, which reads as absent.
         self._staged: Dict[EntryKey, Tuple[int, Any, int]] = {}
         #: Last installed (or deleted) version per key: orders out-of-order
         #: phase-3 installs from concurrent Puts.
@@ -86,8 +87,14 @@ class Mapping:
         location, probes = namespace.index.lookup(key)
         return None, location, probes
 
+    def readable(self, namespace: Namespace, key: int) -> bool:
+        """Would a Get find ``key``?  A staged tombstone hides an indexed copy."""
+        staged, location, _probes = self.lookup(namespace, key)
+        return location is not None if staged is None else staged[1] is not TOMBSTONE
+
     def staged_items(self, namespace_id: int) -> List[Tuple[int, Any, int]]:
-        """``(key, value, size)`` of a namespace's acked, uninstalled Puts."""
+        """``(key, value, size)`` of a namespace's acked, uninstalled Puts;
+        a staged Delete's value is ``TOMBSTONE``."""
         return [
             (key, value, size)
             for (staged_ns, key), (_version, value, size) in self._staged.items()
@@ -120,20 +127,6 @@ class Mapping:
         else:
             self.resume_versions(max(batch.versions))
         return [Record(*item, seq=v) for item, v in zip(batch.items, batch.versions)]
-
-    def commit_delete(self, namespace_id: int, key: int) -> Tuple[Record, bool]:
-        """Logically commit a Delete; returns ``(marker, existed)``.
-
-        The marker's version is newer than any in-flight install, so
-        older installs for this key become garbage on arrival instead of
-        resurrecting it.  It has no flash location yet: an older marker
-        stays valid until this one lands.
-        """
-        self._version_counter += 1
-        was_staged = (namespace_id, key) in self._staged
-        marker = Record(namespace_id, key, TOMBSTONE, 0, seq=self._version_counter)
-        dropped = self.install(marker, None)
-        return marker, was_staged or dropped is not None
 
     def resume_versions(self, floor: int) -> None:
         """New commits outrank every version recovery saw, stale or not."""

@@ -99,7 +99,6 @@ class Namespace:
     staged_hits_counter = _series("counter", "kaml.ssd.get_staged_hits")
     put_bytes_counter = _series("counter", "kaml.put.bytes")
     deletes_counter = _series("counter", "kaml.ssd.deletes")
-    delete_failures_counter = _series("counter", "kaml.ssd.delete_append_failures")
 
     def next_log_id(self) -> int:
         """Round-robin across the namespace's assigned logs: the rotation

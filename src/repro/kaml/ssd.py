@@ -1,8 +1,9 @@
 """The KAML SSD firmware front-end (Sections III-A, IV).
 
 Implements Table I — ``CreateNamespace`` / ``DeleteNamespace`` / ``Get`` /
-``Put`` — plus a ``Delete`` extension, namespace retargeting, index
-swapping, and crash recovery from the NVRAM staging buffers.
+``Put`` — plus a ``Delete`` extension (a one-tombstone ``Put``), namespace
+retargeting, index swapping, and crash recovery from the NVRAM staging
+buffers.
 
 ``Put`` follows the paper's two-phase protocol (Section IV-D):
 
@@ -68,7 +69,7 @@ class PutItem(NamedTuple):
 class StagedBatch:
     """Durable NVRAM payload of one logically-committed command.
 
-    ``kind`` is ``"put"``, ``"delete"``, or ``"prepare"``.  ``versions``
+    ``kind`` is ``"put"`` or ``"prepare"``.  ``versions``
     holds the commit versions phase 1 assigned, stamped into the payload
     after the pin (mutating this object models writing into the
     already-reserved NVRAM region); it stays None when a crash caught the
@@ -315,6 +316,9 @@ class KamlSsd:
                 namespace.staged_hits_counter.inc()
                 _version, value, size = staged
                 yield from self.firmware.execute(self.costs.hash_probe_us)
+                if value is TOMBSTONE:  # an acked Delete, not yet installed
+                    outcome = "absent"
+                    return None
                 if ctx is None:
                     yield from self.link.device_to_host(size)
                 else:
@@ -438,8 +442,8 @@ class KamlSsd:
 
         Requires the namespace to use the ``"sorted"`` index structure —
         the per-namespace flexibility Section IV-C motivates.  Staged
-        (acknowledged but uninstalled) values are merged in, so scans see
-        every committed write.
+        (acknowledged but uninstalled) values and tombstones are merged
+        in, so scans see every committed write and delete.
         """
         if low > high:
             raise KamlError(f"scan range is empty: [{low}, {high}]")
@@ -469,6 +473,8 @@ class KamlSsd:
         for key in matches:
             if key in staged:
                 value, size = staged[key]
+                if value is TOMBSTONE:
+                    continue  # an acked Delete, not yet installed
             else:
                 record = yield from self.mapping.read(namespace.index, key, on_flash[key])
                 if record is None:
@@ -487,19 +493,24 @@ class KamlSsd:
 
     def _validate_items(self, items: List[PutItem]) -> int:
         """Refuse a batch the device can never take, before any side
-        effect; returns its total bytes."""
+        effect; returns its total bytes.  A tombstone (size 0) counts the
+        record header it pins."""
         if not items:
             raise KamlError("Put requires at least one record")
+        total_bytes = 0
         for item in items:
             namespace = self._namespace(item.namespace_id)
             namespace.require_resident()
+            if item.value is TOMBSTONE and item.size == 0:
+                total_bytes += RECORD_HEADER_BYTES
+                continue
             if item.size <= 0:
                 raise KamlError(f"record size must be positive: {item!r}")
             if item.size > self._max_value_bytes:
                 raise RecordTooLargeError(
                     f"value of {item.size} B does not fit in one flash page"
                 )
-        total_bytes = sum(item.size for item in items)
+            total_bytes += item.size
         if total_bytes > self.nvram.capacity_bytes:
             raise NvramExhausted(
                 f"batch of {total_bytes} B exceeds NVRAM capacity "
@@ -508,7 +519,8 @@ class KamlSsd:
         return total_bytes
 
     def put(self, items: List[PutItem], ctx: Optional[TraceContext] = None) -> Any:
-        """``Put``: atomic multi-record update/insert.
+        """``Put``: atomic multi-record update/insert/delete (a ``TOMBSTONE``
+        item of size 0 deletes its key).
 
         Returns once *logically committed* (phase 1); the returned
         :class:`~repro.sim.Process` resolves when the batch is fully on
@@ -517,8 +529,11 @@ class KamlSsd:
         total_bytes = self._validate_items(items)
         self._puts_counter.inc()
         self._put_records_counter.inc(len(items))
-        for item in items:  # a plain add per record: the sizes are positive
-            self.namespaces[item.namespace_id].put_bytes_counter.value += item.size
+        for item in items:  # plain adds per record: no call
+            if item.value is TOMBSTONE:
+                self.namespaces[item.namespace_id].deletes_counter.value += 1
+            else:
+                self.namespaces[item.namespace_id].put_bytes_counter.value += item.size
         owns_ctx = ctx is None
         put_span = phase1_span = probe_span = None
         if not owns_ctx or self.tracer.enabled:
@@ -585,7 +600,7 @@ class KamlSsd:
             namespace = self.namespaces[item.namespace_id]
             existing, scanned = namespace.index.lookup(item.key)
             cost = scanned * self.costs.hash_probe_us
-            if existing is None:
+            if existing is None and item.value is not TOMBSTONE:
                 cost += self.costs.hash_insert_us
             probe_costs.append(cost)
         if len(probe_costs) == 1:
@@ -618,10 +633,13 @@ class KamlSsd:
         if oplog is not None:
             # One row per record, journaled at the ack (the host-visible
             # completion); batch rows share a head id so replay regroups
-            # the atomic batch.
+            # the atomic batch.  A tombstone journals as a delete.
             op_id = oplog.record_batch(
-                "put",
-                [(item.namespace_id, item.key, item.size) for item in items],
+                [
+                    ("delete" if item.value is TOMBSTONE else "put",
+                     item.namespace_id, item.key, item.size)
+                    for item in items
+                ],
                 phase1_start, self.env.now, trace_id=trace_id,
             )
         self.slo.record(
@@ -689,9 +707,8 @@ class KamlSsd:
         end times truthful regardless of who owns the context.
 
         If the flash append fails (log full, program retries exhausted)
-        the pin is kept, as in :meth:`_complete_delete`: the batch was
-        acknowledged at the pin, so the pinned payload is its only durable
-        copy and NVRAM replay owns it.
+        the pin is kept: the batch was acknowledged at the pin, so the
+        pinned payload is its only durable copy and NVRAM replay owns it.
         """
         if self.epoch != epoch:
             if ctx is not None:
@@ -790,74 +807,15 @@ class KamlSsd:
                     ctx.close()
 
     def delete(self, namespace_id: int, key: int) -> Any:
-        """Remove a key (extension beyond Table I; used by the cache layer).
-
-        Returns True if the key existed.
-        """
+        """Remove a key (extension beyond Table I): a one-record ``Put`` of a
+        tombstone, so it pins, acks, appends, installs and replays as a Put
+        does.  Returns True if the key was readable when the Delete was
+        issued."""
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
-        namespace.deletes_counter.inc()
-        started = self.env.now
-        epoch = self.epoch
-        yield from self.link.command_overhead()
-        yield from self.firmware.execute(self.costs.dispatch_us)
-        _location, scanned = namespace.index.lookup(key)
-        yield from self.firmware.execute(scanned * self.costs.hash_probe_us)
-        if self.epoch != epoch:
-            return False
-        marker, existed = self.mapping.commit_delete(namespace_id, key)
-        # Make the delete durable: pin the intent in NVRAM and append a
-        # tombstone record in the background.  Without the on-flash
-        # marker, a power loss would rescan the old record and resurrect
-        # the key (deletes must survive crashes like Puts do).
-        batch = StagedBatch(
-            "delete", [PutItem(namespace_id, key, TOMBSTONE, 0)], versions=[marker.seq]
-        )
-        handle = self.nvram.try_reserve(RECORD_HEADER_BYTES, payload=batch)
-        if handle is None:
-            handle = yield self.nvram.reserve(RECORD_HEADER_BYTES, payload=batch)
-        if self.epoch != epoch:
-            return False  # crashed mid-command; NVRAM replay owns the intent
-        self.env.process(self._complete_delete(marker, handle, epoch))
-        oplog = self.oplog
-        if oplog is not None:
-            oplog.record(
-                "delete", namespace_id, key, 0, started, self.env.now,
-                outcome="ok" if existed else "absent",
-            )
+        existed = self.mapping.readable(namespace, key)
+        yield from self.put([PutItem(namespace_id, key, TOMBSTONE, 0)])
         return existed
-
-    def _complete_delete(self, record: Record, handle: int, epoch: int) -> Any:
-        """Append the tombstone record and retire the NVRAM pin.
-
-        The pin is released only once the tombstone is on flash (or the
-        namespace is gone): the delete was acknowledged at the pin, so
-        until an on-flash marker exists the pinned batch is the sole
-        durable record of it.  If the append fails — log full, program
-        retries exhausted — the pin stays live and NVRAM replay re-drives
-        the delete after a crash instead of resurrecting the key.
-        """
-        if self.epoch != epoch:
-            # Spawned an instant before a power cut and first run after
-            # it: appending now would plant a pre-crash tombstone in the
-            # recovered epoch's write point.  The pin survives; replay
-            # owns the acked delete.
-            return
-        namespace = self.namespaces.get(record.namespace_id)
-        if namespace is None:
-            # Namespace dropped: the key can never be read again, so the
-            # pinned intent is moot and the space can be reclaimed.
-            self.nvram.release(handle)
-            return
-        try:
-            log = self._pick_log(namespace, record.chunks(self.geometry.chunk_size))
-            location = yield from log.append(record)
-        except LogSpaceError:
-            namespace.delete_failures_counter.inc()
-            return  # keep the pin: replay owns the acked delete
-        if self.epoch == epoch:
-            self.mapping.install(record, location)
-            self.nvram.release(handle)
 
     # ------------------------------------------------------------------
     # Host-side 2PC participant surface (the repro.cluster serving tier)
@@ -958,7 +916,11 @@ class KamlSsd:
         namespace.require_resident()
         yield from self.link.command_overhead()
         keys = {key for key, _location in namespace.index.items()}
-        keys.update(key for key, _v, _size in self.mapping.staged_items(namespace_id))
+        for key, value, _size in self.mapping.staged_items(namespace_id):
+            if value is TOMBSTONE:
+                keys.discard(key)  # an acked Delete, not yet installed
+            else:
+                keys.add(key)
         yield from self.firmware.execute(
             self.costs.dispatch_us + len(keys) * self.costs.hash_probe_us
         )

@@ -145,15 +145,14 @@ class OpJournal:
 
     def record_batch(
         self,
-        op: str,
-        entries: Sequence[Tuple[Optional[int], Any, int]],
+        entries: Sequence[Tuple[str, Optional[int], Any, int]],
         issue_us: float,
         ack_us: float,
         outcome: str = "ok",
         trace_id: int = 0,
         layer: str = "ssd",
     ) -> int:
-        """One row per ``(namespace, key, size)`` entry of an atomic batch.
+        """One row per ``(op, namespace, key, size)`` entry of an atomic batch.
 
         Every row carries ``batch`` = the first row's op id, so replay
         can regroup the batch; returns that head id (0 if the whole
@@ -163,7 +162,7 @@ class OpJournal:
         incomplete.
         """
         head = 0
-        for namespace, key, size in entries:
+        for op, namespace, key, size in entries:
             op_id = self.record(
                 op, namespace, key, size, issue_us, ack_us,
                 outcome=outcome, trace_id=trace_id, layer=layer,

@@ -29,7 +29,7 @@ from repro.obs.trace import Tracer
 
 def _label(namespace: NamespaceLabel) -> str:
     """Registry label values must sort homogeneously: namespaces are
-    stringified, and a namespace-less op (e.g. a delete-only commit) files
+    stringified, and a namespace-less op (e.g. a read-only commit) files
     under the aggregate "all" series."""
     return "all" if namespace is None else str(namespace)
 

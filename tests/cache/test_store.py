@@ -410,3 +410,50 @@ def test_run_transaction_returns_body_value():
         return result
 
     assert run(env, flow()) == "body-result"
+
+
+def recovered_after_cut(body, cut_us):
+    """Keys 1 and 2 hold ``"a0"`` and ``"b0"`` on flash; a transaction runs
+    ``body(store, txn, nsid)`` and commits, and the power is cut ``cut_us`` after
+    the commit starts.  Returns both keys as recovery reads them."""
+    env, ssd, store = make_store()
+
+    def setup():
+        nsid = yield from store.create_namespace()
+        yield from ssd.put([PutItem(nsid, 1, "a0", 64), PutItem(nsid, 2, "b0", 64)])
+        yield from ssd.drain()
+        txn = store.transaction_begin()
+        yield from body(store, txn, nsid)
+        return nsid, txn
+
+    nsid, txn = run(env, setup())
+    env.process(store.transaction_commit(txn))
+    env.run(until=env.now + cut_us)
+    ssd.power_loss()
+
+    def recovery():
+        yield from ssd.recover()
+        first = yield from ssd.get(nsid, 1)
+        second = yield from ssd.get(nsid, 2)
+        return first, second
+
+    proc = env.process(recovery())
+    env.run_until(proc)
+    return proc.value
+
+
+@pytest.mark.parametrize("first", ["a1", None], ids=["update-and-delete", "deletes-only"])
+def test_power_cut_never_tears_a_transaction_with_deletes(first):
+    """A transaction sets key 1 to ``first`` (None: deletes it) and deletes
+    key 2.  Both ride in the commit's one atomic Put, so a cut anywhere in
+    the commit recovers all of its writes or none of them."""
+
+    def body(store, txn, nsid):
+        if first is None:
+            yield from store.transaction_delete(txn, nsid, 1)
+        else:
+            yield from store.transaction_update(txn, nsid, 1, first, 64)
+        yield from store.transaction_delete(txn, nsid, 2)
+
+    outcomes = {recovered_after_cut(body, cut_us) for cut_us in range(0, 80, 2)}
+    assert outcomes == {("a0", "b0"), (first, None)}

@@ -1,9 +1,13 @@
-"""Hot-shard detection and the autobalancer loop (fake-backed)."""
+"""Hot-shard detection and the autobalancer loop (fake-backed), and the
+shard load probe they read (on a real cluster)."""
 
 from collections import deque
 
-from repro.cluster.balance import Autobalancer, HotShardDetector
+from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
+from repro.cluster.balance import Autobalancer, HotShardDetector, install_cluster_probes
 from repro.cluster.placement import LogicalNamespace, PlacementMap
+from repro.fault.harness import default_device_config
+from repro.obs import TimeSeriesCollector
 from repro.sim import Environment
 
 
@@ -119,3 +123,25 @@ def test_autobalancer_stops_when_the_epoch_moves():
     env.run_until(proc)
     assert balancer.migrations == []
     assert cluster.rebalanced == []
+
+
+def test_ops_probe_counts_each_command_once():
+    """A Delete is a one-tombstone Put: one Get, one Put and one Delete
+    move a shard's ops probe by exactly 3."""
+    env = Environment()
+    cluster = KamlCluster.build(env, default_device_config(), ClusterConfig(num_shards=1))
+    cluster.register_tenant(TenantPolicy("t", latency_budget_us=100_000.0))
+    collector = TimeSeriesCollector(env)
+    install_cluster_probes(collector, cluster)
+
+    def flow():
+        yield from cluster.create_namespace("data", tenant="t", mode="hashed")
+        collector.sample_now()
+        yield from cluster.get("data", 1)
+        yield from cluster.put("data", [(1, "v", 64)])
+        yield from cluster.delete("data", 1)
+        return collector.sample_now()
+
+    proc = env.process(flow())
+    env.run_until(proc)
+    assert proc.value["shard0.ops"] == 3.0

@@ -123,6 +123,29 @@ def test_rebalance_moves_a_homed_namespace():
     assert cluster.metrics.histogram("cluster.rebalance.us").count == 1
 
 
+def test_rebalance_does_not_carry_a_key_whose_tombstone_is_staged():
+    """A Delete acked just before the move is still a staged tombstone on
+    the source; the migration lists, and so moves, only live keys."""
+    env, cluster = make_cluster()
+
+    def flow():
+        yield from cluster.create_namespace(
+            "inbox", tenant="t", mode="homed", home_shard=0
+        )
+        yield from cluster.put("inbox", [(key, ("m", key), 220) for key in range(4)])
+        yield from cluster.drain()
+        yield from cluster.delete("inbox", 2)
+        staged = cluster.shards[0].staged_records
+        moved = yield from cluster.rebalance("inbox", 1)
+        value = yield from cluster.get("inbox", 2)
+        return staged, moved, value
+
+    staged, moved, value = run(env, flow())
+    assert staged == 1
+    assert moved == 3
+    assert value is None
+
+
 def test_rebalance_to_the_same_shard_is_a_noop():
     env, cluster = make_cluster()
 

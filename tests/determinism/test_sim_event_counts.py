@@ -37,7 +37,7 @@ from repro.sim.resources import Resource
 from repro.workloads import prepare_workload
 
 EXPECTED = {
-    "kernel": 76_865, "mixed": 8_155, "ycsb-b": 2_853, "cluster": 7_808, "gc": 11_869,
+    "kernel": 76_865, "mixed": 8_155, "ycsb-b": 2_853, "cluster": 7_808, "gc": 11_715,
 }
 
 

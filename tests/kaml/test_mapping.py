@@ -103,7 +103,8 @@ def test_commit_stages_until_the_install_lands():
     replayed = StagedBatch("put", [PutItem(1, 9, "c", 100)], versions=[40])
     assert [record.seq for record in mapping.commit(replayed)] == [40]
     assert mapping.staged_count == 1
-    assert mapping.commit_delete(1, 8)[0].seq == 41  # resumed above the replay
+    [marker_8] = mapping.commit(delete_batch(8))
+    assert marker_8.seq == 41  # resumed above the replay
 
 
 def test_snapshot_keeps_the_old_copy_valid_until_released():
@@ -138,13 +139,21 @@ def test_relocate_repoints_every_referencing_table_and_refuses_a_stale_old():
     sanitize.check_accounting(mapping)
 
 
+def delete_batch(key):
+    """An unversioned one-tombstone Put batch: a Delete of ``key``."""
+    return StagedBatch("put", [PutItem(1, key, TOMBSTONE, 0)])
+
+
 def test_commit_delete_reports_existence_and_keeps_the_older_marker():
     mapping, namespace = make_mapping()
     mapping.install(value(7, 1), at(block=1))
-    first, existed = mapping.commit_delete(1, 7)
-    assert existed and current(mapping, namespace, 7) is None
+    existed = mapping.readable(namespace, 7)
+    [first] = mapping.commit(delete_batch(7))
+    assert existed and not mapping.readable(namespace, 7)  # staged, not installed
     mapping.install(first, at(block=2))
-    second, existed_again = mapping.commit_delete(1, 7)
+    assert current(mapping, namespace, 7) is None
+    existed_again = mapping.readable(namespace, 7)
+    [second] = mapping.commit(delete_batch(7))
     assert not existed_again and second.seq > first.seq
     assert mapping.is_valid(first, at(block=2))  # until the new marker lands
     mapping.install(second, at(block=3))

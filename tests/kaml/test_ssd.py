@@ -401,7 +401,7 @@ def test_namespace_deleted_after_ack_leaves_no_reservation_or_pin():
             yield from put_one(ssd, nsid, 1, "x")
             yield from ssd.drain()
             yield from ssd.delete(nsid, 1)
-            yield env.timeout(1.0)  # _complete_delete is now waiting on its page
+            yield env.timeout(1.0)  # the tombstone's _complete_put now waits on its page
             yield from ssd.delete_namespace(nsid)
             yield from ssd.drain()
 

@@ -2,7 +2,7 @@
 ordering of concurrent same-key Puts, and delete interactions."""
 
 from repro.config import KamlParams, ReproConfig
-from repro.kaml import KamlSsd, PutItem
+from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.sim import Environment
 
 
@@ -149,6 +149,32 @@ def test_delete_of_staged_only_key_reports_existence():
         return removed
 
     assert run(env, flow()) is True
+
+
+def test_acked_delete_reads_absent_everywhere_before_its_install():
+    """Between a Delete's ack and its install the key's flash copy is still
+    indexed, but the staged tombstone hides it from Get, Scan and
+    list_keys alike."""
+    env, ssd = make_ssd()
+
+    def flow():
+        nsid = yield from ssd.create_namespace(
+            NamespaceAttributes(expected_keys=64, index_structure="sorted")
+        )
+        yield from ssd.put([PutItem(nsid, k, ("v", k), 64) for k in (1, 2)])
+        yield from ssd.drain()
+        removed = yield from ssd.delete(nsid, 1)
+        indexed = ssd.namespaces[nsid].index.lookup(1)[0] is not None
+        value = yield from ssd.get(nsid, 1)
+        scanned = yield from ssd.scan(nsid, 0, 9)
+        keys = yield from ssd.list_keys(nsid)
+        return removed, indexed, value, scanned, keys, ssd.staged_records
+
+    removed, indexed, value, scanned, keys, staged = run(env, flow())
+    assert removed and indexed and staged == 1  # acked, not installed
+    assert value is None
+    assert scanned == [(2, ("v", 2))]
+    assert keys == [2]
 
 
 def test_batch_staging_is_atomic_for_gets():

@@ -63,10 +63,11 @@ def test_capacity_drops_are_counted_not_silent():
 def test_record_batch_heads_and_members():
     journal = OpJournal()
     head = journal.record_batch(
-        "put", [(1, 10, 512), (1, 11, 256)], 0.0, 5.0
+        [("put", 1, 10, 512), ("delete", 1, 11, 0)], 0.0, 5.0
     )
     assert head == 1
     rows = journal.rows
+    assert [row["op"] for row in rows] == ["put", "delete"]  # a tombstone member
     # Head row keeps batch=0 (readers normalize to its own op_id);
     # members carry the head id.
     assert rows[0]["batch"] == 0
