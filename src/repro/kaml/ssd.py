@@ -706,9 +706,10 @@ class KamlSsd:
         context at the ack, and record-on-completion keeps these spans'
         end times truthful regardless of who owns the context.
 
-        If the flash append fails (log full, program retries exhausted)
-        the pin is kept: the batch was acknowledged at the pin, so the
-        pinned payload is its only durable copy and NVRAM replay owns it.
+        If a flash append fails (log full, program retries exhausted),
+        the first one or the re-append of a record GC severed before its
+        install, the pin is kept: the batch was acknowledged at the pin, so
+        the pinned payload is its only durable copy and NVRAM replay owns it.
         """
         if self.epoch != epoch:
             if ctx is not None:
@@ -767,27 +768,29 @@ class KamlSsd:
         try:
             try:
                 yield self.env.all_of(list(stages))
+                install_start = self.env.now
+                yield from self.firmware.execute(
+                    len(records) * (self.costs.per_record_us + self.costs.hash_update_us)
+                )
+                if self.epoch == epoch and self.fault is not None:
+                    self.fault.reached("put.before_install")
+                if self.epoch == epoch:
+                    for record, landing in zip(records, landed):
+                        if landing is None:
+                            continue  # never appended: a cut, or the namespace is gone
+                        location, mark = landing
+                        if self.mapping.severed(location, mark):
+                            location = yield from self._reappend(record, epoch)
+                        if location is not None and self.epoch == epoch:
+                            self.mapping.install(record, location)
             except LogSpaceError:
-                append_failed = True  # keep the pin: replay owns the acked batch
+                # The first append or a re-append of a record GC severed:
+                # keep the pin, replay owns the acked batch.
+                append_failed = True
                 self._append_failures_counter.inc()
                 if ctx is not None:
                     phase2_span.tags["failed"] = True
                 return
-            install_start = self.env.now
-            yield from self.firmware.execute(
-                len(records) * (self.costs.per_record_us + self.costs.hash_update_us)
-            )
-            if self.epoch == epoch and self.fault is not None:
-                self.fault.reached("put.before_install")
-            if self.epoch == epoch:
-                for record, landing in zip(records, landed):
-                    if landing is None:
-                        continue  # never appended: a cut, or the namespace is gone
-                    location, mark = landing
-                    if self.mapping.severed(location, mark):
-                        location = yield from self._reappend(record, epoch)
-                    if location is not None and self.epoch == epoch:
-                        self.mapping.install(record, location)
             if ctx is not None:
                 ctx.record_span("put.install", start_us=install_start, parent=phase2_span)
         finally:

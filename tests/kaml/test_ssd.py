@@ -13,6 +13,7 @@ from repro.kaml import (
     NamespaceError,
     PutItem,
     RecordTooLargeError,
+    TOMBSTONE,
 )
 from repro.kaml.record import Record
 from repro.sim import Environment
@@ -509,3 +510,73 @@ def test_delete_namespace_leaves_no_per_key_state_behind():
     assert list(mapping.references()) == []  # index entries and tombstones
     assert mapping.staged_items(nsid) == [] and ssd.staged_records == 0
     assert mapping.valid_bytes_total() == 0
+
+
+def test_acked_put_whose_reappend_fails_keeps_its_pin():
+    """GC severs an acked record between its page landing and its install,
+    and every program of the re-append fails.  The re-append's
+    LogSpaceError is the first append's: counted, the pin kept, the key read
+    back from staging, and replay lands the record once flash works again."""
+    env, ssd = make_ssd()
+    nsid = run(env, ssd.create_namespace())
+    severed = ssd.mapping.severed
+
+    def sever_once(location, mark):
+        ssd.mapping.severed = severed
+        for _channel, _index, chip in ssd.array.iter_chips():
+            chip.fault_hook = lambda kind, block, page: kind == "program"
+        return True
+
+    ssd.mapping.severed = sever_once
+    run(env, put_one(ssd, nsid, 7, "acked"))  # the re-append raised here
+    assert ssd.mapping.severed is severed
+    assert ssd.metrics.value("kaml.ssd.put_append_failures") == 1
+    assert ssd.metrics.total("kaml.log.program_failures") == ssd.logs[0].MAX_PROGRAM_RETRIES
+    assert len(ssd.nvram) == 1 and ssd.nvram.used_bytes == 512
+    assert run(env, ssd.get(nsid, 7)) == "acked"
+
+    for _channel, _index, chip in ssd.array.iter_chips():
+        chip.fault_hook = None
+    ssd.power_loss()
+    run(env, ssd.recover())
+    assert len(ssd.nvram) == 0 and ssd.staged_records == 0
+    assert run(env, ssd.get(nsid, 7)) == "acked"
+
+
+def test_delete_churn_keeps_the_pin_of_a_batch_whose_reappend_finds_the_device_full():
+    """Two clients put fresh 1 KiB keys and delete them at once, four keys
+    per command, on ``ReproConfig.small()`` until the first append fails.
+    Every delete leaves a tombstone, so the device fills; on this schedule
+    the first failure is a re-append of a record GC severed, into a full
+    log.  Nothing may escape the kernel, every key of a pinned batch reads
+    back as acked, and the pins survive the power cut for replay.  (Replay
+    itself needs room this full device no longer has: a tombstone is live
+    while it is its key's newest version.)"""
+    env, ssd = make_ssd()
+    failures = ssd.metrics.counter("kaml.ssd.put_append_failures")
+    acked = {}
+
+    def churn(client, nsid):
+        for i in range(100_000):
+            if failures.value:
+                return
+            keys = [(2 * i + client) * 4 + j for j in range(4)]
+            yield from ssd.put([PutItem(nsid, k, ("v", k), 1024) for k in keys])
+            acked.update((k, ("v", k)) for k in keys)
+            yield from ssd.put([PutItem(nsid, k, TOMBSTONE, 0) for k in keys])
+            acked.update((k, None) for k in keys)
+
+    def flow():
+        nsid = yield from ssd.create_namespace(NamespaceAttributes(expected_keys=64))
+        yield env.all_of([env.process(churn(client, nsid)) for client in range(2)])
+        pinned = {item.key for _handle, batch in ssd.nvram.live_payloads() for item in batch.items}
+        for key in sorted(pinned):
+            assert (yield from ssd.get(nsid, key)) == acked[key]
+        return pinned
+
+    pinned = run(env, flow())
+    assert failures.value >= 1
+    held = len(ssd.nvram)
+    assert held and pinned
+    ssd.power_loss()
+    assert len(ssd.nvram) == held
