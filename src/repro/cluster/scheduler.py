@@ -187,7 +187,18 @@ class ShardScheduler:
             self._inflight.remove(request)
             self._observe_service(self.env.now - start_us)
             self._completed_counter.inc()
-            request.completion.succeed(value)
+            if self._queue:
+                # Inline, the client's next submit would overtake the
+                # worker's next request: go through the heap.
+                request.completion.succeed(value)
+                continue
+            # About to park: idle first, so a submit from the completion's
+            # callbacks can wake this worker, then complete as the step's
+            # last scheduling act.
+            wake = self.env.event()
+            self._idle.append(wake)
+            self.env._finish(request.completion, value)
+            yield wake
 
     def _observe_service(self, service_us: float) -> None:
         self._service_histogram.observe(service_us)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, List
 
 from repro.sim import Environment, Event, Resource
+from repro.sim.core import NORMAL
 
 
 class FirmwarePool:
@@ -63,7 +64,10 @@ class FirmwarePool:
         """One :meth:`execute` per cost, each on a context of its own, without
         a process per cost: one bootstrap at ``now`` claims contexts in list
         order as those processes would, each cost's timeout releases its
-        context, and the last release fires the event returned."""
+        context, and the last release fires the event returned.  The caller
+        yields that event at once, so when the bootstrap would be the very
+        next dispatch (:meth:`Environment._would_run_next`) the claim runs
+        here instead."""
         env, pool, wave, queued = self.env, self._pool, Event(self.env), self.env.now
         remaining = [sum(cost > 0 for cost in costs)]
 
@@ -92,5 +96,8 @@ class FirmwarePool:
             if not remaining[0]:
                 env._finish(wave, None)
 
-        env.timeout(0.0).add_callback(claim)
+        if env._would_run_next(NORMAL):
+            claim(None)
+        else:
+            env.timeout(0.0).add_callback(claim)
         return wave

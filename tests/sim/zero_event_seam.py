@@ -4,14 +4,16 @@ completions).
 The fast path has no switch; the oracles get their "before" run by
 swapping, on the classes and for the duration of one run, the three
 places the kernel's "would run next" test is made:
-``Environment._would_run_next`` (what ``NvramBuffer.try_reserve`` and
-``Environment._finish`` ask) and the two methods that evaluate it inline,
+``Environment._would_run_next`` (what ``NvramBuffer.try_reserve``,
+``FirmwarePool.execute_wave`` and ``Environment._finish`` ask) and the two methods that evaluate it inline,
 ``Environment.try_advance`` and ``Resource.try_acquire``.
 
 A finished process nobody waits on is processed on the spot whatever the
 seam says: that rule is event-only, not exact, so it is in both runs.
 """
 
+import sys
+from collections import Counter
 from contextlib import contextmanager
 
 from repro.sim import Environment, Resource
@@ -73,21 +75,31 @@ def forced_refusal():
 
 @contextmanager
 def counted_grants():
-    """The real kernel; yields a one-item list counting its grants.
+    """The real kernel; yields ``[grants, by_site]``: the number of grants
+    and a ``Counter`` of the predicate's grants by the function that asked.
 
     Every caller checks everything else first and makes the kernel test
-    last, so each ``True`` from the predicate (an NVRAM grant or an
-    inline completion), each ``True`` from ``try_advance`` and each token
-    from ``try_acquire`` is exactly one elided event.
+    last, so each ``True`` from the predicate (an NVRAM grant, a firmware
+    wave's claim or an inline completion), each ``True`` from
+    ``try_advance`` and each token from ``try_acquire`` is exactly one
+    elided event.  An inline completion is filed under whoever called
+    ``Environment._finish`` (``_worker`` for a parking shard worker,
+    ``_resume`` for a returning process), a wave's claim under
+    ``execute_wave``.
     """
-    grants = [0]
+    grants = [0, Counter()]
     would_run_next = Environment._would_run_next
     try_advance = Environment.try_advance
     try_acquire = Resource.try_acquire
 
     def counted_predicate(self, priority, delay=0.0):
         verdict = would_run_next(self, priority, delay)
-        grants[0] += verdict
+        if verdict:
+            grants[0] += 1
+            caller = sys._getframe(1)
+            if caller.f_code is Environment._finish.__code__:
+                caller = caller.f_back
+            grants[1][caller.f_code.co_name] += 1
         return verdict
 
     def counted_advance(self, delay):
