@@ -646,7 +646,8 @@ class KamlSsd:
             "put", items[0].namespace_id, phase1_start, self.env.now, trace_id,
             op_id=op_id,
         )
-        return self.env.process(
+        # Phases 2-3 begin in this step, the one that acknowledges the Put.
+        return self.env.start(
             self._complete_put(records, handle, epoch, pin_start, ctx, put_span, owns_ctx)
         )
 
@@ -880,7 +881,7 @@ class KamlSsd:
         # crash from here on replays the batch as an acknowledged Put.
         records = self.mapping.commit(batch)
         batch.kind = "put"
-        return self.env.process(self._complete_put(records, handle, epoch, pin_start))
+        return self.env.start(self._complete_put(records, handle, epoch, pin_start))
 
     def abort_prepared(self, handle: int) -> Any:
         """Participant *abort*: drop a prepared batch without a trace."""

@@ -259,6 +259,30 @@ class Environment:
 
         return Process(self, generator)
 
+    def start(self, generator: Generator) -> "Process":
+        """Spawn ``generator`` and run its first step now, inside the
+        caller's step, instead of at a bootstrap dispatched later in this
+        instant (the idea of Python 3.12's eager asyncio tasks).
+
+        This moves the child's first step ahead of every other event of
+        the instant, so it is a model choice, not a provable no-op.  The
+        step runs with ``_fanning_out`` set: the spawner's step is not
+        over, so no grant, delay or completion may be taken inline during
+        it.  A first step that returns leaves the process processed on the
+        spot; one that raises propagates to the caller.
+        """
+        from repro.sim.process import Process
+
+        process = Process(self, generator, eager=True)
+        first = Event(self)
+        first._triggered = True
+        fanning_out, self._fanning_out = self._fanning_out, True
+        try:
+            process._resume(first)
+        finally:
+            self._fanning_out = fanning_out
+        return process
+
     def any_of(self, events) -> Event:
         """An event that fires when the first of ``events`` fires."""
         events = list(events)

@@ -8,7 +8,9 @@ can wait on each other simply by yielding them.
 
 A process's completion is dispatched inline when it would be the very next
 dispatch (:meth:`Environment._finish`), and a process nobody waits on when
-it returns is processed on the spot: it never enters the heap.
+it returns is processed on the spot: it never enters the heap.  A process
+spawned by :meth:`Environment.start` has no bootstrap: its first step runs
+inside the spawner's.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ class Process(Event):
 
     __slots__ = ("_generator", "name")
 
-    def __init__(self, env: Environment, generator: Generator, name: str = ""):
+    def __init__(
+        self, env: Environment, generator: Generator, name: str = "", eager: bool = False
+    ):
         if not hasattr(generator, "send"):
             raise SimulationError(f"process target is not a generator: {generator!r}")
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        if eager:
+            return  # Environment.start runs the first step itself
         # Bootstrap: resume once at the current instant.
         bootstrap = Event(env)
         bootstrap._triggered = True

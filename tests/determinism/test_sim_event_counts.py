@@ -37,7 +37,7 @@ from repro.sim.resources import Resource
 from repro.workloads import prepare_workload
 
 EXPECTED = {
-    "kernel": 76_865, "mixed": 8_155, "ycsb-b": 2_853, "cluster": 7_213, "gc": 10_940,
+    "kernel": 76_865, "mixed": 6_160, "ycsb-b": 2_770, "cluster": 6_332, "gc": 9_358,
 }
 
 

@@ -506,6 +506,76 @@ def test_a_finished_process_nobody_waits_on_is_processed_on_the_spot():
 
 
 # ---------------------------------------------------------------------------
+# Environment.start: a first step inside the spawner's
+# ---------------------------------------------------------------------------
+
+def test_eager_first_step_refuses_every_fast_path_and_keeps_the_clock():
+    """The spawner's step is not over while the child's first step runs, so
+    nothing may go inline there even on an empty heap; the spawner finds
+    the clock where it left it and its own fast paths work again."""
+    env = Environment()
+    gate = Resource(env, capacity=1)
+    nvram = NvramBuffer(env, capacity_bytes=1024)
+    seen = []
+
+    def child():
+        seen.append((
+            env.try_advance(5.0), gate.try_acquire(), nvram.try_reserve(64),
+            env._would_run_next(NORMAL), env._would_run_next(URGENT), env.now,
+        ))
+        yield env.timeout(5.0)
+        seen.append(("child", env.now))
+
+    def spawner():
+        yield env.timeout(1.0)
+        proc = env.start(child())
+        seen.append(("spawned", env.now, proc.is_alive, env.try_advance(2.0), env.now))
+
+    env.process(spawner())
+    env.run()
+    assert seen == [
+        (False, None, None, False, False, 1.0),
+        ("spawned", 1.0, True, True, 3.0),
+        ("child", 6.0),
+    ]
+    # The spawner's bootstrap and two timeouts; the child had no bootstrap.
+    assert env.events_processed == 3
+
+
+def test_eager_first_step_that_returns_processes_the_process_on_the_spot():
+    env = Environment()
+
+    def quick():
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    proc = env.start(quick())
+    assert proc.processed and proc.value == "done"
+    assert env.queue_depth == 0 and not env._fanning_out
+
+
+def test_eager_first_step_that_raises_propagates_to_the_spawner():
+    env = Environment()
+    caught = []
+
+    def broken():
+        raise ValueError("first step")
+        yield  # pragma: no cover - makes this a generator
+
+    def spawner():
+        try:
+            env.start(broken())
+        except ValueError as exc:
+            caught.append((str(exc), env._fanning_out, env.active_process is proc))
+        yield env.timeout(1.0)
+
+    proc = env.process(spawner())
+    env.run()
+    assert caught == [("first step", False, True)]
+    assert proc.processed
+
+
+# ---------------------------------------------------------------------------
 # SimLock and NVRAM forms
 # ---------------------------------------------------------------------------
 
