@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import KamlStore
+from repro.cache.locks import DeadlockError
 from repro.config import KamlParams, ReproConfig, SsdResources
 from repro.kaml import KamlSsd, PutItem
 from repro.sim import Environment
@@ -410,6 +411,34 @@ def test_run_transaction_returns_body_value():
         return result
 
     assert run(env, flow()) == "body-result"
+
+
+def test_run_transaction_retries_a_deadlock_victim_with_a_growing_backoff():
+    """A body that is always the deadlock victim runs ``max_retries + 1``
+    times, then the error re-raises.  Each failed attempt aborts (one
+    ``txn_overhead_us``) and, before the next, backs off
+    ``txn_overhead_us x attempt``."""
+    env, ssd, store = make_store()
+    overhead_us = store.costs.txn_overhead_us
+    starts = []
+
+    def victim(txn):
+        starts.append(env.now)
+        raise DeadlockError(f"txn {txn.txn_id} is the victim")
+        yield  # pragma: no cover - makes this a generator
+
+    def flow():
+        try:
+            yield from store.run_transaction(victim, max_retries=3)
+        except DeadlockError:
+            return env.now
+        return None
+
+    ended = run(env, flow())
+    assert len(starts) == 4
+    gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
+    assert gaps == [overhead_us * (1 + attempt) for attempt in (1, 2, 3)]
+    assert ended == starts[-1] + overhead_us  # the last abort, no backoff
 
 
 def recovered_after_cut(body, cut_us):

@@ -1,5 +1,7 @@
 """Namespace snapshots: point-in-time reads and GC interaction."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import FlashGeometry, KamlParams, ReproConfig
@@ -165,3 +167,33 @@ def test_snapshot_of_sorted_namespace():
         return value
 
     assert run(env, flow()) == 20
+
+
+def test_snapshot_get_pays_for_each_index_entry_it_probes():
+    """A snapshot Get's latency includes ``scanned x hash_probe_us``: the
+    same read on a device whose probes cost 20 us more each takes
+    ``scanned x 20 us`` longer."""
+
+    def snapshot_get_us(probe_us):
+        env = Environment()
+        config = ReproConfig.small()
+        ssd = KamlSsd(env, config.with_(
+            firmware=replace(config.firmware, hash_probe_us=probe_us),
+            kaml=KamlParams(num_logs=config.geometry.total_chips),
+        ))
+
+        def flow():
+            nsid = yield from ssd.create_namespace()
+            yield from ssd.put([PutItem(nsid, k, ("v", k), 128) for k in range(16)])
+            snap = yield from ssd.snapshot_namespace(nsid)
+            yield from ssd.drain()
+            scanned = ssd.snapshots[snap].index.lookup(9)[1]
+            started = env.now
+            value = yield from ssd.get_from_snapshot(snap, 9)
+            return value, scanned, env.now - started
+
+        return run(env, flow())
+
+    value, scanned, cheap_us = snapshot_get_us(6.0)
+    assert value == ("v", 9) and scanned >= 1
+    assert snapshot_get_us(26.0) == (value, scanned, pytest.approx(cheap_us + scanned * 20.0))

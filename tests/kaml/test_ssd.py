@@ -580,3 +580,36 @@ def test_delete_churn_keeps_the_pin_of_a_batch_whose_reappend_finds_the_device_f
     assert held and pinned
     ssd.power_loss()
     assert len(ssd.nvram) == held
+
+
+def test_overlapping_gets_of_one_block_leave_no_pin_behind():
+    """Two Gets read the same block at once, so it is pinned twice.  After
+    both return no pin is left, and GC's pre-erase barrier passes at once."""
+    env, ssd = make_ssd(num_logs=1)
+    nsid = run(env, ssd.create_namespace())
+
+    def load():
+        yield from ssd.put([PutItem(nsid, k, ("v", k), 512) for k in (1, 2)])
+        yield from ssd.drain()
+
+    run(env, load())
+    block = ssd.namespaces[nsid].index.lookup(1)[0].block_key
+    assert ssd.namespaces[nsid].index.lookup(2)[0].block_key == block
+    peak = [0]
+
+    def flow():
+        gets = [env.process(ssd.get(nsid, k)) for k in (1, 2)]
+        while not all(get.processed for get in gets):
+            peak[0] = max(peak[0], ssd.mapping.pinned_blocks().get(block, 0))
+            yield env.timeout(1.0)
+        values = yield env.all_of(gets)
+        left = ssd.mapping.pinned_blocks()
+        before = env.now
+        yield from ssd.mapping.wait_unpinned(block)
+        return values, left, env.now - before
+
+    proc = env.process(flow())
+    env.run()
+    assert proc.processed, "the pre-erase barrier waited for a pin nobody holds"
+    assert peak == [2]  # the reads overlapped
+    assert proc.value == ([("v", 1), ("v", 2)], {}, 0.0)
