@@ -255,9 +255,16 @@ class Environment:
         return Event(self)
 
     def process(self, generator: Generator) -> "Process":
+        """Spawn ``generator``; its first step runs at a bootstrap event
+        dispatched at the current instant."""
         from repro.sim.process import Process
 
-        return Process(self, generator)
+        process = Process(self, generator)
+        bootstrap = Event(self)
+        bootstrap._triggered = True
+        bootstrap.callbacks = [process._resume]
+        self._schedule(bootstrap, 0.0)
+        return process
 
     def start(self, generator: Generator) -> "Process":
         """Spawn ``generator`` and run its first step now, inside the
@@ -273,7 +280,7 @@ class Environment:
         """
         from repro.sim.process import Process
 
-        process = Process(self, generator, eager=True)
+        process = Process(self, generator)
         first = Event(self)
         first._triggered = True
         fanning_out, self._fanning_out = self._fanning_out, True

@@ -25,21 +25,14 @@ class Process(Event):
 
     __slots__ = ("_generator", "name")
 
-    def __init__(
-        self, env: Environment, generator: Generator, name: str = "", eager: bool = False
-    ):
+    def __init__(self, env: Environment, generator: Generator, name: str = ""):
+        """Made by :meth:`Environment.process` or :meth:`Environment.start`,
+        which decide when the first step runs."""
         if not hasattr(generator, "send"):
             raise SimulationError(f"process target is not a generator: {generator!r}")
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        if eager:
-            return  # Environment.start runs the first step itself
-        # Bootstrap: resume once at the current instant.
-        bootstrap = Event(env)
-        bootstrap._triggered = True
-        bootstrap.add_callback(self._resume)
-        env._schedule(bootstrap, 0.0)
 
     @property
     def is_alive(self) -> bool:
