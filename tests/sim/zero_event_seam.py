@@ -9,7 +9,8 @@ places the kernel's "would run next" test is made:
 ``Environment.try_advance`` and ``Resource.try_acquire``.
 
 A finished process nobody waits on is processed on the spot whatever the
-seam says: that rule is event-only, not exact, so it is in both runs.
+seam says: that rule is event-only, not exact, so it is in both runs, as
+is ``Environment.start``'s inline first step (a model choice).
 """
 
 import sys
