@@ -5,6 +5,7 @@ import pytest
 from repro import sanitize
 from repro.config import KamlParams, ReproConfig, SsdResources
 from repro.kaml import (
+    TOMBSTONE,
     DedicatedLogsPolicy,
     ExplicitLogsPolicy,
     KamlError,
@@ -13,7 +14,6 @@ from repro.kaml import (
     NamespaceError,
     PutItem,
     RecordTooLargeError,
-    TOMBSTONE,
 )
 from repro.kaml.record import Record
 from repro.sim import Environment

@@ -5,8 +5,9 @@ The fast path has no switch; the oracles get their "before" run by
 swapping, on the classes and for the duration of one run, the three
 places the kernel's "would run next" test is made:
 ``Environment._would_run_next`` (what ``NvramBuffer.try_reserve``,
-``FirmwarePool.execute_wave`` and ``Environment._finish`` ask) and the two methods that evaluate it inline,
-``Environment.try_advance`` and ``Resource.try_acquire``.
+``FirmwarePool.execute_wave`` and ``Environment._finish`` ask) and the two
+methods that evaluate it inline, ``Environment.try_advance`` and
+``Resource.try_acquire``.
 
 A finished process nobody waits on is processed on the spot whatever the
 seam says: that rule is event-only, not exact, so it is in both runs, as
