@@ -7,7 +7,7 @@ from typing import Any, List
 from repro.config import FlashGeometry, FlashTimings
 from repro.flash.chip import FlashChip
 from repro.flash.errors import AddressError
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Timeline
 
 
 class FlashChannel:
@@ -34,7 +34,8 @@ class FlashChannel:
             FlashChip(env, geometry, timings, name=f"ch{index}.chip{i}")
             for i in range(geometry.chips_per_channel)
         ]
-        self.bus = Resource(env, capacity=1, name=f"ch{index}.bus")
+        #: First come, first served: a transfer's length is known when it asks.
+        self.bus = Timeline(env, capacity=1, name=f"ch{index}.bus")
         self.bus_busy_us = 0.0
         # Timing constants hoisted out of the per-transfer hot path.
         self._bus_command_us = timings.bus_command_us
@@ -56,26 +57,23 @@ class FlashChannel:
         stay span-free) and the occupancy itself as ``bus.transfer``.
         Spans are pure bookkeeping: no extra simulation events.
         """
-        queued = self.env.now
-        request = self.bus.try_acquire() or (yield self.bus.request())
-        granted = self.env.now
-        if granted > queued and ctx is not None:
+        env = self.env
+        transfer_us = self.transfer_time(nbytes)
+        queued = env.now
+        started = self.bus.book(transfer_us)
+        self.bus_busy_us += transfer_us
+        if started > queued and ctx is not None:
             ctx.record_span(
-                "bus.wait", start_us=queued, end_us=granted,
+                "bus.wait", start_us=queued, end_us=started,
                 parent=parent, channel=self.index,
             )
-        try:
-            started = self.env.now
-            transfer_us = self.transfer_time(nbytes)
-            self.env.try_advance(transfer_us) or (yield self.env.timeout(transfer_us))
-            self.bus_busy_us += self.env.now - started
-            if ctx is not None:
-                ctx.record_span(
-                    "bus.transfer", start_us=started, parent=parent,
-                    channel=self.index, bytes=nbytes,
-                )
-        finally:
-            self.bus.release(request)
+        end = started + transfer_us
+        env.try_advance_to(end) or (yield env.timeout_at(end))
+        if ctx is not None:
+            ctx.record_span(
+                "bus.transfer", start_us=started, parent=parent,
+                channel=self.index, bytes=nbytes,
+            )
 
     # -- whole commands ----------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Discrete-event simulation kernel.
 
 A small, dependency-free kernel in the style of SimPy: simulated time,
-generator-based processes, one-shot events, queued resources, and the
-lock and gate built on them.  Every other subsystem in :mod:`repro`
-(flash chips, channels, firmware, host threads) is expressed as processes
-scheduled by an :class:`Environment`.  A process runs until it returns or
+generator-based processes, one-shot events, queued resources, FCFS
+timelines for holds of known length, and the lock and gate built on
+them.  Every other subsystem in :mod:`repro` (flash chips, channels,
+firmware, host threads) is expressed as processes scheduled by an
+:class:`Environment`.  A process runs until it returns or
 raises, and a resource request is held until released: nothing in the
 stack interrupts a process or withdraws a request, so the kernel offers
 neither.
@@ -24,7 +25,7 @@ Typical usage::
 
 from repro.sim.core import Environment, Event, Timeout, SimulationError
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Request
+from repro.sim.resources import Resource, Request, Timeline
 from repro.sim.sync import SimLock, Gate
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "Process",
     "Resource",
     "Request",
+    "Timeline",
     "SimLock",
     "Gate",
     "SimulationError",

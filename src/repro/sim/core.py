@@ -29,6 +29,8 @@ Performance notes (see ``docs/performance.md`` for the full story):
   very next dispatch, ``Resource.try_acquire`` and friends hand the grant
   back inline and :meth:`Environment.try_advance` moves the clock inline,
   instead of pushing an event through the heap.
+  :meth:`Environment.try_advance_to` is the same test for an absolute
+  instant, the end of a hold booked on a :class:`~repro.sim.Timeline`.
 * A completion nothing can overtake costs no event either: a process's
   return, or an ``all_of`` join fired by its last child, runs its
   callbacks on the spot (:meth:`Environment._finish`) when the completion
@@ -393,6 +395,38 @@ class Environment:
                 self.now = when
                 return True
         return False
+
+    def try_advance_to(self, when: float) -> bool:
+        """Move the clock to the absolute instant ``when`` inline when
+        ``timeout_at(when)`` would be the very next dispatch:
+        ``env.try_advance_to(t) or (yield env.timeout_at(t))``.
+
+        The same test and the same refusals as :meth:`try_advance`, at
+        ``when`` itself rather than at ``now + (when - now)``, which can
+        land an ulp away.
+        """
+        if self.now <= when <= self._horizon and not self._fanning_out:
+            queue = self._queue
+            if not queue or queue[0][0] > when or (
+                queue[0][0] == when and queue[0][1] > NORMAL
+            ):
+                self.now = when
+                return True
+        return False
+
+    def timeout_at(self, when: float) -> Event:
+        """An event that fires at the absolute instant ``when``, scheduled
+        as a ``NORMAL`` timeout would be."""
+        if when < self.now:
+            raise SimulationError(f"timeout_at({when}) is in the past (now={self.now})")
+        event = Event(self)
+        event._triggered = True
+        self._eid = eid = self._eid + 1
+        queue = self._queue
+        heappush(queue, (when, NORMAL, eid, event))
+        if len(queue) > self._queue_high:
+            self._queue_high = len(queue)
+        return event
 
     def _finish(self, event: Event, value: Any) -> None:
         """Succeed ``event`` at ``now`` as the last act of the callback

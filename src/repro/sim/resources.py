@@ -1,18 +1,20 @@
 """Queued resources.
 
-:class:`Resource` models anything with finite concurrency: a flash channel's
-data bus, a chip's command engine, the WAL's log mutex.  Requests are served
-FIFO, or in ``(priority, arrival)`` order when callers pass a priority: any
-float sorts, so a queue can be keyed by time (a flash die keys each request
-by its arrival instant and gives host reads a bounded head start).
+:class:`Resource` models anything with finite concurrency whose hold
+length is not known up front: a chip's command engine (host reads jump
+the queue and suspend a pulse), the mutex under :class:`SimLock`.
+Requests are served FIFO, or in ``(priority, arrival)`` order when callers
+pass a priority: any float sorts, so a queue can be keyed by time (a flash
+die keys each request by its arrival instant and gives host reads a
+bounded head start).
 
 Usage inside a process::
 
-    request = bus.try_acquire() or (yield bus.request())
+    request = engine.try_acquire() or (yield engine.request())
     try:
-        env.try_advance(transfer_time) or (yield env.timeout(transfer_time))
+        ...  # hold for as long as the work takes
     finally:
-        bus.release(request)
+        engine.release(request)
 
 ``try_acquire`` grants an idle resource without a simulation event when the
 kernel can prove the grant event would have been the very next dispatch
@@ -23,11 +25,23 @@ else.  An inline grant is the resource's one pre-granted token, not a fresh
 :class:`Request`: ``release`` only ever asks a request whether it was
 granted and by whom.  A request, once made, is waited for and released:
 there is no withdrawal.
+
+:class:`Timeline` serves holds whose length *is* known when they are
+requested — a firmware context's CPU cost, a PCIe pipe's or a flash
+channel bus's transfer — first come, first served, without a wait queue::
+
+    start = bus.book(transfer_us)
+    end = start + transfer_us
+    env.try_advance_to(end) or (yield env.timeout_at(end))
+
+Such a hold costs one event when it waits and none when its end is
+provably the next dispatch, where a :class:`Resource` costs a grant, a
+timeout and a release that grants the next waiter.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import List, Optional, Tuple
 
 from repro.sim.core import URGENT, Environment, Event, SimulationError
@@ -144,3 +158,42 @@ class Resource:
             f"<Resource {self.name!r} {self._in_use}/{self.capacity} "
             f"queued={self.queue_length}>"
         )
+
+
+class Timeline:
+    """``capacity`` first-come-first-served servers for holds whose length
+    is known when they are requested.
+
+    A min-heap of the instants each server falls free stands in for a
+    :class:`Resource`'s grant queue: :meth:`book` hands the hold the
+    earliest-free server and returns when it starts, which is where a
+    request made now would have been granted (FIFO, a free unit to the
+    oldest waiter).  The caller then waits for the absolute end instant —
+    one timeout, or none when :meth:`Environment.try_advance_to` proves
+    it next — instead of a grant, a timeout and a release.
+    """
+
+    __slots__ = ("env", "capacity", "name", "_free")
+
+    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise SimulationError(f"timeline capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.name = name
+        #: When each server falls free; a heap, so ``_free[0]`` is the earliest.
+        self._free: List[float] = [env.now] * capacity
+
+    def book(self, length: float) -> float:
+        """Claim the earliest-free server for ``length`` from the later of
+        now and the instant it falls free; return that start.  The hold
+        ends at ``start + length``, the instant to wait for."""
+        free = self._free
+        start = free[0]
+        if start < self.env.now:
+            start = self.env.now
+        heapreplace(free, start + length)
+        return start
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Timeline {self.name!r} free={sorted(self._free)}>"

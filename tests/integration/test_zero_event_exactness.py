@@ -7,10 +7,10 @@ suspend programs and erases for them, and power is cut while one is
 suspended), a 2-shard cluster with cross-shard atomic Puts, and a device
 whose power is cut by ``run(until=T)`` mid-workload, each run twice:
 normally, and with the kernel's "would run next" test forced false
-(``tests/sim/zero_event_seam.py``) so every firmware context, chip engine,
-bus, PCIe pipe, program lock and NVRAM reservation is granted, every
-cost delay taken, and every process completion and join dispatched,
-through the heap as before the fast paths.
+(``tests/sim/zero_event_seam.py``) so every chip engine, program lock and
+NVRAM reservation is granted, every firmware context, bus and PCIe pipe
+hold ended, every cost delay taken, and every process completion and
+join dispatched, through the heap as before the fast paths.
 Every op must be issued and completed at the same simulated instants, the
 clocks must end equal, and the runs must differ in dispatched events by
 exactly the grants, advances and completions elided.

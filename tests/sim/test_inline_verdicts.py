@@ -1,12 +1,13 @@
 """The inline kernel tests equal the reference predicate.
 
-``Environment.try_advance`` and ``Resource.try_acquire`` evaluate
-``Environment._would_run_next`` inline, so that a refusal costs one test
-instead of a second call.  On random heaps — ghosts, same-instant ties of
-both priorities, a dispatch still fanning out, a ``run(until=)`` horizon —
-their verdicts must be exactly what the reference definition says.  The
-first property sets that state directly; the second asks from inside the
-callbacks of a real ``run(until=)``.
+``Environment.try_advance``, ``Environment.try_advance_to`` and
+``Resource.try_acquire`` evaluate ``Environment._would_run_next`` inline,
+so that a refusal costs one test instead of a second call.  On random
+heaps — ghosts, same-instant ties of both priorities, a dispatch still
+fanning out, a ``run(until=)`` horizon — their verdicts must be exactly
+what the reference definition says.  The first property sets that state
+directly; the second asks from inside the callbacks of a real
+``run(until=)``.
 """
 
 from heapq import heappush
@@ -47,6 +48,17 @@ def check_advance(env, delay):
     env.now = now
 
 
+def check_advance_to(env, delay):
+    """``try_advance_to(now + delay)``: the absolute form of the same test
+    (the offsets here are exact, so ``now + delay - now == delay``)."""
+    now = env.now
+    when = now + delay
+    expected = now <= when <= env._horizon and env._would_run_next(NORMAL, when - now)
+    assert env.try_advance_to(when) == expected, (now, when)
+    assert env.now == (when if expected else now)
+    env.now = now
+
+
 def check_acquire(resource):
     """``try_acquire()``'s verdict matches the reference; a grant is
     returned at once."""
@@ -84,6 +96,7 @@ def test_inline_verdicts_on_random_heaps(now, heap, fanning_out, horizon, delays
         heappush(resource._waiting, (0, 0, Request(resource, 0)))
     for delay in delays:
         check_advance(env, delay)
+        check_advance_to(env, delay)
     check_acquire(resource)
 
 
@@ -108,6 +121,7 @@ def test_inline_verdicts_inside_a_running_dispatch(events, until, delays):
         asked.append(env.now)
         for delay in delays:
             check_advance(env, delay)
+            check_advance_to(env, delay)
         check_acquire(resource)
 
     for offset, priority, fan in events:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from tests.sim.zero_event_seam import counted_grants, forced_refusal, predicate
 
-from repro.sim import Environment, Gate, Resource, SimLock
+from repro.sim import Environment, Gate, Resource, SimLock, Timeline
 from repro.sim.core import Event
 from repro.ssd.nvram import NvramBuffer
 
@@ -30,6 +30,8 @@ STEP = st.one_of(
     # A resource and a lock held together, always taken in that order.
     st.tuples(st.just("both"), st.integers(0, 2), st.integers(0, 1), DELAYS),
     st.tuples(st.just("nvram"), st.sampled_from([100, 400, 900]), DELAYS),
+    # A known-length hold on an FCFS timeline: booked now, one absolute wait.
+    st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
     st.tuples(st.just("all_of"), st.lists(DELAYS, min_size=0, max_size=3)),
     st.tuples(st.just("wait"), st.integers(0, 1)),   # broadcast, one event each
     st.tuples(st.just("fire"), st.integers(0, 1)),
@@ -58,6 +60,7 @@ def execute(program, seam, drive=("run",)):
         env = Environment()
         resources = [Resource(env, capacity=capacity) for capacity in (1, 2, 1)]
         locks = [SimLock(env, name=f"lock{i}") for i in range(2)]
+        timelines = [Timeline(env, capacity=capacity) for capacity in (1, 2)]
         nvram = NvramBuffer(env, capacity_bytes=1000)
         gates = [Gate(env) for _ in range(2)]
         shared = [env.timeout(delay) for delay in (1.0, 3.0)]
@@ -107,6 +110,11 @@ def execute(program, seam, drive=("run",)):
                     trace.append((env.now, pid, index, "reserved", handle))
                     env.try_advance(step[2]) or (yield env.timeout(step[2]))
                     nvram.release(handle)
+                elif kind == "hold":
+                    start = timelines[step[1]].book(step[2])
+                    trace.append((env.now, pid, index, "booked", start))
+                    end = start + step[2]
+                    env.try_advance_to(end) or (yield env.timeout_at(end))
                 elif kind == "all_of":
                     yield env.all_of([env.timeout(delay) for delay in step[1]])
                 elif kind == "wait":

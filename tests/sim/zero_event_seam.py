@@ -2,11 +2,12 @@
 completions).
 
 The fast path has no switch; the oracles get their "before" run by
-swapping, on the classes and for the duration of one run, the three
+swapping, on the classes and for the duration of one run, the four
 places the kernel's "would run next" test is made:
 ``Environment._would_run_next`` (what ``NvramBuffer.try_reserve``,
-``FirmwarePool.execute_wave`` and ``Environment._finish`` ask) and the two
-methods that evaluate it inline, ``Environment.try_advance`` and
+``FirmwarePool.execute_wave`` and ``Environment._finish`` ask) and the
+three methods that evaluate it inline, ``Environment.try_advance``,
+``Environment.try_advance_to`` (a timeline hold's end) and
 ``Resource.try_acquire``.
 
 A finished process nobody waits on is processed on the spot whatever the
@@ -24,15 +25,23 @@ from repro.sim.core import NORMAL, URGENT
 
 @contextmanager
 def predicate(replacement):
-    """Run with ``replacement(original)`` as the kernel predicate; the two
+    """Run with ``replacement(original)`` as the kernel predicate; the three
     inline forms ask it too, after their own checks (``try_advance``: a
-    non-negative delay within the ``run(until=)`` horizon; ``try_acquire``:
-    a free unit and nobody queued)."""
+    non-negative delay within the ``run(until=)`` horizon;
+    ``try_advance_to``: an instant from now to that horizon, asked as the
+    delay ``when - now``; ``try_acquire``: a free unit and nobody
+    queued)."""
     asks = replacement(Environment._would_run_next)
 
     def try_advance(self, delay):
         when = self.now + delay
         if 0 <= delay and when <= self._horizon and asks(self, NORMAL, delay):
+            self.now = when
+            return True
+        return False
+
+    def try_advance_to(self, when):
+        if self.now <= when <= self._horizon and asks(self, NORMAL, when - self.now):
             self.now = when
             return True
         return False
@@ -43,7 +52,12 @@ def predicate(replacement):
             return self._token
         return None
 
-    with swapped(_would_run_next=asks, try_advance=try_advance, try_acquire=try_acquire):
+    with swapped(
+        _would_run_next=asks,
+        try_advance=try_advance,
+        try_advance_to=try_advance_to,
+        try_acquire=try_acquire,
+    ):
         yield
 
 
@@ -53,6 +67,7 @@ def swapped(**methods):
     owners = {
         "_would_run_next": Environment,
         "try_advance": Environment,
+        "try_advance_to": Environment,
         "try_acquire": Resource,
     }
     originals = {name: getattr(owners[name], name) for name in methods}
@@ -71,6 +86,7 @@ def forced_refusal():
     return swapped(
         _would_run_next=lambda self, priority, delay=0.0: False,
         try_advance=lambda self, delay: False,
+        try_advance_to=lambda self, when: False,
         try_acquire=lambda self: None,
     )
 
@@ -83,15 +99,16 @@ def counted_grants():
     Every caller checks everything else first and makes the kernel test
     last, so each ``True`` from the predicate (an NVRAM grant, a firmware
     wave's claim or an inline completion), each ``True`` from
-    ``try_advance`` and each token from ``try_acquire`` is exactly one
-    elided event.  An inline completion is filed under whoever called
-    ``Environment._finish`` (``_worker`` for a parking shard worker,
-    ``_resume`` for a returning process), a wave's claim under
-    ``execute_wave``.
+    ``try_advance`` or ``try_advance_to`` and each token from
+    ``try_acquire`` is exactly one elided event.  An inline completion is
+    filed under whoever called ``Environment._finish`` (``_worker`` for a
+    parking shard worker, ``_resume`` for a returning process), a wave's
+    claim under ``execute_wave``.
     """
     grants = [0, Counter()]
     would_run_next = Environment._would_run_next
     try_advance = Environment.try_advance
+    try_advance_to = Environment.try_advance_to
     try_acquire = Resource.try_acquire
 
     def counted_predicate(self, priority, delay=0.0):
@@ -109,6 +126,11 @@ def counted_grants():
         grants[0] += verdict
         return verdict
 
+    def counted_advance_to(self, when):
+        verdict = try_advance_to(self, when)
+        grants[0] += verdict
+        return verdict
+
     def counted_acquire(self):
         token = try_acquire(self)
         grants[0] += token is not None
@@ -117,6 +139,7 @@ def counted_grants():
     with swapped(
         _would_run_next=counted_predicate,
         try_advance=counted_advance,
+        try_advance_to=counted_advance_to,
         try_acquire=counted_acquire,
     ):
         yield grants

@@ -175,7 +175,6 @@ def test_wave_matches_the_per_process_fan_out(contexts, waves, rivals):
             finished,
             pool.busy_us,
             registry.histogram("kaml.firmware.wait_us")._samples,
-            registry.gauge("kaml.firmware.queue_depth").high_water,
         )
 
     assert outcome(wave) == outcome(fan_out)
@@ -191,3 +190,27 @@ def test_wave_of_free_work_completes_at_once():
 
     assert run(env, job()) == 0.0
     assert pool.busy_us == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("rival", [False, True])
+def test_a_wave_costs_at_most_its_bootstrap_and_one_end_event(k, rival):
+    """A k-cost wave on two contexts costs one end event, plus its
+    bootstrap when a rival event at ``now`` keeps the claim off the spot:
+    never a grant and a release per cost."""
+    env = Environment()
+    pool = FirmwarePool(env, contexts=2)
+    ends = []
+
+    def job():
+        yield pool.execute_wave([1.0] * k)
+        ends.append(env.now)
+
+    env.process(job())
+    if rival:
+        env.timeout(0.0)
+    env.run()
+    assert ends == [float((k + 1) // 2)] and pool.busy_us == float(k)
+    # The job's bootstrap and the rival; the job's completion is processed
+    # on the spot (nobody waits on it).
+    assert env.events_processed - 1 - rival == 1 + rival
