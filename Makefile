@@ -63,13 +63,18 @@ bench-diff:
 # ablation guards read isolation (dies suspending programs for host reads),
 # the GC-policy ablation KAML GC, the index-flush ablation and Figure 7
 # the flush timer and batch sharing, and Figure 9 the OLTP shapes that run
-# every SS2PL transaction through the host cache.
+# every SS2PL transaction through the host cache.  Figure 6 holds the
+# Get/Put latency shapes that firmware and PCIe timing set, and the
+# group-commit and conflict-model ablations the baseline engine's WAL and
+# the locking-granularity model: with these, every test in benchmarks/ runs.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig5_bandwidth.py -q
 	$(PYTHON) -m pytest benchmarks/test_fig10_ycsb.py benchmarks/test_fig8_multilog.py \
 		benchmarks/test_ablation_qos.py benchmarks/test_ablation_gc_policy.py \
 		benchmarks/test_ablation_index_flush.py benchmarks/test_fig7_batch.py \
 		benchmarks/test_fig9_oltp.py -q
+	$(PYTHON) -m pytest benchmarks/test_fig6_latency.py \
+		benchmarks/test_ablation_group_commit.py benchmarks/test_ablation_conflicts.py -q
 
 # kamlprof: critical-path latency breakdown + flamegraph for the
 # canonical workload (artifacts only; kamlbench's <layer>.sim_share is
