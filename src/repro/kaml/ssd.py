@@ -868,13 +868,21 @@ class KamlSsd:
         pin_start = self.env.now
         self._prepare_commits_counter.inc()
         items = batch.items
+        # A participant commit probes as a Put does: per record, one
+        # firmware wave, with the insert charged for an absent key.
         probe_costs = []
         for item in items:
             namespace = self._namespace(item.namespace_id)
             namespace.require_resident()
-            _existing, scanned = namespace.index.lookup(item.key)
-            probe_costs.append(scanned * self.costs.hash_probe_us)
-        yield from self.firmware.execute(self.costs.dispatch_us + sum(probe_costs))
+            existing, scanned = namespace.index.lookup(item.key)
+            cost = scanned * self.costs.hash_probe_us
+            if existing is None and item.value is not TOMBSTONE:
+                cost += self.costs.hash_insert_us
+            probe_costs.append(cost)
+        if len(probe_costs) == 1:
+            yield from self.firmware.execute(probe_costs[0])
+        else:
+            yield self.firmware.execute_wave(probe_costs)
         if self.epoch != epoch:
             return None  # crashed mid-commit; the pin (still "prepare") survives
         # The decisive NVRAM write: kind + versions flip atomically, so a

@@ -310,14 +310,17 @@ SCENARIOS = {
 #: protocol when a Delete became a one-tombstone Put (the only two of the
 #: six whose writers delete).  ``fig5_mini`` and ``crash_scenario`` moved
 #: under the same protocol when a Put's phases 2-3 began in the step that
-#: acknowledges it (the other four did not move).
+#: acknowledges it (the other four did not move).  ``op_instants_mini``
+#: alone moved under the same protocol when a 2PC participant's commit
+#: began probing as a Put does (its 2-shard cluster half is the only
+#: window that runs 2PC).
 EXPECTED = {
     "fig5_mini": "b74362e1849c1af9b142e74e0fda9160051647ed8ad37000b9389aaecf0eb63d",
     "fig10_mini": "3e99b52471f89f5bfeaa5cf1f6d95872f09176b5b75a64dc8e976e7041e715cc",
     "crash_scenario": "23caa2e23d7a98ccadacb18668f1ea82cc12f13042a875966f9f09f076e95323",
     "prof_breakdown_mini": "29263d6fb9c84114b78bb87689442b794e90e7c86bdbec07151b76b0d1767e34",
     "ycsb_replay_mini": "122f35598415dd799bc7babe290506750465717b004ecbfd1494368977f16fa0",
-    "op_instants_mini": "d103b75edd4073a581523cede605d31a6a59fcc222672ba02a5665d78e117db0",
+    "op_instants_mini": "76ac7edb2d7cd340cd120fd8e0d9edff2d596bd53e2d3341c24f5a31a2493c24",
 }
 
 
