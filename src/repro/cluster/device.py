@@ -14,8 +14,9 @@ The protocol splits into four groups:
 * the data path — ``get`` / ``get_record`` / ``put`` / ``delete`` /
   ``scan`` / ``list_keys``
 * the 2PC participant surface — ``prepare_batch`` (durable, undecided
-  NVRAM pin), ``commit_prepared`` / ``abort_prepared`` (decision), and
-  ``prepared_batches`` (in-doubt survey after recovery)
+  NVRAM pin: the first half of ``put``), ``commit_prepared`` (its second
+  half) / ``abort_prepared`` (the decision), and ``prepared_batches``
+  (in-doubt survey after recovery)
 * the fault lifecycle — ``power_loss`` / ``recover`` / ``drain`` /
   ``close``, plus the ``fault`` attachment slot and ``epoch`` fence
   that :mod:`repro.fault` drives

@@ -9,12 +9,14 @@ prepare log:
    participant shard set in the host intent journal *before* any device
    sees the transaction (so recovery always knows who to ask).
 2. **prepare** — every participant pins its sub-batch durably via
-   :meth:`~repro.kaml.ssd.KamlSsd.prepare_batch`.  A prepared batch is
-   invisible to reads, survives power loss, and is *not* replayed by
-   device recovery — it stays in doubt until the coordinator decides.
+   :meth:`~repro.kaml.ssd.KamlSsd.prepare_batch`, the first half of a
+   device Put.  A prepared batch is invisible to reads, survives power
+   loss, and is *not* replayed by device recovery — it stays in doubt
+   until the coordinator decides.
 3. ``log_commit`` — one host-journal write is the commit point.
 4. **commit** — participants upgrade their prepares to acknowledged
-   Puts (:meth:`commit_prepared`), in ascending shard order.
+   Puts (:meth:`commit_prepared`, the second half of a device Put, so
+   it probes and costs as a Put does), in ascending shard order.
 5. ``log_end`` — the journal entry is retired.
 
 Coordinator crash points (:data:`repro.fault.CLUSTER_CRASH_POINTS`):

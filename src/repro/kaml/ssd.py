@@ -7,10 +7,11 @@ buffers.
 
 ``Put`` follows the paper's two-phase protocol (Section IV-D):
 
-1. The batch is transferred over PCIe and pinned in battery-backed NVRAM;
-   the firmware probes/reserves each key's index entry and stages the
-   batch in the NVRAM write cache.  The command is now *logically
-   committed* and the host is acknowledged.
+1. The batch is transferred over PCIe and pinned in battery-backed NVRAM
+   (``_pin``); the firmware probes/reserves each key's index entry and
+   assigns commit versions (``_commit``).  The command is now *logically
+   committed* and the host is acknowledged.  A 2PC participant's prepare
+   is the first half alone, and its commit the second.
 2. Records are appended to logs (one flash program per packed page).
 3. The firmware installs the new physical addresses in the mapping
    tables, adjusts valid-byte accounting, and frees NVRAM.
@@ -67,24 +68,25 @@ class PutItem(NamedTuple):
 
 
 class StagedBatch:
-    """Durable NVRAM payload of one logically-committed command.
+    """Durable NVRAM payload of one command, pinned by :meth:`KamlSsd._pin`
+    at ``pinned_at``.
 
-    ``kind`` is ``"put"`` or ``"prepare"``.  ``versions``
-    holds the commit versions phase 1 assigned, stamped into the payload
+    ``kind`` is ``"put"`` or ``"prepare"``.  ``versions`` holds the commit
+    versions :meth:`KamlSsd._commit` assigned, stamped into the payload
     after the pin (mutating this object models writing into the
     already-reserved NVRAM region); it stays None when a crash caught the
-    batch between the pin and version assignment — such a batch was never
+    batch between the pin and the commit — such a batch was never
     acknowledged and replays all-or-nothing with fresh versions.
 
-    A ``"prepare"`` batch is the participant half of a host-side
-    two-phase commit (``repro.cluster``): durable but *undecided*.  It is
-    never staged for reads, and :meth:`KamlSsd.recover` keeps it pinned
-    instead of replaying it — only the coordinator's intent journal can
-    turn it into a commit or an abort.  ``txn_id`` names the distributed
-    transaction it belongs to.
+    A ``"prepare"`` batch is a host-side 2PC participant's
+    (``repro.cluster``): pinned but not committed, so durable but
+    *undecided*.  It is never staged for reads, and :meth:`KamlSsd.recover`
+    keeps it pinned instead of replaying it — only the coordinator's intent
+    journal can commit it (through the same ``_commit``, which flips its
+    kind to ``"put"``) or abort it.  ``txn_id`` names its transaction.
     """
 
-    __slots__ = ("kind", "items", "versions", "txn_id")
+    __slots__ = ("kind", "items", "versions", "txn_id", "pinned_at")
 
     def __init__(
         self,
@@ -97,6 +99,7 @@ class StagedBatch:
         self.items = list(items)
         self.versions = list(versions) if versions is not None else None
         self.txn_id = txn_id
+        self.pinned_at = 0.0
 
 
 class KamlSsd:
@@ -499,8 +502,9 @@ class KamlSsd:
             raise KamlError("Put requires at least one record")
         total_bytes = 0
         for item in items:
-            namespace = self._namespace(item.namespace_id)
-            namespace.require_resident()
+            namespace = self.namespaces.get(item.namespace_id)
+            if namespace is None or not namespace.resident:
+                self._namespace(item.namespace_id).require_resident()  # raises
             if item.value is TOMBSTONE and item.size == 0:
                 total_bytes += RECORD_HEADER_BYTES
                 continue
@@ -522,9 +526,9 @@ class KamlSsd:
         """``Put``: atomic multi-record update/insert/delete (a ``TOMBSTONE``
         item of size 0 deletes its key).
 
-        Returns once *logically committed* (phase 1); the returned
-        :class:`~repro.sim.Process` resolves when the batch is fully on
-        flash with mapping tables updated (phases 2–3).
+        Returns once *logically committed* (phase 1: :meth:`_pin`, then
+        :meth:`_commit`); the returned :class:`~repro.sim.Process` resolves
+        when the batch is on flash with mapping tables updated (phases 2–3).
         """
         total_bytes = self._validate_items(items)
         self._puts_counter.inc()
@@ -535,7 +539,7 @@ class KamlSsd:
             else:
                 self.namespaces[item.namespace_id].put_bytes_counter.value += item.size
         owns_ctx = ctx is None
-        put_span = phase1_span = probe_span = None
+        put_span = phase1_span = None
         if not owns_ctx or self.tracer.enabled:
             span_tags = {
                 "namespace": items[0].namespace_id,
@@ -550,84 +554,17 @@ class KamlSsd:
             phase1_span = ctx.begin(
                 "put.phase1", parent=put_span, namespace=items[0].namespace_id
             )
-            transfer_span = ctx.begin(
-                "put.transfer", parent=phase1_span, bytes=total_bytes
-            )
         epoch = self.epoch
         phase1_start = self.env.now
-        yield from self.link.command_overhead()
-        yield from self.link.host_to_device(total_bytes)
-        if ctx is not None:
-            ctx.finish(transfer_span)
-            reserve_span = ctx.begin(
-                "put.nvram_reserve", parent=phase1_span, bytes=total_bytes
-            )
-        nvram_wait_start = self.env.now
         batch = StagedBatch("put", items)
-        if self.fault is not None:  # crash points inline: no call while unarmed
-            self.fault.reached("put.before_nvram_pin")
-        handle = self.nvram.try_reserve(total_bytes, payload=batch)
-        if handle is None:
-            handle = yield self.nvram.reserve(total_bytes, payload=batch)
-        if self.fault is not None:
-            self.fault.reached("put.after_nvram_pin")
-        if ctx is not None:
-            ctx.finish(reserve_span)
-        self._nvram_wait_us_histogram.observe(self.env.now - nvram_wait_start)
-        pin_start = self.env.now
-        self._nvram_used_gauge.set(self.nvram.used_bytes)
-        yield from self.firmware.execute(
-            self.costs.dispatch_us + total_bytes / self.costs.nvram_copy_bytes_per_us,
-            ctx=ctx, parent=phase1_span,
+        handle = yield from self._pin(batch, total_bytes, ctx, phase1_span)
+        process = yield from self._commit(
+            batch, handle, epoch, ctx, put_span, phase1_span, owns_ctx
         )
-        if self.epoch != epoch:
-            if ctx is not None:
-                put_span.tags["crashed"] = True
-                if owns_ctx:
-                    ctx.close()
+        if process is None:
             return None  # crashed mid-command; NVRAM replay owns the batch
-        # Phase 1: reserve/inspect every key's index entry (probe CPU cost)
-        # and stage the whole batch atomically in NVRAM.  Installs in
-        # phase 3 follow the version order assigned at the commit below,
-        # so no entry stays locked across a flash program.
-        # Per-record index probing/reservation spreads across the
-        # controller's cores: a batch pays ~one record's latency per
-        # firmware-context wave, not the serial sum.
-        if ctx is not None:
-            probe_span = ctx.begin("put.index_probe", parent=phase1_span)
-        probe_costs = []
-        for item in items:
-            namespace = self.namespaces[item.namespace_id]
-            existing, scanned = namespace.index.lookup(item.key)
-            cost = scanned * self.costs.hash_probe_us
-            if existing is None and item.value is not TOMBSTONE:
-                cost += self.costs.hash_insert_us
-            probe_costs.append(cost)
-        if len(probe_costs) == 1:
-            yield from self.firmware.execute(
-                probe_costs[0], ctx=ctx, parent=probe_span
-            )
-        else:
-            yield self.firmware.execute_wave(probe_costs, ctx=ctx, parent=probe_span)
-        if ctx is not None:
-            ctx.finish(probe_span)
-        if self.epoch != epoch:
-            if ctx is not None:
-                put_span.tags["crashed"] = True
-                if owns_ctx:
-                    ctx.close()
-            return None  # crashed mid-command; NVRAM replay owns the batch
-        records = self.mapping.commit(batch)
-        trace_id = 0
-        if ctx is not None:
-            # Logically committed: acknowledge the host, finish in background.
-            trace_id = ctx.trace_id
-            ctx.finish(phase1_span)
-            ctx.event("put.ack", parent=put_span, namespace=items[0].namespace_id)
-            # Phases 2-3 outlive the caller's context (a committing txn
-            # closes at the ack); detach so close() can't truncate the span.
-            ctx.detach(put_span)
         self._phase1_us_histogram.observe(self.env.now - phase1_start)
+        trace_id = ctx.trace_id if ctx is not None else 0
         op_id = 0
         oplog = self.oplog
         if oplog is not None:
@@ -646,9 +583,83 @@ class KamlSsd:
             "put", items[0].namespace_id, phase1_start, self.env.now, trace_id,
             op_id=op_id,
         )
+        return process
+
+    def _pin(self, batch: StagedBatch, total_bytes: int, ctx=None, parent=None) -> Any:
+        """Phase 1's first half, a Put's and a 2PC prepare's: move the batch
+        over PCIe, pin it in NVRAM and copy it in.  Returns the NVRAM handle;
+        the pin instant is stamped on the batch."""
+        if ctx is not None:
+            transfer_span = ctx.begin("put.transfer", parent=parent, bytes=total_bytes)
+        yield from self.link.command_overhead()
+        yield from self.link.host_to_device(total_bytes)
+        if ctx is not None:
+            ctx.finish(transfer_span)
+            reserve_span = ctx.begin("put.nvram_reserve", parent=parent, bytes=total_bytes)
+        nvram_wait_start = self.env.now
+        if self.fault is not None:  # crash points inline: no call while unarmed
+            self.fault.reached("put.before_nvram_pin")
+        handle = self.nvram.try_reserve(total_bytes, payload=batch)
+        if handle is None:
+            handle = yield self.nvram.reserve(total_bytes, payload=batch)
+        if self.fault is not None:
+            self.fault.reached("put.after_nvram_pin")
+        if ctx is not None:
+            ctx.finish(reserve_span)
+        self._nvram_wait_us_histogram.observe(self.env.now - nvram_wait_start)
+        batch.pinned_at = self.env.now
+        self._nvram_used_gauge.set(self.nvram.used_bytes)
+        yield from self.firmware.execute(
+            self.costs.dispatch_us + total_bytes / self.costs.nvram_copy_bytes_per_us,
+            ctx=ctx, parent=parent,
+        )
+        return handle
+
+    def _commit(
+        self, batch: StagedBatch, handle: int, epoch: int,
+        ctx=None, put_span=None, phase1_span=None, owns_ctx=False,
+    ) -> Any:
+        """Phase 1's second half, a Put's and a 2PC participant commit's:
+        probe every key's index entry as one firmware wave (a batch pays
+        ~one record's latency, not the serial sum), then assign the commit
+        versions that order phase 3's installs (no entry stays locked
+        across a flash program) and start phases 2–3.  Returns their
+        process, or None if power was cut since ``epoch``."""
+        if self.epoch == epoch:
+            probe_span = None if ctx is None else ctx.begin("put.index_probe", parent=phase1_span)
+            probe_costs = []
+            for item in batch.items:
+                existing, scanned = self.namespaces[item.namespace_id].index.lookup(item.key)
+                cost = scanned * self.costs.hash_probe_us
+                if existing is None and item.value is not TOMBSTONE:
+                    cost += self.costs.hash_insert_us
+                probe_costs.append(cost)
+            if len(probe_costs) == 1:
+                yield from self.firmware.execute(probe_costs[0], ctx=ctx, parent=probe_span)
+            else:
+                yield self.firmware.execute_wave(probe_costs, ctx=ctx, parent=probe_span)
+            if ctx is not None:
+                ctx.finish(probe_span)
+        if self.epoch != epoch:
+            if ctx is not None:
+                put_span.tags["crashed"] = True
+                if owns_ctx:
+                    ctx.close()
+            return None
+        # The decisive NVRAM write: versions (and a prepare's kind) flip
+        # atomically, so a crash from here on replays an acknowledged Put.
+        records = self.mapping.commit(batch)
+        batch.kind = "put"
+        if ctx is not None:
+            # Logically committed: acknowledge the host, finish in background.
+            ctx.finish(phase1_span)
+            ctx.event("put.ack", parent=put_span, namespace=batch.items[0].namespace_id)
+            # Phases 2-3 outlive the caller's context (a committing txn
+            # closes at the ack); detach so close() can't truncate the span.
+            ctx.detach(put_span)
         # Phases 2-3 begin in this step, the one that acknowledges the Put.
         return self.env.start(
-            self._complete_put(records, handle, epoch, pin_start, ctx, put_span, owns_ctx)
+            self._complete_put(records, handle, epoch, batch, ctx, put_span, owns_ctx)
         )
 
     def _reappend(self, record: Record, epoch: int) -> Any:
@@ -697,7 +708,7 @@ class KamlSsd:
         return location, self.mapping.erase_mark(location.page)
 
     def _complete_put(
-        self, records, handle, epoch, pin_start,
+        self, records, handle, epoch, batch,
         ctx=None, put_span=None, owns_ctx=False,
     ) -> Any:
         """Phases 2 and 3: flash writes, then mapping-table installs.
@@ -712,17 +723,6 @@ class KamlSsd:
         install, the pin is kept: the batch was acknowledged at the pin, so
         the pinned payload is its only durable copy and NVRAM replay owns it.
         """
-        if self.epoch != epoch:
-            if ctx is not None:
-                if put_span is not None:
-                    put_span.tags["crashed"] = True
-                    # The span was detached at the ack, so close() alone
-                    # would leak it; finish is idempotent, so doing both
-                    # is safe.
-                    ctx.finish(put_span)
-                if owns_ctx:
-                    ctx.close()
-            return
         phase2_start = self.env.now
         phase2_span = None
         if ctx is not None:
@@ -797,11 +797,11 @@ class KamlSsd:
         finally:
             if self.epoch == epoch and not append_failed:
                 self.nvram.release(handle)
-                self._nvram_pin_us_histogram.observe(self.env.now - pin_start)
+                self._nvram_pin_us_histogram.observe(self.env.now - batch.pinned_at)
                 self._phase2_us_histogram.observe(self.env.now - phase2_start)
                 self._nvram_used_gauge.set(self.nvram.used_bytes)
                 if ctx is not None:
-                    ctx.record_span("put.nvram_pin", start_us=pin_start, parent=put_span)
+                    ctx.record_span("put.nvram_pin", start_us=batch.pinned_at, parent=put_span)
             if ctx is not None:
                 ctx.finish(phase2_span)
                 if put_span is not None:
@@ -826,70 +826,31 @@ class KamlSsd:
     # ------------------------------------------------------------------
 
     def prepare_batch(self, items: List[PutItem], txn_id: int) -> Any:
-        """Participant *prepare*: pin a batch durably without committing.
+        """Participant *prepare*: a Put's :meth:`_pin` alone; returns the handle.
 
-        The items are transferred and staged in NVRAM exactly like a
-        ``Put``'s phase 1, but no versions are assigned and nothing
-        becomes readable — the batch is in doubt until the coordinator
-        drives :meth:`commit_prepared` or :meth:`abort_prepared`.  A
-        power loss keeps the pin (:meth:`recover` preserves ``"prepare"``
-        batches instead of replaying them), so the coordinator's intent
-        journal alone decides the outcome.  Returns the NVRAM handle.
+        The batch is durable but unversioned and unreadable, in doubt until
+        the coordinator drives :meth:`commit_prepared` or
+        :meth:`abort_prepared`.  :meth:`recover` keeps the pin instead of
+        replaying it, so the coordinator's intent journal alone decides.
         """
         total_bytes = self._validate_items(items)
         self._prepares_counter.inc()
-        yield from self.link.command_overhead()
-        yield from self.link.host_to_device(total_bytes)
-        batch = StagedBatch("prepare", items, txn_id=txn_id)
-        handle = self.nvram.try_reserve(total_bytes, payload=batch)
-        if handle is None:
-            handle = yield self.nvram.reserve(total_bytes, payload=batch)
-        self._nvram_used_gauge.set(self.nvram.used_bytes)
-        yield from self.firmware.execute(
-            self.costs.dispatch_us + total_bytes / self.costs.nvram_copy_bytes_per_us
-        )
-        return handle
+        return (yield from self._pin(StagedBatch("prepare", items, txn_id=txn_id), total_bytes))
 
     def commit_prepared(self, handle: int) -> Any:
-        """Participant *commit*: turn a prepared batch into an acked Put.
+        """Participant *commit*: a Put's :meth:`_commit` of the prepared batch.
 
-        Assigns commit versions, stamps them into the pinned payload
-        (from here on the batch replays exactly like an acknowledged
-        ``Put``), makes the values readable from the staging area, and
-        completes phases 2–3 in the background.  Idempotent against the
-        crash-replay path: once committed the batch's kind is ``"put"``,
-        so a later device recovery applies it through the ordinary
-        versioned replay.  Returns the background completion process.
-        """
+        It probes as a Put does and stamps versions into the pinned payload,
+        which from then on replays as an acknowledged ``Put``.  Returns the
+        phases 2–3 process, or None if power was cut mid-commit (the pin,
+        still ``"prepare"``, survives)."""
         batch = self.nvram.payload(handle)
         if not isinstance(batch, StagedBatch) or batch.kind != "prepare":
             raise KamlError(f"NVRAM handle {handle} does not hold a prepared batch")
-        epoch = self.epoch
-        pin_start = self.env.now
         self._prepare_commits_counter.inc()
-        items = batch.items
-        # A participant commit probes as a Put does: per record, one
-        # firmware wave, with the insert charged for an absent key.
-        probe_costs = []
-        for item in items:
-            namespace = self._namespace(item.namespace_id)
-            namespace.require_resident()
-            existing, scanned = namespace.index.lookup(item.key)
-            cost = scanned * self.costs.hash_probe_us
-            if existing is None and item.value is not TOMBSTONE:
-                cost += self.costs.hash_insert_us
-            probe_costs.append(cost)
-        if len(probe_costs) == 1:
-            yield from self.firmware.execute(probe_costs[0])
-        else:
-            yield self.firmware.execute_wave(probe_costs)
-        if self.epoch != epoch:
-            return None  # crashed mid-commit; the pin (still "prepare") survives
-        # The decisive NVRAM write: kind + versions flip atomically, so a
-        # crash from here on replays the batch as an acknowledged Put.
-        records = self.mapping.commit(batch)
-        batch.kind = "put"
-        return self.env.start(self._complete_put(records, handle, epoch, pin_start))
+        for item in batch.items:
+            self._namespace(item.namespace_id).require_resident()
+        return (yield from self._commit(batch, handle, self.epoch))
 
     def abort_prepared(self, handle: int) -> Any:
         """Participant *abort*: drop a prepared batch without a trace."""

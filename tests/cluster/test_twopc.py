@@ -6,6 +6,8 @@ from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy, key_shard_sl
 from repro.cluster.errors import TwoPhaseCommitError
 from repro.cluster.twopc import IntentJournal, recover_transactions
 from repro.config import ReproConfig
+from repro.errors import PowerLossError
+from repro.fault import FaultPlan, PowerLossInjector
 from repro.fault.harness import default_device_config
 from repro.sim import Environment
 
@@ -135,6 +137,46 @@ def test_refused_prepare_aborts_after_every_sibling_settles():
     assert cluster.journal.open_txns() == []
     assert cluster.journal.entry(1) is None
     assert cluster.metrics.total("cluster.2pc.aborts") == 1
+    for shard in cluster.shards.values():
+        assert shard.prepared_batches() == {}
+        assert shard.nvram.used_bytes == 0
+
+
+def test_power_cut_at_a_participants_pin_aborts_the_transaction():
+    """A prepare is a Put's pin, so it announces ``put.after_nvram_pin``.
+    Cut one shard's power there: device recovery keeps the prepare pinned,
+    journal recovery presumes abort, and every key keeps its old value with
+    no NVRAM pin left on any shard."""
+    env, cluster = make_cluster()
+    keys = straddling_keys(2)
+    crashed = cluster.shards[key_shard_slot(keys[0], 2)]
+
+    def load():
+        yield from cluster.put("data", [(key, ("old", key), 300) for key in keys])
+        yield from cluster.drain()
+
+    run(env, load())
+    injector = PowerLossInjector(crashed, FaultPlan(point="put.after_nvram_pin")).attach()
+
+    def flow():
+        with pytest.raises(PowerLossError):
+            yield from cluster.put("data", [(key, ("new", key), 300) for key in keys])
+        crashed.fault = None
+        yield from crashed.recover()
+        assert crashed.prepared_batches() != {}  # kept in doubt, not replayed
+        stats, background = yield from recover_transactions(cluster.journal, cluster.shards)
+        yield from cluster.drain()
+        observed = {}
+        for key in keys:
+            observed[key] = yield from cluster.get("data", key)
+        return stats, background, observed
+
+    stats, background, observed = run(env, flow())
+    assert injector.fired is not None and injector.fired["point"] == "put.after_nvram_pin"
+    assert stats == {"committed": 0, "aborted": 1}
+    assert background == []
+    assert observed == {key: ("old", key) for key in keys}
+    assert cluster.journal.open_txns() == []
     for shard in cluster.shards.values():
         assert shard.prepared_batches() == {}
         assert shard.nvram.used_bytes == 0

@@ -613,3 +613,81 @@ def test_overlapping_gets_of_one_block_leave_no_pin_behind():
     assert proc.processed, "the pre-erase barrier waited for a pin nobody holds"
     assert peak == [2]  # the reads overlapped
     assert proc.value == ([("v", 1), ("v", 2)], {}, 0.0)
+
+
+# -- the 2PC participant: a Put's two halves ---------------------------------
+
+def _twin_devices(present_keys):
+    """Two identical devices, each with ``present_keys`` installed, at the
+    same instant."""
+    twins = []
+    for _ in range(2):
+        env, ssd = make_ssd()
+        nsid = run(env, ssd.create_namespace())
+
+        def load(ssd=ssd, nsid=nsid):
+            if present_keys:
+                yield from ssd.put([PutItem(nsid, k, ("old", k), 512) for k in present_keys])
+            yield from ssd.drain()
+
+        run(env, load())
+        twins.append((env, ssd, nsid))
+    assert twins[0][0].now == twins[1][0].now
+    return twins
+
+
+@pytest.mark.parametrize(
+    "keys, present",
+    [([1], [1]), ([7], []), ([1, 2, 9], [1, 2])],
+    ids=["one-present-key", "one-absent-key", "three-keys-wave"],
+)
+def test_participant_commit_costs_what_a_put_costs_after_the_pin(keys, present):
+    """A prepare is a Put's pin and a commit its second half, so from the
+    end of the NVRAM copy to the ack a participant pays exactly what a
+    local Put of the same records pays: the same probes, the insert charge
+    for an absent key, and one firmware wave for a batch."""
+    (env_a, ssd_a, ns_a), (env_b, ssd_b, ns_b) = _twin_devices(present)
+    start = env_a.now
+
+    def local_put():
+        yield from ssd_a.put([PutItem(ns_a, k, ("new", k), 512) for k in keys])
+        return env_a.now
+
+    def participant():
+        handle = yield from ssd_b.prepare_batch(
+            [PutItem(ns_b, k, ("new", k), 512) for k in keys], txn_id=1
+        )
+        pinned = env_b.now
+        yield from ssd_b.commit_prepared(handle)
+        return pinned, env_b.now
+
+    put_acked = run(env_a, local_put())
+    pinned, commit_acked = run(env_b, participant())
+    assert pinned > start
+    assert commit_acked - pinned > 0
+    assert put_acked == commit_acked  # the pins match, so the commits do too
+    for k in keys:
+        assert run(env_b, ssd_b.get(ns_b, k)) == ("new", k)
+
+
+def test_participant_pin_sample_spans_the_prepare_to_commit_gap():
+    """``kaml.put.nvram_pin_us`` measures a prepared batch from its pin, not
+    from its commit: the coordinator's decision time is pin time too."""
+    env, ssd = make_ssd()
+    nsid = run(env, ssd.create_namespace())
+    gap_us = 500.0
+
+    def flow():
+        handle = yield from ssd.prepare_batch([PutItem(nsid, 1, "v", 512)], txn_id=1)
+        prepared = env.now
+        yield env.timeout(gap_us)
+        done = yield from ssd.commit_prepared(handle)
+        yield done  # phases 2-3 release the pin as they end
+        return prepared, env.now
+
+    prepared, released = run(env, flow())
+    pinned = ssd.metrics.histogram("kaml.put.nvram_pin_us")
+    assert pinned.count == 1
+    assert ssd.nvram.used_bytes == 0
+    # Pinned before the prepare returned, released when phases 2-3 ended.
+    assert pinned.min_value >= released - prepared > gap_us
