@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
+from repro.errors import PowerLossError
 from repro.flash import PagePointer
 from repro.kaml.namespace import Namespace
 from repro.kaml.record import TOMBSTONE, Record, RecordLocation
@@ -72,6 +73,10 @@ class Mapping:
         self._doomed_blocks: Set[BlockKey] = set()
         self._pins: Dict[BlockKey, int] = defaultdict(int)
         self._pin_gate = Gate(env, name="kaml.pins")
+        #: Bumped by :meth:`clear`: a read that began before a power cut
+        #: (a ghost) compares the epoch it began in before it touches a
+        #: table, and ends in ``PowerLossError`` instead.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # What commands see
@@ -200,7 +205,7 @@ class Mapping:
             self._adjust_valid(location, -1)
 
     def read(
-        self, table: Any, key: int, location: RecordLocation,
+        self, table: Any, key: int, location: RecordLocation, epoch: int,
         ctx: Optional[TraceContext] = None, parent: Any = None,
     ) -> Any:
         """Pin-protected flash read of ``key``'s record, chasing GC.
@@ -211,9 +216,13 @@ class Mapping:
         table in the same sim instant: once the pin is visible, the
         pre-erase barrier holds the erase off, so a confirmed location
         stays readable.  Returns the record, or None if the key vanished
-        (deleted) while probing.
+        (deleted) while probing.  A read that began in an earlier ``epoch``
+        ends in ``PowerLossError`` before it touches the table, and one cut
+        during its flash read leaves the cleared pins alone.
         """
         while True:
+            if self.epoch != epoch:
+                raise PowerLossError(f"power lost under a read of key {key}")
             block_key = location.block_key
             self._pin(block_key)
             current, scanned = table.lookup(key)
@@ -236,7 +245,8 @@ class Mapping:
                 ctx=ctx, parent=read_span, priority=True,
             )
         finally:
-            self._unpin(block_key)
+            if self.epoch == epoch:
+                self._unpin(block_key)
             if ctx is not None:
                 ctx.finish(read_span)
         return data[location.chunk]
@@ -271,6 +281,7 @@ class Mapping:
 
     def clear(self) -> None:
         """Full power cut: every table is gone until flash is rescanned."""
+        self.epoch += 1
         self._staged.clear()  # replay rebuilds the installs
         self._pins.clear()
         self._doomed_blocks.clear()  # the pending erases died with the power

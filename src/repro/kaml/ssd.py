@@ -35,7 +35,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
-from repro.errors import InvariantError, ReproError
+from repro.errors import InvariantError, PowerLossError, ReproError
 from repro.flash import FlashArray
 from repro.kaml.log import KamlLog, LogSpaceError
 from repro.kaml.mapping import Mapping
@@ -299,6 +299,7 @@ class KamlSsd:
             )
             dispatch_span = ctx.begin("get.dispatch", parent=get_span)
         started = self.env.now
+        epoch = self.mapping.epoch
         # Journal bookkeeping: the finally block records one op-journal
         # row per Get, so the return sites below keep these truthful.
         outcome = "error"
@@ -308,6 +309,8 @@ class KamlSsd:
             yield from self.firmware.execute(
                 self.costs.dispatch_us, ctx=ctx, parent=dispatch_span
             )
+            if self.mapping.epoch != epoch:
+                raise PowerLossError(f"power lost under a read of key {key}")
             staged, location, scanned = self.mapping.lookup(namespace, key)
             if ctx is not None:
                 ctx.finish(dispatch_span)
@@ -340,7 +343,9 @@ class KamlSsd:
             if location is None:
                 outcome = "absent"
                 return None
-            record = yield from self.mapping.read(namespace.index, key, location, ctx, get_span)
+            record = yield from self.mapping.read(
+                namespace.index, key, location, epoch, ctx, get_span
+            )
             if record is None:
                 if ctx is not None:
                     get_span.tags["source"] = "absent"
@@ -422,13 +427,16 @@ class KamlSsd:
         """Read a key as of the snapshot instant."""
         snapshot = self._snapshot(snapshot_id)
         self._namespace(snapshot.namespace_id).gets_counter.inc()
+        epoch = self.mapping.epoch
         yield from self.link.command_overhead()
         yield from self.firmware.execute(self.costs.dispatch_us)
+        if self.mapping.epoch != epoch:
+            raise PowerLossError(f"power lost under a read of key {key}")
         location, scanned = snapshot.index.lookup(key)
         yield from self.firmware.execute(scanned * self.costs.hash_probe_us)
         if location is None:
             return None
-        record = yield from self.mapping.read(snapshot.index, key, location)
+        record = yield from self.mapping.read(snapshot.index, key, location, epoch)
         if record is None:
             return None
         yield from self.link.device_to_host(record.size)
@@ -459,8 +467,11 @@ class KamlSsd:
             )
         namespace.gets_counter.inc()
         started = self.env.now
+        epoch = self.mapping.epoch
         yield from self.link.command_overhead()
         yield from self.firmware.execute(self.costs.dispatch_us)
+        if self.mapping.epoch != epoch:
+            raise PowerLossError(f"power lost under a scan of [{low}, {high}]")
         on_flash = dict(namespace.index.range(low, high))
         staged = {
             key: (value, size)
@@ -479,7 +490,7 @@ class KamlSsd:
                 if value is TOMBSTONE:
                     continue  # an acked Delete, not yet installed
             else:
-                record = yield from self.mapping.read(namespace.index, key, on_flash[key])
+                record = yield from self.mapping.read(namespace.index, key, on_flash[key], epoch)
                 if record is None:
                     continue  # deleted while the scan was in flight
                 value, size = record.value, record.size
@@ -887,7 +898,10 @@ class KamlSsd:
         """
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
+        epoch = self.mapping.epoch
         yield from self.link.command_overhead()
+        if self.mapping.epoch != epoch:
+            raise PowerLossError(f"power lost under a key listing of namespace {namespace_id}")
         keys = {key for key, _location in namespace.index.items()}
         for key, value, _size in self.mapping.staged_items(namespace_id):
             if value is TOMBSTONE:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import FlashGeometry, KamlParams, ReproConfig
+from repro.errors import PowerLossError
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
 from repro.sim import Environment
 
@@ -205,3 +206,70 @@ def test_power_cut_mid_program_keeps_every_acked_record():
     assert values == [("pre", k) for k in state["acked"]] + [
         ("post", k) for k in range(12)
     ]
+
+
+#: The four read commands, each as ``(ssd, namespace, snapshot) -> generator``.
+READS = {
+    "get": lambda ssd, nsid, snap: ssd.get(nsid, 1),
+    "get_from_snapshot": lambda ssd, nsid, snap: ssd.get_from_snapshot(snap, 1),
+    "scan": lambda ssd, nsid, snap: ssd.scan(nsid, 0, 2),
+    "list_keys": lambda ssd, nsid, snap: ssd.list_keys(nsid),
+}
+
+
+def three_drained_keys():
+    """A sorted namespace holding three 1,000 B keys on flash, plus a
+    snapshot of it."""
+    env = Environment()
+    ssd = KamlSsd(env, ReproConfig.small())
+    nsid = run(env, ssd.create_namespace(NamespaceAttributes(index_structure="sorted")))
+
+    def fill():
+        for key in range(3):
+            yield from ssd.put([PutItem(nsid, key, f"v{key}", 1000)])
+        yield from ssd.drain()
+
+    run(env, fill())
+    snap = run(env, ssd.snapshot_namespace(nsid))
+    return env, ssd, nsid, snap
+
+
+@pytest.mark.parametrize("share", [0.005, 0.05, 0.2, 0.4, 0.6, 0.8, 0.99])
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_read_in_flight_at_a_power_cut_ends_cleanly(command, share):
+    """A read still running when the power is cut (a ghost) must end in
+    ``PowerLossError`` or in the answer it would have given, never in
+    another exception, and must not stop recovery: the cut clears the
+    tables the read was about to consult."""
+    env, ssd, nsid, snap = three_drained_keys()
+    started = env.now
+    answer = run(env, READS[command](ssd, nsid, snap))
+    cut_us = share * (env.now - started)
+
+    env, ssd, nsid, snap = three_drained_keys()
+    outcome = {}
+
+    def join(read):
+        try:
+            outcome["value"] = yield read
+        except Exception as exc:  # the assertion below names it
+            outcome["error"] = exc
+
+    env.process(join(env.process(READS[command](ssd, nsid, snap))))
+    env.run(until=env.now + cut_us)
+    ssd.power_loss()
+    run(env, ssd.recover())
+    env.run(until=env.now + 1_000.0)  # let the ghost finish
+
+    if "error" in outcome:
+        assert isinstance(outcome["error"], PowerLossError), outcome["error"]
+    else:
+        assert outcome["value"] == answer
+
+    def read_back():
+        values = []
+        for key in range(3):
+            values.append((yield from ssd.get(nsid, key)))
+        return values
+
+    assert run(env, read_back()) == ["v0", "v1", "v2"]
