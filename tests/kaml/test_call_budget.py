@@ -19,6 +19,12 @@ from repro.sim import Environment
 
 #: One device Get served from flash (before: obs 23, sim 40).
 GET_MISS_BUDGET = {"kaml": 8, "flash": 11, "ssd": 5, "obs": 8, "sim": 29}
+#: One device Get served from the staged overlay: the key's Put is acked
+#: but not yet installed, so no index probe and no flash read.
+GET_STAGED_BUDGET = {"kaml": 4, "flash": 0, "ssd": 5, "obs": 6, "sim": 7}
+#: One single-key Delete through its ack: the existence check, then the
+#: one-tombstone Put's phase 1 and the staging its phase 2 begins with.
+DELETE_BUDGET = {"kaml": 20, "flash": 0, "ssd": 10, "obs": 9, "sim": 18}
 #: One single-record Put, from command arrival through its mapping
 #: install in phase 3 (before: obs 46, sim 108; kaml 72 and sim 80 while
 #: each record was appended by a process of its own; kaml 67, flash 22,
@@ -85,6 +91,30 @@ def test_get_miss_call_budget():
     assert value == ("v1", 1000)
     assert ssd.metrics.total("flash.suspended_reads") == 0
     within(calls, GET_MISS_BUDGET)
+
+
+def test_get_staged_call_budget():
+    env, ssd, nsid = warm_device()
+
+    def put(key):
+        yield from ssd.put([PutItem(nsid, key, "new", 1000)])  # acked, not installed
+
+    census(env, put(5))
+    census(env, ssd.get_record(nsid, 5))  # resolve instruments
+    census(env, put(6))
+    hits = ssd.metrics.total("kaml.ssd.get_staged_hits")
+    value, calls = census(env, ssd.get_record(nsid, 6))
+    assert value == ("new", 1000)
+    assert ssd.metrics.total("kaml.ssd.get_staged_hits") == hits + 1
+    within(calls, GET_STAGED_BUDGET)
+
+
+def test_delete_call_budget():
+    env, ssd, nsid = warm_device()
+    census(env, ssd.delete(nsid, 0))  # resolve instruments
+    existed, calls = census(env, ssd.delete(nsid, 1))
+    assert existed is True
+    within(calls, DELETE_BUDGET)
 
 
 def test_put_through_install_call_budget():
