@@ -33,7 +33,8 @@ from repro.cluster.scheduler import ShardScheduler
 from repro.cluster.twopc import IntentJournal, TwoPhaseCoordinator, recover_transactions
 from repro.errors import PowerLossError
 from repro.kaml.namespace import NamespaceAttributes
-from repro.kaml.ssd import KamlSsd, PutItem
+from repro.kaml.put import PutItem
+from repro.kaml.ssd import KamlSsd
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Gate
 

@@ -14,12 +14,13 @@ The protocol splits into four groups:
 * the data path — ``get`` / ``get_record`` / ``put`` / ``delete`` /
   ``scan`` / ``list_keys``
 * the 2PC participant surface — ``prepare_batch`` (durable, undecided
-  NVRAM pin: the first half of ``put``), ``commit_prepared`` (its second
-  half) / ``abort_prepared`` (the decision), and ``prepared_batches``
-  (in-doubt survey after recovery)
-* the fault lifecycle — ``power_loss`` / ``recover`` / ``drain`` /
-  ``close``, plus the ``fault`` attachment slot and ``epoch`` fence
-  that :mod:`repro.fault` drives
+  NVRAM pin: the first half of ``put``, :mod:`repro.kaml.put`),
+  ``commit_prepared`` (its second half) / ``abort_prepared`` (the
+  decision), and ``prepared_batches`` (in-doubt survey after recovery)
+* the fault lifecycle — ``power_loss`` / ``recover``
+  (:mod:`repro.kaml.recovery`) / ``drain`` / ``close``, plus the
+  ``fault`` attachment slot and ``epoch`` fence that :mod:`repro.fault`
+  drives
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.kaml.namespace import NamespaceAttributes
-from repro.kaml.ssd import PutItem
+from repro.kaml.put import PutItem
 from repro.obs import MetricsRegistry, SloTracker, Tracer
 from repro.obs.trace import TraceContext
 from repro.sim import Environment

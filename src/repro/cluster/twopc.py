@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cluster.device import Device
 from repro.cluster.errors import TwoPhaseCommitError
 from repro.errors import InvariantError, PowerLossError
-from repro.kaml.ssd import PutItem
+from repro.kaml.put import PutItem
 from repro.obs import MetricsRegistry, TraceContext
 from repro.sim import Environment
 

@@ -28,8 +28,8 @@ from repro.errors import InvariantError, PowerLossError
 
 #: Every crash point the data path announces, in data-path order.  The
 #: crash matrix sweeps all of them; keep this tuple in sync with the
-#: ``_crash_point`` call sites in :mod:`repro.kaml.ssd` and
-#: :mod:`repro.kaml.log`.
+#: crash points :mod:`repro.kaml.put` announces and the ``_crash_point``
+#: call sites in :mod:`repro.kaml.log`.
 CRASH_POINTS = (
     # Put phase 1: the host transfer landed but the batch is not yet
     # pinned in NVRAM — the command must vanish without a trace.

@@ -20,7 +20,8 @@ from repro.kaml.log import KamlLog
 from repro.kaml.namespace import Namespace, NamespaceAttributes, NamespaceError
 from repro.kaml.mapping_policy import AllLogsPolicy, DedicatedLogsPolicy, ExplicitLogsPolicy
 from repro.kaml.snapshot import Snapshot, SnapshotError
-from repro.kaml.ssd import KamlSsd, KamlError, PutItem, StagedBatch
+from repro.kaml.put import KamlError, PutItem, StagedBatch
+from repro.kaml.ssd import KamlSsd
 
 __all__ = [
     "TOMBSTONE",

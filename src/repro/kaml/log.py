@@ -167,13 +167,6 @@ class KamlLog:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(self, record: Record) -> Any:
-        """Append one record; returns its :class:`RecordLocation` once the
-        containing page is programmed (Put phase 2, Section IV-D)."""
-        nchunks = record.chunks(self.geometry.chunk_size)
-        programmed, start = self.stage(record, nchunks, for_gc=False)
-        return RecordLocation((yield programmed), start, nchunks)
-
     def stage(self, record: Record, nchunks: int, for_gc: bool) -> Tuple[Event, int]:
         """Synchronously place a record of ``nchunks`` chunks into the open
         page; returns the page's one completion, which fires with its

@@ -9,9 +9,10 @@ per-block and per-page valid bytes, read pins and doomed blocks that
 decide what GC must read and move and when a block may be erased.  One
 invariant ties them: a block's (and a page's) valid bytes equal the bytes
 of the records some live table references in it
-(:meth:`Mapping.references`).  Commands use ``lookup`` /
-``commit`` / ``install`` / ``read``; each :class:`~repro.kaml.log.KamlLog`
-gets the mapping as its GC ``hooks`` and stays ignorant of namespaces.
+(:meth:`Mapping.references`).  Commands use ``commit`` / ``install`` /
+``read``, and the read resolver (:mod:`repro.kaml.read`) the staged
+overlay; each :class:`~repro.kaml.log.KamlLog` gets the mapping as its GC
+``hooks`` and stays ignorant of namespaces.
 """
 
 from __future__ import annotations
@@ -81,30 +82,6 @@ class Mapping:
     # ------------------------------------------------------------------
     # What commands see
     # ------------------------------------------------------------------
-
-    def lookup(self, namespace: Namespace, key: int) -> Tuple[Any, Any, int]:
-        """``(staged, location, probes)``: a logically committed but not yet
-        installed value is served from the staging area (``staged`` is its
-        ``(version, value, size)``); otherwise the table is probed."""
-        staged = self._staged.get((namespace.namespace_id, key))
-        if staged is not None:
-            return staged, None, 0
-        location, probes = namespace.index.lookup(key)
-        return None, location, probes
-
-    def readable(self, namespace: Namespace, key: int) -> bool:
-        """Would a Get find ``key``?  A staged tombstone hides an indexed copy."""
-        staged, location, _probes = self.lookup(namespace, key)
-        return location is not None if staged is None else staged[1] is not TOMBSTONE
-
-    def staged_items(self, namespace_id: int) -> List[Tuple[int, Any, int]]:
-        """``(key, value, size)`` of a namespace's acked, uninstalled Puts;
-        a staged Delete's value is ``TOMBSTONE``."""
-        return [
-            (key, value, size)
-            for (staged_ns, key), (_version, value, size) in self._staged.items()
-            if staged_ns == namespace_id
-        ]
 
     @property
     def staged_count(self) -> int:

@@ -221,7 +221,7 @@ def op_instants_mini() -> Dict[str, Any]:
     cluster.
 
     Hashes each op's client, kind, issue instant and ack instant, plus the
-    instant each Put's phases 2-3 (``KamlSsd._complete_put``) finish.  A
+    instant each Put's phases 2-3 (``repro.kaml.put._complete_put``) finish.  A
     Put acks at phase 1, so only the phase-2 instants see how background
     work at one instant is ordered.  A change that only moves work within
     one simulated instant (DESIGN.md, "Event-only changes") must leave this
@@ -233,16 +233,16 @@ def op_instants_mini() -> Dict[str, Any]:
 
     from repro.cluster import ClusterConfig, KamlCluster, TenantPolicy
     from repro.fault.harness import default_device_config
-    from repro.kaml import KamlSsd
+    from repro.kaml import put as put_phases
     from repro.sim import Environment
 
     finished = []
-    complete_put = KamlSsd._complete_put
+    complete_put = put_phases._complete_put
 
-    def recording(self, records, *args, **kwargs):
-        yield from complete_put(self, records, *args, **kwargs)
+    def recording(ssd, records, *args, **kwargs):
+        yield from complete_put(ssd, records, *args, **kwargs)
         finished.append((
-            [(r.namespace_id, r.key, r.seq) for r in records], self.env.now,
+            [(r.namespace_id, r.key, r.seq) for r in records], ssd.env.now,
         ))
 
     def device() -> Dict[str, Any]:
@@ -272,7 +272,7 @@ def op_instants_mini() -> Dict[str, Any]:
         assert tier.metrics.total("cluster.2pc.txns") > 0
         return {"ops": ops, "now": env.now}
 
-    KamlSsd._complete_put = recording
+    put_phases._complete_put = recording
     try:
         payload = {"device": device()}
         payload["device_phase2"] = sorted(finished)
@@ -280,7 +280,8 @@ def op_instants_mini() -> Dict[str, Any]:
         payload["cluster"] = cluster()
         payload["cluster_phase2"] = sorted(finished)
     finally:
-        KamlSsd._complete_put = complete_put
+        put_phases._complete_put = complete_put
+    assert payload["device_phase2"] and payload["cluster_phase2"]
     return payload
 
 

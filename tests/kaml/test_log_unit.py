@@ -88,13 +88,19 @@ def stage(log, rec, for_gc=False):
     return log.stage(rec, rec.chunks(log.geometry.chunk_size), for_gc)
 
 
+def append(log, rec):
+    """Stage one host record and wait for its page; returns its location."""
+    programmed, start = stage(log, rec)
+    return RecordLocation((yield programmed), start, rec.chunks(log.geometry.chunk_size))
+
+
 
 
 def test_append_returns_location_after_program():
     env, log, hooks, array = make_log()
 
     def flow():
-        location = yield from log.append(record(1, size=7000))  # ~55 chunks
+        location = yield from append(log, record(1, size=7000))  # ~55 chunks
         return location
 
     location = run(env, flow())
@@ -160,7 +166,7 @@ def test_timer_flushes_partial_page():
     env, log, hooks, array = make_log(flush_timeout=500.0)
 
     def flow():
-        location = yield from log.append(record(1, size=100))
+        location = yield from append(log, record(1, size=100))
         return env.now, location
 
     finished, _location = run(env, flow())
@@ -330,7 +336,7 @@ def test_gc_reclaims_invalid_records():
         # Fill most of the device; nothing is ever registered as current,
         # so GC has pure garbage to collect.
         for i in range(40):
-            yield from log.append(record(i, size=7000))
+            yield from append(log, record(i, size=7000))
             yield env.timeout(800.0)
         return True
 
@@ -349,13 +355,13 @@ def test_gc_relocates_valid_records():
         # Interleave live and dead records so every block carries a
         # survivor (one record per page, two pages per block).
         for key in live_keys:
-            location = yield from log.append(record(key, size=7000))
+            location = yield from append(log, record(key, size=7000))
             hooks.register(key, location)
-            yield from log.append(record(9000 + key, size=7000))  # garbage
+            yield from append(log, record(9000 + key, size=7000))  # garbage
             yield env.timeout(800.0)
         # Churn with garbage until GC must clean the mixed blocks.
         for i in range(20):
-            yield from log.append(record(i, size=7000))
+            yield from append(log, record(i, size=7000))
             yield env.timeout(800.0)
         return True
 
@@ -373,7 +379,7 @@ def fill_block(log, keys):
     """One page-sized record per key, each on a page of its own."""
     locations = {}
     for key in keys:
-        locations[key] = yield from log.append(record(key, size=7000))
+        locations[key] = yield from append(log, record(key, size=7000))
     return locations
 
 
@@ -465,7 +471,7 @@ def test_worn_out_blocks_retire():
 
     def flow():
         for i in range(120):
-            yield from log.append(record(i, size=7000))
+            yield from append(log, record(i, size=7000))
             yield env.timeout(800.0)
         return True
 
@@ -487,7 +493,7 @@ def test_space_error_when_everything_valid():
         # All records stay registered (valid): the device genuinely fills.
         try:
             for i in range(12):
-                location = yield from log.append(record(i, size=7000))
+                location = yield from append(log, record(i, size=7000))
                 hooks.register(i, location)
                 yield env.timeout(800.0)
         except LogSpaceError:
@@ -504,7 +510,7 @@ def test_rescan_restores_block_lists_and_both_write_points():
 
     def flow():
         for key in range(6):  # one 7,000 B record per page: a full block + 2 pages
-            yield from log.append(record(key, size=7000))
+            yield from append(log, record(key, size=7000))
         # One page on the GC stream, launched the way _clean_block launches it.
         programmed, _start = stage(log, record(100, size=7000), for_gc=True)
         log._launch_flush(for_gc=True)

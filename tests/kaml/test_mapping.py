@@ -10,9 +10,10 @@ from repro.errors import InvariantError
 from repro.flash import PagePointer
 from repro.kaml.mapping import Mapping
 from repro.kaml.namespace import Namespace, NamespaceAttributes
+from repro.kaml.put import PutItem, StagedBatch
+from repro.kaml.read import resolve, staged_keys
 from repro.kaml.record import TOMBSTONE, Record, RecordLocation
 from repro.kaml.snapshot import Snapshot, clone_index
-from repro.kaml.ssd import PutItem, StagedBatch
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
@@ -57,8 +58,14 @@ def marker(key, seq, namespace_id=1):
 
 
 def current(mapping, namespace, key):
-    _staged, location, _probes = mapping.lookup(namespace, key)
+    _staged, location, _probes = resolve(mapping, namespace, key, mapping.epoch)
     return location
+
+
+def readable(mapping, namespace, key):
+    """Would a Get find ``key``?  A staged tombstone hides an indexed copy."""
+    staged, location, _probes = resolve(mapping, namespace, key, mapping.epoch)
+    return location is not None if staged is None else staged[1] is not TOMBSTONE
 
 
 @pytest.mark.parametrize("arrival", [(1, 2), (2, 1)])
@@ -94,10 +101,11 @@ def test_commit_stages_until_the_install_lands():
     batch = StagedBatch("put", [PutItem(1, 7, "a", 100), PutItem(1, 8, "b", 100)])
     records = mapping.commit(batch)
     assert batch.versions == [record.seq for record in records] == [1, 2]
-    assert mapping.lookup(namespace, 7)[0] == (1, "a", 100)
-    assert sorted(mapping.staged_items(1)) == [(7, "a", 100), (8, "b", 100)]
+    assert resolve(mapping, namespace, 7, mapping.epoch)[0] == (1, "a", 100)
+    assert resolve(mapping, namespace, 8, mapping.epoch)[0] == (2, "b", 100)
+    assert sorted(staged_keys(mapping, 1)) == [7, 8]
     mapping.install(records[0], at(block=1))
-    assert mapping.lookup(namespace, 7)[:2] == (None, at(block=1))
+    assert resolve(mapping, namespace, 7, mapping.epoch)[:2] == (None, at(block=1))
     assert mapping.staged_count == 1
     # A batch that already carries versions keeps them and stages nothing.
     replayed = StagedBatch("put", [PutItem(1, 9, "c", 100)], versions=[40])
@@ -147,12 +155,12 @@ def delete_batch(key):
 def test_commit_delete_reports_existence_and_keeps_the_older_marker():
     mapping, namespace = make_mapping()
     mapping.install(value(7, 1), at(block=1))
-    existed = mapping.readable(namespace, 7)
+    existed = readable(mapping, namespace, 7)
     [first] = mapping.commit(delete_batch(7))
-    assert existed and not mapping.readable(namespace, 7)  # staged, not installed
+    assert existed and not readable(mapping, namespace, 7)  # staged, not installed
     mapping.install(first, at(block=2))
     assert current(mapping, namespace, 7) is None
-    existed_again = mapping.readable(namespace, 7)
+    existed_again = readable(mapping, namespace, 7)
     [second] = mapping.commit(delete_batch(7))
     assert not existed_again and second.seq > first.seq
     assert mapping.is_valid(first, at(block=2))  # until the new marker lands
@@ -316,7 +324,7 @@ def test_accounting_matches_references_under_random_histories(ops):
                 for table in (live, versions):
                     for entry in [e for e in table if e[0] == namespace_id]:
                         del table[entry]
-                assert not mapping.staged_items(namespace_id)
+                assert not staged_keys(mapping, namespace_id)
                 assert all(ns != namespace_id for ns, _k, _l in mapping.references())
         elif kind == "erase":
             block_key = (0, 0, op[1])

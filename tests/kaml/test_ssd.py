@@ -15,6 +15,7 @@ from repro.kaml import (
     PutItem,
     RecordTooLargeError,
 )
+from repro.kaml.read import staged_keys
 from repro.kaml.record import Record
 from repro.sim import Environment
 from repro.ssd import NvramExhausted
@@ -508,7 +509,7 @@ def test_delete_namespace_leaves_no_per_key_state_behind():
     leftover = [k for k in range(50) if mapping.superseded(Record(nsid, k, None, 0, seq=0))]
     assert leftover == []
     assert list(mapping.references()) == []  # index entries and tombstones
-    assert mapping.staged_items(nsid) == [] and ssd.staged_records == 0
+    assert staged_keys(mapping, nsid) == [] and ssd.staged_records == 0
     assert mapping.valid_bytes_total() == 0
 
 
