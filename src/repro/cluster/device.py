@@ -16,7 +16,9 @@ The protocol splits into four groups:
 * the 2PC participant surface — ``prepare_batch`` (durable, undecided
   NVRAM pin: the first half of ``put``, :mod:`repro.kaml.put`),
   ``commit_prepared`` (its second half) / ``abort_prepared`` (the
-  decision), and ``prepared_batches`` (in-doubt survey after recovery)
+  decision), and ``prepared_batches`` (in-doubt survey after recovery);
+  prepare and commit take the coordinator's ``ctx`` and the span their
+  own spans nest under
 * the fault lifecycle — ``power_loss`` / ``recover``
   (:mod:`repro.kaml.recovery`) / ``drain`` / ``close``, plus the
   ``fault`` attachment slot and ``epoch`` fence that :mod:`repro.fault`
@@ -29,7 +31,7 @@ from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.kaml.namespace import NamespaceAttributes
 from repro.kaml.put import PutItem
-from repro.obs import MetricsRegistry, SloTracker, Tracer
+from repro.obs import MetricsRegistry, SloTracker, SpanEvent, Tracer
 from repro.obs.trace import TraceContext
 from repro.sim import Environment
 
@@ -73,9 +75,15 @@ class Device(Protocol):
     def list_keys(self, namespace_id: int) -> Any: ...
 
     # -- 2PC participant surface ---------------------------------------
-    def prepare_batch(self, items: List[PutItem], txn_id: int) -> Any: ...
+    def prepare_batch(
+        self, items: List[PutItem], txn_id: int,
+        ctx: Optional[TraceContext] = None, parent: Optional[SpanEvent] = None,
+    ) -> Any: ...
 
-    def commit_prepared(self, handle: int) -> Any: ...
+    def commit_prepared(
+        self, handle: int,
+        ctx: Optional[TraceContext] = None, parent: Optional[SpanEvent] = None,
+    ) -> Any: ...
 
     def abort_prepared(self, handle: int) -> Any: ...
 

@@ -41,7 +41,7 @@ from repro.cluster.device import Device
 from repro.cluster.errors import TwoPhaseCommitError
 from repro.errors import InvariantError, PowerLossError
 from repro.kaml.put import PutItem
-from repro.obs import MetricsRegistry, TraceContext
+from repro.obs import MetricsRegistry, SpanEvent, TraceContext
 from repro.sim import Environment
 
 
@@ -164,10 +164,14 @@ class TwoPhaseCoordinator:
             "cluster.2pc.prepare", txn=txn_id, shards=len(shard_ids)
         ) if ctx is not None else None
         siblings = [
-            self.env.process(self._prepare_one(participant, txn_id, handles, epochs))
+            self.env.process(
+                self._prepare_one(participant, txn_id, handles, epochs, ctx, span)
+            )
             for participant in participants[:-1]
         ]
-        failures = [(yield from self._prepare_one(participants[-1], txn_id, handles, epochs))]
+        failures = [(yield from self._prepare_one(
+            participants[-1], txn_id, handles, epochs, ctx, span
+        ))]
         for sibling in siblings:
             failures.append((yield sibling))
         if ctx is not None:
@@ -198,7 +202,7 @@ class TwoPhaseCoordinator:
         try:
             for shard_id, device, _items in participants:
                 process = yield from self._commit_one(
-                    device, handles[shard_id], epochs[shard_id]
+                    device, handles[shard_id], epochs[shard_id], ctx, span
                 )
                 if process is not None:
                     background.append(process)
@@ -224,27 +228,34 @@ class TwoPhaseCoordinator:
         txn_id: int,
         handles: Dict[int, int],
         epochs: Dict[int, int],
+        ctx: Optional[TraceContext] = None,
+        parent: Optional[SpanEvent] = None,
     ) -> Any:
         """Prepare one participant; returns the exception that stopped it,
         or None.  A sibling process raising before the coordinator waits on
-        it would escape the kernel loop, so failures are returned."""
+        it would escape the kernel loop, so failures are returned.  The
+        device's spans join ``ctx`` under ``parent``: siblings run
+        concurrently, so they cannot nest by the context's open spans."""
         shard_id, device, items = participant
         try:
             if device.epoch != epochs[shard_id]:
                 raise PowerLossError(
                     f"shard {shard_id} lost power before prepare of txn {txn_id}"
                 )
-            handles[shard_id] = yield from device.prepare_batch(items, txn_id)
+            handles[shard_id] = yield from device.prepare_batch(items, txn_id, ctx, parent)
         except Exception as exc:
             return exc
         return None
 
-    def _commit_one(self, device: Device, handle: int, epoch: int) -> Any:
+    def _commit_one(
+        self, device: Device, handle: int, epoch: int,
+        ctx: Optional[TraceContext] = None, parent: Optional[SpanEvent] = None,
+    ) -> Any:
         if device.epoch != epoch:
             raise PowerLossError(
                 "device lost power before phase 2 reached its prepare"
             )
-        return (yield from device.commit_prepared(handle))
+        return (yield from device.commit_prepared(handle, ctx, parent))
 
     def _abort(
         self,

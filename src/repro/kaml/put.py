@@ -226,7 +226,9 @@ def _commit(
     ~one record's latency, not the serial sum), then assign the commit
     versions that order phase 3's installs (no entry stays locked
     across a flash program) and start phases 2–3.  Returns their
-    process, or None if power was cut since ``epoch``."""
+    process, or None if power was cut since ``epoch``.  A participant
+    commit has no ``put_span``: its spans join the coordinator's under
+    ``phase1_span``, and it acknowledges no host."""
     if ssd.epoch == epoch:
         probe_span = None if ctx is None else ctx.begin("put.index_probe", parent=phase1_span)
         probe_costs = []
@@ -243,7 +245,7 @@ def _commit(
         if ctx is not None:
             ctx.finish(probe_span)
     if ssd.epoch != epoch:
-        if ctx is not None:
+        if put_span is not None:
             put_span.tags["crashed"] = True
             if owns_ctx:
                 ctx.close()
@@ -252,7 +254,7 @@ def _commit(
     # atomically, so a crash from here on replays an acknowledged Put.
     records = ssd.mapping.commit(batch)
     batch.kind = "put"
-    if ctx is not None:
+    if put_span is not None:
         # Logically committed: acknowledge the host, finish in background.
         ctx.finish(phase1_span)
         ctx.event("put.ack", parent=put_span, namespace=batch.items[0].namespace_id)
@@ -399,7 +401,7 @@ def _complete_put(
             ssd._nvram_pin_us_histogram.observe(ssd.env.now - batch.pinned_at)
             ssd._phase2_us_histogram.observe(ssd.env.now - phase2_start)
             ssd._nvram_used_gauge.set(ssd.nvram.used_bytes)
-            if ctx is not None:
+            if put_span is not None:  # a participant's pin spans the coordinator's phases
                 ctx.record_span("put.nvram_pin", start_us=batch.pinned_at, parent=put_span)
         if ctx is not None:
             ctx.finish(phase2_span)

@@ -24,7 +24,9 @@ from repro.kaml.namespace import Namespace, NamespaceAttributes, NamespaceError
 from repro.kaml.put import KamlError, PutItem, StagedBatch
 from repro.kaml.record import RECORD_HEADER_BYTES, TOMBSTONE
 from repro.kaml.snapshot import Snapshot, SnapshotError, clone_index
-from repro.obs import MetricsRegistry, OpJournal, SloTracker, Tracer, lazy_instrument
+from repro.obs import (
+    MetricsRegistry, OpJournal, SloTracker, SpanEvent, TraceContext, Tracer, lazy_instrument,
+)
 from repro.sim import Environment
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, OnboardDram
 
@@ -275,32 +277,41 @@ class KamlSsd:
     # Host-side 2PC participant surface (the repro.cluster serving tier)
     # ------------------------------------------------------------------
 
-    def prepare_batch(self, items: List[PutItem], txn_id: int) -> Any:
+    def prepare_batch(
+        self, items: List[PutItem], txn_id: int,
+        ctx: Optional[TraceContext] = None, parent: Optional[SpanEvent] = None,
+    ) -> Any:
         """Participant *prepare*: a Put's ``_pin`` alone; returns the handle.
 
         The batch is durable but unversioned and unreadable, in doubt until
         the coordinator drives :meth:`commit_prepared` or
         :meth:`abort_prepared`.  :meth:`recover` keeps the pin instead of
         replaying it, so the coordinator's intent journal alone decides.
+        With ``ctx`` its spans join the coordinator's trace under ``parent``.
         """
         total_bytes = put_phases._validate_items(self, items)
         self._prepares_counter.inc()
         return (yield from put_phases._pin(
-            self, StagedBatch("prepare", items, txn_id=txn_id), total_bytes
+            self, StagedBatch("prepare", items, txn_id=txn_id), total_bytes, ctx, parent
         ))
 
-    def commit_prepared(self, handle: int) -> Any:
+    def commit_prepared(
+        self, handle: int,
+        ctx: Optional[TraceContext] = None, parent: Optional[SpanEvent] = None,
+    ) -> Any:
         """Participant *commit*: a Put's ``_commit`` of the prepared batch.
 
         It probes as a Put does and stamps versions into the pinned payload,
         which from then on replays as an acknowledged ``Put``.  Returns the
         phases 2–3 process, or None if power was cut mid-commit (the pin,
-        still ``"prepare"``, survives)."""
+        still ``"prepare"``, survives).  With ``ctx`` its spans join the
+        coordinator's trace under ``parent``, but it is no host Put: no
+        ``kaml.put`` root, oplog row or SLO sample."""
         batch = self._prepared(handle)
         self._prepare_commits_counter.inc()
         for item in batch.items:
             self._namespace(item.namespace_id).require_resident()
-        return (yield from put_phases._commit(self, batch, handle, self.epoch))
+        return (yield from put_phases._commit(self, batch, handle, self.epoch, ctx, None, parent))
 
     def abort_prepared(self, handle: int) -> Any:
         """Participant *abort*: drop a prepared batch without a trace."""

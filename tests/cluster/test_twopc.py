@@ -264,3 +264,49 @@ def test_recovery_aborts_orphaned_prepares():
     stats, _background = run(env, flow())
     assert stats == {"committed": 0, "aborted": 1}
     assert shards[0].aborted == [99]
+
+
+def test_a_participants_device_spans_join_the_coordinators_trace():
+    """A traced cross-shard Put holds, for each participant, the spans a
+    local Put records — transfer and NVRAM reserve under the prepare,
+    index probe and phase 2 under the commit — and kamlprof bills them to
+    the components it bills a local Put's to.  A participant commit is no
+    host Put: no ``kaml.put`` root and no ack."""
+    from repro.kaml import PutItem
+    from repro.obs.profile import analyze
+
+    env, cluster = make_cluster()
+    keys = straddling_keys(2)
+
+    def flow():
+        yield from cluster.put("data", [(key, ("v", key), 300) for key in keys])
+        yield from cluster.drain()
+
+    run(env, flow())
+    events = cluster.tracer.recorder.events()
+    [root] = [event for event in events if event.name == "cluster.2pc"]
+    trace = [event for event in events if event.trace_id == root.trace_id]
+    by_id = {event.span_id: event for event in trace}
+    for name, parent in [
+        ("put.transfer", "cluster.2pc.prepare"),
+        ("put.nvram_reserve", "cluster.2pc.prepare"),
+        ("put.index_probe", "cluster.2pc.commit"),
+        ("put.phase2", "cluster.2pc.commit"),
+    ]:
+        spans = [event for event in trace if event.name == name]
+        assert [by_id[span.parent_id].name for span in spans] == [parent, parent], name
+    assert not {"kaml.put", "put.phase1", "put.ack"} & {event.name for event in trace}
+
+    device = cluster.shards[0]
+
+    def local_put():
+        namespace = yield from device.create_namespace()
+        done = yield from device.put([PutItem(namespace, 1, "local", 300)])
+        yield done
+
+    run(env, local_put())
+    [local] = analyze(device.tracer.recorder.events())["requests"]["kaml.put"].values()
+    [twopc] = analyze(events)["requests"]["cluster.2pc"].values()
+    for component in ("host_transfer", "index_cpu"):
+        assert twopc["components"][component]["us"] > 0.0, component
+        assert local["components"][component]["us"] > 0.0, component
