@@ -158,9 +158,9 @@ def put(ssd, items: List[PutItem], ctx: Optional[TraceContext] = None) -> Any:
 
 
 def _validate_items(ssd, items: List[PutItem]) -> int:
-    """Refuse a batch the device can never take, before any side effect;
-    returns its total bytes.  A tombstone (size 0) counts the record header
-    it pins."""
+    """Refuse a batch the device can never take, before any side
+    effect; returns its total bytes.  A tombstone (size 0) counts the
+    record header it pins."""
     if not items:
         raise KamlError("Put requires at least one record")
     total_bytes = 0
@@ -285,14 +285,15 @@ def _reappend(ssd, record: Record, epoch: int) -> Any:
     """Re-append a record whose phase-2 copy GC claimed before its install.
 
     GC deliberately treats appended-but-not-yet-installed records as
-    garbage (no mapping points at them), so in the window between the
-    flash append and the install's firmware work the containing block can
-    be cleaned and erased.  Installing the stale location would publish a
-    pointer into an erased — or worse, erased and reprogrammed — page.
-    :meth:`Mapping.severed` covers the whole window; while it holds,
-    re-append the record under its original commit version and try again.
-    Returns the live location, or None if a newer write superseded this
-    install (or the device crashed, or the namespace went) while retrying.
+    garbage (no mapping points at them), so in the window between
+    the flash append and the install's firmware work the containing
+    block can be cleaned and erased.  Installing the stale location
+    would publish a pointer into an erased — or worse, erased and
+    reprogrammed — page.  :meth:`Mapping.severed` covers the whole
+    window; while it holds, re-append the record under its original
+    commit version and try again.  Returns the live location, or
+    None if a newer write superseded this install (or the device
+    crashed, or the namespace went) while retrying.
     """
     while True:
         if ssd.mapping.superseded(record):

@@ -17,10 +17,11 @@ from repro.obs import TraceContext
 def power_loss(ssd) -> None:
     """Full power cut: every byte of controller DRAM is gone.
 
-    Mapping tables, valid-byte and version accounting, block lists, and
-    snapshots all vanish.  Only NVRAM reservations and flash pages whose
-    program completed survive; :func:`recover` must rebuild everything
-    else by scanning flash.  Processes from before the cut become ghosts.
+    Mapping tables, valid-byte and version accounting, block lists,
+    and snapshots all vanish.  Only NVRAM reservations and flash pages
+    whose program completed survive; :func:`recover` must rebuild
+    everything else by scanning flash.  Processes from before the cut
+    become ghosts.
     """
     ssd.epoch += 1
     ssd.array.power_loss()  # in-flight programs/erases never land
@@ -38,16 +39,16 @@ def recover(ssd) -> Any:
     """Bring the device back to a consistent, serving state after
     :func:`power_loss`.
 
-    It first rebuilds the per-namespace mapping tables by scanning every
-    programmed flash page through its OOB bitmap — flash is
+    It first rebuilds the per-namespace mapping tables by scanning
+    every programmed flash page through its OOB bitmap — flash is
     self-describing (Figure 4) — ranking copies of a key by record
-    sequence (last-writer-wins), then replays every staged NVRAM batch
-    (redo logging, Section IV-D).  Batches replay oldest-first with their
-    phase-1 commit versions, so the result is as if each acknowledged
-    command had completed just before the crash; never-acknowledged
-    batches apply atomically or not at all.  A power cut landing
-    mid-recovery bumps the epoch, and the caller restarts ``recover()``
-    from scratch.
+    sequence (last-writer-wins), then replays every staged NVRAM
+    batch (redo logging, Section IV-D).  Batches replay oldest-first
+    with their phase-1 commit versions, so the result is as if each
+    acknowledged command had completed just before the crash;
+    never-acknowledged batches apply atomically or not at all.  A
+    power cut landing mid-recovery bumps the epoch, and the caller
+    restarts ``recover()`` from scratch.
     """
     staged = list(ssd.nvram.live_payloads())
     ctx = ssd.tracer.request("kaml.recover", batches=len(staged))
@@ -91,11 +92,12 @@ def recover(ssd) -> Any:
 def _rebuild_from_flash(ssd, ctx: Optional[TraceContext] = None) -> Any:
     """Reconstruct mapping tables and block lists by scanning flash.
 
-    Each log reads its own target (:meth:`KamlLog.rescan`).  The newest
-    copy of each key wins by record sequence, with physical position as
-    the tie-break for GC-duplicated copies of the same version.  The
-    version counter resumes above every sequence seen — including stale
-    copies — so new commits always outrank pre-crash ones.
+    Each log reads its own target (:meth:`KamlLog.rescan`).  The
+    newest copy of each key wins by record sequence, with physical
+    position as the tie-break for GC-duplicated copies of the same
+    version.  The version counter resumes above every sequence seen
+    — including stale copies — so new commits always outrank
+    pre-crash ones.
     """
     scan_start = ssd.env.now
     winners: Dict[Tuple[int, int], Tuple[Tuple[int, Tuple[int, ...]], Record,
@@ -154,11 +156,11 @@ def _replay_batch(ssd, batch: StagedBatch) -> Any:
     """Re-append one pinned NVRAM batch and install its mappings.
 
     Returns the number of records replayed.  Versioned batches
-    (acknowledged before the crash) install under their original commit
-    versions — idempotent against copies the flash scan already
-    recovered, and correctly superseded by any newer version the scan
-    saw.  Unversioned batches were never acknowledged; they apply
-    all-or-nothing with fresh versions.
+    (acknowledged before the crash) install under their original
+    commit versions — idempotent against copies the flash scan
+    already recovered, and correctly superseded by any newer version
+    the scan saw.  Unversioned batches were never acknowledged;
+    they apply all-or-nothing with fresh versions.
     """
     staged = []
     touched = set()

@@ -16,17 +16,15 @@ from typing import Any, Dict, List, Optional
 from repro import sanitize
 from repro.config import ReproConfig
 from repro.flash import FlashArray
-from repro.kaml import read, recovery
-from repro.kaml import put as put_phases
+from repro.kaml import put as put_phases, read, recovery
 from repro.kaml.log import KamlLog
 from repro.kaml.mapping import Mapping
 from repro.kaml.namespace import Namespace, NamespaceAttributes, NamespaceError
 from repro.kaml.put import KamlError, PutItem, StagedBatch
 from repro.kaml.record import RECORD_HEADER_BYTES, TOMBSTONE
 from repro.kaml.snapshot import Snapshot, SnapshotError, clone_index
-from repro.obs import (
-    MetricsRegistry, OpJournal, SloTracker, SpanEvent, TraceContext, Tracer, lazy_instrument,
-)
+from repro.obs import MetricsRegistry, OpJournal, SloTracker, TraceContext, Tracer, lazy_instrument
+from repro.obs.trace import SpanEvent
 from repro.sim import Environment
 from repro.ssd import FirmwarePool, HostInterconnect, NvramBuffer, OnboardDram
 
