@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import sanitize
 from repro.config import ReproConfig
+from repro.errors import PowerLossError
 from repro.flash import FlashArray
 from repro.kaml import put as put_phases, read, recovery
 from repro.kaml.log import KamlLog
@@ -181,7 +182,9 @@ class KamlSsd:
         namespace = self._namespace(namespace_id)
         if not namespace.resident:
             return
+        epoch = self.epoch
         yield from self._swap_transfer(namespace)
+        self._fence(epoch, "close_namespace")
         self.dram.free(namespace.dram_tag)
         namespace.resident = False
 
@@ -190,8 +193,10 @@ class KamlSsd:
         namespace = self._namespace(namespace_id)
         if namespace.resident:
             return
+        epoch = self.epoch
         self.dram.allocate(namespace.dram_tag, namespace.index.memory_bytes)
         yield from self._swap_transfer(namespace)
+        self._fence(epoch, "open_namespace")
         namespace.resident = True
 
     def _swap_transfer(self, namespace: Namespace) -> Any:
@@ -235,6 +240,7 @@ class KamlSsd:
         """
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
+        epoch = self.epoch
         # Drain this namespace's staging pipeline.
         settle_us = self.config.flash.program_us + self.config.kaml.flush_timeout_us
         for _ in range(64):
@@ -243,6 +249,7 @@ class KamlSsd:
             for log in self.logs:
                 log.force_flush()
             self.env.try_advance(settle_us) or (yield self.env.timeout(settle_us))
+            self._fence(epoch, "snapshot_namespace")
         else:
             raise SnapshotError("staging pipeline did not drain")
         index = clone_index(namespace.index)
@@ -256,6 +263,7 @@ class KamlSsd:
             self.costs.dispatch_us
             + index.memory_bytes / self.costs.nvram_copy_bytes_per_us
         )
+        self._fence(epoch, "snapshot_namespace")
         return snapshot_id
 
     def delete_snapshot(self, snapshot_id: int) -> Any:
@@ -341,6 +349,12 @@ class KamlSsd:
             ):
                 prepared[payload.txn_id] = handle
         return prepared
+
+    def _fence(self, epoch: int, command: str) -> None:
+        """End a command that waited across a power cut (a ghost) before
+        it touches the recovered device."""
+        if self.epoch != epoch:
+            raise PowerLossError(f"power lost under {command}")
 
     def _crash_point(self, name: str) -> None:
         """Announce a named crash point to an attached fault injector."""

@@ -273,3 +273,56 @@ def test_a_read_in_flight_at_a_power_cut_ends_cleanly(command, share):
         return values
 
     assert run(env, read_back()) == ["v0", "v1", "v2"]
+
+
+#: The namespace commands that wait, each as ``(ssd, namespace) -> generator``.
+NAMESPACE_COMMANDS = {
+    "snapshot_namespace": lambda ssd, nsid: ssd.snapshot_namespace(nsid),
+    "close_namespace": lambda ssd, nsid: ssd.close_namespace(nsid),
+    "open_namespace": lambda ssd, nsid: ssd.open_namespace(nsid),
+}
+
+
+def one_staged_key(command):
+    """A namespace holding one acked, still staged key; closed first when
+    the command under test is ``open_namespace``."""
+    env = Environment()
+    ssd = KamlSsd(env, ReproConfig.small())
+    nsid = run(env, ssd.create_namespace(NamespaceAttributes()))
+    run(env, ssd.put([PutItem(nsid, 1, "v1", 1000)]))
+    if command == "open_namespace":
+        run(env, ssd.close_namespace(nsid))
+    return env, ssd, nsid
+
+
+@pytest.mark.parametrize("share", [0.001, 0.05, 0.3, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("command", sorted(NAMESPACE_COMMANDS))
+def test_a_namespace_command_in_flight_at_a_power_cut_changes_nothing(command, share):
+    """A namespace command still waiting when the power is cut (a ghost)
+    must end in ``PowerLossError`` and leave the recovered device as
+    recovery built it: no snapshot, the index resident, the key readable."""
+    env, ssd, nsid = one_staged_key(command)
+    started = env.now
+    run(env, NAMESPACE_COMMANDS[command](ssd, nsid))
+    cut_us = share * (env.now - started)
+
+    env, ssd, nsid = one_staged_key(command)
+    outcome = {}
+
+    def join(proc):
+        try:
+            outcome["value"] = yield proc
+        except Exception as exc:  # the assertion below names it
+            outcome["error"] = exc
+
+    env.process(join(env.process(NAMESPACE_COMMANDS[command](ssd, nsid))))
+    env.run(until=env.now + cut_us)
+    ssd.power_loss()
+    run(env, ssd.recover())
+    env.run(until=env.now + 5_000.0)  # let the ghost finish
+
+    assert isinstance(outcome.get("error"), PowerLossError), outcome
+    assert ssd.snapshots == {}
+    assert not ssd.dram.holds("snapshot:1:index")
+    assert ssd.namespaces[nsid].resident
+    assert run(env, ssd.get(nsid, 1)) == "v1"
