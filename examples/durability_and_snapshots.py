@@ -59,6 +59,8 @@ def crash_recovery_demo() -> None:
     recovered = int(ssd.metrics.total("kaml.ssd.recovered_batches"))
     print(f"recovered batches: {recovered} "
           f"(replayed from battery-backed NVRAM)\n")
+    assert proc.value == ["balance:100", "balance:250", "audit-row"]
+    assert recovered == 1
 
 
 def snapshot_demo() -> None:
@@ -97,6 +99,8 @@ def snapshot_demo() -> None:
     print(f"snapshot value of key 0: {frozen!r}")
     print(f"GC erased {erased} blocks during the churn — the snapshot's "
           f"records were kept valid throughout")
+    assert (current, frozen) == ("tuesday-196", "monday-report-0")
+    assert erased > 0, "the churn should have made GC erase blocks"
 
 
 if __name__ == "__main__":

@@ -105,6 +105,8 @@ def main() -> None:
         ["policy", "tenant", "logs", "Put MB/s"],
         rows,
     ))
+    assert [row[2] for row in rows] == [64, 56, 8]
+    assert rows[2][3] < rows[1][3], "8 logs should drain slower than 56"
     print("\nMore logs per namespace -> more flash targets appending in "
           "parallel (Figure 8 sweeps this from 16 to 64).")
 

@@ -58,6 +58,7 @@ def main() -> None:
     shore_tps = run_shore()
     print(f"\nKAML / Shore-MT speedup: {kaml_tps / shore_tps:.2f}x "
           f"(paper reports 1.1x - 3.0x across the YCSB mixes)")
+    assert kaml_tps > shore_tps, "KAML should outrun the baseline on YCSB-A"
 
 
 if __name__ == "__main__":

@@ -36,9 +36,10 @@ def main() -> None:
         print(f"atomic Put of 3 records acknowledged in {env.now - start:.1f} "
               f"simulated us (committed in NVRAM, flash write in background)")
 
-        for key in (1, 2, 3):
+        for key, expected in ((1, b"alpha"), (2, b"beta"), (3, b"x" * 2048)):
             start = env.now
             value = yield from ssd.get(namespace_id, key)
+            assert value == expected, (key, value)
             shown = value if len(value) <= 8 else f"<{len(value)} bytes>"
             note = ""
             if key == 1:
@@ -47,6 +48,7 @@ def main() -> None:
 
         missing = yield from ssd.get(namespace_id, 99)
         print(f"Get(99) -> {missing} (absent keys return None)")
+        assert missing is None
 
     proc = env.process(session())
     env.run()

@@ -45,6 +45,7 @@ def main() -> None:
     assert reloaded == rows
 
     result = replay_journal(env, ssd, journal_to_issues(reloaded), threads=8)
+    assert result.ops == len(rows)
     latency = summarize(result.latencies_us)
     print(format_kv("Journal replay (hot-key, 70% reads, 8 threads)", {
         "operations": result.ops,

@@ -1,7 +1,6 @@
 """Analytic models and measurement helpers."""
 
 from repro.analysis.conflicts import (
-    expected_conflicts,
     expected_conflicts_uniform,
     simulate_conflicts,
 )
@@ -9,7 +8,6 @@ from repro.analysis.stats import LatencySummary, summarize
 from repro.analysis.wear import WearReport, wear_report
 
 __all__ = [
-    "expected_conflicts",
     "expected_conflicts_uniform",
     "simulate_conflicts",
     "LatencySummary",

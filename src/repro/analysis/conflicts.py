@@ -20,25 +20,6 @@ identical.)
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
-
-
-def expected_conflicts(
-    requests: int, key_probabilities: Sequence[float], keys_per_lock: int
-) -> float:
-    """Expected conflicting requests for an arbitrary key distribution."""
-    if requests < 0:
-        raise ValueError("requests must be non-negative")
-    if keys_per_lock < 1:
-        raise ValueError("keys_per_lock must be >= 1")
-    total = sum(key_probabilities)
-    if total <= 0:
-        raise ValueError("key probabilities must sum to a positive value")
-    expected_hit_pages = 0.0
-    for start in range(0, len(key_probabilities), keys_per_lock):
-        page_probability = sum(key_probabilities[start:start + keys_per_lock]) / total
-        expected_hit_pages += 1.0 - (1.0 - page_probability) ** requests
-    return requests - expected_hit_pages
 
 
 def expected_conflicts_uniform(requests: int, keys: int, keys_per_lock: int) -> float:
@@ -61,17 +42,12 @@ def simulate_conflicts(
     keys_per_lock: int,
     trials: int = 2000,
     seed: int = 3,
-    key_probabilities: Optional[Sequence[float]] = None,
 ) -> float:
     """Monte-Carlo cross-check of the analytic model."""
     rng = random.Random(seed)
-    keys_list = list(range(keys))
     total_conflicts = 0
     for _ in range(trials):
-        if key_probabilities is None:
-            picks = [rng.randrange(keys) for _ in range(requests)]
-        else:
-            picks = rng.choices(keys_list, weights=key_probabilities, k=requests)
+        picks = [rng.randrange(keys) for _ in range(requests)]
         pages_hit = {key // keys_per_lock for key in picks}
         total_conflicts += requests - len(pages_hit)
     return total_conflicts / trials

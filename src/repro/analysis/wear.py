@@ -1,8 +1,8 @@
 """Write amplification and device-lifetime estimation.
 
 Flash endurance analysis every SSD evaluation needs: given the device's
-observed program/GC activity, compute write amplification and project
-remaining lifetime under the observed workload.
+observed program/GC activity, compute write amplification and the share
+of the erase budget already used.
 """
 
 from __future__ import annotations
@@ -23,14 +23,6 @@ class WearReport:
     endurance: int
     #: Fraction of total erase budget already consumed (by the mean).
     life_used: float
-
-    def remaining_host_bytes(self) -> float:
-        """Projected additional host bytes before the mean block hits its
-        endurance limit, assuming the observed WA holds."""
-        if self.life_used <= 0 or self.host_bytes_written == 0:
-            return float("inf")
-        total = self.host_bytes_written / self.life_used
-        return max(0.0, total - self.host_bytes_written)
 
 
 def wear_report(ssd: Any) -> WearReport:

@@ -49,7 +49,7 @@ class _EngineTxn(Transaction):
 
 
 class ShoreMtEngine:
-    """begin / read / update / insert / delete / commit / abort."""
+    """begin / read / update / insert / commit / abort."""
 
     def __init__(
         self,
@@ -174,22 +174,6 @@ class ShoreMtEngine:
                 return rid
             txn.insert_pages.pop(table.name, None)  # page full: claim another
 
-    def delete(self, txn: _EngineTxn, table_name: str, key: int) -> Any:
-        txn.require_active()
-        table = self.table(table_name)
-        yield from self._lock(txn, table, key, LockMode.EXCLUSIVE)
-        before = yield from table.delete(key)
-        if before is None:
-            return False
-        txn.undo.append((table_name, key, "delete", before))
-        txn.last_lsn = yield from self.wal.append(
-            dict(
-                txn_id=txn.txn_id, kind="update", table=table_name, key=key,
-                before=before, after=None, size=before[1],
-            )
-        )
-        return True
-
     def commit(self, txn: _EngineTxn) -> Any:
         """Append the commit record and force the log (the durability
         point — and the baseline's serialization point).
@@ -217,8 +201,6 @@ class ShoreMtEngine:
                 yield from table.delete(key)
             elif kind == "update":
                 yield from table.update(key, before[0], before[1])
-            elif kind == "delete":
-                yield from table.insert(key, before[0], before[1])
         yield from self.wal.append(dict(txn_id=txn.txn_id, kind="abort"))
         txn.mark_aborted()
         self.locks.cancel_wait(txn)
@@ -251,43 +233,6 @@ class ShoreMtEngine:
                     raise
                 backoff_us = self.config.host.txn_overhead_us * attempt
                 self.env.try_advance(backoff_us) or (yield self.env.timeout(backoff_us))
-
-    # ------------------------------------------------------------------
-    # Crash / recovery (logical ARIES: undo uncommitted, redo committed)
-    # ------------------------------------------------------------------
-
-    def simulate_crash(self) -> None:
-        """Lose volatile state: buffer pool frames and the unflushed WAL
-        tail.  Disk pages and the flushed log survive."""
-        self.pool._frames.clear()
-        self.wal.truncate_after_crash()
-        self.locks = LockManager(self.env, self.config.host, records_per_lock=1)
-
-    def recover(self) -> Any:
-        """Restore every table to the last committed state."""
-        for table in self.tables.values():
-            yield from table.rebuild_index()
-        durable = self.wal.durable_records()
-        committed = {r.txn_id for r in durable if r.kind == "commit"}
-        finished = committed | {r.txn_id for r in durable if r.kind == "abort"}
-        # Undo pass: newest first, for transactions with no outcome record.
-        for record in reversed(durable):
-            if record.kind != "update" or record.txn_id in finished:
-                continue
-            table = self.table(record.table)
-            yield from self._restore(table, record.key, record.before)
-        # Redo pass: oldest first, committed transactions only.
-        for record in durable:
-            if record.kind != "update" or record.txn_id not in committed:
-                continue
-            table = self.table(record.table)
-            yield from self._restore(table, record.key, record.after)
-
-    def _restore(self, table: HeapFile, key: int, image) -> Any:
-        if image is None:
-            yield from table.delete(key)
-        else:
-            yield from table.apply_raw(key, image[0], image[1])
 
     # ------------------------------------------------------------------
 

@@ -22,11 +22,7 @@ class RecordId(NamedTuple):
 
 
 class HeapFile:
-    """A table: one file of slotted pages + key -> RID index.
-
-    Slots store ``(key, value)`` so the index is rebuildable by scanning
-    the file after a crash (the disk pages are the source of truth).
-    """
+    """A table: one file of slotted pages + key -> RID index."""
 
     def __init__(
         self,
@@ -127,13 +123,6 @@ class HeapFile:
         self._fill_page = min(self._fill_page, rid.page_index)
         return stored[1], size
 
-    def apply_raw(self, key: int, value: Any, size: int) -> Any:
-        """Recovery redo: upsert without WAL or locking."""
-        if key in self._index:
-            yield from self.update(key, value, size)
-        else:
-            yield from self.insert(key, value, size)
-
     def page_of(self, key: int) -> Optional[int]:
         """Which page holds a key (for page-granularity locking)."""
         rid = self._index.get(key)
@@ -170,15 +159,3 @@ class HeapFile:
         rid = RecordId(page_index, slot)
         self._index[key] = rid
         return rid
-
-    def rebuild_index(self) -> Any:
-        """Reconstruct the key index by scanning disk pages (crash path)."""
-        self._index.clear()
-        self._fill_page = 0
-        for page_index in range(self.pages):
-            page = yield from self.pool.fetch(self.name, page_index)
-            try:
-                for slot, stored, _size in page.iter_slots():
-                    self._index[stored[0]] = RecordId(page_index, slot)
-            finally:
-                self.pool.unpin(self.name, page_index)

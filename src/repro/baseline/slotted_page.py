@@ -82,12 +82,6 @@ class SlottedPage:
             raise KeyError(f"slot {slot} out of range")
         return self._slots[slot]
 
-    def iter_slots(self):
-        """Yield ``(slot, value, size)`` for every occupied slot."""
-        for slot, record in enumerate(self._slots):
-            if record is not None:
-                yield slot, record[0], record[1]
-
     def snapshot(self) -> "SlottedPage":
         """A deep-enough copy for buffer-pool writeback images."""
         clone = SlottedPage(self.page_size)

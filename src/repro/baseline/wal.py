@@ -11,30 +11,14 @@ same time".
 * ``flush_to`` forces the log to the device through a single flusher at
   a time; waiters piggyback on the running flush when their LSN is
   covered (group commit), otherwise they queue for the next cycle.
-* Recovery replays committed transactions' redo records in LSN order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.baseline.filesystem import SimpleFilesystem
 from repro.sim import Environment, Gate, SimLock
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One WAL entry.  ``kind`` is "update" | "commit" | "abort"."""
-
-    lsn: int
-    txn_id: int
-    kind: str
-    table: str = ""
-    key: int = -1
-    before: Any = None
-    after: Any = None
-    size: int = 0
 
 
 class WriteAheadLog:
@@ -53,7 +37,6 @@ class WriteAheadLog:
         self.group_commit = group_commit
         if not fs.exists(self.LOG_FILE):
             fs.create(self.LOG_FILE, log_pages)
-        self._records: List[LogRecord] = []  # full history (recovery source)
         self._next_lsn = 1
         self._buffered_bytes = 0      # bytes appended but not yet flushed
         self._flushed_lsn = 0
@@ -72,23 +55,24 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def append(self, record_fields: Dict[str, Any]) -> Any:
-        """Append a record under the global log mutex; returns its LSN."""
+        """Append a record under the global log mutex; returns its LSN.
+
+        ``record_fields`` describes the entry (``kind`` is "update" |
+        "commit" | "abort"); its ``size`` sets the copy cost and the
+        bytes the next flush writes.
+        """
         if not self._mutex.try_acquire(owner="append"):
             yield self._mutex.acquire(owner="append")
         try:
-            record_us = (
-                self.costs.wal_record_us
-                + record_fields.get("size", 0) / self.costs.copy_bytes_per_us
-            )
+            size = record_fields.get("size", 0)
+            record_us = self.costs.wal_record_us + size / self.costs.copy_bytes_per_us
             self.env.try_advance(record_us) or (yield self.env.timeout(record_us))
             lsn = self._next_lsn
             self._next_lsn += 1
-            record = LogRecord(lsn=lsn, **record_fields)
-            self._records.append(record)
             self._buffered_lsn = lsn
             # Update records log before+after images; control records are
             # small and fixed.
-            self._buffered_bytes += 64 + 2 * record.size
+            self._buffered_bytes += 64 + 2 * size
             self.appends += 1
             return lsn
         finally:
@@ -130,24 +114,3 @@ class WriteAheadLog:
             finally:
                 self._flush_lock.release()
                 self._flush_done.fire()
-
-    # ------------------------------------------------------------------
-    # Recovery (redo pass over committed transactions)
-    # ------------------------------------------------------------------
-
-    def durable_records(self) -> List[LogRecord]:
-        """Records that survived a crash: everything flushed."""
-        return [r for r in self._records if r.lsn <= self._flushed_lsn]
-
-    def committed_redo_plan(self) -> List[LogRecord]:
-        """Update records of committed transactions, in LSN order."""
-        durable = self.durable_records()
-        committed = {r.txn_id for r in durable if r.kind == "commit"}
-        return [r for r in durable if r.kind == "update" and r.txn_id in committed]
-
-    def truncate_after_crash(self) -> None:
-        """Drop the unflushed tail (it never reached the device)."""
-        self._records = self.durable_records()
-        self._next_lsn = self._flushed_lsn + 1
-        self._buffered_lsn = self._flushed_lsn
-        self._buffered_bytes = 0

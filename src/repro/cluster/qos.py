@@ -99,16 +99,3 @@ class QosManager:
     ) -> None:
         """Account one finished cluster command to its tenant."""
         self.slo.record(op, tenant, start_us, end_us, trace_id=trace_id)
-
-    def breach_counts(self) -> Dict[str, int]:
-        """``{tenant: breaches}`` across all ops (reporting helper)."""
-        counts: Dict[str, int] = {name: 0 for name in sorted(self._tenants)}
-        for breach in self.slo.breaches:
-            if isinstance(breach.namespace, str) and breach.namespace in counts:
-                counts[breach.namespace] += 1
-        overflow = self.slo.overflowed_breaches
-        if overflow and counts:
-            # Overflowed breaches lost their tenant attribution; surface
-            # them under a reserved key instead of dropping them.
-            counts["(overflow)"] = overflow
-        return counts

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.config import FlashGeometry
-
 
 class PagePointer(NamedTuple):
     """Physical page address: (channel, chip, block, page)."""
@@ -21,28 +19,6 @@ class PagePointer(NamedTuple):
     chip: int
     block: int
     page: int
-
-    def to_linear(self, geometry: FlashGeometry) -> int:
-        """Flatten to a dense integer PPN (useful as a dict key / array index)."""
-        ppn = self.channel
-        ppn = ppn * geometry.chips_per_channel + self.chip
-        ppn = ppn * geometry.blocks_per_chip + self.block
-        ppn = ppn * geometry.pages_per_block + self.page
-        return ppn
-
-    @classmethod
-    def from_linear(cls, ppn: int, geometry: FlashGeometry) -> "PagePointer":
-        page = ppn % geometry.pages_per_block
-        ppn //= geometry.pages_per_block
-        block = ppn % geometry.blocks_per_chip
-        ppn //= geometry.blocks_per_chip
-        chip = ppn % geometry.chips_per_channel
-        channel = ppn // geometry.chips_per_channel
-        return cls(channel, chip, block, page)
-
-    def block_pointer(self) -> "PagePointer":
-        """The same address with the page index cleared (block identity)."""
-        return PagePointer(self.channel, self.chip, self.block, 0)
 
 
 class ChunkPointer(NamedTuple):

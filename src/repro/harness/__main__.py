@@ -32,7 +32,6 @@ from repro.harness import (
     trace_cli,
 )
 from repro.harness.reporting import wallclock
-from repro.obs import to_text
 
 EXPERIMENTS = {
     "fig5": (experiments.fig5_bandwidth, "Get/Put vs read/write bandwidth"),
@@ -83,10 +82,6 @@ def figures_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
-        "--metrics", action="store_true",
-        help="also print the metrics-registry report of experiments that export one",
-    )
-    parser.add_argument(
         "--seed", type=int, default=None,
         help="override the workload RNG seed of experiments that accept one",
     )
@@ -122,9 +117,6 @@ def main(argv=None) -> int:
         started = wallclock()
         result = func(**kwargs)
         print(format_table(result["title"], result["headers"], result["rows"]))
-        if args.metrics and result.get("registry") is not None:
-            print()
-            print(to_text(result["registry"], title=f"{name} metrics"))
         print(f"[{name} finished in {wallclock() - started:.1f}s wall]\n")
     return 0
 

@@ -21,7 +21,6 @@ from repro.obs.export import (
     derived_metrics,
     to_builtin,
     to_json,
-    to_text,
     write_json,
 )
 from repro.obs.trace import (
@@ -82,7 +81,6 @@ __all__ = [
     "percentile",
     "to_builtin",
     "to_json",
-    "to_text",
     "write_chrome_trace",
     "write_collapsed",
     "write_journal",

@@ -292,22 +292,6 @@ class Environment:
             self._fanning_out = fanning_out
         return process
 
-    def any_of(self, events) -> Event:
-        """An event that fires when the first of ``events`` fires."""
-        events = list(events)
-        result = self.event()
-
-        def on_fire(event: Event) -> None:
-            if not result.triggered:
-                if event.ok:
-                    result.succeed(event._value)
-                else:
-                    result.fail(event._exception)
-
-        for event in events:
-            event.add_callback(on_fire)
-        return result
-
     def all_of(self, events) -> Event:
         """An event that fires when every one of ``events`` has fired."""
         events = list(events)

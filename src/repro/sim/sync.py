@@ -106,17 +106,6 @@ class Gate:
         self._waiters.append(event)
         return event
 
-    def forget(self, event: Event) -> None:
-        """Withdraw a waiter that no longer cares (e.g. it timed out).
-
-        Without this, the next :meth:`fire` still succeeds the abandoned
-        event, scheduling a ghost wakeup nobody listens to.
-        """
-        try:
-            self._waiters.remove(event)
-        except ValueError:
-            pass
-
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
         waiters, self._waiters = self._waiters, []

@@ -46,17 +46,6 @@ class OnboardDram:
             )
         self._allocations[tag] = nbytes
 
-    def resize(self, tag: str, nbytes: int) -> None:
-        """Grow or shrink an existing allocation (e.g. an index rehash)."""
-        if tag not in self._allocations:
-            raise KeyError(f"unknown DRAM allocation tag: {tag!r}")
-        delta = nbytes - self._allocations[tag]
-        if delta > self.free_bytes:
-            raise DramExhausted(
-                f"resize of {tag!r} to {nbytes} B exceeds free DRAM"
-            )
-        self._allocations[tag] = nbytes
-
     def free(self, tag: str) -> int:
         """Release an allocation; returns the bytes freed."""
         try:

@@ -25,7 +25,6 @@ from repro.workloads.multitenant import (
     MultiTenantWorkload,
     TenantResult,
     TenantSpec,
-    run_multitenant,
 )
 from repro.workloads.catalogue import (
     SIM_WORKLOADS,
@@ -66,7 +65,6 @@ __all__ = [
     "MultiTenantWorkload",
     "TenantResult",
     "TenantSpec",
-    "run_multitenant",
     "ReplayError",
     "ReplayIssue",
     "fresh_namespace",

@@ -92,18 +92,6 @@ class ZipfianChooser:
             return rank
         return (rank * 0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D) % self.item_count
 
-    def hottest_keys(self, count: int):
-        """The most popular keys, in popularity order (test helper)."""
-        keys = []
-        for rank in range(count):
-            if self.scrambled:
-                keys.append(
-                    (rank * 0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D) % self.item_count
-                )
-            else:
-                keys.append(rank)
-        return keys
-
 
 class LatestChooser:
     """YCSB workload D: favour recently inserted keys."""

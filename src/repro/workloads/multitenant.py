@@ -229,31 +229,3 @@ class MultiTenantWorkload:
                 self.results[spec.name].to_builtin() for spec in self.tenants
             ],
         }
-
-
-def run_multitenant(
-    env: Environment,
-    cluster: KamlCluster,
-    tenants: Tuple[TenantSpec, ...] = DEFAULT_TENANTS,
-    seed: int = 0,
-    verify: bool = True,
-) -> Dict[str, Any]:
-    """Convenience wrapper: setup, run, drain, verify, summarize."""
-    workload = MultiTenantWorkload(env, cluster, tenants, seed)
-
-    def drive() -> Any:
-        yield from workload.setup()
-        yield from workload.run()
-        yield from cluster.drain()
-        failures: List[str] = []
-        if verify:
-            failures = yield from workload.verify()
-        return failures
-
-    proc = env.process(drive())
-    env.run_until(proc)
-    failures = proc.value or []
-    result = workload.summary()
-    result["ok"] = not failures
-    result["failures"] = failures
-    return result

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    expected_conflicts,
     expected_conflicts_uniform,
     simulate_conflicts,
     summarize,
@@ -31,13 +30,6 @@ def test_one_lock_for_everything_conflicts_all_but_one():
     assert expected_conflicts_uniform(n, k, keys_per_lock=k) == pytest.approx(n - 1)
 
 
-def test_uniform_matches_general_formula():
-    n, k, l = 48, 256, 8
-    general = expected_conflicts(n, [1.0 / k] * k, l)
-    closed = expected_conflicts_uniform(n, k, l)
-    assert general == pytest.approx(closed)
-
-
 def test_analytic_matches_monte_carlo_uniform():
     n, k, l = 32, 128, 8
     analytic = expected_conflicts_uniform(n, k, l)
@@ -45,34 +37,11 @@ def test_analytic_matches_monte_carlo_uniform():
     assert simulated == pytest.approx(analytic, rel=0.08)
 
 
-def test_analytic_matches_monte_carlo_skewed():
-    n, k, l = 24, 64, 4
-    weights = [1.0 / (rank + 1) for rank in range(k)]
-    total = sum(weights)
-    probabilities = [w / total for w in weights]
-    analytic = expected_conflicts(n, probabilities, l)
-    simulated = simulate_conflicts(
-        n, k, l, trials=4000, seed=2, key_probabilities=probabilities
-    )
-    assert simulated == pytest.approx(analytic, rel=0.08)
-
-
-def test_skew_increases_conflicts():
-    n, k, l = 32, 256, 4
-    uniform = expected_conflicts(n, [1.0 / k] * k, l)
-    weights = [1.0 / (rank + 1) ** 2 for rank in range(k)]
-    total = sum(weights)
-    skewed = expected_conflicts(n, [w / total for w in weights], l)
-    assert skewed > uniform
-
-
 def test_validation():
     with pytest.raises(ValueError):
         expected_conflicts_uniform(10, 0, 1)
     with pytest.raises(ValueError):
         expected_conflicts_uniform(10, 10, 0)
-    with pytest.raises(ValueError):
-        expected_conflicts(10, [0.0, 0.0], 1)
 
 
 @settings(max_examples=30)

@@ -42,20 +42,10 @@ def test_wear_report_fields():
     assert 0 < report.life_used < 1
 
 
-def test_lifetime_projection_consistent():
-    ssd = churned_device()
-    report = wear_report(ssd)
-    remaining = report.remaining_host_bytes()
-    assert remaining > 0
-    # Total projected bytes scale inversely with life consumed.
-    total = report.host_bytes_written + remaining
-    assert total == pytest.approx(report.host_bytes_written / report.life_used, rel=0.01)
-
-
-def test_fresh_device_has_infinite_projection():
+def test_fresh_device_reports_no_write_amplification():
     env = Environment()
     config = ReproConfig.small()
     ssd = KamlSsd(env, config.with_(kaml=KamlParams(num_logs=4)))
     report = wear_report(ssd)
     assert report.write_amplification == 0.0
-    assert report.remaining_host_bytes() == float("inf")
+    assert report.life_used == 0.0

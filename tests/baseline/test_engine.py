@@ -1,5 +1,5 @@
-"""Functional tests for the Shore-MT-style engine: ACID, locking
-granularity, and crash recovery."""
+"""Functional tests for the Shore-MT-style engine: ACID and locking
+granularity."""
 
 import pytest
 
@@ -45,7 +45,7 @@ def test_insert_commit_read():
     assert run(env, flow()) == "hello"
 
 
-def test_update_and_delete():
+def test_update_replaces_the_value():
     env, engine = make_engine()
     engine.create_table("t", pages=16)
 
@@ -61,18 +61,12 @@ def test_update_and_delete():
         engine.free(txn)
 
         txn = engine.begin()
-        mid = yield from engine.read(txn, "t", 1)
-        removed = yield from engine.delete(txn, "t", 1)
+        value = yield from engine.read(txn, "t", 1)
         yield from engine.commit(txn)
         engine.free(txn)
+        return value
 
-        txn = engine.begin()
-        gone = yield from engine.read(txn, "t", 1)
-        yield from engine.commit(txn)
-        engine.free(txn)
-        return mid, removed, gone
-
-    assert run(env, flow()) == ("v2", True, None)
+    assert run(env, flow()) == "v2"
 
 
 def test_abort_undoes_everything():
@@ -88,7 +82,6 @@ def test_abort_undoes_everything():
         txn = engine.begin()
         yield from engine.update(txn, "t", 1, "changed", 64)
         yield from engine.insert(txn, "t", 2, "phantom", 64)
-        yield from engine.delete(txn, "t", 1)
         yield from engine.abort(txn)
         engine.free(txn)
 
@@ -209,62 +202,6 @@ def test_duplicate_table_rejected():
     engine.create_table("t", pages=16)
     with pytest.raises(EngineError):
         engine.create_table("t", pages=16)
-
-
-def test_crash_recovery_redo_committed():
-    env, engine = make_engine()
-    engine.create_table("t", pages=16)
-
-    def flow():
-        txn = engine.begin()
-        yield from engine.insert(txn, "t", 1, "must-survive", 64)
-        yield from engine.commit(txn)
-        engine.free(txn)
-
-    run(env, flow())
-    engine.simulate_crash()
-
-    def recovery():
-        yield from engine.recover()
-        txn = engine.begin()
-        value = yield from engine.read(txn, "t", 1)
-        yield from engine.commit(txn)
-        engine.free(txn)
-        return value
-
-    assert run(env, recovery()) == "must-survive"
-
-
-def test_crash_recovery_undoes_uncommitted():
-    env, engine = make_engine()
-    engine.create_table("t", pages=16)
-    state = {}
-
-    def flow():
-        setup = engine.begin()
-        yield from engine.insert(setup, "t", 1, "committed", 64)
-        yield from engine.commit(setup)
-        engine.free(setup)
-        # Start a transaction, flush its update record (simulating a
-        # stolen page / flushed log), but crash before it commits.
-        txn = engine.begin()
-        yield from engine.update(txn, "t", 1, "uncommitted", 64)
-        yield from engine.wal.flush_to(txn.last_lsn)
-        state["mid-flight"] = True
-
-    run(env, flow())
-    assert state.get("mid-flight")
-    engine.simulate_crash()
-
-    def recovery():
-        yield from engine.recover()
-        txn = engine.begin()
-        value = yield from engine.read(txn, "t", 1)
-        yield from engine.commit(txn)
-        engine.free(txn)
-        return value
-
-    assert run(env, recovery()) == "committed"
 
 
 def test_deadlock_retry_in_engine():

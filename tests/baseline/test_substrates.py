@@ -194,38 +194,6 @@ def test_wal_group_commit_shares_flush():
     assert fs.fsyncs <= 4  # far fewer than one per committer
 
 
-def test_wal_truncate_after_crash():
-    env, fs = make_fs()
-    wal = WriteAheadLog(env, fs, log_pages=64)
-
-    def flow():
-        lsn = yield from wal.append(dict(txn_id=1, kind="commit"))
-        yield from wal.flush_to(lsn)
-        yield from wal.append(dict(txn_id=2, kind="commit"))  # unflushed
-
-    run(env, flow())
-    wal.truncate_after_crash()
-    kinds = [(r.txn_id, r.kind) for r in wal.durable_records()]
-    assert kinds == [(1, "commit")]
-
-
-def test_wal_committed_redo_plan_skips_uncommitted():
-    env, fs = make_fs()
-    wal = WriteAheadLog(env, fs, log_pages=64)
-
-    def flow():
-        yield from wal.append(dict(txn_id=1, kind="update", table="t", key=1,
-                                   after=("a", 10), size=10))
-        yield from wal.append(dict(txn_id=2, kind="update", table="t", key=2,
-                                   after=("b", 10), size=10))
-        lsn = yield from wal.append(dict(txn_id=1, kind="commit"))
-        yield from wal.flush_to(lsn)
-
-    run(env, flow())
-    plan = wal.committed_redo_plan()
-    assert [r.txn_id for r in plan] == [1]
-
-
 # -- buffer pool -------------------------------------------------------------------
 
 def test_pool_miss_then_hit():

@@ -1,4 +1,4 @@
-"""WAL group-commit modes and recovery-plan details."""
+"""WAL group-commit modes."""
 
 from repro.baseline import SimpleFilesystem, WriteAheadLog
 from repro.blockdev import NvmeBlockDevice
@@ -75,36 +75,3 @@ def test_log_file_wraps_circularly():
     proc = env.process(flow())
     env.run_until(proc)
     assert wal.flushed_lsn == 200
-
-
-def test_recovery_plan_orders_by_lsn():
-    env, fs, wal = make_wal()
-
-    def flow():
-        for i in range(3):
-            yield from wal.append(dict(
-                txn_id=1, kind="update", table="t", key=7,
-                after=("v", i), size=8,
-            ))
-        lsn = yield from wal.append(dict(txn_id=1, kind="commit"))
-        yield from wal.flush_to(lsn)
-
-    proc = env.process(flow())
-    env.run_until(proc)
-    plan = wal.committed_redo_plan()
-    assert [r.after for r in plan] == [("v", 0), ("v", 1), ("v", 2)]
-
-
-def test_aborted_txn_excluded_from_redo():
-    env, fs, wal = make_wal()
-
-    def flow():
-        yield from wal.append(dict(txn_id=1, kind="update", table="t", key=1,
-                                   after=("x", 1), size=8))
-        yield from wal.append(dict(txn_id=1, kind="abort"))
-        lsn = yield from wal.append(dict(txn_id=2, kind="commit"))
-        yield from wal.flush_to(lsn)
-
-    proc = env.process(flow())
-    env.run_until(proc)
-    assert wal.committed_redo_plan() == []

@@ -1,7 +1,6 @@
-"""Address encoding round-trips, including property-based coverage."""
+"""Physical addresses, geometry validation and the array's bounds checks."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.config import FlashGeometry
 from repro.flash import AddressError, ChunkPointer, FlashArray, PagePointer
@@ -11,39 +10,6 @@ from repro.sim import Environment
 
 
 GEOMETRY = FlashGeometry.small()
-
-
-def pointers():
-    return st.builds(
-        PagePointer,
-        channel=st.integers(0, GEOMETRY.channels - 1),
-        chip=st.integers(0, GEOMETRY.chips_per_channel - 1),
-        block=st.integers(0, GEOMETRY.blocks_per_chip - 1),
-        page=st.integers(0, GEOMETRY.pages_per_block - 1),
-    )
-
-
-@given(pointers())
-def test_linear_roundtrip(pointer):
-    linear = pointer.to_linear(GEOMETRY)
-    assert PagePointer.from_linear(linear, GEOMETRY) == pointer
-
-
-@given(pointers())
-def test_linear_in_range(pointer):
-    linear = pointer.to_linear(GEOMETRY)
-    assert 0 <= linear < GEOMETRY.total_pages
-
-
-@given(pointers(), pointers())
-def test_linear_is_injective(a, b):
-    if a != b:
-        assert a.to_linear(GEOMETRY) != b.to_linear(GEOMETRY)
-
-
-def test_block_pointer_clears_page():
-    pointer = PagePointer(1, 1, 3, 5)
-    assert pointer.block_pointer() == PagePointer(1, 1, 3, 0)
 
 
 def test_chunk_pointer_fields():

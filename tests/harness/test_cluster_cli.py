@@ -44,6 +44,13 @@ def test_cell_matrix_end_to_end(tmp_path, capsys, monkeypatch):
         assert cell["rebalances"] >= 1  # the autobalancer migrated mid-run
         assert cell["migrations"], "migration plan must be recorded"
         assert cell["total_ops"] > 0
+        for row in cell["tenants"]:
+            assert row["ops"] == (
+                row["puts"] + row["group_puts"] + row["gets"] + row["deletes"]
+            )
+        # Group puts over consecutive keys in a hashed namespace straddle
+        # shards, so the host-side coordinator ran.
+        assert sum(row["group_puts"] for row in cell["tenants"]) > 0
 
     summary = summary_path.read_text()
     assert "Cluster serving-tier matrix" in summary

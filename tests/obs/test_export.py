@@ -1,9 +1,7 @@
-"""Export formatting: the shared percentile helper and `_fmt` stability."""
+"""The shared linear-interpolation percentile that every export uses."""
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.obs.export import _fmt, to_text
 from repro.obs.metrics import percentile
 
 
@@ -33,38 +31,3 @@ def test_percentile_tail_interpolates_toward_max():
     # value; interpolation moves it toward the max.
     values = [float(i) for i in range(100)]
     assert percentile(values, 0.99) == pytest.approx(98.01)
-
-
-# ---------------------------------------------------------------------------
-# _fmt: fixed-width cells that never collapse to "0.000"
-# ---------------------------------------------------------------------------
-
-
-def test_fmt_integers_render_without_decimals():
-    assert _fmt(3.0) == "3"
-    assert _fmt(0.0) == "0"
-    assert _fmt(-12.0) == "-12"
-
-
-def test_fmt_normal_floats_round_to_three_places():
-    assert _fmt(1.2345) == "1.234"
-    assert _fmt(99.9999) == "100.000"
-
-
-def test_fmt_sub_milli_values_use_scientific_notation():
-    assert _fmt(5e-7) == "5.000e-07"
-    assert _fmt(-5e-7) == "-5.000e-07"
-    assert "e" in _fmt(0.0004)
-    assert _fmt(0.001) == "0.001"
-
-
-def test_fmt_huge_integral_floats_stay_float_formatted():
-    assert _fmt(1e16) == "10000000000000000.000"
-
-
-def test_to_text_uses_fmt_for_tiny_counter_values():
-    registry = MetricsRegistry()
-    registry.counter("tiny.fraction").inc(5e-7)
-    text = to_text(registry, title="t")
-    assert "5.000e-07" in text
-    assert "0.000" not in text.split("\n")[2]

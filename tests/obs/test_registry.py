@@ -1,5 +1,5 @@
 """Unit tests for the registry: instrument families, label filtering,
-and the JSON/plaintext exporters."""
+and the JSON exporters."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.obs import (
     derived_metrics,
     to_builtin,
     to_json,
-    to_text,
 )
 
 
@@ -114,11 +113,3 @@ def test_to_json_round_trips():
     decoded = json.loads(to_json(_populated_registry()))
     assert decoded["counters"]["kaml.log.append_bytes{stream=gc}"]["value"] == 50.0
     assert set(decoded) == {"counters", "gauges", "histograms", "derived"}
-
-
-def test_to_text_report():
-    text = to_text(_populated_registry(), title="run metrics")
-    assert text.startswith("run metrics\n===========")
-    assert "cache.hits" in text
-    assert "kaml.put.phase1_us" in text
-    assert "kaml.gc.write_amplification" in text

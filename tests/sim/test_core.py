@@ -242,18 +242,6 @@ def test_yield_non_event_is_error():
         env.run()
 
 
-def test_any_of_first_wins():
-    env = Environment()
-
-    def proc(env):
-        value = yield env.any_of([env.timeout(5.0, "slow"), env.timeout(1.0, "fast")])
-        return value
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "fast"
-
-
 def test_all_of_collects_values():
     env = Environment()
 

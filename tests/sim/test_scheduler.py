@@ -9,7 +9,6 @@ everything but the ghost accounting.
 
 from repro.sim import Environment
 from repro.sim.core import NORMAL, URGENT, Event, _COMPACT_MIN_GHOSTS
-from repro.sim.sync import Gate
 
 
 # ---------------------------------------------------------------------------
@@ -143,36 +142,3 @@ def test_events_processed_counts_dispatches():
     # event; its termination costs none (nobody waits on the process, so
     # it is processed on the spot).
     assert env.events_processed == 11
-
-
-# ---------------------------------------------------------------------------
-# Gate.forget
-# ---------------------------------------------------------------------------
-
-def test_gate_forget_removes_waiter():
-    env = Environment()
-    gate = Gate(env)
-    woken = []
-
-    def waiter(env, tag):
-        event = gate.wait()
-        yield event
-        woken.append(tag)
-
-    env.process(waiter(env, "kept"))
-    forgotten = gate.wait()
-    env.run(until=1.0)
-    gate.forget(forgotten)
-    gate.fire()
-    env.run()
-    assert woken == ["kept"]
-    assert not forgotten.triggered
-
-
-def test_gate_forget_unknown_event_is_harmless():
-    env = Environment()
-    gate = Gate(env)
-    stranger = Event(env)
-    gate.forget(stranger)  # not waiting: no-op, no raise
-    gate.fire()
-    env.run()

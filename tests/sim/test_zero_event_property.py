@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from tests.sim.zero_event_seam import counted_grants, forced_refusal, predicate
 
-from repro.sim import Environment, Gate, Resource, SimLock, Timeline
+from repro.sim import Environment, Resource, SimLock, Timeline
 from repro.sim.core import Event
 from repro.ssd.nvram import NvramBuffer
 
@@ -33,8 +33,6 @@ STEP = st.one_of(
     # A known-length hold on an FCFS timeline: booked now, one absolute wait.
     st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
     st.tuples(st.just("all_of"), st.lists(DELAYS, min_size=0, max_size=3)),
-    st.tuples(st.just("wait"), st.integers(0, 1)),   # broadcast, one event each
-    st.tuples(st.just("fire"), st.integers(0, 1)),
     st.tuples(st.just("join"), st.integers(0, 1)),   # one event, many waiters
     st.tuples(st.just("spawn"), DELAYS),             # child process hand-off
     st.tuples(st.just("fork"), st.integers(0, 1)),   # a child that joins a shared event
@@ -62,7 +60,6 @@ def execute(program, seam, drive=("run",)):
         locks = [SimLock(env, name=f"lock{i}") for i in range(2)]
         timelines = [Timeline(env, capacity=capacity) for capacity in (1, 2)]
         nvram = NvramBuffer(env, capacity_bytes=1000)
-        gates = [Gate(env) for _ in range(2)]
         shared = [env.timeout(delay) for delay in (1.0, 3.0)]
         trace = []
 
@@ -117,14 +114,6 @@ def execute(program, seam, drive=("run",)):
                     env.try_advance_to(end) or (yield env.timeout_at(end))
                 elif kind == "all_of":
                     yield env.all_of([env.timeout(delay) for delay in step[1]])
-                elif kind == "wait":
-                    # Bounded wait so an unfired gate cannot strand the run.
-                    wake = gates[step[1]].wait()
-                    yield env.any_of([wake, env.timeout(5.0)])
-                    if not wake.triggered:
-                        gates[step[1]].forget(wake)
-                elif kind == "fire":
-                    gates[step[1]].fire()
                 elif kind == "join":
                     yield shared[step[1]]
                 elif kind == "spawn":

@@ -33,17 +33,6 @@ def test_dram_duplicate_tag_rejected():
         dram.allocate("a", 10)
 
 
-def test_dram_resize():
-    dram = OnboardDram(1000)
-    dram.allocate("a", 100)
-    dram.resize("a", 500)
-    assert dram.used_bytes == 500
-    dram.resize("a", 50)
-    assert dram.used_bytes == 50
-    with pytest.raises(DramExhausted):
-        dram.resize("a", 2000)
-
-
 def test_dram_free_unknown_tag():
     dram = OnboardDram(100)
     with pytest.raises(KeyError):
