@@ -1,7 +1,5 @@
 """Write-amplification and lifetime analysis against a live device."""
 
-import pytest
-
 from repro.analysis.wear import wear_report
 from repro.config import FlashGeometry, KamlParams, ReproConfig
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
