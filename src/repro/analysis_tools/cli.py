@@ -3,13 +3,13 @@
 Usage::
 
     python -m repro.analysis_tools src/repro            # human output
-    python -m repro.analysis_tools --json src/repro     # machine output
+    python -m repro.analysis_tools --format json src/repro
     python -m repro.analysis_tools --format github src/repro
     python -m repro.analysis_tools --list-rules
 
-Exit status: 0 when clean, 1 when violations were found (or stale
-pragmas under ``--strict-pragmas``), 2 on usage errors — including an
-unknown rule id in ``--rules``.  Pre-commit passes individual changed
+Exit status: 0 when clean, 1 when violations were found, 2 on usage
+errors — including an unknown rule id in ``--rules``.  Stale pragmas are
+reported but do not fail a run.  Pre-commit passes individual changed
 files as arguments; CI passes the whole tree with ``--format github``
 so findings annotate the PR diff, plus ``--json-out`` for the report
 artifact.
@@ -68,11 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="output format (github emits workflow error annotations)",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable output (alias for --format json)",
-    )
-    parser.add_argument(
         "--json-out",
         metavar="PATH",
         help="additionally write the JSON report to a file (CI artifact)",
@@ -80,11 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--rules",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--strict-pragmas",
-        action="store_true",
-        help="fail (exit 1) when stale allow[...] pragmas are found",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
@@ -111,16 +101,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    output_format = "json" if args.json else args.format
     payload = _report_payload(report)
     if args.json_out:
         with open(args.json_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
-    if output_format == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif output_format == "github":
+    elif args.format == "github":
         for violation in report.violations:
             print(_render_github(violation))
         for stale in report.stale_pragmas:
@@ -138,8 +127,4 @@ def main(argv: Optional[List[str]] = None) -> int:
             summary += f", {len(report.stale_pragmas)} stale pragma(s)"
         print(summary if (report.violations or report.stale_pragmas) else "kamllint: clean")
 
-    if report.violations:
-        return 1
-    if args.strict_pragmas and report.stale_pragmas:
-        return 1
-    return 0
+    return 1 if report.violations else 0

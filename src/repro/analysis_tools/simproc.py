@@ -11,17 +11,14 @@ generator's own body.  ``assert`` guards disappear under ``python -O``
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.analysis_tools.core import (
     LintModule,
     TOOLING_SUBPACKAGES,
     Violation,
     dotted_name,
-    is_generator,
-    iter_functions,
     register_pass,
-    walk_own,
 )
 
 #: The harness drives experiments and prints reports from sim processes
@@ -46,6 +43,25 @@ _BLOCKING_DOTTED = (
 )
 
 
+def _functions(tree: ast.Module):
+    """Every top-level function and method of a module."""
+    for node in tree.body:
+        for child in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+
+
+def _walk_own(func: ast.AST):
+    """Walk a function's own body, not descending into nested defs."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def _blocking_desc(node: ast.AST) -> Optional[str]:
     """The dotted name of a blocking host-I/O call, or None."""
     if not isinstance(node, ast.Call):
@@ -63,17 +79,6 @@ def _blocking_desc(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _blocking_calls(func: ast.FunctionDef) -> List[Tuple[ast.Call, str]]:
-    """Every blocking host-I/O call in the function's own body."""
-    found = []
-    for node in walk_own(func):
-        desc = _blocking_desc(node)
-        if desc is not None:
-            found.append((node, desc))
-    found.sort(key=lambda pair: (pair[0].lineno, pair[0].col_offset))
-    return found
-
-
 @register_pass
 def sim001_blocking_io(modules: Sequence[LintModule]) -> List[Violation]:
     """KL-SIM001: generator sim processes must not call host I/O."""
@@ -81,10 +86,14 @@ def sim001_blocking_io(modules: Sequence[LintModule]) -> List[Violation]:
     for module in modules:
         if module.subpackage in _SIM001_EXEMPT:
             continue
-        for _class_name, func in iter_functions(module.tree):
-            if not is_generator(func):
-                continue
-            for node, dotted in _blocking_calls(func):
+        for func in _functions(module.tree):
+            own = list(_walk_own(func))
+            if not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own):
+                continue  # not a sim process
+            for node in own:
+                dotted = _blocking_desc(node)
+                if dotted is None:
+                    continue
                 findings.append(
                     Violation(
                         "KL-SIM001",

@@ -125,12 +125,7 @@ class ShoreMtEngine:
         yield from self._lock(txn, table, key, LockMode.EXCLUSIVE)
         before = yield from table.update(key, value, size)
         txn.undo.append((table_name, key, "update", before))
-        txn.last_lsn = yield from self.wal.append(
-            dict(
-                txn_id=txn.txn_id, kind="update", table=table_name, key=key,
-                before=before, after=(value, size), size=size,
-            )
-        )
+        txn.last_lsn = yield from self.wal.append(size)
 
     def insert(self, txn: _EngineTxn, table_name: str, key: int, value: Any, size: int) -> Any:
         txn.require_active()
@@ -143,12 +138,7 @@ class ShoreMtEngine:
         else:
             rid = yield from self._insert_page_locked(txn, table, key, value, size)
         txn.undo.append((table_name, key, "insert", None))
-        txn.last_lsn = yield from self.wal.append(
-            dict(
-                txn_id=txn.txn_id, kind="update", table=table_name, key=key,
-                before=None, after=(value, size), size=size,
-            )
-        )
+        txn.last_lsn = yield from self.wal.append(size)
 
     def _insert_page_locked(self, txn: _EngineTxn, table: HeapFile,
                             key: int, value: Any, size: int) -> Any:
@@ -183,7 +173,7 @@ class ShoreMtEngine:
         """
         txn.require_active()
         if txn.undo:
-            lsn = yield from self.wal.append(dict(txn_id=txn.txn_id, kind="commit"))
+            lsn = yield from self.wal.append()
             yield from self.wal.flush_to(lsn)
         else:
             overhead_us = self.config.host.txn_overhead_us
@@ -201,7 +191,7 @@ class ShoreMtEngine:
                 yield from table.delete(key)
             elif kind == "update":
                 yield from table.update(key, before[0], before[1])
-        yield from self.wal.append(dict(txn_id=txn.txn_id, kind="abort"))
+        yield from self.wal.append()
         txn.mark_aborted()
         self.locks.cancel_wait(txn)
         self.locks.release_all(txn)

@@ -15,7 +15,7 @@ same time".
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 from repro.baseline.filesystem import SimpleFilesystem
 from repro.sim import Environment, Gate, SimLock
@@ -54,17 +54,15 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------
 
-    def append(self, record_fields: Dict[str, Any]) -> Any:
+    def append(self, size: int = 0) -> Any:
         """Append a record under the global log mutex; returns its LSN.
 
-        ``record_fields`` describes the entry (``kind`` is "update" |
-        "commit" | "abort"); its ``size`` sets the copy cost and the
-        bytes the next flush writes.
+        ``size`` is an update record's value size (0 for a commit or abort
+        record); it sets the copy cost and the bytes the next flush writes.
         """
         if not self._mutex.try_acquire(owner="append"):
             yield self._mutex.acquire(owner="append")
         try:
-            size = record_fields.get("size", 0)
             record_us = self.costs.wal_record_us + size / self.costs.copy_bytes_per_us
             self.env.try_advance(record_us) or (yield self.env.timeout(record_us))
             lsn = self._next_lsn

@@ -44,11 +44,14 @@ class Device(Protocol):
     metrics: MetricsRegistry
     tracer: Tracer
     slo: SloTracker
-    #: Power-loss fencing epoch; bumped by :meth:`power_loss` so that
-    #: pre-crash sim processes ("ghosts") die without mutating state.
-    epoch: int
     #: Slot for a :class:`repro.fault.PowerLossInjector` (or None).
     fault: Optional[Any]
+
+    @property
+    def epoch(self) -> int:
+        """Power-loss fencing epoch; bumped by :meth:`power_loss` so that
+        pre-crash sim processes ("ghosts") die without mutating state."""
+        ...
 
     # -- namespace management ------------------------------------------
     def create_namespace(

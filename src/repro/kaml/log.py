@@ -11,8 +11,9 @@ the OOB bitmap, and still-valid records are re-appended through a
 dedicated GC write point.
 
 The log knows nothing about namespaces; validity checks and index updates
-go through the seven hooks :class:`~repro.kaml.mapping.Mapping` provides.
-After a power cut it rebuilds its own block lists from its flash target
+go through the seven hooks :class:`~repro.kaml.mapping.Mapping` provides,
+and its ``epoch`` is the device's one power epoch.  After a power cut the
+log rebuilds its own block lists from its flash target
 (:meth:`KamlLog.rescan`).
 """
 
@@ -149,9 +150,6 @@ class KamlLog:
         self._append_counters: Dict[Tuple[int, str], Tuple[Any, Any]] = {}
         self.space_gate = Gate(env, name=f"log{log_id}.space")
         self.gc_running = False
-        #: Bumped by crash recovery; in-flight processes from before the
-        #: crash notice the change and die without touching state.
-        self.epoch = 0
 
     def _new_assembly(self) -> PageAssembly:
         return PageAssembly(self.geometry.chunks_per_page)
@@ -224,7 +222,7 @@ class KamlLog:
         # first resume, and a flush that captured the post-cut epoch
         # would happily program a page of pre-crash records into the
         # recovered log.
-        self.env.process(self._flush_process(assembly, point.programmed, for_gc, self.epoch))
+        self.env.process(self._flush_process(assembly, point.programmed, for_gc, self.hooks.epoch))
 
     def _arm_timer(self, delay_us: float) -> None:
         self._timer = self.env.timeout(delay_us)
@@ -257,7 +255,7 @@ class KamlLog:
     def _flush_process(
         self, assembly: PageAssembly, programmed: Event, for_gc: bool, epoch: int
     ) -> Any:
-        if self.epoch != epoch:
+        if self.hooks.epoch != epoch:
             return  # launched an instant before a cut; the page is gone
         if not self._program_lock.try_acquire(owner=("flush", for_gc)):
             yield self._program_lock.acquire(owner=("flush", for_gc))
@@ -274,7 +272,7 @@ class KamlLog:
                 start_cursor += nchunks
             attempts = 0
             while True:
-                if self.epoch != epoch:
+                if self.hooks.epoch != epoch:
                     return  # ghost flush from before a crash
                 pointer = self._try_allocate(for_gc)
                 if pointer is None:
@@ -326,7 +324,7 @@ class KamlLog:
                             page=pointer.page,
                             attempt=attempts,
                         ).close()
-                    if self.epoch != epoch:
+                    if self.hooks.epoch != epoch:
                         return
                     if attempts >= self.MAX_PROGRAM_RETRIES:
                         programmed.fail(LogSpaceError(
@@ -345,7 +343,7 @@ class KamlLog:
         finally:
             if held:
                 self._program_lock.release()
-        if self.epoch != epoch:
+        if self.hooks.epoch != epoch:
             # A crash hit while this page was programming: the page is a
             # torn write the mapping tables never point at.
             return
@@ -410,7 +408,7 @@ class KamlLog:
         ]
 
     def _gc_process(self) -> Any:
-        epoch = self.epoch
+        epoch = self.hooks.epoch
         self._gc_generation += 1
         tracer = self.tracer
         ctx = tracer.request(
@@ -421,7 +419,7 @@ class KamlLog:
             gc_span = ctx.root
         try:
             while len(self.free) < self.params.gc_restore_target:
-                if self.epoch != epoch:
+                if self.hooks.epoch != epoch:
                     return  # crashed meanwhile
                 candidates = [
                     c for c in self._gc_candidates() if self._gc_feasible(c)
@@ -448,7 +446,7 @@ class KamlLog:
                 yield from self._clean_block(block_index, ctx, clean_span)
                 if ctx is not None:
                     ctx.finish(clean_span)
-                if self.epoch != epoch:
+                if self.hooks.epoch != epoch:
                     return
                 block_key = self.block_key(block_index)
                 pin_wait_start = self.env.now
@@ -486,7 +484,7 @@ class KamlLog:
                                 block=block_index,
                                 attempt=erase_attempts,
                             ).close()
-                        if self.epoch != epoch:
+                        if self.hooks.epoch != epoch:
                             return
                         if erase_attempts > self.MAX_ERASE_RETRIES:
                             retired = True
@@ -498,7 +496,7 @@ class KamlLog:
                         # II-A's "limited number of erase operations").
                         retired = True
                         break
-                if self.epoch != epoch:
+                if self.hooks.epoch != epoch:
                     return  # ghost pass: the erase died with the power
                 if retired:
                     self._retired_counter.inc()
@@ -543,7 +541,7 @@ class KamlLog:
             self.hooks.valid_bytes(self.block_key(block_index))
         )
         clean_start = self.env.now
-        epoch = self.epoch
+        epoch = self.hooks.epoch
         chip = self._chip()
         block = chip.block(block_index)
         survivors: List[Tuple[Record, RecordLocation]] = []
@@ -556,10 +554,10 @@ class KamlLog:
                     pointer, ctx=ctx, parent=parent
                 )
             except ReadError:
-                if self.epoch != epoch:
+                if self.hooks.epoch != epoch:
                     return  # ghost pass: the block was reclaimed post-crash
                 raise
-            if self.epoch != epoch:
+            if self.hooks.epoch != epoch:
                 return
             for start, record in data.items():
                 location = RecordLocation(
@@ -581,7 +579,7 @@ class KamlLog:
             pointer = yield programmed  # once per page: later records resume at once
             new_location = RecordLocation(pointer, start, old_location.nchunks)
             self._crash_point("gc.mid_relocation")
-            if self.epoch != epoch:
+            if self.hooks.epoch != epoch:
                 return  # ghost pass: never CAS into recovered mapping state
             if self.hooks.relocate(record, old_location, new_location):
                 self._relocated_counter.inc()
@@ -623,9 +621,9 @@ class KamlLog:
         will be replayed (Section IV-D), and :meth:`rescan` rebuilds the
         lists from flash.  The lock instance is deliberately kept — ghost
         flushes from before the cut still release it through their
-        ``finally`` blocks.
+        ``finally`` blocks.  The power epoch is ``hooks.epoch``, which the
+        device's :meth:`Mapping.clear` bumps in the same cut.
         """
-        self.epoch += 1
         self.gc_running = False
         if self._timer is not None:
             self._timer.defuse()

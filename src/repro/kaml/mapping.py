@@ -74,9 +74,9 @@ class Mapping:
         self._doomed_blocks: Set[BlockKey] = set()
         self._pins: Dict[BlockKey, int] = defaultdict(int)
         self._pin_gate = Gate(env, name="kaml.pins")
-        #: Bumped by :meth:`clear`: a read that began before a power cut
-        #: (a ghost) compares the epoch it began in before it touches a
-        #: table, and ends in ``PowerLossError`` instead.
+        #: The device's one power epoch, bumped by :meth:`clear`.  A command
+        #: or process that began before a power cut (a ghost) compares the
+        #: epoch it began in before it touches a table, and ends instead.
         self.epoch = 0
 
     # ------------------------------------------------------------------

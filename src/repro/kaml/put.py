@@ -125,7 +125,7 @@ def put(ssd, items: List[PutItem], ctx: Optional[TraceContext] = None) -> Any:
         phase1_span = ctx.begin(
             "put.phase1", parent=put_span, namespace=items[0].namespace_id
         )
-    epoch = ssd.epoch
+    epoch = ssd.mapping.epoch
     phase1_start = ssd.env.now
     batch = StagedBatch("put", items)
     handle = yield from _pin(ssd, batch, total_bytes, ctx, phase1_span)
@@ -229,7 +229,7 @@ def _commit(
     process, or None if power was cut since ``epoch``.  A participant
     commit has no ``put_span``: its spans join the coordinator's under
     ``phase1_span``, and it acknowledges no host."""
-    if ssd.epoch == epoch:
+    if ssd.mapping.epoch == epoch:
         probe_span = None if ctx is None else ctx.begin("put.index_probe", parent=phase1_span)
         probe_costs = []
         for item in batch.items:
@@ -244,7 +244,7 @@ def _commit(
             yield ssd.firmware.execute_wave(probe_costs, ctx=ctx, parent=probe_span)
         if ctx is not None:
             ctx.finish(probe_span)
-    if ssd.epoch != epoch:
+    if ssd.mapping.epoch != epoch:
         if put_span is not None:
             put_span.tags["crashed"] = True
             if owns_ctx:
@@ -298,7 +298,7 @@ def _reappend(ssd, record: Record, epoch: int) -> Any:
     while True:
         if ssd.mapping.superseded(record):
             return None  # a newer write won; this record is garbage
-        staged = stage_record(ssd, record) if ssd.epoch == epoch else None
+        staged = stage_record(ssd, record) if ssd.mapping.epoch == epoch else None
         if staged is None:
             return None
         programmed, start, nchunks, _log = staged
@@ -306,7 +306,7 @@ def _reappend(ssd, record: Record, epoch: int) -> Any:
         # Captured in the same event cascade as the append's completion:
         # see the same rule in _complete_put.
         mark = ssd.mapping.erase_mark(location.page)
-        if ssd.epoch != epoch:
+        if ssd.mapping.epoch != epoch:
             return None
         ssd._reappends_counter.inc()
         if not ssd.mapping.severed(location, mark):
@@ -375,16 +375,16 @@ def _complete_put(
             yield from ssd.firmware.execute(
                 len(records) * (ssd.costs.per_record_us + ssd.costs.hash_update_us)
             )
-            if ssd.epoch == epoch and ssd.fault is not None:
+            if ssd.mapping.epoch == epoch and ssd.fault is not None:
                 ssd.fault.reached("put.before_install")
-            if ssd.epoch == epoch:
+            if ssd.mapping.epoch == epoch:
                 for record, landing in zip(records, landed):
                     if landing is None:
                         continue  # never appended: a cut, or the namespace is gone
                     location, mark = landing
                     if ssd.mapping.severed(location, mark):
                         location = yield from _reappend(ssd, record, epoch)
-                    if location is not None and ssd.epoch == epoch:
+                    if location is not None and ssd.mapping.epoch == epoch:
                         ssd.mapping.install(record, location)
         except LogSpaceError:
             # The first append or a re-append of a record GC severed:
@@ -397,7 +397,7 @@ def _complete_put(
         if ctx is not None:
             ctx.record_span("put.install", start_us=install_start, parent=phase2_span)
     finally:
-        if ssd.epoch == epoch and not append_failed:
+        if ssd.mapping.epoch == epoch and not append_failed:
             ssd.nvram.release(handle)
             ssd._nvram_pin_us_histogram.observe(ssd.env.now - batch.pinned_at)
             ssd._phase2_us_histogram.observe(ssd.env.now - phase2_start)

@@ -21,9 +21,9 @@ def power_loss(ssd) -> None:
     and snapshots all vanish.  Only NVRAM reservations and flash pages
     whose program completed survive; :func:`recover` must rebuild
     everything else by scanning flash.  Processes from before the cut
-    become ghosts.
+    become ghosts: :meth:`Mapping.clear` bumps the device's one power
+    epoch.
     """
-    ssd.epoch += 1
     ssd.array.power_loss()  # in-flight programs/erases never land
     for log in ssd.logs:
         log.power_loss()

@@ -100,9 +100,6 @@ class KamlSsd:
             )
         self._next_namespace_id = 1
         self._log_subscribers: Dict[int, int] = {log.log_id: 0 for log in self.logs}
-        #: Bumped by :meth:`power_loss`; pre-crash processes ("ghosts")
-        #: compare against it and die without mutating recovered state.
-        self.epoch = 0
         self._next_snapshot_id = 1
         #: The largest value one page holds beside its record header.
         self._max_value_bytes = self.geometry.page_size - RECORD_HEADER_BYTES
@@ -182,7 +179,7 @@ class KamlSsd:
         namespace = self._namespace(namespace_id)
         if not namespace.resident:
             return
-        epoch = self.epoch
+        epoch = self.mapping.epoch
         yield from self._swap_transfer(namespace)
         self._fence(epoch, "close_namespace")
         self.dram.free(namespace.dram_tag)
@@ -193,7 +190,7 @@ class KamlSsd:
         namespace = self._namespace(namespace_id)
         if namespace.resident:
             return
-        epoch = self.epoch
+        epoch = self.mapping.epoch
         self.dram.allocate(namespace.dram_tag, namespace.index.memory_bytes)
         yield from self._swap_transfer(namespace)
         self._fence(epoch, "open_namespace")
@@ -240,7 +237,7 @@ class KamlSsd:
         """
         namespace = self._namespace(namespace_id)
         namespace.require_resident()
-        epoch = self.epoch
+        epoch = self.mapping.epoch
         # Drain this namespace's staging pipeline.
         settle_us = self.config.flash.program_us + self.config.kaml.flush_timeout_us
         for _ in range(64):
@@ -317,7 +314,9 @@ class KamlSsd:
         self._prepare_commits_counter.inc()
         for item in batch.items:
             self._namespace(item.namespace_id).require_resident()
-        return (yield from put_phases._commit(self, batch, handle, self.epoch, ctx, None, parent))
+        return (yield from put_phases._commit(
+            self, batch, handle, self.mapping.epoch, ctx, None, parent
+        ))
 
     def abort_prepared(self, handle: int) -> Any:
         """Participant *abort*: drop a prepared batch without a trace."""
@@ -353,7 +352,7 @@ class KamlSsd:
     def _fence(self, epoch: int, command: str) -> None:
         """End a command that waited across a power cut (a ghost) before
         it touches the recovered device."""
-        if self.epoch != epoch:
+        if self.mapping.epoch != epoch:
             raise PowerLossError(f"power lost under {command}")
 
     def _crash_point(self, name: str) -> None:
@@ -371,6 +370,13 @@ class KamlSsd:
             return self.namespaces[namespace_id]
         except KeyError:
             raise NamespaceError(f"unknown namespace id: {namespace_id}") from None
+
+    @property
+    def epoch(self) -> int:
+        """The power epoch (``Mapping.epoch``): bumped by every power cut, so a
+        command that captured an older one is a ghost.  Read-only, for the
+        cluster's ``Device`` protocol and the fault harness."""
+        return self.mapping.epoch
 
     @property
     def staged_records(self) -> int:

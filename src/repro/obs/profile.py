@@ -38,8 +38,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.obs.metrics import percentile
 from repro.obs.trace import SpanEvent
 
-#: The registered component taxonomy.  kamllint's KL-OBS001 checks that
-#: every ``component=`` tag in the tree names one of these.
+#: The registered component taxonomy: every ``component=`` tag names one
+#: of these.
 COMPONENTS: Dict[str, str] = {
     "host_transfer": "host interconnect transfer (link + data copies)",
     "cache_cpu": "host-side cache/store CPU (probe, install, txn bookkeeping)",
@@ -62,10 +62,9 @@ COMPONENTS: Dict[str, str] = {
 }
 
 #: Every span name the stack is allowed to emit, mapped to the component
-#: its *self-time* bills to.  kamllint's KL-OBS001 checks that every
-#: span-producing call site uses a name registered here, so the
-#: attribution below can never silently lump a new choke point into
-#: ``other``.
+#: its *self-time* bills to.  A name missing here bills to ``other``, which
+#: moves the pinned ``prof_breakdown_mini`` digest (tests/determinism), so
+#: a new choke point cannot silently lump into ``other``.
 SPAN_COMPONENTS: Dict[str, str] = {
     # Host-side store / cache layer.
     "store.get": "cache_cpu",
@@ -140,7 +139,7 @@ SPAN_COMPONENTS: Dict[str, str] = {
     "cluster.recover": "cluster",
 }
 
-#: The registered span-name vocabulary (KL-OBS001 checks against this).
+#: The registered span-name vocabulary.
 KNOWN_SPAN_NAMES = frozenset(SPAN_COMPONENTS)
 
 #: Root span names that constitute host-visible requests; every other
@@ -166,8 +165,7 @@ REQUEST_ROOTS = frozenset({
 def component_of(event: SpanEvent) -> str:
     """The component an event's self-time bills to.
 
-    An explicit ``component=`` tag wins (that is what KL-OBS001 keeps
-    honest); otherwise the registered per-name mapping; unknown names
+    An explicit ``component=`` tag wins; otherwise the registered per-name mapping; unknown names
     land in ``other`` rather than raising, so a profile of a stream from
     a newer build still renders.
     """

@@ -22,7 +22,7 @@ def test_fixture_corpus_exits_one_with_rule_ids(capsys):
 
 
 def test_json_output_parses(capsys):
-    assert main(["--json", str(FIXTURES / "bare_assert.py")]) == 1
+    assert main(["--format", "json", str(FIXTURES / "bare_assert.py")]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == len(payload["violations"]) > 0
     assert payload["violations"][0]["rule"] == "KL-INV001"
@@ -58,14 +58,13 @@ def test_json_out_writes_report_artifact(tmp_path, capsys):
     assert "stale_pragmas" in payload
 
 
-def test_strict_pragmas_fails_on_stale_allow(tmp_path, capsys):
+def test_stale_pragma_is_reported_but_advisory(tmp_path, capsys):
+    # The CLI reports a dead grant and still exits 0; the tier-1 lint of
+    # the production tree is what fails on one.
     stale = tmp_path / "stale.py"
     stale.write_text("# kamllint: allow[KL-INV001] nothing here asserts\nx = 1\n")
-    assert main([str(stale)]) == 0  # advisory by default
-    capsys.readouterr()
-    assert main(["--strict-pragmas", str(stale)]) == 1
-    out = capsys.readouterr().out
-    assert "stale pragma" in out
+    assert main([str(stale)]) == 0
+    assert "1 stale pragma(s)" in capsys.readouterr().out
 
 
 def test_no_paths_is_usage_error():
@@ -76,6 +75,5 @@ def test_list_rules_covers_every_rule(capsys):
     assert main(["--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == [
-        "KL-CTX001", "KL-DET001", "KL-DET002", "KL-DET003", "KL-FLT001",
-        "KL-INV001", "KL-LCK001", "KL-OBS001", "KL-SIM001",
+        "KL-DET001", "KL-DET002", "KL-DET003", "KL-FLT001", "KL-INV001", "KL-SIM001",
     ]

@@ -155,7 +155,7 @@ def test_wal_lsns_monotonic():
     def flow():
         lsns = []
         for i in range(5):
-            lsn = yield from wal.append(dict(txn_id=1, kind="update", size=64))
+            lsn = yield from wal.append(64)
             lsns.append(lsn)
         return lsns
 
@@ -169,7 +169,7 @@ def test_wal_flush_makes_durable():
     wal = WriteAheadLog(env, fs, log_pages=64)
 
     def flow():
-        lsn = yield from wal.append(dict(txn_id=1, kind="commit"))
+        lsn = yield from wal.append()
         yield from wal.flush_to(lsn)
         return lsn
 
@@ -184,7 +184,7 @@ def test_wal_group_commit_shares_flush():
     wal = WriteAheadLog(env, fs, log_pages=64)
 
     def committer(txn_id):
-        lsn = yield from wal.append(dict(txn_id=txn_id, kind="commit"))
+        lsn = yield from wal.append()
         yield from wal.flush_to(lsn)
 
     for txn_id in range(8):

@@ -18,7 +18,7 @@ def committers(env, wal, count):
     done = []
 
     def committer(txn_id):
-        lsn = yield from wal.append(dict(txn_id=txn_id, kind="commit"))
+        lsn = yield from wal.append()
         yield from wal.flush_to(lsn)
         done.append(txn_id)
 
@@ -52,7 +52,7 @@ def test_flush_to_old_lsn_is_cheap():
     env, fs, wal = make_wal()
 
     def flow():
-        lsn = yield from wal.append(dict(txn_id=1, kind="commit"))
+        lsn = yield from wal.append()
         yield from wal.flush_to(lsn)
         fsyncs_before = fs.fsyncs
         yield from wal.flush_to(lsn)  # already durable
@@ -69,7 +69,7 @@ def test_log_file_wraps_circularly():
 
     def flow():
         for i in range(200):
-            lsn = yield from wal.append(dict(txn_id=i, kind="update", size=4096))
+            lsn = yield from wal.append(4096)
             yield from wal.flush_to(lsn)
 
     proc = env.process(flow())

@@ -189,7 +189,7 @@ def flood_scenario(cut_while_suspended=None):
         mine = [k for k in churned if k % 4 == partition]
         try:
             for i in range(500):
-                if ssd.epoch:
+                if ssd.mapping.epoch:
                     return  # power was cut; the host stops issuing
                 yield from put(partition, mine[i % len(mine)], 2048)
         except PowerLossError:
@@ -198,7 +198,7 @@ def flood_scenario(cut_while_suspended=None):
     def reader(client):
         try:
             for _ in range(260):
-                if ssd.epoch:
+                if ssd.mapping.epoch:
                     return
                 yield from timed(env, ops, client, "get", ssd.get(nsid, rng.choice(static)))
                 think_us = rng.choice([0.0, 40.0, 250.0])
@@ -307,7 +307,7 @@ def power_cut_scenario(cut_at):
         mine = [k for k in range(keys) if k % 2 == partition]
         try:
             for i in range(400):
-                if ssd.epoch:
+                if ssd.mapping.epoch:
                     return  # power was cut; the host stops issuing
                 item = PutItem(nsid, mine[i % len(mine)], ("w", partition, i),
                                rng.choice([200, 900, 2048]))

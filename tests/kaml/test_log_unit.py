@@ -12,6 +12,9 @@ class FakeHooks:
     """Minimal index stand-in: a key is valid only at its registered
     current location (mirroring what KamlSsd's mapping tables provide)."""
 
+    #: The power epoch the log's ghost checks read (``Mapping.epoch``).
+    epoch = 0
+
     def __init__(self):
         self.valid = {}          # block_key -> bytes
         self.locations = {}      # key -> current RecordLocation

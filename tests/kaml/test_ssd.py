@@ -284,6 +284,26 @@ def test_batch_larger_than_nvram_is_refused_before_any_side_effect():
     assert ssd.nvram.used_bytes == 0
 
 
+def test_get_served_from_flash_keeps_its_trace():
+    """A traced Get that misses staging reads flash under its own root: the
+    ``get.flash_read`` span, and the die and bus spans inside it, belong to
+    the ``kaml.get`` trace instead of going unrecorded."""
+    env, ssd = make_ssd()
+    nsid = run(env, ssd.create_namespace())
+    run(env, ssd.put([PutItem(nsid, 7, "seven", 100)]))
+    run(env, ssd.drain())
+    seen = len(ssd.tracer.recorder.events())
+    assert run(env, ssd.get(nsid, 7)) == "seven"
+    spans = ssd.tracer.recorder.events()[seen:]
+    (root,) = [span for span in spans if span.parent_id is None]
+    assert (root.name, root.tags["source"]) == ("kaml.get", "flash")
+    (flash_read,) = [span for span in spans if span.name == "get.flash_read"]
+    assert flash_read.parent_id == root.span_id
+    children = {span.name for span in spans if span.parent_id == flash_read.span_id}
+    assert {"nand.read", "bus.transfer"} <= children
+    assert {span.trace_id for span in spans} == {root.trace_id}
+
+
 def test_variable_sized_values_coexist():
     env, ssd = make_ssd()
     sizes = [100, 512, 1024, 4096, 50]
