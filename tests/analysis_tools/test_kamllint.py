@@ -1,15 +1,12 @@
 """kamllint: the real tree is clean, seeded fixtures are not, and the
 engine audits its own pragmas."""
 
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis_tools import UnknownRuleError, run_analysis
 
-REPO = Path(__file__).resolve().parents[2]
-SRC = REPO / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
@@ -17,16 +14,10 @@ def lint(path, rules=None):
     return run_analysis([str(path)], rules=rules).violations
 
 
-def test_production_tree_is_clean():
-    # The one whole-tree lint of the suite: clean, no dead grants, and
-    # well inside an interactive budget.
-    start = time.monotonic()
-    report = run_analysis([str(SRC)])
-    elapsed = time.monotonic() - start
+def test_production_tree_is_clean(whole_tree_lint):
+    report, _ = whole_tree_lint
     assert report.violations == []
     assert report.stale_pragmas == []
-    assert report.module_count > 40
-    assert elapsed < 60.0, f"whole-tree lint took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize(
