@@ -19,8 +19,10 @@ log rebuilds its own block lists from its flash target
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import sanitize
 from repro.config import ReproConfig
@@ -42,7 +44,7 @@ from repro.kaml.record import (
     decode_bitmap,
 )
 from repro.obs import MetricsRegistry, TraceContext, Tracer, lazy_instrument
-from repro.sim import Environment, Event, Gate, SimLock
+from repro.sim import Environment, Event, Gate
 
 
 class LogSpaceError(ReproError):
@@ -59,6 +61,11 @@ class _WritePoint:
     programmed: Optional[Event] = None
     #: Sim time of the newest append; the flush timer counts from here.
     last_append: float = 0.0
+
+
+#: A launched page: its assembly, its one completion, its stream, the power
+#: epoch at launch and the program attempts it has failed so far.
+_QueuedPage = Tuple[PageAssembly, Event, bool, int, int]
 
 
 class KamlLog:
@@ -127,7 +134,11 @@ class KamlLog:
         #: The host write point's quiescence timer, kept across pages
         #: (:meth:`_timer_fired`); the GC write point has none.
         self._timer: Optional[Event] = None
-        self._program_lock = SimLock(env, name=f"log{log_id}.program")
+        #: Launched pages waiting for the target, in launch order:
+        #: ``(assembly, programmed, for_gc, epoch, attempts)``.  One flush
+        #: process drains it while ``_programming`` is set.
+        self._flush_queue: Deque[_QueuedPage] = deque()
+        self._programming = False
         # Hot-path instruments, resolved once instead of per append/flush
         # (registry lookups sort+hash the label set on every call).
         metrics = self.metrics
@@ -217,12 +228,14 @@ class KamlLog:
         if padded:
             self._wasted_chunks_counter.value += padded
         self._points[for_gc] = _WritePoint(self._new_assembly())
-        # The epoch is captured *here*, not at the flush body's first
-        # step: a power cut can land between ``env.process()`` and the
-        # first resume, and a flush that captured the post-cut epoch
-        # would happily program a page of pre-crash records into the
-        # recovered log.
-        self.env.process(self._flush_process(assembly, point.programmed, for_gc, self.hooks.epoch))
+        # The epoch is captured *here*, not when the page is dequeued: a
+        # power cut can land between the launch and the program, and a
+        # flush that read the post-cut epoch would happily program a page
+        # of pre-crash records into the recovered log.
+        self._flush_queue.append((assembly, point.programmed, for_gc, self.hooks.epoch, 0))
+        if not self._programming:
+            self._programming = True
+            self.env.process(self._flush_process())
 
     def _arm_timer(self, delay_us: float) -> None:
         self._timer = self.env.timeout(delay_us)
@@ -252,102 +265,109 @@ class KamlLog:
         self._timer_flushes_counter.value += 1
         self._launch_flush(False)
 
-    def _flush_process(
-        self, assembly: PageAssembly, programmed: Event, for_gc: bool, epoch: int
-    ) -> Any:
-        if self.hooks.epoch != epoch:
-            return  # launched an instant before a cut; the page is gone
-        if not self._program_lock.try_acquire(owner=("flush", for_gc)):
-            yield self._program_lock.acquire(owner=("flush", for_gc))
-        held = True
+    def _flush_process(self) -> Any:
+        """Program the queued pages back to back, in launch order.
+
+        One process per busy spell: a page launched while it runs joins
+        the queue at no event cost, and the process ends when the queue
+        is empty.  A page that finds no space while GC runs parks on
+        ``space_gate`` (:meth:`_requeue`) and the process moves on, so
+        GC's own page is never stuck behind it.
+        """
+        queue = self._flush_queue
         try:
-            if sanitize.enabled():
-                # SAN-CHUNK: runs must be packed, in-bounds, and bitmap
-                # round-trippable before they become on-flash truth.
-                sanitize.check_page_assembly(assembly)
-            data = {}
-            start_cursor = 0
-            for record, nchunks in zip(assembly.records, assembly.runs):
-                data[start_cursor] = record
-                start_cursor += nchunks
-            attempts = 0
-            while True:
+            while queue:
+                assembly, programmed, for_gc, epoch, attempts = queue.popleft()
                 if self.hooks.epoch != epoch:
-                    return  # ghost flush from before a crash
-                pointer = self._try_allocate(for_gc)
-                if pointer is None:
-                    if not self.gc_running:
-                        programmed.fail(LogSpaceError(
-                            f"log {self.log_id} is full and nothing is reclaimable"
-                        ))
-                        return
-                    self._program_lock.release()
-                    held = False
-                    yield self.space_gate.wait()
-                    if not self._program_lock.try_acquire(owner=("flush-retry", for_gc)):
-                        yield self._program_lock.acquire(owner=("flush-retry", for_gc))
-                    held = True
-                    continue
-                self._crash_point("log.mid_flush")
-                program_start = self.env.now
-                # Device-side telemetry trace: one root per page program,
-                # so the profiler can separate flash-program cost (bus
-                # transfer, engine wait, t_PROG) from the request-side
-                # log.append wait that covers it.
-                tracer = self.tracer
-                flush_ctx = tracer.request(
-                    "kaml.flash_program",
-                    log=self.log_id,
-                    stream="gc" if for_gc else "host",
-                    records=len(assembly.records),
-                ) if tracer.enabled else None
-                try:
-                    yield from self.array.program_page(
-                        pointer, data, oob=assembly.bitmap(), ctx=flush_ctx,
-                        parent=flush_ctx.root if flush_ctx is not None else None,
-                    )
-                except ProgramFailure:
+                    continue  # launched or parked before a cut; the page is gone
+                if sanitize.enabled():
+                    # SAN-CHUNK: runs must be packed, in-bounds, and bitmap
+                    # round-trippable before they become on-flash truth.
+                    sanitize.check_page_assembly(assembly)
+                data = {}
+                start_cursor = 0
+                for record, nchunks in zip(assembly.records, assembly.runs):
+                    data[start_cursor] = record
+                    start_cursor += nchunks
+                while True:
+                    pointer = self._try_allocate(for_gc)
+                    if pointer is None:
+                        if self.gc_running:
+                            self.space_gate.wait().add_callback(partial(
+                                self._requeue, (assembly, programmed, for_gc, epoch, attempts)
+                            ))
+                        else:
+                            programmed.fail(LogSpaceError(
+                                f"log {self.log_id} is full and nothing is reclaimable"
+                            ))
+                        break
+                    self._crash_point("log.mid_flush")
+                    program_start = self.env.now
+                    # Device-side telemetry trace: one root per page program,
+                    # so the profiler can separate flash-program cost (bus
+                    # transfer, engine wait, t_PROG) from the request-side
+                    # log.append wait that covers it.
+                    tracer = self.tracer
+                    flush_ctx = tracer.request(
+                        "kaml.flash_program",
+                        log=self.log_id,
+                        stream="gc" if for_gc else "host",
+                        records=len(assembly.records),
+                    ) if tracer.enabled else None
+                    try:
+                        yield from self.array.program_page(
+                            pointer, data, oob=assembly.bitmap(), ctx=flush_ctx,
+                            parent=flush_ctx.root if flush_ctx is not None else None,
+                        )
+                    except ProgramFailure:
+                        if flush_ctx is not None:
+                            flush_ctx.root.tags["failed"] = True
+                            flush_ctx.close()
+                        # Transient media fault: the attempted page is burned
+                        # (its write pointer advanced past garbage); remap the
+                        # whole assembly to the next allocatable page.
+                        attempts += 1
+                        self._program_failures_counter.inc()
+                        if tracer.enabled:
+                            tracer.request(
+                                "kaml.flash_fault",
+                                kind="program",
+                                log=self.log_id,
+                                block=pointer.block,
+                                page=pointer.page,
+                                attempt=attempts,
+                            ).close()
+                        if self.hooks.epoch != epoch:
+                            break
+                        if attempts >= self.MAX_PROGRAM_RETRIES:
+                            programmed.fail(LogSpaceError(
+                                f"log {self.log_id} page program failed "
+                                f"{attempts} times; giving up"
+                            ))
+                            break
+                        self._program_retries_counter.inc()
+                        continue
                     if flush_ctx is not None:
-                        flush_ctx.root.tags["failed"] = True
                         flush_ctx.close()
-                    # Transient media fault: the attempted page is burned
-                    # (its write pointer advanced past garbage); remap the
-                    # whole assembly to the next allocatable page.
-                    attempts += 1
-                    self._program_failures_counter.inc()
-                    if tracer.enabled:
-                        tracer.request(
-                            "kaml.flash_fault",
-                            kind="program",
-                            log=self.log_id,
-                            block=pointer.block,
-                            page=pointer.page,
-                            attempt=attempts,
-                        ).close()
-                    if self.hooks.epoch != epoch:
-                        return
-                    if attempts >= self.MAX_PROGRAM_RETRIES:
-                        programmed.fail(LogSpaceError(
-                            f"log {self.log_id} page program failed "
-                            f"{attempts} times; giving up"
-                        ))
-                        return
-                    self._program_retries_counter.inc()
-                    continue
-                if flush_ctx is not None:
-                    flush_ctx.close()
-                break
-            self._programmed_pages_counter.value += 1
-            self._programmed_bytes_counter.value += self.geometry.page_size
-            self._program_us_histogram.observe(self.env.now - program_start)
+                    self._programmed_pages_counter.value += 1
+                    self._programmed_bytes_counter.value += self.geometry.page_size
+                    self._program_us_histogram.observe(self.env.now - program_start)
+                    # After a cut during the program the page is a torn
+                    # write the mapping tables never point at.
+                    if self.hooks.epoch == epoch:
+                        programmed.succeed(pointer)
+                    break
         finally:
-            if held:
-                self._program_lock.release()
-        if self.hooks.epoch != epoch:
-            # A crash hit while this page was programming: the page is a
-            # torn write the mapping tables never point at.
-            return
-        programmed.succeed(pointer)
+            self._programming = False
+
+    def _requeue(self, page: _QueuedPage, _fired: Event) -> None:
+        """``space_gate`` fired: a parked page goes back behind the pages
+        launched meanwhile, its failed attempts still counted, and starts
+        the flush process on the spot if nothing is draining."""
+        self._flush_queue.append(page)
+        if not self._programming:
+            self._programming = True
+            self.env.start(self._flush_process())
 
     # ------------------------------------------------------------------
     # Block allocation
@@ -355,7 +375,7 @@ class KamlLog:
 
     def _try_allocate(self, for_gc: bool) -> Optional[PagePointer]:
         """Next programmable page for a stream, or None if blocks must be
-        reclaimed first.  Never yields; called under the program lock."""
+        reclaimed first.  Never yields; only the flush process calls it."""
         active = self._active[for_gc]
         if active is not None and self._active_wp[for_gc] < self.geometry.pages_per_block:
             page_index = self._active_wp[for_gc]
@@ -619,12 +639,14 @@ class KamlLog:
 
         Everything is cleared; the records are still staged in NVRAM and
         will be replayed (Section IV-D), and :meth:`rescan` rebuilds the
-        lists from flash.  The lock instance is deliberately kept — ghost
-        flushes from before the cut still release it through their
-        ``finally`` blocks.  The power epoch is ``hooks.epoch``, which the
-        device's :meth:`Mapping.clear` bumps in the same cut.
+        lists from flash.  The queued pages are dropped, but a flush
+        process caught mid-program keeps ``_programming`` set: it is the
+        one that drains pages launched after the cut, and it clears the
+        flag in its ``finally``.  The power epoch is ``hooks.epoch``, which
+        the device's :meth:`Mapping.clear` bumps in the same cut.
         """
         self.gc_running = False
+        self._flush_queue.clear()
         if self._timer is not None:
             self._timer.defuse()
             self._timer = None

@@ -214,7 +214,7 @@ class LockOrderRecorder:
     An edge that closes a cycle is a latent deadlock: two interleavings
     exist in which the involved processes block each other forever, even
     if this particular run got lucky.  Cycles raise ``SAN-LOCK``
-    immediately.  Edges are per lock *instance* (``log0.program``).
+    immediately.  Edges are per lock *instance* (a ``LockTable`` key each).
     """
 
     def __init__(self) -> None:

@@ -37,7 +37,7 @@ from repro.sim.resources import Resource
 from repro.workloads import prepare_workload
 
 EXPECTED = {
-    "kernel": 76_865, "mixed": 5_511, "ycsb-b": 2_768, "cluster": 6_029, "gc": 7_513,
+    "kernel": 76_865, "mixed": 5_511, "ycsb-b": 2_768, "cluster": 6_029, "gc": 6_782,
 }
 
 

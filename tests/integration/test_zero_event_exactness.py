@@ -7,8 +7,8 @@ suspend programs and erases for them, and power is cut while one is
 suspended), a 2-shard cluster with cross-shard atomic Puts, and a device
 whose power is cut by ``run(until=T)`` mid-workload, each run twice:
 normally, and with the kernel's "would run next" test forced false
-(``tests/sim/zero_event_seam.py``) so every chip engine, program lock and
-NVRAM reservation is granted, every firmware context, bus and PCIe pipe
+(``tests/sim/zero_event_seam.py``) so every chip engine and NVRAM
+reservation is granted, every firmware context, bus and PCIe pipe
 hold ended, every cost delay taken, and every process completion and
 join dispatched, through the heap as before the fast paths.
 Every op must be issued and completed at the same simulated instants, the
@@ -160,6 +160,12 @@ def relocation_scenario(armed=True):
     return env, ops, observed([ssd.metrics], [ssd.tracer])
 
 
+#: How long ``flood_scenario`` waits for a die to be away from a pulse of
+#: the chosen kind: the first suspended erase lands ~46 ms into the flood
+#: (a suspended program within 1 ms), so this is four times the slowest.
+CUT_WAIT_BOUND_US = 200_000.0
+
+
 def flood_scenario(cut_while_suspended=None):
     """Three readers of keys that live on flash beside four zero-think-time
     writers: most Gets find their die mid-program, some mid-erase, and
@@ -230,7 +236,19 @@ def flood_scenario(cut_while_suspended=None):
                 return chip
         return None
 
+    def stalled_dies(programs_then):
+        return [chip.name for _channel, _index, chip in ssd.array.iter_chips()
+                if chip.stats.programs == programs_then[chip.name]]
+
+    # A device that stops programming never suspends a pulse: past the
+    # bound, fail and name the dies that went quiet instead of spinning.
+    waited_from = env.now
+    programs = {chip.name: chip.stats.programs for _c, _i, chip in ssd.array.iter_chips()}
     while die_away() is None:
+        assert env.now - waited_from < CUT_WAIT_BOUND_US, (
+            f"no die away from a pulse of kind {cut_while_suspended!r} {CUT_WAIT_BOUND_US:.0f} us "
+            f"after t={waited_from}; dies with no program since: {stalled_dies(programs)}"
+        )
         env.run(until=env.now + 5.0)
     chip = die_away()
     ops.append(("cut", chip.name, env.queue_depth, len(ops), env.now))

@@ -32,22 +32,27 @@ DELETE_BUDGET = {"kaml": 19, "flash": 0, "ssd": 10, "obs": 9, "sim": 18}
 #: obs 23 and sim 68 while each record's chunks were counted many times
 #: over, an erase mark walked the array through four calls, every page
 #: bootstrapped a flush timer and the kernel built events in two frames;
-#: kaml 36 while the batch's bytes were summed by a generator).
-PUT_BUDGET = {"kaml": 34, "flash": 14, "ssd": 14, "obs": 17, "sim": 59}
+#: kaml 36 while the batch's bytes were summed by a generator; sim 59
+#: while every page was programmed by a process of its own behind the
+#: log's program lock).
+PUT_BUDGET = {"kaml": 34, "flash": 14, "ssd": 14, "obs": 17, "sim": 45}
 #: One four-record Put of new keys through its installs, records sharing
 #: one page (before: kaml 180, flash 46, obs 38, sim 99, while each
 #: record's chunks were counted many times over and each record captured
 #: its own erase mark; kaml 78 while the batch's bytes were summed by a
 #: generator; kaml 73 while validation looked each record's namespace up
-#: through two calls).
-PUT_BATCH_BUDGET = {"kaml": 68, "flash": 14, "ssd": 32, "obs": 23, "sim": 82}
+#: through two calls; sim 82 while every page was programmed by a process
+#: of its own behind the log's program lock).
+PUT_BATCH_BUDGET = {"kaml": 68, "flash": 14, "ssd": 32, "obs": 23, "sim": 55}
 #: One GC pass of one log: two victims cleaned, two records relocated,
 #: two blocks erased, two pages read (before: obs 186, sim 331; sim 173
 #: while every completion went through the heap; kaml 207, flash 257 and
 #: sim 163 while GC read all 16 pages of its victims, dead ones too; kaml
 #: 165, obs 132 and sim 77 while the GC write point armed a flush timer;
-#: obs 124 while every GC-pass instrument was looked up on each use).
-GC_PASS_BUDGET = {"kaml": 123, "flash": 103, "ssd": 0, "obs": 102, "sim": 65}
+#: obs 124 while every GC-pass instrument was looked up on each use; sim
+#: 65 while every page was programmed by a process of its own behind the
+#: log's program lock).
+GC_PASS_BUDGET = {"kaml": 123, "flash": 103, "ssd": 0, "obs": 102, "sim": 47}
 
 def run(env, gen):
     proc = env.process(gen)

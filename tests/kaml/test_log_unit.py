@@ -560,3 +560,109 @@ def test_rescan_feeds_gc_the_larger_tail_seals_the_rest_and_skips_bad_blocks():
     assert log._active_wp == {True: 1, False: 2}
     assert log.full == [0, 2]  # the smallest tail is sealed for GC to reclaim
     assert log.free == [5, 6, 7]  # the bad block is in no list
+
+
+# -- the program queue: one flush process per busy spell ----------------------
+
+def launch_full_page(log, first_key, for_gc=False):
+    """Stage eight 8-chunk records: the page fills and launches at once."""
+    stages = [stage(log, record(key, size=1000), for_gc) for key in range(first_key, first_key + 8)]
+    return stages[0][0]
+
+
+def count_flush_processes(log):
+    """Spy on the log: how many flush processes it started."""
+    started = []
+    flush_process = log._flush_process
+
+    def spy():
+        started.append(log.env.now)
+        return flush_process()
+
+    log._flush_process = spy
+    return started
+
+
+def test_pages_launched_on_a_busy_log_program_in_launch_order_from_one_process():
+    env, log, hooks, array = make_log(flush_timeout=10_000_000.0)
+    started = count_flush_processes(log)
+    pages = [launch_full_page(log, 8 * k) for k in range(3)]
+    assert len(log._flush_queue) == 3 and started == [0.0]
+    env.run(until=1_000_000.0)  # the timer the first append armed has not fired
+    assert started == [0.0]
+    assert [(page.value.block, page.value.page) for page in pages] == [(0, 0), (0, 1), (0, 2)]
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 3
+    assert not log._programming and not log._flush_queue
+    # One bootstrap, a completion per page, and for the two pages that
+    # start behind a completion due at the same instant one delay each (a
+    # process per page behind a program lock took 11 events).
+    assert env.events_processed == 6
+
+
+def test_parked_host_page_requeues_behind_pages_launched_meanwhile():
+    env, log, hooks, array = make_log(blocks=8, pages=4, flush_timeout=10_000_000.0)
+    log.gc_running = True  # a GC pass is due to free space
+    log.free = []
+    parked = launch_full_page(log, 0)
+    env.run(until=1.0)
+    assert log.space_gate.waiting == 1 and not log._programming
+    log.free = [5]  # GC's stream may take the last block, the host's may not
+    gc_pages = [launch_full_page(log, 100 + 8 * k, for_gc=True) for k in range(2)]
+    host_page = launch_full_page(log, 200)
+    env.run(until=2.0)  # the first GC page is programming
+    log.free += [6, 7]
+    log.space_gate.fire()
+    env.run(until=10_000.0)
+    order = [(page.value.block, page.value.page) for page in (*gc_pages, host_page, parked)]
+    assert order == [(5, 0), (5, 1), (6, 0), (6, 1)]
+    assert log.space_gate.waiting == 0 and not log._programming
+
+
+def test_parked_page_keeps_its_failed_attempts():
+    env, log, hooks, array = make_log(blocks=8, pages=2)
+    attempts = []
+    array.chip(0, 0).fault_hook = lambda op, block, page: attempts.append((block, page)) or True
+    log.gc_running = True
+    log._active[False], log._active_wp[False] = 3, 0  # two pages left, then none
+    log.free = []
+    page = launch_full_page(log, 0)
+    env.run(until=5_000.0)
+    assert attempts == [(3, 0), (3, 1)] and log.space_gate.waiting == 1
+    log.free = [4, 5, 6]
+    log.space_gate.fire()
+    env.run(until=10_000.0)
+    # Two failed attempts before the park, two after: four in all.
+    assert attempts == [(3, 0), (3, 1), (4, 0), (4, 1)]
+    assert len(attempts) == KamlLog.MAX_PROGRAM_RETRIES
+    assert isinstance(page.exception, LogSpaceError)
+    assert "failed 4 times" in str(page.exception)
+
+
+class CutPower(Exception):
+    """What the fault injector raises at a crash point."""
+
+
+def test_crash_point_mid_flush_leaves_the_log_programmable_after_recovery():
+    env, log, hooks, array = make_log(flush_timeout=10_000_000.0)
+    cuts = []
+
+    def crash_point(name):
+        if name == "log.mid_flush" and not cuts:
+            cuts.append(env.now)
+            array.power_loss()
+            log.power_loss()
+            hooks.epoch += 1
+            raise CutPower(name)
+
+    log._crash_point = crash_point
+    lost = [launch_full_page(log, 8 * k) for k in range(2)]
+    try:
+        env.run()
+    except CutPower:
+        pass
+    assert cuts == [0.0] and not log._flush_queue and not log._programming
+    run(env, log.rescan())
+    page = launch_full_page(log, 100)
+    env.run(until=1_000_000.0)
+    assert (page.value.block, page.value.page) == (0, 0)  # the lost pages never landed
+    assert not any(event.triggered for event in lost)
