@@ -471,6 +471,8 @@ class KamlLog:
                 block_key = self.block_key(block_index)
                 pin_wait_start = self.env.now
                 yield from self.hooks.wait_unpinned(block_key)
+                if self.hooks.epoch != epoch:
+                    return  # the cut woke the barrier: erase nothing
                 if ctx is not None:
                     if self.env.now > pin_wait_start:
                         ctx.record_span(

@@ -261,6 +261,9 @@ class Mapping:
         self.epoch += 1
         self._staged.clear()  # replay rebuilds the installs
         self._pins.clear()
+        # A GC pass parked at its pre-erase barrier wakes now, in the cut's
+        # instant, and ends before recovery can start another pass.
+        self._pin_gate.fire()
         self._doomed_blocks.clear()  # the pending erases died with the power
         self._installed_versions.clear()
         self._valid_bytes.clear()

@@ -104,6 +104,96 @@ def test_crash_during_gc_preserves_data():
     assert hot_ok
 
 
+def test_a_gc_pass_parked_at_the_pin_barrier_erases_nothing_after_a_cut():
+    """Power is cut 1 us after GC reaches its pre-erase barrier while a Get
+    still pins the victim.  The parked pass is a ghost: it must end at the
+    cut, not wake on the first unpin after recovery and erase its old
+    victim, which recovery may have chosen to serve a key from (the
+    relocated copy carries the same sequence number)."""
+    env, ssd = make_small_ssd()
+    mapping = ssd.mapping
+    cold = list(range(60))
+    hot = list(range(1000, 1024))
+    acked = {}
+    state = {}
+    cut = env.event()
+    doomed, barrier = mapping.block_doomed, mapping.wait_unpinned
+
+    def dooming(block_key):
+        state["victim"] = block_key
+        doomed(block_key)
+
+    def watching(block_key):
+        if mapping.pinned_blocks().get(block_key) and "cut" not in state:
+            state["cut"] = block_key
+            env.process(power_cut())
+        return barrier(block_key)
+
+    def power_cut():
+        yield env.timeout(1.0)
+        ssd.power_loss()
+        cut.succeed()
+
+    mapping.block_doomed, mapping.wait_unpinned = dooming, watching
+
+    def reader(r, nsid):
+        # Real Gets of the cold keys, preferring those in GC's victim.
+        index = ssd.namespaces[nsid].index
+        try:
+            for i in range(r, 100_000):
+                if cut.triggered:
+                    return
+                near = [
+                    key for key in cold
+                    if getattr(index.lookup(key)[0], "block_key", None) == state.get("victim")
+                ]
+                pool = near or cold
+                yield from ssd.get(nsid, pool[(i * 7) % len(pool)])
+                yield env.timeout(5.0)
+        except PowerLossError:
+            return
+
+    def writer(nsid):
+        try:
+            for n in range(1, 100_000):
+                if cut.triggered:
+                    return
+                key = hot[n % len(hot)]
+                yield from ssd.put([PutItem(nsid, key, ("hot", key, n), 2048)])
+                if not cut.triggered:
+                    acked[key] = ("hot", key, n)
+                yield env.timeout(300.0)
+        except PowerLossError:
+            return
+
+    def load():
+        nsid = yield from ssd.create_namespace(NamespaceAttributes(expected_keys=128))
+        for i in range(len(cold)):
+            for key in (cold[i], *hot[i:i + 1]):
+                yield from ssd.put([PutItem(nsid, key, ("v", key), 2048)])
+                acked[key] = ("v", key)
+        return nsid
+
+    nsid = run(env, load())
+    for r in range(4):
+        env.process(reader(r, nsid))
+    env.process(writer(nsid))
+    env.run_until(cut)
+    mapping.block_doomed, mapping.wait_unpinned = doomed, barrier
+
+    def read_back():
+        yield from ssd.recover()
+        values = {}
+        for key in sorted(acked):
+            values[key] = yield from ssd.get(nsid, key)
+        yield from ssd.drain()
+        return values
+
+    assert run(env, read_back()) == acked
+    erases = sum(block.erase_count for block in ssd.logs[0]._chip().blocks)
+    assert erases == ssd.metrics.total("kaml.log.gc.erased_blocks")
+
+
 def test_double_crash_recover():
     """Crash, recover, crash again immediately, recover again."""
     env, ssd = make_small_ssd()
