@@ -21,8 +21,8 @@ Performance notes (see ``docs/performance.md`` for the full story):
   the pop-advance-dispatch sequence with local variable bindings instead of
   calling :meth:`step` per event.
 * Cancellation is cheap: :meth:`Event.defuse` turns a scheduled event into
-  a guaranteed no-op without touching the heap; the environment compacts
-  the heap only when defused ghosts pile up.
+  a guaranteed no-op without touching the heap; the ghost is popped like
+  any other entry.
 * Uncontended acquisitions and uninterrupted delays cost no event at
   all: when :meth:`Environment._would_run_next` proves that a grant
   scheduled now, or a timeout scheduled for ``now + delay``, would be the
@@ -53,7 +53,7 @@ event-only, not exact: a finished process nobody waits on (DESIGN.md,
 from __future__ import annotations
 
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -63,11 +63,6 @@ from repro.errors import ReproError
 #: released resource is re-granted before ordinary timeouts at the same time.
 URGENT = 0
 NORMAL = 1
-
-#: Compact the heap once at least this many defused ghosts are buried in it
-#: (and they outnumber live entries — see :meth:`Environment._compact`).
-_COMPACT_MIN_GHOSTS = 64
-
 
 class SimulationError(ReproError):
     """Raised for misuse of the simulation kernel."""
@@ -162,16 +157,14 @@ class Event:
         heap entry become a no-op instead of deleting it.
 
         Contract: the caller guarantees nothing will wait on this event
-        afterwards.  The environment counts defused ghosts and compacts the
-        heap when they dominate, so a defused event costs (amortised) O(1).
+        afterwards.  The ghost stays in the heap until it is popped: its
+        dispatch moves the clock and counts in ``events_processed`` as the
+        live event's would have.
         """
         if self._processed or self._defused:
             return
         self.callbacks = None
         self._defused = True
-        if self._triggered:
-            # It is sitting in the heap; let the environment reclaim it.
-            self.env._note_defused()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -211,7 +204,6 @@ class Environment:
         self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._ndefused = 0
         #: Total events dispatched over the environment's lifetime (what
         #: kamlbench's ``sim_events_per_op`` and the event-count test count).
         self.events_processed = 0
@@ -248,7 +240,7 @@ class Environment:
 
     @property
     def queue_depth(self) -> int:
-        """Pending heap entries, including not-yet-reclaimed ghosts."""
+        """Pending heap entries, defused ghosts included."""
         return len(self._queue)
 
     # -- event construction helpers -------------------------------------
@@ -440,22 +432,6 @@ class Environment:
                 self._fanning_out = False
             last(event)
 
-    def _note_defused(self) -> None:
-        self._ndefused = ghosts = self._ndefused + 1
-        if ghosts >= _COMPACT_MIN_GHOSTS and ghosts * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop defused ghost entries from the heap.
-
-        Removing entries never reorders the survivors — the heap is ordered
-        by the total ``(time, priority, sequence)`` key — and a defused
-        event's dispatch was a guaranteed no-op, so behavior is unchanged.
-        """
-        self._queue = [entry for entry in self._queue if not entry[3]._defused]
-        heapify(self._queue)
-        self._ndefused = 0
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -467,8 +443,6 @@ class Environment:
         when, _priority, _eid, event = heappop(self._queue)
         self.now = when
         self.events_processed += 1
-        if event._defused:
-            self._ndefused -= 1
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         if callbacks:
@@ -501,8 +475,6 @@ class Environment:
                 when, _priority, _eid, popped = pop(queue)
                 self.now = when
                 dispatched += 1
-                if popped._defused:
-                    self._ndefused -= 1
                 callbacks, popped.callbacks = popped.callbacks, None
                 popped._processed = True
                 if callbacks:
@@ -517,8 +489,6 @@ class Environment:
                         self._fanning_out = False
                     if last is not None:
                         last(popped)
-                if queue is not self._queue:  # compacted mid-flight
-                    queue = self._queue
         finally:
             self._fanning_out = False
             self._until = None
@@ -544,8 +514,6 @@ class Environment:
                 when, _priority, _eid, event = pop(queue)
                 self.now = when
                 dispatched += 1
-                if event._defused:
-                    self._ndefused -= 1
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
                 if callbacks:
@@ -559,8 +527,6 @@ class Environment:
                             callback(event)
                         self._fanning_out = False
                     last(event)
-                if queue is not self._queue:  # compacted mid-flight
-                    queue = self._queue
         finally:
             self._fanning_out = False
             self._horizon = float("inf")

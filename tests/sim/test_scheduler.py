@@ -1,14 +1,13 @@
 """Scheduler-internals tests: tie ordering, cancellation, batching.
 
-The fast-path kernel (slotted events, lazy callback lists, counted
-ghost cancellation, heap compaction) must preserve the dispatch
-contract of the original tuple-heap loop: events fire in strict
-``(time, priority, seq)`` order, and cancelled events are invisible to
-everything but the ghost accounting.
+The fast-path kernel (slotted events, lazy callback lists, cheap ghost
+cancellation) must preserve the dispatch contract of the original
+tuple-heap loop: events fire in strict ``(time, priority, seq)`` order,
+and a cancelled event fires no callback but is still popped and counted.
 """
 
 from repro.sim import Environment
-from repro.sim.core import NORMAL, URGENT, Event, _COMPACT_MIN_GHOSTS
+from repro.sim.core import NORMAL, URGENT, Event
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_same_tick_batch_holds_clock_constant():
 
 
 # ---------------------------------------------------------------------------
-# Cancellation (defuse) and ghost accounting
+# Cancellation (defuse)
 # ---------------------------------------------------------------------------
 
 def test_defused_event_never_fires():
@@ -84,49 +83,18 @@ def test_defused_event_never_fires():
     assert env.now == 1.0  # the ghost still advances the clock when popped
 
 
-def test_defuse_is_idempotent_in_ghost_accounting():
+def test_a_defused_ghost_stays_queued_and_counts_as_a_dispatch():
     env = Environment()
-    timeout = env.timeout(1.0)
-    timeout.defuse()
-    timeout.defuse()
-    assert env._ndefused == 1
-    env.run()
-    assert env._ndefused == 0
-
-
-def test_compaction_drops_ghosts_and_keeps_survivor_order():
-    env = Environment()
-    order = []
-    # One live event far in the future, plus enough ghosts to trip the
-    # compaction threshold (>= _COMPACT_MIN_GHOSTS and > half the queue).
-    survivors = []
-    for tag in range(4):
-        event = Event(env)
-        event.add_callback(lambda _e, tag=tag: order.append(tag))
-        env._schedule(event, 100.0 + tag)
-        survivors.append(event)
-    ghosts = [env.timeout(50.0) for _ in range(_COMPACT_MIN_GHOSTS + 8)]
-    for ghost in ghosts:
-        ghost.defuse()
-    # The 64th defuse crossed the threshold (ghosts outnumbered the live
-    # entries), so those ghosts were physically dropped; the 8 defused
-    # after the compaction are still buried in the heap.
-    assert env._ndefused == 8
-    assert env.queue_depth == len(survivors) + 8
-    env.run()
-    assert order == [0, 1, 2, 3]
-    assert env._ndefused == 0  # popping a ghost settles the account
-
-
-def test_queue_depth_includes_ghosts_until_compaction():
-    env = Environment()
+    fired = []
     env.timeout(1.0)
     ghost = env.timeout(2.0)
+    ghost.add_callback(lambda _e: fired.append(True))
     ghost.defuse()
-    # Below the compaction threshold the ghost stays in the heap; only
-    # the ghost counter knows it is dead.
+    ghost.defuse()  # idempotent
     assert env.queue_depth == 2
-    assert env._ndefused == 1
+    env.run()
+    assert fired == [] and env.now == 2.0
+    assert env.events_processed == 2
 
 
 def test_events_processed_counts_dispatches():
