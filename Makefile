@@ -3,12 +3,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-diff bench-smoke prof perf-gate rebaseline obs-demo crash-matrix cluster-matrix record replay
+.PHONY: test test-sanitized lint kamllint lint-deep format bench bench-aa bench-record bench-diff bench-smoke prof perf-gate rebaseline obs-demo record replay
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 # Tier-1 suite with the runtime invariant sanitizers armed (SAN-* checks).
+# Tier-1 includes the crash matrix (every crash point x 3 seeds) and the
+# serving-tier matrix (2/4/8 shards x 3 seeds), so this runs both sanitised.
 test-sanitized:
 	KAML_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
@@ -57,8 +59,8 @@ bench-diff:
 	@test -n "$(FROM)" -a -n "$(TO)" || { echo "usage: make bench-diff FROM=<n> TO=<n> [MOVED=[workload/]metric,...]"; exit 2; }
 	$(PYTHON) benchmarks/bench_diff.py $(FROM) $(TO) --moved "$(MOVED)"
 
-# The CI smoke benchmarks: Figure 5 leaves metrics + Chrome trace +
-# flight-recorder artifacts in benchmarks/artifacts/ (the perf gate reads
+# The CI smoke benchmarks: Figure 5 leaves metrics + Chrome trace
+# artifacts in benchmarks/artifacts/ (the perf gate reads
 # the metrics); Figures 10 and 8 guard read and write parallelism, the QoS
 # ablation guards read isolation (dies suspending programs for host reads),
 # the GC-policy ablation KAML GC, the index-flush ablation and Figure 7
@@ -95,18 +97,6 @@ perf-gate:
 # you commit the result.
 rebaseline: bench-smoke
 	$(PYTHON) benchmarks/compare_baseline.py --rebaseline
-
-# Power-loss crash-consistency matrix: every crash point x 3 seeds, with
-# runtime sanitizers armed — the same sweep the CI crash-matrix job runs.
-crash-matrix:
-	KAML_SANITIZE=1 $(PYTHON) -m repro.harness crash --matrix --seeds 1,2,3
-
-# Sharded serving-tier matrix: shard counts x 3 seeds, each cell driving
-# the multi-tenant workload plus a mid-run autobalancer migration, with
-# runtime sanitizers armed — the same sweep the CI cluster-matrix job runs.
-cluster-matrix:
-	KAML_SANITIZE=1 $(PYTHON) -m repro.harness cluster \
-		--shards 2,4,8 --seeds 1,2,3
 
 obs-demo:
 	$(PYTHON) -m repro.harness prof --workload mixed --ops 200 --slo-put-us 100 \

@@ -57,10 +57,10 @@ def artifact():
 
 @pytest.fixture
 def trace_artifact():
-    """Export a tracer's flight-recorder window as Chrome trace + JSONL.
+    """Export a tracer's flight-recorder window as a Chrome trace.
 
-    CI uploads both alongside the metrics artifact, so every smoke-bench
-    run leaves a Perfetto-loadable trace and the raw span stream behind.
+    CI uploads it alongside the metrics artifact, so every smoke-bench
+    run leaves a Perfetto-loadable trace behind.
     """
     from repro.obs import write_chrome_trace
 
@@ -70,7 +70,6 @@ def trace_artifact():
         write_chrome_trace(
             str(trace_path), tracer.recorder.events(), process_name=name
         )
-        tracer.recorder.write_jsonl(str(ARTIFACTS_DIR / f"{name}_flight.jsonl"))
         return trace_path
 
     return _trace_artifact

@@ -1,7 +1,8 @@
 """Fault injection and crash-consistency verification.
 
-Three layers, used together by the ``repro.harness crash`` CLI and the
-CI crash matrix (see ``docs/recovery.md`` and ``docs/cluster.md``):
+Three layers, used together by the crash matrix in tier-1
+(``tests/fault/test_crash_matrix.py``; see ``docs/recovery.md`` and
+``docs/cluster.md``):
 
 * :mod:`repro.fault.plan` — named crash points (device-side and
   cluster-coordinator-side) and the one power-loss injector that cuts

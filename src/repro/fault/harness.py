@@ -161,10 +161,6 @@ class DeviceTarget:
     def metrics(self) -> Any:
         return self.stack.metrics
 
-    @property
-    def recorder(self) -> Any:
-        return self.stack.tracer.recorder
-
     def power_loss(self) -> None:
         self.stack.power_loss()
 
@@ -455,7 +451,6 @@ def run_on(
         "in_flight_ops": shadow.in_flight_ops,
         **target.facts(),
         "sim_time_us": env.now,
-        "recorder": target.recorder,
         "metrics": target.metrics,
     }
 
@@ -558,7 +553,6 @@ def run_matrix(
                         "hit": None,
                         "crashed": False,
                         "fired": None,
-                        "recorder": profile["recorder"],
                         **layer,
                     }
                 )

@@ -8,12 +8,13 @@ harness subcommands (each has its own ``--help``)::
     python -m repro.harness all           # the full evaluation
     python -m repro.harness --list
     python -m repro.harness prof --workload ycsb-b           # seeded-run driver
-    python -m repro.harness crash --matrix                   # crash matrix
     python -m repro.harness replay /tmp/cap.jsonl.gz         # journal replay
 
 ``prof`` is the one driver of a seeded workload on the full store stack:
 the kamlprof breakdown, SLO breach dumps, a Chrome trace and the op
-journal are all views of its one run.
+journal are all views of its one run.  The crash and serving-tier
+matrices are tier-1 tests (``tests/fault/test_crash_matrix.py``,
+``tests/cluster/test_serving_matrix.py``), not subcommands.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import sys
 
 from repro.harness import (
     ablations,
-    cluster_cli,
-    crash_cli,
     experiments,
     format_table,
     prof_cli,
@@ -53,8 +52,6 @@ EXPERIMENTS = {
 #: this table.  ``run(args)`` returns an exit code or a report dict.
 COMMANDS = {
     "prof": ("seeded run: profile, SLOs, trace, journal", prof_cli.add_arguments, prof_cli.run),
-    "crash": ("crash-consistency matrix", crash_cli.add_arguments, crash_cli.run),
-    "cluster": ("sharded serving-tier matrix", cluster_cli.add_arguments, cluster_cli.run),
     "replay": ("re-issue a captured journal", trace_cli.add_replay_arguments, trace_cli.run_replay),
 }
 

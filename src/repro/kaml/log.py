@@ -534,11 +534,16 @@ class KamlLog:
                 self.free.append(block_index)
                 self.space_gate.fire()
         finally:
-            self.gc_running = False
-            if ctx is not None:
-                ctx.close()
-            # Wake any flush that was waiting so it can re-check state.
-            self.space_gate.fire()
+            # A ghost pass (power was cut under it) touches nothing: the
+            # cut cleared the flag, a pass started since owns it, and a
+            # pass parked on an event the cut dropped only ends here when
+            # the garbage collector finalizes it, at no fixed instant.
+            if self.hooks.epoch == epoch:
+                self.gc_running = False
+                if ctx is not None:
+                    ctx.close()
+                # Wake any flush that was waiting so it can re-check state.
+                self.space_gate.fire()
 
     def _gc_feasible(self, candidate: GcCandidate) -> bool:
         """Can the victim's survivors fit in the pages GC can reach?

@@ -25,8 +25,9 @@ never inferred from a global stack across yields.
 
 Completed spans land in a :class:`FlightRecorder` — a bounded ring that
 cheaply retains the last N events so the window around any anomaly (an
-SLO breach, a GC stall) can be dumped after the fact as JSONL or as a
-Chrome ``trace_event`` file loadable in Perfetto / ``chrome://tracing``.
+SLO breach, a GC stall) can be dumped after the fact as a Chrome
+``trace_event`` file loadable in Perfetto / ``chrome://tracing``, or as
+export dicts in an SLO breach dump.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class SpanEvent:
         return self.start_us <= end_us and span_end >= start_us
 
     def export(self) -> Dict[str, Any]:
-        """JSONL-ready dict (deterministic through ``json.dumps`` sorting)."""
+        """JSON-ready dict (deterministic through ``json.dumps`` sorting)."""
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -300,20 +301,6 @@ class FlightRecorder:
     def clear(self) -> None:
         self._events.clear()
         self.recorded = 0
-
-    # -- exports ---------------------------------------------------------
-
-    def to_jsonl(self, events: Optional[Iterable[SpanEvent]] = None) -> str:
-        """One sorted-key JSON object per line (diff-friendly)."""
-        source = self.events() if events is None else events
-        return "\n".join(json.dumps(event.export(), sort_keys=True) for event in source)
-
-    def write_jsonl(self, path: str, events: Optional[Iterable[SpanEvent]] = None) -> None:
-        with open(path, "w") as handle:
-            text = self.to_jsonl(events)
-            if text:
-                handle.write(text)
-                handle.write("\n")
 
 
 def chrome_trace(

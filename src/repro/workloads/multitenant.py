@@ -9,8 +9,8 @@ cross-worker races).  A slice of each tenant's puts are multi-key
 batches over consecutive keys — in a hashed namespace those straddle
 shards and exercise the host-side 2PC path.
 
-Used by ``repro.harness cluster`` and the cluster CI matrix; see
-docs/cluster.md.
+Used by the serving-tier matrix (``tests/cluster/test_serving_matrix.py``);
+see docs/cluster.md.
 """
 
 from __future__ import annotations

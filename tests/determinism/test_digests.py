@@ -4,7 +4,10 @@ Each scenario runs a miniature but fully representative workload with a
 pinned seed and hashes the *results* (figure rows, crash verdicts,
 simulated clock) into a SHA-256 digest.  The expected values were
 captured on the pre-rewrite tuple-heap kernel; the rewritten scheduler
-must reproduce them bit-for-bit — same seeds, same results.
+must reproduce them bit-for-bit — same seeds, same results.  The seventh,
+``matrices``, hashes the cell facts of the two full sweeps that tier-1
+runs once per session (the ``crash_matrix`` and ``serving_matrix``
+fixtures in ``tests/conftest.py``).
 
 If a digest changes, the simulation's behavior changed.  That is only
 acceptable for a deliberate semantic change (a new timing model, a
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.fault.harness import pick_hit, run_scenario
 from repro.fault.plan import FaultPlan
@@ -285,6 +288,34 @@ def op_instants_mini() -> Dict[str, Any]:
     return payload
 
 
+def matrices(crash: Dict[str, Any], serving: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The cell facts of the crash and serving-tier matrices, without the
+    live metrics registry a crash cell carries.
+
+    Crash cells: seed, point, hit, verdict, op counts and the simulated
+    clock; serving cells: ops/s, rebalances, sheds and the per-tenant
+    rows.  A change that moves one crash cell's cut, one recovery's
+    outcome or one serving cell's throughput moves this digest.
+    """
+    crash_keys = (
+        "seed", "point", "hit", "ok", "failures", "ops", "acked_ops",
+        "in_flight_ops", "sim_time_us",
+    )
+    serving_keys = ("shards", "seed", "ops_per_sec", "rebalances", "total_sheds", "tenants")
+    return {
+        "crash": [{k: cell.get(k) for k in crash_keys} for cell in crash["cells"]],
+        "serving": [{k: cell[k] for k in serving_keys} for cell in serving],
+    }
+
+
+def matrices_from_scratch() -> Dict[str, Any]:
+    """:func:`matrices` over fresh sweeps (what the session fixtures run)."""
+    from tests.cluster.test_serving_matrix import run_serving_matrix
+    from tests.fault.test_crash_matrix import run_crash_matrix
+
+    return matrices(run_crash_matrix(), run_serving_matrix())
+
+
 SCENARIOS = {
     "fig5_mini": fig5_mini,
     "fig10_mini": fig10_mini,
@@ -292,6 +323,7 @@ SCENARIOS = {
     "prof_breakdown_mini": prof_breakdown_mini,
     "ycsb_replay_mini": ycsb_replay_mini,
     "op_instants_mini": op_instants_mini,
+    "matrices": matrices_from_scratch,
 }
 
 #: Captured on the pre-rewrite kernel (commit ad2ae2b lineage); see
@@ -314,7 +346,12 @@ SCENARIOS = {
 #: acknowledges it (the other four did not move).  ``op_instants_mini``
 #: alone moved under the same protocol when a 2PC participant's commit
 #: began probing as a Put does (its 2-shard cluster half is the only
-#: window that runs 2PC).
+#: window that runs 2PC).  ``matrices`` was added when the two sweeps
+#: became tier-1 tests, together with the fence that keeps a ghost GC
+#: pass's cleanup off the recovered log.  Before that fence one crash
+#: cell's clock depended on when the garbage collector finalized the
+#: ghost; with the collector off, the tree before that change hashes to
+#: the same value.
 EXPECTED = {
     "fig5_mini": "b74362e1849c1af9b142e74e0fda9160051647ed8ad37000b9389aaecf0eb63d",
     "fig10_mini": "3e99b52471f89f5bfeaa5cf1f6d95872f09176b5b75a64dc8e976e7041e715cc",
@@ -322,6 +359,7 @@ EXPECTED = {
     "prof_breakdown_mini": "29263d6fb9c84114b78bb87689442b794e90e7c86bdbec07151b76b0d1767e34",
     "ycsb_replay_mini": "122f35598415dd799bc7babe290506750465717b004ecbfd1494368977f16fa0",
     "op_instants_mini": "76ac7edb2d7cd340cd120fd8e0d9edff2d596bd53e2d3341c24f5a31a2493c24",
+    "matrices": "198a7f97358f5008f58d02cd4c72540b987073deb91f3bb0c0ce7dd50cfa4d1b",
 }
 
 
@@ -351,6 +389,10 @@ def test_ycsb_replay_mini_digest():
 
 def test_op_instants_mini_digest():
     assert digest(op_instants_mini()) == EXPECTED["op_instants_mini"]
+
+
+def test_matrices_digest(crash_matrix, serving_matrix):
+    assert digest(matrices(crash_matrix, serving_matrix)) == EXPECTED["matrices"]
 
 
 if __name__ == "__main__":

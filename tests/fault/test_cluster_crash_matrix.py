@@ -1,9 +1,14 @@
-"""Cluster 2PC crash matrix: coordinator cuts must stay all-or-nothing."""
+"""Cluster 2PC crash cells: coordinator cuts must stay all-or-nothing.
+
+The matrix's cluster cells run with the device cells in
+``test_crash_matrix.py``; these cut each coordinator point at its first
+occurrence and check how recovery resolved it.
+"""
 
 import pytest
 
 from repro.cluster import key_shard_slot
-from repro.fault.harness import group_keys, run_matrix, run_scenario
+from repro.fault.harness import group_keys, run_scenario
 from repro.fault.plan import CLUSTER_CRASH_POINTS, FaultPlan
 
 
@@ -42,13 +47,3 @@ def test_coordinator_cut_recovers_all_or_nothing(point):
     else:
         assert cell["recovered_committed"] >= 1
 
-
-def test_cluster_matrix_single_seed_is_green():
-    report = run_matrix([2], shards=2)
-    assert report["ok"], [
-        cell["failures"] for cell in report["cells"] if not cell["ok"]
-    ]
-    assert report["points"] == list(CLUSTER_CRASH_POINTS)
-    armed = [cell for cell in report["cells"] if cell["point"] is not None]
-    assert len(armed) == len(CLUSTER_CRASH_POINTS)
-    assert all(cell["crashed"] for cell in armed)

@@ -15,6 +15,7 @@ from repro.kaml import (
     PutItem,
     RecordTooLargeError,
 )
+from repro.kaml.log import LogSpaceError
 from repro.kaml.read import staged_keys
 from repro.kaml.record import Record
 from repro.sim import Environment
@@ -601,6 +602,47 @@ def test_delete_churn_keeps_the_pin_of_a_batch_whose_reappend_finds_the_device_f
     assert held and pinned
     ssd.power_loss()
     assert len(ssd.nvram) == held
+
+
+@pytest.mark.xfail(
+    strict=True, raises=LogSpaceError,
+    reason="no admission before the ack: replay after delete churn finds the device full",
+)
+def test_delete_churn_then_a_power_cut_reads_every_acked_key_back():
+    """The churn loop above, run on through a power cut: recovery must
+    replay every pinned batch, and every acked key must read back as
+    acked.  Today recovery runs out of room (``LogSpaceError``); once a
+    Put is refused before its ack when flash cannot hold it, this passes."""
+    env, ssd = make_ssd()
+    failures = ssd.metrics.counter("kaml.ssd.put_append_failures")
+    acked = {}
+
+    def churn(client, nsid):
+        for i in range(100_000):
+            if failures.value:
+                return
+            keys = [(2 * i + client) * 4 + j for j in range(4)]
+            yield from ssd.put([PutItem(nsid, k, ("v", k), 1024) for k in keys])
+            acked.update((k, ("v", k)) for k in keys)
+            yield from ssd.put([PutItem(nsid, k, TOMBSTONE, 0) for k in keys])
+            acked.update((k, None) for k in keys)
+
+    def flow():
+        nsid = yield from ssd.create_namespace(NamespaceAttributes(expected_keys=64))
+        yield env.all_of([env.process(churn(client, nsid)) for client in range(2)])
+        return nsid
+
+    nsid = run(env, flow())
+    ssd.power_loss()
+
+    def read_back():
+        yield from ssd.recover()
+        values = {}
+        for key in sorted(acked):
+            values[key] = yield from ssd.get(nsid, key)
+        return values
+
+    assert run(env, read_back()) == acked
 
 
 def test_overlapping_gets_of_one_block_leave_no_pin_behind():

@@ -202,18 +202,6 @@ def test_trace_filter_and_clear(tracer, clock):
     assert tracer.recorder.recorded == 0
 
 
-def test_jsonl_round_trips(tracer, tmp_path):
-    ctx = tracer.request("op")
-    ctx.record_span("x", start_us=1.0, end_us=2.0, key=7)
-    ctx.close()
-    path = tmp_path / "flight.jsonl"
-    tracer.recorder.write_jsonl(str(path))
-    lines = path.read_text().strip().splitlines()
-    rows = [json.loads(line) for line in lines]
-    assert len(rows) == len(tracer.recorder.events())
-    assert any(row["name"] == "x" and row["tags"] == {"key": 7} for row in rows)
-
-
 # ---------------------------------------------------------------------------
 # Chrome trace_event export schema (what Perfetto/chrome://tracing accept)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Multi-tenant cluster workload: the tenant population.  The cluster
+"""Multi-tenant cluster workload: the tenant population.  The serving-tier
 matrix drives the workload end to end and reads every acknowledged
-write back (tests/harness/test_cluster_cli.py)."""
+write back (tests/cluster/test_serving_matrix.py)."""
 
 from repro.workloads.multitenant import DEFAULT_TENANTS
 
