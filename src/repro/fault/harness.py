@@ -43,6 +43,7 @@ from repro.config import FlashGeometry, KamlParams, ReproConfig
 from repro.errors import PowerLossError
 from repro.fault.flashfault import FlashFaultInjector
 from repro.fault.plan import (
+    ALL_CRASH_POINTS,
     CLUSTER_CRASH_POINTS,
     CRASH_POINTS,
     FaultPlan,
@@ -499,33 +500,21 @@ def run_matrix(
     seeds: List[int],
     points: Optional[List[str]] = None,
     ops_per_writer: Optional[int] = None,
-    program_fail_rate: float = 0.0,
-    erase_fail_rate: float = 0.0,
-    *,
-    shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Sweep crash points x seeds; each cell is one armed scenario.
 
     Device points run on a device, coordinator points on a cluster of
-    ``shards``; ``points=None`` means every device point, or
-    every coordinator point when ``shards`` is given.  A point the
-    counting pass never saw is a failing cell: the matrix must exercise
-    every crash point, not silently skip it.
+    ``DEFAULT_SHARDS``; ``points=None`` means every crash point.  A point
+    the counting pass never saw is a failing cell: the matrix must
+    exercise every crash point, not silently skip it.
     """
-    if points is None:
-        points = CRASH_POINTS if shards is None else CLUSTER_CRASH_POINTS
-    points = list(points)
+    points = list(ALL_CRASH_POINTS if points is None else points)
 
-    scenario = partial(
-        run_scenario,
-        ops_per_writer=ops_per_writer,
-        program_fail_rate=program_fail_rate,
-        erase_fail_rate=erase_fail_rate,
-    )
+    scenario = partial(run_scenario, ops_per_writer=ops_per_writer)
     cells: List[Dict[str, Any]] = []
     for layer_shards, layer_points in (
         (None, [p for p in points if p in CRASH_POINTS]),
-        (shards or DEFAULT_SHARDS, [p for p in points if p in CLUSTER_CRASH_POINTS]),
+        (DEFAULT_SHARDS, [p for p in points if p in CLUSTER_CRASH_POINTS]),
     ):
         if not layer_points:
             continue

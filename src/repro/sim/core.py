@@ -64,6 +64,7 @@ from repro.errors import ReproError
 URGENT = 0
 NORMAL = 1
 
+
 class SimulationError(ReproError):
     """Raised for misuse of the simulation kernel."""
 

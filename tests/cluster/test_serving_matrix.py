@@ -40,6 +40,9 @@ HOT_THINK_US = (5.0, 30.0)
 #: trigger would need the skew writer to out-issue the whole background
 #: population, so the cells run the detector at a gentler ratio.
 HOT_RATIO = 1.2
+#: Hot-shard sampling and autobalancer check periods.
+COLLECTOR_INTERVAL_US = 2_000.0
+BALANCE_INTERVAL_US = 8_000.0
 
 
 def _hot_writer(env: Environment, cluster: KamlCluster, seed: int,
@@ -57,24 +60,19 @@ def _hot_writer(env: Environment, cluster: KamlCluster, seed: int,
         model[key] = value
 
 
-def run_cluster_cell(
-    num_shards: int,
-    seed: int,
-    collector_interval_us: float = 2_000.0,
-    balance_interval_us: float = 8_000.0,
-) -> Dict[str, Any]:
+def run_cluster_cell(num_shards: int, seed: int) -> Dict[str, Any]:
     """One (shard count, seed) cell: workload + mid-run rebalance + verify."""
     env = Environment()
     cluster = KamlCluster.build(
         env, default_device_config(), ClusterConfig(num_shards=num_shards)
     )
-    collector = TimeSeriesCollector(env, interval_us=collector_interval_us)
+    collector = TimeSeriesCollector(env, interval_us=COLLECTOR_INTERVAL_US)
     install_cluster_probes(collector, cluster)
     collector.start()
     detector = HotShardDetector(collector, cluster, hot_ratio=HOT_RATIO)
     balancer = Autobalancer(
         cluster, detector,
-        check_interval_us=balance_interval_us, max_migrations=2,
+        check_interval_us=BALANCE_INTERVAL_US, max_migrations=2,
     )
     workload = MultiTenantWorkload(env, cluster, seed=seed)
     hot_model: Dict[int, Any] = {}

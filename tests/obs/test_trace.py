@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.obs import (
-    FlightRecorder,
     Tracer,
     chrome_trace,
     write_chrome_trace,
