@@ -157,11 +157,10 @@ class MultiTenantWorkload:
         )
         namespace = spec.namespace()
         result = self.results[spec.name]
-        # This worker's exclusive slice of the tenant key space.
-        my_keys = [
-            key for key in range(spec.key_space)
-            if key % spec.workers == widx
-        ]
+        # This worker's exclusive, contiguous slice of the tenant key
+        # space: a group of neighbouring keys hashes across shards.
+        share = spec.key_space // spec.workers
+        my_keys = range(widx * share, (widx + 1) * share)
         for _ in range(spec.ops_per_worker):
             think_us = rng.uniform(*spec.think_us)
             self.env.try_advance(think_us) or (yield self.env.timeout(think_us))

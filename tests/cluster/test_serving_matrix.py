@@ -171,11 +171,9 @@ def test_tenant_rows_account_for_every_op(serving_matrix):
 
 
 def test_group_puts_cross_shards(serving_matrix):
-    # A group put covers consecutive keys of one worker's slice of a
-    # hashed namespace.  From 4 shards up those straddle shards, so the
-    # host-side coordinator ran 2PC.  At 2 shards a slice (every
-    # ``workers``-th key, workers=2) hashes to one shard, so no group put
-    # crosses a shard there.
+    # A group put covers consecutive keys of one worker's contiguous slice
+    # of a hashed namespace, so on every shard count they straddle shards
+    # and the host-side coordinator runs 2PC.
     for cell in serving_matrix:
         assert sum(row["group_puts"] for row in cell["tenants"]) > 0, rerun(cell)
-        assert (cell["txns"] > 0) == (cell["shards"] > 2), rerun(cell)
+        assert cell["txns"] > 0, rerun(cell)
