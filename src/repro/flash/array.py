@@ -54,11 +54,6 @@ class FlashArray:
         for _channel, _chip_index, chip in self.iter_chips():
             chip.attach_metrics(registry)
 
-    def power_loss(self) -> None:
-        """Abort every in-flight program/erase: the power is gone."""
-        for _channel, _chip_index, chip in self.iter_chips():
-            chip.power_loss()
-
     # -- timed operations ----------------------------------------------------
 
     def read_page(self, pointer: PagePointer, transfer_bytes: int = None,

@@ -103,14 +103,9 @@ class FlashChannel:
         makes many logs per channel pay off (Figure 8).
         """
         chip = self.chip(chip_index)
-        # Capture the chip's power-loss generation when the command enters
-        # the pipeline: if power dies during the bus transfer, the program
-        # must not touch the cells afterwards.
-        generation = chip.generation
         yield from self.transfer(self.geometry.page_size, ctx=ctx, parent=parent)
         yield from chip.program_cells(
-            block_index, page_index, data, oob, generation=generation,
-            ctx=ctx, parent=parent,
+            block_index, page_index, data, oob, ctx=ctx, parent=parent
         )
 
     def erase_block(self, chip_index: int, block_index: int,

@@ -93,10 +93,6 @@ class FlashChip:
         #: ``hook(op, block_index, page_index)`` and returns True when the
         #: operation should fail.  None (the default) costs nothing.
         self.fault_hook = None
-        #: Bumped by :meth:`power_loss`.  A program/erase that has not
-        #: mutated cells by the cut aborts instead of completing later —
-        #: on real hardware the charge pump simply dies with the power.
-        self.generation = 0
 
     def attach_metrics(self, registry) -> None:
         """Resolve the suspension counters once: no per-op label hashing."""
@@ -105,10 +101,6 @@ class FlashChip:
             "erase": registry.counter("flash.suspensions", kind="erase"),
             "read": registry.counter("flash.suspended_reads"),
         }
-
-    def power_loss(self) -> None:
-        """A power cut: operations still queued or mid-pulse never land."""
-        self.generation += 1
 
     def block(self, block_index: int) -> FlashBlock:
         if not 0 <= block_index < len(self.blocks):
@@ -201,20 +193,15 @@ class FlashChip:
 
     def program_cells(
         self, block_index: int, page_index: int, data: Any, oob: Any,
-        generation: Any = None, ctx=None, parent=None,
+        ctx=None, parent=None,
     ) -> Any:
         """Page register -> cell array.  Holds the chip engine for t_PROG.
 
         The state mutation happens *before* the delay so that concurrent
         allocators observe the write pointer move immediately; the timing
-        cost is still paid in full.  ``generation`` is the power-loss
-        generation captured when the command entered the pipeline (the
-        channel passes it across the bus transfer); a stale generation
-        means power died first and the cells stay untouched.
+        cost is still paid in full.
         """
         block = self.block(block_index)
-        if generation is None:
-            generation = self.generation
         queued = self.env.now
         request = self.engine.try_acquire() or (yield self.engine.request(queued))
         if self.env.now > queued and ctx is not None:
@@ -222,8 +209,6 @@ class FlashChip:
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )
         try:
-            if generation != self.generation:
-                return None  # power was cut while queued; nothing reached the cells
             if self.fault_hook is not None and self.fault_hook("program", block_index, page_index):
                 # Failed verify: the page is consumed (the write pointer
                 # advances past it) but holds no records — an all-zero OOB
@@ -247,7 +232,6 @@ class FlashChip:
     def erase(self, block_index: int, ctx=None, parent=None) -> Any:
         """Erase a whole block.  Holds the chip engine for t_BERS."""
         block = self.block(block_index)
-        generation = self.generation
         queued = self.env.now
         request = self.engine.try_acquire() or (yield self.engine.request(queued))
         if self.env.now > queued and ctx is not None:
@@ -255,12 +239,8 @@ class FlashChip:
                 "nand.wait", start_us=queued, parent=parent, chip=self.name
             )
         try:
-            if generation != self.generation:
-                return None  # power was cut while queued; the pulse never starts
             yield from self._spend_pulse("erase", self._erase_us, ctx, parent)
             self.stats.erases += 1
-            if generation != self.generation:
-                return None  # power was cut mid-pulse; the cells kept their charge
             if self.fault_hook is not None and self.fault_hook("erase", block_index, None):
                 # The erase pulse failed: contents indeterminate, block
                 # state unchanged — the caller retries or retires it.

@@ -12,8 +12,9 @@ dedicated GC write point.
 
 The log knows nothing about namespaces; validity checks and index updates
 go through the seven hooks :class:`~repro.kaml.mapping.Mapping` provides,
-and its ``epoch`` is the device's one power epoch.  After a power cut the
-log rebuilds its own block lists from its flash target
+and its flush and GC processes are spawned into the device's process
+registry (``hooks.processes``), so a power cut ends them.  After the cut
+the log rebuilds its own block lists from its flash target
 (:meth:`KamlLog.rescan`).
 """
 
@@ -32,7 +33,6 @@ from repro.flash import (
     FlashArray,
     PagePointer,
     ProgramFailure,
-    ReadError,
     WearOutError,
 )
 from repro.ftl.gc_policy import GcCandidate, WearAwarePolicy
@@ -63,9 +63,9 @@ class _WritePoint:
     last_append: float = 0.0
 
 
-#: A launched page: its assembly, its one completion, its stream, the power
-#: epoch at launch and the program attempts it has failed so far.
-_QueuedPage = Tuple[PageAssembly, Event, bool, int, int]
+#: A launched page: its assembly, its one completion, its stream and the
+#: program attempts it has failed so far.
+_QueuedPage = Tuple[PageAssembly, Event, bool, int]
 
 
 class KamlLog:
@@ -135,7 +135,7 @@ class KamlLog:
         #: (:meth:`_timer_fired`); the GC write point has none.
         self._timer: Optional[Event] = None
         #: Launched pages waiting for the target, in launch order:
-        #: ``(assembly, programmed, for_gc, epoch, attempts)``.  One flush
+        #: ``(assembly, programmed, for_gc, attempts)``.  One flush
         #: process drains it while ``_programming`` is set.
         self._flush_queue: Deque[_QueuedPage] = deque()
         self._programming = False
@@ -228,14 +228,10 @@ class KamlLog:
         if padded:
             self._wasted_chunks_counter.value += padded
         self._points[for_gc] = _WritePoint(self._new_assembly())
-        # The epoch is captured *here*, not when the page is dequeued: a
-        # power cut can land between the launch and the program, and a
-        # flush that read the post-cut epoch would happily program a page
-        # of pre-crash records into the recovered log.
-        self._flush_queue.append((assembly, point.programmed, for_gc, self.hooks.epoch, 0))
+        self._flush_queue.append((assembly, point.programmed, for_gc, 0))
         if not self._programming:
             self._programming = True
-            self.env.process(self._flush_process())
+            self.env.process(self._flush_process(), self.hooks.processes)
 
     def _arm_timer(self, delay_us: float) -> None:
         self._timer = self.env.timeout(delay_us)
@@ -277,9 +273,7 @@ class KamlLog:
         queue = self._flush_queue
         try:
             while queue:
-                assembly, programmed, for_gc, epoch, attempts = queue.popleft()
-                if self.hooks.epoch != epoch:
-                    continue  # launched or parked before a cut; the page is gone
+                assembly, programmed, for_gc, attempts = queue.popleft()
                 if sanitize.enabled():
                     # SAN-CHUNK: runs must be packed, in-bounds, and bitmap
                     # round-trippable before they become on-flash truth.
@@ -294,7 +288,7 @@ class KamlLog:
                     if pointer is None:
                         if self.gc_running:
                             self.space_gate.wait().add_callback(partial(
-                                self._requeue, (assembly, programmed, for_gc, epoch, attempts)
+                                self._requeue, (assembly, programmed, for_gc, attempts)
                             ))
                         else:
                             programmed.fail(LogSpaceError(
@@ -337,8 +331,6 @@ class KamlLog:
                                 page=pointer.page,
                                 attempt=attempts,
                             ).close()
-                        if self.hooks.epoch != epoch:
-                            break
                         if attempts >= self.MAX_PROGRAM_RETRIES:
                             programmed.fail(LogSpaceError(
                                 f"log {self.log_id} page program failed "
@@ -352,10 +344,7 @@ class KamlLog:
                     self._programmed_pages_counter.value += 1
                     self._programmed_bytes_counter.value += self.geometry.page_size
                     self._program_us_histogram.observe(self.env.now - program_start)
-                    # After a cut during the program the page is a torn
-                    # write the mapping tables never point at.
-                    if self.hooks.epoch == epoch:
-                        programmed.succeed(pointer)
+                    programmed.succeed(pointer)
                     break
         finally:
             self._programming = False
@@ -367,7 +356,7 @@ class KamlLog:
         self._flush_queue.append(page)
         if not self._programming:
             self._programming = True
-            self.env.start(self._flush_process())
+            self.env.start(self._flush_process(), self.hooks.processes)
 
     # ------------------------------------------------------------------
     # Block allocation
@@ -414,7 +403,7 @@ class KamlLog:
         if not any(self._gc_feasible(c) for c in self._gc_candidates()):
             return
         self.gc_running = True
-        self.env.process(self._gc_process())
+        self.env.process(self._gc_process(), self.hooks.processes)
 
     def _gc_candidates(self) -> List[GcCandidate]:
         chip = self._chip()
@@ -428,7 +417,6 @@ class KamlLog:
         ]
 
     def _gc_process(self) -> Any:
-        epoch = self.hooks.epoch
         self._gc_generation += 1
         tracer = self.tracer
         ctx = tracer.request(
@@ -439,8 +427,6 @@ class KamlLog:
             gc_span = ctx.root
         try:
             while len(self.free) < self.params.gc_restore_target:
-                if self.hooks.epoch != epoch:
-                    return  # crashed meanwhile
                 candidates = [
                     c for c in self._gc_candidates() if self._gc_feasible(c)
                 ]
@@ -466,13 +452,9 @@ class KamlLog:
                 yield from self._clean_block(block_index, ctx, clean_span)
                 if ctx is not None:
                     ctx.finish(clean_span)
-                if self.hooks.epoch != epoch:
-                    return
                 block_key = self.block_key(block_index)
                 pin_wait_start = self.env.now
                 yield from self.hooks.wait_unpinned(block_key)
-                if self.hooks.epoch != epoch:
-                    return  # the cut woke the barrier: erase nothing
                 if ctx is not None:
                     if self.env.now > pin_wait_start:
                         ctx.record_span(
@@ -506,8 +488,6 @@ class KamlLog:
                                 block=block_index,
                                 attempt=erase_attempts,
                             ).close()
-                        if self.hooks.epoch != epoch:
-                            return
                         if erase_attempts > self.MAX_ERASE_RETRIES:
                             retired = True
                             break
@@ -518,8 +498,6 @@ class KamlLog:
                         # II-A's "limited number of erase operations").
                         retired = True
                         break
-                if self.hooks.epoch != epoch:
-                    return  # ghost pass: the erase died with the power
                 if retired:
                     self._retired_counter.inc()
                     if ctx is not None:
@@ -534,16 +512,13 @@ class KamlLog:
                 self.free.append(block_index)
                 self.space_gate.fire()
         finally:
-            # A ghost pass (power was cut under it) touches nothing: the
-            # cut cleared the flag, a pass started since owns it, and a
-            # pass parked on an event the cut dropped only ends here when
-            # the garbage collector finalizes it, at no fixed instant.
-            if self.hooks.epoch == epoch:
-                self.gc_running = False
-                if ctx is not None:
-                    ctx.close()
-                # Wake any flush that was waiting so it can re-check state.
-                self.space_gate.fire()
+            # A power cut ends the pass here too, once the log is reset:
+            # its fresh ``space_gate`` has no waiter to wake.
+            self.gc_running = False
+            if ctx is not None:
+                ctx.close()
+            # Wake any flush that was waiting so it can re-check state.
+            self.space_gate.fire()
 
     def _gc_feasible(self, candidate: GcCandidate) -> bool:
         """Can the victim's survivors fit in the pages GC can reach?
@@ -568,7 +543,6 @@ class KamlLog:
             self.hooks.valid_bytes(self.block_key(block_index))
         )
         clean_start = self.env.now
-        epoch = self.hooks.epoch
         chip = self._chip()
         block = chip.block(block_index)
         survivors: List[Tuple[Record, RecordLocation]] = []
@@ -576,16 +550,9 @@ class KamlLog:
             pointer = PagePointer(self.channel, self.chip, block_index, page_index)
             if not self.hooks.page_live(pointer):
                 continue  # the block is doomed: a dead page stays dead
-            try:
-                data, bitmap = yield from self.array.read_page(
-                    pointer, ctx=ctx, parent=parent
-                )
-            except ReadError:
-                if self.hooks.epoch != epoch:
-                    return  # ghost pass: the block was reclaimed post-crash
-                raise
-            if self.hooks.epoch != epoch:
-                return
+            data, _bitmap = yield from self.array.read_page(
+                pointer, ctx=ctx, parent=parent
+            )
             for start, record in data.items():
                 location = RecordLocation(
                     page=pointer,
@@ -606,8 +573,6 @@ class KamlLog:
             pointer = yield programmed  # once per page: later records resume at once
             new_location = RecordLocation(pointer, start, old_location.nchunks)
             self._crash_point("gc.mid_relocation")
-            if self.hooks.epoch != epoch:
-                return  # ghost pass: never CAS into recovered mapping state
             if self.hooks.relocate(record, old_location, new_location):
                 self._relocated_counter.inc()
                 moved_bytes += record.size
@@ -646,14 +611,13 @@ class KamlLog:
 
         Everything is cleared; the records are still staged in NVRAM and
         will be replayed (Section IV-D), and :meth:`rescan` rebuilds the
-        lists from flash.  The queued pages are dropped, but a flush
-        process caught mid-program keeps ``_programming`` set: it is the
-        one that drains pages launched after the cut, and it clears the
-        flag in its ``finally``.  The power epoch is ``hooks.epoch``, which
-        the device's :meth:`Mapping.clear` bumps in the same cut.
+        lists from flash.  The queued pages are dropped, and so are the
+        pages parked on the old ``space_gate``; the device then ends the
+        log's flush and GC processes.
         """
         self.gc_running = False
         self._flush_queue.clear()
+        self.space_gate = Gate(self.env, name=f"log{self.log_id}.space")
         if self._timer is not None:
             self._timer.defuse()
             self._timer = None

@@ -74,10 +74,14 @@ class Mapping:
         self._doomed_blocks: Set[BlockKey] = set()
         self._pins: Dict[BlockKey, int] = defaultdict(int)
         self._pin_gate = Gate(env, name="kaml.pins")
-        #: The device's one power epoch, bumped by :meth:`clear`.  A command
-        #: or process that began before a power cut (a ghost) compares the
+        #: The device's one power epoch, bumped by :meth:`clear`.  A host
+        #: command that began before a power cut (a ghost) compares the
         #: epoch it began in before it touches a table, and ends instead.
         self.epoch = 0
+        #: The device's live background processes, in spawn order: page
+        #: flushes, GC passes and Put phases 2–3.  A power cut ends them
+        #: all (:func:`repro.kaml.recovery.power_loss`).
+        self.processes: Dict[Any, None] = {}
 
     # ------------------------------------------------------------------
     # What commands see
@@ -261,9 +265,7 @@ class Mapping:
         self.epoch += 1
         self._staged.clear()  # replay rebuilds the installs
         self._pins.clear()
-        # A GC pass parked at its pre-erase barrier wakes now, in the cut's
-        # instant, and ends before recovery can start another pass.
-        self._pin_gate.fire()
+        self._pin_gate = Gate(self.env, name="kaml.pins")  # the waits died with the power
         self._doomed_blocks.clear()  # the pending erases died with the power
         self._installed_versions.clear()
         self._valid_bytes.clear()

@@ -10,7 +10,8 @@
 3. The firmware installs the new physical addresses in the mapping
    tables, adjusts valid-byte accounting, and frees NVRAM.
 
-Phases 2–3 run in a background process (:func:`_complete_put`); the
+Phases 2–3 run in a background process (:func:`_complete_put`), one of
+the device's registered processes that a power cut ends; the
 host-visible latency is phase 1 — which is why small ``Put`` latency
 beats block ``write`` (Figure 6b) even though flash programs are slow.
 
@@ -263,7 +264,8 @@ def _commit(
         ctx.detach(put_span)
     # Phases 2-3 begin in this step, the one that acknowledges the Put.
     return ssd.env.start(
-        _complete_put(ssd, records, handle, epoch, batch, ctx, put_span, owns_ctx)
+        _complete_put(ssd, records, handle, batch, ctx, put_span, owns_ctx),
+        ssd.mapping.processes,
     )
 
 
@@ -281,7 +283,7 @@ def stage_record(ssd, record: Record) -> Optional[Tuple[Event, int, int, KamlLog
     return programmed, start, nchunks, log
 
 
-def _reappend(ssd, record: Record, epoch: int) -> Any:
+def _reappend(ssd, record: Record) -> Any:
     """Re-append a record whose phase-2 copy GC claimed before its install.
 
     GC deliberately treats appended-but-not-yet-installed records as
@@ -292,13 +294,13 @@ def _reappend(ssd, record: Record, epoch: int) -> Any:
     reprogrammed — page.  :meth:`Mapping.severed` covers the whole
     window; while it holds, re-append the record under its original
     commit version and try again.  Returns the live location, or
-    None if a newer write superseded this install (or the device
-    crashed, or the namespace went) while retrying.
+    None if a newer write superseded this install (or the namespace
+    went) while retrying.
     """
     while True:
         if ssd.mapping.superseded(record):
             return None  # a newer write won; this record is garbage
-        staged = stage_record(ssd, record) if ssd.mapping.epoch == epoch else None
+        staged = stage_record(ssd, record)
         if staged is None:
             return None
         programmed, start, nchunks, _log = staged
@@ -306,15 +308,13 @@ def _reappend(ssd, record: Record, epoch: int) -> Any:
         # Captured in the same event cascade as the append's completion:
         # see the same rule in _complete_put.
         mark = ssd.mapping.erase_mark(location.page)
-        if ssd.mapping.epoch != epoch:
-            return None
         ssd._reappends_counter.inc()
         if not ssd.mapping.severed(location, mark):
             return location
 
 
 def _complete_put(
-    ssd, records, handle, epoch, batch,
+    ssd, records, handle, batch,
     ctx=None, put_span=None, owns_ctx=False,
 ) -> Any:
     """Phases 2 and 3: flash writes, then mapping-table installs.
@@ -328,6 +328,8 @@ def _complete_put(
     the first one or the re-append of a record GC severed before its
     install, the pin is kept: the batch was acknowledged at the pin, so
     the pinned payload is its only durable copy and NVRAM replay owns it.
+    So is a batch whose phases a power cut ended: the pin is released
+    on the success path alone, never in a ``finally``.
     """
     phase2_start = ssd.env.now
     phase2_span = None
@@ -367,7 +369,6 @@ def _complete_put(
                 stages[programmed] = []
                 programmed.add_callback(land)
             stages[programmed].append((index, start, nchunks, log))
-    append_failed = False
     try:
         try:
             yield ssd.env.all_of(list(stages))
@@ -375,35 +376,32 @@ def _complete_put(
             yield from ssd.firmware.execute(
                 len(records) * (ssd.costs.per_record_us + ssd.costs.hash_update_us)
             )
-            if ssd.mapping.epoch == epoch and ssd.fault is not None:
+            if ssd.fault is not None:
                 ssd.fault.reached("put.before_install")
-            if ssd.mapping.epoch == epoch:
-                for record, landing in zip(records, landed):
-                    if landing is None:
-                        continue  # never appended: a cut, or the namespace is gone
-                    location, mark = landing
-                    if ssd.mapping.severed(location, mark):
-                        location = yield from _reappend(ssd, record, epoch)
-                    if location is not None and ssd.mapping.epoch == epoch:
-                        ssd.mapping.install(record, location)
+            for record, landing in zip(records, landed):
+                if landing is None:
+                    continue  # never appended: the namespace is gone
+                location, mark = landing
+                if ssd.mapping.severed(location, mark):
+                    location = yield from _reappend(ssd, record)
+                if location is not None:
+                    ssd.mapping.install(record, location)
         except LogSpaceError:
             # The first append or a re-append of a record GC severed:
             # keep the pin, replay owns the acked batch.
-            append_failed = True
             ssd._append_failures_counter.inc()
             if ctx is not None:
                 phase2_span.tags["failed"] = True
             return
         if ctx is not None:
             ctx.record_span("put.install", start_us=install_start, parent=phase2_span)
+        ssd.nvram.release(handle)
+        ssd._nvram_pin_us_histogram.observe(ssd.env.now - batch.pinned_at)
+        ssd._phase2_us_histogram.observe(ssd.env.now - phase2_start)
+        ssd._nvram_used_gauge.set(ssd.nvram.used_bytes)
+        if put_span is not None:  # a participant's pin spans the coordinator's phases
+            ctx.record_span("put.nvram_pin", start_us=batch.pinned_at, parent=put_span)
     finally:
-        if ssd.mapping.epoch == epoch and not append_failed:
-            ssd.nvram.release(handle)
-            ssd._nvram_pin_us_histogram.observe(ssd.env.now - batch.pinned_at)
-            ssd._phase2_us_histogram.observe(ssd.env.now - phase2_start)
-            ssd._nvram_used_gauge.set(ssd.nvram.used_bytes)
-            if put_span is not None:  # a participant's pin spans the coordinator's phases
-                ctx.record_span("put.nvram_pin", start_us=batch.pinned_at, parent=put_span)
         if ctx is not None:
             ctx.finish(phase2_span)
             if put_span is not None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro import sanitize
-from repro.errors import InvariantError
+from repro.errors import InvariantError, PowerLossError
 from repro.kaml.namespace import Namespace
 from repro.kaml.put import StagedBatch, stage_record
 from repro.kaml.record import TOMBSTONE, Record, RecordLocation
@@ -20,11 +20,14 @@ def power_loss(ssd) -> None:
     Mapping tables, valid-byte and version accounting, block lists,
     and snapshots all vanish.  Only NVRAM reservations and flash pages
     whose program completed survive; :func:`recover` must rebuild
-    everything else by scanning flash.  Processes from before the cut
-    become ghosts: :meth:`Mapping.clear` bumps the device's one power
-    epoch.
+    everything else by scanning flash.
+
+    The device's processes (page flushes, GC passes, Put phases 2–3) end
+    here, once the state they would touch is reset: a program or erase in
+    flight never lands and frees its die now.  Host commands run in their
+    callers' processes and keep their fences on the power epoch, which
+    :meth:`Mapping.clear` bumps.
     """
-    ssd.array.power_loss()  # in-flight programs/erases never land
     for log in ssd.logs:
         log.power_loss()
     ssd.nvram.power_loss()
@@ -32,6 +35,8 @@ def power_loss(ssd) -> None:
         if ssd.dram.holds(holder.dram_tag):
             ssd.dram.free(holder.dram_tag)
     ssd.mapping.clear()
+    for process in list(ssd.mapping.processes):
+        process.kill(PowerLossError("power lost under a device process"))
     ssd.metrics.counter("kaml.ssd.power_losses").inc()
 
 

@@ -5,10 +5,9 @@ generator-based processes, one-shot events, queued resources, FCFS
 timelines for holds of known length, and the lock and gate built on
 them.  Every other subsystem in :mod:`repro` (flash chips, channels,
 firmware, host threads) is expressed as processes scheduled by an
-:class:`Environment`.  A process runs until it returns or
-raises, and a resource request is held until released: nothing in the
-stack interrupts a process or withdraws a request, so the kernel offers
-neither.
+:class:`Environment`.  A process runs until it returns or raises, or
+until :meth:`Process.kill` ends it where it is parked (a power cut ends
+a device's processes so); nothing else interrupts a process.
 
 Typical usage::
 

@@ -77,7 +77,7 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_exception", "_triggered",
-                 "_processed", "_defused")
+                 "_processed")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -88,7 +88,6 @@ class Event:
         self._exception: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
-        self._defused = False
 
     @property
     def triggered(self) -> bool:
@@ -162,10 +161,7 @@ class Event:
         dispatch moves the clock and counts in ``events_processed`` as the
         live event's would have.
         """
-        if self._processed or self._defused:
-            return
         self.callbacks = None
-        self._defused = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -188,7 +184,6 @@ class Timeout(Event):
         self._exception = None
         self._triggered = True
         self._processed = False
-        self._defused = False
         self.delay = delay
         env._eid = eid = env._eid + 1
         queue = env._queue
@@ -249,22 +244,24 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def process(self, generator: Generator) -> "Process":
+    def process(self, generator: Generator, registry: Optional[dict] = None) -> "Process":
         """Spawn ``generator``; its first step runs at a bootstrap event
-        dispatched at the current instant."""
+        dispatched at the current instant.  With a ``registry`` (a dict of
+        live processes) the process joins it until it ends."""
         from repro.sim.process import Process
 
-        process = Process(self, generator)
+        process = Process(self, generator, registry=registry)
         bootstrap = Event(self)
         bootstrap._triggered = True
         bootstrap.callbacks = [process._resume]
         self._schedule(bootstrap, 0.0)
         return process
 
-    def start(self, generator: Generator) -> "Process":
-        """Spawn ``generator`` and run its first step now, inside the
-        caller's step, instead of at a bootstrap dispatched later in this
-        instant (the idea of Python 3.12's eager asyncio tasks).
+    def start(self, generator: Generator, registry: Optional[dict] = None) -> "Process":
+        """Spawn ``generator`` (into ``registry``, as :meth:`process` does)
+        and run its first step now, inside the caller's step, instead of at
+        a bootstrap dispatched later in this instant (the idea of Python
+        3.12's eager asyncio tasks).
 
         This moves the child's first step ahead of every other event of
         the instant, so it is a model choice, not a provable no-op.  The
@@ -275,7 +272,7 @@ class Environment:
         """
         from repro.sim.process import Process
 
-        process = Process(self, generator)
+        process = Process(self, generator, registry=registry)
         first = Event(self)
         first._triggered = True
         fanning_out, self._fanning_out = self._fanning_out, True

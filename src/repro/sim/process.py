@@ -11,34 +11,65 @@ dispatch (:meth:`Environment._finish`), and a process nobody waits on when
 it returns is processed on the spot: it never enters the heap.  A process
 spawned by :meth:`Environment.start` has no bootstrap: its first step runs
 inside the spawner's.
+
+A process spawned into a *registry* (a dict of live processes, in spawn
+order) leaves it when it ends; a power cut ends a device's registered
+processes with :meth:`Process.kill`.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.resources import Request
 
 
 class Process(Event):
     """A running generator inside the simulation."""
 
-    __slots__ = ("_generator", "name")
+    __slots__ = ("_generator", "name", "_target", "_registry")
 
-    def __init__(self, env: Environment, generator: Generator, name: str = ""):
+    def __init__(self, env: Environment, generator: Generator, registry: Optional[dict] = None):
         """Made by :meth:`Environment.process` or :meth:`Environment.start`,
         which decide when the first step runs."""
         if not hasattr(generator, "send"):
             raise SimulationError(f"process target is not a generator: {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = getattr(generator, "__name__", "process")
+        #: The event the process is parked on.
+        self._target: Optional[Event] = None
+        self._registry = registry
+        if registry is not None:
+            registry[self] = None
 
     @property
     def is_alive(self) -> bool:
         return not self._triggered
 
+    def kill(self, exc: BaseException) -> None:
+        """End the process where it is parked: it never runs again (the
+        event it waits on resumes nothing), a :class:`Request` it waits on
+        is given back, its ``finally`` blocks run now and its waiters get
+        ``exc``.  An ended process is left alone, and so is a running one
+        (the caller, or its eager parent): it ends by raising out."""
+        if self._triggered or self._generator.gi_running:
+            return
+        if type(self._target) is Request:
+            self._target.resource._give_back(self._target)
+        self._generator.close()
+        if self._registry is not None:
+            del self._registry[self]
+        if self.callbacks or self is self.env._until:
+            self.fail(exc)
+        else:
+            self._triggered = self._processed = True
+            self._exception = exc
+
     def _resume(self, event: Event) -> None:
+        if self._triggered:
+            return  # killed: the event it was parked on fired anyway
         env = self.env
         generator = self._generator
         previous, env.active_process = env.active_process, self
@@ -52,6 +83,8 @@ class Process(Event):
                     target = generator.send(event._value if event._triggered else None)
             except StopIteration as stop:
                 env.active_process = previous
+                if self._registry is not None:
+                    del self._registry[self]
                 if self.callbacks or self is env._until:
                     env._finish(self, stop.value)
                 else:
@@ -63,6 +96,8 @@ class Process(Event):
                 return
             except Exception as exc:
                 env.active_process = previous
+                if self._registry is not None:
+                    del self._registry[self]
                 if not self.callbacks:
                     # Nobody is waiting on this process; surface the bug loudly
                     # instead of recording a failure no one will observe.
@@ -81,6 +116,7 @@ class Process(Event):
                 break
             event = target
         env.active_process = previous
+        self._target = target
         if target.callbacks is None:
             target.callbacks = [self._resume]
         else:

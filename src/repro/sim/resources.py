@@ -23,8 +23,9 @@ the caller queues with ``request()`` as before.  Either way the process
 resumes at the same instant, in the same order relative to everything
 else.  An inline grant is the resource's one pre-granted token, not a fresh
 :class:`Request`: ``release`` only ever asks a request whether it was
-granted and by whom.  A request, once made, is waited for and released:
-there is no withdrawal.
+granted and by whom.  A request is waited for and released; only
+:meth:`Process.kill <repro.sim.process.Process.kill>` gives one back
+unused (:meth:`Resource._give_back`).
 
 :class:`Timeline` serves holds whose length *is* known when they are
 requested — a firmware context's CPU cost, a PCIe pipe's or a flash
@@ -41,7 +42,7 @@ timeout and a release that grants the next waiter.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import List, Optional, Tuple
 
 from repro.sim.core import URGENT, Environment, Event, SimulationError
@@ -64,7 +65,6 @@ class Request(Event):
         self._exception = None
         self._triggered = False
         self._processed = False
-        self._defused = False
         self.resource = resource
         self.priority = priority
 
@@ -145,6 +145,16 @@ class Resource:
             raise SimulationError(f"resource {self.name!r} over-released")
         if self._waiting:
             self._grant_next()
+
+    def _give_back(self, request: Request) -> None:
+        """A killed claimant's ``request``: released if it was granted,
+        withdrawn from the queue if not.  Nobody else listens to it."""
+        request.callbacks = None
+        if request._triggered:
+            self.release(request)
+        else:
+            self._waiting = [entry for entry in self._waiting if entry[2] is not request]
+            heapify(self._waiting)
 
     def _grant_next(self) -> None:
         waiting = self._waiting

@@ -11,6 +11,7 @@ runs once per session (the ``crash_matrix`` fixture in
 """
 
 import gc
+import hashlib
 
 from repro.fault import (
     ALL_CRASH_POINTS,
@@ -93,15 +94,18 @@ def test_armed_run_is_deterministic():
 
 
 def test_an_armed_run_does_not_depend_on_when_the_garbage_collector_runs():
-    """A ghost process parked on an event the cut dropped is finalized by
-    the garbage collector, whenever that runs; its cleanup must change
-    nothing on the recovered device.  A sweeper collects every 20 ms of
-    simulated time in one run and never in the other: same events, same
-    result."""
+    """A process left parked on an event the cut dropped would be
+    finalized by the garbage collector, whenever that runs, and its
+    cleanup (a span closed, a flag cleared) would land at that instant.
+    The cut ends every device process instead.  A sweeper collects every
+    20 ms of simulated time in one run and never in the other: same
+    clock, same recorded span stream."""
 
     def cell(collect):
         env = Environment()
         target = DeviceTarget(env)
+        tracer = target.stack.tracer
+        tracer.enabled = True
 
         def sweeper():
             while True:
@@ -110,17 +114,24 @@ def test_an_armed_run_does_not_depend_on_when_the_garbage_collector_runs():
                 yield env.timeout(20_000.0)
 
         env.process(sweeper())
-        return run_on(target, FaultPlan("put.before_nvram_pin", 203), seed=1)
+        result = run_on(target, FaultPlan("put.before_nvram_pin", 203), seed=1)
+        spans = [(span.name, span.start_us, span.end_us) for span in tracer.recorder.events()]
+        stream = hashlib.sha256(repr(spans).encode()).hexdigest()
+        return result, tracer.recorder.recorded, stream
 
     enabled = gc.isenabled()
     gc.disable()
     try:
-        quiet, swept = cell(False), cell(True)
+        (quiet, quiet_spans, quiet_stream), (swept, swept_spans, swept_stream) = (
+            cell(False), cell(True)
+        )
     finally:
         if enabled:
             gc.enable()
     assert quiet["ok"] and swept["ok"]
     assert swept["sim_time_us"] == quiet["sim_time_us"]
+    assert swept_spans == quiet_spans
+    assert swept_stream == quiet_stream
 
 
 def test_pick_hit_in_range_and_seed_dependent():

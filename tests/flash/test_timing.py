@@ -170,29 +170,3 @@ def test_erase_count_spread(setup):
     low, high = array.erase_count_spread()
     assert low == 0
     assert high == 2
-
-
-def test_erase_still_queued_at_power_loss_never_runs(setup):
-    """A ghost erase from before the cut must not hold the recovered die
-    for a t_BERS it never spends, nor count as an erase."""
-    env, geometry, array = setup
-    chip = array.chip(0, 0)
-
-    def program():
-        yield from array.program_page(PagePointer(0, 0, 0, 0), "x")
-
-    def erase():
-        yield env.timeout(50.0)  # the program holds the engine by now
-        yield from array.erase_block(PagePointer(0, 0, 1, 0))
-        return env.now
-
-    env.process(program())
-    ghost = env.process(erase())
-    env.run(until=100.0)
-    array.power_loss()
-    env.run()
-    program_done = 1.0 + geometry.page_size / TIMINGS.bus_bytes_per_us + TIMINGS.program_us
-    assert ghost.value == pytest.approx(program_done)  # returned at the grant
-    assert chip.stats.erases == 0
-    assert chip.block(1).erase_count == 0
-    assert chip.stats.busy_us == pytest.approx(TIMINGS.program_us)

@@ -259,3 +259,41 @@ def test_recovery_last_writer_wins_for_same_key():
         return value
 
     assert run(env, recovery_flow()) == "second"
+
+
+def test_a_die_erasing_at_a_cut_serves_recovery_from_the_cut():
+    """A power cut lands while GC's erase pulse holds the one die.  The
+    pulse dies with the power, so recovery's rescan reads of that die are
+    granted at the cut, not when the pulse (t_BERS) would have ended, and
+    the dead pulse counts as no erase."""
+    env, ssd = make_small_ssd()
+    chip = ssd.logs[0]._chip()
+    state = {}
+
+    def churn():
+        nsid = yield from ssd.create_namespace(NamespaceAttributes(expected_keys=4))
+        for i in range(400):
+            yield from put_one(ssd, nsid, i % 4, ("v", i))
+            yield env.timeout(1500.0)
+            if "cut" in state:
+                return  # the host stops at the cut, as its device went dark
+
+    env.process(churn())
+    while chip._pulse is None or chip._pulse.kind != "erase":
+        env.step()
+    state["cut"] = cut = env.now
+    ssd.power_loss()
+    assert chip.engine.in_use == 0 and chip._pulse is None
+    reads = []
+    read_cells = chip.read_cells
+
+    def timed_read(*args, **kwargs):
+        result = yield from read_cells(*args, **kwargs)
+        reads.append(env.now)
+        return result
+
+    chip.read_cells = timed_read
+    recovery = env.process(ssd.recover())
+    env.run_until(recovery)
+    assert reads[0] == pytest.approx(cut + ssd.config.flash.read_us)
+    assert chip.stats.erases == ssd.metrics.total("kaml.log.gc.erased_blocks")

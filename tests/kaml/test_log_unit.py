@@ -12,13 +12,12 @@ class FakeHooks:
     """Minimal index stand-in: a key is valid only at its registered
     current location (mirroring what KamlSsd's mapping tables provide)."""
 
-    #: The power epoch the log's ghost checks read (``Mapping.epoch``).
-    epoch = 0
-
     def __init__(self):
         self.valid = {}          # block_key -> bytes
         self.locations = {}      # key -> current RecordLocation
         self.relocations = []
+        #: The live processes the log spawns (``Mapping.processes``).
+        self.processes = {}
 
     def register(self, key, location):
         """Mark a key's freshly written record as its current copy."""
@@ -84,6 +83,18 @@ def run(env, gen):
     proc = env.process(gen)
     env.run_until(proc)
     return proc.value
+
+
+class CutPower(Exception):
+    """What the fault injector raises at a crash point."""
+
+
+def cut_power(log, hooks):
+    """A power cut as the device makes one: reset the log, then end the
+    processes it spawned (the one announcing the cut raises out itself)."""
+    log.power_loss()
+    for process in list(hooks.processes):
+        process.kill(CutPower("power cut"))
 
 
 def stage(log, rec, for_gc=False):
@@ -256,7 +267,7 @@ def pending_timers(env, log):
     """Live heap entries that would run the log's flush timer."""
     return [
         event for _when, _priority, _eid, event in env._queue
-        if not event._defused and log._timer_fired in (event.callbacks or ())
+        if log._timer_fired in (event.callbacks or ())
     ]
 
 
@@ -523,8 +534,7 @@ def test_rescan_restores_block_lists_and_both_write_points():
     free, full = sorted(log.free), sorted(log.full)
     active, write_pointers = dict(log._active), dict(log._active_wp)
     assert write_pointers == {False: 2, True: 1}
-    array.power_loss()
-    log.power_loss()
+    cut_power(log, hooks)
     assert (log.free, log.full) == ([], [])
     pages, found = run(env, log.rescan())
     assert pages == 7
@@ -638,10 +648,6 @@ def test_parked_page_keeps_its_failed_attempts():
     assert "failed 4 times" in str(page.exception)
 
 
-class CutPower(Exception):
-    """What the fault injector raises at a crash point."""
-
-
 def test_crash_point_mid_flush_leaves_the_log_programmable_after_recovery():
     env, log, hooks, array = make_log(flush_timeout=10_000_000.0)
     cuts = []
@@ -649,9 +655,7 @@ def test_crash_point_mid_flush_leaves_the_log_programmable_after_recovery():
     def crash_point(name):
         if name == "log.mid_flush" and not cuts:
             cuts.append(env.now)
-            array.power_loss()
-            log.power_loss()
-            hooks.epoch += 1
+            cut_power(log, hooks)
             raise CutPower(name)
 
     log._crash_point = crash_point

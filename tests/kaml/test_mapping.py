@@ -214,6 +214,21 @@ def test_block_erased_and_clear_forget_page_counts():
     assert not mapping.page_live(page(2))
 
 
+def test_clear_drops_the_pre_erase_barrier_waits_without_waking_them():
+    mapping, _ = make_mapping()
+    env = mapping.env
+    block_key = (0, 0, 1)
+    mapping._pin(block_key)
+    barrier = env.process(mapping.wait_unpinned(block_key))
+    env.run()
+    mapping.clear()  # a cut: the device ends the waiting pass itself
+    mapping._pin(block_key)
+    mapping._unpin(block_key)  # the first unpin after recovery
+    before = env.events_processed
+    env.run()
+    assert barrier.is_alive and env.events_processed == before
+
+
 def test_doctored_page_count_trips_san_valid():
     """Bytes moved between two pages of one block: the block total still
     agrees, and only the per-page check sees the page GC would skip."""
